@@ -13,7 +13,10 @@
 // out byte 0, so a zero link always terminates a list.
 package arena
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // Addr is an offset into an Arena, playing the role of a kernel virtual
 // address. The zero value is NilAddr and never addresses usable memory.
@@ -104,8 +107,14 @@ func (a *Arena) Bytes(addr Addr, n uint64) []byte {
 // write integrity of allocated blocks.
 func (a *Arena) Fill(addr Addr, n uint64, pattern byte) {
 	b := a.Bytes(addr, n)
-	for i := range b {
-		b[i] = pattern
+	if len(b) == 0 {
+		return
+	}
+	// Doubling copy: the filled prefix seeds the next stretch, so all but
+	// the first byte move at memmove speed.
+	b[0] = pattern
+	for filled := 1; filled < len(b); filled *= 2 {
+		copy(b[filled:], b[:filled])
 	}
 }
 
@@ -114,10 +123,15 @@ func (a *Arena) Fill(addr Addr, n uint64, pattern byte) {
 // if not.
 func (a *Arena) CheckFill(addr Addr, n uint64, pattern byte) (uint64, bool) {
 	b := a.Bytes(addr, n)
-	for i := range b {
-		if b[i] != pattern {
-			return uint64(i), false
-		}
+	// A run is one repeated byte exactly when its first byte is that byte
+	// and it equals itself shifted by one — a word-wise compare. The byte
+	// loop only runs to locate a mismatch.
+	if len(b) == 0 || (b[0] == pattern && bytes.Equal(b[1:], b[:len(b)-1])) {
+		return 0, true
 	}
-	return 0, true
+	i := 0
+	for b[i] == pattern {
+		i++
+	}
+	return uint64(i), false
 }

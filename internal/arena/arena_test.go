@@ -93,6 +93,48 @@ func TestFillCheckFill(t *testing.T) {
 	}
 }
 
+// TestFillCheckFillTable holds the word-wise Fill and CheckFill to what
+// the byte loops they replaced did: every length 0-70 at every start
+// alignment, the bytes around the range untouched, and a mismatch planted
+// at each offset in turn found at exactly that offset.
+func TestFillCheckFillTable(t *testing.T) {
+	const guard, pattern = 0x11, 0xdc
+	a := New(4096)
+	for align := uint64(0); align < 16; align++ {
+		for n := uint64(0); n <= 70; n++ {
+			addr := 256 + align
+			all := a.Bytes(addr-16, n+32)
+			for i := range all {
+				all[i] = guard
+			}
+			a.Fill(addr, n, pattern)
+			for i, got := range all {
+				want := byte(guard)
+				if uint64(i) >= 16 && uint64(i) < 16+n {
+					want = pattern
+				}
+				if got != want {
+					t.Fatalf("Fill(align %d, n %d): byte %d is %#x, want %#x", align, n, i-16, got, want)
+				}
+			}
+			if off, ok := a.CheckFill(addr, n, pattern); !ok || off != 0 {
+				t.Fatalf("CheckFill(align %d, n %d) of a filled range = (%d, %v)", align, n, off, ok)
+			}
+			b := a.Bytes(addr, n)
+			for bad := uint64(0); bad < n; bad++ {
+				b[bad] = pattern ^ 1
+				if bad+1 < n {
+					b[n-1] = pattern ^ 2 // a later mismatch must not be the one reported
+				}
+				if off, ok := a.CheckFill(addr, n, pattern); ok || off != bad {
+					t.Fatalf("CheckFill(align %d, n %d), mismatch at %d = (%d, %v)", align, n, bad, off, ok)
+				}
+				b[bad], b[n-1] = pattern, pattern
+			}
+		}
+	}
+}
+
 func TestBytesAliasesArena(t *testing.T) {
 	a := New(4096)
 	b := a.Bytes(100, 8)

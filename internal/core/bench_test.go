@@ -1,0 +1,45 @@
+package core
+
+import (
+	"testing"
+
+	"kmem/internal/machine"
+)
+
+// BenchmarkTrimColdSpan times one voluntary decommit pass over a 64 MB
+// lazy vmblk in the state a long-running allocator leaves it: 32 backed
+// free pages in one short span beside a 16k-page span that was never
+// touched. Each iteration backs the short span again (one 32-page
+// allocation, freed) and trims it; the pass must cost those 32 pages,
+// not the vmblk. CI runs it with -benchtime 1x so it keeps compiling.
+func BenchmarkTrimColdSpan(b *testing.B) {
+	cfg := machine.DefaultConfig() // 64 MB arena: one vmblk
+	cfg.PhysPages = 1024
+	m := machine.New(cfg)
+	a, err := New(m, Params{RadixSort: true, LazySpans: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := m.CPU(0)
+	size := 32 * cfg.PageBytes
+	warm, err := a.Alloc(c, size)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// One allocated page keeps the short span from merging with the tail.
+	if _, err := a.Alloc(c, cfg.PageBytes); err != nil {
+		b.Fatal(err)
+	}
+	a.Free(c, warm, size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := a.Trim(c, -1); n != 32 {
+			b.Fatalf("Trim released %d pages, want 32", n)
+		}
+		blk, err := a.Alloc(c, size)
+		if err != nil {
+			b.Fatal(err)
+		}
+		a.Free(c, blk, size)
+	}
+}

@@ -19,7 +19,8 @@ import (
 //   - every page's residency flags match its state: header, allocated
 //     and split pages are resident; free-span pages are unbacked in
 //     eager mode, and in lazy mode are resident, scrubbed (with the
-//     scrub fill verified byte-for-byte), or never committed;
+//     scrub fill verified byte-for-byte), or never committed; every free
+//     span's head counts exactly its resident pages;
 //   - physical-page accounting agrees with the flags: resident pages
 //     sum to physmem's Mapped, vmblk spans to its Reserved.
 //
@@ -78,6 +79,7 @@ func (a *Allocator) CheckConsistency() error {
 							i, n, pdStateName(tail.state), tail.spanPages)
 					}
 				}
+				var backed uint32
 				for j := int32(0); j < n; j++ {
 					switch f := vb.pds[i+j-vb.firstPage].flags; f {
 					case 0:
@@ -88,6 +90,7 @@ func (a *Allocator) CheckConsistency() error {
 							return fmt.Errorf("kmem: eager free page %d still flagged resident", i+j)
 						}
 						residentPages++
+						backed++
 					case pdfScrubbed:
 						if !a.params.LazySpans {
 							return fmt.Errorf("kmem: eager free page %d flagged scrubbed", i+j)
@@ -98,6 +101,12 @@ func (a *Allocator) CheckConsistency() error {
 					default:
 						return fmt.Errorf("kmem: free page %d has bad flags %#x", i+j, f)
 					}
+				}
+				// The decommit pass trusts the head's count to skip and to
+				// stop early; a drifted count strands frames or walks off.
+				if pd.resident != backed {
+					return fmt.Errorf("kmem: free span at page %d counts %d resident pages, descriptors say %d",
+						i, pd.resident, backed)
 				}
 				i += n
 			case pdAllocHead:

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -317,5 +319,227 @@ func TestLazyVAQuotaError(t *testing.T) {
 	_, err = a.Alloc(m.CPU(0), 64)
 	if !errors.Is(err, ErrNoVA) {
 		t.Fatalf("err = %v, want ErrNoVA", err)
+	}
+}
+
+// pageFlags snapshots every page descriptor's residency flags, keyed by
+// global page number.
+func pageFlags(a *Allocator) map[int32]uint8 {
+	out := make(map[int32]uint8)
+	for _, vb := range a.vm.dope {
+		if vb == nil {
+			continue
+		}
+		for i := range vb.pds {
+			out[vb.firstPage+int32(i)] = vb.pds[i].flags
+		}
+	}
+	return out
+}
+
+// decommitted lists, in page order, the pages that went from resident to
+// scrubbed between two snapshots.
+func decommitted(before, after map[int32]uint8) []int32 {
+	out := []int32{}
+	for pg, f := range before {
+		if f&pdfResident != 0 && after[pg] == pdfScrubbed {
+			out = append(out, pg)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// pageWalkDecommit is the decommit pass as it was before free spans
+// counted their resident pages, kept as the reference: walk every free
+// span in freelist order and every page of each, taking resident pages
+// until want are found (want < 0: all), skipping spans younger than
+// minAge at the given tick and the span headed at skip (the one a commit
+// in progress has taken off its list). It changes nothing and returns
+// the pages the pass would release, in page order.
+func pageWalkDecommit(a *Allocator, want int64, minAge, tick uint64, skip int32) []int32 {
+	v := a.vm
+	out := []int32{}
+walk:
+	for node := range v.spans {
+		for b := 1; b <= maxSpanBucket; b++ {
+			for pg := v.spans[node][b].head; pg != -1; pg = v.pdOf(pg).next {
+				head := v.pdOf(pg)
+				if pg == skip || (minAge > 0 && tick-head.freedTick < minAge) {
+					continue
+				}
+				for i := pg; i < pg+int32(head.spanPages); i++ {
+					if want >= 0 && int64(len(out)) >= want {
+						break walk
+					}
+					if v.pdOf(i).flags&pdfResident != 0 {
+						out = append(out, i)
+					}
+				}
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// TestLazyResidentCount walks one vmblk through every way a free span's
+// resident-page count changes — split of a backed span, partial decommit,
+// left+right coalesce, the emergency decommit inside a commit, and span
+// aging — and after each step holds the allocator to two things: the
+// CheckConsistency audit (every free span's head counts exactly its
+// resident descriptors), and the decommit pass releasing exactly the
+// pages the page-by-page walk it replaced would have.
+func TestLazyResidentCount(t *testing.T) {
+	for _, age := range []uint64{0, 2} {
+		cfg := machine.DefaultConfig()
+		cfg.NumCPUs = 1
+		cfg.MemBytes = 4 << 20
+		cfg.PhysPages = 48 // 8 header pages + 40 frames
+		m := machine.New(cfg)
+		a, err := New(m, Params{RadixSort: true, LazySpans: true, SpanAgeTicks: age})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := m.CPU(0)
+		pageBytes := cfg.PageBytes
+
+		audit := func(step string) {
+			t.Helper()
+			if err := a.CheckConsistency(); err != nil {
+				t.Fatalf("age %d, %s: %v", age, step, err)
+			}
+		}
+		alloc := func(pages uint64) arena.Addr {
+			t.Helper()
+			b, err := a.Alloc(c, pages*pageBytes)
+			if err != nil {
+				t.Fatalf("age %d: alloc of %d pages: %v", age, pages, err)
+			}
+			return b
+		}
+		same := func(step string, got, want []int32) {
+			t.Helper()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("age %d, %s: released pages %v, the page walk releases %v", age, step, got, want)
+			}
+		}
+		// trim runs one voluntary pass against the reference. The pass
+		// advances the age tick before it looks at any span.
+		trim := func(step string, want int64) int64 {
+			t.Helper()
+			predicted := pageWalkDecommit(a, want, age, a.vm.ageTick+1, -1)
+			before := pageFlags(a)
+			n := a.Trim(c, want)
+			got := decommitted(before, pageFlags(a))
+			same(step, got, predicted)
+			if n != int64(len(got)) {
+				t.Fatalf("age %d, %s: Trim returned %d, %d pages lost their frames", age, step, n, len(got))
+			}
+			audit(step)
+			return n
+		}
+		// grow lets every free span reach the configured age.
+		grow := func() {
+			for i := uint64(0); i < age; i++ {
+				a.Trim(c, 0)
+			}
+		}
+
+		// Four spans side by side at the start of the data pages.
+		bufA, bufB, bufC, bufD := alloc(10), alloc(6), alloc(12), alloc(4)
+		audit("carve")
+
+		// Split: B comes back whole (6 backed pages), then a 2-page
+		// request carves its head off; the remainder keeps 4.
+		a.Free(c, bufB, 6*pageBytes)
+		audit("free B")
+		bufE := alloc(2)
+		if bufE != bufB {
+			t.Fatalf("age %d: the 2-page request landed at %#x, not in B's span at %#x", age, bufE, bufB)
+		}
+		audit("split")
+
+		// Partial decommit: fewer pages wanted than the span has.
+		if age > 0 {
+			trim("young span", -1) // too young: nothing goes
+		}
+		grow()
+		if n := trim("partial decommit", 3); n != 3 {
+			t.Fatalf("age %d: Trim(3) = %d with 4 backed pages free", age, n)
+		}
+
+		// Coalesce left and right in one free: D merges with the vmblk's
+		// never-touched tail, then C joins B's remainder on its left to
+		// D+tail on its right — 1 + 12 + 4 backed pages in one span.
+		a.Free(c, bufD, 4*pageBytes)
+		audit("coalesce right")
+		a.Free(c, bufC, 12*pageBytes)
+		audit("coalesce left+right")
+		if age > 0 {
+			// The merged span is young again; an old one beside it is not.
+			a.Free(c, bufA, 10*pageBytes)
+			bufA = arena.NilAddr
+			a.Trim(c, 0)
+			bufF := alloc(3) // lands in A's span, whose remainder is refiled young
+			if n := trim("old and young spans", -1); n == 0 {
+				t.Fatalf("age %d: the pass kept the old span's frames", age)
+			}
+			if kept := pageWalkDecommit(a, -1, 0, 0, -1); len(kept) == 0 {
+				t.Fatalf("age %d: the pass stripped the young span too", age)
+			}
+			a.Free(c, bufF, 3*pageBytes)
+			audit("free F")
+		}
+		grow()
+		trim("decommit across a coalesced span", 5)
+
+		// Emergency decommit: a request the free frames cannot back takes
+		// the big span off its list and strips A's span — fully backed
+		// again after one more round trip — to make room.
+		if bufA != arena.NilAddr {
+			a.Free(c, bufA, 10*pageBytes)
+		}
+		a.Free(c, alloc(10), 10*pageBytes)
+		audit("back A")
+		before := pageFlags(a)
+		fails := a.Stats(c).VM.MapFailures
+		carved := a.vm.spans[0][maxSpanBucket].head
+		if carved == -1 || a.vm.pdOf(carved).next != -1 {
+			t.Fatalf("age %d: expected exactly one long free span", age)
+		}
+		// The smallest request whose unbacked pages outnumber the free
+		// frames by one.
+		free := cfg.PhysPages - m.Phys().Mapped()
+		var pages uint64
+		var need int64
+		for need <= free {
+			if before[carved+int32(pages)]&pdfResident == 0 {
+				need++
+			}
+			pages++
+		}
+		predicted := pageWalkDecommit(a, need, 0, a.vm.ageTick, carved)
+		bufG := alloc(pages)
+		if got := int32(bufG >> a.pageShift); got != carved {
+			t.Fatalf("age %d: the %d-page request was carved at page %d, expected %d", age, pages, got, carved)
+		}
+		if got := a.Stats(c).VM.MapFailures; got != fails+1 {
+			t.Fatalf("age %d: MapFailures went %d -> %d; the commit never ran short", age, fails, got)
+		}
+		if len(predicted) == 0 {
+			t.Fatalf("age %d: the emergency pass had nothing to release", age)
+		}
+		same("emergency decommit", decommitted(before, pageFlags(a)), predicted)
+		audit("emergency decommit")
+
+		a.Free(c, bufG, pages*pageBytes)
+		a.Free(c, bufE, 2*pageBytes)
+		audit("all free")
+		grow()
+		trim("everything", -1)
+		if got := m.Phys().Mapped(); got != a.HeaderPages() {
+			t.Fatalf("age %d: Mapped = %d after the last Trim, want the header floor %d", age, got, a.HeaderPages())
+		}
 	}
 }

@@ -1,0 +1,175 @@
+package core
+
+import (
+	"reflect"
+	"testing"
+
+	"kmem/internal/arena"
+	"kmem/internal/machine"
+)
+
+// pinnedMix is the allocator-level schedule fingerprint pinned by
+// TestSchedHashPinned: the machine-level quantities (who ran when, final
+// clocks, bus and interconnect transactions) plus the allocator counters
+// that prove the run reached the paths it is meant to hold still.
+type pinnedMix struct {
+	hash   uint64
+	clocks []int64
+	bus    uint64
+	ic     uint64
+
+	restarts, casRetries uint64 // summed over CPUs
+	remoteMisses         uint64
+	trimmed              int64 // pages Trim released, summed
+	decommits            uint64
+	reclaimSteps         uint64
+	lockSpin             int64 // the test's own contended spinlock
+}
+
+// pinnedMixRun drives 8 CPUs on 2 nodes over the Rseq + LockFree +
+// LazySpans + Pressure allocator, short of physical memory, with seeded
+// jitter (so sequences restart), blocks handed across nodes, a contended
+// spinlock in the workload itself, large requests and periodic Trim.
+func pinnedMixRun(t *testing.T) pinnedMix {
+	t.Helper()
+	cfg := machine.DefaultConfig()
+	cfg.NumCPUs = 8
+	cfg.Nodes = 2
+	cfg.MemBytes = 128 << 20
+	cfg.PhysPages = 640 // two 64 MB vmblks' headers take 256
+	m := machine.New(cfg)
+	m.SetScheduleJitter(&machine.JitterConfig{Seed: 20260929, RestartEvery: 5})
+	a, err := New(m, Params{
+		RadixSort: true,
+		Rseq:      true,
+		LockFree:  true,
+		LazySpans: true,
+		Pressure:  &PressureConfig{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.EnableSchedHash()
+
+	type held struct {
+		addr arena.Addr
+		size uint64
+	}
+	const opsPerCPU = 2500
+	ncpu := cfg.NumCPUs
+	var (
+		ops     = make([]int, ncpu)
+		rng     = make([]uint64, ncpu)
+		mine    = make([][]held, ncpu)
+		mailbox = make([][]held, ncpu) // blocks another CPU must free
+		lk      = machine.NewSpinLockOn(m, 1)
+		counter = m.NewMetaLineOn(1)
+		sizes   = []uint64{16, 64, 64, 256, 256, 1024, 4096, 4096, 3 * 4096, 9 * 4096}
+		out     pinnedMix
+	)
+	for i := range rng {
+		rng[i] = uint64(i)*0x9e3779b97f4a7c15 + 7
+	}
+	m.Run(func(c *machine.CPU) bool {
+		id := c.ID()
+		for _, h := range mailbox[id] {
+			a.Free(c, h.addr, h.size)
+		}
+		mailbox[id] = mailbox[id][:0]
+		if ops[id] >= opsPerCPU {
+			for _, h := range mine[id] {
+				a.Free(c, h.addr, h.size)
+			}
+			mine[id] = nil
+			return false
+		}
+		ops[id]++
+		rng[id] = rng[id]*6364136223846793005 + 1442695040888963407
+		r := rng[id] >> 33
+
+		switch {
+		case r%8 < 5:
+			size := sizes[r/8%uint64(len(sizes))]
+			b, err := a.Alloc(c, size)
+			if err != nil {
+				// Out of frames: give some back and carry on.
+				for i := 0; i < 4 && len(mine[id]) > 0; i++ {
+					h := mine[id][0]
+					mine[id] = mine[id][1:]
+					a.Free(c, h.addr, h.size)
+				}
+				break
+			}
+			mine[id] = append(mine[id], held{b, size})
+		case len(mine[id]) > 0:
+			h := mine[id][0]
+			mine[id] = mine[id][1:]
+			if r%3 == 0 {
+				// Hand the block to a CPU on the other node to free.
+				to := (id + 4 + int(r/64%4)) % ncpu
+				mailbox[to] = append(mailbox[to], h)
+			} else {
+				a.Free(c, h.addr, h.size)
+			}
+		}
+		if len(mine[id]) > 40 {
+			h := mine[id][0]
+			mine[id] = mine[id][1:]
+			a.Free(c, h.addr, h.size)
+		}
+		if r%4 == 1 {
+			lk.Acquire(c)
+			c.Atomic(counter)
+			c.Work(int64(20 + r%50))
+			lk.Release(c)
+		}
+		if id%4 == 0 && ops[id]%60 == 0 {
+			out.trimmed += a.Trim(c, int64(4+r%12))
+		}
+		return true
+	})
+
+	out.hash = m.SchedHash()
+	out.bus = m.BusTransactions()
+	out.ic = m.InterconnectTransactions()
+	for i := 0; i < ncpu; i++ {
+		st := m.CPU(i).Stats()
+		out.clocks = append(out.clocks, st.Cycles)
+		out.restarts += st.Restarts
+		out.casRetries += st.CASRetries
+		out.remoteMisses += st.RemoteMisses
+	}
+	out.lockSpin = lk.Stats().SpinCycles
+	st := a.Stats(m.CPU(0))
+	out.decommits = st.VM.PagesDecommit
+	out.reclaimSteps = st.Pressure.ReclaimSteps
+	if err := a.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestSchedHashPinned is the allocator-level half of the bit-identity
+// pin (internal/machine has the primitive-level half): the constants were
+// captured on the commit before the simulator's host-cost rewrite — the
+// span-granular decommit pass, the indexed occupancy histories, the typed
+// run heap — and must never move unless a PR sets out to change the cost
+// model and says so.
+func TestSchedHashPinned(t *testing.T) {
+	got := pinnedMixRun(t)
+	if got.restarts == 0 || got.casRetries == 0 || got.remoteMisses == 0 ||
+		got.trimmed == 0 || got.reclaimSteps == 0 || got.lockSpin == 0 {
+		t.Errorf("the pinned mix no longer reaches every path: %+v", got)
+	}
+	if !reflect.DeepEqual(got, pinnedMixWant) {
+		t.Errorf("virtual results moved\n got  %#v\n want %#v", got, pinnedMixWant)
+	}
+}
+
+var pinnedMixWant = pinnedMix{
+	hash:   0x6a22256c12727e7f,
+	clocks: []int64{41987498, 43045416, 42165306, 40374235, 43188066, 43128988, 43187478, 43196104},
+	bus:    0x1a03e4, ic: 0xb7320,
+	restarts: 0x1fad, casRetries: 0x5b, remoteMisses: 0x70a68,
+	trimmed: 444, decommits: 0x2def, reclaimSteps: 0x523f, lockSpin: 31327,
+}

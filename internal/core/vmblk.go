@@ -89,6 +89,7 @@ type pageDesc struct {
 	class     int8   // size class, for pdSplit pages
 	nFree     uint16 // free blocks in this page, for pdSplit pages
 	spanPages uint32 // span length in pages, for span head/tail descriptors
+	resident  uint32 // pages of this free span still backed, for pdFreeHead (lazy mode)
 	freeHead  arena.Addr
 	prev      int32 // page-number links for whichever pdList holds this PD
 	next      int32
@@ -224,6 +225,14 @@ func (v *vmblkLayer) pdOf(pg int32) *pageDesc {
 	return &vb.pds[pg-vb.firstPage]
 }
 
+// pdsOf returns the descriptors of pages [pg, pg+n), which the caller
+// knows to lie inside one existing vmblk — one dope-vector lookup for a
+// whole span walk.
+func (v *vmblkLayer) pdsOf(pg, n int32) []pageDesc {
+	vb := v.dope[uint32(pg)>>v.al.pagesPerVmblkShift]
+	return vb.pds[pg-vb.firstPage:][:n]
+}
+
 // vmblkOf returns the vmblk containing page pg, or nil.
 func (v *vmblkLayer) vmblkOf(pg int32) *vmblk {
 	idx := uint32(pg) >> v.al.pagesPerVmblkShift
@@ -321,13 +330,18 @@ func (v *vmblkLayer) isFreeTail(pd *pageDesc) bool {
 	return pd.state == pdFreeTail || (pd.state == pdFreeHead && pd.spanPages == 1)
 }
 
-// insertSpan marks [pg, pg+n) as a free span and files it on its home
-// node's span freelist. Only the head and tail descriptors carry span
-// state (boundary tags); interior descriptors are never consulted.
-func (v *vmblkLayer) insertSpan(c *machine.CPU, pg, n int32) {
+// insertSpan marks [pg, pg+n) as a free span, resident of whose pages
+// still hold their frames, and files it on its home node's span freelist.
+// Only the head and tail descriptors carry span state (boundary tags);
+// interior descriptors are never consulted. Keeping the residency count
+// per span is what lets the decommit pass skip spans with nothing to
+// give instead of reading every descriptor of every free span — the
+// never-touched tail of a 64 MB lazy vmblk is 16k of them.
+func (v *vmblkLayer) insertSpan(c *machine.CPU, pg, n, resident int32) {
 	head := v.pdOf(pg)
 	head.state = pdFreeHead
 	head.spanPages = uint32(n)
+	head.resident = uint32(resident)
 	head.class = -1
 	head.nFree = 0
 	head.freeHead = arena.NilAddr
@@ -440,7 +454,7 @@ func (v *vmblkLayer) newVmblk(c *machine.CPU, node int) error {
 	c.Write(v.dopeLine)
 	c.Work(insnSpanOp)
 
-	v.insertSpan(c, vb.dataStart(), pagesPer-hdrPages)
+	v.insertSpan(c, vb.dataStart(), pagesPer-hdrPages, 0)
 	return nil
 }
 
@@ -484,87 +498,90 @@ func (v *vmblkLayer) releasePhys(c *machine.CPU, n int64, ev LayerEvent) {
 // zero-filled as the VM system would hand back fresh frames. On physical
 // exhaustion the pass decommits other free spans' resident pages and
 // retries once before failing; the caller unwinds on error (no page
-// state has changed).
-func (v *vmblkLayer) commitSpan(c *machine.CPU, pg, n int32) error {
+// state has changed). Returns how many of the n pages were resident
+// already — what the carve takes out of the span's residency count.
+func (v *vmblkLayer) commitSpan(c *machine.CPU, pg, n int32) (int32, error) {
+	pds := v.pdsOf(pg, n)
 	var need int64
-	for i := pg; i < pg+n; i++ {
-		if v.pdOf(i).flags&pdfResident == 0 {
+	for i := range pds {
+		if pds[i].flags&pdfResident == 0 {
 			need++
 		}
 	}
+	had := n - int32(need)
 	if need == 0 {
-		return nil
+		return had, nil
 	}
 	if err := v.commitPhys(c, need, EvPagesCommit); err != nil {
 		// Emergency pass: an allocation is about to fail for frames, so
 		// span aging does not apply (minAge 0).
 		if v.decommitFreeLocked(c, need, 0) == 0 {
-			return err
+			return 0, err
 		}
 		if err := v.commitPhys(c, need, EvPagesCommit); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	pageBytes := v.al.m.Config().PageBytes
-	for i := pg; i < pg+n; i++ {
-		pd := v.pdOf(i)
+	for i := range pds {
+		pd := &pds[i]
 		if pd.flags&pdfResident != 0 {
 			continue
 		}
-		addr := v.pageAddr(i)
+		addr := v.pageAddr(pg + int32(i))
 		if pd.flags&pdfScrubbed != 0 {
 			if off, ok := v.al.mem.CheckFill(addr, pageBytes, decommitScrub); !ok {
-				panic(fmt.Sprintf("kmem: decommitted page %d dirtied at offset %d before recommit", i, off))
+				panic(fmt.Sprintf("kmem: decommitted page %d dirtied at offset %d before recommit", pg+int32(i), off))
 			}
 		}
 		v.al.mem.Fill(addr, pageBytes, 0)
 		pd.flags = pdfResident
 	}
-	return nil
+	return had, nil
 }
 
 // decommitFreeLocked scrubs and releases the physical backing of free
 // spans' resident pages, up to want pages (want < 0 releases all) — the
 // madvise-style reclaim of the lazy model. The spans stay exactly where
 // they are: freelists, boundary tags, and homes untouched; only the
-// pdfResident bit moves. Spans free for fewer than minAge ticks are
-// skipped (span aging; 0 considers every span). Returns the pages
-// released. Caller holds lk.
+// pdfResident bit moves, and with it the head's residency count — which
+// is also what bounds the walk: a span with no resident page is skipped
+// without reading its descriptors, and the walk inside a span ends at its
+// last resident page. Spans free for fewer than minAge ticks are skipped
+// (span aging; 0 considers every span). Returns the pages released.
+// Caller holds lk.
 func (v *vmblkLayer) decommitFreeLocked(c *machine.CPU, want int64, minAge uint64) int64 {
 	if !v.lazy {
 		return 0
 	}
 	pageBytes := v.al.m.Config().PageBytes
 	var done int64
+scan:
 	for node := range v.spans {
 		for b := 1; b <= maxSpanBucket; b++ {
 			for pg := v.spans[node][b].head; pg != -1; pg = v.pdOf(pg).next {
-				length := int32(v.pdOf(pg).spanPages)
-				if minAge > 0 && v.ageTick-v.pdOf(pg).freedTick < minAge {
+				if want >= 0 && done >= want {
+					break scan
+				}
+				head := v.pdOf(pg)
+				if head.resident == 0 {
+					continue
+				}
+				if minAge > 0 && v.ageTick-head.freedTick < minAge {
 					continue // too recently freed; keep its backing warm
 				}
-				for i := pg; i < pg+length; i++ {
-					if want >= 0 && done >= want {
-						break
-					}
-					pd := v.pdOf(i)
+				pds := v.pdsOf(pg, int32(head.spanPages))
+				for i := 0; head.resident > 0 && (want < 0 || done < want); i++ {
+					pd := &pds[i]
 					if pd.flags&pdfResident == 0 {
 						continue
 					}
-					v.al.mem.Fill(v.pageAddr(i), pageBytes, decommitScrub)
+					v.al.mem.Fill(v.pageAddr(pg+int32(i)), pageBytes, decommitScrub)
 					pd.flags = pdfScrubbed
+					head.resident--
 					done++
 				}
-				if want >= 0 && done >= want {
-					break
-				}
 			}
-			if want >= 0 && done >= want {
-				break
-			}
-		}
-		if want >= 0 && done >= want {
-			break
 		}
 	}
 	if done > 0 {
@@ -631,15 +648,19 @@ func (v *vmblkLayer) allocPagesLocked(c *machine.CPU, n int32, node int) (int32,
 			return -1, ErrNoVA
 		}
 	}
+	var resident int32 // backed pages of the chosen span, then of its remainder
 	if v.lazy {
 		// The chosen span comes off its freelist before the commit so the
 		// decommit fallback inside commitSpan cannot cannibalize it; a
 		// commit failure re-inserts it untouched.
+		resident = int32(v.pdOf(pg).resident)
 		v.removeSpan(c, pg, length)
-		if err := v.commitSpan(c, pg, n); err != nil {
-			v.insertSpan(c, pg, length)
+		had, err := v.commitSpan(c, pg, n)
+		if err != nil {
+			v.insertSpan(c, pg, length, resident)
 			return -1, err
 		}
+		resident -= had
 	} else {
 		// Eager backing keeps the original charge order (findSpan →
 		// map → span surgery), pinning LazySpans=false cycle-identical
@@ -650,7 +671,7 @@ func (v *vmblkLayer) allocPagesLocked(c *machine.CPU, n int32, node int) (int32,
 		v.removeSpan(c, pg, length)
 	}
 	if length > n {
-		v.insertSpan(c, pg+n, length-n)
+		v.insertSpan(c, pg+n, length-n, resident)
 	}
 	head := v.pdOf(pg)
 	head.state = pdAllocHead
@@ -690,11 +711,16 @@ func (v *vmblkLayer) freePagesLocked(c *machine.CPU, pg, n int32) {
 	if vb == nil {
 		panic(fmt.Sprintf("kmem: freePages of unmanaged page %d", pg))
 	}
+	// A lazy span keeps the frames of the n pages coming back; an eager
+	// one gives them up here.
+	resident := n
 	if !v.lazy {
 		v.releasePhys(c, int64(n), EvPagesUnmap)
-		for i := pg; i < pg+n; i++ {
-			v.pdOf(i).flags = 0
+		pds := v.pdsOf(pg, n)
+		for i := range pds {
+			pds[i].flags = 0
 		}
+		resident = 0
 	}
 
 	start, length := pg, n
@@ -706,6 +732,7 @@ func (v *vmblkLayer) freePagesLocked(c *machine.CPU, pg, n int32) {
 		if v.isFreeTail(left) {
 			llen := int32(left.spanPages)
 			lhead := start - llen
+			resident += int32(v.pdOf(lhead).resident)
 			v.removeSpan(c, lhead, llen)
 			start = lhead
 			length += llen
@@ -717,11 +744,12 @@ func (v *vmblkLayer) freePagesLocked(c *machine.CPU, pg, n int32) {
 		c.Read(right.line)
 		if right.state == pdFreeHead {
 			rlen := int32(right.spanPages)
+			resident += int32(right.resident)
 			v.removeSpan(c, pg+n, rlen)
 			length += rlen
 		}
 	}
-	v.insertSpan(c, start, length)
+	v.insertSpan(c, start, length, resident)
 	v.ev[EvSpanFree]++
 	v.al.emit(-1, EvSpanFree, int(n))
 }

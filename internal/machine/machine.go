@@ -179,11 +179,10 @@ type Machine struct {
 	metaHome []int8
 	pageHome []int8
 
-	// Per-node local buses plus the inter-node interconnect, each a ring
-	// of recent occupancy intervals. Operations execute in virtual-clock
-	// order but run to completion, so a logically earlier transaction may
-	// be simulated after a later one; interval chasing (rather than a
-	// single busy-until watermark) keeps arbitration causal. See busTxn.
+	// Per-node local buses plus the inter-node interconnect, each with
+	// its history of recent occupancy intervals (intervals.go): operations
+	// execute in virtual-clock order but run to completion, so a logically
+	// earlier transaction may be simulated after a later one. See busTxn.
 	// With Nodes=1, buses[0] reproduces the classic single shared bus
 	// cycle for cycle.
 	buses []busState
@@ -247,6 +246,10 @@ func New(cfg Config) *Machine {
 		m.pageHome = make([]int8, cfg.MemBytes/cfg.PageBytes)
 	}
 	m.buses = make([]busState, cfg.Nodes)
+	for i := range m.buses {
+		m.buses[i] = newBusState()
+	}
+	m.ic = newBusState()
 	m.cpus = make([]CPU, cfg.NumCPUs)
 	for i := range m.cpus {
 		c := &m.cpus[i]
@@ -362,43 +365,19 @@ func (m *Machine) dirSlot(l Line) *int8 {
 	return &m.arenaDir[l]
 }
 
-// busHistory bounds the remembered bus occupancy intervals; bus holds
-// are BusCycles long, so only transactions from operations executing at
-// nearby virtual times can overlap a new one.
+// busHistory is how many bus (or interconnect) occupancy intervals are
+// remembered; bus holds are BusCycles long, so only transactions from
+// operations executing at nearby virtual times can overlap a new one.
 const busHistory = 64
 
 // busState is one arbitrated transfer resource — a node-local bus or the
-// inter-node interconnect — remembered as a ring of occupancy intervals.
+// inter-node interconnect: its recent occupancy and a transaction count.
 type busState struct {
-	ring [busHistory]hold
-	next int
+	intervals
 	txns uint64
 }
 
-// chase returns the earliest time at or after t when the resource is
-// free, queueing behind any recorded interval that overlaps.
-func (b *busState) chase(t int64) int64 {
-	for {
-		next := int64(-1)
-		for i := range b.ring {
-			h := &b.ring[i]
-			if h.start <= t && t < h.end && h.end > next {
-				next = h.end
-			}
-		}
-		if next < 0 {
-			break
-		}
-		t = next
-	}
-	return t
-}
-
-// occupy records one occupancy interval in the ring.
-func (b *busState) occupy(start, end int64) {
-	b.ring[b.next] = hold{start: start, end: end}
-	b.next = (b.next + 1) % busHistory
-}
+func newBusState() busState { return busState{intervals: newIntervals(busHistory)} }
 
 // busTxn performs one bus transaction for CPU c: the transaction starts
 // when the CPU, its node's local bus and — for a remote transaction —

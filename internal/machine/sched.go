@@ -1,9 +1,6 @@
 package machine
 
-import (
-	"container/heap"
-	"sync"
-)
+import "sync"
 
 // Run drives all CPUs through repeated calls of body until body returns
 // false for every CPU. body(c) should perform one short operation (for
@@ -31,40 +28,52 @@ func (m *Machine) Run(body func(c *CPU) bool) {
 	wg.Wait()
 }
 
-// cpuHeap orders CPUs by virtual clock. Ties go to the CPU's jitter tie
-// priority — all zero unless schedule jitter is armed, in which case
+// runsBefore orders CPUs by virtual clock. Ties go to the CPU's jitter
+// tie priority — all zero unless schedule jitter is armed, in which case
 // each CPU carries a seeded pseudo-random priority refreshed per op —
 // and finally to the ID, so the order is always total and, without
 // jitter, identical to the historical clock-then-id schedule.
-type cpuHeap []*CPU
-
-func (h cpuHeap) Len() int { return len(h) }
-func (h cpuHeap) Less(i, j int) bool {
-	if h[i].clock != h[j].clock {
-		return h[i].clock < h[j].clock
+func runsBefore(a, b *CPU) bool {
+	if a.clock != b.clock {
+		return a.clock < b.clock
 	}
-	if h[i].tiePri != h[j].tiePri {
-		return h[i].tiePri < h[j].tiePri
+	if a.tiePri != b.tiePri {
+		return a.tiePri < b.tiePri
 	}
-	return h[i].id < h[j].id
+	return a.id < b.id
 }
-func (h cpuHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *cpuHeap) Push(x any)   { *h = append(*h, x.(*CPU)) }
-func (h *cpuHeap) Pop() any {
-	old := *h
-	n := len(old)
-	c := old[n-1]
-	*h = old[:n-1]
-	return c
+
+// siftDown restores the min-heap property of h below index i. The order
+// is total, so the CPU at h[0] — the only one the scheduler ever looks
+// at — does not depend on how the heap is laid out beneath it.
+func siftDown(h []*CPU, i int) {
+	c := h[i]
+	for {
+		kid := 2*i + 1
+		if kid >= len(h) {
+			break
+		}
+		if r := kid + 1; r < len(h) && runsBefore(h[r], h[kid]) {
+			kid = r
+		}
+		if !runsBefore(h[kid], c) {
+			break
+		}
+		h[i] = h[kid]
+		i = kid
+	}
+	h[i] = c
 }
 
 func (m *Machine) runSim(body func(c *CPU) bool) {
-	h := make(cpuHeap, 0, len(m.cpus))
+	h := make([]*CPU, len(m.cpus))
 	for i := range m.cpus {
-		h = append(h, &m.cpus[i])
+		h[i] = &m.cpus[i]
 	}
-	heap.Init(&h)
-	for h.Len() > 0 {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for len(h) > 0 {
 		c := h[0]
 		if m.schedHashOn {
 			m.schedHash = fnvMix(fnvMix(m.schedHash, uint64(c.id)), uint64(c.clock))
@@ -79,10 +88,14 @@ func (m *Machine) runSim(body func(c *CPU) bool) {
 				}
 				c.tiePri = j.next()
 			}
-			heap.Fix(&h, 0)
 		} else {
-			heap.Pop(&h)
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+			if len(h) == 0 {
+				break
+			}
 		}
+		siftDown(h, 0)
 	}
 }
 

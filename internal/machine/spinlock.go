@@ -23,9 +23,8 @@ type SpinLock struct {
 
 	// Sim mode state.
 	line     Line
-	holds    []hold // ring of recent hold intervals
-	next     int    // ring cursor
-	curStart int64  // acquire time of the hold currently executing
+	holds    intervals // recent hold intervals
+	curStart int64     // acquire time of the hold currently executing
 
 	acquisitions uint64
 	contended    uint64
@@ -34,25 +33,21 @@ type SpinLock struct {
 	lastWait     int64 // wait cycles of the most recent Acquire (0 if uncontended)
 }
 
-// hold is one completed critical section in virtual time.
-type hold struct{ start, end int64 }
-
-// holdHistory bounds the remembered intervals. Operations execute in
-// start-clock order, so only holds from recently executed operations can
-// overlap a new acquire; with at most 64 CPUs, 128 intervals is ample.
+// holdHistory is how many completed critical sections a lock remembers.
+// Operations execute in start-clock order, so only holds from recently
+// executed operations can overlap a new acquire; with at most 64 CPUs,
+// 128 intervals is ample.
 const holdHistory = 128
 
 // NewSpinLock returns a lock whose lock word lives on its own cache line,
 // homed on node 0.
-func NewSpinLock(m *Machine) *SpinLock {
-	return &SpinLock{line: m.NewMetaLine()}
-}
+func NewSpinLock(m *Machine) *SpinLock { return NewSpinLockOn(m, 0) }
 
 // NewSpinLockOn returns a lock whose lock word lives on its own cache
 // line homed on the given NUMA node, so remote acquirers pay the
 // interconnect.
 func NewSpinLockOn(m *Machine, node int) *SpinLock {
-	return &SpinLock{line: m.NewMetaLineOn(node)}
+	return &SpinLock{line: m.NewMetaLineOn(node), holds: newIntervals(holdHistory)}
 }
 
 // maxRetryCharge bounds the bus traffic charged for one contended
@@ -83,19 +78,7 @@ func (l *SpinLock) Acquire(c *CPU) {
 	// and may land inside another recorded hold.
 	wasContended := false
 	for {
-		t := c.clock
-		for {
-			next := int64(-1)
-			for _, h := range l.holds {
-				if h.start <= t && t < h.end && h.end > next {
-					next = h.end
-				}
-			}
-			if next < 0 {
-				break
-			}
-			t = next
-		}
+		t := l.holds.chase(c.clock)
 		wait := t - c.clock
 		if wait <= 0 {
 			break
@@ -141,17 +124,12 @@ func (l *SpinLock) Release(c *CPU) {
 		return
 	}
 	c.Write(l.line)
-	h := hold{start: l.curStart, end: c.clock}
-	if h.end == h.start {
-		h.end++ // zero-length sections still exclude exact ties
+	start, end := l.curStart, c.clock
+	if end == start {
+		end++ // zero-length sections still exclude exact ties
 	}
-	l.holdCycles += h.end - h.start
-	if len(l.holds) < holdHistory {
-		l.holds = append(l.holds, h)
-	} else {
-		l.holds[l.next] = h
-		l.next = (l.next + 1) % holdHistory
-	}
+	l.holdCycles += end - start
+	l.holds.occupy(start, end)
 }
 
 // LastWait returns the cycles the most recent Acquire spent waiting for
