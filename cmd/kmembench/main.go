@@ -545,7 +545,7 @@ func cmdHarden(args []string) error {
 	res.StreamsTable().Fprint(os.Stdout)
 	fmt.Println("\nThe hardened pair pays for canary writes, poison fills and verify-on-alloc;")
 	fmt.Println("with Params.Harden nil every hook is a nil check and the pair is cycle-identical")
-	fmt.Println("to the unhardened allocator (the STREAMS table is CI-gated against BENCH_7).")
+	fmt.Println("to the unhardened allocator (the STREAMS table is held equal to BENCH_7 by TestBaselinesReproduce).")
 	return nil
 }
 

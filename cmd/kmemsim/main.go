@@ -174,7 +174,7 @@ func run(allocName string, cpus, ops, workingSet int, distSpec string, seed, pag
 		mc := bench.MachineFor(ncpu, 64<<20, pages)
 		mutate(&mc)
 		m := machine.New(mc)
-		al, err := core.New(m, core.Params{RadixSort: true})
+		al, err := core.New(m, core.Params{})
 		if err != nil {
 			return err
 		}

@@ -31,7 +31,6 @@ func AblateTarget(targets []int, seconds float64) ([]TargetRow, error) {
 		tgt := target
 		m := machine.New(MachineFor(2, 32<<20, 4096))
 		al, err := core.New(m, core.Params{
-			RadixSort: true,
 			TargetFor: func(uint32) int { return tgt },
 		})
 		if err != nil {
@@ -131,7 +130,7 @@ func AblateSplitFreelist(seconds float64) ([]SplitRow, error) {
 	var rows []SplitRow
 	for _, disable := range []bool{false, true} {
 		m := machine.New(MachineFor(2, 32<<20, 4096))
-		al, err := core.New(m, core.Params{RadixSort: true, DisableSplitFreelist: disable})
+		al, err := core.New(m, core.Params{DisableSplitFreelist: disable})
 		if err != nil {
 			return nil, err
 		}
@@ -222,7 +221,7 @@ func AblateRadix(rounds int) ([]RadixRow, error) {
 	var rows []RadixRow
 	for _, radix := range []bool{true, false} {
 		m := machine.New(MachineFor(1, 64<<20, 8192))
-		al, err := core.New(m, core.Params{RadixSort: radix})
+		al, err := core.New(m, core.Params{DisableRadixSort: !radix})
 		if err != nil {
 			return nil, err
 		}

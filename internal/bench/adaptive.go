@@ -59,7 +59,7 @@ func RunAdaptive(bursts, burstSize int, blockSize uint64) (*AdaptiveResult, erro
 	res := &AdaptiveResult{Bursts: bursts, BurstSize: burstSize, BlockSize: blockSize}
 	for _, adaptive := range []bool{false, true} {
 		var events core.EventCounter
-		params := core.Params{RadixSort: true, Hook: events.Hook()}
+		params := core.Params{Hook: events.Hook()}
 		if adaptive {
 			params.Adaptive = &core.AdaptiveConfig{}
 		}

@@ -169,7 +169,7 @@ func runAnalysisOld(opsTraced int) ([]AnalysisResult, error) {
 
 func runAnalysisNew(opsTraced int) ([]AnalysisResult, error) {
 	m := machine.New(MachineFor(2, 16<<20, 2048))
-	al, err := core.New(m, core.Params{RadixSort: true})
+	al, err := core.New(m, core.Params{})
 	if err != nil {
 		return nil, err
 	}

@@ -40,7 +40,7 @@ type CyclicResult struct {
 // phase's memory.
 func RunCyclic(cycles int, physPages int64) (*CyclicResult, error) {
 	m := machine.New(MachineFor(1, 64<<20, physPages))
-	al, err := core.New(m, core.Params{RadixSort: true})
+	al, err := core.New(m, core.Params{})
 	if err != nil {
 		return nil, err
 	}

@@ -67,7 +67,7 @@ type DLMResult struct {
 // DLM allocates from are the result.
 func RunDLM(cfg DLMConfig) (*DLMResult, error) {
 	m := machine.New(MachineFor(cfg.CPUs, 64<<20, 8192))
-	al, err := core.New(m, core.Params{RadixSort: true})
+	al, err := core.New(m, core.Params{})
 	if err != nil {
 		return nil, err
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // EmitSchemaVersion is the version of the shared kmembench JSON
-// envelope. Every subcommand's -json output carries it, so CI gates and
-// committed BENCH_*.json baselines can tell at parse time which
+// envelope. Every subcommand's -json output carries it, so readers of
+// the committed BENCH_*.json baselines can tell at parse time which
 // generation of the format they are reading. Bump it when an envelope
 // field changes meaning; adding result fields is backward compatible
 // and does not bump it.
@@ -19,9 +19,9 @@ const EmitSchemaVersion = 1
 // the shared envelope: "Schema" is "kmembench/<name>" and
 // "SchemaVersion" is EmitSchemaVersion. Results that marshal to a JSON
 // object keep their fields at the top level with the envelope fields
-// injected alongside — committed baselines and their jq gates keep
-// addressing ".Points" and friends unprefixed. Results that marshal to
-// an array (row slices) are wrapped under "Rows".
+// injected alongside — committed baselines keep addressing ".Points"
+// and friends unprefixed. Results that marshal to an array (row slices)
+// are wrapped under "Rows".
 func Emit(w io.Writer, name string, result any) error {
 	raw, err := json.Marshal(result)
 	if err != nil {

@@ -58,7 +58,7 @@ func RunFrag(cycles int, physPages int64) (*FragResult, error) {
 
 func (res *FragResult) runMode(mode string) error {
 	m := machine.New(MachineFor(1, 64<<20, res.PhysPages))
-	al, err := core.New(m, core.Params{RadixSort: true, LazySpans: mode == "lazy"})
+	al, err := core.New(m, core.Params{LazySpans: mode == "lazy"})
 	if err != nil {
 		return err
 	}

@@ -13,9 +13,9 @@ import (
 // Params.Harden off and on, per block size. The on-run uses the panic
 // policy over a clean workload, so any false positive aborts the
 // benchmark instead of skewing it. The sweep also re-measures the
-// BENCH_7 objcache STREAMS pair with hardening off — CI gates those
-// points within noise of the committed baseline, proving the hardening
-// hooks charge nothing while disabled.
+// BENCH_7 objcache STREAMS pair with hardening off —
+// TestBaselinesReproduce holds those points to exactly the committed
+// baseline, proving the hardening hooks charge nothing while disabled.
 
 // HardenPoint is one block size of the off/on comparison.
 type HardenPoint struct {
@@ -81,7 +81,7 @@ func RunHarden(sizes []uint64, pairs int) (*HardenResult, error) {
 
 func runHardenPairs(size uint64, pairs, warmup int, hcfg *harden.Config) (float64, uint64, error) {
 	m := machine.New(MachineFor(1, 16<<20, 2048))
-	al, err := core.New(m, core.Params{RadixSort: true, Harden: hcfg})
+	al, err := core.New(m, core.Params{Harden: hcfg})
 	if err != nil {
 		return 0, 0, err
 	}

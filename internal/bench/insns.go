@@ -29,7 +29,7 @@ func RunInsnCounts() ([]InsnRow, error) {
 
 	measureCore := func(cookie bool) (uint64, uint64, error) {
 		m := machine.New(MachineFor(1, 16<<20, 1024))
-		al, err := core.New(m, core.Params{RadixSort: true})
+		al, err := core.New(m, core.Params{})
 		if err != nil {
 			return 0, 0, err
 		}

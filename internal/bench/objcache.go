@@ -165,7 +165,7 @@ func RunObjCache(sizes []uint64, pairs int) (*ObjCacheResult, error) {
 
 func runObjCacheCookie(size uint64, pairs, warmup int) (float64, error) {
 	m := machine.New(MachineFor(1, 16<<20, 2048))
-	al, err := core.New(m, core.Params{RadixSort: true})
+	al, err := core.New(m, core.Params{})
 	if err != nil {
 		return 0, err
 	}
@@ -197,7 +197,7 @@ func runObjCacheCookie(size uint64, pairs, warmup int) (float64, error) {
 func runObjCacheStreams(size uint64, pairs, warmup int) (float64, uint64, uint64, error) {
 	m := machine.New(MachineFor(1, 16<<20, 2048))
 	var ec core.EventCounter
-	al, err := core.New(m, core.Params{RadixSort: true, Hook: ec.Hook()})
+	al, err := core.New(m, core.Params{Hook: ec.Hook()})
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -66,8 +66,7 @@ func runPressurePoint(cpus, nodes int, pages int64, rounds int, wait bool) (Pres
 	cfg.Nodes = nodes
 	m := machine.New(cfg)
 	al, err := core.New(m, core.Params{
-		RadixSort: true,
-		Pressure:  &core.PressureConfig{}, // default watermarks: capacity/8, capacity/32
+		Pressure: &core.PressureConfig{}, // default watermarks: capacity/8, capacity/32
 		Wait: &core.WaitConfig{
 			MaxWaits:          8,
 			BaseBackoffCycles: 2048,

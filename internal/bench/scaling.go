@@ -138,7 +138,6 @@ func runScalingPoint(ncpu, nnodes int, workload string, shards, lockFree bool, b
 	cfg.Nodes = nnodes
 	m := machine.New(cfg)
 	a, err := core.New(m, core.Params{
-		RadixSort:           true,
 		DisableRemoteShards: !shards,
 		Rseq:                lockFree,
 		LockFree:            lockFree,

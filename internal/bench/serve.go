@@ -5,8 +5,8 @@ package bench
 // pressure wave — executed at a fixed CPU count across node counts,
 // with the optimistic fast paths (rseq + lock-free global layer) off
 // and on. Per phase it reports the alloc/free latency quantiles from
-// the core event spine's histograms; CI gates p999 per phase against
-// the committed baseline.
+// the core event spine's histograms; TestBaselinesReproduce holds a
+// fresh sweep equal to the committed baseline (BENCH_10.json).
 
 import (
 	"fmt"
@@ -23,7 +23,7 @@ type ServePoint struct {
 	LockFree bool
 
 	// SchedHash is the run's schedule hash in hex — the determinism
-	// fingerprint CI compares against the committed baseline.
+	// fingerprint compared against the committed baseline.
 	SchedHash string
 
 	TotalOps  int
@@ -69,11 +69,10 @@ func RunServe(cfg serve.GenConfig, nodeCounts []int) (*ServeResult, error) {
 			m := machine.New(mcfg)
 			m.EnableSchedHash()
 			a, err := core.New(m, core.Params{
-				RadixSort: true,
-				Latency:   true,
-				Rseq:      lockfree,
-				LockFree:  lockfree,
-				Pressure:  &core.PressureConfig{},
+				Latency:  true,
+				Rseq:     lockfree,
+				LockFree: lockfree,
+				Pressure: &core.PressureConfig{},
 			})
 			if err != nil {
 				return nil, err

@@ -30,13 +30,13 @@ func MachineFor(ncpu int, memBytes uint64, physPages int64) machine.Config {
 func BuildAllocator(m *machine.Machine, name string) (allocif.Allocator, error) {
 	switch name {
 	case "cookie":
-		a, err := core.New(m, core.Params{RadixSort: true})
+		a, err := core.New(m, core.Params{})
 		if err != nil {
 			return nil, err
 		}
 		return allocif.NewCookieKMA(a), nil
 	case "newkma":
-		a, err := core.New(m, core.Params{RadixSort: true})
+		a, err := core.New(m, core.Params{})
 		if err != nil {
 			return nil, err
 		}

@@ -78,7 +78,7 @@ func runTopologyPoint(ncpu, nnodes int, blockSize uint64, seconds float64, pairi
 		cfg.InterconnectCycles = interconnect
 	}
 	m := machine.New(cfg)
-	a, err := core.New(m, core.Params{RadixSort: true})
+	a, err := core.New(m, core.Params{})
 	if err != nil {
 		return TopologyPoint{}, err
 	}

@@ -42,7 +42,7 @@ func RunWorstCaseCfg(sizes []uint64, physPages int64, mutate func(*machine.Confi
 		mutate(&cfg)
 	}
 	m := machine.New(cfg)
-	al, err := core.New(m, core.Params{RadixSort: true})
+	al, err := core.New(m, core.Params{})
 	if err != nil {
 		return nil, err
 	}

@@ -55,7 +55,6 @@ func TestAdaptiveConvergesOnOscillation(t *testing.T) {
 		cfg.MemBytes = 16 << 20
 		cfg.PhysPages = 2048
 		m := machine.New(cfg)
-		p.RadixSort = true
 		a, err := New(m, p)
 		if err != nil {
 			t.Fatal(err)
@@ -144,7 +143,7 @@ func TestAdaptiveRespectsBounds(t *testing.T) {
 	cfg.MemBytes = 16 << 20
 	cfg.PhysPages = 2048
 	m := machine.New(cfg)
-	a, err := New(m, Params{RadixSort: true, Adaptive: &AdaptiveConfig{
+	a, err := New(m, Params{Adaptive: &AdaptiveConfig{
 		MinTarget: 5, MaxTarget: 5, MinGblTarget: 4, MaxGblTarget: 4,
 	}})
 	if err != nil {
@@ -174,7 +173,7 @@ func TestEventSpineMatchesStats(t *testing.T) {
 	cfg.MemBytes = 16 << 20
 	cfg.PhysPages = 64 // tight enough to force a reclaim
 	m := machine.New(cfg)
-	a, err := New(m, Params{RadixSort: true, Hook: events.Hook()})
+	a, err := New(m, Params{Hook: events.Hook()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,8 +281,8 @@ func TestHookObservationIsFree(t *testing.T) {
 		return c.Now(), addrs
 	}
 	var events EventCounter
-	bareCycles, bareAddrs := run(Params{RadixSort: true})
-	hookCycles, hookAddrs := run(Params{RadixSort: true, Hook: events.Hook()})
+	bareCycles, bareAddrs := run(Params{})
+	hookCycles, hookAddrs := run(Params{Hook: events.Hook()})
 	if bareCycles != hookCycles {
 		t.Errorf("hook changed the cost model: %d cycles bare, %d hooked", bareCycles, hookCycles)
 	}
@@ -304,7 +303,7 @@ func TestTraceHook(t *testing.T) {
 	cfg.MemBytes = 16 << 20
 	cfg.PhysPages = 1024
 	m := machine.New(cfg)
-	a, err := New(m, Params{RadixSort: true, Hook: TraceHook(&buf)})
+	a, err := New(m, Params{Hook: TraceHook(&buf)})
 	if err != nil {
 		t.Fatal(err)
 	}

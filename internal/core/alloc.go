@@ -53,11 +53,6 @@ type Allocator struct {
 	// (owner) and pcpuInterfere (foreign drains, stats).
 	rseq []*machine.Rseq
 
-	// lockFree gates the Sim-mode Treiber fast paths of the global and
-	// page layers: Params.LockFree and the machine is in Sim mode (the
-	// CAS cost model is what the flag buys; Native keeps the locks).
-	lockFree bool
-
 	// spillScratch[cpu] is that CPU's reusable per-node partition buffer
 	// for routeSpill, sized [nodes]. Each CPU handle is driven by one
 	// goroutine at a time (the per-CPU contract), so no lock guards it,
@@ -143,6 +138,9 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 	if uint64(1)<<p.VmblkShift > cfg.MemBytes {
 		return nil, fmt.Errorf("core: vmblk size exceeds arena")
 	}
+	if p.LockFree && !m.Sim() {
+		return nil, fmt.Errorf("core: Params.LockFree is not implemented in Native mode (the CAS stacks exist only as the Sim cost model)")
+	}
 
 	a := &Allocator{
 		m:          m,
@@ -154,7 +152,6 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 	}
 	a.pageShift = uint(bits.TrailingZeros64(cfg.PageBytes))
 	a.pagesPerVmblkShift = a.vmblkShift - a.pageShift
-	a.lockFree = p.LockFree && m.Sim()
 
 	a.sizeToClass = make([]int8, a.maxSmall+1)
 	cls := 0

@@ -16,7 +16,7 @@ func BenchmarkTrimColdSpan(b *testing.B) {
 	cfg := machine.DefaultConfig() // 64 MB arena: one vmblk
 	cfg.PhysPages = 1024
 	m := machine.New(cfg)
-	a, err := New(m, Params{RadixSort: true, LazySpans: true})
+	a, err := New(m, Params{LazySpans: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	"kmem/internal/allocif"
@@ -17,7 +18,7 @@ func factory(cookie, lazy bool) alloctest.Factory {
 		cfg.MemBytes = 16 << 20
 		cfg.PhysPages = physPages
 		m := machine.New(cfg)
-		a, err := core.New(m, core.Params{RadixSort: true, LazySpans: lazy})
+		a, err := core.New(m, core.Params{LazySpans: lazy})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,8 +74,8 @@ func TestObjCacheLifecycleLazy(t *testing.T) {
 // optFactory builds the allocator with the optimistic fast paths
 // configured, for the concurrent conformance suite: restartable
 // per-CPU sequences, the CAS-based global layer, or both, in either
-// machine mode. (Native keeps the locked global layer — LockFree is a
-// Sim-only commit model — but the rseq path is live in both.)
+// machine mode. (LockFree is a Sim-only commit model that core.New
+// refuses on a Native machine; the rseq path is live in both.)
 func optFactory(rseq, lockFree bool, mode machine.Mode) alloctest.Factory {
 	return func(t *testing.T, ncpu int, physPages int64) alloctest.Instance {
 		cfg := machine.DefaultConfig()
@@ -83,7 +84,7 @@ func optFactory(rseq, lockFree bool, mode machine.Mode) alloctest.Factory {
 		cfg.MemBytes = 16 << 20
 		cfg.PhysPages = physPages
 		m := machine.New(cfg)
-		a, err := core.New(m, core.Params{RadixSort: true, Rseq: rseq, LockFree: lockFree})
+		a, err := core.New(m, core.Params{Rseq: rseq, LockFree: lockFree})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +119,43 @@ func TestConcurrentGetPutOptimistic(t *testing.T) {
 }
 
 func TestConcurrentGetPutNative(t *testing.T) {
-	alloctest.RunConcurrentGetPut(t, optFactory(true, true, machine.Native))
+	alloctest.RunConcurrentGetPut(t, optFactory(true, false, machine.Native))
+}
+
+// TestNewRefusesUnhonourableFlags: a flag the machine's mode cannot
+// honour is an error naming the flag and the mode, not a silent no-op.
+func TestNewRefusesUnhonourableFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mode   machine.Mode
+		params core.Params
+		want   []string // substrings of the error; nil means New succeeds
+	}{
+		{"lockfree sim", machine.Sim, core.Params{LockFree: true}, nil},
+		{"rseq native", machine.Native, core.Params{Rseq: true}, nil},
+		{"lockfree native", machine.Native, core.Params{LockFree: true}, []string{"LockFree", "Native"}},
+		{"optimistic native", machine.Native, core.Params{Rseq: true, LockFree: true}, []string{"LockFree", "Native"}},
+	} {
+		cfg := machine.DefaultConfig()
+		cfg.Mode = tc.mode
+		cfg.MemBytes = 16 << 20
+		a, err := core.New(machine.New(cfg), tc.params)
+		if tc.want == nil {
+			if err != nil {
+				t.Errorf("%s: New failed: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil || a != nil {
+			t.Errorf("%s: New accepted a flag the mode cannot honour", tc.name)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not name %q", tc.name, err, w)
+			}
+		}
+	}
 }
 
 // hardenedFactory builds the allocator with the corruption-hardening
@@ -131,7 +168,7 @@ func hardenedFactory() alloctest.Factory {
 		cfg.MemBytes = 16 << 20
 		cfg.PhysPages = physPages
 		m := machine.New(cfg)
-		a, err := core.New(m, core.Params{RadixSort: true, Harden: &harden.Config{}})
+		a, err := core.New(m, core.Params{Harden: &harden.Config{}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,9 +15,6 @@ func testAllocator(t *testing.T, ncpu int, physPages int64, p Params) (*Allocato
 	cfg.MemBytes = 16 << 20
 	cfg.PhysPages = physPages
 	m := machine.New(cfg)
-	if p.TargetFor == nil {
-		p.RadixSort = true
-	}
 	a, err := New(m, p)
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +23,7 @@ func testAllocator(t *testing.T, ncpu int, physPages int64, p Params) (*Allocato
 }
 
 func defaultTestAllocator(t *testing.T) (*Allocator, *machine.Machine) {
-	return testAllocator(t, 4, 1024, Params{RadixSort: true, Poison: true})
+	return testAllocator(t, 4, 1024, Params{Poison: true})
 }
 
 func checkOK(t *testing.T, a *Allocator) {
@@ -310,7 +307,7 @@ func TestExhaustionAndRecovery(t *testing.T) {
 	// Paper worst case: allocate until memory is exhausted, free all,
 	// repeat with the next size — "an allocator that does no coalescing
 	// would fail to complete this benchmark".
-	a, m := testAllocator(t, 2, 256, Params{RadixSort: true})
+	a, m := testAllocator(t, 2, 256, Params{})
 	c := m.CPU(0)
 	for _, size := range []uint64{16, 64, 256, 1024, 4096} {
 		var addrs []arena.Addr
@@ -344,7 +341,7 @@ func TestExhaustionAndRecovery(t *testing.T) {
 func TestLastBufferAnyCPU(t *testing.T) {
 	// Design goal 5: a CPU must be able to allocate the last remaining
 	// buffer even when other CPUs' caches hold stranded blocks.
-	a, m := testAllocator(t, 4, 64, Params{RadixSort: true})
+	a, m := testAllocator(t, 4, 64, Params{})
 	c0, c1 := m.CPU(0), m.CPU(1)
 
 	// CPU 0 allocates everything, freeing a few blocks back into its own
@@ -383,7 +380,7 @@ func TestLastBufferAnyCPU(t *testing.T) {
 func TestSpanCoalescing(t *testing.T) {
 	// Free adjacent large spans and verify they merge: after freeing
 	// everything, one maximal span should be allocatable.
-	a, m := testAllocator(t, 1, 2048, Params{RadixSort: true})
+	a, m := testAllocator(t, 1, 2048, Params{})
 	c := m.CPU(0)
 	pageBytes := m.Config().PageBytes
 
@@ -415,7 +412,7 @@ func TestSpanCoalescing(t *testing.T) {
 }
 
 func TestPageReleasedWhenAllBlocksFree(t *testing.T) {
-	a, m := testAllocator(t, 1, 512, Params{RadixSort: true})
+	a, m := testAllocator(t, 1, 512, Params{})
 	c := m.CPU(0)
 	ck, _ := a.GetCookie(1024)
 	// Allocate 4 pages' worth, then free all and drain.
@@ -524,7 +521,7 @@ func TestSplitFreelistGroupMoves(t *testing.T) {
 	// single-list ablation moves them one at a time, multiplying the
 	// global lock traffic roughly target-fold.
 	run := func(disable bool) uint64 {
-		a, m := testAllocator(t, 2, 1024, Params{RadixSort: true, DisableSplitFreelist: disable})
+		a, m := testAllocator(t, 2, 1024, Params{DisableSplitFreelist: disable})
 		c0, c1 := m.CPU(0), m.CPU(1)
 		ck, _ := a.GetCookie(64)
 		cls := a.classFor(64)
@@ -571,7 +568,7 @@ func TestConfigurationErrors(t *testing.T) {
 
 func TestDeterministicSimulation(t *testing.T) {
 	run := func() int64 {
-		a, m := testAllocator(t, 8, 1024, Params{RadixSort: true})
+		a, m := testAllocator(t, 8, 1024, Params{})
 		ck, _ := a.GetCookie(64)
 		m.RunFor(0.002, func(c *machine.CPU) {
 			b, err := a.AllocCookie(c, ck)

@@ -195,15 +195,15 @@ func (a *Allocator) CheckConsistency() error {
 				}
 				return nil
 			}
-			if a.params.RadixSort {
+			if a.params.DisableRadixSort {
+				if err := checkList(&p.fifo, -1); err != nil {
+					return err
+				}
+			} else {
 				for k := 1; k < len(p.buckets); k++ {
 					if err := checkList(&p.buckets[k], k); err != nil {
 						return err
 					}
-				}
-			} else {
-				if err := checkList(&p.fifo, -1); err != nil {
-					return err
 				}
 			}
 		}

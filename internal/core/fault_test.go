@@ -19,7 +19,7 @@ func faultAllocator(t *testing.T, fs *faultpoint.Set) (*Allocator, *machine.Mach
 	cfg.MemBytes = 16 << 20
 	cfg.PhysPages = 4096
 	m := machine.New(cfg)
-	a, err := New(m, Params{RadixSort: true, Faults: fs})
+	a, err := New(m, Params{Faults: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func lazyFaultAllocator(t *testing.T, fs *faultpoint.Set) (*Allocator, *machine.
 	cfg.MemBytes = 16 << 20
 	cfg.PhysPages = 4096
 	m := machine.New(cfg)
-	a, err := New(m, Params{RadixSort: true, LazySpans: true, Faults: fs})
+	a, err := New(m, Params{LazySpans: true, Faults: fs})
 	if err != nil {
 		t.Fatal(err)
 	}

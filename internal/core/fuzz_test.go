@@ -17,7 +17,7 @@ func FuzzSizeToClass(f *testing.F) {
 	cfg.MemBytes = 16 << 20
 	cfg.PhysPages = 64
 	m := machine.New(cfg)
-	a, err := New(m, Params{RadixSort: true})
+	a, err := New(m, Params{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func FuzzAllocatorOps(f *testing.F) {
 		cfg.MemBytes = 16 << 20
 		cfg.PhysPages = 256
 		m := machine.New(cfg)
-		a, err := New(m, Params{RadixSort: true, Poison: true})
+		a, err := New(m, Params{Poison: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,7 +67,7 @@ func newGlobalPool(a *Allocator, cls, node int, ctl *classController) *globalPoo
 		lk:   machine.NewSpinLockOn(a.m, node),
 		line: a.m.NewMetaLineOn(node),
 	}
-	if a.lockFree {
+	if a.params.LockFree {
 		g.lf = newLfState(a.m, node)
 	}
 	return g
@@ -83,7 +83,7 @@ func (g *globalPool) capacityLists() int { return 2 * g.ctl.curGblTarget() }
 // coalesce-to-page layer, so only one in gbltarget global accesses incurs
 // coalescing-layer overhead. An empty result means low memory.
 func (g *globalPool) getList(c *machine.CPU) (blocklist.List, error) {
-	if g.al.lockFree {
+	if g.al.params.LockFree {
 		return g.getListLF(c)
 	}
 	target, gbltarget := g.al.effTarget(g.ctl.curTarget()), g.ctl.curGblTarget()
@@ -352,7 +352,7 @@ func (g *globalPool) putList(c *machine.CPU, l blocklist.List) {
 	if l.Empty() {
 		return
 	}
-	if g.al.lockFree {
+	if g.al.params.LockFree {
 		g.putListLF(c, l)
 		return
 	}
@@ -471,7 +471,7 @@ func (g *globalPool) notePut(c *machine.CPU, missed bool) {
 // when the thief's CPU cache spills them later, routeSpill sends them
 // back here.
 func (g *globalPool) stealList(c *machine.CPU) blocklist.List {
-	if g.al.lockFree {
+	if g.al.params.LockFree {
 		c.Work(insnGlobalOp)
 		out, ok := g.lfPop(c)
 		if !ok && !g.bucket.Empty() {
@@ -533,7 +533,7 @@ func (g *globalPool) drainAll(c *machine.CPU) {
 	if !bucket.Empty() {
 		g.pp.putBlocks(c, bucket)
 	}
-	if g.al.lockFree {
+	if g.al.params.LockFree {
 		// Parked fully-free pages (the page layer's lock-free refill
 		// stack) must not survive a drain either: release them to the
 		// vmblk layer so the heap returns to its floor footprint.

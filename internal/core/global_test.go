@@ -11,7 +11,7 @@ import (
 // Unit tests for globalPool paths not covered by the integration tests.
 
 func TestGetOnePrefersBucket(t *testing.T) {
-	a, m := testAllocator(t, 1, 1024, Params{RadixSort: true, DisableSplitFreelist: true})
+	a, m := testAllocator(t, 1, 1024, Params{DisableSplitFreelist: true})
 	c := m.CPU(0)
 	cls := a.classFor(64)
 	g := a.classes[cls].globals[0]
@@ -54,7 +54,7 @@ func TestGetOnePrefersBucket(t *testing.T) {
 }
 
 func TestGetOneRefillsWhenEmpty(t *testing.T) {
-	a, m := testAllocator(t, 1, 1024, Params{RadixSort: true, DisableSplitFreelist: true})
+	a, m := testAllocator(t, 1, 1024, Params{DisableSplitFreelist: true})
 	c := m.CPU(0)
 	cls := a.classFor(64)
 	g := a.classes[cls].globals[0]
@@ -78,7 +78,7 @@ func TestGetOneRefillsWhenEmpty(t *testing.T) {
 }
 
 func TestGetOneExhausted(t *testing.T) {
-	a, m := testAllocator(t, 1, 8, Params{RadixSort: true, DisableSplitFreelist: true}) // header only
+	a, m := testAllocator(t, 1, 8, Params{DisableSplitFreelist: true}) // header only
 	c := m.CPU(0)
 	cls := a.classFor(64)
 	g := a.classes[cls].globals[0]
@@ -91,7 +91,7 @@ func TestGetOneExhausted(t *testing.T) {
 }
 
 func TestPutListOddSizesRegroup(t *testing.T) {
-	a, m := testAllocator(t, 1, 1024, Params{RadixSort: true})
+	a, m := testAllocator(t, 1, 1024, Params{})
 	c := m.CPU(0)
 	cls := a.classFor(32)
 	g := a.classes[cls].globals[0]
@@ -131,7 +131,7 @@ func TestPutListOddSizesRegroup(t *testing.T) {
 }
 
 func TestDumpFIFOMode(t *testing.T) {
-	a, m := testAllocator(t, 1, 1024, Params{RadixSort: false})
+	a, m := testAllocator(t, 1, 1024, Params{DisableRadixSort: true})
 	c := m.CPU(0)
 	b, _ := a.Alloc(c, 256)
 	var sb dumpBuilder

@@ -38,9 +38,9 @@ func newHardenAlloc(t *testing.T, hcfg *harden.Config) (*machine.Machine, *Alloc
 // per-CPU cycle counts bit for bit, on one node and on four.
 func TestHardenOffCycleIdentity(t *testing.T) {
 	assertGolden(t, "nodes=1",
-		shardGoldenCycles(t, 1, Params{RadixSort: true}), goldenCyclesNodes1)
+		shardGoldenCycles(t, 1, Params{}), goldenCyclesNodes1)
 	assertGolden(t, "nodes=4",
-		shardGoldenCycles(t, 4, Params{RadixSort: true, DisableRemoteShards: true}),
+		shardGoldenCycles(t, 4, Params{DisableRemoteShards: true}),
 		goldenCyclesNodes4Routing)
 }
 

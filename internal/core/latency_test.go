@@ -76,7 +76,7 @@ func latencyWorkload(t *testing.T, armed bool) (uint64, []int64, []uint64, *Allo
 	cfg.Nodes = 2
 	m := machine.New(cfg)
 	m.EnableSchedHash()
-	a, err := New(m, Params{RadixSort: true, Latency: armed})
+	a, err := New(m, Params{Latency: armed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestLatencySnapshotRace(t *testing.T) {
 	cfg.Mode = machine.Native
 	cfg.NumCPUs = 4
 	m := machine.New(cfg)
-	a, err := New(m, Params{RadixSort: true, Latency: true})
+	a, err := New(m, Params{Latency: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // behaviour, and failure injection at each layer boundary.
 
 func TestGlobalBucketRegroupsOddLists(t *testing.T) {
-	a, m := testAllocator(t, 1, 1024, Params{RadixSort: true})
+	a, m := testAllocator(t, 1, 1024, Params{})
 	c := m.CPU(0)
 	cls := a.classFor(64)
 	g := a.classes[cls].globals[0]
@@ -52,7 +52,7 @@ func TestGlobalBucketRegroupsOddLists(t *testing.T) {
 }
 
 func TestGlobalSpillRespectsCapacity(t *testing.T) {
-	a, m := testAllocator(t, 1, 2048, Params{RadixSort: true})
+	a, m := testAllocator(t, 1, 2048, Params{})
 	c := m.CPU(0)
 	cls := a.classFor(32)
 	g := a.classes[cls].globals[0]
@@ -88,7 +88,6 @@ func TestRadixPrefersFullestPage(t *testing.T) {
 	// Small targets so a refill moves exactly 2 blocks: the radix policy
 	// must pull them from the pages with the fewest free blocks.
 	a, m := testAllocator(t, 1, 2048, Params{
-		RadixSort:    true,
 		TargetFor:    func(uint32) int { return 2 },
 		GblTargetFor: func(uint32) int { return 1 },
 	})
@@ -159,8 +158,52 @@ func TestRadixPrefersFullestPage(t *testing.T) {
 	checkOK(t, a)
 }
 
+// TestZeroValueParamsIsPaper: Params{} is the 1993 design. It replays
+// the paper allocator's cycle goldens (TestSchedHashPinned holds the
+// extended modes the same way), the legacy RadixSort field changes
+// nothing either way, split pages are filed in the radix buckets, and
+// only DisableRadixSort reaches the FIFO list.
+func TestZeroValueParamsIsPaper(t *testing.T) {
+	assertGolden(t, "Params{}, 1 node", shardGoldenCycles(t, 1, Params{}), goldenCyclesNodes1)
+	var legacy Params
+	legacy.RadixSort = true
+	assertGolden(t, "legacy RadixSort set", shardGoldenCycles(t, 1, legacy), goldenCyclesNodes1)
+
+	filed := func(p Params) (radix, fifo bool) {
+		a, m := testAllocator(t, 1, 2048, p)
+		c := m.CPU(0)
+		ck, _ := a.GetCookie(512)
+		var bs []arena.Addr
+		for i := 0; i < 64; i++ {
+			b, err := a.AllocCookie(c, ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bs = append(bs, b)
+		}
+		for i, b := range bs {
+			if i%3 != 0 {
+				a.FreeCookie(c, b, ck)
+			}
+		}
+		a.DrainAll(c) // partly free pages now sit in the page layer
+		checkOK(t, a)
+		pool := a.classes[ck.cls].pages[0]
+		for k := range pool.buckets {
+			radix = radix || !pool.buckets[k].empty()
+		}
+		return radix, !pool.fifo.empty()
+	}
+	if radix, fifo := filed(Params{}); !radix || fifo {
+		t.Errorf("Params{}: pages in radix buckets %v, on the FIFO list %v; want true, false", radix, fifo)
+	}
+	if radix, fifo := filed(Params{DisableRadixSort: true}); radix || !fifo {
+		t.Errorf("DisableRadixSort: pages in radix buckets %v, on the FIFO list %v; want false, true", radix, fifo)
+	}
+}
+
 func TestFIFOAblationIgnoresOccupancy(t *testing.T) {
-	a, m := testAllocator(t, 1, 2048, Params{RadixSort: false})
+	a, m := testAllocator(t, 1, 2048, Params{DisableRadixSort: true})
 	c := m.CPU(0)
 	ck, _ := a.GetCookie(512)
 	// Just exercise the FIFO path end to end.
@@ -192,7 +235,7 @@ func TestPhysExhaustionDuringCarve(t *testing.T) {
 	// Exactly enough physical pages for the vmblk header and nothing
 	// else: the first small allocation must fail cleanly through all
 	// four layers.
-	a, m := testAllocator(t, 1, 8, Params{RadixSort: true})
+	a, m := testAllocator(t, 1, 8, Params{})
 	c := m.CPU(0)
 	if _, err := a.Alloc(c, 64); !errors.Is(err, ErrNoMemory) {
 		t.Fatalf("err = %v, want ErrNoMemory", err)
@@ -206,7 +249,7 @@ func TestPhysExhaustionDuringCarve(t *testing.T) {
 
 func TestPhysExhaustionHeaderUnmappable(t *testing.T) {
 	// Fewer pages than even a vmblk header needs: creation itself fails.
-	a, m := testAllocator(t, 1, 4, Params{RadixSort: true})
+	a, m := testAllocator(t, 1, 4, Params{})
 	c := m.CPU(0)
 	if _, err := a.Alloc(c, 64); !errors.Is(err, ErrNoMemory) {
 		t.Fatalf("err = %v, want ErrNoMemory", err)
@@ -221,7 +264,7 @@ func TestPartialRefillUnderPressure(t *testing.T) {
 	// With memory for only a few pages, a refill that wants
 	// gbltarget*target blocks must return what it can get rather than
 	// failing outright.
-	a, m := testAllocator(t, 1, 10, Params{RadixSort: true}) // 8 header + 2 data pages
+	a, m := testAllocator(t, 1, 10, Params{}) // 8 header + 2 data pages
 	c := m.CPU(0)
 	got := 0
 	var bs []arena.Addr
@@ -247,7 +290,7 @@ func TestReclaimRecoversOtherClassPages(t *testing.T) {
 	// Exhaust memory with small blocks cached across CPUs, then ask for
 	// a large block: reclaim must flush the small-block caches, release
 	// their pages, and satisfy the large request.
-	a, m := testAllocator(t, 4, 64, Params{RadixSort: true})
+	a, m := testAllocator(t, 4, 64, Params{})
 	c0 := m.CPU(0)
 
 	// Fill and free small blocks on every CPU so caches + global pools
@@ -286,7 +329,7 @@ func TestReclaimRecoversOtherClassPages(t *testing.T) {
 }
 
 func TestStatsHeldCountsAccurate(t *testing.T) {
-	a, m := testAllocator(t, 2, 1024, Params{RadixSort: true})
+	a, m := testAllocator(t, 2, 1024, Params{})
 	c := m.CPU(0)
 	ck, _ := a.GetCookie(64)
 	cls := a.classFor(64)

@@ -18,9 +18,9 @@ import (
 // reserve/commit split changes physmem's internal accounting, but the
 // eager path's charge order — findSpan, map, span surgery — is pinned.
 func TestLazySpansOffCycleIdentity(t *testing.T) {
-	got := shardGoldenCycles(t, 1, Params{RadixSort: true, LazySpans: false})
+	got := shardGoldenCycles(t, 1, Params{LazySpans: false})
 	assertGolden(t, "nodes=1 lazy-off", got, goldenCyclesNodes1)
-	got = shardGoldenCycles(t, 4, Params{RadixSort: true, LazySpans: false, DisableRemoteShards: true})
+	got = shardGoldenCycles(t, 4, Params{LazySpans: false, DisableRemoteShards: true})
 	assertGolden(t, "nodes=4 lazy-off", got, goldenCyclesNodes4Routing)
 }
 
@@ -34,7 +34,7 @@ func lazyMachine(t *testing.T, physPages int64) (*machine.Machine, *Allocator) {
 	cfg.MemBytes = 4 << 20
 	cfg.PhysPages = physPages
 	m := machine.New(cfg)
-	a, err := New(m, Params{RadixSort: true, LazySpans: true})
+	a, err := New(m, Params{LazySpans: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,11 +353,10 @@ func decommitted(before, after map[int32]uint8) []int32 {
 // pageWalkDecommit is the decommit pass as it was before free spans
 // counted their resident pages, kept as the reference: walk every free
 // span in freelist order and every page of each, taking resident pages
-// until want are found (want < 0: all), skipping spans younger than
-// minAge at the given tick and the span headed at skip (the one a commit
-// in progress has taken off its list). It changes nothing and returns
-// the pages the pass would release, in page order.
-func pageWalkDecommit(a *Allocator, want int64, minAge, tick uint64, skip int32) []int32 {
+// until want are found (want < 0: all), skipping the span headed at skip
+// (the one a commit in progress has taken off its list). It changes
+// nothing and returns the pages the pass would release, in page order.
+func pageWalkDecommit(a *Allocator, want int64, skip int32) []int32 {
 	v := a.vm
 	out := []int32{}
 walk:
@@ -365,7 +364,7 @@ walk:
 		for b := 1; b <= maxSpanBucket; b++ {
 			for pg := v.spans[node][b].head; pg != -1; pg = v.pdOf(pg).next {
 				head := v.pdOf(pg)
-				if pg == skip || (minAge > 0 && tick-head.freedTick < minAge) {
+				if pg == skip {
 					continue
 				}
 				for i := pg; i < pg+int32(head.spanPages); i++ {
@@ -385,161 +384,129 @@ walk:
 
 // TestLazyResidentCount walks one vmblk through every way a free span's
 // resident-page count changes — split of a backed span, partial decommit,
-// left+right coalesce, the emergency decommit inside a commit, and span
-// aging — and after each step holds the allocator to two things: the
+// left+right coalesce and the emergency decommit inside a commit — and
+// after each step holds the allocator to two things: the
 // CheckConsistency audit (every free span's head counts exactly its
 // resident descriptors), and the decommit pass releasing exactly the
 // pages the page-by-page walk it replaced would have.
 func TestLazyResidentCount(t *testing.T) {
-	for _, age := range []uint64{0, 2} {
-		cfg := machine.DefaultConfig()
-		cfg.NumCPUs = 1
-		cfg.MemBytes = 4 << 20
-		cfg.PhysPages = 48 // 8 header pages + 40 frames
-		m := machine.New(cfg)
-		a, err := New(m, Params{RadixSort: true, LazySpans: true, SpanAgeTicks: age})
+	cfg := machine.DefaultConfig()
+	cfg.NumCPUs = 1
+	cfg.MemBytes = 4 << 20
+	cfg.PhysPages = 48 // 8 header pages + 40 frames
+	m := machine.New(cfg)
+	a, err := New(m, Params{LazySpans: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := m.CPU(0)
+	pageBytes := cfg.PageBytes
+
+	audit := func(step string) {
+		t.Helper()
+		if err := a.CheckConsistency(); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+	}
+	alloc := func(pages uint64) arena.Addr {
+		t.Helper()
+		b, err := a.Alloc(c, pages*pageBytes)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("alloc of %d pages: %v", pages, err)
 		}
-		c := m.CPU(0)
-		pageBytes := cfg.PageBytes
-
-		audit := func(step string) {
-			t.Helper()
-			if err := a.CheckConsistency(); err != nil {
-				t.Fatalf("age %d, %s: %v", age, step, err)
-			}
+		return b
+	}
+	same := func(step string, got, want []int32) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: released pages %v, the page walk releases %v", step, got, want)
 		}
-		alloc := func(pages uint64) arena.Addr {
-			t.Helper()
-			b, err := a.Alloc(c, pages*pageBytes)
-			if err != nil {
-				t.Fatalf("age %d: alloc of %d pages: %v", age, pages, err)
-			}
-			return b
-		}
-		same := func(step string, got, want []int32) {
-			t.Helper()
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("age %d, %s: released pages %v, the page walk releases %v", age, step, got, want)
-			}
-		}
-		// trim runs one voluntary pass against the reference. The pass
-		// advances the age tick before it looks at any span.
-		trim := func(step string, want int64) int64 {
-			t.Helper()
-			predicted := pageWalkDecommit(a, want, age, a.vm.ageTick+1, -1)
-			before := pageFlags(a)
-			n := a.Trim(c, want)
-			got := decommitted(before, pageFlags(a))
-			same(step, got, predicted)
-			if n != int64(len(got)) {
-				t.Fatalf("age %d, %s: Trim returned %d, %d pages lost their frames", age, step, n, len(got))
-			}
-			audit(step)
-			return n
-		}
-		// grow lets every free span reach the configured age.
-		grow := func() {
-			for i := uint64(0); i < age; i++ {
-				a.Trim(c, 0)
-			}
-		}
-
-		// Four spans side by side at the start of the data pages.
-		bufA, bufB, bufC, bufD := alloc(10), alloc(6), alloc(12), alloc(4)
-		audit("carve")
-
-		// Split: B comes back whole (6 backed pages), then a 2-page
-		// request carves its head off; the remainder keeps 4.
-		a.Free(c, bufB, 6*pageBytes)
-		audit("free B")
-		bufE := alloc(2)
-		if bufE != bufB {
-			t.Fatalf("age %d: the 2-page request landed at %#x, not in B's span at %#x", age, bufE, bufB)
-		}
-		audit("split")
-
-		// Partial decommit: fewer pages wanted than the span has.
-		if age > 0 {
-			trim("young span", -1) // too young: nothing goes
-		}
-		grow()
-		if n := trim("partial decommit", 3); n != 3 {
-			t.Fatalf("age %d: Trim(3) = %d with 4 backed pages free", age, n)
-		}
-
-		// Coalesce left and right in one free: D merges with the vmblk's
-		// never-touched tail, then C joins B's remainder on its left to
-		// D+tail on its right — 1 + 12 + 4 backed pages in one span.
-		a.Free(c, bufD, 4*pageBytes)
-		audit("coalesce right")
-		a.Free(c, bufC, 12*pageBytes)
-		audit("coalesce left+right")
-		if age > 0 {
-			// The merged span is young again; an old one beside it is not.
-			a.Free(c, bufA, 10*pageBytes)
-			bufA = arena.NilAddr
-			a.Trim(c, 0)
-			bufF := alloc(3) // lands in A's span, whose remainder is refiled young
-			if n := trim("old and young spans", -1); n == 0 {
-				t.Fatalf("age %d: the pass kept the old span's frames", age)
-			}
-			if kept := pageWalkDecommit(a, -1, 0, 0, -1); len(kept) == 0 {
-				t.Fatalf("age %d: the pass stripped the young span too", age)
-			}
-			a.Free(c, bufF, 3*pageBytes)
-			audit("free F")
-		}
-		grow()
-		trim("decommit across a coalesced span", 5)
-
-		// Emergency decommit: a request the free frames cannot back takes
-		// the big span off its list and strips A's span — fully backed
-		// again after one more round trip — to make room.
-		if bufA != arena.NilAddr {
-			a.Free(c, bufA, 10*pageBytes)
-		}
-		a.Free(c, alloc(10), 10*pageBytes)
-		audit("back A")
+	}
+	// trim runs one voluntary pass against the reference.
+	trim := func(step string, want int64) int64 {
+		t.Helper()
+		predicted := pageWalkDecommit(a, want, -1)
 		before := pageFlags(a)
-		fails := a.Stats(c).VM.MapFailures
-		carved := a.vm.spans[0][maxSpanBucket].head
-		if carved == -1 || a.vm.pdOf(carved).next != -1 {
-			t.Fatalf("age %d: expected exactly one long free span", age)
+		n := a.Trim(c, want)
+		got := decommitted(before, pageFlags(a))
+		same(step, got, predicted)
+		if n != int64(len(got)) {
+			t.Fatalf("%s: Trim returned %d, %d pages lost their frames", step, n, len(got))
 		}
-		// The smallest request whose unbacked pages outnumber the free
-		// frames by one.
-		free := cfg.PhysPages - m.Phys().Mapped()
-		var pages uint64
-		var need int64
-		for need <= free {
-			if before[carved+int32(pages)]&pdfResident == 0 {
-				need++
-			}
-			pages++
-		}
-		predicted := pageWalkDecommit(a, need, 0, a.vm.ageTick, carved)
-		bufG := alloc(pages)
-		if got := int32(bufG >> a.pageShift); got != carved {
-			t.Fatalf("age %d: the %d-page request was carved at page %d, expected %d", age, pages, got, carved)
-		}
-		if got := a.Stats(c).VM.MapFailures; got != fails+1 {
-			t.Fatalf("age %d: MapFailures went %d -> %d; the commit never ran short", age, fails, got)
-		}
-		if len(predicted) == 0 {
-			t.Fatalf("age %d: the emergency pass had nothing to release", age)
-		}
-		same("emergency decommit", decommitted(before, pageFlags(a)), predicted)
-		audit("emergency decommit")
+		audit(step)
+		return n
+	}
 
-		a.Free(c, bufG, pages*pageBytes)
-		a.Free(c, bufE, 2*pageBytes)
-		audit("all free")
-		grow()
-		trim("everything", -1)
-		if got := m.Phys().Mapped(); got != a.HeaderPages() {
-			t.Fatalf("age %d: Mapped = %d after the last Trim, want the header floor %d", age, got, a.HeaderPages())
+	// Four spans side by side at the start of the data pages.
+	bufA, bufB, bufC, bufD := alloc(10), alloc(6), alloc(12), alloc(4)
+	audit("carve")
+
+	// Split: B comes back whole (6 backed pages), then a 2-page
+	// request carves its head off; the remainder keeps 4.
+	a.Free(c, bufB, 6*pageBytes)
+	audit("free B")
+	bufE := alloc(2)
+	if bufE != bufB {
+		t.Fatalf("the 2-page request landed at %#x, not in B's span at %#x", bufE, bufB)
+	}
+	audit("split")
+
+	// Partial decommit: fewer pages wanted than the span has.
+	if n := trim("partial decommit", 3); n != 3 {
+		t.Fatalf("Trim(3) = %d with 4 backed pages free", n)
+	}
+
+	// Coalesce left and right in one free: D merges with the vmblk's
+	// never-touched tail, then C joins B's remainder on its left to
+	// D+tail on its right — 1 + 12 + 4 backed pages in one span.
+	a.Free(c, bufD, 4*pageBytes)
+	audit("coalesce right")
+	a.Free(c, bufC, 12*pageBytes)
+	audit("coalesce left+right")
+	trim("decommit across a coalesced span", 5)
+
+	// Emergency decommit: a request the free frames cannot back takes
+	// the big span off its list and strips A's span — fully backed
+	// again after one more round trip — to make room.
+	a.Free(c, bufA, 10*pageBytes)
+	a.Free(c, alloc(10), 10*pageBytes)
+	audit("back A")
+	before := pageFlags(a)
+	fails := a.Stats(c).VM.MapFailures
+	carved := a.vm.spans[0][maxSpanBucket].head
+	if carved == -1 || a.vm.pdOf(carved).next != -1 {
+		t.Fatalf("expected exactly one long free span")
+	}
+	// The smallest request whose unbacked pages outnumber the free
+	// frames by one.
+	free := cfg.PhysPages - m.Phys().Mapped()
+	var pages uint64
+	var need int64
+	for need <= free {
+		if before[carved+int32(pages)]&pdfResident == 0 {
+			need++
 		}
+		pages++
+	}
+	predicted := pageWalkDecommit(a, need, carved)
+	bufG := alloc(pages)
+	if got := int32(bufG >> a.pageShift); got != carved {
+		t.Fatalf("the %d-page request was carved at page %d, expected %d", pages, got, carved)
+	}
+	if got := a.Stats(c).VM.MapFailures; got != fails+1 {
+		t.Fatalf("MapFailures went %d -> %d; the commit never ran short", fails, got)
+	}
+	if len(predicted) == 0 {
+		t.Fatalf("the emergency pass had nothing to release")
+	}
+	same("emergency decommit", decommitted(before, pageFlags(a)), predicted)
+	audit("emergency decommit")
+
+	a.Free(c, bufG, pages*pageBytes)
+	a.Free(c, bufE, 2*pageBytes)
+	audit("all free")
+	trim("everything", -1)
+	if got := m.Phys().Mapped(); got != a.HeaderPages() {
+		t.Fatalf("Mapped = %d after the last Trim, want the header floor %d", got, a.HeaderPages())
 	}
 }

@@ -71,8 +71,8 @@ func newLfState(m *machine.Machine, node int) lfState {
 // commit charges one optimistic read-prep-CAS commit on CPU c and
 // returns how many times it retried. prep, when non-nil, is charged on
 // every attempt (the per-attempt node-link access described above).
-// Only the Sim mode of the machine ever calls this — Params.LockFree
-// keeps the locked paths in Native mode.
+// Only the Sim mode of the machine ever calls this — New refuses
+// Params.LockFree on a Native machine.
 func (s *lfState) commit(c *machine.CPU, prep func()) int {
 	retries := 0
 	for {

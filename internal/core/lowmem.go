@@ -56,10 +56,8 @@ func (a *Allocator) reclaim(c *machine.CPU) {
 	}
 
 	// With lazy spans, coalesced free spans still hold their physical
-	// frames; the starving caller needs those frames, so strip them all —
-	// regardless of Params.SpanAgeTicks: aging protects bursty reuse, not
-	// a caller about to fail its allocation.
-	a.vm.decommitFreeForce(c, -1)
+	// frames; the starving caller needs those frames, so strip them all.
+	a.vm.decommitFree(c, -1)
 	a.wakeAll()
 }
 
@@ -134,7 +132,7 @@ func (a *Allocator) DrainAll(c *machine.CPU) {
 			g.drainAll(c)
 		}
 	}
-	a.vm.decommitFreeForce(c, -1)
+	a.vm.decommitFree(c, -1)
 }
 
 // Trim releases the physical backing of up to maxPages free-span pages
@@ -145,8 +143,7 @@ func (a *Allocator) DrainAll(c *machine.CPU) {
 // shrink their depots first (the non-aggressive shed), so cold
 // constructed buffers coalesce into spans the decommit pass can strip.
 // Returns the pages released; always 0 with Params.LazySpans off, where
-// free spans hold no backing. Free spans younger than Params.SpanAgeTicks
-// reclaim ticks keep their backing (span aging).
+// free spans hold no backing.
 func (a *Allocator) Trim(c *machine.CPU, maxPages int64) int64 {
 	a.shedCaches(c, false)
 	return a.vm.decommitFree(c, maxPages)

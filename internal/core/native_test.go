@@ -35,7 +35,7 @@ func nativeAllocator(t *testing.T, ncpu int, physPages int64) (*Allocator, *mach
 	cfg.MemBytes = 32 << 20
 	cfg.PhysPages = physPages
 	m := machine.New(cfg)
-	a, err := New(m, Params{RadixSort: true})
+	a, err := New(m, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestRemoteFreeRoutesHome(t *testing.T) {
 	// The paper's motivating pattern: CPU 0 (node 0) allocates, CPU 2
 	// (node 1) frees. Every freed block must route back to its home
 	// node's pool — never into the freeing CPU's node pool.
-	a, m := numaAllocator(t, 4, 2, 1024, Params{RadixSort: true})
+	a, m := numaAllocator(t, 4, 2, 1024, Params{})
 	c0, c2 := m.CPU(0), m.CPU(2)
 	if c0.Node() != 0 || c2.Node() != 1 {
 		t.Fatalf("node layout: cpu0 on %d, cpu2 on %d", c0.Node(), c2.Node())
@@ -74,7 +74,7 @@ func TestNodeStealWhenHomeDry(t *testing.T) {
 	// node 0's pool. An allocation on node 1 cannot carve a node-local
 	// page (no physical pages left for a new vmblk), so it must steal
 	// the cached blocks cross-node rather than fail.
-	a, m := numaAllocator(t, 4, 2, 48, Params{RadixSort: true})
+	a, m := numaAllocator(t, 4, 2, 48, Params{})
 	c0, c2 := m.CPU(0), m.CPU(2)
 
 	var live []arena.Addr
@@ -122,7 +122,7 @@ func TestBucketRegroupAfterRetune(t *testing.T) {
 	// under the old target are odd-sized under the new one and must flow
 	// through the bucket to be regrouped. The retune is simulated by
 	// storing the new target directly, exactly what the controller does.
-	a, m := testAllocator(t, 1, 1024, Params{RadixSort: true})
+	a, m := testAllocator(t, 1, 1024, Params{})
 	c := m.CPU(0)
 	cls := a.classFor(32)
 	g := a.classes[cls].globals[0]
@@ -201,7 +201,7 @@ func TestDopeVectorHomeConsistency(t *testing.T) {
 	// Property: every address carved from a page resolves through the
 	// dope vector to that page's descriptor and to the home node of the
 	// vmblk the page belongs to, regardless of which CPU asks.
-	a, m := numaAllocator(t, 4, 2, 2048, Params{RadixSort: true})
+	a, m := numaAllocator(t, 4, 2, 2048, Params{})
 	type held struct {
 		b    arena.Addr
 		size uint64
@@ -274,7 +274,7 @@ func TestNativeCrossNodeFree(t *testing.T) {
 	cfg.MemBytes = 32 << 20
 	cfg.PhysPages = 4096
 	m := machine.New(cfg)
-	a, err := New(m, Params{RadixSort: true})
+	a, err := New(m, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,10 +14,10 @@ import (
 // sequences they replaced, and no lock-free charge is reachable.
 func TestOptimisticOffCycleIdentity(t *testing.T) {
 	assertGolden(t, "nodes=1 rseq/lockfree off",
-		shardGoldenCycles(t, 1, Params{RadixSort: true, Rseq: false, LockFree: false}),
+		shardGoldenCycles(t, 1, Params{Rseq: false, LockFree: false}),
 		goldenCyclesNodes1)
 	assertGolden(t, "nodes=4 rseq/lockfree off",
-		shardGoldenCycles(t, 4, Params{RadixSort: true, Rseq: false, LockFree: false, DisableRemoteShards: true}),
+		shardGoldenCycles(t, 4, Params{Rseq: false, LockFree: false, DisableRemoteShards: true}),
 		goldenCyclesNodes4Routing)
 }
 
@@ -73,7 +73,7 @@ func TestRseqRestartsUnderJitter(t *testing.T) {
 		cfg.PhysPages = 1024
 		m := machine.New(cfg)
 		m.SetScheduleJitter(&machine.JitterConfig{Seed: 7, RestartEvery: 3})
-		a, err := New(m, Params{RadixSort: true, Rseq: true})
+		a, err := New(m, Params{Rseq: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestRseqOffNoRestarts(t *testing.T) {
 	cfg.PhysPages = 1024
 	m := machine.New(cfg)
 	m.SetScheduleJitter(&machine.JitterConfig{Seed: 7, RestartEvery: 3})
-	a, err := New(m, Params{RadixSort: true})
+	a, err := New(m, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestLockFreeCutsGlobalLockWait(t *testing.T) {
 		cfg.MemBytes = 16 << 20
 		cfg.PhysPages = 1024
 		m := machine.New(cfg)
-		a, err := New(m, Params{RadixSort: true, LockFree: lockFree})
+		a, err := New(m, Params{LockFree: lockFree})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func TestLockFreeParkedPageReuse(t *testing.T) {
 	cfg.MemBytes = 16 << 20
 	cfg.PhysPages = 1024
 	m := machine.New(cfg)
-	a, err := New(m, Params{RadixSort: true, LockFree: true})
+	a, err := New(m, Params{LockFree: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func TestDebugOwnershipCatchesSharedHandle(t *testing.T) {
 	cfg.MemBytes = 16 << 20
 	cfg.PhysPages = 1024
 	m := machine.New(cfg)
-	a, err := New(m, Params{RadixSort: true, DebugOwnership: true})
+	a, err := New(m, Params{DebugOwnership: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestDebugOwnershipAllowsCorrectUse(t *testing.T) {
 	cfg.MemBytes = 16 << 20
 	cfg.PhysPages = 1024
 	m := machine.New(cfg)
-	a, err := New(m, Params{RadixSort: true, DebugOwnership: true})
+	a, err := New(m, Params{DebugOwnership: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestDebugOwnershipAllowsCorrectUse(t *testing.T) {
 func TestDebugOwnershipSimSingleGoroutine(t *testing.T) {
 	// Sim mode drives all CPUs from one goroutine; the checker must not
 	// misfire on that legitimate pattern (sections never overlap).
-	a, m := testAllocator(t, 2, 1024, Params{RadixSort: true, DebugOwnership: true})
+	a, m := testAllocator(t, 2, 1024, Params{DebugOwnership: true})
 	for i := 0; i < 100; i++ {
 		c := m.CPU(i % 2)
 		b, err := a.Alloc(c, 64)

@@ -37,7 +37,7 @@ type pagePool struct {
 	buckets []pdList
 	minHint int
 
-	// fifo replaces buckets when Params.RadixSort is false (ablation A3).
+	// fifo replaces buckets under Params.DisableRadixSort (ablation A3).
 	fifo pdList
 
 	// stk is the lock-free stack of parked fully-free pages
@@ -78,7 +78,7 @@ func newPagePool(a *Allocator, cls, node int, size uint32) *pagePool {
 		p.buckets[i] = newPdList()
 	}
 	p.minHint = p.blocksPerPage + 1
-	if a.lockFree {
+	if a.params.LockFree {
 		p.stkLf = newLfState(a.m, node)
 	}
 	return p
@@ -97,7 +97,7 @@ func (p *pagePool) noteLockWait() {
 // fewest free blocks under the paper's radix policy, or FIFO order under
 // the ablation — or -1 when none exists.
 func (p *pagePool) pickPage(c *machine.CPU) int32 {
-	if !p.al.params.RadixSort {
+	if p.al.params.DisableRadixSort {
 		return p.fifo.head
 	}
 	for k := p.minHint; k <= p.blocksPerPage; k++ {
@@ -116,29 +116,29 @@ func (p *pagePool) fileIn(c *machine.CPU, pg int32, nFree int) {
 	if nFree <= 0 || nFree > p.blocksPerPage {
 		panic(fmt.Sprintf("kmem: fileIn nFree=%d", nFree))
 	}
-	if p.al.params.RadixSort {
-		p.al.vm.pdPush(c, &p.buckets[nFree], pg)
-		if nFree < p.minHint {
-			p.minHint = nFree
-		}
-	} else {
+	if p.al.params.DisableRadixSort {
 		p.al.vm.pdPush(c, &p.fifo, pg)
+		return
+	}
+	p.al.vm.pdPush(c, &p.buckets[nFree], pg)
+	if nFree < p.minHint {
+		p.minHint = nFree
 	}
 }
 
 // fileOut removes page pg (currently filed with nFree free blocks).
 func (p *pagePool) fileOut(c *machine.CPU, pg int32, nFree int) {
-	if p.al.params.RadixSort {
-		p.al.vm.pdRemove(c, &p.buckets[nFree], pg)
-	} else {
+	if p.al.params.DisableRadixSort {
 		p.al.vm.pdRemove(c, &p.fifo, pg)
+		return
 	}
+	p.al.vm.pdRemove(c, &p.buckets[nFree], pg)
 }
 
 // refile moves page pg between radix buckets after its free count changed
 // from oldFree to newFree. Under FIFO the page stays put.
 func (p *pagePool) refile(c *machine.CPU, pg int32, oldFree, newFree int) {
-	if !p.al.params.RadixSort {
+	if p.al.params.DisableRadixSort {
 		return
 	}
 	p.fileOut(c, pg, oldFree)
@@ -153,15 +153,12 @@ func (p *pagePool) carvePage(c *machine.CPU) (int32, error) {
 		p.al.noteFault()
 		return -1, ErrNoMemory
 	}
-	pg, err := p.al.vm.allocPages(c, 1, p.node)
+	pg, err := p.al.vm.allocSplitPage(c, p.cls, p.node)
 	if err != nil {
 		return -1, err
 	}
 	c.Work(insnPageSetup)
 	pd := p.al.vm.pdOf(pg)
-	pd.state = pdSplit
-	pd.class = int8(p.cls)
-	pd.spanPages = 1
 	if p.al.hd != nil {
 		p.al.hd.forgetPage(c, pg)
 	}
@@ -205,7 +202,7 @@ func (p *pagePool) getLists(c *machine.CPU, nLists, target int) ([]blocklist.Lis
 	got := 0
 	for got < want {
 		pg := p.pickPage(c)
-		if pg == -1 && p.al.lockFree {
+		if pg == -1 && p.al.params.LockFree {
 			pg = p.popParked(c)
 		}
 		if pg == -1 {
@@ -304,7 +301,7 @@ func (p *pagePool) putBlockLocked(c *machine.CPU, b arena.Addr) {
 	c.Write(pd.line)
 	p.ev[EvBlockPut]++
 	if int(pd.nFree) == p.blocksPerPage {
-		if p.al.lockFree && len(p.stk) < lfPageStackCap && p.al.pressureLevel() < PressureLow {
+		if p.al.params.LockFree && len(p.stk) < lfPageStackCap && p.al.pressureLevel() < PressureLow {
 			// Park the fully-free page on the lock-free stack instead of
 			// releasing its span: it keeps its split descriptor and
 			// in-page freelist, is filed in no bucket, and the next

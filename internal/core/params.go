@@ -44,18 +44,6 @@ type Params struct {
 	// (TestLazySpansOffCycleIdentity).
 	LazySpans bool
 
-	// SpanAgeTicks ages free lazy spans before their backing is
-	// stripped: a span must have been free for at least this many
-	// reclaim ticks (one tick per voluntary decommit pass — Trim,
-	// incremental reclaim steps) before the pass releases its resident
-	// pages, so bursty workloads stop paying the recommit zero-fill for
-	// memory they are about to reuse. Paths that need frames to satisfy
-	// an allocation — stop-the-world reclaim, DrainAll, and the
-	// in-commit decommit-fallback retry — ignore the age. 0, the
-	// default, preserves the age-blind decommit behavior exactly.
-	// Meaningless without LazySpans.
-	SpanAgeTicks uint64
-
 	// TargetFor overrides the per-CPU cache target for a block size.
 	// Nil selects DefaultTarget, the paper's heuristic ("ranges from 10
 	// for 16-byte blocks to just 2 for 4096-byte blocks").
@@ -67,9 +55,17 @@ type Params struct {
 	// miss-rate analysis).
 	GblTargetFor func(size uint32) int
 
-	// RadixSort selects the paper's radix-sorted page freelists (pages
-	// with the fewest free blocks are allocated from first). When
-	// false, a FIFO page list is used instead — the A3 ablation.
+	// DisableRadixSort replaces the paper's radix-sorted page freelists
+	// (pages with the fewest free blocks are allocated from first) with
+	// a FIFO page list — the A3 ablation. The paper's design is the
+	// default (false).
+	DisableRadixSort bool
+
+	// RadixSort is accepted and ignored: radix-sorted page freelists are
+	// the default, and DisableRadixSort is the ablation. The field exists
+	// only because the frozen benchmark/sut.go sets it in its Params
+	// literal; the next benchmark PR drops that initialiser and this
+	// field with it.
 	RadixSort bool
 
 	// Poison fills freed block payloads with a pattern so that
@@ -152,11 +148,9 @@ type Params struct {
 	// but gains a lock-free stack of parked fully-free pages that lets a
 	// refill skip the vmblk span layer entirely. Uncommon paths (bucket
 	// regrouping of odd-sized lists, drains, stats) keep the lock. The
-	// CAS cost model is Sim-mode only: in Native mode the flag leaves the
-	// locked paths in place, since real lock-free publication of the
-	// simulator's Go-slice stacks is not what the model measures — rseq
-	// is the Native-mode optimistic feature. False — the default — keeps
-	// the spin-locked global layer cycle-for-cycle intact.
+	// CAS stacks are a Sim-mode cost model; New refuses the flag on a
+	// Native machine. False — the default — keeps the spin-locked global
+	// layer cycle-for-cycle intact.
 	LockFree bool
 
 	// Harden, when non-nil, enables the corruption-hardening layer:

@@ -40,7 +40,6 @@ func pinnedMixRun(t *testing.T) pinnedMix {
 	m := machine.New(cfg)
 	m.SetScheduleJitter(&machine.JitterConfig{Seed: 20260929, RestartEvery: 5})
 	a, err := New(m, Params{
-		RadixSort: true,
 		Rseq:      true,
 		LockFree:  true,
 		LazySpans: true,

@@ -30,7 +30,6 @@ func TestPressureWaitNative(t *testing.T) {
 	cfg.PhysPages = 24
 	m := machine.New(cfg)
 	a, err := New(m, Params{
-		RadixSort:    true,
 		TargetFor:    func(uint32) int { return 2 },
 		GblTargetFor: func(uint32) int { return 1 },
 		Pressure:     &PressureConfig{LowPages: 8, MinPages: 4},
@@ -95,8 +94,7 @@ func TestConcurrentReclaimRace(t *testing.T) {
 	cfg.PhysPages = 512
 	m := machine.New(cfg)
 	a, err := New(m, Params{
-		RadixSort: true,
-		Pressure:  &PressureConfig{LowPages: 64, MinPages: 16},
+		Pressure: &PressureConfig{LowPages: 64, MinPages: 16},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,6 @@ func pressureAllocator(t *testing.T, physPages int64, pc *PressureConfig, wc *Wa
 	cfg.PhysPages = physPages
 	m := machine.New(cfg)
 	a, err := New(m, Params{
-		RadixSort:    true,
 		TargetFor:    func(uint32) int { return 2 },
 		GblTargetFor: func(uint32) int { return 1 },
 		Pressure:     pc,
@@ -42,7 +41,6 @@ func TestPressureLevelTransitionsAndEvents(t *testing.T) {
 	cfg.PhysPages = 24
 	m := machine.New(cfg)
 	a, err := New(m, Params{
-		RadixSort:    true,
 		TargetFor:    func(uint32) int { return 2 },
 		GblTargetFor: func(uint32) int { return 1 },
 		Pressure:     &PressureConfig{LowPages: 8, MinPages: 4},

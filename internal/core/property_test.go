@@ -25,7 +25,7 @@ func TestQuickRandomOpSequences(t *testing.T) {
 		cfg.MemBytes = 16 << 20
 		cfg.PhysPages = 512
 		m := machine.New(cfg)
-		a, err := New(m, Params{RadixSort: true, Poison: true})
+		a, err := New(m, Params{Poison: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestQuickNoOverlap(t *testing.T) {
 		cfg.MemBytes = 16 << 20
 		cfg.PhysPages = 1024
 		m := machine.New(cfg)
-		a, err := New(m, Params{RadixSort: true})
+		a, err := New(m, Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestQuickCyclicSizeShifts(t *testing.T) {
 		cfg.MemBytes = 16 << 20
 		cfg.PhysPages = 300
 		m := machine.New(cfg)
-		a, err := New(m, Params{RadixSort: true})
+		a, err := New(m, Params{})
 		if err != nil {
 			t.Fatal(err)
 		}

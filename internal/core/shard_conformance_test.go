@@ -118,14 +118,14 @@ func assertGolden(t *testing.T, name string, got, want []int64) {
 // single-node machines: the workload's per-CPU cycle counts match the
 // pre-shard goldens exactly.
 func TestShardCycleIdentitySingleNode(t *testing.T) {
-	got := shardGoldenCycles(t, 1, Params{RadixSort: true})
+	got := shardGoldenCycles(t, 1, Params{})
 	assertGolden(t, "nodes=1", got, goldenCyclesNodes1)
 }
 
 // TestShardCycleIdentityDisabled proves DisableRemoteShards restores the
 // per-spill routing path bit for bit on a 4-node machine.
 func TestShardCycleIdentityDisabled(t *testing.T) {
-	got := shardGoldenCycles(t, 4, Params{RadixSort: true, DisableRemoteShards: true})
+	got := shardGoldenCycles(t, 4, Params{DisableRemoteShards: true})
 	assertGolden(t, "nodes=4 shards-off", got, goldenCyclesNodes4Routing)
 }
 
@@ -134,8 +134,8 @@ func TestShardCycleIdentityDisabled(t *testing.T) {
 // and the sharded path must not be slower than per-spill routing on this
 // remote-heavy workload.
 func TestShardCycleDeterminism(t *testing.T) {
-	a := shardGoldenCycles(t, 4, Params{RadixSort: true})
-	b := shardGoldenCycles(t, 4, Params{RadixSort: true})
+	a := shardGoldenCycles(t, 4, Params{})
+	b := shardGoldenCycles(t, 4, Params{})
 	assertGolden(t, "nodes=4 sharded repeat", b, a)
 	var sharded, routed int64
 	for i := range a {

@@ -13,7 +13,7 @@ import (
 // alone, the shard flushes to its home pool in one batched putList on
 // reaching target, and the home memo answers repeat lookups.
 func TestShardStagingAndFlush(t *testing.T) {
-	a, m := numaAllocator(t, 4, 2, 1024, Params{RadixSort: true})
+	a, m := numaAllocator(t, 4, 2, 1024, Params{})
 	c0, c2 := m.CPU(0), m.CPU(2)
 	cls := a.classFor(64)
 	target := a.Target(cls)
@@ -132,8 +132,8 @@ func TestShardBatchingReducesRemotePuts(t *testing.T) {
 		return st.RemotePuts
 	}
 
-	routed := run(Params{RadixSort: true, DisableRemoteShards: true})
-	sharded := run(Params{RadixSort: true})
+	routed := run(Params{DisableRemoteShards: true})
+	sharded := run(Params{})
 	if routed == 0 || sharded == 0 {
 		t.Fatalf("degenerate run: routed=%d sharded=%d remote puts", routed, sharded)
 	}
@@ -151,8 +151,7 @@ func TestShardBatchingReducesRemotePuts(t *testing.T) {
 func TestShardPressureClampsFlushThreshold(t *testing.T) {
 	var ec EventCounter
 	a, m := numaAllocator(t, 4, 2, 1024, Params{
-		RadixSort: true,
-		Hook:      ec.Hook(),
+		Hook: ec.Hook(),
 		// LowPages just under capacity: the pool is under PressureLow from
 		// the first vmblk map onward.
 		Pressure: &PressureConfig{LowPages: 1020, MinPages: 1},
@@ -193,7 +192,7 @@ func TestShardPressureClampsFlushThreshold(t *testing.T) {
 // TestShardDrainCPU: DrainCPU must flush partially-filled shards
 // straight to their home pools, leaving nothing staged.
 func TestShardDrainCPU(t *testing.T) {
-	a, m := numaAllocator(t, 4, 2, 1024, Params{RadixSort: true})
+	a, m := numaAllocator(t, 4, 2, 1024, Params{})
 	c0, c2 := m.CPU(0), m.CPU(2)
 	cls := a.classFor(64)
 	target := a.Target(cls)
@@ -232,7 +231,7 @@ func TestShardDrainCPU(t *testing.T) {
 // CPU's shard.
 func TestShardReclaimFindsStagedBlocks(t *testing.T) {
 	// Small physical memory: one vmblk's pages, nearly all consumed.
-	a, m := numaAllocator(t, 4, 2, 48, Params{RadixSort: true})
+	a, m := numaAllocator(t, 4, 2, 48, Params{})
 	c0, c2 := m.CPU(0), m.CPU(2)
 
 	// Consume pages from node 0 until the machine is nearly dry.
@@ -279,7 +278,7 @@ func TestNativeShardRace(t *testing.T) {
 	cfg.MemBytes = 32 << 20
 	cfg.PhysPages = 4096
 	m := machine.New(cfg)
-	a, err := New(m, Params{RadixSort: true})
+	a, err := New(m, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

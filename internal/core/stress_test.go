@@ -22,7 +22,7 @@ func TestSimStressMixedSizes(t *testing.T) {
 	cfg.MemBytes = 64 << 20
 	cfg.PhysPages = 8192
 	m := machine.New(cfg)
-	a, err := New(m, Params{RadixSort: true, Poison: true})
+	a, err := New(m, Params{Poison: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestStatsRelaxedSnapshotInvariants(t *testing.T) {
 	cfg.MemBytes = 32 << 20
 	cfg.PhysPages = 4096
 	m := machine.New(cfg)
-	a, err := New(m, Params{RadixSort: true, Adaptive: &AdaptiveConfig{}})
+	a, err := New(m, Params{Adaptive: &AdaptiveConfig{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestNativeReclaimAtExhaustion(t *testing.T) {
 	cfg.MemBytes = 32 << 20
 	cfg.PhysPages = physPages
 	m := machine.New(cfg)
-	a, err := New(m, Params{RadixSort: true})
+	a, err := New(m, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

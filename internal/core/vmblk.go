@@ -94,12 +94,6 @@ type pageDesc struct {
 	prev      int32 // page-number links for whichever pdList holds this PD
 	next      int32
 	line      machine.Line // cache line of this PD's slot in the vmblk header
-
-	// freedTick is the layer's ageTick when this span head was filed on
-	// its freelist (span aging, Params.SpanAgeTicks): voluntary decommit
-	// passes skip spans younger than the configured age. Only meaningful
-	// on pdFreeHead descriptors; bookkeeping only, never charged.
-	freedTick uint64
 }
 
 // vmblk is one 4 MB (by default) block of kernel virtual address space:
@@ -168,14 +162,6 @@ type vmblkLayer struct {
 	// fragmentation triple's live bytes.
 	largeLivePages int64
 
-	// Span aging (Params.SpanAgeTicks). ageTick advances once per
-	// voluntary decommit pass; a free span's head records the tick it was
-	// filed at, and voluntary passes skip spans younger than spanAge
-	// ticks. Both maintained under lk; with spanAge 0 every span always
-	// qualifies and the decommit pass is unchanged.
-	ageTick uint64
-	spanAge uint64
-
 	// ev tallies this layer's slice of the event spine (EvSpanAlloc,
 	// EvSpanFree, EvVmblkCreate, EvLargeAlloc, EvLargeFree, EvPagesMap,
 	// EvPagesUnmap, EvMapFail, EvPagesReserve, EvPagesCommit,
@@ -194,7 +180,6 @@ func newVmblkLayer(a *Allocator) *vmblkLayer {
 		dope:     make([]*vmblk, a.m.Config().MemBytes>>a.vmblkShift),
 		dopeLine: a.m.NewMetaLine(),
 		lazy:     a.params.LazySpans,
-		spanAge:  a.params.SpanAgeTicks,
 	}
 	v.spans = make([]nodeSpans, a.m.NumNodes())
 	for n := range v.spans {
@@ -345,7 +330,6 @@ func (v *vmblkLayer) insertSpan(c *machine.CPU, pg, n, resident int32) {
 	head.class = -1
 	head.nFree = 0
 	head.freeHead = arena.NilAddr
-	head.freedTick = v.ageTick
 	c.Write(head.line)
 	if n > 1 {
 		tail := v.pdOf(pg + n - 1)
@@ -513,9 +497,7 @@ func (v *vmblkLayer) commitSpan(c *machine.CPU, pg, n int32) (int32, error) {
 		return had, nil
 	}
 	if err := v.commitPhys(c, need, EvPagesCommit); err != nil {
-		// Emergency pass: an allocation is about to fail for frames, so
-		// span aging does not apply (minAge 0).
-		if v.decommitFreeLocked(c, need, 0) == 0 {
+		if v.decommitFreeLocked(c, need) == 0 {
 			return 0, err
 		}
 		if err := v.commitPhys(c, need, EvPagesCommit); err != nil {
@@ -547,10 +529,8 @@ func (v *vmblkLayer) commitSpan(c *machine.CPU, pg, n int32) (int32, error) {
 // pdfResident bit moves, and with it the head's residency count — which
 // is also what bounds the walk: a span with no resident page is skipped
 // without reading its descriptors, and the walk inside a span ends at its
-// last resident page. Spans free for fewer than minAge ticks are skipped
-// (span aging; 0 considers every span). Returns the pages released.
-// Caller holds lk.
-func (v *vmblkLayer) decommitFreeLocked(c *machine.CPU, want int64, minAge uint64) int64 {
+// last resident page. Returns the pages released. Caller holds lk.
+func (v *vmblkLayer) decommitFreeLocked(c *machine.CPU, want int64) int64 {
 	if !v.lazy {
 		return 0
 	}
@@ -566,9 +546,6 @@ scan:
 				head := v.pdOf(pg)
 				if head.resident == 0 {
 					continue
-				}
-				if minAge > 0 && v.ageTick-head.freedTick < minAge {
-					continue // too recently freed; keep its backing warm
 				}
 				pds := v.pdsOf(pg, int32(head.spanPages))
 				for i := 0; head.resident > 0 && (want < 0 || done < want); i++ {
@@ -590,49 +567,38 @@ scan:
 	return done
 }
 
-// decommitFree is the locked entry to the voluntary decommit pass (Trim
-// and incremental reclaim steps): it advances the span-age tick and
-// respects Params.SpanAgeTicks. No-op (0) with lazy spans off, since
-// eager backing never leaves a free page resident.
+// decommitFree is the locked entry to the decommit pass (Trim,
+// incremental reclaim steps, stop-the-world reclaim and DrainAll). No-op
+// (0) with lazy spans off, since eager backing never leaves a free page
+// resident.
 func (v *vmblkLayer) decommitFree(c *machine.CPU, want int64) int64 {
 	if !v.lazy {
 		return 0
 	}
 	v.lk.Acquire(c)
 	v.noteLockWait()
-	v.ageTick++
-	n := v.decommitFreeLocked(c, want, v.spanAge)
+	n := v.decommitFreeLocked(c, want)
 	v.lk.Release(c)
 	return n
 }
 
-// decommitFreeForce is the age-blind entry used when frames are needed
-// now: stop-the-world reclaim and DrainAll. It still advances the tick
-// (it is a reclaim pass) but strips young spans too.
-func (v *vmblkLayer) decommitFreeForce(c *machine.CPU, want int64) int64 {
-	if !v.lazy {
-		return 0
-	}
-	v.lk.Acquire(c)
-	v.noteLockWait()
-	v.ageTick++
-	n := v.decommitFreeLocked(c, want, 0)
-	v.lk.Release(c)
-	return n
-}
-
-// allocPages allocates a span of n virtual pages homed on the given
-// node, backed by freshly mapped physical memory. The head descriptor
-// records the span length so the span can later be freed given only its
-// address.
-func (v *vmblkLayer) allocPages(c *machine.CPU, n int32, node int) (int32, error) {
-	if n <= 0 {
-		panic(fmt.Sprintf("kmem: allocPages(%d)", n))
-	}
+// allocSplitPage allocates one page homed on the given node, backed by
+// freshly mapped physical memory, and hands it to the coalesce-to-page
+// layer as a split page of class cls. The descriptor changes hands under
+// lk: a concurrent free of a neighbouring span reads this page's state
+// (boundary tags) under the same lock.
+func (v *vmblkLayer) allocSplitPage(c *machine.CPU, cls, node int) (int32, error) {
 	v.lk.Acquire(c)
 	v.noteLockWait()
 	defer v.lk.Release(c)
-	return v.allocPagesLocked(c, n, node)
+	pg, err := v.allocPagesLocked(c, 1, node)
+	if err != nil {
+		return -1, err
+	}
+	pd := v.pdOf(pg)
+	pd.state = pdSplit
+	pd.class = int8(cls)
+	return pg, nil
 }
 
 func (v *vmblkLayer) allocPagesLocked(c *machine.CPU, n int32, node int) (int32, error) {

@@ -14,7 +14,7 @@ import (
 func TestMultipleVmblkGrowth(t *testing.T) {
 	// One vmblk holds 1016 data pages (1024 minus 8 header pages); force
 	// allocation of several vmblks with large spans.
-	a, m := testAllocator(t, 1, 4096, Params{RadixSort: true})
+	a, m := testAllocator(t, 1, 4096, Params{})
 	c := m.CPU(0)
 	pageBytes := m.Config().PageBytes
 
@@ -46,7 +46,7 @@ func TestVirtualAddressExhaustion(t *testing.T) {
 	cfg.MemBytes = 4 << 20 // one vmblk
 	cfg.PhysPages = 1 << 20
 	m := machine.New(cfg)
-	a, err := New(m, Params{RadixSort: true})
+	a, err := New(m, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestVirtualAddressExhaustion(t *testing.T) {
 }
 
 func TestSpanFirstFitPrefersSmallest(t *testing.T) {
-	a, m := testAllocator(t, 1, 4096, Params{RadixSort: true})
+	a, m := testAllocator(t, 1, 4096, Params{})
 	c := m.CPU(0)
 	pageBytes := m.Config().PageBytes
 
@@ -117,7 +117,7 @@ func TestSpanFirstFitPrefersSmallest(t *testing.T) {
 
 func TestHugeSpanBucketWalk(t *testing.T) {
 	// Spans >= 64 pages share the final bucket and are found first-fit.
-	a, m := testAllocator(t, 1, 8192, Params{RadixSort: true})
+	a, m := testAllocator(t, 1, 8192, Params{})
 	c := m.CPU(0)
 	pageBytes := m.Config().PageBytes
 
@@ -154,7 +154,7 @@ func TestHugeSpanBucketWalk(t *testing.T) {
 }
 
 func TestLookupUnmanagedAddressPanics(t *testing.T) {
-	a, m := testAllocator(t, 1, 256, Params{RadixSort: true})
+	a, m := testAllocator(t, 1, 256, Params{})
 	c := m.CPU(0)
 	// Force one vmblk to exist.
 	b, _ := a.Alloc(c, 64)
@@ -169,7 +169,7 @@ func TestLookupUnmanagedAddressPanics(t *testing.T) {
 }
 
 func TestFreeByAddrOnSpanInteriorPanics(t *testing.T) {
-	a, m := testAllocator(t, 1, 1024, Params{RadixSort: true})
+	a, m := testAllocator(t, 1, 1024, Params{})
 	c := m.CPU(0)
 	pageBytes := m.Config().PageBytes
 	b, err := a.Alloc(c, 4*pageBytes)
@@ -186,7 +186,7 @@ func TestFreeByAddrOnSpanInteriorPanics(t *testing.T) {
 }
 
 func TestBoundaryTagMergeAllDirections(t *testing.T) {
-	a, m := testAllocator(t, 1, 4096, Params{RadixSort: true})
+	a, m := testAllocator(t, 1, 4096, Params{})
 	c := m.CPU(0)
 	pageBytes := m.Config().PageBytes
 	one := func() arena.Addr {
@@ -219,7 +219,7 @@ func TestBoundaryTagMergeAllDirections(t *testing.T) {
 }
 
 func TestHeaderPagesAccounted(t *testing.T) {
-	a, m := testAllocator(t, 1, 1024, Params{RadixSort: true})
+	a, m := testAllocator(t, 1, 1024, Params{})
 	c := m.CPU(0)
 	before := m.Phys().Mapped()
 	if before != 0 {
@@ -247,7 +247,7 @@ func TestHeaderPagesAccounted(t *testing.T) {
 func TestPageDescriptorLinesInsideHeader(t *testing.T) {
 	// Page descriptors must live in the vmblk's reserved header VA, so
 	// their cache lines are real arena lines.
-	a, m := testAllocator(t, 1, 1024, Params{RadixSort: true})
+	a, m := testAllocator(t, 1, 1024, Params{})
 	c := m.CPU(0)
 	b, _ := a.Alloc(c, 64)
 	defer a.Free(c, b, 64)

@@ -54,7 +54,7 @@ func TestAllocCookieZeroed(t *testing.T) {
 }
 
 func TestZeroingCostScalesWithSize(t *testing.T) {
-	a, m := testAllocator(t, 1, 2048, Params{RadixSort: true})
+	a, m := testAllocator(t, 1, 2048, Params{})
 	c := m.CPU(0)
 	measure := func(size uint64) int64 {
 		// Warm the class first.

@@ -19,7 +19,7 @@ func newTest(t *testing.T, ncpu int, mode machine.Mode) (*Cluster, *core.Allocat
 	cfg.MemBytes = 32 << 20
 	cfg.PhysPages = 4096
 	m := machine.New(cfg)
-	al, err := core.New(m, core.Params{RadixSort: true})
+	al, err := core.New(m, core.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestHashChainCollisions(t *testing.T) {
 	cfg.MemBytes = 32 << 20
 	cfg.PhysPages = 2048
 	m := machine.New(cfg)
-	al, err := core.New(m, core.Params{RadixSort: true})
+	al, err := core.New(m, core.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestLockUnderMemoryExhaustion(t *testing.T) {
 	cfg.MemBytes = 16 << 20
 	cfg.PhysPages = 10 // 8 header pages + 2 data pages
 	m := machine.New(cfg)
-	al, err := core.New(m, core.Params{RadixSort: true})
+	al, err := core.New(m, core.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,63 +25,43 @@ package machine
 // is byte-identical to the unjittered simulator — pinned by the cycle
 // goldens in internal/core's shard conformance tests.
 
-// JitterConfig configures seeded schedule perturbation. The zero value
-// of every field but Seed selects a sensible default; Seed 0 disables
+// JitterConfig configures seeded schedule perturbation. Seed 0 disables
 // jitter entirely.
 type JitterConfig struct {
 	// Seed selects the interleaving. 0 disables jitter.
 	Seed uint64
-	// PreemptEvery is the mean number of operations between injected
-	// preemption points (default 7).
-	PreemptEvery int
-	// MaxPreemptCycles bounds one injected preemption delay (default 1500).
-	MaxPreemptCycles int64
-	// LockEvery is the mean number of lock acquisitions between injected
-	// lock-boundary delays (default 5).
-	LockEvery int
-	// MaxLockCycles bounds one injected lock-boundary delay (default 400).
-	MaxLockCycles int64
 
 	// RestartEvery is the mean number of restartable-sequence attempts
-	// between injected aborts (default 9). A restart-storm config sets
+	// between injected aborts (0 selects 9). A restart-storm config sets
 	// this to 2 to abort sequences at a high rate; see Rseq.Run for how
 	// each abort picks an adversarial abort point. Only consulted while
 	// a sequence is running, so runs without Rseq enabled draw exactly
 	// the same jitter stream as before the knob existed.
 	RestartEvery int
-	// MaxRestartWork bounds the wasted straight-line instructions charged
-	// for one aborted attempt — the adversarial abort point is drawn in
-	// [1, MaxRestartWork], so a sequence can be aborted anywhere from its
-	// first instruction to just shy of its commit (default 16).
-	MaxRestartWork int64
 }
 
-func (c JitterConfig) withDefaults() JitterConfig {
-	if c.PreemptEvery <= 0 {
-		c.PreemptEvery = 7
-	}
-	if c.MaxPreemptCycles <= 0 {
-		c.MaxPreemptCycles = 1500
-	}
-	if c.LockEvery <= 0 {
-		c.LockEvery = 5
-	}
-	if c.MaxLockCycles <= 0 {
-		c.MaxLockCycles = 400
-	}
-	if c.RestartEvery <= 0 {
-		c.RestartEvery = 9
-	}
-	if c.MaxRestartWork <= 0 {
-		c.MaxRestartWork = 16
-	}
-	return c
-}
+// The perturbation rates and bounds. They are part of what a seed means:
+// changing one changes every committed jittered SchedHash and repro.
+const (
+	// jitPreemptEvery is the mean number of operations between injected
+	// preemption points; jitMaxPreemptCycles bounds one such delay.
+	jitPreemptEvery     = 7
+	jitMaxPreemptCycles = 1500
+	// jitLockEvery is the mean number of lock acquisitions between
+	// injected lock-boundary delays; jitMaxLockCycles bounds one.
+	jitLockEvery     = 5
+	jitMaxLockCycles = 400
+	// jitMaxRestartWork bounds the wasted straight-line instructions
+	// charged for one aborted attempt — the adversarial abort point is
+	// drawn in [1, jitMaxRestartWork], so a sequence can be aborted
+	// anywhere from its first instruction to just shy of its commit.
+	jitMaxRestartWork = 16
+)
 
-// jitter holds the armed configuration and the PRNG stream.
+// jitter holds the armed restart rate and the PRNG stream.
 type jitter struct {
-	cfg   JitterConfig
-	state uint64
+	restartEvery uint64
+	state        uint64
 }
 
 // next steps the xorshift64* generator. The stream is consumed in
@@ -115,7 +95,10 @@ func (m *Machine) SetScheduleJitter(cfg *JitterConfig) {
 	if m.cfg.Mode != Sim {
 		panic("machine: schedule jitter requires Sim mode")
 	}
-	m.jit = &jitter{cfg: cfg.withDefaults(), state: cfg.Seed}
+	m.jit = &jitter{restartEvery: 9, state: cfg.Seed}
+	if cfg.RestartEvery > 0 {
+		m.jit.restartEvery = uint64(cfg.RestartEvery)
+	}
 	// Seed every CPU's tie priority up front so the very first tie is
 	// already perturbed.
 	for i := range m.cpus {
@@ -131,10 +114,10 @@ func (m *Machine) lockJitter(c *CPU) {
 	if j == nil {
 		return
 	}
-	if j.next()%uint64(j.cfg.LockEvery) != 0 {
+	if j.next()%jitLockEvery != 0 {
 		return
 	}
-	c.clock += j.delay(j.cfg.MaxLockCycles)
+	c.clock += j.delay(jitMaxLockCycles)
 }
 
 // rseqAbort decides whether the next restartable-sequence attempt on c
@@ -147,10 +130,10 @@ func (m *Machine) rseqAbort(c *CPU) (abort bool, wasted int64) {
 	if j == nil {
 		return false, 0
 	}
-	if j.next()%uint64(j.cfg.RestartEvery) != 0 {
+	if j.next()%j.restartEvery != 0 {
 		return false, 0
 	}
-	return true, j.delay(j.cfg.MaxRestartWork)
+	return true, j.delay(jitMaxRestartWork)
 }
 
 // --- schedule hashing ----------------------------------------------------

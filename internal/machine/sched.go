@@ -83,8 +83,8 @@ func (m *Machine) runSim(body func(c *CPU) bool) {
 				// A seeded preemption point: after the op, the CPU may
 				// lose the processor for a bounded random interval,
 				// letting other CPUs' operations slide in front.
-				if j.next()%uint64(j.cfg.PreemptEvery) == 0 {
-					c.clock += j.delay(j.cfg.MaxPreemptCycles)
+				if j.next()%jitPreemptEvery == 0 {
+					c.clock += j.delay(jitMaxPreemptCycles)
 				}
 				c.tiePri = j.next()
 			}

@@ -99,58 +99,6 @@ type Opts struct {
 	// and is restarted, not blocked, when a cross-CPU drain interferes.
 	// Same instruction count, IntrCycles-CommitCycles fewer cycles.
 	Rseq bool
-
-	// Adaptive, when non-nil, wires magazine capacity to a windowed
-	// depot-contention controller: sustained contention on a node depot's
-	// lock grows the capacity of newly built magazines (halving the depot
-	// trip rate per doubling), and sustained calm shrinks it back toward
-	// the configured MagSize, which is the ratchet floor no shrink passes.
-	Adaptive *MagTune
-}
-
-// MagTune configures the magazine-capacity controller (Opts.Adaptive).
-// The signal is the fraction of depot exchanges whose lock acquisition
-// had to spin (Sim mode's LastWait; Native depots rarely contend long
-// enough to matter and simply stay at the configured size). The zero
-// value of every field selects a default.
-type MagTune struct {
-	// Window is the number of depot exchanges per evaluation window
-	// (default 32).
-	Window int
-	// GrowPct grows capacity (doubling, bounded by MaxMag) when the
-	// window's contended percentage reaches it (default 25).
-	GrowPct int
-	// ShrinkPct marks a window calm when the contended percentage is at
-	// or below it (default 5); Holdoff consecutive calm windows shrink
-	// capacity one halving step, never below the configured MagSize —
-	// the ratchet floor (default Holdoff 4).
-	ShrinkPct int
-	Holdoff   int
-	// MaxMag bounds the capacity (default 16 * MagSize).
-	MaxMag int
-}
-
-func (t *MagTune) withDefaults(magSize int) MagTune {
-	out := *t
-	if out.Window <= 0 {
-		out.Window = 32
-	}
-	if out.GrowPct <= 0 {
-		out.GrowPct = 25
-	}
-	if out.ShrinkPct <= 0 {
-		out.ShrinkPct = 5
-	}
-	if out.Holdoff <= 0 {
-		out.Holdoff = 4
-	}
-	if out.MaxMag <= 0 {
-		out.MaxMag = 16 * magSize
-	}
-	if out.MaxMag < magSize {
-		out.MaxMag = magSize
-	}
-	return out
 }
 
 // cookieBacking is the fast-path interface of the paper's allocator:
@@ -223,11 +171,6 @@ type Stats struct {
 	RseqRestarts    uint64 // magazine sequences restarted (zero with Opts.Rseq off)
 	DepotWaitCycles uint64 // cycles spent spinning on depot locks
 
-	// Magazine-capacity controller (static MagSize with Opts.Adaptive nil).
-	MagCap     int    // capacity newly built magazines currently get
-	MagGrows   uint64 // controller grow steps taken
-	MagShrinks uint64 // controller shrink steps taken
-
 	// Hardening (all zero with Opts.Harden nil).
 	Detections  uint64 // corruption reports filed by this cache
 	Quarantined uint64 // objects pinned after a detection
@@ -267,20 +210,6 @@ type Cache struct {
 	// full-magazine count for CPU-less Stats reads.
 	depots    []depot
 	depotFull atomic.Int32
-
-	// Magazine-capacity controller state (tune nil when Opts.Adaptive
-	// is). magCap is the capacity newly built magazines get; existing
-	// magazines retire through the depot at their birth capacity and the
-	// recycle pool drops stale-sized empties, so a capacity change
-	// propagates within a few exchanges.
-	tune       *MagTune
-	magCap     atomic.Int32
-	tuneMu     sync.Mutex
-	tuneOps    int // depot exchanges in the current window
-	tuneHits   int // of those, how many found the depot lock contended
-	tuneCalm   int // consecutive calm windows
-	magGrows   atomic.Uint64
-	magShrinks atomic.Uint64
 
 	rseqRestarts atomic.Uint64 // magazine sequences restarted (Opts.Rseq)
 	depotWait    atomic.Uint64 // cycles spent spinning on depot locks
@@ -380,11 +309,6 @@ func New(m *machine.Machine, back allocif.Allocator, name string, size, align ui
 		depotCap: o.DepotMags,
 		colorInc: uint64(1) << m.Config().LineShift,
 		objs:     make(map[arena.Addr]arena.Addr),
-	}
-	k.magCap.Store(int32(o.MagSize))
-	if o.Adaptive != nil {
-		t := o.Adaptive.withDefaults(o.MagSize)
-		k.tune = &t
 	}
 	k.depots = make([]depot, m.NumNodes())
 	for n := range k.depots {
@@ -516,68 +440,14 @@ func (k *Cache) depotOf(c *machine.CPU) *depot { return &k.depots[c.Node()] }
 
 // noteDepotLock accounts the spin the Acquire immediately preceding it
 // paid for d's lock: the cycles surface through the allocator's event
-// spine (EvLockWait, like every charged lock in core) and feed the
-// magazine-capacity controller's contention signal. Returns whether the
-// acquire was contended.
-func (k *Cache) noteDepotLock(d *depot) bool {
-	w := d.lk.LastWait()
-	if w > 0 {
+// spine (EvLockWait, like every charged lock in core).
+func (k *Cache) noteDepotLock(d *depot) {
+	if w := d.lk.LastWait(); w > 0 {
 		k.depotWait.Add(uint64(w))
 		if k.events != nil {
 			k.events.EmitCacheEvent(core.EvLockWait, int(w))
 		}
 	}
-	return w > 0
-}
-
-// curMagCap returns the capacity newly built magazines get.
-func (k *Cache) curMagCap() int { return int(k.magCap.Load()) }
-
-// noteExchange feeds one depot exchange into the capacity controller:
-// every Window exchanges the contended fraction either grows capacity
-// (doubling toward MaxMag), counts toward a shrink (Holdoff calm windows
-// halve it, floored at the configured MagSize — the ratchet floor), or
-// resets the calm streak.
-func (k *Cache) noteExchange(contended bool) {
-	if k.tune == nil {
-		return
-	}
-	k.tuneMu.Lock()
-	k.tuneOps++
-	if contended {
-		k.tuneHits++
-	}
-	if k.tuneOps >= k.tune.Window {
-		pct := 100 * k.tuneHits / k.tuneOps
-		k.tuneOps, k.tuneHits = 0, 0
-		cur := int(k.magCap.Load())
-		switch {
-		case pct >= k.tune.GrowPct && cur < k.tune.MaxMag:
-			nc := cur * 2
-			if nc > k.tune.MaxMag {
-				nc = k.tune.MaxMag
-			}
-			k.magCap.Store(int32(nc))
-			k.tuneCalm = 0
-			k.magGrows.Add(1)
-		case pct <= k.tune.ShrinkPct:
-			k.tuneCalm++
-			if k.tuneCalm >= k.tune.Holdoff {
-				if cur > k.magSize {
-					nc := cur / 2
-					if nc < k.magSize {
-						nc = k.magSize
-					}
-					k.magCap.Store(int32(nc))
-					k.magShrinks.Add(1)
-				}
-				k.tuneCalm = 0
-			}
-		default:
-			k.tuneCalm = 0
-		}
-	}
-	k.tuneMu.Unlock()
 }
 
 // Get returns a constructed object. The common case pops the CPU's
@@ -643,7 +513,7 @@ func (k *Cache) getSlow(c *machine.CPU, pc *cpuMags) (arena.Addr, error) {
 	// Try to exchange the empty loaded magazine for a full one.
 	d := k.depotOf(c)
 	d.lk.Acquire(c)
-	contended := k.noteDepotLock(d)
+	k.noteDepotLock(d)
 	c.Read(d.ln)
 	var full []arena.Addr
 	if n := len(d.full); n > 0 {
@@ -654,7 +524,6 @@ func (k *Cache) getSlow(c *machine.CPU, pc *cpuMags) (arena.Addr, error) {
 	}
 	c.Work(insnDepot)
 	d.lk.Release(c)
-	k.noteExchange(contended)
 
 	if full != nil {
 		var obj arena.Addr
@@ -787,7 +656,7 @@ func (k *Cache) putSlow(c *machine.CPU, pc *cpuMags, obj arena.Addr) {
 	// the older full one.
 	d := k.depotOf(c)
 	d.lk.Acquire(c)
-	contended := k.noteDepotLock(d)
+	k.noteDepotLock(d)
 	c.Read(d.ln)
 	var empty []arena.Addr
 	if n := len(d.empty); n > 0 {
@@ -796,9 +665,8 @@ func (k *Cache) putSlow(c *machine.CPU, pc *cpuMags, obj arena.Addr) {
 	}
 	c.Work(insnDepot)
 	d.lk.Release(c)
-	k.noteExchange(contended)
 	if empty == nil {
-		empty = make([]arena.Addr, 0, k.curMagCap())
+		empty = make([]arena.Addr, 0, k.magSize)
 	}
 
 	var full []arena.Addr
@@ -826,7 +694,7 @@ func (k *Cache) putDepotFull(c *machine.CPU, full []arena.Addr) {
 	var victim []arena.Addr
 	d := k.depotOf(c)
 	d.lk.Acquire(c)
-	contended := k.noteDepotLock(d)
+	k.noteDepotLock(d)
 	c.Read(d.ln)
 	d.full = append(d.full, full)
 	if len(d.full) > k.depotCap {
@@ -838,7 +706,6 @@ func (k *Cache) putDepotFull(c *machine.CPU, full []arena.Addr) {
 	c.Write(d.ln)
 	c.Work(insnDepot)
 	d.lk.Release(c)
-	k.noteExchange(contended)
 	if victim != nil {
 		n := k.releaseMag(c, victim)
 		k.noteShed(n)
@@ -846,11 +713,9 @@ func (k *Cache) putDepotFull(c *machine.CPU, full []arena.Addr) {
 }
 
 // recycleEmpty returns an empty magazine to the node depot's bounded
-// spare pool. Magazines whose capacity no longer matches the
-// controller's current choice are dropped, so a capacity change
-// propagates instead of old sizes circulating forever.
+// spare pool.
 func (k *Cache) recycleEmpty(c *machine.CPU, mag []arena.Addr) {
-	if mag == nil || len(mag) != 0 || cap(mag) != k.curMagCap() {
+	if mag == nil || len(mag) != 0 {
 		return
 	}
 	d := k.depotOf(c)
@@ -980,8 +845,8 @@ func (k *Cache) drainMags(c *machine.CPU) int {
 		var loaded, prev []arena.Addr
 		k.magInterfere(c, pc, func() {
 			loaded, prev = pc.loaded, pc.prev
-			pc.loaded = make([]arena.Addr, 0, k.curMagCap())
-			pc.prev = make([]arena.Addr, 0, k.curMagCap())
+			pc.loaded = make([]arena.Addr, 0, k.magSize)
+			pc.prev = make([]arena.Addr, 0, k.magSize)
 		})
 		runDtor := !k.poisonMode()
 		for _, obj := range loaded {
@@ -1053,10 +918,6 @@ func (k *Cache) Stats() Stats {
 
 		RseqRestarts:    k.rseqRestarts.Load(),
 		DepotWaitCycles: k.depotWait.Load(),
-
-		MagCap:     int(k.magCap.Load()),
-		MagGrows:   k.magGrows.Load(),
-		MagShrinks: k.magShrinks.Load(),
 	}
 	if k.hd != nil {
 		s.Detections = k.hd.detections.Load()

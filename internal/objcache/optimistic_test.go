@@ -165,71 +165,3 @@ func TestCacheRseqRestarts(t *testing.T) {
 		t.Errorf("gets = %d, want %d", got, want)
 	}
 }
-
-// TestMagTuneConvergence mirrors the PR 1 ratchet-floor test for the
-// magazine-capacity controller: a depot-contended phase must grow
-// capacity (cutting depot trips per object), a calm phase must shrink it
-// back exactly to the configured MagSize — the ratchet floor — and hold
-// there without limit-cycling.
-func TestMagTuneConvergence(t *testing.T) {
-	m, kma := newNodedKMA(t, 4, 1)
-	const size = 64
-	tune := &objcache.MagTune{Window: 16, GrowPct: 10, ShrinkPct: 5, Holdoff: 2, MaxMag: 16}
-	k, err := objcache.New(m, kma, "test:tune", size, 8, nil, nil,
-		objcache.Opts{MagSize: 2, Adaptive: tune})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Contended phase: four CPUs exchanging two-object magazines hammer
-	// the single node depot.
-	cacheChurn(t, m, k, 2000)
-	st := k.Stats()
-	if st.DepotWaitCycles == 0 {
-		t.Fatal("churn produced no depot lock contention; the signal is dead")
-	}
-	if st.MagGrows == 0 {
-		t.Fatal("controller never grew magazine capacity under sustained depot contention")
-	}
-	if st.MagCap <= 2 || st.MagCap > tune.MaxMag {
-		t.Fatalf("grown capacity %d not in (2, %d]", st.MagCap, tune.MaxMag)
-	}
-
-	// Calm phase: one CPU alone cannot contend the depot, but its bursts
-	// still exchange magazines — uncontended windows that must walk
-	// capacity back down to the floor and stop.
-	c := m.CPU(0)
-	calmBurst := func(rounds int) {
-		held := make([]arena.Addr, 0, 48)
-		for r := 0; r < rounds; r++ {
-			for i := 0; i < 48; i++ {
-				obj, err := k.Get(c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				held = append(held, obj)
-			}
-			for _, obj := range held {
-				k.Put(c, obj)
-			}
-			held = held[:0]
-		}
-	}
-	calmBurst(600)
-	st = k.Stats()
-	if st.MagShrinks == 0 {
-		t.Fatal("controller never shrank capacity through a long calm phase")
-	}
-	if st.MagCap != 2 {
-		t.Fatalf("calm capacity = %d, want the ratchet floor %d", st.MagCap, 2)
-	}
-
-	// Floor stability: more calm churn moves nothing.
-	shrinks := st.MagShrinks
-	calmBurst(100)
-	st = k.Stats()
-	if st.MagCap != 2 || st.MagShrinks != shrinks {
-		t.Fatalf("controller still moving at the floor: cap=%d shrinks=%d->%d",
-			st.MagCap, shrinks, st.MagShrinks)
-	}
-}

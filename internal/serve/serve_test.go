@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -27,7 +26,7 @@ func runOnce(t *testing.T, cfg GenConfig, tr *Trace) *Result {
 	mcfg.Nodes = 2
 	m := machine.New(mcfg)
 	m.EnableSchedHash()
-	a, err := core.New(m, core.Params{RadixSort: true, Latency: true})
+	a, err := core.New(m, core.Params{Latency: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,21 +40,13 @@ func runOnce(t *testing.T, cfg GenConfig, tr *Trace) *Result {
 // TestServeDeterministic is the reproducibility contract: two fresh
 // runs of the same seed produce identical histograms and the same
 // schedule hash, and the run replays the committed golden
-// byte-identically — any schedule or codec drift fails loudly.
+// byte-identically — any schedule drift fails loudly.
 func TestServeDeterministic(t *testing.T) {
 	cfg := testGen()
 	tr := Generate(cfg)
 
-	// The trace itself is byte-reproducible.
-	var b1, b2 bytes.Buffer
-	if err := WriteTrace(&b1, tr); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteTrace(&b2, Generate(cfg)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Fatal("same seed generated different trace bytes")
+	if !reflect.DeepEqual(tr, Generate(cfg)) {
+		t.Fatal("same seed generated different traces")
 	}
 
 	r1 := runOnce(t, cfg, tr)
@@ -137,7 +128,7 @@ func TestServeTeardownBalances(t *testing.T) {
 	mcfg := machine.DefaultConfig()
 	mcfg.NumCPUs = cfg.CPUs
 	m := machine.New(mcfg)
-	a, err := core.New(m, core.Params{RadixSort: true, Latency: true})
+	a, err := core.New(m, core.Params{Latency: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,81 +149,5 @@ func TestServeTeardownBalances(t *testing.T) {
 	// constructed objects; everything else must have come back.
 	if outstanding > allocs/4 {
 		t.Errorf("%d of %d class blocks outstanding after teardown", outstanding, allocs)
-	}
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	tr := Generate(GenConfig{Seed: 3, CPUs: 3, Sessions: 32, OpsPerPhase: 400})
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tr, got) {
-		t.Error("trace did not round-trip")
-	}
-}
-
-// TestReadTraceRejects covers the decoder's validation: every
-// malformed shape errors with the right sentinel and never panics.
-func TestReadTraceRejects(t *testing.T) {
-	valid := func() []byte {
-		var buf bytes.Buffer
-		tr := Generate(GenConfig{Seed: 1, CPUs: 2, Sessions: 8, OpsPerPhase: 64})
-		if err := WriteTrace(&buf, tr); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	cases := []struct {
-		name string
-		data []byte
-		want error
-	}{
-		{"empty", nil, ErrTruncated},
-		{"bad magic", append([]byte{0, 0, 0, 0}, valid()[4:]...), ErrBadMagic},
-		{"bad version", func() []byte { b := valid(); b[4] = 99; return b }(), ErrBadVersion},
-		{"zero cpus", func() []byte { b := valid(); b[5] = 0; return b }(), ErrBadHeader},
-		{"truncated records", valid()[:headerBytes+3*phaseHeaderBytes+4], ErrTruncated},
-		{"trailing bytes", append(valid(), 0xff), ErrBadHeader},
-		{"bad op kind", func() []byte {
-			b := valid()
-			b[headerBytes+3*phaseHeaderBytes] = 200
-			return b
-		}(), ErrBadOp},
-		{"cpu out of range", func() []byte {
-			b := valid()
-			b[headerBytes+3*phaseHeaderBytes+1] = 7
-			return b
-		}(), ErrBadOp},
-	}
-	for _, tc := range cases {
-		if _, err := ReadTrace(bytes.NewReader(tc.data)); !errors.Is(err, tc.want) {
-			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
-		}
-	}
-
-	// Session discipline: duplicate open, op on unopened, close of
-	// unopened — each must be rejected.
-	mk := func(ops []Op) []byte {
-		var buf bytes.Buffer
-		if err := WriteTrace(&buf, &Trace{NCPU: 2, Phases: []Phase{{Kind: PhaseSteady, Ops: ops}}}); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	bad := [][]Op{
-		{{Kind: OpOpen, Sess: 1, Arg: 64}, {Kind: OpOpen, Sess: 1, Arg: 64}},
-		{{Kind: OpMsg, Sess: 1, Arg: 64}},
-		{{Kind: OpClose, Sess: 1}},
-		{{Kind: OpOpen, Sess: 1, Arg: 64}, {Kind: OpClose, Sess: 1}, {Kind: OpHold, Sess: 1, Arg: 64}},
-	}
-	for i, ops := range bad {
-		if _, err := ReadTrace(bytes.NewReader(mk(ops))); !errors.Is(err, ErrSession) {
-			t.Errorf("session case %d: got %v, want ErrSession", i, err)
-		}
 	}
 }

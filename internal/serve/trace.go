@@ -6,38 +6,12 @@
 // core event spine as log-scale cycle histograms, windowed per phase,
 // so tail-latency SLOs (p50/p99/p999) can be gated in CI.
 //
-// A trace is byte-reproducible from its seed, and a run over a trace is
+// A trace is reproducible from its seed, and a run over a trace is
 // deterministic: same trace, same machine shape, same options — same
 // histograms and the same schedule hash.
 package serve
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
-)
-
-// Binary trace format (all fields little-endian):
-//
-//	header:  magic u32 ("KMSV"), version u8, ncpu u8, nphases u16, nops u32
-//	phases:  nphases × (kind u8, opcount u32)
-//	records: nops × (kind u8, cpu u8, sess u32, arg u32), phase by phase
-const (
-	traceMagic   = 0x4b4d5356 // "KMSV"
-	traceVersion = 1
-
-	headerBytes      = 12
-	phaseHeaderBytes = 5
-	recordBytes      = 10
-
-	// maxSessionID bounds the runner's per-session state table, so a
-	// hostile trace cannot make the decoder's caller allocate
-	// arbitrarily much host memory.
-	maxSessionID = 1 << 24
-	maxPhases    = 64
-	maxOps       = 1 << 26
-)
+import "fmt"
 
 // OpKind is one session operation in a trace.
 type OpKind uint8
@@ -61,8 +35,6 @@ const (
 	OpRelease
 	// OpLockX converts the session's DLM lock to EX and back to PR.
 	OpLockX
-
-	numOpKinds = OpLockX
 )
 
 // PhaseKind labels a trace phase; the runner reports one latency window
@@ -79,8 +51,6 @@ const (
 	// PhasePressure is a pressure wave: hold-heavy churn with larger
 	// buffers pressing the physical-memory watermarks, then a drain.
 	PhasePressure
-
-	numPhaseKinds = PhasePressure
 )
 
 // String returns the phase name used in results and CI gates.
@@ -96,7 +66,7 @@ func (k PhaseKind) String() string {
 	return fmt.Sprintf("phase(%d)", uint8(k))
 }
 
-// Op is one decoded trace record.
+// Op is one trace record.
 type Op struct {
 	Kind OpKind
 	CPU  uint8
@@ -104,13 +74,13 @@ type Op struct {
 	Arg  uint32
 }
 
-// Phase is one decoded trace phase.
+// Phase is one trace phase.
 type Phase struct {
 	Kind PhaseKind
 	Ops  []Op
 }
 
-// Trace is a decoded serving trace.
+// Trace is a serving trace.
 type Trace struct {
 	NCPU   int
 	Phases []Phase
@@ -137,169 +107,4 @@ func (t *Trace) MaxSession() int {
 		}
 	}
 	return max
-}
-
-// Decoder errors. All decode failures wrap one of these; none panic.
-var (
-	ErrBadMagic   = errors.New("serve: bad trace magic")
-	ErrBadVersion = errors.New("serve: unsupported trace version")
-	ErrBadHeader  = errors.New("serve: malformed trace header")
-	ErrBadOp      = errors.New("serve: malformed trace record")
-	ErrSession    = errors.New("serve: session discipline violation")
-	ErrTruncated  = errors.New("serve: truncated trace")
-)
-
-// sizedOp reports whether kind carries a size in Arg that must be a
-// nonzero small-class size.
-func sizedOp(kind OpKind) bool {
-	return kind == OpOpen || kind == OpMsg || kind == OpHold
-}
-
-// WriteTrace encodes t in the binary trace format.
-func WriteTrace(w io.Writer, t *Trace) error {
-	if t.NCPU < 1 || t.NCPU > 255 {
-		return fmt.Errorf("%w: ncpu %d", ErrBadHeader, t.NCPU)
-	}
-	if len(t.Phases) == 0 || len(t.Phases) > maxPhases {
-		return fmt.Errorf("%w: %d phases", ErrBadHeader, len(t.Phases))
-	}
-	var hdr [headerBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:], traceMagic)
-	hdr[4] = traceVersion
-	hdr[5] = uint8(t.NCPU)
-	binary.LittleEndian.PutUint16(hdr[6:], uint16(len(t.Phases)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(t.NumOps()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	var ph [phaseHeaderBytes]byte
-	for i := range t.Phases {
-		ph[0] = uint8(t.Phases[i].Kind)
-		binary.LittleEndian.PutUint32(ph[1:], uint32(len(t.Phases[i].Ops)))
-		if _, err := w.Write(ph[:]); err != nil {
-			return err
-		}
-	}
-	var rec [recordBytes]byte
-	for i := range t.Phases {
-		for _, op := range t.Phases[i].Ops {
-			rec[0] = uint8(op.Kind)
-			rec[1] = op.CPU
-			binary.LittleEndian.PutUint32(rec[2:], op.Sess)
-			binary.LittleEndian.PutUint32(rec[6:], op.Arg)
-			if _, err := w.Write(rec[:]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// ReadTrace decodes and fully validates a binary trace: header sanity,
-// record kinds, CPU bounds, size fields, and session discipline (no
-// duplicate opens, no operation on a session that is not open). A
-// malformed or truncated input returns an error; it never panics and
-// never allocates proportionally to a hostile length field beyond fixed
-// caps.
-func ReadTrace(r io.Reader) (*Trace, error) {
-	var hdr [headerBytes]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrTruncated, err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != traceMagic {
-		return nil, ErrBadMagic
-	}
-	if hdr[4] != traceVersion {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, hdr[4])
-	}
-	ncpu := int(hdr[5])
-	if ncpu < 1 {
-		return nil, fmt.Errorf("%w: ncpu 0", ErrBadHeader)
-	}
-	nphases := int(binary.LittleEndian.Uint16(hdr[6:]))
-	if nphases < 1 || nphases > maxPhases {
-		return nil, fmt.Errorf("%w: %d phases", ErrBadHeader, nphases)
-	}
-	nops := int(binary.LittleEndian.Uint32(hdr[8:]))
-	if nops > maxOps {
-		return nil, fmt.Errorf("%w: %d ops", ErrBadHeader, nops)
-	}
-
-	t := &Trace{NCPU: ncpu, Phases: make([]Phase, nphases)}
-	var ph [phaseHeaderBytes]byte
-	counts := make([]int, nphases)
-	sum := 0
-	for i := range t.Phases {
-		if _, err := io.ReadFull(r, ph[:]); err != nil {
-			return nil, fmt.Errorf("%w: phase header %d: %v", ErrTruncated, i, err)
-		}
-		kind := PhaseKind(ph[0])
-		if kind < 1 || kind > numPhaseKinds {
-			return nil, fmt.Errorf("%w: phase %d kind %d", ErrBadHeader, i, ph[0])
-		}
-		counts[i] = int(binary.LittleEndian.Uint32(ph[1:]))
-		if counts[i] > nops-sum {
-			return nil, fmt.Errorf("%w: phase op counts exceed declared total %d", ErrBadHeader, nops)
-		}
-		sum += counts[i]
-		t.Phases[i].Kind = kind
-	}
-	if sum != nops {
-		return nil, fmt.Errorf("%w: phase op counts sum to %d, header says %d", ErrBadHeader, sum, nops)
-	}
-
-	open := make(map[uint32]bool)
-	var rec [recordBytes]byte
-	for i := range t.Phases {
-		// Append only after each record's bytes are actually read, so a
-		// hostile length field cannot balloon memory past the input size
-		// and a truncated input fails at the missing byte, not at make().
-		t.Phases[i].Ops = make([]Op, 0, min(counts[i], 1<<12))
-		for j := 0; j < counts[i]; j++ {
-			if _, err := io.ReadFull(r, rec[:]); err != nil {
-				return nil, fmt.Errorf("%w: phase %d record %d: %v", ErrTruncated, i, j, err)
-			}
-			op := Op{
-				Kind: OpKind(rec[0]),
-				CPU:  rec[1],
-				Sess: binary.LittleEndian.Uint32(rec[2:]),
-				Arg:  binary.LittleEndian.Uint32(rec[6:]),
-			}
-			if op.Kind < 1 || op.Kind > numOpKinds {
-				return nil, fmt.Errorf("%w: kind %d", ErrBadOp, rec[0])
-			}
-			if int(op.CPU) >= ncpu {
-				return nil, fmt.Errorf("%w: cpu %d on a %d-CPU trace", ErrBadOp, op.CPU, ncpu)
-			}
-			if op.Sess >= maxSessionID {
-				return nil, fmt.Errorf("%w: session id %d too large", ErrBadOp, op.Sess)
-			}
-			if sizedOp(op.Kind) && op.Arg == 0 {
-				return nil, fmt.Errorf("%w: zero size on kind %d", ErrBadOp, op.Kind)
-			}
-			switch op.Kind {
-			case OpOpen:
-				if open[op.Sess] {
-					return nil, fmt.Errorf("%w: duplicate open of session %d", ErrSession, op.Sess)
-				}
-				open[op.Sess] = true
-			case OpClose:
-				if !open[op.Sess] {
-					return nil, fmt.Errorf("%w: close of unopened session %d", ErrSession, op.Sess)
-				}
-				delete(open, op.Sess)
-			default:
-				if !open[op.Sess] {
-					return nil, fmt.Errorf("%w: op %d on unopened session %d", ErrSession, op.Kind, op.Sess)
-				}
-			}
-			t.Phases[i].Ops = append(t.Phases[i].Ops, op)
-		}
-	}
-	// Trailing garbage after the declared records is a malformed trace.
-	var extra [1]byte
-	if n, _ := r.Read(extra[:]); n != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes after %d records", ErrBadHeader, nops)
-	}
-	return t, nil
 }

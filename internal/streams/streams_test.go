@@ -18,7 +18,7 @@ func newTest(t *testing.T, ncpu int, mode machine.Mode) (*Subsystem, *core.Alloc
 	cfg.MemBytes = 16 << 20
 	cfg.PhysPages = 2048
 	m := machine.New(cfg)
-	al, err := core.New(m, core.Params{RadixSort: true})
+	al, err := core.New(m, core.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

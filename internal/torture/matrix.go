@@ -1,13 +1,14 @@
 package torture
 
-// The config matrix: CPUs × nodes × pressure × faultpoints × shards ×
-// adaptive × lazy spans × object caches × hardening × optimistic fast
-// paths (rseq + lock-free global layer) × serving traces. The small matrix is
-// the PR-smoke set — every dimension exercised at least once on a
-// multi-node topology, plus one planted corruption per kind, cheap
-// enough for every push. The full matrix is the nightly cross product
-// (plants are directed single-shot scenarios, so they live in the small
-// matrix only).
+// The config matrix: topology (CPUs × nodes) × pressure × faultpoints ×
+// shards × adaptive × lazy spans × object caches × hardening × optimistic
+// fast paths (rseq + lock-free global layer) × serving traces. The small
+// matrix is the PR-smoke set — every dimension exercised at least once
+// on a multi-node topology, plus one planted corruption per kind, cheap
+// enough for every push. The full matrix is the nightly set: a pairwise
+// covering array over the same ten factors plus the small matrix's
+// directed stacks, small enough that the nightly budget goes to jitter
+// seeds rather than to configs.
 
 // MatrixSmall returns the PR-smoke configs. Seeds and op counts are the
 // caller's to fill (tests pin them; kmemtorture sweeps them).
@@ -54,46 +55,101 @@ func MatrixSmall() []Config {
 	}
 }
 
-// MatrixFull returns the nightly cross product: every topology against
-// every combination of pressure, faults, shards and adaptive (shard
-// disabling only exists on multi-node machines).
-func MatrixFull() []Config {
-	type topo struct{ cpus, nodes int }
-	topos := []topo{{1, 1}, {2, 1}, {4, 2}, {8, 4}}
-	var out []Config
-	for _, tp := range topos {
-		for _, pressure := range []bool{false, true} {
-			for _, faults := range []bool{false, true} {
-				for _, noShards := range []bool{false, true} {
-					if noShards && tp.nodes == 1 {
-						continue
-					}
-					for _, adaptive := range []bool{false, true} {
-						for _, lazy := range []bool{false, true} {
-							for _, objCache := range []bool{false, true} {
-								for _, hard := range []bool{false, true} {
-									// The optimistic dimension flips both fast
-									// paths together (restart-storm is a
-									// directed scenario; small matrix only).
-									for _, opt := range []bool{false, true} {
-										for _, serve := range []bool{false, true} {
-											out = append(out, Config{
-												CPUs: tp.cpus, Nodes: tp.nodes,
-												Pressure: pressure, Faults: faults,
-												DisableShards: noShards, Adaptive: adaptive,
-												Lazy: lazy, ObjCache: objCache,
-												Harden: hard,
-												Rseq:   opt, LockFree: opt,
-												Serve: serve,
-											})
-										}
-									}
-								}
-							}
-						}
-					}
-				}
+// matrixTopos is the topology factor's levels.
+var matrixTopos = [...]struct{ cpus, nodes int }{{1, 1}, {2, 1}, {4, 2}, {8, 4}}
+
+// matrixRow is one point of the ten-factor space, a level per factor:
+// [0] indexes matrixTopos, [1..9] are the on/off factors (0 or 1) in the
+// order config reads them.
+type matrixRow [10]int
+
+const matrixNoShards = 3 // the factor the space's one constraint is about
+
+// feasible: shard disabling only exists on multi-node machines.
+func (r matrixRow) feasible() bool {
+	return r[matrixNoShards] == 0 || matrixTopos[r[0]].nodes > 1
+}
+
+func (r matrixRow) config() Config {
+	tp := matrixTopos[r[0]]
+	on := func(f int) bool { return r[f] == 1 }
+	return Config{
+		CPUs: tp.cpus, Nodes: tp.nodes,
+		Pressure: on(1), Faults: on(2), DisableShards: on(matrixNoShards), Adaptive: on(4),
+		Lazy: on(5), ObjCache: on(6), Harden: on(7),
+		// The optimistic factor flips both fast paths together; each
+		// alone, and the restart storm, are directed configs.
+		Rseq: on(8), LockFree: on(8),
+		Serve: on(9),
+	}
+}
+
+// matrixPair names one (factor = level, factor = level) combination.
+type matrixPair struct{ f, lf, g, lg int }
+
+func (r matrixRow) pairs(visit func(matrixPair)) {
+	for f := range r {
+		for g := f + 1; g < len(r); g++ {
+			visit(matrixPair{f, r[f], g, r[g]})
+		}
+	}
+}
+
+// coveringRows builds a strength-2 covering array greedily: from the
+// feasible cross product in enumeration order, repeatedly take the row
+// covering the most still-uncovered pairs (first wins ties) until every
+// pair some feasible row contains is covered. Deterministic, so config
+// k of the nightly matrix is the same config every night.
+func coveringRows() []matrixRow {
+	var all []matrixRow
+	for topo := range matrixTopos {
+		for bits := 0; bits < 1<<9; bits++ {
+			r := matrixRow{topo}
+			for f := 1; f < len(r); f++ {
+				r[f] = bits >> (f - 1) & 1
 			}
+			if r.feasible() {
+				all = append(all, r)
+			}
+		}
+	}
+	uncovered := map[matrixPair]bool{}
+	for _, r := range all {
+		r.pairs(func(p matrixPair) { uncovered[p] = true })
+	}
+	var out []matrixRow
+	for len(uncovered) > 0 {
+		best, bestNew := 0, 0
+		for i, r := range all {
+			n := 0
+			r.pairs(func(p matrixPair) {
+				if uncovered[p] {
+					n++
+				}
+			})
+			if n > bestNew {
+				best, bestNew = i, n
+			}
+		}
+		out = append(out, all[best])
+		all[best].pairs(func(p matrixPair) { delete(uncovered, p) })
+	}
+	return out
+}
+
+// MatrixFull returns the nightly configs: the pairwise covering array —
+// every feasible combination of two factor values runs together in some
+// config — followed by the small matrix's directed stacks, which pile up
+// more than two features on purpose (the restart storms, the planted
+// corruptions, serving traces over caches under pressure).
+func MatrixFull() []Config {
+	var out []Config
+	for _, r := range coveringRows() {
+		out = append(out, r.config())
+	}
+	for _, c := range MatrixSmall() {
+		if c.RestartStorm || c.Plant != "" || (c.Serve && c.ObjCache && c.Pressure) {
+			out = append(out, c)
 		}
 	}
 	return out

@@ -268,7 +268,6 @@ func (r *Runner) Run() (Report, error) {
 	m.EnableSchedHash()
 
 	p := core.Params{
-		RadixSort:           true,
 		Poison:              true,
 		LazySpans:           cfg.Lazy,
 		DisableRemoteShards: cfg.DisableShards,

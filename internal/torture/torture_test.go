@@ -2,7 +2,9 @@ package torture
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"kmem/internal/workload"
@@ -164,7 +166,8 @@ func TestCorpusEncodings(t *testing.T) {
 }
 
 // TestMatrixShapes pins the matrix dimensions: the small matrix touches
-// every dimension, the full one is the cross product.
+// every dimension, the full one is a small covering array plus the
+// directed stacks.
 func TestMatrixShapes(t *testing.T) {
 	small := MatrixSmall()
 	var pressure, faults, noShards, adaptive, lazy, objCache, hardened, multiNode bool
@@ -198,10 +201,83 @@ func TestMatrixShapes(t *testing.T) {
 	if !plants["overrun"] || !plants["doublefree"] || !plants["latewrite"] {
 		t.Errorf("small matrix misses a planted corruption kind: have %v", plants)
 	}
-	// (2 single-node topologies x 64 flag combos + 2 multi-node x 128)
-	// x 2 for the optimistic dimension x 2 for the serve dimension.
-	if got, want := len(MatrixFull()), 1536; got != want {
-		t.Errorf("full matrix has %d configs, want %d", got, want)
+	full := MatrixFull()
+	var directed int
+	plants = map[string]bool{}
+	for _, c := range full {
+		if c.RestartStorm || c.Plant != "" {
+			directed++
+		}
+		if c.Plant != "" {
+			plants[c.Plant] = true
+		}
+	}
+	if directed != 5 || len(plants) != 3 {
+		t.Errorf("full matrix carries %d storm/plant configs and plants %v, want both storms and all three plants", directed, plants)
+	}
+	// The cross product it replaced had 1536.
+	if n := len(full) - directed; n > 24 {
+		t.Errorf("full matrix has %d generated configs, want a covering array of at most 24", n)
+	}
+}
+
+// TestMatrixFullCoversAllPairs: for every two of the ten factors and
+// every feasible combination of their values, some config of the full
+// matrix runs that combination. Read off the Config fields, not the
+// generator's rows, so a generator bug cannot vouch for itself.
+func TestMatrixFullCoversAllPairs(t *testing.T) {
+	onOff := func(get func(Config) bool) func(Config) string {
+		return func(c Config) string { return fmt.Sprint(get(c)) }
+	}
+	flag := []string{"false", "true"}
+	factors := []struct {
+		name   string
+		levels []string
+		of     func(Config) string
+	}{
+		{"topology", []string{"c1n1", "c2n1", "c4n2", "c8n4"}, func(c Config) string { return fmt.Sprintf("c%dn%d", c.CPUs, c.Nodes) }},
+		{"pressure", flag, onOff(func(c Config) bool { return c.Pressure })},
+		{"faults", flag, onOff(func(c Config) bool { return c.Faults })},
+		{"noshards", flag, onOff(func(c Config) bool { return c.DisableShards })},
+		{"adaptive", flag, onOff(func(c Config) bool { return c.Adaptive })},
+		{"lazy", flag, onOff(func(c Config) bool { return c.Lazy })},
+		{"objcache", flag, onOff(func(c Config) bool { return c.ObjCache })},
+		{"harden", flag, onOff(func(c Config) bool { return c.Harden })},
+		{"optimistic", flag, func(c Config) string {
+			if c.Rseq != c.LockFree {
+				return "mixed"
+			}
+			return fmt.Sprint(c.Rseq)
+		}},
+		{"serve", flag, onOff(func(c Config) bool { return c.Serve })},
+	}
+	full := MatrixFull()
+	pairs := 0
+	for i, f := range factors {
+		for _, g := range factors[i+1:] {
+			for _, a := range f.levels {
+				for _, b := range g.levels {
+					// The one constraint: no shards to disable on one node.
+					if f.name == "topology" && g.name == "noshards" && b == "true" && strings.HasSuffix(a, "n1") {
+						continue
+					}
+					pairs++
+					found := false
+					for _, c := range full {
+						if f.of(c) == a && g.of(c) == b {
+							found = true
+							break
+						}
+					}
+					if !found {
+						t.Errorf("no config runs %s=%s with %s=%s", f.name, a, g.name, b)
+					}
+				}
+			}
+		}
+	}
+	if pairs != 214 {
+		t.Errorf("checked %d feasible pairs, the ten factors have 214", pairs)
 	}
 }
 

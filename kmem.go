@@ -285,7 +285,6 @@ func NewSystem(cfg Config) (*System, error) {
 		Classes:        cfg.Classes,
 		TargetFor:      cfg.Target,
 		GblTargetFor:   cfg.GblTarget,
-		RadixSort:      true,
 		Adaptive:       cfg.Adaptive,
 		Hook:           cfg.Hook,
 		Pressure:       cfg.Pressure,
