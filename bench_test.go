@@ -1,6 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (see EXPERIMENTS.md for the index and the measured-vs-paper
-// comparison):
+// evaluation as testing.B benchmarks (the experiment index is
+// bench.Sweeps in internal/bench/sweeps.go, which `kmembench` runs;
+// EXPERIMENTS.md has the measured-vs-paper comparison):
 //
 //	BenchmarkFig7BestCase  — Figure 7, alloc/free pairs/s vs CPUs
 //	BenchmarkFig8BestCaseLog — Figure 8, the same data on a semilog axis

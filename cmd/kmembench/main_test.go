@@ -1,129 +1,119 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
+	"flag"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"kmem/internal/bench"
 )
 
-func TestParseInts(t *testing.T) {
-	got, err := parseInts("1, 2,25")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 25 {
-		t.Fatalf("parseInts = %v", got)
-	}
-	if _, err := parseInts("1,x"); err == nil {
-		t.Fatal("bad int accepted")
-	}
-}
-
-func TestParseSizes(t *testing.T) {
-	got, err := parseSizes("16,4096, 16384")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[2] != 16384 {
-		t.Fatalf("parseSizes = %v", got)
-	}
-	if _, err := parseSizes("-1"); err == nil {
-		t.Fatal("negative size accepted")
-	}
-}
-
-// captureStdout runs f with os.Stdout redirected to a file and returns
-// what it printed.
-func captureStdout(t *testing.T, f func() error) ([]byte, error) {
+// runJSON runs `kmembench <name> args... -json` and decodes the document.
+func runJSON(t *testing.T, name string, args ...string) (map[string]any, error) {
 	t.Helper()
-	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
-	if err != nil {
-		t.Fatal(err)
+	var out bytes.Buffer
+	if err := run(&out, bench.Lookup(name), flag.ContinueOnError, slices.Concat(args, []string{"-json"})); err != nil {
+		return nil, err
 	}
-	defer out.Close()
-	saved := os.Stdout
-	os.Stdout = out
-	runErr := f()
-	os.Stdout = saved
-	data, err := os.ReadFile(out.Name())
-	if err != nil {
-		t.Fatal(err)
+	var doc map[string]any
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+		t.Fatalf("%s %s -json: output does not parse: %v", name, strings.Join(args, " "), err)
 	}
-	return data, runErr
+	return doc, nil
 }
 
-// TestSubcommandsRunSmall runs a tiny parameterization of every sweep
-// (every subcommand but "all") end to end, twice: rendered, which must
-// print something, and with -json, which must print one document
-// carrying the subcommand's envelope.
+// TestParseInts: a count-list flag takes comma-separated integers,
+// spaces allowed, and refuses anything else.
+func TestParseInts(t *testing.T) {
+	doc, err := runJSON(t, "bestcase", "-cpus", "1, 2,3", "-seconds", "0.001", "-allocators", "cookie")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := doc["CPUCounts"], []any{1.0, 2.0, 3.0}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("-cpus '1, 2,3' ran CPU counts %v", got)
+	}
+	if _, err := runJSON(t, "bestcase", "-cpus", "1,x"); err == nil || !strings.Contains(err.Error(), "-cpus") {
+		t.Fatalf("bad int: %v", err)
+	}
+}
+
+// TestParseSizes: likewise for a size list, which is unsigned.
+func TestParseSizes(t *testing.T) {
+	doc, err := runJSON(t, "objcache", "-sizes", "64, 4096,16384", "-pairs", "10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, _ := doc["Points"].([]any)
+	if len(pts) != 3 || pts[2].(map[string]any)["BufSize"] != 16384.0 {
+		t.Fatalf("-sizes '64, 4096,16384' ran points %v", pts)
+	}
+	if _, err := runJSON(t, "objcache", "-sizes", "-1"); err == nil || !strings.Contains(err.Error(), "-sizes") {
+		t.Fatalf("negative size: %v", err)
+	}
+}
+
+// TestSubcommandsRunSmall runs every registry entry's smoke
+// parameterizations (every subcommand but "all") end to end, twice:
+// rendered, which must print something, and with -json, which must
+// print one document carrying the subcommand's envelope.
 func TestSubcommandsRunSmall(t *testing.T) {
-	for _, sc := range []struct {
-		schema string
-		cmd    func([]string) error
-		args   []string
-	}{
-		{"bestcase", cmdBestCase, []string{"-cpus", "1,2", "-seconds", "0.002"}},
-		{"worstcase", cmdWorstCase, []string{"-sizes", "64,4096", "-pages", "64"}},
-		{"dlm", cmdDLM, []string{"-ops", "300"}},
-		{"insns", cmdInsns, nil},
-		{"analysis", cmdAnalysis, []string{"-ops", "8"}},
-		{"ablate", cmdAblate, []string{"-param", "split"}},
-		{"adaptive", cmdAdaptive, []string{"-bursts", "20", "-burst", "50"}},
-		{"cyclic", cmdCyclic, []string{"-cycles", "1"}},
-		{"projection", cmdProjection, []string{"-seconds", "0.002"}},
-		{"topology", cmdTopology, []string{"-cpus", "4", "-nodes", "1,2", "-seconds", "0.002"}},
-		{"topology", cmdTopology, []string{"-cpus", "4", "-nodes", "1,4", "-seconds", "0.002", "-pairing", "cross"}},
-		{"pressure", cmdPressure, []string{"-cpus", "2", "-nodes", "1,2", "-pages", "32", "-rounds", "50"}},
-		{"frag", cmdFrag, []string{"-cycles", "1", "-pages", "2048"}},
-		{"objcache", cmdObjCache, []string{"-sizes", "64", "-pairs", "100"}},
-		{"harden", cmdHarden, []string{"-sizes", "64", "-pairs", "100"}},
-		{"scaling", cmdScaling, []string{"-cpus", "2,4", "-nodes", "1,2", "-seconds", "0.002"}},
-		{"scaling-lockfree", cmdScaling, []string{"-lockfree", "-cpus", "2", "-nodes", "1", "-seconds", "0.002"}},
-		{"serve", cmdServe, []string{"-cpus", "2", "-sessions", "32", "-ops", "800", "-nodes", "1"}},
-	} {
-		what := sc.schema + " " + strings.Join(sc.args, " ")
-		text, err := captureStdout(t, func() error { return sc.cmd(sc.args) })
-		if err != nil {
-			t.Errorf("%s: %v", what, err)
-			continue
-		}
-		if len(text) == 0 {
-			t.Errorf("%s: rendered nothing", what)
-		}
-		doc, err := captureStdout(t, func() error { return sc.cmd(append(sc.args, "-json")) })
-		if err != nil {
-			t.Errorf("%s -json: %v", what, err)
-			continue
-		}
-		var env struct {
-			Schema        string
-			SchemaVersion int
-		}
-		if err := json.Unmarshal(doc, &env); err != nil {
-			t.Errorf("%s -json: output does not parse: %v", what, err)
-			continue
-		}
-		if want := "kmembench/" + sc.schema; env.Schema != want || env.SchemaVersion != bench.EmitSchemaVersion {
-			t.Errorf("%s -json: envelope %q v%d, want %q v%d", what, env.Schema, env.SchemaVersion, want, bench.EmitSchemaVersion)
+	for _, s := range bench.Sweeps {
+		for _, args := range s.Smoke {
+			what := s.Name + " " + strings.Join(args, " ")
+			var text bytes.Buffer
+			if err := run(&text, s, flag.ContinueOnError, args); err != nil {
+				t.Errorf("%s: %v", what, err)
+				continue
+			}
+			if text.Len() == 0 {
+				t.Errorf("%s: rendered nothing", what)
+			}
+			doc, err := runJSON(t, s.Name, args...)
+			if err != nil {
+				t.Errorf("%s -json: %v", what, err)
+				continue
+			}
+			// scaling -lockfree is the one sweep with a schema of its own.
+			want := "kmembench/" + s.Name
+			if strings.Contains(what, "-lockfree") {
+				want += "-lockfree"
+			}
+			if doc["Schema"] != want || doc["SchemaVersion"] != float64(bench.EmitSchemaVersion) {
+				t.Errorf("%s -json: envelope %v v%v, want %q v%d", what, doc["Schema"], doc["SchemaVersion"], want, bench.EmitSchemaVersion)
+			}
 		}
 	}
 
 	for _, bad := range []struct {
-		what string
-		cmd  func([]string) error
-		args []string
+		what, name string
+		args       []string
 	}{
-		{"unknown ablation", cmdAblate, []string{"-param", "nope"}},
-		{"odd CPU count (topology)", cmdTopology, []string{"-cpus", "3"}},
-		{"odd CPU count (scaling)", cmdScaling, []string{"-cpus", "5"}},
-		{"unknown pairing", cmdTopology, []string{"-pairing", "diag"}},
+		{"unknown ablation", "ablate", []string{"-param", "nope"}},
+		{"odd CPU count (topology)", "topology", []string{"-cpus", "3"}},
+		{"odd CPU count (scaling)", "scaling", []string{"-cpus", "5"}},
+		{"unknown pairing", "topology", []string{"-pairing", "diag"}},
 	} {
-		if _, err := captureStdout(t, func() error { return bad.cmd(bad.args) }); err == nil {
+		if err := run(&bytes.Buffer{}, bench.Lookup(bad.name), flag.ContinueOnError, bad.args); err == nil {
 			t.Errorf("%s accepted", bad.what)
+		}
+	}
+}
+
+// TestDriverHasRoomForEverySweep: what main adds to the registry — the
+// built-in commands, the usage column and the 70-column `all` heading —
+// has room for every entry. (`all` itself takes minutes and runs in the
+// nightly.)
+func TestDriverHasRoomForEverySweep(t *testing.T) {
+	if bench.Lookup("all") != nil || bench.Lookup("help") != nil {
+		t.Fatal("a sweep shadows a built-in command")
+	}
+	for _, s := range bench.Sweeps {
+		if len(s.Name) > 10 || len(s.Title) > 64 {
+			t.Errorf("%s: name or title too long for the usage column / `all` heading", s.Name)
 		}
 	}
 }

@@ -28,68 +28,74 @@ type TargetRow struct {
 func AblateTarget(targets []int, seconds float64) ([]TargetRow, error) {
 	var rows []TargetRow
 	for _, target := range targets {
-		tgt := target
-		m := machine.New(MachineFor(2, 32<<20, 4096))
-		al, err := core.New(m, core.Params{
-			TargetFor: func(uint32) int { return tgt },
-		})
+		pairsPerSec, st, err := runFIFOHandoff(core.Params{TargetFor: func(uint32) int { return target }}, 128, seconds)
 		if err != nil {
 			return nil, err
 		}
-		ck, err := al.GetCookie(128)
-		if err != nil {
-			return nil, err
-		}
-		cls := 3 // 128-byte class under DefaultClasses
-
-		// Producer/consumer: CPU 0 allocates, CPU 1 frees; a bounded
-		// FIFO channel of blocks between them.
-		fifo := make([]arena.Addr, 0, 64)
-		lk := machine.NewSpinLock(m)
-		ops := m.RunFor(seconds, func(c *machine.CPU) {
-			if c.ID() == 0 {
-				b, err := al.AllocCookie(c, ck)
-				if err != nil {
-					return
-				}
-				lk.Acquire(c)
-				if len(fifo) < 64 {
-					fifo = append(fifo, b)
-					b = arena.NilAddr
-				}
-				lk.Release(c)
-				if b != arena.NilAddr {
-					al.FreeCookie(c, b, ck) // channel full: drop locally
-				}
-				return
-			}
-			lk.Acquire(c)
-			var b arena.Addr
-			if len(fifo) > 0 {
-				b = fifo[0]
-				fifo = fifo[1:]
-			}
-			lk.Release(c)
-			if b != arena.NilAddr {
-				al.FreeCookie(c, b, ck)
-			} else {
-				c.Work(20)
-			}
-		})
-		var pairs uint64
-		for _, n := range ops {
-			pairs += n
-		}
-		st := al.Stats(m.CPU(0)).Classes[cls]
 		rows = append(rows, TargetRow{
 			Target:       target,
-			PairsPerSec:  float64(pairs) / seconds / 2, // body runs on both CPUs
+			PairsPerSec:  pairsPerSec,
 			GlobalAccess: st.GlobalGets + st.GlobalPuts,
 			MissRate:     maxf(st.AllocMissRate(), st.FreeMissRate()),
 			CachedBlocks: st.HeldPerCPU,
 		})
 	}
 	return rows, nil
+}
+
+// runFIFOHandoff is the A1/A2 workload, the global layer's stress case:
+// on two CPUs, CPU 0 allocates blockSize-byte blocks and CPU 1 frees
+// them, a bounded FIFO channel of blocks under a spinlock between them.
+// It returns the round trips per second and the block size's class
+// counters.
+func runFIFOHandoff(params core.Params, blockSize uint64, seconds float64) (float64, core.ClassStats, error) {
+	m := machine.New(MachineFor(2, 32<<20, 4096))
+	al, err := core.New(m, params)
+	if err != nil {
+		return 0, core.ClassStats{}, err
+	}
+	ck, err := al.GetCookie(blockSize)
+	if err != nil {
+		return 0, core.ClassStats{}, err
+	}
+	fifo := make([]arena.Addr, 0, 64)
+	lk := machine.NewSpinLock(m)
+	ops := m.RunFor(seconds, func(c *machine.CPU) {
+		if c.ID() == 0 {
+			b, err := al.AllocCookie(c, ck)
+			if err != nil {
+				return
+			}
+			lk.Acquire(c)
+			if len(fifo) < 64 {
+				fifo = append(fifo, b)
+				b = arena.NilAddr
+			}
+			lk.Release(c)
+			if b != arena.NilAddr {
+				al.FreeCookie(c, b, ck) // channel full: drop locally
+			}
+			return
+		}
+		lk.Acquire(c)
+		var b arena.Addr
+		if len(fifo) > 0 {
+			b = fifo[0]
+			fifo = fifo[1:]
+		}
+		lk.Release(c)
+		if b != arena.NilAddr {
+			al.FreeCookie(c, b, ck)
+		} else {
+			c.Work(20)
+		}
+	})
+	for _, cs := range al.Stats(m.CPU(0)).Classes {
+		if uint64(cs.Size) == blockSize {
+			return float64(ops[0]+ops[1]) / seconds / 2, cs, nil // body runs on both CPUs
+		}
+	}
+	return 0, core.ClassStats{}, fmt.Errorf("bench: no %d-byte class", blockSize)
 }
 
 // TargetTable renders the A1 sweep.
@@ -99,12 +105,8 @@ func TargetTable(rows []TargetRow) *Table {
 		Headers: []string{"target", "pairs/sec", "global ops", "percpu miss%", "cached blocks"},
 	}
 	for _, r := range rows {
-		t.AddRow(
-			fmt.Sprintf("%d", r.Target),
-			fmt.Sprintf("%.0f", r.PairsPerSec),
-			fmt.Sprintf("%d", r.GlobalAccess),
-			fmt.Sprintf("%.2f", r.MissRate*100),
-			fmt.Sprintf("%d", r.CachedBlocks))
+		t.AddRowf("%d|%.0f|%d|%.2f|%d",
+			r.Target, r.PairsPerSec, r.GlobalAccess, r.MissRate*100, r.CachedBlocks)
 	}
 	return t
 }
@@ -129,63 +131,15 @@ type SplitRow struct {
 func AblateSplitFreelist(seconds float64) ([]SplitRow, error) {
 	var rows []SplitRow
 	for _, disable := range []bool{false, true} {
-		m := machine.New(MachineFor(2, 32<<20, 4096))
-		al, err := core.New(m, core.Params{DisableSplitFreelist: disable})
+		pairsPerSec, st, err := runFIFOHandoff(core.Params{DisableSplitFreelist: disable}, 64, seconds)
 		if err != nil {
 			return nil, err
 		}
-		ck, err := al.GetCookie(64)
-		if err != nil {
-			return nil, err
-		}
-		cls := 2 // 64-byte class
-
-		fifo := make([]arena.Addr, 0, 64)
-		lk := machine.NewSpinLock(m)
-		ops := m.RunFor(seconds, func(c *machine.CPU) {
-			if c.ID() == 0 {
-				b, err := al.AllocCookie(c, ck)
-				if err != nil {
-					return
-				}
-				lk.Acquire(c)
-				if len(fifo) < 64 {
-					fifo = append(fifo, b)
-					b = arena.NilAddr
-				}
-				lk.Release(c)
-				if b != arena.NilAddr {
-					al.FreeCookie(c, b, ck)
-				}
-				return
-			}
-			lk.Acquire(c)
-			var b arena.Addr
-			if len(fifo) > 0 {
-				b = fifo[0]
-				fifo = fifo[1:]
-			}
-			lk.Release(c)
-			if b != arena.NilAddr {
-				al.FreeCookie(c, b, ck)
-			} else {
-				c.Work(20)
-			}
-		})
-		st := al.Stats(m.CPU(0)).Classes[cls]
 		name := "split main/aux (paper)"
 		if disable {
 			name = "single freelist (ablation)"
 		}
-		var pairs uint64
-		for _, n := range ops {
-			pairs += n
-		}
-		rows = append(rows, SplitRow{
-			Variant:     name,
-			PairsPerSec: float64(pairs) / seconds / 2,
-			GlobalOps:   st.GlobalGets + st.GlobalPuts,
-		})
+		rows = append(rows, SplitRow{Variant: name, PairsPerSec: pairsPerSec, GlobalOps: st.GlobalGets + st.GlobalPuts})
 	}
 	return rows, nil
 }
@@ -197,7 +151,7 @@ func SplitTable(rows []SplitRow) *Table {
 		Headers: []string{"variant", "pairs/sec", "global-layer ops"},
 	}
 	for _, r := range rows {
-		t.AddRow(r.Variant, fmt.Sprintf("%.0f", r.PairsPerSec), fmt.Sprintf("%d", r.GlobalOps))
+		t.AddRowf("%s|%.0f|%d", r.Variant, r.PairsPerSec, r.GlobalOps)
 	}
 	return t
 }
@@ -286,10 +240,7 @@ func RadixTable(rows []RadixRow) *Table {
 		Headers: []string{"policy", "pages carved", "pages released", "phys high water"},
 	}
 	for _, r := range rows {
-		t.AddRow(r.Policy,
-			fmt.Sprintf("%d", r.PagesCarved),
-			fmt.Sprintf("%d", r.PagesReleased),
-			fmt.Sprintf("%d", r.HighWater))
+		t.AddRowf("%s|%d|%d|%d", r.Policy, r.PagesCarved, r.PagesReleased, r.HighWater)
 	}
 	return t
 }
@@ -352,7 +303,7 @@ func TLBTable(rows []TLBRow) *Table {
 		Headers: []string{"workload", "TLB", "pairs/sec (1 CPU)"},
 	}
 	for _, r := range rows {
-		t.AddRow(r.Allocator, r.TLB, fmt.Sprintf("%.0f", r.PairsPerSec))
+		t.AddRowf("%s|%s|%.0f", r.Allocator, r.TLB, r.PairsPerSec)
 	}
 	return t
 }
@@ -378,24 +329,7 @@ func AblateLazyBuddy(seconds float64) ([]LazyRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			for i := 0; i < ncpu; i++ {
-				c := m.CPU(i)
-				if b, err := a.Alloc(c, 128); err == nil {
-					a.Free(c, b, 128)
-				}
-			}
-			m.ResetStats()
-			ops := m.RunFor(seconds, func(c *machine.CPU) {
-				c.Work(loopOverheadInsns)
-				b, err := a.Alloc(c, 128)
-				if err == nil {
-					a.Free(c, b, 128)
-				}
-			})
-			var pairs uint64
-			for _, n := range ops {
-				pairs += n
-			}
+			pairs := bestCaseLoop(m, a, 128, seconds)
 			rows = append(rows, LazyRow{Allocator: name, CPUs: ncpu, PairsPerSec: float64(pairs) / seconds})
 		}
 	}
@@ -409,7 +343,7 @@ func LazyTable(rows []LazyRow) *Table {
 		Headers: []string{"allocator", "CPUs", "pairs/sec"},
 	}
 	for _, r := range rows {
-		t.AddRow(r.Allocator, fmt.Sprintf("%d", r.CPUs), fmt.Sprintf("%.0f", r.PairsPerSec))
+		t.AddRowf("%s|%d|%.0f", r.Allocator, r.CPUs, r.PairsPerSec)
 	}
 	return t
 }

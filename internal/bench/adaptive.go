@@ -137,16 +137,10 @@ func (r *AdaptiveResult) Table() *Table {
 			"percpu miss%", "combined miss%", "global ops", "cached", "grows/shrinks"},
 	}
 	for _, row := range []AdaptiveRow{r.Fixed, r.Adaptive} {
-		t.AddRow(row.Variant,
-			fmt.Sprintf("%d", row.FinalTarget),
-			fmt.Sprintf("%d", row.FinalGblTarget),
-			fmt.Sprintf("%.0f", row.PairsPerSec),
-			fmt.Sprintf("%.2f", row.PerCPUMissRate*100),
-			fmt.Sprintf("%.3f", row.CombinedMiss*100),
-			fmt.Sprintf("%d", row.GlobalOps),
-			fmt.Sprintf("%d", row.CachedBlocks),
-			fmt.Sprintf("%d/%d", row.TargetGrows+row.GblTargetGrows,
-				row.TargetShrinks+row.GblTargetShrink))
+		t.AddRowf("%s|%d|%d|%.0f|%.2f|%.3f|%d|%d|%d/%d",
+			row.Variant, row.FinalTarget, row.FinalGblTarget, row.PairsPerSec, row.PerCPUMissRate*100,
+			row.CombinedMiss*100, row.GlobalOps, row.CachedBlocks, row.TargetGrows+row.GblTargetGrows,
+			row.TargetShrinks+row.GblTargetShrink)
 	}
 	return t
 }

@@ -104,6 +104,9 @@ var hotLines []HotLine
 // RunAnalysis (old-allocator phase).
 func HotLines() []HotLine { return hotLines }
 
+// analysisBufSize is the STREAMS buffer size both runs allocate.
+const analysisBufSize = 256
+
 func runAnalysisOld(opsTraced int) ([]AnalysisResult, error) {
 	m := machine.New(MachineFor(2, 16<<20, 2048))
 	a, err := oldkma.New(m)
@@ -113,45 +116,12 @@ func runAnalysisOld(opsTraced int) ([]AnalysisResult, error) {
 	a.DescribeLines()
 	m.EnableLineProfile()
 	mem := m.Mem()
-	const bufSize = 256
-	c0, c1 := m.CPU(0), m.CPU(1)
-
-	// CPU 1's competing traffic: the second CPU of the S2000/200.
-	contend := func() {
-		t, err := allochOld(c1, a, mem, bufSize)
-		if err == nil {
-			freebOld(c1, a, mem, t, bufSize)
-		}
-	}
-
-	// Warm up both CPUs.
-	for i := 0; i < 32; i++ {
-		t, err := allochOld(c0, a, mem, bufSize)
-		if err != nil {
-			return nil, err
-		}
-		freebOld(c0, a, mem, t, bufSize)
-		contend()
-	}
-
-	var allocSamples, freeSamples []traceSample
-	for i := 0; i < opsTraced; i++ {
-		contend()
-		c0.StartTrace()
-		start := c0.Now()
-		startInsns := c0.Stats().Instructions
-		t, err := allochOld(c0, a, mem, bufSize)
-		if err != nil {
-			return nil, err
-		}
-		allocSamples = append(allocSamples, sampleTrace(m, c0, start, startInsns))
-		contend()
-
-		c0.StartTrace()
-		start = c0.Now()
-		startInsns = c0.Stats().Instructions
-		freebOld(c0, a, mem, t, bufSize)
-		freeSamples = append(freeSamples, sampleTrace(m, c0, start, startInsns))
+	res, err := traceAllocb(m, "old", opsTraced, func(c *machine.CPU) (func(), error) {
+		t, err := allochOld(c, a, mem, analysisBufSize)
+		return func() { freebOld(c, a, mem, t, analysisBufSize) }, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	hotLines = hotLines[:0]
 	for _, st := range m.TopLines(5) {
@@ -161,10 +131,7 @@ func runAnalysisOld(opsTraced int) ([]AnalysisResult, error) {
 		}
 		hotLines = append(hotLines, HotLine{Name: name, Misses: st.Misses, Atomics: st.Atomics})
 	}
-	return []AnalysisResult{
-		summarize(m, "allocb(old)", allocSamples),
-		summarize(m, "freeb(old)", freeSamples),
-	}, nil
+	return res, nil
 }
 
 func runAnalysisNew(opsTraced int) ([]AnalysisResult, error) {
@@ -177,28 +144,38 @@ func runAnalysisNew(opsTraced int) ([]AnalysisResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	const bufSize = 256
+	return traceAllocb(m, "new", opsTraced, func(c *machine.CPU) (func(), error) {
+		msg, err := s.Allocb(c, analysisBufSize)
+		return func() { s.Freeb(c, msg) }, err
+	})
+}
+
+// traceAllocb is the experiment both runs share: allocb allocates one
+// message on a CPU and returns the freeb that releases it. After a
+// warm-up of both CPUs, CPU 0's allocb and freeb are traced opsTraced
+// times each, CPU 1 — the second CPU of the S2000/200 — running a
+// competing pair before every traced operation.
+func traceAllocb(m *machine.Machine, which string, opsTraced int, allocb func(*machine.CPU) (func(), error)) ([]AnalysisResult, error) {
 	c0, c1 := m.CPU(0), m.CPU(1)
 	contend := func() {
-		if msg, err := s.Allocb(c1, bufSize); err == nil {
-			s.Freeb(c1, msg)
+		if freeb, err := allocb(c1); err == nil {
+			freeb()
 		}
 	}
 	for i := 0; i < 32; i++ {
-		msg, err := s.Allocb(c0, bufSize)
+		freeb, err := allocb(c0)
 		if err != nil {
 			return nil, err
 		}
-		s.Freeb(c0, msg)
+		freeb()
 		contend()
 	}
 	var allocSamples, freeSamples []traceSample
 	for i := 0; i < opsTraced; i++ {
 		contend()
 		c0.StartTrace()
-		start := c0.Now()
-		startInsns := c0.Stats().Instructions
-		msg, err := s.Allocb(c0, bufSize)
+		start, startInsns := c0.Now(), c0.Stats().Instructions
+		freeb, err := allocb(c0)
 		if err != nil {
 			return nil, err
 		}
@@ -206,14 +183,13 @@ func runAnalysisNew(opsTraced int) ([]AnalysisResult, error) {
 		contend()
 
 		c0.StartTrace()
-		start = c0.Now()
-		startInsns = c0.Stats().Instructions
-		s.Freeb(c0, msg)
+		start, startInsns = c0.Now(), c0.Stats().Instructions
+		freeb()
 		freeSamples = append(freeSamples, sampleTrace(m, c0, start, startInsns))
 	}
 	return []AnalysisResult{
-		summarize(m, "allocb(new)", allocSamples),
-		summarize(m, "freeb(new)", freeSamples),
+		summarize(m, "allocb("+which+")", allocSamples),
+		summarize(m, "freeb("+which+")", freeSamples),
 	}, nil
 }
 
@@ -293,7 +269,7 @@ func HotLineTable() *Table {
 		Headers: []string{"line", "misses", "atomics"},
 	}
 	for _, h := range hotLines {
-		t.AddRow(h.Name, fmt.Sprintf("%d", h.Misses), fmt.Sprintf("%d", h.Atomics))
+		t.AddRowf("%s|%d|%d", h.Name, h.Misses, h.Atomics)
 	}
 	return t
 }
@@ -307,13 +283,8 @@ func AnalysisTable(old, new_ []AnalysisResult) *Table {
 	}
 	for _, rs := range [][]AnalysisResult{old, new_} {
 		for _, r := range rs {
-			t.AddRow(r.Op,
-				fmt.Sprintf("%.2f", r.PredictedUs),
-				fmt.Sprintf("%.2f", r.MinUs),
-				fmt.Sprintf("%.2f", r.AvgUs),
-				fmt.Sprintf("%.2f", r.MaxUs),
-				fmt.Sprintf("%d", r.Accesses),
-				fmt.Sprintf("%.1f%%", r.WorstSharePct))
+			t.AddRowf("%s|%.2f|%.2f|%.2f|%.2f|%d|%.1f%%",
+				r.Op, r.PredictedUs, r.MinUs, r.AvgUs, r.MaxUs, r.Accesses, r.WorstSharePct)
 		}
 	}
 	return t

@@ -3,26 +3,15 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
-)
-
-// The committed BENCH_*.json figures are produced by kmembench at its
-// flag defaults, restated here: a sweep whose default changes must
-// regenerate its baseline in the same commit.
-var (
-	baselineCPUs  = []int{2, 4, 8}
-	baselineNodes = []int{1, 2, 4}
-	baselineSizes = []uint64{64, 256, 1024}
-)
-
-const (
-	baselineBlock   = 128
-	baselineSeconds = 0.005
-	baselinePairs   = 2000
 )
 
 // subDocument reports, one line each, every place where committed is not
@@ -82,76 +71,75 @@ func decodeDoc(t *testing.T, what string, data []byte) any {
 	return doc
 }
 
-// reproduces holds a fresh sweep result to the committed baseline: the
-// file at the repository root must be a sub-document of the result as
-// kmembench -json would print it.
-func reproduces(t *testing.T, file, name string, result any) {
+// runSweep runs one registry entry the way `kmembench <name> args...`
+// does, failing the test on error.
+func runSweep(t *testing.T, s *Sweep, args ...string) *Report {
 	t.Helper()
-	committed, err := os.ReadFile(filepath.Join("..", "..", file))
+	fs := flag.NewFlagSet(s.Name, flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	rep, err := s.Run(fs, args)
+	if err != nil {
+		t.Fatalf("kmembench %s %s: %v", s.Name, strings.Join(args, " "), err)
+	}
+	return rep
+}
+
+// reproduces holds a fresh sweep to the committed baseline: the file at
+// the repository root must be a sub-document of what the sweep's
+// command line prints under -json.
+func reproduces(t *testing.T, s *Sweep, b Baseline) *Report {
+	t.Helper()
+	committed, err := os.ReadFile(filepath.Join("..", "..", b.File))
 	if err != nil {
 		t.Fatal(err)
 	}
+	args := slices.Concat(b.Args, []string{"-json"})
+	rep := runSweep(t, s, args...)
 	var fresh bytes.Buffer
-	if err := Emit(&fresh, name, result); err != nil {
+	if err := rep.Write(&fresh); err != nil {
 		t.Fatal(err)
 	}
-	diffs := subDocument(file, decodeDoc(t, file, committed), decodeDoc(t, "fresh "+name, fresh.Bytes()))
+	diffs := subDocument(b.File, decodeDoc(t, b.File, committed), decodeDoc(t, "fresh "+s.Name, fresh.Bytes()))
 	const show = 12
 	for i, d := range diffs {
 		if i == show {
-			t.Errorf("%s: ... and %d more", file, len(diffs)-show)
+			t.Errorf("%s: ... and %d more", b.File, len(diffs)-show)
 			break
 		}
 		t.Error(d)
 	}
 	if len(diffs) > 0 {
-		t.Errorf("%s no longer reproduces: a change that moves a virtual number regenerates the baseline it moved (the -json output of the kmembench/%s sweep at its flag defaults) in the same commit", file, name)
+		t.Errorf("%s no longer reproduces: a change that moves a virtual number regenerates the baseline it moved (`kmembench %s %s > %s`) in the same commit",
+			b.File, s.Name, strings.Join(args, " "), b.File)
 	}
+	return rep
 }
 
 // TestBaselinesReproduce is the repository's regression gate for the
-// historical sweeps. The simulator is deterministic, so a fresh run at
-// the CLI defaults must equal the committed figure value for value; the
-// claims the figures were committed to support are then asserted on the
-// fresh results.
+// historical sweeps. The simulator is deterministic, so each registry
+// entry run with the arguments recorded beside its BENCH_*.json must
+// equal the committed figure value for value; the claims the figures
+// were committed to support are then asserted on the fresh results.
 func TestBaselinesReproduce(t *testing.T) {
-	var (
-		scaling, lf *ScalingResult
-		objcache    *ObjCacheResult
-	)
-	for _, row := range []struct {
-		file, name string
-		slow       bool // skipped under -short
-		run        func() (any, error)
-	}{
-		{"BENCH_4.json", "scaling", false, func() (_ any, err error) {
-			scaling, err = RunScaling(baselineCPUs, baselineNodes, baselineBlock, baselineSeconds)
-			return scaling, err
-		}},
-		{"BENCH_6.json", "frag", false, func() (any, error) { return RunFrag(3, 4096) }},
-		{"BENCH_7.json", "objcache", false, func() (_ any, err error) {
-			objcache, err = RunObjCache(baselineSizes, baselinePairs)
-			return objcache, err
-		}},
-		{"BENCH_9.json", "scaling-lockfree", false, func() (_ any, err error) {
-			lf, err = RunScalingLockFree(baselineCPUs, baselineNodes, baselineBlock, baselineSeconds)
-			return lf, err
-		}},
-		{"BENCH_10.json", "serve", true, func() (any, error) { return RunServe(ServeDefaults(), baselineNodes) }},
-	} {
-		if row.slow && testing.Short() {
-			t.Logf("%s not checked under -short", row.file)
-			continue
+	fresh := map[string]any{} // by baseline file
+	for _, s := range Sweeps {
+		for _, b := range s.Baselines {
+			if b.File == "BENCH_10.json" && testing.Short() {
+				t.Logf("%s not checked under -short (~5 s)", b.File)
+				continue
+			}
+			fresh[b.File] = reproduces(t, s, b).Doc
 		}
-		result, err := row.run()
-		if err != nil {
-			t.Fatalf("%s: %v", row.name, err)
-		}
-		reproduces(t, row.file, row.name, result)
+	}
+	scaling, _ := fresh["BENCH_4.json"].(*ScalingResult)
+	objcache, _ := fresh["BENCH_7.json"].(*ObjCacheResult)
+	lf, _ := fresh["BENCH_9.json"].(*ScalingResult)
+	if scaling == nil || objcache == nil || lf == nil || fresh["BENCH_6.json"] == nil {
+		t.Fatalf("the registry no longer names BENCH_4/6/7/9 (got %d baselines)", len(fresh))
 	}
 
 	// Shards cut remote putList trips per completed pair >= 4x.
-	routed, sharded := scaling.Point(8, 4, "prodcons", false), scaling.Point(8, 4, "prodcons", true)
+	routed, sharded := scaling.Point(8, 4, "prodcons", false, false), scaling.Point(8, 4, "prodcons", true, false)
 	if routed == nil || sharded == nil {
 		t.Fatal("scaling sweep lacks the 8-CPU/4-node prodcons points")
 	}
@@ -165,7 +153,7 @@ func TestBaselinesReproduce(t *testing.T) {
 		if !on.LockFree {
 			continue
 		}
-		off := lf.PointLF(on.CPUs, on.Nodes, on.Workload, false)
+		off := lf.Point(on.CPUs, on.Nodes, on.Workload, true, false)
 		if off == nil {
 			t.Fatalf("lock-free sweep lacks the locked %d/%d %s point", on.CPUs, on.Nodes, on.Workload)
 		}
@@ -174,7 +162,7 @@ func TestBaselinesReproduce(t *testing.T) {
 		}
 	}
 	pair := func(cpus, nodes int, workload string) (off, on *ScalingPoint) {
-		off, on = lf.PointLF(cpus, nodes, workload, false), lf.PointLF(cpus, nodes, workload, true)
+		off, on = lf.Point(cpus, nodes, workload, true, false), lf.Point(cpus, nodes, workload, true, true)
 		if off == nil || on == nil {
 			t.Fatalf("lock-free sweep lacks the %d/%d %s points", cpus, nodes, workload)
 		}
@@ -201,10 +189,7 @@ func TestBaselinesReproduce(t *testing.T) {
 	// The hardening sweep has no baseline of its own: its clean workload
 	// must raise no detection, and its hardening-off STREAMS pair must
 	// cost exactly what the objcache sweep (so BENCH_7) says.
-	hard, err := RunHarden(baselineSizes, baselinePairs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hard := runSweep(t, Lookup("harden")).Doc.(*HardenResult)
 	for _, p := range hard.Points {
 		if p.Detections != 0 {
 			t.Errorf("harden size %d: %d detections on a clean workload", p.Size, p.Detections)

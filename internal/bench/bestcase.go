@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"kmem/internal/allocif"
 	"kmem/internal/arena"
@@ -65,27 +66,7 @@ func RunBestCaseCfg(names []string, cpuCounts []int, blockSize uint64, seconds f
 			// structures become large and scattered, while the per-CPU
 			// allocator's fast path is unaffected.
 			prefragment(m, a)
-			// Warm up each CPU's path once so cold construction cost is
-			// not measured.
-			for i := 0; i < ncpu; i++ {
-				c := m.CPU(i)
-				if b, err := a.Alloc(c, blockSize); err == nil {
-					a.Free(c, b, blockSize)
-				}
-			}
-			m.ResetStats()
-
-			ops := m.RunFor(seconds, func(c *machine.CPU) {
-				c.Work(loopOverheadInsns)
-				b, err := a.Alloc(c, blockSize)
-				if err == nil {
-					a.Free(c, b, blockSize)
-				}
-			})
-			var pairs uint64
-			for _, n := range ops {
-				pairs += n
-			}
+			pairs := bestCaseLoop(m, a, blockSize, seconds)
 			res.Points[name] = append(res.Points[name], BestCasePoint{
 				Allocator:   name,
 				CPUs:        ncpu,
@@ -96,6 +77,29 @@ func RunBestCaseCfg(names []string, cpuCounts []int, blockSize uint64, seconds f
 		}
 	}
 	return res, nil
+}
+
+// bestCaseLoop warms up each CPU's path once, so cold construction cost
+// is not measured, then runs the alloc-then-free loop on every CPU for
+// `seconds` and returns the pairs completed.
+func bestCaseLoop(m *machine.Machine, a allocif.Allocator, blockSize uint64, seconds float64) (pairs uint64) {
+	for i := 0; i < m.NumCPUs(); i++ {
+		c := m.CPU(i)
+		if b, err := a.Alloc(c, blockSize); err == nil {
+			a.Free(c, b, blockSize)
+		}
+	}
+	m.ResetStats()
+	for _, n := range m.RunFor(seconds, func(c *machine.CPU) {
+		c.Work(loopOverheadInsns)
+		b, err := a.Alloc(c, blockSize)
+		if err == nil {
+			a.Free(c, b, blockSize)
+		}
+	}) {
+		pairs += n
+	}
+	return pairs
 }
 
 // Figure renders the sweep as the paper's Figure 7 (linear) or Figure 8
@@ -127,7 +131,7 @@ func (r *BestCaseResult) Figure(logY bool) *Figure {
 	}
 	// Any extra allocators beyond the canonical four.
 	for name, pts := range r.Points {
-		if contains(AllocatorNames, name) {
+		if slices.Contains(AllocatorNames, name) {
 			continue
 		}
 		s := Series{Name: name}
@@ -164,15 +168,6 @@ func prefragment(m *machine.Machine, a allocif.Allocator) {
 	}
 }
 
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
 // SpeedupTable derives each allocator's scaling from the sweep: speedup
 // from 1 CPU to the largest count, and parallel efficiency
 // (speedup / CPUs). The paper's headline is the top trace's near-linear
@@ -195,11 +190,8 @@ func (r *BestCaseResult) SpeedupTable() *Table {
 		}
 		sp := pts[last].PairsPerSec / pts[0].PairsPerSec
 		eff := sp / float64(r.CPUCounts[last]) * 100
-		t.AddRow(name,
-			fmt.Sprintf("%.3g", pts[0].PairsPerSec),
-			fmt.Sprintf("%.3g", pts[last].PairsPerSec),
-			fmt.Sprintf("%.2fx", sp),
-			fmt.Sprintf("%.1f%%", eff))
+		t.AddRowf("%s|%.3g|%.3g|%.2fx|%.1f%%",
+			name, pts[0].PairsPerSec, pts[last].PairsPerSec, sp, eff)
 	}
 	return t
 }

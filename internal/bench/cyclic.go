@@ -108,13 +108,8 @@ func (r *CyclicResult) Table() *Table {
 		Headers: []string{"cycle", "phase", "allocs", "failures", "phys high water", "virtual ms"},
 	}
 	for _, row := range r.Rows {
-		t.AddRow(
-			fmt.Sprintf("%d", row.Cycle),
-			row.Phase,
-			fmt.Sprintf("%d", row.Allocs),
-			fmt.Sprintf("%d", row.Failures),
-			fmt.Sprintf("%d/%d", row.HighWater, r.PhysPages),
-			fmt.Sprintf("%.1f", row.VirtualMS))
+		t.AddRowf("%d|%s|%d|%d|%d/%d|%.1f",
+			row.Cycle, row.Phase, row.Allocs, row.Failures, row.HighWater, r.PhysPages, row.VirtualMS)
 	}
 	return t
 }

@@ -325,12 +325,8 @@ func DLMScaleTable(rows []DLMScaleRow) *Table {
 		Headers: []string{"nodes", "locks/sec", "msgs/sec", "per-node locks/sec", "deadlock aborts"},
 	}
 	for _, r := range rows {
-		t.AddRow(
-			fmt.Sprintf("%d", r.Nodes),
-			fmt.Sprintf("%.0f", r.LocksPerSec),
-			fmt.Sprintf("%.0f", r.MsgsPerSec),
-			fmt.Sprintf("%.0f", r.LocksPerSec/float64(r.Nodes)),
-			fmt.Sprintf("%d", r.Aborts))
+		t.AddRowf("%d|%.0f|%.0f|%.0f|%d",
+			r.Nodes, r.LocksPerSec, r.MsgsPerSec, r.LocksPerSec/float64(r.Nodes), r.Aborts)
 	}
 	return t
 }
@@ -351,16 +347,9 @@ func (r *DLMResult) Table() *Table {
 		percpu := maxf(row.AllocMiss, row.FreeMiss)
 		global := maxf(row.GlobalGetMiss, row.GlobalPutMiss)
 		combined := maxf(row.CombinedAllocMiss, row.CombinedFreeMiss)
-		t.AddRow(
-			fmt.Sprintf("%d", row.Size),
-			fmt.Sprintf("%d", row.Allocs),
-			fmt.Sprintf("%.2f", percpu*100),
-			fmt.Sprintf("%.2f", 100.0/float64(row.Target)),
-			fmt.Sprintf("%.2f", global*100),
-			fmt.Sprintf("%.2f", 100.0/float64(row.GblTarget)),
-			fmt.Sprintf("%.4f", combined*100),
-			fmt.Sprintf("%.4f", 100.0/float64(row.Target*row.GblTarget)),
-		)
+		t.AddRowf("%d|%d|%.2f|%.2f|%.2f|%.2f|%.4f|%.4f",
+			row.Size, row.Allocs, percpu*100, 100.0/float64(row.Target), global*100,
+			100.0/float64(row.GblTarget), combined*100, 100.0/float64(row.Target*row.GblTarget))
 	}
 	return t
 }

@@ -165,19 +165,10 @@ func (r *FragResult) Table() *Table {
 			"commits", "decommits", "failures"},
 	}
 	for _, p := range r.Points {
-		t.AddRow(
-			p.Mode,
-			fmt.Sprintf("%d", p.Cycle),
-			p.Phase,
-			fmt.Sprintf("%d", p.Live),
-			fmt.Sprintf("%d", p.ReservedBytes>>10),
-			fmt.Sprintf("%d", p.ResidentBytes>>10),
-			fmt.Sprintf("%d", p.LiveBytes>>10),
-			fmt.Sprintf("%.3f", p.ResidentRatio),
-			fmt.Sprintf("%.3f", p.Utilization),
-			fmt.Sprintf("%d", p.PagesCommit),
-			fmt.Sprintf("%d", p.PagesDecommit),
-			fmt.Sprintf("%d", p.Failures))
+		t.AddRowf("%s|%d|%s|%d|%d|%d|%d|%.3f|%.3f|%d|%d|%d",
+			p.Mode, p.Cycle, p.Phase, p.Live, p.ReservedBytes>>10, p.ResidentBytes>>10,
+			p.LiveBytes>>10, p.ResidentRatio, p.Utilization, p.PagesCommit, p.PagesDecommit,
+			p.Failures)
 	}
 	return t
 }

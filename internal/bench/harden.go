@@ -86,24 +86,16 @@ func runHardenPairs(size uint64, pairs, warmup int, hcfg *harden.Config) (float6
 		return 0, 0, err
 	}
 	c := m.CPU(0)
-	run := func(n int) error {
-		for i := 0; i < n; i++ {
-			b, err := al.Alloc(c, size)
-			if err != nil {
-				return err
-			}
+	insns, err := insnsPerPair(c, warmup, pairs, func() error {
+		b, err := al.Alloc(c, size)
+		if err == nil {
 			al.Free(c, b, size)
 		}
-		return nil
-	}
-	if err := run(warmup); err != nil {
+		return err
+	})
+	if err != nil {
 		return 0, 0, err
 	}
-	start := c.Stats().Instructions
-	if err := run(pairs); err != nil {
-		return 0, 0, err
-	}
-	insns := float64(c.Stats().Instructions-start) / float64(pairs)
 	return insns, al.Stats(c).Quarantine.Detections, nil
 }
 
@@ -115,13 +107,8 @@ func (r *HardenResult) Table() *Table {
 		Headers: []string{"size", "off insns/pair", "harden insns/pair", "overhead", "detections"},
 	}
 	for _, p := range r.Points {
-		t.AddRow(
-			fmt.Sprintf("%d", p.Size),
-			fmt.Sprintf("%.1f", p.OffInsns),
-			fmt.Sprintf("%.1f", p.HardenInsns),
-			fmt.Sprintf("%.1f%%", p.OverheadPct),
-			fmt.Sprintf("%d", p.Detections),
-		)
+		t.AddRowf("%d|%.1f|%.1f|%.1f%%|%d",
+			p.Size, p.OffInsns, p.HardenInsns, p.OverheadPct, p.Detections)
 	}
 	return t
 }

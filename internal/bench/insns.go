@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"kmem/internal/core"
 	"kmem/internal/machine"
 )
@@ -64,26 +62,6 @@ func RunInsnCounts() ([]InsnRow, error) {
 		return mid - before, after - mid, nil
 	}
 
-	ai, fi, err := measureCore(true)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, InsnRow{
-		Interface:  "cookie (KMEM_ALLOC_COOKIE/KMEM_FREE_COOKIE)",
-		AllocInsns: ai, FreeInsns: fi,
-		PaperAlloc: "13", PaperFree: "13",
-	})
-
-	ai, fi, err = measureCore(false)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, InsnRow{
-		Interface:  "standard (kmem_alloc/kmem_free)",
-		AllocInsns: ai, FreeInsns: fi,
-		PaperAlloc: "35", PaperFree: "32",
-	})
-
 	measureBaseline := func(name string) (uint64, uint64, error) {
 		m := machine.New(MachineFor(1, 16<<20, 1024))
 		a, err := BuildAllocator(m, name)
@@ -104,25 +82,25 @@ func RunInsnCounts() ([]InsnRow, error) {
 		return mid - before, after - mid, nil
 	}
 
-	ai, fi, err = measureBaseline("mk")
-	if err != nil {
-		return nil, err
+	for _, r := range []struct {
+		iface, paperAlloc, paperFree string
+		measure                      func() (uint64, uint64, error)
+	}{
+		{"cookie (KMEM_ALLOC_COOKIE/KMEM_FREE_COOKIE)", "13", "13", func() (uint64, uint64, error) { return measureCore(true) }},
+		{"standard (kmem_alloc/kmem_free)", "35", "32", func() (uint64, uint64, error) { return measureCore(false) }},
+		{"McKusick-Karels + global lock", "16 (VAX)", "16 (VAX)", func() (uint64, uint64, error) { return measureBaseline("mk") }},
+		{"oldkma (fast fits + global lock)", "-", "-", func() (uint64, uint64, error) { return measureBaseline("oldkma") }},
+	} {
+		ai, fi, err := r.measure()
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, InsnRow{
+			Interface:  r.iface,
+			AllocInsns: ai, FreeInsns: fi,
+			PaperAlloc: r.paperAlloc, PaperFree: r.paperFree,
+		})
 	}
-	rows = append(rows, InsnRow{
-		Interface:  "McKusick-Karels + global lock",
-		AllocInsns: ai, FreeInsns: fi,
-		PaperAlloc: "16 (VAX)", PaperFree: "16 (VAX)",
-	})
-
-	ai, fi, err = measureBaseline("oldkma")
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, InsnRow{
-		Interface:  "oldkma (fast fits + global lock)",
-		AllocInsns: ai, FreeInsns: fi,
-		PaperAlloc: "-", PaperFree: "-",
-	})
 	return rows, nil
 }
 
@@ -133,9 +111,8 @@ func InsnTable(rows []InsnRow) *Table {
 		Headers: []string{"interface", "alloc", "paper", "free", "paper"},
 	}
 	for _, r := range rows {
-		t.AddRow(r.Interface,
-			fmt.Sprintf("%d", r.AllocInsns), r.PaperAlloc,
-			fmt.Sprintf("%d", r.FreeInsns), r.PaperFree)
+		t.AddRowf("%s|%d|%s|%d|%s",
+			r.Interface, r.AllocInsns, r.PaperAlloc, r.FreeInsns, r.PaperFree)
 	}
 	return t
 }

@@ -174,24 +174,13 @@ func runObjCacheCookie(size uint64, pairs, warmup int) (float64, error) {
 		return 0, err
 	}
 	c := m.CPU(0)
-	run := func(n int) error {
-		for i := 0; i < n; i++ {
-			mb, err := s.allocb(c, size)
-			if err != nil {
-				return err
-			}
+	return insnsPerPair(c, warmup, pairs, func() error {
+		mb, err := s.allocb(c, size)
+		if err == nil {
 			s.freeb(c, mb)
 		}
-		return nil
-	}
-	if err := run(warmup); err != nil {
-		return 0, err
-	}
-	start := c.Stats().Instructions
-	if err := run(pairs); err != nil {
-		return 0, err
-	}
-	return float64(c.Stats().Instructions-start) / float64(pairs), nil
+		return err
+	})
 }
 
 func runObjCacheStreams(size uint64, pairs, warmup int) (float64, uint64, uint64, error) {
@@ -206,24 +195,16 @@ func runObjCacheStreams(size uint64, pairs, warmup int) (float64, uint64, uint64
 		return 0, 0, 0, err
 	}
 	c := m.CPU(0)
-	run := func(n int) error {
-		for i := 0; i < n; i++ {
-			mb, err := s.Allocb(c, size)
-			if err != nil {
-				return err
-			}
+	insns, err := insnsPerPair(c, warmup, pairs, func() error {
+		mb, err := s.Allocb(c, size)
+		if err == nil {
 			s.Freeb(c, mb)
 		}
-		return nil
-	}
-	if err := run(warmup); err != nil {
+		return err
+	})
+	if err != nil {
 		return 0, 0, 0, err
 	}
-	start := c.Stats().Instructions
-	if err := run(pairs); err != nil {
-		return 0, 0, 0, err
-	}
-	insns := float64(c.Stats().Instructions-start) / float64(pairs)
 	// Ctor skips publish to the event spine in arrears (the fast path is
 	// emission-free); a full drain flushes the remainder before reading.
 	al.DrainAll(c)
@@ -239,15 +220,8 @@ func (r *ObjCacheResult) Table() *Table {
 		Headers: []string{"buf size", "cookie insns/pair", "objcache insns/pair", "win", "ctor runs", "ctor skips", "skip ratio"},
 	}
 	for _, p := range r.Points {
-		t.AddRow(
-			fmt.Sprintf("%d", p.BufSize),
-			fmt.Sprintf("%.1f", p.CookieInsns),
-			fmt.Sprintf("%.1f", p.ObjCacheInsns),
-			fmt.Sprintf("%.1f%%", p.WinPct),
-			fmt.Sprintf("%d", p.CtorRuns),
-			fmt.Sprintf("%d", p.CtorSkips),
-			fmt.Sprintf("%.3f", p.SkipRatio),
-		)
+		t.AddRowf("%d|%.1f|%.1f|%.1f%%|%d|%d|%.3f",
+			p.BufSize, p.CookieInsns, p.ObjCacheInsns, p.WinPct, p.CtorRuns, p.CtorSkips, p.SkipRatio)
 	}
 	return t
 }

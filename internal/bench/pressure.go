@@ -165,18 +165,9 @@ func (r *PressureResult) Table() *Table {
 			"waits", "wakes", "reclaim steps", "reclaims", "transitions", "virtual ms"},
 	}
 	for _, row := range r.Rows {
-		t.AddRow(
-			fmt.Sprintf("%d", row.Nodes),
-			fmt.Sprintf("%d", row.PhysPages),
-			row.Mode,
-			fmt.Sprintf("%d", row.Allocs),
-			fmt.Sprintf("%d", row.Failures),
-			fmt.Sprintf("%d", row.Waits),
-			fmt.Sprintf("%d", row.Wakes),
-			fmt.Sprintf("%d", row.ReclaimSteps),
-			fmt.Sprintf("%d", row.Reclaims),
-			fmt.Sprintf("%d", row.Transitions),
-			fmt.Sprintf("%.1f", row.VirtualMS))
+		t.AddRowf("%d|%d|%s|%d|%d|%d|%d|%d|%d|%d|%.1f",
+			row.Nodes, row.PhysPages, row.Mode, row.Allocs, row.Failures, row.Waits, row.Wakes,
+			row.ReclaimSteps, row.Reclaims, row.Transitions, row.VirtualMS)
 	}
 	return t
 }

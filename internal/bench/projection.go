@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"kmem/internal/machine"
 )
 
@@ -82,11 +80,8 @@ func ProjectionTable(rows []ProjectionRow) *Table {
 		Headers: []string{"era", "cookie pairs/s/cpu", "cookie 8-cpu speedup", "oldkma pairs/s (8 cpu)", "advantage"},
 	}
 	for _, r := range rows {
-		t.AddRow(r.Era,
-			fmt.Sprintf("%.3g", r.CookiePerCPU),
-			fmt.Sprintf("%.2fx", r.CookieSpeedup8),
-			fmt.Sprintf("%.3g", r.OldKMATotal),
-			fmt.Sprintf("%.0fx", r.Advantage))
+		t.AddRowf("%s|%.3g|%.2fx|%.3g|%.0fx",
+			r.Era, r.CookiePerCPU, r.CookieSpeedup8, r.OldKMATotal, r.Advantage)
 	}
 	return t
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"kmem/internal/arena"
 	"kmem/internal/machine"
 	"kmem/internal/workload"
@@ -131,12 +129,8 @@ func ReplayTable(results []*ReplayResult) *Table {
 		Headers: []string{"allocator", "ops", "failures", "virtual ms", "ops/sec", "cycles/op"},
 	}
 	for _, r := range results {
-		t.AddRow(r.Allocator,
-			fmt.Sprintf("%d", r.Ops),
-			fmt.Sprintf("%d", r.Failures),
-			fmt.Sprintf("%.2f", r.VirtualSec*1e3),
-			fmt.Sprintf("%.0f", r.OpsPerSec),
-			fmt.Sprintf("%.0f", r.CyclesPerOp))
+		t.AddRowf("%s|%d|%d|%.2f|%.0f|%.0f",
+			r.Allocator, r.Ops, r.Failures, r.VirtualSec*1e3, r.OpsPerSec, r.CyclesPerOp)
 	}
 	return t
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"kmem/internal/arena"
 	"kmem/internal/core"
 	"kmem/internal/machine"
 )
@@ -55,7 +54,7 @@ type ScalingResult struct {
 // ScalingWorkloads lists the sweep's workload names.
 var ScalingWorkloads = []string{"allocfree", "prodcons"}
 
-// RunScaling sweeps CPU count x node count x workload x shards on/off.
+// RunScaling sweeps CPU count x node count x workload x one on/off axis.
 // Combinations where the node count exceeds or does not divide the CPU
 // count are skipped. Workload "allocfree" is same-CPU churn — every
 // block is freed where it was allocated, so it bounds what the shards
@@ -66,10 +65,15 @@ var ScalingWorkloads = []string{"allocfree", "prodcons"}
 // across all consumers, so every consumer frees a stream of
 // mostly-local blocks with remote homes interleaved — exactly the
 // pattern the remote-free shards batch.
-func RunScaling(cpuCounts, nodeCounts []int, blockSize uint64, seconds float64) (*ScalingResult, error) {
-	if seconds <= 0 {
-		return nil, fmt.Errorf("bench: scaling needs a positive window, got %v", seconds)
-	}
+//
+// The axis is the remote-free shards, off then on, with the classical
+// interrupt-masked and spin-locked paths; or, with lockFreeAxis, the
+// optimistic one: shards on — the production configuration — measured
+// once with the classical paths and once with the restartable per-CPU
+// sequences and the CAS-based global layer (Params.Rseq +
+// Params.LockFree together). Either pairing holds the workload and the
+// topology identical, isolating what its axis buys.
+func RunScaling(cpuCounts, nodeCounts []int, blockSize uint64, seconds float64, lockFreeAxis bool) (*ScalingResult, error) {
 	res := &ScalingResult{BlockSize: blockSize, Seconds: seconds}
 	for _, ncpu := range cpuCounts {
 		if ncpu < 2 || ncpu%2 != 0 {
@@ -83,45 +87,12 @@ func RunScaling(cpuCounts, nodeCounts []int, blockSize uint64, seconds float64) 
 				continue
 			}
 			for _, wl := range ScalingWorkloads {
-				for _, shards := range []bool{false, true} {
-					pt, err := runScalingPoint(ncpu, nn, wl, shards, false, blockSize, seconds)
-					if err != nil {
-						return nil, err
+				for _, on := range []bool{false, true} {
+					shards, lockFree := on, false
+					if lockFreeAxis {
+						shards, lockFree = true, on
 					}
-					res.Points = append(res.Points, pt)
-				}
-			}
-		}
-	}
-	return res, nil
-}
-
-// RunScalingLockFree sweeps the optimistic axis: every (CPUs, nodes,
-// workload) point with remote-free shards on — the production
-// configuration — measured once with the classical interrupt-masked and
-// spin-locked paths and once with the restartable per-CPU sequences and
-// the CAS-based global layer (Params.Rseq + Params.LockFree together).
-// The pairing isolates what going lock-free buys: the workload, the
-// topology, and the shard batching are held identical.
-func RunScalingLockFree(cpuCounts, nodeCounts []int, blockSize uint64, seconds float64) (*ScalingResult, error) {
-	if seconds <= 0 {
-		return nil, fmt.Errorf("bench: scaling needs a positive window, got %v", seconds)
-	}
-	res := &ScalingResult{BlockSize: blockSize, Seconds: seconds}
-	for _, ncpu := range cpuCounts {
-		if ncpu < 2 || ncpu%2 != 0 {
-			return nil, fmt.Errorf("bench: scaling needs even CPU counts >= 2, got %d", ncpu)
-		}
-		for _, nn := range nodeCounts {
-			if nn < 1 {
-				return nil, fmt.Errorf("bench: scaling with %d nodes", nn)
-			}
-			if nn > ncpu || ncpu%nn != 0 {
-				continue
-			}
-			for _, wl := range ScalingWorkloads {
-				for _, lockFree := range []bool{false, true} {
-					pt, err := runScalingPoint(ncpu, nn, wl, true, lockFree, blockSize, seconds)
+					pt, err := runScalingPoint(ncpu, nn, wl, shards, lockFree, blockSize, seconds)
 					if err != nil {
 						return nil, err
 					}
@@ -136,154 +107,69 @@ func RunScalingLockFree(cpuCounts, nodeCounts []int, blockSize uint64, seconds f
 func runScalingPoint(ncpu, nnodes int, workload string, shards, lockFree bool, blockSize uint64, seconds float64) (ScalingPoint, error) {
 	cfg := MachineFor(ncpu, 32<<20, 8192)
 	cfg.Nodes = nnodes
-	m := machine.New(cfg)
-	a, err := core.New(m, core.Params{
+	var route func(id, n int) int // nil: "allocfree"
+	if workload == "prodcons" {
+		route = func(id, n int) int {
+			switch {
+			case id%2 != 0:
+				return -1
+			case n%3 == 2:
+				// Every third block is dealt round-robin across all
+				// consumers, interleaving remote homes into each
+				// consumer's free stream.
+				return ((n/3)%(ncpu/2))*2 + 1
+			}
+			return id + 1 // same-node partner
+		}
+	}
+	w, err := runPairs(cfg, core.Params{
 		DisableRemoteShards: !shards,
 		Rseq:                lockFree,
 		LockFree:            lockFree,
-	})
+	}, blockSize, seconds, route, true)
 	if err != nil {
 		return ScalingPoint{}, err
 	}
-	ck, err := a.GetCookie(blockSize)
-	if err != nil {
-		return ScalingPoint{}, err
+	pt := ScalingPoint{
+		CPUs: ncpu, Nodes: nnodes, Workload: workload, Shards: shards, LockFree: lockFree,
+		Pairs: w.pairs, PairsPerSec: float64(w.pairs) / seconds,
+		InterconnectTxns: w.icTxns, BusOccupancy: w.busOccupancy,
 	}
-
-	pairs := make([]uint64, ncpu)
-	var body func(c *machine.CPU)
-	switch workload {
-	case "allocfree":
-		body = func(c *machine.CPU) {
-			b, err := a.AllocCookie(c, ck)
-			if err != nil {
-				c.Idle(100)
-				return
-			}
-			a.FreeCookie(c, b, ck)
-			pairs[c.ID()]++
-		}
-	case "prodcons":
-		queues := make([][]arena.Addr, ncpu) // indexed by consumer CPU
-		dealt := make([]int, ncpu)           // per-producer deal counter
-		body = func(c *machine.CPU) {
-			id := c.ID()
-			if id%2 == 0 { // producer
-				to := id + 1 // same-node partner (two of every three blocks)
-				d := dealt[id]
-				dealt[id] = d + 1
-				if d%3 == 2 {
-					// Every third block is dealt round-robin across all
-					// consumers, interleaving remote homes into each
-					// consumer's free stream.
-					to = ((d/3)%(ncpu/2))*2 + 1
-				}
-				q := &queues[to]
-				if len(*q) >= queueCap {
-					c.Idle(100)
-					return
-				}
-				b, err := a.AllocCookie(c, ck)
-				if err != nil {
-					c.Idle(100)
-					return
-				}
-				*q = append(*q, b)
-				return
-			}
-			q := &queues[id]
-			if len(*q) == 0 {
-				c.Idle(100)
-				return
-			}
-			b := (*q)[0]
-			*q = (*q)[1:]
-			a.FreeCookie(c, b, ck)
-			pairs[id]++
-		}
-	default:
-		return ScalingPoint{}, fmt.Errorf("bench: scaling workload %q (want allocfree or prodcons)", workload)
-	}
-
-	// Warm up past the carve-heavy start, then measure a clean window.
-	// The allocator's counters only ever grow, so the window's activity is
-	// the delta between a snapshot taken here and one taken at the end.
-	m.RunFor(seconds/4, body)
-	m.ResetStats()
-	for i := range pairs {
-		pairs[i] = 0
-	}
-	before := collectCounters(a.Stats(m.CPU(0)))
-	m.RunFor(seconds, body)
-
-	pt := ScalingPoint{CPUs: ncpu, Nodes: nnodes, Workload: workload, Shards: shards, LockFree: lockFree}
-	for _, p := range pairs {
-		pt.Pairs += p
-	}
-	pt.PairsPerSec = float64(pt.Pairs) / seconds
-	busTxns := m.BusTransactions()
-	windowCycles := float64(m.SecondsToCycles(seconds))
-	pt.BusOccupancy = float64(busTxns) / float64(nnodes) * float64(cfg.BusCycles) / windowCycles
-	pt.InterconnectTxns = m.InterconnectTransactions()
-
-	after := collectCounters(a.Stats(m.CPU(0)))
-	pt.RemoteFrees = after.RemoteFrees - before.RemoteFrees
-	pt.RemotePuts = after.RemotePuts - before.RemotePuts
-	pt.ShardFlushes = after.ShardFlushes - before.ShardFlushes
-	pt.HomeMemoHits = after.HomeMemoHits - before.HomeMemoHits
-	pt.NodeSteals = after.NodeSteals - before.NodeSteals
-	pt.LockWaitCycles = after.LockWaitCycles - before.LockWaitCycles
-	pt.LockAcqs = after.LockAcqs - before.LockAcqs
-	pt.LockContended = after.LockContended - before.LockContended
-	pt.LockHoldCycles = after.LockHoldCycles - before.LockHoldCycles
-	pt.RseqRestarts = after.RseqRestarts - before.RseqRestarts
-	pt.CASRetries = after.CASRetries - before.CASRetries
+	pt.tally(w.after, 1)
+	pt.tally(w.before, ^uint64(0))
 	return pt, nil
 }
 
-// collectCounters flattens one Stats snapshot into the sweep's counter
-// set, summing every class's pools plus the vmblk layer.
-func collectCounters(st core.Stats) ScalingPoint {
-	var pt ScalingPoint
+// tally adds one Stats snapshot's counters to pt, every class's pools
+// plus the vmblk layer, each multiplied by sign: 1 adds, and ^0 — minus
+// one in the counters' wrap-around arithmetic — subtracts, so the
+// window's delta is one tally of each edge.
+func (pt *ScalingPoint) tally(st core.Stats, sign uint64) {
+	locks := []machine.LockStats{st.VM.Lock}
+	pt.LockWaitCycles += sign * st.VM.LockWaitCycles
 	for _, cs := range st.Classes {
-		pt.RemoteFrees += cs.RemoteFrees
-		pt.RemotePuts += cs.RemotePuts
-		pt.ShardFlushes += cs.ShardFlushes
-		pt.HomeMemoHits += cs.HomeMemoHits
-		pt.NodeSteals += cs.NodeSteals
-		pt.LockWaitCycles += cs.LockWaitCycles
-		pt.RseqRestarts += cs.RseqRestarts
-		pt.CASRetries += cs.CASRetries
-		for _, ls := range []machine.LockStats{cs.GlobalLock, cs.PageLock} {
-			pt.LockAcqs += ls.Acquisitions
-			pt.LockContended += ls.Contended
-			pt.LockHoldCycles += ls.HoldCycles
-		}
+		pt.RemoteFrees += sign * cs.RemoteFrees
+		pt.RemotePuts += sign * cs.RemotePuts
+		pt.ShardFlushes += sign * cs.ShardFlushes
+		pt.HomeMemoHits += sign * cs.HomeMemoHits
+		pt.NodeSteals += sign * cs.NodeSteals
+		pt.LockWaitCycles += sign * cs.LockWaitCycles
+		pt.RseqRestarts += sign * cs.RseqRestarts
+		pt.CASRetries += sign * cs.CASRetries
+		locks = append(locks, cs.GlobalLock, cs.PageLock)
 	}
-	pt.LockWaitCycles += st.VM.LockWaitCycles
-	pt.LockAcqs += st.VM.Lock.Acquisitions
-	pt.LockContended += st.VM.Lock.Contended
-	pt.LockHoldCycles += st.VM.Lock.HoldCycles
-	return pt
+	for _, ls := range locks {
+		pt.LockAcqs += sign * ls.Acquisitions
+		pt.LockContended += sign * ls.Contended
+		pt.LockHoldCycles += int64(sign) * ls.HoldCycles
+	}
 }
 
 // Point returns the sweep's point for one exact configuration, or nil.
-func (r *ScalingResult) Point(cpus, nodes int, workload string, shards bool) *ScalingPoint {
+func (r *ScalingResult) Point(cpus, nodes int, workload string, shards, lockFree bool) *ScalingPoint {
 	for i := range r.Points {
 		p := &r.Points[i]
-		if p.CPUs == cpus && p.Nodes == nodes && p.Workload == workload && p.Shards == shards {
-			return p
-		}
-	}
-	return nil
-}
-
-// PointLF returns the lock-free sweep's point for one exact
-// configuration (shards are always on there), or nil.
-func (r *ScalingResult) PointLF(cpus, nodes int, workload string, lockFree bool) *ScalingPoint {
-	for i := range r.Points {
-		p := &r.Points[i]
-		if p.CPUs == cpus && p.Nodes == nodes && p.Workload == workload && p.LockFree == lockFree {
+		if p.CPUs == cpus && p.Nodes == nodes && p.Workload == workload && p.Shards == shards && p.LockFree == lockFree {
 			return p
 		}
 	}
@@ -300,19 +186,9 @@ func (r *ScalingResult) Table() *Table {
 	}
 	onoff := map[bool]string{false: "off", true: "on"}
 	for _, p := range r.Points {
-		t.AddRow(
-			fmt.Sprintf("%d", p.CPUs),
-			fmt.Sprintf("%d", p.Nodes),
-			p.Workload,
-			onoff[p.Shards],
-			fmt.Sprintf("%.0f", p.PairsPerSec),
-			fmt.Sprintf("%d", p.RemotePuts),
-			fmt.Sprintf("%d", p.ShardFlushes),
-			fmt.Sprintf("%d", p.HomeMemoHits),
-			fmt.Sprintf("%d", p.LockWaitCycles),
-			fmt.Sprintf("%d", p.LockHoldCycles),
-			fmt.Sprintf("%.1f%%", 100*p.BusOccupancy),
-		)
+		t.AddRowf("%d|%d|%s|%s|%.0f|%d|%d|%d|%d|%d|%.1f%%",
+			p.CPUs, p.Nodes, p.Workload, onoff[p.Shards], p.PairsPerSec, p.RemotePuts, p.ShardFlushes,
+			p.HomeMemoHits, p.LockWaitCycles, p.LockHoldCycles, 100*p.BusOccupancy)
 	}
 	return t
 }
@@ -329,17 +205,9 @@ func (r *ScalingResult) LockFreeTable() *Table {
 	}
 	onoff := map[bool]string{false: "off", true: "on"}
 	for _, p := range r.Points {
-		t.AddRow(
-			fmt.Sprintf("%d", p.CPUs),
-			fmt.Sprintf("%d", p.Nodes),
-			p.Workload,
-			onoff[p.LockFree],
-			fmt.Sprintf("%.0f", p.PairsPerSec),
-			fmt.Sprintf("%d", p.LockWaitCycles),
-			fmt.Sprintf("%d", p.LockHoldCycles),
-			fmt.Sprintf("%d", p.RseqRestarts),
-			fmt.Sprintf("%d", p.CASRetries),
-		)
+		t.AddRowf("%d|%d|%s|%s|%.0f|%d|%d|%d|%d",
+			p.CPUs, p.Nodes, p.Workload, onoff[p.LockFree], p.PairsPerSec, p.LockWaitCycles,
+			p.LockHoldCycles, p.RseqRestarts, p.CASRetries)
 	}
 	return t
 }

@@ -7,12 +7,12 @@ import "testing"
 // frees in per-CPU shards must cut remote putList lock trips at least
 // 4x versus per-spill routing, without losing throughput.
 func TestScalingShardsCutRemotePuts(t *testing.T) {
-	res, err := RunScaling([]int{8}, []int{4}, 128, 0.005)
+	res, err := RunScaling([]int{8}, []int{4}, 128, 0.005, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	routed := res.Point(8, 4, "prodcons", false)
-	sharded := res.Point(8, 4, "prodcons", true)
+	routed := res.Point(8, 4, "prodcons", false, false)
+	sharded := res.Point(8, 4, "prodcons", true, false)
 	if routed == nil || sharded == nil {
 		t.Fatal("sweep missing the 8-CPU/4-node prodcons points")
 	}
@@ -51,12 +51,12 @@ func TestScalingShardsCutRemotePuts(t *testing.T) {
 // home classification (a memo hit), which must stay under 10% of
 // throughput and must never flush or route anything.
 func TestScalingLocalWorkloadNearlyFree(t *testing.T) {
-	res, err := RunScaling([]int{4}, []int{2}, 128, 0.002)
+	res, err := RunScaling([]int{4}, []int{2}, 128, 0.002, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := res.Point(4, 2, "allocfree", false)
-	on := res.Point(4, 2, "allocfree", true)
+	off := res.Point(4, 2, "allocfree", false, false)
+	on := res.Point(4, 2, "allocfree", true, false)
 	if off == nil || on == nil {
 		t.Fatal("sweep missing the 4-CPU/2-node allocfree points")
 	}
@@ -74,7 +74,7 @@ func TestScalingLocalWorkloadNearlyFree(t *testing.T) {
 // TestScalingSweepShapeAndLockAccounting checks the sweep skips invalid
 // node counts and that the lock cycle accounting is populated.
 func TestScalingSweepShapeAndLockAccounting(t *testing.T) {
-	res, err := RunScaling([]int{2, 4}, []int{1, 2, 4}, 128, 0.002)
+	res, err := RunScaling([]int{2, 4}, []int{1, 2, 4}, 128, 0.002, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestScalingSweepShapeAndLockAccounting(t *testing.T) {
 	if want := (2 + 3) * 2 * 2; len(res.Points) != want {
 		t.Fatalf("sweep has %d points, want %d", len(res.Points), want)
 	}
-	if res.Point(2, 4, "prodcons", true) != nil {
+	if res.Point(2, 4, "prodcons", true, false) != nil {
 		t.Fatal("sweep kept a 2-CPU/4-node point")
 	}
 	for _, p := range res.Points {
@@ -98,10 +98,10 @@ func TestScalingSweepShapeAndLockAccounting(t *testing.T) {
 			t.Errorf("single-node point shows remote traffic: %+v", p)
 		}
 	}
-	if _, err := RunScaling([]int{3}, []int{1}, 128, 0.001); err == nil {
+	if _, err := RunScaling([]int{3}, []int{1}, 128, 0.001, false); err == nil {
 		t.Fatal("odd CPU count accepted")
 	}
-	if _, err := RunScaling([]int{4}, []int{1}, 128, 0); err == nil {
+	if _, err := RunScaling([]int{4}, []int{1}, 128, 0, false); err == nil {
 		t.Fatal("zero window accepted")
 	}
 }

@@ -111,15 +111,9 @@ func (r *ServeResult) Table() *Table {
 			fp = "rseq+lf"
 		}
 		for _, ph := range p.Phases {
-			t.AddRow(
-				fmt.Sprintf("%d", p.Nodes),
-				fp,
-				ph.Phase,
-				fmt.Sprintf("%.0f", ph.OpsPerSec),
-				fmt.Sprintf("%d", ph.Drops),
-				fmt.Sprintf("%d/%d/%d", ph.AllocP50, ph.AllocP99, ph.AllocP999),
-				fmt.Sprintf("%d/%d/%d", ph.FreeP50, ph.FreeP99, ph.FreeP999),
-			)
+			t.AddRowf("%d|%s|%s|%.0f|%d|%d/%d/%d|%d/%d/%d",
+				p.Nodes, fp, ph.Phase, ph.OpsPerSec, ph.Drops, ph.AllocP50, ph.AllocP99, ph.AllocP999,
+				ph.FreeP50, ph.FreeP99, ph.FreeP999)
 		}
 	}
 	return t

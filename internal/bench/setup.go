@@ -9,7 +9,10 @@ import (
 
 	"kmem/internal/allocif"
 	"kmem/internal/core"
+	"kmem/internal/lazybuddy"
 	"kmem/internal/machine"
+	"kmem/internal/mk"
+	"kmem/internal/oldkma"
 )
 
 // AllocatorNames lists the four allocators of Figures 7 and 8, top trace
@@ -42,11 +45,11 @@ func BuildAllocator(m *machine.Machine, name string) (allocif.Allocator, error) 
 		}
 		return allocif.NewKMA{Allocator: a}, nil
 	case "mk":
-		return newMK(m)
+		return mk.New(m)
 	case "oldkma":
-		return newOldKMA(m)
+		return oldkma.New(m)
 	case "lazybuddy":
-		return newLazyBuddy(m)
+		return lazybuddy.New(m)
 	}
 	return nil, fmt.Errorf("bench: unknown allocator %q", name)
 }

@@ -1,0 +1,134 @@
+package bench
+
+import (
+	"flag"
+	"io"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// TestSweepsAreTheIndex: the registry is complete as an index — every
+// entry says what it is and what it backs and can be smoke-run, the
+// committed BENCH_*.json files and the entries name each other one to
+// one — and the prose indexes (README's command list, DESIGN.md §4,
+// EXPERIMENTS.md) mention every sweep, so an experiment cannot be added
+// or dropped in one place only.
+func TestSweepsAreTheIndex(t *testing.T) {
+	root := filepath.Join("..", "..")
+	namedBy := map[string]string{} // baseline file -> sweep
+	seen := map[string]bool{}
+	for _, s := range Sweeps {
+		if s.Name == "" || s.Help == "" || s.Title == "" || s.Backs == "" || s.Flags == nil {
+			t.Errorf("sweep %q: name, help, title, backs and flags are all required", s.Name)
+		}
+		if len(s.Smoke) == 0 {
+			t.Errorf("sweep %s has no smoke arguments", s.Name)
+		}
+		if seen[s.Name] {
+			t.Errorf("sweep %s is declared twice", s.Name)
+		}
+		seen[s.Name] = true
+		for _, b := range s.Baselines {
+			if other, dup := namedBy[b.File]; dup {
+				t.Errorf("%s is named by both %s and %s", b.File, other, s.Name)
+			}
+			namedBy[b.File] = s.Name
+			if _, err := os.Stat(filepath.Join(root, b.File)); err != nil {
+				t.Errorf("sweep %s names a baseline that is not committed: %v", s.Name, err)
+			}
+			if !strings.Contains(s.Backs, b.File) {
+				t.Errorf("sweep %s: Backs does not mention its baseline %s", s.Name, b.File)
+			}
+		}
+	}
+	committed, err := filepath.Glob(filepath.Join(root, "BENCH_*.json"))
+	if err != nil || len(committed) == 0 {
+		t.Fatalf("no BENCH_*.json at the repository root (%v)", err)
+	}
+	for _, path := range committed {
+		if file := filepath.Base(path); namedBy[file] == "" {
+			t.Errorf("%s is committed but no sweep names it with the arguments that reproduce it", file)
+		}
+	}
+
+	read := func(file string) string {
+		data, err := os.ReadFile(filepath.Join(root, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	design := read("DESIGN.md")
+	from, to := strings.Index(design, "\n## 4. "), strings.Index(design, "\n## 5. ")
+	if from < 0 || to < from {
+		t.Fatal("DESIGN.md has no §4 followed by a §5")
+	}
+	for what, text := range map[string]string{
+		"README.md":      read("README.md"),
+		"DESIGN.md §4":   design[from:to],
+		"EXPERIMENTS.md": read("EXPERIMENTS.md"),
+	} {
+		for _, s := range Sweeps {
+			if !regexp.MustCompile(`kmembench ` + s.Name + `\b`).MatchString(text) {
+				t.Errorf("%s never says `kmembench %s`", what, s.Name)
+			}
+		}
+	}
+}
+
+// TestSweepsRefuseDegenerateCounts: for every numeric flag of every
+// sweep, zero and a negative value are refused with an error naming the
+// flag, before the sweep starts (a zero window used to surface as "json:
+// unsupported value: NaN"); the flags a sweep declares free-valued —
+// seeds, "0 = default" overrides — take zero.
+func TestSweepsRefuseDegenerateCounts(t *testing.T) {
+	for _, s := range Sweeps {
+		started := false
+		guarded := *s
+		guarded.Flags = func(fs *flag.FlagSet) runner {
+			run := s.Flags(fs)
+			return func() (*Report, error) { started = true; return run() }
+		}
+		try := func(args ...string) error {
+			fs := flag.NewFlagSet(s.Name, flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			_, err := guarded.Run(fs, args)
+			return err
+		}
+
+		var numeric []string
+		probe := flag.NewFlagSet(s.Name, flag.ContinueOnError)
+		s.Flags(probe)
+		probe.VisitAll(func(f *flag.Flag) {
+			switch v := f.Value.(type) {
+			case *list[int], *list[int64], *list[uint64]:
+				numeric = append(numeric, f.Name)
+			case flag.Getter:
+				switch v.Get().(type) {
+				case int, int64, uint64, float64:
+					numeric = append(numeric, f.Name)
+				}
+			}
+		})
+		for _, name := range numeric {
+			if slices.Contains(s.AnyValue, name) {
+				if err := try(slices.Concat(s.Smoke[0], []string{"-" + name, "0"})...); err != nil {
+					t.Errorf("%s -%s 0: free-valued flag refused: %v", s.Name, name, err)
+				}
+				continue
+			}
+			for _, v := range []string{"0", "-1"} {
+				started = false
+				err := try("-"+name, v, "-json")
+				if err == nil || !strings.Contains(err.Error(), "-"+name) || started {
+					t.Errorf("%s -%s %s: got %v (sweep started: %v), want an error naming the flag before it starts",
+						s.Name, name, v, err, started)
+				}
+			}
+		}
+	}
+}

@@ -19,6 +19,12 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
+// AddRowf appends a row from one format string whose cells are
+// separated by "|" (no cell's text may contain one).
+func (t *Table) AddRowf(format string, args ...any) {
+	t.AddRow(strings.Split(fmt.Sprintf(format, args...), "|")...)
+}
+
 // Fprint writes the table aligned to w.
 func (t *Table) Fprint(w io.Writer) {
 	widths := make([]int, len(t.Headers))

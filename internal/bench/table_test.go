@@ -11,7 +11,10 @@ func TestTableAlignment(t *testing.T) {
 		Headers: []string{"a", "long-header", "c"},
 	}
 	tbl.AddRow("xxxxxxxx", "1", "2")
-	tbl.AddRow("y", "22", "333")
+	tbl.AddRowf("%s|%d|%.0f%%", "y", 22, 333.2) // one format, cells split at "|"
+	if got := tbl.Rows[1]; len(got) != 3 || got[0] != "y" || got[1] != "22" || got[2] != "333%" {
+		t.Fatalf("AddRowf row = %q", got)
+	}
 	var sb strings.Builder
 	tbl.Fprint(&sb)
 	out := sb.String()

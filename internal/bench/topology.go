@@ -3,9 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"kmem/internal/arena"
 	"kmem/internal/core"
-	"kmem/internal/machine"
 )
 
 // TopologyPoint is one measured topology configuration of the
@@ -33,11 +31,6 @@ type TopologyResult struct {
 	Pairing   string
 	Points    []TopologyPoint
 }
-
-// queueCap bounds each producer/consumer handoff queue; a full queue
-// makes the producer idle, a drained one makes the consumer idle, so
-// neither side free-runs.
-const queueCap = 64
 
 // RunTopology runs the paper's motivating cross-CPU-free pattern — "one
 // CPU allocates buffers of a given size, which are then passed to other
@@ -77,84 +70,28 @@ func runTopologyPoint(ncpu, nnodes int, blockSize uint64, seconds float64, pairi
 	if interconnect > 0 {
 		cfg.InterconnectCycles = interconnect
 	}
-	m := machine.New(cfg)
-	a, err := core.New(m, core.Params{})
+	// Producers are the even CPUs under "near" pairing and the first
+	// half under "cross".
+	route := func(id, _ int) int {
+		switch {
+		case pairing == "near" && id%2 == 0:
+			return id + 1
+		case pairing == "cross" && id < ncpu/2:
+			return id + ncpu/2
+		}
+		return -1
+	}
+	w, err := runPairs(cfg, core.Params{}, blockSize, seconds, route, false)
 	if err != nil {
 		return TopologyPoint{}, err
 	}
-	ck, err := a.GetCookie(blockSize)
-	if err != nil {
-		return TopologyPoint{}, err
+	pt := TopologyPoint{
+		Nodes: nnodes, CPUs: ncpu,
+		Pairs: w.pairs, PairsPerSec: float64(w.pairs) / seconds,
+		BusTxnsPerBus: w.busTxnsPerBus, BusOccupancy: w.busOccupancy, InterconnectTxns: w.icTxns,
 	}
-
-	// consumerOf[p] for producers; producers are the even CPUs under
-	// "near" pairing and the first half under "cross".
-	consumerOf := make([]int, ncpu)
-	isProducer := make([]bool, ncpu)
-	for i := 0; i < ncpu; i++ {
-		if pairing == "near" {
-			if i%2 == 0 {
-				isProducer[i] = true
-				consumerOf[i] = i + 1
-			}
-		} else {
-			if i < ncpu/2 {
-				isProducer[i] = true
-				consumerOf[i] = i + ncpu/2
-			}
-		}
-	}
-
-	queues := make([][]arena.Addr, ncpu) // indexed by consumer CPU
-	pairs := make([]uint64, ncpu)
-	body := func(c *machine.CPU) {
-		id := c.ID()
-		if isProducer[id] {
-			q := &queues[consumerOf[id]]
-			if len(*q) >= queueCap {
-				c.Idle(100)
-				return
-			}
-			b, err := a.AllocCookie(c, ck)
-			if err != nil {
-				c.Idle(100)
-				return
-			}
-			*q = append(*q, b)
-			return
-		}
-		q := &queues[id]
-		if len(*q) == 0 {
-			c.Idle(100)
-			return
-		}
-		b := (*q)[0]
-		*q = (*q)[1:]
-		a.FreeCookie(c, b, ck)
-		pairs[id]++
-	}
-
-	// Warm up past the carve-heavy start, then measure a clean window.
-	m.RunFor(seconds/4, body)
-	m.ResetStats()
-	for i := range pairs {
-		pairs[i] = 0
-	}
-	m.RunFor(seconds, body)
-
-	pt := TopologyPoint{Nodes: nnodes, CPUs: ncpu}
-	for _, p := range pairs {
-		pt.Pairs += p
-	}
-	pt.PairsPerSec = float64(pt.Pairs) / seconds
-	busTxns := m.BusTransactions()
-	pt.BusTxnsPerBus = float64(busTxns) / float64(nnodes)
-	windowCycles := float64(m.SecondsToCycles(seconds))
-	pt.BusOccupancy = pt.BusTxnsPerBus * float64(cfg.BusCycles) / windowCycles
-	pt.InterconnectTxns = m.InterconnectTransactions()
-
-	st := a.Stats(m.CPU(0))
-	for _, cs := range st.Classes {
+	// Unlike the window's other numbers these two count from boot.
+	for _, cs := range w.after.Classes {
 		pt.RemoteFrees += cs.RemoteFrees
 		pt.NodeSteals += cs.NodeSteals
 	}
@@ -169,16 +106,9 @@ func (r *TopologyResult) Table() *Table {
 		Headers: []string{"nodes", "cpus", "pairs/s", "txns/bus", "bus occ", "ic txns", "remote frees", "steals"},
 	}
 	for _, p := range r.Points {
-		t.AddRow(
-			fmt.Sprintf("%d", p.Nodes),
-			fmt.Sprintf("%d", p.CPUs),
-			fmt.Sprintf("%.0f", p.PairsPerSec),
-			fmt.Sprintf("%.0f", p.BusTxnsPerBus),
-			fmt.Sprintf("%.1f%%", 100*p.BusOccupancy),
-			fmt.Sprintf("%d", p.InterconnectTxns),
-			fmt.Sprintf("%d", p.RemoteFrees),
-			fmt.Sprintf("%d", p.NodeSteals),
-		)
+		t.AddRowf("%d|%d|%.0f|%.0f|%.1f%%|%d|%d|%d",
+			p.Nodes, p.CPUs, p.PairsPerSec, p.BusTxnsPerBus, 100*p.BusOccupancy, p.InterconnectTxns,
+			p.RemoteFrees, p.NodeSteals)
 	}
 	return t
 }

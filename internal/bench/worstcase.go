@@ -154,7 +154,7 @@ func WorstCaseAnyTable(name string, rows []WorstCaseAnyRow) *Table {
 		if !r.Completed {
 			status = "WEDGED (memory fragmented by a previous size)"
 		}
-		t.AddRow(fmt.Sprintf("%d", r.BlockSize), fmt.Sprintf("%d", r.Blocks), status)
+		t.AddRowf("%d|%d|%s", r.BlockSize, r.Blocks, status)
 	}
 	return t
 }

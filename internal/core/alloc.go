@@ -114,19 +114,21 @@ func (cs *classState) globalFor(c *machine.CPU) *globalPool { return cs.globals[
 func New(m *machine.Machine, params Params) (*Allocator, error) {
 	p := params.withDefaults()
 	cfg := m.Config()
-	if p.VmblkShift == 0 {
-		// Lazy spans over-reserve large virtual spans: default 64 MB per
-		// vmblk, clamped so every NUMA node can still carve a span of its
-		// own (reservation costs no frames, so bigger spans just mean
-		// fewer dope-vector slots).
-		shift := uint(26)
+	// The paper "manages large vmblks of virtual memory (4 megabytes in
+	// size for the current implementation)": shift 22.
+	vmblkShift := uint(22)
+	if p.LazySpans {
+		// Lazy spans over-reserve large virtual spans: 64 MB per vmblk,
+		// clamped so every NUMA node can still carve a span of its own
+		// (reservation costs no frames, so bigger spans just mean fewer
+		// dope-vector slots).
+		vmblkShift = 26
 		maxSpan := cfg.MemBytes / uint64(m.NumNodes())
-		for uint64(1)<<shift > maxSpan && shift > 12 {
-			shift--
+		for uint64(1)<<vmblkShift > maxSpan && vmblkShift > 12 {
+			vmblkShift--
 		}
-		p.VmblkShift = shift
 	}
-	if err := p.validate(cfg.PageBytes, cfg.MemBytes); err != nil {
+	if err := p.validate(cfg.PageBytes, cfg.MemBytes, vmblkShift); err != nil {
 		return nil, err
 	}
 	if p.Harden != nil {
@@ -134,9 +136,6 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 		// poison/verify machinery (distinct fill bytes, reports instead
 		// of panics) runs on the same paths.
 		p.Poison = false
-	}
-	if uint64(1)<<p.VmblkShift > cfg.MemBytes {
-		return nil, fmt.Errorf("core: vmblk size exceeds arena")
 	}
 	if p.LockFree && !m.Sim() {
 		return nil, fmt.Errorf("core: Params.LockFree is not implemented in Native mode (the CAS stacks exist only as the Sim cost model)")
@@ -147,7 +146,7 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 		mem:        m.Mem(),
 		params:     p,
 		nodes:      m.NumNodes(),
-		vmblkShift: p.VmblkShift,
+		vmblkShift: vmblkShift,
 		maxSmall:   p.Classes[len(p.Classes)-1],
 	}
 	a.pageShift = uint(bits.TrailingZeros64(cfg.PageBytes))
@@ -452,13 +451,7 @@ func (a *Allocator) allocClassOp(c *machine.CPU, cls int) (arena.Addr, error) {
 		// taking only blocks they already cache.
 		c.Work(insnRefill)
 		home := a.classes[cls].globalFor(c)
-		var lst blocklist.List
-		var err error
-		if single {
-			lst, err = home.getOne(c)
-		} else {
-			lst, err = home.getList(c)
-		}
+		lst, err := home.getList(c, single)
 		if lst.Empty() && a.nodes > 1 {
 			for off := 1; off < a.nodes && lst.Empty(); off++ {
 				victim := (home.node + off) % a.nodes

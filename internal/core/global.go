@@ -82,8 +82,14 @@ func (g *globalPool) capacityLists() int { return 2 * g.ctl.curGblTarget() }
 // the pool is empty it refills with gbltarget lists from the
 // coalesce-to-page layer, so only one in gbltarget global accesses incurs
 // coalescing-layer overhead. An empty result means low memory.
-func (g *globalPool) getList(c *machine.CPU) (blocklist.List, error) {
-	if g.al.params.LockFree {
+//
+// With one set it hands out a single block instead — the
+// no-split-freelist ablation (A2) exchanges blocks one at a time — and
+// keeps the locked path even under Params.LockFree: the ablation exists
+// to measure the paper's split-freelist design, not the optimistic
+// layer.
+func (g *globalPool) getList(c *machine.CPU, one bool) (blocklist.List, error) {
+	if g.al.params.LockFree && !one {
 		return g.getListLF(c)
 	}
 	target, gbltarget := g.al.effTarget(g.ctl.curTarget()), g.ctl.curGblTarget()
@@ -111,10 +117,19 @@ func (g *globalPool) getList(c *machine.CPU) (blocklist.List, error) {
 	}
 
 	var out blocklist.List
-	if n := len(g.lists); n > 0 {
+	switch n := len(g.lists); {
+	case one && !g.bucket.Empty():
+		out.Push(c, g.al.mem, g.bucket.Pop(c, g.al.mem))
+	case one && n > 0:
+		top := &g.lists[n-1]
+		out.Push(c, g.al.mem, top.Pop(c, g.al.mem))
+		if top.Empty() {
+			g.lists = g.lists[:n-1]
+		}
+	case n > 0:
 		out = g.lists[n-1]
 		g.lists = g.lists[:n-1]
-	} else {
+	case !one:
 		// Low-memory operation: hand out the (odd-sized) bucket list.
 		out = g.bucket.Take()
 	}
@@ -289,59 +304,6 @@ func (g *globalPool) putListLF(c *machine.CPU, l blocklist.List) {
 	}
 	g.notePut(c, spilled > 0)
 	g.al.wakeClass(g.cls)
-}
-
-// getOne hands a single block to a per-CPU cache — used only by the
-// no-split-freelist ablation (A2), which exchanges blocks one at a time.
-// It keeps the locked path even under Params.LockFree: the ablation
-// exists to measure the paper's split-freelist design, not the
-// optimistic layer.
-func (g *globalPool) getOne(c *machine.CPU) (blocklist.List, error) {
-	target, gbltarget := g.al.effTarget(g.ctl.curTarget()), g.ctl.curGblTarget()
-	g.lk.Acquire(c)
-	g.noteLockWait()
-	c.Work(insnGlobalOp)
-	c.Read(g.line)
-	g.ev[EvGlobalGet]++
-
-	refilled := 0
-	if len(g.lists) == 0 && g.bucket.Empty() {
-		g.ev[EvGlobalRefill]++
-		fresh, err := g.pp.getLists(c, gbltarget, target)
-		if err != nil && len(fresh) == 0 {
-			c.Write(g.line)
-			g.lk.Release(c)
-			g.al.emit(g.cls, EvGlobalGet, 1)
-			g.noteGet(c, true)
-			return blocklist.List{}, err
-		}
-		g.lists = append(g.lists, fresh...)
-		for _, l := range fresh {
-			refilled += l.Len()
-		}
-	}
-
-	var out blocklist.List
-	if !g.bucket.Empty() {
-		out.Push(c, g.al.mem, g.bucket.Pop(c, g.al.mem))
-	} else if n := len(g.lists); n > 0 {
-		top := &g.lists[n-1]
-		out.Push(c, g.al.mem, top.Pop(c, g.al.mem))
-		if top.Empty() {
-			g.lists = g.lists[:n-1]
-		}
-	}
-	c.Write(g.line)
-	g.lk.Release(c)
-	g.al.emit(g.cls, EvGlobalGet, 1)
-	if refilled > 0 {
-		g.al.emit(g.cls, EvGlobalRefill, refilled)
-	}
-	g.noteGet(c, refilled > 0)
-	if out.Empty() {
-		return out, ErrNoMemory
-	}
-	return out, nil
 }
 
 // putList accepts a list of blocks from a per-CPU cache (normally exactly

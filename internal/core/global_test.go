@@ -37,7 +37,7 @@ func TestGetOnePrefersBucket(t *testing.T) {
 	if held == 0 {
 		t.Fatal("nothing in global pool")
 	}
-	lst, err := g.getOne(c)
+	lst, err := g.getList(c, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestGetOneRefillsWhenEmpty(t *testing.T) {
 	if g.blocksHeld(c) != 0 {
 		t.Fatal("pool not empty at start")
 	}
-	lst, err := g.getOne(c)
+	lst, err := g.getList(c, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestGetOneExhausted(t *testing.T) {
 	c := m.CPU(0)
 	cls := a.classFor(64)
 	g := a.classes[cls].globals[0]
-	if _, err := g.getOne(c); err == nil {
+	if _, err := g.getList(c, true); err == nil {
 		t.Fatal("getOne on starved machine succeeded")
 	} else if !errors.Is(err, ErrNoMemory) && !errors.Is(err, ErrNoVA) {
 		// physmem error is also acceptable; what matters is failure.

@@ -165,7 +165,7 @@ func TestBucketRegroupAfterRetune(t *testing.T) {
 	// regroup through the bucket on its way back in.
 	var cycled []blocklist.List
 	for i := 0; i < nOld; i++ {
-		l, err := g.getList(c)
+		l, err := g.getList(c, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,13 +23,6 @@ type Params struct {
 	// PageBytes. Nil selects DefaultClasses.
 	Classes []uint32
 
-	// VmblkShift is log2 of the vmblk size. The paper's implementation
-	// manages "large vmblks of virtual memory (4 megabytes in size for
-	// the current implementation)"; 0 selects 22 (4 MB) — or, with
-	// LazySpans on, the largest shift up to 26 (64 MB) whose span still
-	// fits the arena, since over-reserved virtual spans want to be big.
-	VmblkShift uint
-
 	// LazySpans selects the virtual-span backing model for the vmblk
 	// layer: each vmblk reserves its whole span of address space at
 	// creation (VA only — no physical frames), pages are committed on
@@ -41,7 +34,10 @@ type Params struct {
 	// keeps the eager backing of the paper's implementation: physical
 	// memory is mapped at span allocation and unmapped at span free,
 	// cycle-for-cycle identical to the pre-span code
-	// (TestLazySpansOffCycleIdentity).
+	// (TestLazySpansOffCycleIdentity). It also sets the vmblk size: the
+	// paper's 4 MB when false, 64 MB — clamped to what each node's share
+	// of the arena can hold — when true, since over-reserved virtual
+	// spans want to be big.
 	LazySpans bool
 
 	// TargetFor overrides the per-CPU cache target for a block size.
@@ -318,9 +314,6 @@ func (p *Params) withDefaults() Params {
 	if out.Classes == nil {
 		out.Classes = DefaultClasses
 	}
-	if out.VmblkShift == 0 && !out.LazySpans {
-		out.VmblkShift = 22
-	}
 	if out.TargetFor == nil {
 		out.TargetFor = DefaultTarget
 	}
@@ -330,7 +323,7 @@ func (p *Params) withDefaults() Params {
 	return out
 }
 
-func (p *Params) validate(pageBytes uint64, memBytes uint64) error {
+func (p *Params) validate(pageBytes, memBytes uint64, vmblkShift uint) error {
 	if len(p.Classes) == 0 {
 		return fmt.Errorf("core: no size classes")
 	}
@@ -347,7 +340,7 @@ func (p *Params) validate(pageBytes uint64, memBytes uint64) error {
 		}
 		prev = s
 	}
-	vmblkBytes := uint64(1) << p.VmblkShift
+	vmblkBytes := uint64(1) << vmblkShift
 	if vmblkBytes < 4*pageBytes {
 		return fmt.Errorf("core: vmblk size %d too small for page size %d", vmblkBytes, pageBytes)
 	}
