@@ -1,6 +1,8 @@
 package arena
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -141,5 +143,59 @@ func TestBytesAliasesArena(t *testing.T) {
 	b[0] = 0x5a
 	if got := a.Bytes(100, 1)[0]; got != 0x5a {
 		t.Fatalf("Bytes view not aliased: %#x", got)
+	}
+}
+
+// fillDoubling is Fill as it was before the one-pass rewrite: seed one
+// byte, then copy the filled prefix over the next stretch until done.
+func fillDoubling(b []byte, pattern byte) {
+	if len(b) == 0 {
+		return
+	}
+	b[0] = pattern
+	for filled := 1; filled < len(b); filled *= 2 {
+		copy(b[filled:], b[:filled])
+	}
+}
+
+// TestFillMatchesReference holds the one-pass Fill to the doubling copy
+// it replaced: every pattern, every length around the word loop's edges
+// and around a page, at unaligned starts, guard bytes on both sides
+// included in the comparison.
+func TestFillMatchesReference(t *testing.T) {
+	lengths := []uint64{4095, 4096, 4097, 16 << 10}
+	for n := uint64(0); n <= 130; n++ {
+		lengths = append(lengths, n)
+	}
+	const guard = 16
+	a := New(64 << 10)
+	want := make([]byte, 16<<10+2*guard)
+	for p := 0; p < 256; p++ {
+		pattern := byte(p)
+		for i, n := range lengths {
+			addr := uint64(4096 + 1 + (p+i)%13) // walks every alignment
+			all := a.Bytes(addr-guard, n+2*guard)
+			w := want[:len(all)]
+			for j := range all {
+				all[j], w[j] = ^pattern, ^pattern
+			}
+			fillDoubling(w[guard:guard+n], pattern)
+			a.Fill(addr, n, pattern)
+			if !bytes.Equal(all, w) {
+				t.Fatalf("Fill(%#x, %d, %#x) differs from the doubling copy", addr, n, pattern)
+			}
+		}
+	}
+}
+
+func BenchmarkFill(b *testing.B) {
+	a := New(64 << 10)
+	for _, n := range []uint64{128, 4096} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.SetBytes(int64(n))
+			for i := 0; i < b.N; i++ {
+				a.Fill(4096+8, n, byte(i)|1) // non-zero: the word-store path
+			}
+		})
 	}
 }

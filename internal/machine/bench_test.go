@@ -1,6 +1,9 @@
 package machine
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // The host cost of the simulator's own primitives: what a simulated
 // operation pays before the allocator under test runs a line. Virtual
@@ -66,4 +69,45 @@ func BenchmarkSimStep(b *testing.B) {
 		c.Write(shared)
 		return true
 	})
+}
+
+// BenchmarkSchedStep times the scheduler alone: 8 CPUs whose clocks stay
+// in lock step, so every step hashes, sifts the full depth of the heap
+// and breaks ties by id.
+func BenchmarkSchedStep(b *testing.B) {
+	mc := DefaultConfig()
+	mc.NumCPUs = 8
+	m := New(mc)
+	m.EnableSchedHash()
+	steps := 0
+	b.ResetTimer()
+	m.Run(func(c *CPU) bool {
+		if steps >= b.N {
+			return false
+		}
+		steps++
+		c.Idle(1)
+		return true
+	})
+}
+
+// BenchmarkAccessHit times a load that hits the cache, with the TLB model
+// off (the calibrated default) and on.
+func BenchmarkAccessHit(b *testing.B) {
+	for _, tlb := range []int{0, 64} {
+		b.Run(fmt.Sprintf("tlb%d", tlb), func(b *testing.B) {
+			mc := DefaultConfig()
+			mc.TLBEntries = tlb
+			m := New(mc)
+			c := m.CPU(0)
+			const lines = 64 // fits the 256-line cache
+			for i := 0; i < lines; i++ {
+				c.Read(Line(i))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Read(Line(i % lines))
+			}
+		})
+	}
 }

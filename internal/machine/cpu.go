@@ -12,6 +12,7 @@ type CPU struct {
 	m    *Machine
 	id   int
 	node int
+	sim  bool // the machine's Mode == Sim, read by every cost hook
 
 	clock int64
 
@@ -20,7 +21,8 @@ type CPU struct {
 	tiePri uint64
 
 	// Direct-mapped cache: cache[line % CacheLines] holds the resident
-	// line, or invalidLine.
+	// line, or invalidLine. Both sizes are powers of two (machine.New
+	// refuses anything else), so a slot index is a mask, not a division.
 	cache []Line
 	// Optional direct-mapped TLB over arena pages (Config.TLBEntries).
 	tlb []uint64
@@ -106,7 +108,7 @@ func (c *CPU) Stamp() int64 { return c.clock }
 // paths charge the instruction budgets the paper reports (13 instructions
 // for a cookie allocation, 35 for a standard one, and so on).
 func (c *CPU) Work(n int64) {
-	if c.m.cfg.Mode != Sim {
+	if !c.sim {
 		return
 	}
 	c.insns += uint64(n)
@@ -116,7 +118,7 @@ func (c *CPU) Work(n int64) {
 // Idle advances the CPU's clock by n cycles without charging instructions
 // (used to model waiting).
 func (c *CPU) Idle(n int64) {
-	if c.m.cfg.Mode != Sim {
+	if !c.sim {
 		return
 	}
 	c.clock += n
@@ -125,7 +127,7 @@ func (c *CPU) Idle(n int64) {
 // DisableIntr charges the cost of an interrupt disable/enable pair, the
 // only "synchronization" the per-CPU caching layer needs.
 func (c *CPU) DisableIntr() {
-	if c.m.cfg.Mode != Sim {
+	if !c.sim {
 		return
 	}
 	c.insns += 2
@@ -139,10 +141,8 @@ func (c *CPU) tlbCheck(l Line) {
 	if c.tlb == nil || l&metaTag != 0 {
 		return
 	}
-	// Page number from the line id: lines are addr>>LineShift, pages are
-	// addr>>12, so page = line >> (12 - LineShift).
-	page := uint64(l) >> (12 - c.m.cfg.LineShift)
-	slot := &c.tlb[page%uint64(len(c.tlb))]
+	page := uint64(l) >> c.m.pageShift
+	slot := &c.tlb[page&uint64(len(c.tlb)-1)]
 	if *slot != page {
 		*slot = page
 		c.tlbMisses++
@@ -168,7 +168,7 @@ func (c *CPU) remoteFor(l Line, dir int8) bool {
 func (c *CPU) access(l Line, kind AccessKind) {
 	m := c.m
 	c.tlbCheck(l)
-	slot := &c.cache[uint64(l)%uint64(len(c.cache))]
+	slot := &c.cache[uint64(l)&uint64(len(c.cache)-1)]
 	dir := m.dirSlot(l)
 	present := *slot == l
 
@@ -233,7 +233,7 @@ func (c *CPU) access(l Line, kind AccessKind) {
 
 // Read charges a load of line l.
 func (c *CPU) Read(l Line) {
-	if c.m.cfg.Mode != Sim {
+	if !c.sim {
 		return
 	}
 	c.insns++
@@ -243,7 +243,7 @@ func (c *CPU) Read(l Line) {
 
 // Write charges a store to line l.
 func (c *CPU) Write(l Line) {
-	if c.m.cfg.Mode != Sim {
+	if !c.sim {
 		return
 	}
 	c.insns++
@@ -253,7 +253,7 @@ func (c *CPU) Write(l Line) {
 
 // Atomic charges a bus-locked read-modify-write of line l.
 func (c *CPU) Atomic(l Line) {
-	if c.m.cfg.Mode != Sim {
+	if !c.sim {
 		return
 	}
 	c.insns++
@@ -268,14 +268,14 @@ func (c *CPU) Atomic(l Line) {
 // the CASCycles constant so the optimistic layer's cost model is
 // calibrated independently of the spinlock's test-and-set.
 func (c *CPU) CAS(l Line) {
-	if c.m.cfg.Mode != Sim {
+	if !c.sim {
 		return
 	}
 	c.insns++
 	c.clock += c.m.cfg.CyclesPerInsn
 	m := c.m
 	c.tlbCheck(l)
-	slot := &c.cache[uint64(l)%uint64(len(c.cache))]
+	slot := &c.cache[uint64(l)&uint64(len(c.cache)-1)]
 	dir := m.dirSlot(l)
 	c.atomics++
 	before := c.clock
@@ -297,7 +297,7 @@ func (c *CPU) NoteCASRetry() { c.casRetries++ }
 
 // ReadAddr charges a load of the arena address addr.
 func (c *CPU) ReadAddr(addr uint64) {
-	if c.m.cfg.Mode != Sim {
+	if !c.sim {
 		return
 	}
 	c.Read(c.m.LineOf(addr))
@@ -305,7 +305,7 @@ func (c *CPU) ReadAddr(addr uint64) {
 
 // WriteAddr charges a store to the arena address addr.
 func (c *CPU) WriteAddr(addr uint64) {
-	if c.m.cfg.Mode != Sim {
+	if !c.sim {
 		return
 	}
 	c.Write(c.m.LineOf(addr))

@@ -146,13 +146,25 @@ const (
 	fnvPrime  uint64 = 0x100000001b3
 )
 
+// fnvPow[k] is fnvPrime^k mod 2^64.
+var fnvPow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime
+	}
+	return p
+}()
+
+// fnvMix folds the eight little-endian bytes of v into h. A zero byte
+// only multiplies h by fnvPrime, so once the rest of v is zero — ids and
+// clocks are small — the tail is one multiply by a precomputed power.
 func fnvMix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime
+	k := 8
+	for ; v != 0; k-- {
+		h = (h ^ v&0xff) * fnvPrime
 		v >>= 8
 	}
-	return h
+	return h * fnvPow[k]
 }
 
 // EnableSchedHash starts (re)accumulating the schedule hash: one FNV-1a

@@ -32,6 +32,7 @@ package machine
 
 import (
 	"fmt"
+	"math/bits"
 
 	"kmem/internal/arena"
 	"kmem/internal/physmem"
@@ -178,6 +179,9 @@ type Machine struct {
 	// vmblk is carved; unregistered pages default to node 0).
 	metaHome []int8
 	pageHome []int8
+	// pageShift turns an arena line into its page: lines are
+	// addr>>LineShift, pages addr>>log2(PageBytes).
+	pageShift uint
 
 	// Per-node local buses plus the inter-node interconnect, each with
 	// its history of recent occupancy intervals (intervals.go): operations
@@ -226,8 +230,8 @@ func New(cfg Config) *Machine {
 	if cfg.TLBEntries < 0 || cfg.TLBEntries&(cfg.TLBEntries-1) != 0 {
 		panic(fmt.Sprintf("machine: TLBEntries %d not a power of two", cfg.TLBEntries))
 	}
-	if cfg.PageBytes == 0 || cfg.PageBytes&(cfg.PageBytes-1) != 0 {
-		panic(fmt.Sprintf("machine: PageBytes %d not a power of two", cfg.PageBytes))
+	if cfg.PageBytes&(cfg.PageBytes-1) != 0 || cfg.PageBytes < 1<<cfg.LineShift {
+		panic(fmt.Sprintf("machine: PageBytes %d not a power of two holding at least one %d-byte line", cfg.PageBytes, 1<<cfg.LineShift))
 	}
 	if cfg.MemBytes%cfg.PageBytes != 0 {
 		panic("machine: MemBytes not a multiple of PageBytes")
@@ -236,6 +240,8 @@ func New(cfg Config) *Machine {
 		cfg:  cfg,
 		mem:  arena.New(cfg.MemBytes),
 		phys: physmem.NewPool(cfg.PhysPages),
+
+		pageShift: uint(bits.TrailingZeros64(cfg.PageBytes)) - cfg.LineShift,
 	}
 	if cfg.Mode == Sim {
 		nLines := cfg.MemBytes >> cfg.LineShift
@@ -255,6 +261,7 @@ func New(cfg Config) *Machine {
 		c := &m.cpus[i]
 		c.m = m
 		c.id = i
+		c.sim = cfg.Mode == Sim
 		c.node = i * cfg.Nodes / cfg.NumCPUs
 		if cfg.Mode == Sim {
 			c.cache = make([]Line, cfg.CacheLines)
@@ -347,9 +354,7 @@ func (m *Machine) lineHome(l Line) int {
 	if l&metaTag != 0 {
 		return int(m.metaHome[l&^metaTag])
 	}
-	// Arena line: addr>>LineShift; its page is addr>>log2(PageBytes).
-	page := (uint64(l) << m.cfg.LineShift) / m.cfg.PageBytes
-	return int(m.pageHome[page])
+	return int(m.pageHome[uint64(l)>>m.pageShift])
 }
 
 // LineOf returns the cache line holding the arena address addr.

@@ -287,6 +287,8 @@ func TestConfigValidation(t *testing.T) {
 		"many":  func(c *Config) { c.NumCPUs = MaxCPUs + 1 },
 		"cache": func(c *Config) { c.CacheLines = 100 },
 		"page":  func(c *Config) { c.PageBytes = 1000 },
+		"page0": func(c *Config) { c.PageBytes = 0 },
+		"subln": func(c *Config) { c.PageBytes = 16 }, // smaller than a 32-byte line
 		"mem":   func(c *Config) { c.MemBytes = 4096*3 + 1 },
 	} {
 		cfg := DefaultConfig()

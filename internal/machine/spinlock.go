@@ -60,7 +60,7 @@ func (l *SpinLock) Line() Line { return l.line }
 
 // Acquire takes the lock on behalf of CPU c.
 func (l *SpinLock) Acquire(c *CPU) {
-	if c.m.cfg.Mode != Sim {
+	if !c.sim {
 		l.mu.Lock()
 		return
 	}
@@ -119,7 +119,7 @@ func (l *SpinLock) Acquire(c *CPU) {
 // Release drops the lock, recording the completed hold interval. The
 // release itself is a plain store to the (now owned) lock word.
 func (l *SpinLock) Release(c *CPU) {
-	if c.m.cfg.Mode != Sim {
+	if !c.sim {
 		l.mu.Unlock()
 		return
 	}
@@ -172,7 +172,7 @@ type IntrLock struct {
 
 // Acquire enters the protected region on CPU c.
 func (l *IntrLock) Acquire(c *CPU) {
-	if c.m.cfg.Mode == Sim {
+	if c.sim {
 		c.m.lockJitter(c)
 		c.DisableIntr()
 		return
@@ -182,7 +182,7 @@ func (l *IntrLock) Acquire(c *CPU) {
 
 // Release leaves the protected region.
 func (l *IntrLock) Release(c *CPU) {
-	if c.m.cfg.Mode == Sim {
+	if c.sim {
 		return
 	}
 	l.mu.Unlock()
