@@ -122,7 +122,7 @@ func TestFacadeAdaptiveAndHook(t *testing.T) {
 	var events EventCounter
 	s, err := NewSystem(Config{
 		CPUs:     1,
-		Adaptive: &AdaptiveConfig{},
+		Adaptive: true,
 		Hook:     events.Hook(),
 	})
 	if err != nil {

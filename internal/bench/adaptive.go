@@ -59,10 +59,7 @@ func RunAdaptive(bursts, burstSize int, blockSize uint64) (*AdaptiveResult, erro
 	res := &AdaptiveResult{Bursts: bursts, BurstSize: burstSize, BlockSize: blockSize}
 	for _, adaptive := range []bool{false, true} {
 		var events core.EventCounter
-		params := core.Params{Hook: events.Hook()}
-		if adaptive {
-			params.Adaptive = &core.AdaptiveConfig{}
-		}
+		params := core.Params{Hook: events.Hook(), Adaptive: adaptive}
 		m := machine.New(MachineFor(1, 64<<20, 8192))
 		al, err := core.New(m, params)
 		if err != nil {

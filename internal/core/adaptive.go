@@ -7,82 +7,48 @@ import (
 	"kmem/internal/machine"
 )
 
-// AdaptiveConfig tunes the per-class adaptive target controller. The
-// paper fixes `target` and `gbltarget` by a static heuristic and proves
-// the per-CPU and global miss rates are bounded by 1/target and
-// 1/(target*gbltarget); the controller closes that loop online, growing
-// or shrinking each class's targets within configured bounds so the
-// observed miss rates hold near a setpoint instead of wherever the
-// static guess lands for the actual workload.
-//
-// The zero value of every field selects a sensible default.
-type AdaptiveConfig struct {
-	// Window is the number of per-CPU-layer operations (fast-path allocs
-	// plus frees, summed over CPUs) folded into one miss-rate estimate
-	// before the controller considers an adjustment. Default 512.
-	Window int
+// The adaptive target controller (Params.Adaptive). The paper fixes
+// `target` and `gbltarget` by a static heuristic and proves the per-CPU
+// and global miss rates are bounded by 1/target and 1/(target*gbltarget);
+// the controller closes that loop online, growing or shrinking each
+// class's targets within fixed bounds so the observed miss rates hold
+// near a setpoint instead of wherever the static guess lands for the
+// actual workload. Its tuning is these constants: nothing in the tree
+// ever needed a second value for any of them.
+const (
+	// adaptWindow is the number of per-CPU-layer operations (fast-path
+	// allocs plus frees, summed over CPUs) folded into one miss-rate
+	// estimate before the controller considers an adjustment. Global
+	// operations are roughly 1/target as frequent, so that estimator's
+	// window is scaled down to converge in comparable time.
+	adaptWindow    = 512
+	adaptGblWindow = adaptWindow / 8
 
-	// Setpoint is the per-CPU-layer miss rate the controller steers
-	// toward (the paper's bound for this rate is 1/target). Default 0.02.
-	Setpoint float64
+	// adaptSetpoint is the per-CPU-layer miss rate the controller steers
+	// toward (the paper's bound for this rate is 1/target);
+	// adaptGblSetpoint is the global layer's (bound 1/gbltarget).
+	adaptSetpoint    = 0.02
+	adaptGblSetpoint = 0.05
 
-	// GblSetpoint is the global-layer miss-rate setpoint (the paper's
-	// bound is 1/gbltarget). Default 0.05.
-	GblSetpoint float64
-
-	// Hysteresis is the relative deadband around each setpoint: no
+	// adaptHysteresis is the relative deadband around each setpoint: no
 	// adjustment happens while the observed rate stays within
-	// [Setpoint*(1-Hysteresis), Setpoint*(1+Hysteresis)]. The deadband is
-	// what keeps the split-freelist exchange sizes stable once the
-	// controller has converged. Default 0.5.
-	Hysteresis float64
+	// [setpoint*(1-h), setpoint*(1+h)]. The deadband is what keeps the
+	// split-freelist exchange sizes stable once the controller has
+	// converged.
+	adaptHysteresis = 0.5
 
-	// MinTarget and MaxTarget bound the per-CPU cache target. Defaults 2
-	// and 64. The memory a class can strand per CPU is bounded by
-	// 2*MaxTarget blocks.
-	MinTarget, MaxTarget int
+	// The bounds of the per-CPU cache target — the memory a class can
+	// strand per CPU is bounded by 2*adaptMaxTarget blocks — and of the
+	// global-layer capacity parameter.
+	adaptMinTarget, adaptMaxTarget       = 2, 64
+	adaptMinGblTarget, adaptMaxGblTarget = 2, 64
 
-	// MinGblTarget and MaxGblTarget bound the global-layer capacity
-	// parameter. Defaults 2 and 64.
-	MinGblTarget, MaxGblTarget int
-
-	// ShrinkHoldoff is the number of completed windows that must pass
-	// after a grow before the controller may shrink the same knob —
+	// adaptShrinkHoldoff is the number of completed windows that must
+	// pass after a grow before the controller may shrink the same knob —
 	// hysteresis in time, preventing grow/shrink limit cycles on steady
-	// workloads. Default 8.
-	ShrinkHoldoff int
-}
-
-func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
-	if c.Window <= 0 {
-		c.Window = 512
-	}
-	if c.Setpoint <= 0 {
-		c.Setpoint = 0.02
-	}
-	if c.GblSetpoint <= 0 {
-		c.GblSetpoint = 0.05
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = 0.5
-	}
-	if c.MinTarget <= 0 {
-		c.MinTarget = 2
-	}
-	if c.MaxTarget <= 0 {
-		c.MaxTarget = 64
-	}
-	if c.MinGblTarget <= 0 {
-		c.MinGblTarget = 2
-	}
-	if c.MaxGblTarget <= 0 {
-		c.MaxGblTarget = 64
-	}
-	if c.ShrinkHoldoff <= 0 {
-		c.ShrinkHoldoff = 8
-	}
-	return c
-}
+	// workloads.
+	adaptShrinkHoldoff = 8
+)
 
 // classController holds one size class's current targets and, when
 // adaptation is enabled, the windowed miss-rate estimators that steer
@@ -94,7 +60,6 @@ func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
 // structure.
 type classController struct {
 	enabled bool
-	cfg     AdaptiveConfig
 
 	// Current knob values. Readers use atomic loads; only adjust()
 	// writes, under mu.
@@ -127,23 +92,12 @@ type classController struct {
 }
 
 func newClassController(p *Params, target, gbltarget int) *classController {
-	ctl := &classController{enabled: p.Adaptive != nil}
+	ctl := &classController{enabled: p.Adaptive}
 	if ctl.enabled {
-		ctl.cfg = p.Adaptive.withDefaults()
-		if target < ctl.cfg.MinTarget {
-			target = ctl.cfg.MinTarget
-		}
-		if target > ctl.cfg.MaxTarget {
-			target = ctl.cfg.MaxTarget
-		}
-		if gbltarget < ctl.cfg.MinGblTarget {
-			gbltarget = ctl.cfg.MinGblTarget
-		}
-		if gbltarget > ctl.cfg.MaxGblTarget {
-			gbltarget = ctl.cfg.MaxGblTarget
-		}
-		ctl.floor = ctl.cfg.MinTarget
-		ctl.gblFloor = ctl.cfg.MinGblTarget
+		target = min(max(target, adaptMinTarget), adaptMaxTarget)
+		gbltarget = min(max(gbltarget, adaptMinGblTarget), adaptMaxGblTarget)
+		ctl.floor = adaptMinTarget
+		ctl.gblFloor = adaptMinGblTarget
 	}
 	ctl.target.Store(int64(target))
 	ctl.gbltarget.Store(int64(gbltarget))
@@ -169,7 +123,7 @@ func (ctl *classController) noteCPU(a *Allocator, c *machine.CPU, cls int, ops, 
 	c.Work(insnAdaptNote)
 	o := ctl.winOps.Add(ops)
 	m := ctl.winMiss.Add(misses)
-	if o+m < uint64(ctl.cfg.Window) {
+	if o+m < adaptWindow {
 		return
 	}
 	ctl.adjustCPU(a, c, cls)
@@ -178,7 +132,7 @@ func (ctl *classController) noteCPU(a *Allocator, c *machine.CPU, cls int, ops, 
 func (ctl *classController) adjustCPU(a *Allocator, c *machine.CPU, cls int) {
 	ctl.mu.Lock()
 	o, m := ctl.winOps.Load(), ctl.winMiss.Load()
-	if o+m < uint64(ctl.cfg.Window) {
+	if o+m < adaptWindow {
 		// Another CPU closed this window first.
 		ctl.mu.Unlock()
 		return
@@ -189,8 +143,8 @@ func (ctl *classController) adjustCPU(a *Allocator, c *machine.CPU, cls int) {
 	ctl.window++
 	rate := float64(m) / float64(o+m)
 	cur := int(ctl.target.Load())
-	next, ev := ctl.step(rate, ctl.cfg.Setpoint, cur,
-		ctl.cfg.MinTarget, ctl.cfg.MaxTarget, &ctl.floor,
+	next, ev := ctl.step(rate, adaptSetpoint, cur,
+		adaptMinTarget, adaptMaxTarget, &ctl.floor,
 		ctl.window, &ctl.lastGrow, EvTargetGrow, EvTargetShrink)
 	if next != cur {
 		ctl.target.Store(int64(next))
@@ -214,19 +168,12 @@ func (ctl *classController) noteGbl(a *Allocator, c *machine.CPU, cls int, ops, 
 	c.Work(insnAdaptNote)
 	o := ctl.gwinOps.Add(ops)
 	m := ctl.gwinMiss.Add(misses)
-	// Global operations are roughly 1/target as frequent as fast-path
-	// ops; scale the window down so this estimator also converges in
-	// reasonable time.
-	win := uint64(ctl.cfg.Window / 8)
-	if win < 16 {
-		win = 16
-	}
-	if o+m < win {
+	if o+m < adaptGblWindow {
 		return
 	}
 	ctl.mu.Lock()
 	o, m = ctl.gwinOps.Load(), ctl.gwinMiss.Load()
-	if o+m < win {
+	if o+m < adaptGblWindow {
 		ctl.mu.Unlock()
 		return
 	}
@@ -236,8 +183,8 @@ func (ctl *classController) noteGbl(a *Allocator, c *machine.CPU, cls int, ops, 
 	ctl.gwindow++
 	rate := float64(m) / float64(o+m)
 	cur := int(ctl.gbltarget.Load())
-	next, ev := ctl.step(rate, ctl.cfg.GblSetpoint, cur,
-		ctl.cfg.MinGblTarget, ctl.cfg.MaxGblTarget, &ctl.gblFloor,
+	next, ev := ctl.step(rate, adaptGblSetpoint, cur,
+		adaptMinGblTarget, adaptMaxGblTarget, &ctl.gblFloor,
 		ctl.gwindow, &ctl.gLastGrow, EvGblTargetGrow, EvGblTargetShrink)
 	if next != cur {
 		ctl.gbltarget.Store(int64(next))
@@ -261,8 +208,8 @@ func (ctl *classController) noteGbl(a *Allocator, c *machine.CPU, cls int, ops, 
 // slowly when the workload genuinely quiets down.
 func (ctl *classController) step(rate, setpoint float64, cur, min, max int, floor *int,
 	window uint64, lastGrow *uint64, growEv, shrinkEv LayerEvent) (int, LayerEvent) {
-	hi := setpoint * (1 + ctl.cfg.Hysteresis)
-	lo := setpoint * (1 - ctl.cfg.Hysteresis)
+	hi := setpoint * (1 + adaptHysteresis)
+	lo := setpoint * (1 - adaptHysteresis)
 	switch {
 	case rate > hi && cur < max:
 		if f := cur + 1; f > *floor {
@@ -274,7 +221,7 @@ func (ctl *classController) step(rate, setpoint float64, cur, min, max int, floo
 			next = max
 		}
 		return next, growEv
-	case rate < lo && window-*lastGrow >= uint64(ctl.cfg.ShrinkHoldoff):
+	case rate < lo && window-*lastGrow >= adaptShrinkHoldoff:
 		bound := min
 		if *floor > bound {
 			bound = *floor

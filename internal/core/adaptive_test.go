@@ -66,7 +66,7 @@ func TestAdaptiveConvergesOnOscillation(t *testing.T) {
 	fixedCls, fixedSamples := runOscillation(t, fixedA, fixedM, bursts, burst)
 	fixed := fixedA.Stats(fixedM.CPU(0)).Classes[fixedCls]
 
-	adA, adM := newSim(Params{Adaptive: &AdaptiveConfig{}})
+	adA, adM := newSim(Params{Adaptive: true})
 	adCls, adSamples := runOscillation(t, adA, adM, bursts, burst)
 	ad := adA.Stats(adM.CPU(0)).Classes[adCls]
 
@@ -104,9 +104,8 @@ func TestAdaptiveConvergesOnOscillation(t *testing.T) {
 	if ad.TargetGrows == 0 {
 		t.Error("controller never grew target on a workload that demands it")
 	}
-	defaults := AdaptiveConfig{}.withDefaults()
-	if ad.Target <= fixed.Target || ad.Target > defaults.MaxTarget {
-		t.Errorf("final target %d not in (%d, %d]", ad.Target, fixed.Target, defaults.MaxTarget)
+	if ad.Target <= fixed.Target || ad.Target > adaptMaxTarget {
+		t.Errorf("final target %d not in (%d, %d]", ad.Target, fixed.Target, adaptMaxTarget)
 	}
 
 	// (b) Convergence: over the last quarter of the run both knobs are
@@ -124,7 +123,7 @@ func TestAdaptiveConvergesOnOscillation(t *testing.T) {
 	}
 
 	// Determinism: an identical run reproduces the identical trajectory.
-	adA2, adM2 := newSim(Params{Adaptive: &AdaptiveConfig{}})
+	adA2, adM2 := newSim(Params{Adaptive: true})
 	_, adSamples2 := runOscillation(t, adA2, adM2, bursts, burst)
 	for i := range adSamples {
 		if adSamples[i] != adSamples2[i] {
@@ -136,28 +135,38 @@ func TestAdaptiveConvergesOnOscillation(t *testing.T) {
 	checkOK(t, adA)
 }
 
-// TestAdaptiveRespectsBounds pins both knobs with Min==Max and checks
-// the controller never moves them even under heavy miss pressure.
+// TestAdaptiveRespectsBounds starts both knobs outside the controller's
+// bounds — target below adaptMinTarget, gbltarget above adaptMaxGblTarget
+// — and checks that they are clamped at once and never leave the bounds
+// under heavy miss pressure, however many decisions the controller takes.
 func TestAdaptiveRespectsBounds(t *testing.T) {
 	cfg := machine.DefaultConfig()
 	cfg.MemBytes = 16 << 20
 	cfg.PhysPages = 2048
 	m := machine.New(cfg)
-	a, err := New(m, Params{Adaptive: &AdaptiveConfig{
-		MinTarget: 5, MaxTarget: 5, MinGblTarget: 4, MaxGblTarget: 4,
-	}})
+	a, err := New(m, Params{
+		Adaptive:     true,
+		TargetFor:    func(uint32) int { return 1 },
+		GblTargetFor: func(uint32) int { return 1000 },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	for cls := 0; cls < a.NumClasses(); cls++ {
+		if a.Target(cls) != adaptMinTarget || a.GblTarget(cls) != adaptMaxGblTarget {
+			t.Fatalf("class %d starts at %d/%d, want the clamps %d/%d",
+				cls, a.Target(cls), a.GblTarget(cls), adaptMinTarget, adaptMaxGblTarget)
+		}
+	}
 	cls, samples := runOscillation(t, a, m, 100, 400)
 	for _, s := range samples {
-		if s != [2]int{5, 4} {
-			t.Fatalf("pinned targets moved: %v", s)
+		if s[0] < adaptMinTarget || s[0] > adaptMaxTarget || s[1] < adaptMinGblTarget || s[1] > adaptMaxGblTarget {
+			t.Fatalf("targets left their bounds: %v", s)
 		}
 	}
 	st := a.Stats(m.CPU(0)).Classes[cls]
-	if st.TargetGrows+st.TargetShrinks+st.GblTargetGrows+st.GblTargetShrinks != 0 {
-		t.Fatalf("decisions recorded despite pinned bounds: %+v", st)
+	if st.TargetGrows == 0 {
+		t.Fatalf("no miss pressure: the controller never grew target from its floor: %+v", st)
 	}
 }
 

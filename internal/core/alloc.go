@@ -9,6 +9,7 @@ import (
 
 	"kmem/internal/arena"
 	"kmem/internal/blocklist"
+	"kmem/internal/harden"
 	"kmem/internal/machine"
 )
 
@@ -45,13 +46,12 @@ type Allocator struct {
 
 	vm     *vmblkLayer
 	percpu [][]pcpu // [cpu][class]
-	intr   []paddedIntrLock
 
-	// rseq[cpu] is the CPU's restartable-sequence region guarding its
-	// per-CPU caches across every class, exactly the scope intr[cpu]
-	// guards; nil unless Params.Rseq. All access goes through pcpuRun
-	// (owner) and pcpuInterfere (foreign drains, stats).
-	rseq []*machine.Rseq
+	// crit[cpu] is the critical section guarding percpu[cpu] across every
+	// class: interrupt disable, or a restartable sequence under
+	// Params.Rseq. The owning CPU brackets its accesses with Enter/Exit,
+	// everyone else (drains, stats) with EnterForeign/ExitForeign.
+	crit []machine.PerCPU
 
 	// spillScratch[cpu] is that CPU's reusable per-node partition buffer
 	// for routeSpill, sized [nodes]. Each CPU handle is driven by one
@@ -194,7 +194,6 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 	a.shards = a.nodes > 1 && !p.DisableRemoteShards
 	n := m.NumCPUs()
 	a.percpu = make([][]pcpu, n)
-	a.intr = make([]paddedIntrLock, n)
 	for cpu := 0; cpu < n; cpu++ {
 		a.percpu[cpu] = make([]pcpu, len(p.Classes))
 		for k := range a.percpu[cpu] {
@@ -213,11 +212,9 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 			a.spillScratch[cpu] = make([]blocklist.List, a.nodes)
 		}
 	}
-	if p.Rseq {
-		a.rseq = make([]*machine.Rseq, n)
-		for cpu := 0; cpu < n; cpu++ {
-			a.rseq[cpu] = machine.NewRseqOn(m, m.NodeOf(cpu))
-		}
+	a.crit = make([]machine.PerCPU, n)
+	for cpu := range a.crit {
+		a.crit[cpu] = machine.NewPerCPUOn(m, m.NodeOf(cpu), p.Rseq)
 	}
 
 	if p.Latency {
@@ -227,10 +224,9 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 	a.waitCfg = p.Wait.withDefaults()
 	a.waitqs = make([]waitq, len(p.Classes)+1)
 	if p.Harden != nil {
-		if rz := p.Harden.RedzoneBytes(); rz >= uint64(a.maxSmall) {
-			// An absurd redzone would push every request onto the
-			// large path.
-			return nil, fmt.Errorf("core: redzone %d bytes leaves no small class usable", rz)
+		if harden.DefaultRedzone >= a.maxSmall {
+			// Every request would be pushed onto the large path.
+			return nil, fmt.Errorf("core: the %d-byte redzone leaves no small class usable", harden.DefaultRedzone)
 		}
 		a.hd = newHardenState(a)
 	}
@@ -261,9 +257,23 @@ func (a *Allocator) Target(cls int) int { return a.classes[cls].ctl.curTarget() 
 // class cls, in units of target-sized lists.
 func (a *Allocator) GblTarget(cls int) int { return a.classes[cls].ctl.curGblTarget() }
 
-// classFor returns the size class index for a small request.
+// classFor returns the size class index for a small block size.
 func (a *Allocator) classFor(size uint64) int {
 	return int(a.sizeToClass[size])
+}
+
+// classOf is the size→class rule of every entry point: a request is
+// served from the class of its size plus the hardening redzone (none
+// with Params.Harden off), or, when that exceeds the largest class, by
+// the large path — cls -1, small false.
+func (a *Allocator) classOf(size uint64) (cls int, small bool) {
+	if a.hd != nil && size <= uint64(a.maxSmall) {
+		size += a.hd.rz
+	}
+	if size > uint64(a.maxSmall) {
+		return -1, false
+	}
+	return a.classFor(size), true
 }
 
 // --- cookie interface ----------------------------------------------------
@@ -287,18 +297,15 @@ func (ck Cookie) Size() uint32 { return ck.size }
 // serving size+redzone and the cookie reports the usable capacity
 // (class size minus the redzone), so callers never see canary bytes.
 func (a *Allocator) GetCookie(size uint64) (Cookie, error) {
-	if a.hd != nil {
-		if size == 0 || size+a.hd.rz > uint64(a.maxSmall) {
-			return Cookie{}, ErrBadSize
-		}
-		cls := a.classFor(size + a.hd.rz)
-		return Cookie{cls: int8(cls), size: a.classes[cls].size - uint32(a.hd.rz)}, nil
-	}
-	if size == 0 || size > uint64(a.maxSmall) {
+	cls, small := a.classOf(size)
+	if size == 0 || !small {
 		return Cookie{}, ErrBadSize
 	}
-	cls := a.classFor(size)
-	return Cookie{cls: int8(cls), size: a.classes[cls].size}, nil
+	ck := Cookie{cls: int8(cls), size: a.classes[cls].size}
+	if a.hd != nil {
+		ck.size -= uint32(a.hd.rz)
+	}
+	return ck, nil
 }
 
 // AllocCookie is the 13-instruction fast-path allocation.
@@ -320,16 +327,13 @@ func (a *Allocator) Alloc(c *machine.CPU, size uint64) (arena.Addr, error) {
 	if size == 0 {
 		return arena.NilAddr, ErrBadSize
 	}
-	eff := size
-	if a.hd != nil {
-		eff += a.hd.rz
-	}
-	if eff > uint64(a.maxSmall) {
+	cls, small := a.classOf(size)
+	if !small {
 		return a.allocLargeWithReclaim(c, size)
 	}
 	c.Work(insnStdAllocExtra)
 	c.Read(a.sizeTableLine)
-	return a.allocClass(c, a.classFor(eff))
+	return a.allocClass(c, cls)
 }
 
 // Free is the standard kmem_free interface, taking the address and the
@@ -338,17 +342,14 @@ func (a *Allocator) Free(c *machine.CPU, addr arena.Addr, size uint64) {
 	if size == 0 {
 		panic("kmem: Free with size 0")
 	}
-	eff := size
-	if a.hd != nil {
-		eff += a.hd.rz
-	}
-	if eff > uint64(a.maxSmall) {
+	cls, small := a.classOf(size)
+	if !small {
 		a.vmFreeLarge(c, addr)
 		return
 	}
 	c.Work(insnStdFreeExtra)
 	c.Read(a.sizeTableLine)
-	a.freeClass(c, a.classFor(eff), addr)
+	a.freeClass(c, cls, addr)
 }
 
 // FreeByAddr frees a block given only its address, locating the size via
@@ -366,40 +367,6 @@ func (a *Allocator) FreeByAddr(c *machine.CPU, addr arena.Addr) {
 	}
 }
 
-// --- per-CPU critical sections --------------------------------------------
-
-// pcpuRun executes body as CPU cpu's per-CPU critical section — a
-// restartable sequence under Params.Rseq, the interrupt-disable pair
-// otherwise. Only the owning CPU's instruction stream may use it; body
-// receives the number of aborted attempts so restart tallies land in
-// state the section itself protects.
-func (a *Allocator) pcpuRun(c *machine.CPU, cpu int, body func(restarts int)) {
-	if a.rseq != nil {
-		a.rseq[cpu].Run(c, body)
-		return
-	}
-	il := &a.intr[cpu]
-	il.Acquire(c)
-	body(0)
-	il.Release(c)
-}
-
-// pcpuInterfere executes body against CPU cpu's per-CPU caches from a
-// (possibly) foreign instruction stream: under Params.Rseq it claims
-// the victim's region and bumps its epoch so in-flight sequences abort
-// and restart instead of racing; otherwise it takes the victim's
-// IntrLock exactly as the pre-rseq drains did.
-func (a *Allocator) pcpuInterfere(c *machine.CPU, cpu int, body func()) {
-	if a.rseq != nil {
-		a.rseq[cpu].Interfere(c, body)
-		return
-	}
-	il := &a.intr[cpu]
-	il.Acquire(c)
-	body()
-	il.Release(c)
-}
-
 // --- per-class operations -------------------------------------------------
 
 // allocClassOp allocates one block of class cls on CPU c: per-CPU cache
@@ -415,22 +382,22 @@ func (a *Allocator) allocClassOp(c *machine.CPU, cls int) (arena.Addr, error) {
 	}
 	cpu := c.ID()
 	pc := &a.percpu[cpu][cls]
+	crit := &a.crit[cpu]
 	ctl := a.classes[cls].ctl
 	single := a.params.DisableSplitFreelist
 	reclaimBudget := -1 // -1: reclaim not yet attempted
 	for {
 		var b arena.Addr
 		var ok bool
-		a.pcpuRun(c, cpu, func(restarts int) {
-			if restarts > 0 {
-				pc.ev[EvRseqRestart] += uint64(restarts)
-			}
-			if single {
-				b, ok = a.allocFastSingle(c, pc)
-			} else {
-				b, ok = a.allocFast(c, pc)
-			}
-		})
+		if n := crit.Enter(c); n > 0 {
+			pc.ev[EvRseqRestart] += uint64(n)
+		}
+		if single {
+			b, ok = a.allocFastSingle(c, pc)
+		} else {
+			b, ok = a.allocFast(c, pc)
+		}
+		crit.Exit(c)
 		if ok {
 			if a.hd != nil {
 				if !a.hardenAlloc(c, cls, b) {
@@ -461,27 +428,26 @@ func (a *Allocator) allocClassOp(c *machine.CPU, cls int) (arena.Addr, error) {
 		if !lst.Empty() {
 			n := lst.Len()
 			var delta uint64
-			a.pcpuRun(c, cpu, func(restarts int) {
-				if restarts > 0 {
-					pc.ev[EvRseqRestart] += uint64(restarts)
-				}
-				pc.ev[EvCPURefill]++
-				if ctl.enabled {
-					// Requote the target and batch the fast-path ops since
-					// the last report into the controller's window.
-					ops := pc.ops()
-					delta = ops - pc.notedOps
-					pc.notedOps = ops
-					pc.target = ctl.curTarget()
-				}
-				if pc.main.Empty() {
-					pc.main = lst
-				} else {
-					// A drain cannot have added blocks (drains only
-					// remove), but be robust: splice.
-					pc.main.Append(c, a.mem, lst)
-				}
-			})
+			if r := crit.Enter(c); r > 0 {
+				pc.ev[EvRseqRestart] += uint64(r)
+			}
+			pc.ev[EvCPURefill]++
+			if ctl.enabled {
+				// Requote the target and batch the fast-path ops since
+				// the last report into the controller's window.
+				ops := pc.ops()
+				delta = ops - pc.notedOps
+				pc.notedOps = ops
+				pc.target = ctl.curTarget()
+			}
+			if pc.main.Empty() {
+				pc.main = lst
+			} else {
+				// A drain cannot have added blocks (drains only
+				// remove), but be robust: splice.
+				pc.main.Append(c, a.mem, lst)
+			}
+			crit.Exit(c)
 			a.emit(cls, EvCPURefill, n)
 			if ctl.enabled {
 				ctl.noteCPU(a, c, cls, delta, 1)
@@ -536,6 +502,7 @@ func (a *Allocator) freeClassOp(c *machine.CPU, cls int, addr arena.Addr) {
 	}
 	cpu := c.ID()
 	pc := &a.percpu[cpu][cls]
+	crit := &a.crit[cpu]
 	ctl := a.classes[cls].ctl
 
 	var spill blocklist.List
@@ -545,52 +512,48 @@ func (a *Allocator) freeClassOp(c *machine.CPU, cls int, addr arena.Addr) {
 	flushHome := -1
 	var delta uint64
 	noted := false
-	a.pcpuRun(c, cpu, func(restarts int) {
-		if restarts > 0 {
-			pc.ev[EvRseqRestart] += uint64(restarts)
-		}
-		if a.shards {
-			// Classify the block's home first: remote blocks stage in the
-			// per-node shard and never enter main/aux, so a shard flush is
-			// already wholly owned by one node. The 1-entry memo answers
-			// repeat lookups within one vmblk with a compare instead of the
-			// dope-vector charge; a vmblk's home never changes, so the memo
-			// can never go stale.
-			idx := int64(addr >> a.vmblkShift)
-			var home int
-			if pc.memoVmblk == idx {
-				c.Work(insnHomeMemo)
-				pc.ev[EvHomeMemoHit]++
-				home = int(pc.memoHome)
-			} else {
-				home = a.vm.homeOf(c, addr)
-				pc.memoVmblk = idx
-				pc.memoHome = int8(home)
-			}
-			if home != c.Node() {
-				spill = a.freeShard(c, pc, a.effTarget(pc.target), home, addr)
-				flushHome = home
-			} else if a.params.DisableSplitFreelist {
-				spill = a.freeFastSingle(c, pc, a.effTarget(pc.target), addr)
-			} else {
-				spill = a.freeFast(c, pc, a.effTarget(pc.target), addr)
-			}
-		} else if a.params.DisableSplitFreelist {
-			// Under pressure the cache's spill threshold is halved
-			// (effTarget), so frees surrender surplus to the lower layers
-			// sooner.
-			spill = a.freeFastSingle(c, pc, a.effTarget(pc.target), addr)
+	if n := crit.Enter(c); n > 0 {
+		pc.ev[EvRseqRestart] += uint64(n)
+	}
+	// Under pressure the cache's spill threshold is halved (effTarget),
+	// so frees surrender surplus to the lower layers sooner.
+	target := a.effTarget(pc.target)
+	home := c.Node()
+	if a.shards {
+		// Classify the block's home first: remote blocks stage in the
+		// per-node shard and never enter main/aux, so a shard flush is
+		// already wholly owned by one node. The 1-entry memo answers
+		// repeat lookups within one vmblk with a compare instead of the
+		// dope-vector charge; a vmblk's home never changes, so the memo
+		// can never go stale.
+		idx := int64(addr >> a.vmblkShift)
+		if pc.memoVmblk == idx {
+			c.Work(insnHomeMemo)
+			pc.ev[EvHomeMemoHit]++
+			home = int(pc.memoHome)
 		} else {
-			spill = a.freeFast(c, pc, a.effTarget(pc.target), addr)
+			home = a.vm.homeOf(c, addr)
+			pc.memoVmblk = idx
+			pc.memoHome = int8(home)
 		}
-		if ctl.enabled && !spill.Empty() {
-			ops := pc.ops()
-			delta = ops - pc.notedOps
-			pc.notedOps = ops
-			pc.target = ctl.curTarget()
-			noted = true
-		}
-	})
+	}
+	switch {
+	case home != c.Node():
+		spill = a.freeShard(c, pc, target, home, addr)
+		flushHome = home
+	case a.params.DisableSplitFreelist:
+		spill = a.freeFastSingle(c, pc, target, addr)
+	default:
+		spill = a.freeFast(c, pc, target, addr)
+	}
+	if ctl.enabled && !spill.Empty() {
+		ops := pc.ops()
+		delta = ops - pc.notedOps
+		pc.notedOps = ops
+		pc.target = ctl.curTarget()
+		noted = true
+	}
+	crit.Exit(c)
 	if !spill.Empty() {
 		n := spill.Len()
 		c.Work(insnRefill)

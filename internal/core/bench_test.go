@@ -43,3 +43,40 @@ func BenchmarkTrimColdSpan(b *testing.B) {
 		a.Free(c, blk, size)
 	}
 }
+
+// BenchmarkCookiePair times the host cost of one warm AllocCookie/
+// FreeCookie pair in Sim mode — the per-CPU layer end to end, both
+// critical-section protocols — with the cache primed so that no
+// iteration leaves the fast path.
+func BenchmarkCookiePair(b *testing.B) {
+	for _, proto := range []struct {
+		name string
+		rseq bool
+	}{{"intr", false}, {"rseq", true}} {
+		b.Run(proto.name, func(b *testing.B) {
+			m := machine.New(machine.DefaultConfig())
+			a, err := New(m, Params{Rseq: proto.rseq})
+			if err != nil {
+				b.Fatal(err)
+			}
+			c := m.CPU(0)
+			ck, err := a.GetCookie(64)
+			if err != nil {
+				b.Fatal(err)
+			}
+			blk, err := a.AllocCookie(c, ck)
+			if err != nil {
+				b.Fatal(err)
+			}
+			a.FreeCookie(c, blk, ck)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				blk, err := a.AllocCookie(c, ck)
+				if err != nil {
+					b.Fatal(err)
+				}
+				a.FreeCookie(c, blk, ck)
+			}
+		})
+	}
+}

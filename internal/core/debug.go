@@ -318,17 +318,15 @@ func (a *Allocator) RoundedSize(size uint64) uint64 {
 	if size == 0 {
 		return 0
 	}
-	eff := size
 	var rz uint64
 	if a.hd != nil {
 		rz = a.hd.rz
-		eff += rz
 	}
-	if eff <= uint64(a.maxSmall) {
-		return uint64(a.classes[a.classFor(eff)].size) - rz
+	if cls, small := a.classOf(size); small {
+		return uint64(a.classes[cls].size) - rz
 	}
 	pb := a.m.Config().PageBytes
-	return (eff+pb-1)/pb*pb - rz
+	return (size+rz+pb-1)/pb*pb - rz
 }
 
 // HeaderPages returns the total header pages of every vmblk created so

@@ -5,6 +5,8 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+
+	"kmem/internal/machine"
 )
 
 // LayerEvent identifies one kind of layer-boundary crossing inside the
@@ -222,6 +224,18 @@ type eventCounts [numLayerEvents]uint64
 func (a *Allocator) emit(cls int, ev LayerEvent, n int) {
 	if h := a.params.Hook; h != nil && n != 0 {
 		h(cls, ev, n)
+	}
+}
+
+// acquire takes lk on CPU c and attributes the cycles the acquire spent
+// spinning to the event spine: EvLockWait in ev, the counters lk guards,
+// and through the Hook for class cls. Uncontended acquires (and Native
+// mode, which does not model spin time) cost one predictable branch.
+func (a *Allocator) acquire(c *machine.CPU, lk *machine.SpinLock, ev *eventCounts, cls int) {
+	lk.Acquire(c)
+	if w := lk.LastWait(); w > 0 {
+		ev[EvLockWait] += uint64(w)
+		a.emit(cls, EvLockWait, int(w))
 	}
 }
 

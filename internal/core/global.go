@@ -93,8 +93,7 @@ func (g *globalPool) getList(c *machine.CPU, one bool) (blocklist.List, error) {
 		return g.getListLF(c)
 	}
 	target, gbltarget := g.al.effTarget(g.ctl.curTarget()), g.ctl.curGblTarget()
-	g.lk.Acquire(c)
-	g.noteLockWait()
+	g.al.acquire(c, g.lk, &g.ev, g.cls)
 	c.Work(insnGlobalOp)
 	c.Read(g.line)
 	g.ev[EvGlobalGet]++
@@ -107,7 +106,7 @@ func (g *globalPool) getList(c *machine.CPU, one bool) (blocklist.List, error) {
 			c.Write(g.line)
 			g.lk.Release(c)
 			g.al.emit(g.cls, EvGlobalGet, 1)
-			g.noteGet(c, true)
+			g.noteOp(c, true)
 			return blocklist.List{}, err
 		}
 		g.lists = append(g.lists, fresh...)
@@ -139,7 +138,7 @@ func (g *globalPool) getList(c *machine.CPU, one bool) (blocklist.List, error) {
 	if refilled > 0 {
 		g.al.emit(g.cls, EvGlobalRefill, refilled)
 	}
-	g.noteGet(c, refilled > 0)
+	g.noteOp(c, refilled > 0)
 	if out.Empty() {
 		return out, ErrNoMemory
 	}
@@ -200,19 +199,18 @@ func (g *globalPool) getListLF(c *machine.CPU) (blocklist.List, error) {
 	g.ev[EvGlobalGet]++
 	if out, ok := g.lfPop(c); ok {
 		g.al.emit(g.cls, EvGlobalGet, 1)
-		g.noteGet(c, false)
+		g.noteOp(c, false)
 		return out, nil
 	}
 	if !g.bucket.Empty() {
-		g.lk.Acquire(c)
-		g.noteLockWait()
+		g.al.acquire(c, g.lk, &g.ev, g.cls)
 		c.Read(g.line)
 		out := g.bucket.Take()
 		c.Write(g.line)
 		g.lk.Release(c)
 		if !out.Empty() {
 			g.al.emit(g.cls, EvGlobalGet, 1)
-			g.noteGet(c, false)
+			g.noteOp(c, false)
 			return out, nil
 		}
 	}
@@ -220,7 +218,7 @@ func (g *globalPool) getListLF(c *machine.CPU) (blocklist.List, error) {
 	fresh, err := g.pp.getLists(c, gbltarget, target)
 	if len(fresh) == 0 {
 		g.al.emit(g.cls, EvGlobalGet, 1)
-		g.noteGet(c, true)
+		g.noteOp(c, true)
 		if err == nil {
 			err = ErrNoMemory
 		}
@@ -236,7 +234,7 @@ func (g *globalPool) getListLF(c *machine.CPU) (blocklist.List, error) {
 	}
 	g.al.emit(g.cls, EvGlobalGet, 1)
 	g.al.emit(g.cls, EvGlobalRefill, refilled)
-	g.noteGet(c, true)
+	g.noteOp(c, true)
 	return out, nil
 }
 
@@ -248,20 +246,12 @@ func (g *globalPool) getListLF(c *machine.CPU) (blocklist.List, error) {
 func (g *globalPool) putListLF(c *machine.CPU, l blocklist.List) {
 	target, gbltarget := g.ctl.curTarget(), g.ctl.curGblTarget()
 	c.Work(insnGlobalOp)
-	g.ev[EvGlobalPut]++
-	remote := 0
-	if c.Node() != g.node {
-		remote = l.Len()
-		g.ev[EvRemoteFree] += uint64(remote)
-		g.ev[EvRemotePut]++
-		g.ev[EvInterconnect]++
-	}
+	remote := g.countPut(c, l)
 
 	if l.Len() == target {
 		g.lfPush(c, l)
 	} else {
-		g.lk.Acquire(c)
-		g.noteLockWait()
+		g.al.acquire(c, g.lk, &g.ev, g.cls)
 		c.Read(g.line)
 		g.bucket.Append(c, g.al.mem, l)
 		var regrouped []blocklist.List
@@ -274,23 +264,14 @@ func (g *globalPool) putListLF(c *machine.CPU, l blocklist.List) {
 			g.lfPush(c, r)
 		}
 	}
-	g.al.emit(g.cls, EvGlobalPut, 1)
-	if remote > 0 {
-		g.al.emit(g.cls, EvRemoteFree, remote)
-		g.al.emit(g.cls, EvRemotePut, 1)
-		g.al.emit(g.cls, EvInterconnect, 1)
-	}
+	g.emitPut(remote)
 
-	// Same hysteresis as the locked path: spill on crossing 2*gbltarget
-	// (gbltarget under pressure), popping the surplus list by list.
-	limit, spillN := 2*gbltarget, gbltarget
-	if g.al.pressureLevel() >= PressureLow {
-		limit, spillN = gbltarget, len(g.lists)-gbltarget
-	}
+	// Same hysteresis as the locked path, popping the surplus list by
+	// list.
 	spilled := 0
-	if len(g.lists) > limit {
+	if n := g.spillCount(gbltarget); n > 0 {
 		g.ev[EvGlobalSpill]++
-		for i := 0; i < spillN; i++ {
+		for i := 0; i < n; i++ {
 			s, ok := g.lfPop(c)
 			if !ok {
 				break
@@ -302,7 +283,7 @@ func (g *globalPool) putListLF(c *machine.CPU, l blocklist.List) {
 	if spilled > 0 {
 		g.al.emit(g.cls, EvGlobalSpill, spilled)
 	}
-	g.notePut(c, spilled > 0)
+	g.noteOp(c, spilled > 0)
 	g.al.wakeClass(g.cls)
 }
 
@@ -319,22 +300,10 @@ func (g *globalPool) putList(c *machine.CPU, l blocklist.List) {
 		return
 	}
 	target, gbltarget := g.ctl.curTarget(), g.ctl.curGblTarget()
-	remote := 0
-	g.lk.Acquire(c)
-	g.noteLockWait()
+	g.al.acquire(c, g.lk, &g.ev, g.cls)
 	c.Work(insnGlobalOp)
 	c.Read(g.line)
-	g.ev[EvGlobalPut]++
-	if c.Node() != g.node {
-		// A block coming home: the freeing CPU lives on another node.
-		// EvRemotePut counts the lock trip itself — the per-acquisition
-		// cost the remote-free shards batch down — while EvRemoteFree
-		// counts the blocks carried.
-		remote = l.Len()
-		g.ev[EvRemoteFree] += uint64(remote)
-		g.ev[EvRemotePut]++
-		g.ev[EvInterconnect]++
-	}
+	remote := g.countPut(c, l)
 
 	if l.Len() == target {
 		g.lists = append(g.lists, l)
@@ -345,34 +314,15 @@ func (g *globalPool) putList(c *machine.CPU, l blocklist.List) {
 		}
 	}
 
-	// Under memory pressure the pool stops retaining its surplus: the
-	// capacity drops from 2*gbltarget to gbltarget and everything above
-	// it is pushed down, so fully-free pages surface at the coalescing
-	// layer as fast as frees arrive. The normal path (no pressure) keeps
-	// the paper's hysteresis: spill gbltarget lists on crossing
-	// 2*gbltarget.
 	var spill []blocklist.List
-	limit, spillN := 2*gbltarget, gbltarget
-	if g.al.pressureLevel() >= PressureLow {
-		limit, spillN = gbltarget, len(g.lists)-gbltarget
-	}
-	if len(g.lists) > limit {
+	if n := g.spillCount(gbltarget); n > 0 {
 		g.ev[EvGlobalSpill]++
-		n := spillN
-		if n > len(g.lists) {
-			n = len(g.lists)
-		}
 		spill = append(spill, g.lists[len(g.lists)-n:]...)
 		g.lists = g.lists[:len(g.lists)-n]
 	}
 	c.Write(g.line)
 	g.lk.Release(c)
-	g.al.emit(g.cls, EvGlobalPut, 1)
-	if remote > 0 {
-		g.al.emit(g.cls, EvRemoteFree, remote)
-		g.al.emit(g.cls, EvRemotePut, 1)
-		g.al.emit(g.cls, EvInterconnect, 1)
-	}
+	g.emitPut(remote)
 
 	// Push the excess to the coalescing layer outside the global lock;
 	// each block is examined individually there.
@@ -384,26 +334,15 @@ func (g *globalPool) putList(c *machine.CPU, l blocklist.List) {
 	if spilled > 0 {
 		g.al.emit(g.cls, EvGlobalSpill, spilled)
 	}
-	g.notePut(c, spilled > 0)
+	g.noteOp(c, spilled > 0)
 	// Blocks of this class just became reachable from the global layer:
 	// release any parked AllocWait callers of the class.
 	g.al.wakeClass(g.cls)
 }
 
-// noteLockWait attributes the cycles the just-completed Acquire spent
-// spinning on this pool's lock to the event spine (EvLockWait). Called
-// immediately after Acquire, while the lock is still held — LastWait is
-// only meaningful there. Uncontended acquires (and Native mode, which
-// does not model spin time) cost one predictable branch.
-func (g *globalPool) noteLockWait() {
-	if w := g.lk.LastWait(); w > 0 {
-		g.ev[EvLockWait] += uint64(w)
-		g.al.emit(g.cls, EvLockWait, int(w))
-	}
-}
-
-// noteGet and notePut feed the controller's global-layer estimator.
-func (g *globalPool) noteGet(c *machine.CPU, missed bool) {
+// noteOp feeds one get or put, and whether it crossed into the
+// coalesce-to-page layer, to the controller's global-layer estimator.
+func (g *globalPool) noteOp(c *machine.CPU, missed bool) {
 	if !g.ctl.enabled {
 		return
 	}
@@ -414,15 +353,47 @@ func (g *globalPool) noteGet(c *machine.CPU, missed bool) {
 	g.ctl.noteGbl(g.al, c, g.cls, 1, m)
 }
 
-func (g *globalPool) notePut(c *machine.CPU, missed bool) {
-	if !g.ctl.enabled {
-		return
+// countPut tallies one put of list l, and returns the blocks it carries
+// home when the freeing CPU lives on another node (0 otherwise):
+// EvRemotePut counts the lock trip itself — the per-acquisition cost the
+// remote-free shards batch down — while EvRemoteFree counts the blocks.
+// emitPut pushes the same events through the Hook once the pool's
+// critical section is over.
+func (g *globalPool) countPut(c *machine.CPU, l blocklist.List) (remote int) {
+	g.ev[EvGlobalPut]++
+	if c.Node() != g.node {
+		remote = l.Len()
+		g.ev[EvRemoteFree] += uint64(remote)
+		g.ev[EvRemotePut]++
+		g.ev[EvInterconnect]++
 	}
-	m := uint64(0)
-	if missed {
-		m = 1
+	return remote
+}
+
+func (g *globalPool) emitPut(remote int) {
+	g.al.emit(g.cls, EvGlobalPut, 1)
+	if remote > 0 {
+		g.al.emit(g.cls, EvRemoteFree, remote)
+		g.al.emit(g.cls, EvRemotePut, 1)
+		g.al.emit(g.cls, EvInterconnect, 1)
 	}
-	g.ctl.noteGbl(g.al, c, g.cls, 1, m)
+}
+
+// spillCount is the pool's capacity rule: how many lists a put that left
+// len(g.lists) cached must push down. The paper's hysteresis spills
+// gbltarget lists on crossing 2*gbltarget. Under memory pressure the
+// pool stops retaining its surplus: the capacity drops to gbltarget and
+// everything above it goes, so fully-free pages surface at the
+// coalescing layer as fast as frees arrive.
+func (g *globalPool) spillCount(gbltarget int) int {
+	limit, n := 2*gbltarget, gbltarget
+	if g.al.pressureLevel() >= PressureLow {
+		limit, n = gbltarget, len(g.lists)-gbltarget
+	}
+	if len(g.lists) <= limit {
+		return 0
+	}
+	return n
 }
 
 // stealList removes one cached list from this pool on behalf of a CPU
@@ -437,8 +408,7 @@ func (g *globalPool) stealList(c *machine.CPU) blocklist.List {
 		c.Work(insnGlobalOp)
 		out, ok := g.lfPop(c)
 		if !ok && !g.bucket.Empty() {
-			g.lk.Acquire(c)
-			g.noteLockWait()
+			g.al.acquire(c, g.lk, &g.ev, g.cls)
 			c.Read(g.line)
 			out = g.bucket.Take()
 			c.Write(g.line)
@@ -452,8 +422,7 @@ func (g *globalPool) stealList(c *machine.CPU) blocklist.List {
 		}
 		return out
 	}
-	g.lk.Acquire(c)
-	g.noteLockWait()
+	g.al.acquire(c, g.lk, &g.ev, g.cls)
 	c.Work(insnGlobalOp)
 	c.Read(g.line)
 	var out blocklist.List

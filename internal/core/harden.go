@@ -94,7 +94,7 @@ func newHardenState(a *Allocator) *hardenState {
 	cfg := a.params.Harden
 	hd := &hardenState{
 		cfg:    cfg,
-		rz:     cfg.RedzoneBytes(),
+		rz:     harden.DefaultRedzone,
 		lk:     machine.NewSpinLock(a.m),
 		pages:  make(map[int32]*hardenPage),
 		large:  make(map[arena.Addr]*largeSlot),
@@ -104,7 +104,7 @@ func newHardenState(a *Allocator) *hardenState {
 	hd.rings = make([]*harden.Ring, n)
 	hd.sites = make([]string, n)
 	for i := range hd.rings {
-		hd.rings[i] = harden.NewRing(cfg.RingCap())
+		hd.rings[i] = harden.NewRing(harden.DefaultRingSize)
 	}
 	return hd
 }

@@ -19,8 +19,8 @@ import (
 //
 // In a real kernel the per-CPU flushes would be requested by IPI; in this
 // reproduction the requesting CPU performs each flush directly under the
-// owner's IntrLock (a real mutex in native mode, an interrupt-disable
-// cost charge in the deterministic simulator) and is charged the work.
+// owner's critical section (machine.PerCPU.EnterForeign) and is charged
+// the work.
 func (a *Allocator) reclaim(c *machine.CPU) {
 	c.Work(insnReclaim)
 	a.reclaims.Add(1)
@@ -73,20 +73,18 @@ func (a *Allocator) DrainCPU(c *machine.CPU, cpu int) {
 	for cls := range a.classes {
 		ctl := a.classes[cls].ctl
 		pc := &a.percpu[cpu][cls]
-		var main, aux blocklist.List
 		var shards []blocklist.List
-		// The drain interferes with the victim CPU's fast path: under
-		// Params.Rseq it bumps the victim's epoch (aborting any sequence
-		// in flight there) instead of taking its IntrLock.
-		a.pcpuInterfere(c, cpu, func() {
-			main, aux = pc.takeAll(c)
-			if !tortureBug(TortureBugSkipShardFlush) {
-				shards = pc.takeShards(c)
-			}
-			if ctl.enabled {
-				pc.target = ctl.curTarget()
-			}
-		})
+		// The drain is a foreign entrant to the victim CPU's section:
+		// under Params.Rseq it aborts any sequence in flight there.
+		a.crit[cpu].EnterForeign(c)
+		main, aux := pc.takeAll(c)
+		if !tortureBug(TortureBugSkipShardFlush) {
+			shards = pc.takeShards(c)
+		}
+		if ctl.enabled {
+			pc.target = ctl.curTarget()
+		}
+		a.crit[cpu].ExitForeign(c)
 		if a.nodes == 1 {
 			if !main.Empty() {
 				a.classes[cls].globals[0].putList(c, main)

@@ -10,8 +10,8 @@ import (
 // TestOptimisticOffCycleIdentity pins the opt-in contract of the
 // optimistic fast paths: with Params.Rseq and Params.LockFree both off,
 // the allocator replays the pre-optimistic cycle goldens byte for byte.
-// pcpuRun/pcpuInterfere degenerate to the exact Acquire/body/Release
-// sequences they replaced, and no lock-free charge is reachable.
+// machine.PerCPU charges the interrupt-disable pair exactly as the
+// IntrLock it replaced, and no lock-free charge is reachable.
 func TestOptimisticOffCycleIdentity(t *testing.T) {
 	assertGolden(t, "nodes=1 rseq/lockfree off",
 		shardGoldenCycles(t, 1, Params{Rseq: false, LockFree: false}),
@@ -98,7 +98,7 @@ func TestRseqRestartsUnderJitter(t *testing.T) {
 }
 
 // TestRseqOffNoRestarts proves the jitter stream's restart dimension is
-// only consumed inside Rseq.Run: with Rseq off the same jittered
+// only consumed inside a restartable PerCPU.Enter: with Rseq off the same jittered
 // workload records zero restarts.
 func TestRseqOffNoRestarts(t *testing.T) {
 	cfg := machine.DefaultConfig()

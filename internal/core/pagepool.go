@@ -84,15 +84,6 @@ func newPagePool(a *Allocator, cls, node int, size uint32) *pagePool {
 	return p
 }
 
-// noteLockWait attributes the just-completed Acquire's spin cycles to
-// the event spine (EvLockWait); see globalPool.noteLockWait.
-func (p *pagePool) noteLockWait() {
-	if w := p.lk.LastWait(); w > 0 {
-		p.ev[EvLockWait] += uint64(w)
-		p.al.emit(p.cls, EvLockWait, int(w))
-	}
-}
-
 // pickPage returns a split page with free blocks — the one with the
 // fewest free blocks under the paper's radix policy, or FIFO order under
 // the ablation — or -1 when none exists.
@@ -190,8 +181,7 @@ func (p *pagePool) carvePage(c *machine.CPU) (int32, error) {
 // the vmblk layer as needed. It returns the lists built; an empty result
 // means no memory could be found at this layer.
 func (p *pagePool) getLists(c *machine.CPU, nLists, target int) ([]blocklist.List, error) {
-	p.lk.Acquire(c)
-	p.noteLockWait()
+	p.al.acquire(c, p.lk, &p.ev, p.cls)
 	defer p.lk.Release(c)
 	c.Read(p.line)
 
@@ -257,8 +247,7 @@ func (p *pagePool) getLists(c *machine.CPU, nLists, target int) ([]blocklist.Lis
 // immediately.
 func (p *pagePool) putBlocks(c *machine.CPU, blocks blocklist.List) {
 	n := blocks.Len()
-	p.lk.Acquire(c)
-	p.noteLockWait()
+	p.al.acquire(c, p.lk, &p.ev, p.cls)
 	defer p.lk.Release(c)
 	c.Read(p.line)
 	for !blocks.Empty() {
@@ -317,21 +306,7 @@ func (p *pagePool) putBlockLocked(c *machine.CPU, b arena.Addr) {
 			return
 		}
 		// Every block in the page is free: give the page back at once.
-		c.Work(insnPageSetup)
-		if oldFree > 0 {
-			p.fileOut(c, pg, oldFree)
-		}
-		pd.freeHead = arena.NilAddr
-		pd.nFree = 0
-		pd.class = -1
-		if p.al.hd != nil {
-			// The page is leaving the split state; its owner slots
-			// must not survive into the page's next life.
-			p.al.hd.forgetPage(c, pg)
-		}
-		p.ev[EvPageFree]++
-		p.al.emit(p.cls, EvPageFree, 1)
-		p.al.vm.freePages(c, pg, 1)
+		p.releasePage(c, pg, pd, oldFree)
 		return
 	}
 	if oldFree == 0 {
@@ -339,6 +314,27 @@ func (p *pagePool) putBlockLocked(c *machine.CPU, b arena.Addr) {
 	} else {
 		p.refile(c, pg, oldFree, int(pd.nFree))
 	}
+}
+
+// releasePage gives fully-free page pg back to the vmblk layer, first
+// taking it off the list it was filed on with oldFree free blocks (0: it
+// was filed nowhere — full until now, or parked). Caller holds p.lk.
+func (p *pagePool) releasePage(c *machine.CPU, pg int32, pd *pageDesc, oldFree int) {
+	c.Work(insnPageSetup)
+	if oldFree > 0 {
+		p.fileOut(c, pg, oldFree)
+	}
+	pd.freeHead = arena.NilAddr
+	pd.nFree = 0
+	pd.class = -1
+	if p.al.hd != nil {
+		// The page is leaving the split state; its owner slots must not
+		// survive into the page's next life.
+		p.al.hd.forgetPage(c, pg)
+	}
+	p.ev[EvPageFree]++
+	p.al.emit(p.cls, EvPageFree, 1)
+	p.al.vm.freePages(c, pg, 1)
 }
 
 // popParked reclaims one parked fully-free page for the refill path
@@ -369,22 +365,11 @@ func (p *pagePool) drainParked(c *machine.CPU) {
 	if len(p.stk) == 0 {
 		return
 	}
-	p.lk.Acquire(c)
-	p.noteLockWait()
+	p.al.acquire(c, p.lk, &p.ev, p.cls)
 	for len(p.stk) > 0 {
 		pg := p.stk[len(p.stk)-1]
 		p.stk = p.stk[:len(p.stk)-1]
-		pd := p.al.vm.pdOf(pg)
-		c.Work(insnPageSetup)
-		pd.freeHead = arena.NilAddr
-		pd.nFree = 0
-		pd.class = -1
-		if p.al.hd != nil {
-			p.al.hd.forgetPage(c, pg)
-		}
-		p.ev[EvPageFree]++
-		p.al.emit(p.cls, EvPageFree, 1)
-		p.al.vm.freePages(c, pg, 1)
+		p.releasePage(c, pg, p.al.vm.pdOf(pg), 0)
 	}
 	p.lk.Release(c)
 }

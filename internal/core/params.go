@@ -95,10 +95,11 @@ type Params struct {
 	// Adaptive enables the per-class adaptive target controller: a
 	// windowed miss-rate estimator that grows and shrinks target and
 	// gbltarget online to hold the observed miss rates near a setpoint
-	// (see AdaptiveConfig). Nil keeps the paper's static targets; the
-	// fast path is then byte-for-byte unchanged. TargetFor/GblTargetFor
-	// still supply each class's initial values.
-	Adaptive *AdaptiveConfig
+	// (window, setpoints, deadband and the [2, 64] bounds are the adapt*
+	// constants in adaptive.go). False keeps the paper's static targets;
+	// the fast path is then byte-for-byte unchanged. TargetFor/
+	// GblTargetFor still supply each class's initial values.
+	Adaptive bool
 
 	// Hook, when non-nil, receives every layer-boundary event (refills,
 	// spills, page carves, vmblk creates, reclaims, adaptive decisions —
@@ -125,14 +126,15 @@ type Params struct {
 	Faults *faultpoint.Set
 
 	// Rseq replaces the per-CPU layer's interrupt-disable critical
-	// sections with restartable sequences (machine.Rseq): the fast path
+	// sections with restartable sequences (it is machine.NewPerCPUOn's
+	// protocol argument and nothing else): the fast path
 	// commits with a single store and is restarted — never blocked — when
 	// preemption or a cross-CPU drain lands inside it. The cookie path
 	// stays at 13 instructions (the begin/commit pair costs the same two
 	// instructions as cli/sti) and saves IntrCycles-CommitCycles per
 	// operation; foreign drains (DrainCPU, reclaim, stats assembly) abort
-	// in-flight sequences through Rseq.Interfere instead of taking a
-	// lock. False — the default — keeps the paper's interrupt-disable
+	// in-flight sequences through PerCPU.EnterForeign instead of taking
+	// a lock. False — the default — keeps the paper's interrupt-disable
 	// protocol, cycle-for-cycle identical to the pre-rseq allocator
 	// (TestOptimisticOffCycleIdentity).
 	Rseq bool

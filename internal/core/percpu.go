@@ -25,7 +25,8 @@ type pcpu struct {
 	target int
 
 	// ev tallies this cache's slice of the event spine (EvAlloc, EvFree,
-	// EvCPURefill, EvCPUSpill), written only under the owner's IntrLock.
+	// EvCPURefill, EvCPUSpill), written only inside the owner's critical
+	// section.
 	ev eventCounts
 
 	// notedOps is the EvAlloc+EvFree total as of this cache's last
@@ -34,8 +35,8 @@ type pcpu struct {
 	notedOps uint64
 
 	// remote[n] is this cache's remote-free shard for node n: frees of
-	// blocks homed on node n != the CPU's own node stage here under the
-	// IntrLock alone, and the shard flushes to node n's global pool in
+	// blocks homed on node n != the CPU's own node stage here inside the
+	// critical section alone, and the shard flushes to node n's global pool in
 	// one batched putList when it reaches target blocks — one remote
 	// lock trip per target remote frees instead of one per spill
 	// partition. nil on single-node machines and under
@@ -54,11 +55,13 @@ type pcpu struct {
 	memoHome  int8
 }
 
-// ops returns the fast-path operation count; caller holds the IntrLock.
+// ops returns the fast-path operation count; caller is inside the
+// CPU's critical section.
 func (pc *pcpu) ops() uint64 { return pc.ev[EvAlloc] + pc.ev[EvFree] }
 
 // allocFast attempts the common-case allocation: pop from main, moving
-// aux to main if main is empty. The caller holds the CPU's IntrLock.
+// aux to main if main is empty. The caller is inside the CPU's critical
+// section.
 // Instruction accounting (cookie interface totals 13, per the paper):
 // cli/sti = 2, read cache state = 1, pop link = 1, write cache state = 1,
 // residual straight-line work = 8.
@@ -82,8 +85,8 @@ func (a *Allocator) allocFast(c *machine.CPU, pc *pcpu) (arena.Addr, bool) {
 // freeFast performs the common-case free: push onto main; when main is
 // full, spill aux (if any) for return to the global layer and rotate
 // main into aux. The returned list, when non-empty, must be handed to the
-// global layer by the caller after releasing the IntrLock. The caller
-// holds the CPU's IntrLock.
+// global layer by the caller after leaving the CPU's critical section,
+// which the caller is inside.
 func (a *Allocator) freeFast(c *machine.CPU, pc *pcpu, target int, b arena.Addr) blocklist.List {
 	c.Read(pc.line)
 	var spill blocklist.List
@@ -137,10 +140,11 @@ func (a *Allocator) freeFastSingle(c *machine.CPU, pc *pcpu, target int, b arena
 // freeShard is the sharded remote-free path: push block b (homed on node
 // home, not the executing CPU's node) onto the per-node shard. When the
 // shard reaches target blocks it is taken whole for the caller to flush
-// to node home's global pool in one batched putList after releasing the
-// IntrLock. Charging mirrors freeFast: read cache state, push link,
+// to node home's global pool in one batched putList after leaving the
+// critical section. Charging mirrors freeFast: read cache state, push link,
 // write cache state, residual straight-line work, plus the constant-time
-// whole-list take on a flush. The caller holds the CPU's IntrLock.
+// whole-list take on a flush. The caller is inside the CPU's critical
+// section.
 func (a *Allocator) freeShard(c *machine.CPU, pc *pcpu, target int, home int, b arena.Addr) blocklist.List {
 	c.Read(pc.line)
 	sh := &pc.remote[home]
@@ -158,7 +162,8 @@ func (a *Allocator) freeShard(c *machine.CPU, pc *pcpu, target int, home int, b 
 }
 
 // takeAll empties both halves of the cache, returning the blocks for the
-// global layer. Used by cache drains; caller holds the IntrLock.
+// global layer. Used by cache drains; caller is inside the critical
+// section.
 func (pc *pcpu) takeAll(c *machine.CPU) (blocklist.List, blocklist.List) {
 	c.Read(pc.line)
 	m := pc.main.Take()
@@ -171,7 +176,7 @@ func (pc *pcpu) takeAll(c *machine.CPU) (blocklist.List, blocklist.List) {
 // indexed by home node (nil when the cache has no shards or nothing is
 // staged). Each returned list is already partitioned by home, so drains
 // hand them straight to the home pools without routeSpill's per-block
-// lookups. Caller holds the IntrLock.
+// lookups. Caller is inside the critical section.
 func (pc *pcpu) takeShards(c *machine.CPU) []blocklist.List {
 	var out []blocklist.List
 	for n := range pc.remote {
@@ -192,7 +197,7 @@ func (pc *pcpu) takeShards(c *machine.CPU) []blocklist.List {
 }
 
 // held reports the number of blocks cached, including blocks staged in
-// remote shards; caller holds the IntrLock.
+// remote shards; caller is inside the critical section.
 func (pc *pcpu) held() int {
 	n := pc.main.Len() + pc.aux.Len()
 	for i := range pc.remote {

@@ -240,11 +240,10 @@ func (a *Allocator) AllocWait(c *machine.CPU, size uint64) (arena.Addr, error) {
 	if size == 0 {
 		return arena.NilAddr, ErrBadSize
 	}
-	cls := -1
-	qi := len(a.classes) // large requests share the final queue
-	if size <= uint64(a.maxSmall) {
-		cls = a.classFor(size)
-		qi = cls
+	cls, small := a.classOf(size)
+	qi := cls
+	if !small {
+		qi = len(a.classes) // large requests share the final queue
 	}
 	wq := &a.waitqs[qi]
 	sim := a.m.Config().Mode == machine.Sim

@@ -6,6 +6,7 @@ import (
 
 	"kmem/internal/arena"
 	"kmem/internal/blocklist"
+	"kmem/internal/harden"
 	"kmem/internal/machine"
 )
 
@@ -285,6 +286,74 @@ func TestAllocWaitSimBoundedFailure(t *testing.T) {
 
 	for _, b := range held {
 		a.Free(c, b, 4096)
+	}
+	a.DrainAll(c)
+	checkOK(t, a)
+}
+
+// TestAllocWaitHardenedClass: with hardening on, AllocWait must park on
+// (and report EvWait for) the class Alloc serves the request from — the
+// class of size+redzone — or a Native waiter misses that class's wakeup.
+// 2040 bytes sits in the 2048 class until the redzone pushes it into
+// 4096. The Hook plays the other CPU: it frees a block while the waiter
+// is parked, so the retry succeeds and shows which class served it.
+func TestAllocWaitHardenedClass(t *testing.T) {
+	const size = 2040
+	cfg := machine.DefaultConfig()
+	cfg.NumCPUs = 2
+	cfg.MemBytes = 16 << 20
+	cfg.PhysPages = 20
+	m := machine.New(cfg)
+	var a *Allocator
+	var held []arena.Addr
+	var waitCls []int
+	a, err := New(m, Params{
+		TargetFor:    func(uint32) int { return 2 },
+		GblTargetFor: func(uint32) int { return 1 },
+		Harden:       &harden.Config{},
+		Wait:         &WaitConfig{MaxWaits: 3, BaseBackoffCycles: 1000, MaxBackoffCycles: 4000},
+		Hook: func(cls int, ev LayerEvent, n int) {
+			if ev == EvWait {
+				waitCls = append(waitCls, cls)
+				a.Free(m.CPU(1), held[len(held)-1], size)
+				held = held[:len(held)-1]
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := m.CPU(0)
+	for {
+		b, err := a.Alloc(c, size)
+		if err != nil {
+			break
+		}
+		held = append(held, b)
+	}
+
+	before := a.Stats(c)
+	b, err := a.AllocWait(c, size)
+	if err != nil {
+		t.Fatalf("AllocWait with a free arriving during the park: %v", err)
+	}
+	after := a.Stats(c)
+	served := -1
+	for i := range after.Classes {
+		if after.Classes[i].Allocs > before.Classes[i].Allocs {
+			served = i
+		}
+	}
+	if want := a.classFor(size + harden.DefaultRedzone); served != want {
+		t.Fatalf("retry served from class %d, want %d (size+redzone)", served, want)
+	}
+	if len(waitCls) != 1 || waitCls[0] != served {
+		t.Fatalf("EvWait classes %v, want one wait on class %d, the class that served the retry", waitCls, served)
+	}
+
+	a.Free(c, b, size)
+	for _, b := range held {
+		a.Free(c, b, size)
 	}
 	a.DrainAll(c)
 	checkOK(t, a)

@@ -9,9 +9,10 @@ import (
 )
 
 // TestShardStagingAndFlush walks the sharded remote-free path end to
-// end: remote frees stage in the per-node shard under the IntrLock
-// alone, the shard flushes to its home pool in one batched putList on
-// reaching target, and the home memo answers repeat lookups.
+// end: remote frees stage in the per-node shard inside the CPU's
+// critical section alone, the shard flushes to its home pool in one
+// batched putList on reaching target, and the home memo answers repeat
+// lookups.
 func TestShardStagingAndFlush(t *testing.T) {
 	a, m := numaAllocator(t, 4, 2, 1024, Params{})
 	c0, c2 := m.CPU(0), m.CPU(2)

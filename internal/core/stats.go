@@ -347,7 +347,7 @@ type Stats struct {
 // else.
 //
 // Snapshot semantics are deliberately relaxed rather than stop-the-world:
-// each CPU's caches are read under a single IntrLock acquisition (so one
+// each CPU's caches are read inside a single critical section (so one
 // CPU's counters are mutually consistent across every class and every
 // event), and each global pool and page pool is read under its own lock —
 // but the snapshot as a whole is not one atomic cut across layers. While
@@ -373,25 +373,25 @@ func (a *Allocator) Stats(c *machine.CPU) Stats {
 		}
 	}
 
-	// One IntrLock acquisition per CPU, covering every class: a CPU's
+	// One critical section per CPU, covering every class: a CPU's
 	// per-class counters are read as one consistent unit instead of the
 	// per-class lock/unlock sequence that let classes skew against each
 	// other mid-run.
 	for cpu := range a.percpu {
-		a.pcpuInterfere(c, cpu, func() {
-			for i := range a.classes {
-				pc := &a.percpu[cpu][i]
-				st := &out.Classes[i]
-				st.Allocs += pc.ev[EvAlloc]
-				st.Frees += pc.ev[EvFree]
-				st.AllocRefills += pc.ev[EvCPURefill]
-				st.FreeSpills += pc.ev[EvCPUSpill]
-				st.ShardFlushes += pc.ev[EvShardFlush]
-				st.HomeMemoHits += pc.ev[EvHomeMemoHit]
-				st.RseqRestarts += pc.ev[EvRseqRestart]
-				st.HeldPerCPU += pc.held()
-			}
-		})
+		a.crit[cpu].EnterForeign(c)
+		for i := range a.classes {
+			pc := &a.percpu[cpu][i]
+			st := &out.Classes[i]
+			st.Allocs += pc.ev[EvAlloc]
+			st.Frees += pc.ev[EvFree]
+			st.AllocRefills += pc.ev[EvCPURefill]
+			st.FreeSpills += pc.ev[EvCPUSpill]
+			st.ShardFlushes += pc.ev[EvShardFlush]
+			st.HomeMemoHits += pc.ev[EvHomeMemoHit]
+			st.RseqRestarts += pc.ev[EvRseqRestart]
+			st.HeldPerCPU += pc.held()
+		}
+		a.crit[cpu].ExitForeign(c)
 	}
 
 	for i := range a.classes {

@@ -157,7 +157,7 @@ func TestStatsRelaxedSnapshotInvariants(t *testing.T) {
 	cfg.MemBytes = 32 << 20
 	cfg.PhysPages = 4096
 	m := machine.New(cfg)
-	a, err := New(m, Params{Adaptive: &AdaptiveConfig{}})
+	a, err := New(m, Params{Adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}

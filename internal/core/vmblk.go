@@ -190,16 +190,6 @@ func newVmblkLayer(a *Allocator) *vmblkLayer {
 	return v
 }
 
-// noteLockWait attributes the just-completed Acquire's spin cycles on
-// the layer lock to the event spine (EvLockWait, class -1); see
-// globalPool.noteLockWait.
-func (v *vmblkLayer) noteLockWait() {
-	if w := v.lk.LastWait(); w > 0 {
-		v.ev[EvLockWait] += uint64(w)
-		v.al.emit(-1, EvLockWait, int(w))
-	}
-}
-
 // pdOf resolves a global page number to its descriptor. The caller must
 // know the page belongs to an existing vmblk.
 func (v *vmblkLayer) pdOf(pg int32) *pageDesc {
@@ -575,8 +565,7 @@ func (v *vmblkLayer) decommitFree(c *machine.CPU, want int64) int64 {
 	if !v.lazy {
 		return 0
 	}
-	v.lk.Acquire(c)
-	v.noteLockWait()
+	v.al.acquire(c, v.lk, &v.ev, -1)
 	n := v.decommitFreeLocked(c, want)
 	v.lk.Release(c)
 	return n
@@ -588,8 +577,7 @@ func (v *vmblkLayer) decommitFree(c *machine.CPU, want int64) int64 {
 // lk: a concurrent free of a neighbouring span reads this page's state
 // (boundary tags) under the same lock.
 func (v *vmblkLayer) allocSplitPage(c *machine.CPU, cls, node int) (int32, error) {
-	v.lk.Acquire(c)
-	v.noteLockWait()
+	v.al.acquire(c, v.lk, &v.ev, -1)
 	defer v.lk.Release(c)
 	pg, err := v.allocPagesLocked(c, 1, node)
 	if err != nil {
@@ -665,8 +653,7 @@ func (v *vmblkLayer) allocPagesLocked(c *machine.CPU, n int32, node int) (int32,
 // frames stay resident on the free span until the decommit pass claims
 // them under pressure.
 func (v *vmblkLayer) freePages(c *machine.CPU, pg, n int32) {
-	v.lk.Acquire(c)
-	v.noteLockWait()
+	v.al.acquire(c, v.lk, &v.ev, -1)
 	v.freePagesLocked(c, pg, n)
 	v.lk.Release(c)
 }
@@ -734,8 +721,7 @@ func (v *vmblkLayer) pagesFor(size uint64) int32 {
 func (v *vmblkLayer) allocLarge(c *machine.CPU, size uint64) (arena.Addr, error) {
 	c.Work(insnLargeOp)
 	n := v.pagesFor(size)
-	v.lk.Acquire(c)
-	v.noteLockWait()
+	v.al.acquire(c, v.lk, &v.ev, -1)
 	defer v.lk.Release(c)
 	pg, err := v.allocPagesLocked(c, n, c.Node())
 	if err != nil {
@@ -751,8 +737,7 @@ func (v *vmblkLayer) allocLarge(c *machine.CPU, size uint64) (arena.Addr, error)
 // recorded span length.
 func (v *vmblkLayer) freeLarge(c *machine.CPU, addr arena.Addr) {
 	c.Work(insnLargeOp)
-	v.lk.Acquire(c)
-	v.noteLockWait()
+	v.al.acquire(c, v.lk, &v.ev, -1)
 	pd, pg := v.lookup(c, addr)
 	if pd.state != pdAllocHead {
 		panic(fmt.Sprintf("kmem: freeLarge(%#x) of %s page", addr, pdStateName(pd.state)))

@@ -39,14 +39,15 @@ const PoisonByte = 0xde
 // CanaryByte fills redzones while a block is allocated.
 const CanaryByte = 0xca
 
-// DefaultRedzone is the per-object redzone width when Config.Redzone is
-// zero: two words, enough to catch the common off-by-one and small
-// memset overruns without moving any block into the next size class for
-// typical requests.
+// DefaultRedzone is the per-object redzone width in bytes: two words,
+// enough to catch the common off-by-one and small memset overruns
+// without moving any block into the next size class for typical
+// requests. The redzone is carved out of the block's size class: a
+// hardened request for n bytes maps to the class serving
+// n+DefaultRedzone, so the canary never overlaps caller bytes.
 const DefaultRedzone = 16
 
-// DefaultRingSize is the per-CPU audit-ring capacity when
-// Config.RingSize is zero.
+// DefaultRingSize is the per-CPU audit-ring capacity in records.
 const DefaultRingSize = 64
 
 // Policy selects what a detection does after the report is filed.
@@ -110,21 +111,12 @@ func (k Kind) String() string {
 // a whole is enabled by presence (a non-nil *Config) and disabled by
 // absence, so the allocator's fast paths carry only a nil test when off.
 type Config struct {
-	// Redzone is the per-object redzone width in bytes (rounded up to a
-	// multiple of 8 internally); 0 selects DefaultRedzone. The redzone
-	// is carved out of the block's size class: a hardened request for n
-	// bytes maps to the class serving n+Redzone, so the canary never
-	// overlaps caller bytes.
-	Redzone uint64
 	// NoPoison disables poison-on-free and verify-on-alloc, leaving
 	// only redzones and ownership tracking. For object caches poison
 	// also disables constructed-state reuse (a poisoned object must be
 	// re-constructed), so caches that want hardening without losing the
 	// ctor-skip win set this.
 	NoPoison bool
-	// RingSize is the per-CPU audit ring capacity in records; 0 selects
-	// DefaultRingSize.
-	RingSize int
 	// Policy selects panic, quarantine-and-continue (default), or
 	// log-only handling after a detection.
 	Policy Policy
@@ -133,24 +125,6 @@ type Config struct {
 	// the structured report). It may be called with allocator-internal
 	// locks held and must not call back into the allocator.
 	OnReport func(Report)
-}
-
-// RedzoneBytes returns the effective redzone width: the configured value
-// rounded up to a multiple of 8, or DefaultRedzone when unset.
-func (c *Config) RedzoneBytes() uint64 {
-	rz := c.Redzone
-	if rz == 0 {
-		rz = DefaultRedzone
-	}
-	return (rz + 7) &^ 7
-}
-
-// RingCap returns the effective per-CPU audit-ring capacity.
-func (c *Config) RingCap() int {
-	if c.RingSize <= 0 {
-		return DefaultRingSize
-	}
-	return c.RingSize
 }
 
 // Op tags an audit-ring record.

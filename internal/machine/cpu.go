@@ -36,7 +36,7 @@ type CPU struct {
 	remoteMisses uint64
 	busWait      int64
 	spinWait     int64
-	restarts     uint64 // rseq sequences aborted and re-run (rseq.go)
+	restarts     uint64 // restartable sections aborted and re-run (percpu.go)
 	casRetries   uint64 // lock-free CAS commits that had to retry
 
 	// Optional per-access trace (Sim mode), used by the Analysis-section

@@ -14,9 +14,9 @@ package machine
 //   - preemption points: after an operation completes, the CPU's clock
 //     may jump forward a bounded random amount, modelling an interrupt
 //     or preemption that lets other CPUs' operations slide in front;
-//   - lock boundaries: an acquire (SpinLock or IntrLock) may be delayed
-//     a bounded random amount before it contends, reordering lock
-//     arbitration specifically.
+//   - lock boundaries: an acquire (SpinLock, or PerCPU under interrupt
+//     disable) may be delayed a bounded random amount before it
+//     contends, reordering lock arbitration specifically.
 //
 // Everything is charged to virtual clocks, so a jittered run is exactly
 // as replayable as a plain one: same seed, same config, same workload =>
@@ -33,10 +33,10 @@ type JitterConfig struct {
 
 	// RestartEvery is the mean number of restartable-sequence attempts
 	// between injected aborts (0 selects 9). A restart-storm config sets
-	// this to 2 to abort sequences at a high rate; see Rseq.Run for how
-	// each abort picks an adversarial abort point. Only consulted while
-	// a sequence is running, so runs without Rseq enabled draw exactly
-	// the same jitter stream as before the knob existed.
+	// this to 2 to abort sequences at a high rate; see PerCPU.Enter for
+	// how each abort picks an adversarial abort point. Only consulted
+	// while a sequence is running, so runs without restartable sections
+	// draw exactly the same jitter stream as before the knob existed.
 	RestartEvery int
 }
 
@@ -107,7 +107,7 @@ func (m *Machine) SetScheduleJitter(cfg *JitterConfig) {
 }
 
 // lockJitter possibly injects a bounded seeded delay at a lock boundary.
-// Called from the Sim branches of SpinLock.Acquire and IntrLock.Acquire;
+// Called from the Sim branches of SpinLock.Acquire and PerCPU.EnterForeign;
 // with jitter disarmed it is a nil check.
 func (m *Machine) lockJitter(c *CPU) {
 	j := m.jit

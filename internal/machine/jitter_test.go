@@ -2,7 +2,7 @@ package machine
 
 import "testing"
 
-// jitterWorkload drives a fixed lock-heavy workload — IntrLock sections,
+// jitterWorkload drives a fixed lock-heavy workload — PerCPU sections,
 // a contended spinlock, shared-line traffic — and returns the final
 // per-CPU clocks and the schedule hash. Everything the jitter hooks can
 // perturb is exercised.
@@ -17,7 +17,7 @@ func jitterWorkload(t *testing.T, cpus int, cfg *JitterConfig) ([]int64, uint64)
 	m.SetScheduleJitter(cfg)
 	m.EnableSchedHash()
 	lk := NewSpinLock(m)
-	var il IntrLock
+	var il PerCPU
 	shared := m.NewMetaLine()
 	ops := make([]int, cpus)
 	m.Run(func(c *CPU) bool {
@@ -25,9 +25,9 @@ func jitterWorkload(t *testing.T, cpus int, cfg *JitterConfig) ([]int64, uint64)
 			return false
 		}
 		ops[c.ID()]++
-		il.Acquire(c)
+		il.Enter(c)
 		c.Work(5)
-		il.Release(c)
+		il.Exit(c)
 		lk.Acquire(c)
 		c.Atomic(shared)
 		c.Work(int64(3 + ops[c.ID()]%7))

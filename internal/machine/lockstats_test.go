@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestSpinLockWaitHoldAccounting pins the wait-vs-hold cycle split: an
@@ -77,44 +78,49 @@ func TestSpinLockStatsNativeZeroWait(t *testing.T) {
 	}
 }
 
-// paddedIntrLock pads an IntrLock to a full 64-byte cache line, the
-// layout the allocator uses for its per-CPU lock array (core's
-// paddedIntrLock). The benchmark below measures why: adjacent unpadded
-// 8-byte mutexes in one slice share lines, and every Lock/Unlock
-// invalidates the neighbours' lines.
-type paddedIntrLock struct {
-	IntrLock
-	_ [56]byte
+// adjacentPerCPUs lays n sections out at the stride PerCPU would have
+// without its trailing pad, so that neighbours' live words share lines:
+// each element's pad overlaps the elements after it. Nothing reads or
+// writes a pad once its element is constructed, so the overlap is
+// harmless; it exists so the benchmark below can show what the pad buys.
+func adjacentPerCPUs(m *Machine, n int, rseq bool) []*PerCPU {
+	live := perCPULiveBytes()
+	buf := make([]uint64, (uintptr(n)*live+unsafe.Sizeof(PerCPU{}))/8)
+	out := make([]*PerCPU, n)
+	for i := range out {
+		out[i] = (*PerCPU)(unsafe.Add(unsafe.Pointer(&buf[0]), uintptr(i)*live))
+		*out[i] = NewPerCPUOn(m, 0, rseq)
+	}
+	return out
 }
 
-// benchIntrLocks hammers one lock per worker, each worker on its own
-// CPU handle and its own lock — no shared data, so any slowdown between
-// the two layouts is pure cache-line interference. Race-detector clean.
-func benchIntrLocks(b *testing.B, lockFor func(w int) interface {
-	Acquire(*CPU)
-	Release(*CPU)
-}, workers int, m *Machine) {
+// benchPerCPUs hammers one section per worker, each worker on its own
+// CPU handle and its own section — no shared data, so any slowdown
+// between the two layouts is pure cache-line interference. Race-detector
+// clean.
+func benchPerCPUs(b *testing.B, m *Machine, cs []*PerCPU) {
 	b.ResetTimer()
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range cs {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := m.CPU(w)
-			l := lockFor(w)
+			c, p := m.CPU(w), cs[w]
 			for i := 0; i < b.N; i++ {
-				l.Acquire(c)
-				l.Release(c)
+				p.Enter(c)
+				p.Exit(c)
 			}
 		}(w)
 	}
 	wg.Wait()
 }
 
-// BenchmarkIntrLockFalseSharing compares adjacent unpadded IntrLocks
-// against cache-line-padded ones under per-worker (uncontended) use in
-// Native mode. Run with -race to verify the harness is race-free; run
-// without -race for meaningful timings.
+// BenchmarkIntrLockFalseSharing compares PerCPU sections packed at their
+// unpadded stride against the padded []PerCPU the allocator keeps, under
+// per-worker (uncontended) use in Native mode, for the interrupt-disable
+// protocol (a mutex) and the restartable one (claim and epoch words).
+// Run with -race to verify the harness is race-free; run without -race
+// for meaningful timings.
 func BenchmarkIntrLockFalseSharing(b *testing.B) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > 8 {
@@ -125,30 +131,23 @@ func BenchmarkIntrLockFalseSharing(b *testing.B) {
 		// between caches; numbers there would only measure footprint.
 		b.Skip("needs >= 2 hardware CPUs to exhibit line sharing")
 	}
-	newNative := func() *Machine {
-		cfg := DefaultConfig()
-		cfg.Mode = Native
-		cfg.NumCPUs = workers
-		return New(cfg)
+	for _, proto := range []struct {
+		prefix string
+		rseq   bool
+	}{{"", false}, {"rseq-", true}} {
+		b.Run(proto.prefix+"unpadded", func(b *testing.B) {
+			m := nativeMachine(workers)
+			benchPerCPUs(b, m, adjacentPerCPUs(m, workers, proto.rseq))
+		})
+		b.Run(proto.prefix+"padded", func(b *testing.B) {
+			m := nativeMachine(workers)
+			padded := make([]PerCPU, workers)
+			cs := make([]*PerCPU, workers)
+			for w := range padded {
+				padded[w] = NewPerCPUOn(m, 0, proto.rseq)
+				cs[w] = &padded[w]
+			}
+			benchPerCPUs(b, m, cs)
+		})
 	}
-	b.Run("unpadded", func(b *testing.B) {
-		m := newNative()
-		locks := make([]IntrLock, workers)
-		benchIntrLocks(b, func(w int) interface {
-			Acquire(*CPU)
-			Release(*CPU)
-		} {
-			return &locks[w]
-		}, workers, m)
-	})
-	b.Run("padded", func(b *testing.B) {
-		m := newNative()
-		locks := make([]paddedIntrLock, workers)
-		benchIntrLocks(b, func(w int) interface {
-			Acquire(*CPU)
-			Release(*CPU)
-		} {
-			return &locks[w]
-		}, workers, m)
-	})
 }

@@ -103,14 +103,14 @@ type Config struct {
 	PageZeroCycles int64 // cost to zero a freshly mapped page
 
 	// Atomic-op cost model for the optimistic-concurrency fast paths
-	// (restartable sequences, rseq.go, and the lock-free Treiber stacks
+	// (restartable sequences, percpu.go, and the lock-free Treiber stacks
 	// in the allocator's global layer). A CAS is the same bus-locked
 	// read-modify-write transaction as AtomicCycles models; it gets its
 	// own constant so the lock-free layer's commit instruction can be
 	// calibrated independently of the spinlock's test-and-set. The
 	// commit store of a restartable sequence is the cheap one: a plain
 	// store to a line the CPU already owns, plus the abort-ip window
-	// check — this is what replaces the IntrLock enter/exit charge
+	// check — this is what replaces the interrupt-disable charge
 	// (2 insns + IntrCycles) on the per-CPU fast path.
 	CASCycles     int64 // bus-locked compare-and-swap (lock-free stack commit)
 	FenceCycles   int64 // store fence draining the write buffer

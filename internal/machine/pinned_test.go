@@ -38,7 +38,7 @@ func pinnedWorkload(jit *JitterConfig) pinnedRun {
 
 	short := NewSpinLock(m)
 	long := NewSpinLockOn(m, 1)
-	var il IntrLock
+	var il PerCPU
 	shared := m.NewMetaLine()
 	far := m.NewMetaLineOn(1)
 
@@ -89,9 +89,9 @@ func pinnedWorkload(jit *JitterConfig) pinnedRun {
 				c.CAS(far)
 			}
 		default:
-			il.Acquire(c)
+			il.Enter(c)
 			c.Work(5)
-			il.Release(c)
+			il.Exit(c)
 			short.Acquire(c)
 			c.Atomic(shared)
 			c.Work(int64(3 + r%7))

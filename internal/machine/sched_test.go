@@ -156,10 +156,10 @@ func TestSharedLinePingPong(t *testing.T) {
 func TestIntrLockSimCharges(t *testing.T) {
 	m := simMachine(1)
 	c := m.CPU(0)
-	var il IntrLock
+	var il PerCPU
 	before := c.Now()
-	il.Acquire(c)
-	il.Release(c)
+	il.Enter(c)
+	il.Exit(c)
 	if c.Now()-before != m.Config().IntrCycles {
 		t.Fatalf("intr cost = %d, want %d", c.Now()-before, m.Config().IntrCycles)
 	}

@@ -160,30 +160,3 @@ func (l *SpinLock) Stats() LockStats {
 		HoldCycles:   l.holdCycles,
 	}
 }
-
-// IntrLock guards per-CPU state. On the paper's machine this protection is
-// interrupt disabling — no bus traffic, no shared lock word. In Sim mode
-// Acquire charges only the cli/sti cycle cost; in Native mode it is a real
-// (uncontended in correct use) mutex so that the low-memory path's remote
-// cache drains are race-free under the Go memory model.
-type IntrLock struct {
-	mu sync.Mutex
-}
-
-// Acquire enters the protected region on CPU c.
-func (l *IntrLock) Acquire(c *CPU) {
-	if c.sim {
-		c.m.lockJitter(c)
-		c.DisableIntr()
-		return
-	}
-	l.mu.Lock()
-}
-
-// Release leaves the protected region.
-func (l *IntrLock) Release(c *CPU) {
-	if c.sim {
-		return
-	}
-	l.mu.Unlock()
-}

@@ -66,13 +66,16 @@ type Ctor func(c *machine.CPU, mem *arena.Arena, obj arena.Addr)
 // returned to the allocator (reclaim, Trim, or Destroy).
 type Dtor func(c *machine.CPU, mem *arena.Arena, obj arena.Addr)
 
+// magSize is the number of objects per magazine; depotMags bounds the
+// full magazines a node's depot retains (overflow magazines are
+// destructed and released immediately) and the empties it recycles.
+const (
+	magSize   = 8
+	depotMags = 8
+)
+
 // Opts tunes a cache. The zero value selects defaults.
 type Opts struct {
-	// MagSize is the number of objects per magazine (default 8).
-	MagSize int
-	// DepotMags bounds the full magazines the depot retains; overflow
-	// magazines are destructed and released immediately (default 8).
-	DepotMags int
 	// MinBackSize sets a floor on the backing allocation request, for
 	// subsystems whose on-disk/paper layout fixes the block size (DLM's
 	// 512-byte resource blocks) while the live object is smaller. The
@@ -94,10 +97,11 @@ type Opts struct {
 	Harden *harden.Config
 
 	// Rseq replaces the magazine fast path's interrupt-disable pair with
-	// a restartable per-CPU sequence (machine.Rseq), mirroring core's
-	// Params.Rseq: the Get/Put common case commits with a single store
-	// and is restarted, not blocked, when a cross-CPU drain interferes.
-	// Same instruction count, IntrCycles-CommitCycles fewer cycles.
+	// a restartable per-CPU sequence (machine.NewPerCPUOn's protocol
+	// argument), mirroring core's Params.Rseq: the Get/Put common case
+	// commits with a single store and is restarted, not blocked, when a
+	// cross-CPU drain interferes. Same instruction count,
+	// IntrCycles-CommitCycles fewer cycles.
 	Rseq bool
 }
 
@@ -129,15 +133,14 @@ type sizeBacking interface {
 
 // cpuMags is one CPU's magazine pair. loaded serves the fast path; prev
 // is its reserve, kept either full or empty so one swap always helps.
-// The trailing pad keeps native-mode locks of adjacent CPUs off shared
-// cache lines, mirroring core's paddedIntrLock.
+// crit guards both: the owning CPU brackets its accesses with Enter/Exit,
+// drains with EnterForeign/ExitForeign. It is the last field so that its
+// trailing pad keeps adjacent CPUs' words off shared cache lines.
 type cpuMags struct {
-	il     machine.IntrLock
-	rs     *machine.Rseq // non-nil under Opts.Rseq; replaces il on every path
-	line   machine.Line  // synthetic metadata line for the pair
+	line   machine.Line // synthetic metadata line for the pair
 	loaded []arena.Addr
 	prev   []arena.Addr
-	_      [64]byte
+	crit   machine.PerCPU
 }
 
 // depot is one node's magazine depot: full magazines awaiting a CPU on
@@ -194,8 +197,6 @@ type Cache struct {
 	hasCk    bool
 	sizer    sizeBacking
 	events   eventBacking
-	magSize  int
-	depotCap int
 
 	// Coloring.
 	colorInc  uint64 // one cache line
@@ -289,12 +290,6 @@ func New(m *machine.Machine, back allocif.Allocator, name string, size, align ui
 	if align&(align-1) != 0 {
 		return nil, fmt.Errorf("objcache: alignment %d not a power of two", align)
 	}
-	if o.MagSize <= 0 {
-		o.MagSize = 8
-	}
-	if o.DepotMags <= 0 {
-		o.DepotMags = 8
-	}
 
 	k := &Cache{
 		name:     name,
@@ -305,8 +300,6 @@ func New(m *machine.Machine, back allocif.Allocator, name string, size, align ui
 		dtor:     dtor,
 		size:     size,
 		align:    align,
-		magSize:  o.MagSize,
-		depotCap: o.DepotMags,
 		colorInc: uint64(1) << m.Config().LineShift,
 		objs:     make(map[arena.Addr]arena.Addr),
 	}
@@ -327,7 +320,7 @@ func New(m *machine.Machine, back allocif.Allocator, name string, size, align ui
 	}
 	var rz uint64
 	if o.Harden != nil {
-		rz = o.Harden.RedzoneBytes()
+		rz = harden.DefaultRedzone
 		k.hd = &cacheHarden{
 			cfg:   o.Harden,
 			rz:    rz,
@@ -375,11 +368,9 @@ func New(m *machine.Machine, back allocif.Allocator, name string, size, align ui
 	k.mags = make([]cpuMags, m.NumCPUs())
 	for i := range k.mags {
 		k.mags[i].line = m.NewMetaLineOn(m.NodeOf(i))
-		k.mags[i].loaded = make([]arena.Addr, 0, k.magSize)
-		k.mags[i].prev = make([]arena.Addr, 0, k.magSize)
-		if o.Rseq {
-			k.mags[i].rs = machine.NewRseqOn(m, m.NodeOf(i))
-		}
+		k.mags[i].loaded = make([]arena.Addr, 0, magSize)
+		k.mags[i].prev = make([]arena.Addr, 0, magSize)
+		k.mags[i].crit = machine.NewPerCPUOn(m, m.NodeOf(i), o.Rseq)
 	}
 	if eb, ok := back.(eventBacking); ok {
 		k.events = eb
@@ -406,42 +397,23 @@ func (k *Cache) NumColors() int { return k.nColors }
 // ColorInc returns the coloring step (the machine's cache line size).
 func (k *Cache) ColorInc() uint64 { return k.colorInc }
 
-// magRun executes body as CPU c's magazine critical section: a
-// restartable sequence under Opts.Rseq (commit-store discipline, aborted
-// and restarted on interference), the interrupt-disable pair otherwise.
-// The restart tally is safe outside the sequence — it is this cache's
-// own atomic, not state the sequence protects.
-func (k *Cache) magRun(c *machine.CPU, pc *cpuMags, body func()) {
-	if pc.rs != nil {
-		if n := pc.rs.Run(c, func(int) { body() }); n > 0 {
-			k.rseqRestarts.Add(uint64(n))
-		}
-		return
+// enter begins CPU c's magazine critical section. The restart tally is
+// this cache's own atomic, not state the section guards, so it needs no
+// more care than being counted.
+func (k *Cache) enter(c *machine.CPU, pc *cpuMags) {
+	if n := pc.crit.Enter(c); n > 0 {
+		k.rseqRestarts.Add(uint64(n))
 	}
-	pc.il.Acquire(c)
-	body()
-	pc.il.Release(c)
-}
-
-// magInterfere executes body as a cross-CPU access to pc's magazines
-// (drains), aborting the owner's in-flight sequence under Opts.Rseq.
-func (k *Cache) magInterfere(c *machine.CPU, pc *cpuMags, body func()) {
-	if pc.rs != nil {
-		pc.rs.Interfere(c, body)
-		return
-	}
-	pc.il.Acquire(c)
-	body()
-	pc.il.Release(c)
 }
 
 // depotOf returns the calling CPU's node depot.
 func (k *Cache) depotOf(c *machine.CPU) *depot { return &k.depots[c.Node()] }
 
-// noteDepotLock accounts the spin the Acquire immediately preceding it
-// paid for d's lock: the cycles surface through the allocator's event
-// spine (EvLockWait, like every charged lock in core).
-func (k *Cache) noteDepotLock(d *depot) {
+// lockDepot takes d's lock and accounts the spin the acquire paid: the
+// cycles surface through the allocator's event spine (EvLockWait, like
+// every charged lock in core).
+func (k *Cache) lockDepot(c *machine.CPU, d *depot) {
+	d.lk.Acquire(c)
 	if w := d.lk.LastWait(); w > 0 {
 		k.depotWait.Add(uint64(w))
 		if k.events != nil {
@@ -460,9 +432,9 @@ func (k *Cache) Get(c *machine.CPU) (arena.Addr, error) {
 		return arena.NilAddr, ErrDestroyed
 	}
 	pc := &k.mags[c.ID()]
-	var obj arena.Addr
-	var ok bool
-	k.magRun(c, pc, func() { obj, ok = k.getFast(c, pc) })
+	k.enter(c, pc)
+	obj, ok := k.getFast(c, pc)
+	pc.crit.Exit(c)
 	if ok {
 		return obj, nil
 	}
@@ -470,7 +442,7 @@ func (k *Cache) Get(c *machine.CPU) (arena.Addr, error) {
 }
 
 // getFast pops from the magazine pair. Caller is inside the magazine
-// critical section (magRun/magInterfere).
+// critical section.
 func (k *Cache) getFast(c *machine.CPU, pc *cpuMags) (arena.Addr, bool) {
 	c.Read(pc.line)
 	for {
@@ -512,8 +484,7 @@ func (k *Cache) getFast(c *machine.CPU, pc *cpuMags) (arena.Addr, bool) {
 func (k *Cache) getSlow(c *machine.CPU, pc *cpuMags) (arena.Addr, error) {
 	// Try to exchange the empty loaded magazine for a full one.
 	d := k.depotOf(c)
-	d.lk.Acquire(c)
-	k.noteDepotLock(d)
+	k.lockDepot(c, d)
 	c.Read(d.ln)
 	var full []arena.Addr
 	if n := len(d.full); n > 0 {
@@ -526,22 +497,17 @@ func (k *Cache) getSlow(c *machine.CPU, pc *cpuMags) (arena.Addr, error) {
 	d.lk.Release(c)
 
 	if full != nil {
-		var obj arena.Addr
-		var ok bool
-		k.magRun(c, pc, func() {
-			// A Put may have refilled the pair while the depot lock was
-			// held; prefer the magazines and return the depot's magazine.
-			if obj, ok = k.getFast(c, pc); ok {
-				return
-			}
+		k.enter(c, pc)
+		// A Put may have refilled the pair while the depot lock was
+		// held; prefer the magazines and return the depot's magazine.
+		obj, raced := k.getFast(c, pc)
+		if !raced {
 			// Install the full magazine; the empty loaded becomes spare.
-			spare := pc.prev
-			pc.prev = pc.loaded
-			pc.loaded = full
-			full = spare
+			full, pc.prev, pc.loaded = pc.prev, pc.loaded, full
 			obj, _ = k.getFast(c, pc)
-		})
-		if ok {
+		}
+		pc.crit.Exit(c)
+		if raced {
 			k.putDepotFull(c, full)
 		} else {
 			k.recycleEmpty(c, full)
@@ -617,16 +583,16 @@ func (k *Cache) Put(c *machine.CPU, obj arena.Addr) {
 		return
 	}
 	pc := &k.mags[c.ID()]
-	var ok bool
-	k.magRun(c, pc, func() { ok = k.putFast(c, pc, obj) })
-	if ok {
-		return
+	k.enter(c, pc)
+	ok := k.putFast(c, pc, obj)
+	pc.crit.Exit(c)
+	if !ok {
+		k.putSlow(c, pc, obj)
 	}
-	k.putSlow(c, pc, obj)
 }
 
 // putFast pushes onto the magazine pair. Caller is inside the magazine
-// critical section (magRun/magInterfere).
+// critical section.
 func (k *Cache) putFast(c *machine.CPU, pc *cpuMags, obj arena.Addr) bool {
 	c.Read(pc.line)
 	if len(pc.loaded) == cap(pc.loaded) {
@@ -655,8 +621,7 @@ func (k *Cache) putSlow(c *machine.CPU, pc *cpuMags, obj arena.Addr) {
 	// Take an empty magazine (recycled or fresh), then swap it in for
 	// the older full one.
 	d := k.depotOf(c)
-	d.lk.Acquire(c)
-	k.noteDepotLock(d)
+	k.lockDepot(c, d)
 	c.Read(d.ln)
 	var empty []arena.Addr
 	if n := len(d.empty); n > 0 {
@@ -666,20 +631,16 @@ func (k *Cache) putSlow(c *machine.CPU, pc *cpuMags, obj arena.Addr) {
 	c.Work(insnDepot)
 	d.lk.Release(c)
 	if empty == nil {
-		empty = make([]arena.Addr, 0, k.magSize)
+		empty = make([]arena.Addr, 0, magSize)
 	}
 
 	var full []arena.Addr
-	k.magRun(c, pc, func() {
-		full = nil
-		if k.putFast(c, pc, obj) { // raced: room appeared
-			return
-		}
-		full = pc.prev
-		pc.prev = pc.loaded
-		pc.loaded = empty
+	k.enter(c, pc)
+	if !k.putFast(c, pc, obj) { // else raced: room appeared
+		full, pc.prev, pc.loaded = pc.prev, pc.loaded, empty
 		k.putFast(c, pc, obj)
-	})
+	}
+	pc.crit.Exit(c)
 	if full == nil {
 		k.recycleEmpty(c, empty)
 		return
@@ -693,11 +654,10 @@ func (k *Cache) putSlow(c *machine.CPU, pc *cpuMags, obj arena.Addr) {
 func (k *Cache) putDepotFull(c *machine.CPU, full []arena.Addr) {
 	var victim []arena.Addr
 	d := k.depotOf(c)
-	d.lk.Acquire(c)
-	k.noteDepotLock(d)
+	k.lockDepot(c, d)
 	c.Read(d.ln)
 	d.full = append(d.full, full)
-	if len(d.full) > k.depotCap {
+	if len(d.full) > depotMags {
 		victim = d.full[0]
 		d.full = d.full[1:]
 	} else {
@@ -719,9 +679,8 @@ func (k *Cache) recycleEmpty(c *machine.CPU, mag []arena.Addr) {
 		return
 	}
 	d := k.depotOf(c)
-	d.lk.Acquire(c)
-	k.noteDepotLock(d)
-	if len(d.empty) < k.depotCap {
+	k.lockDepot(c, d)
+	if len(d.empty) < depotMags {
 		d.empty = append(d.empty, mag)
 	}
 	d.lk.Release(c)
@@ -814,8 +773,7 @@ func (k *Cache) shrinkDepot(c *machine.CPU) int {
 	for di := range k.depots {
 		d := &k.depots[di]
 		for {
-			d.lk.Acquire(c)
-			k.noteDepotLock(d)
+			k.lockDepot(c, d)
 			c.Read(d.ln)
 			var mag []arena.Addr
 			if l := len(d.full); l > 0 {
@@ -842,12 +800,11 @@ func (k *Cache) drainMags(c *machine.CPU) int {
 	var n int
 	for i := range k.mags {
 		pc := &k.mags[i]
-		var loaded, prev []arena.Addr
-		k.magInterfere(c, pc, func() {
-			loaded, prev = pc.loaded, pc.prev
-			pc.loaded = make([]arena.Addr, 0, k.magSize)
-			pc.prev = make([]arena.Addr, 0, k.magSize)
-		})
+		pc.crit.EnterForeign(c)
+		loaded, prev := pc.loaded, pc.prev
+		pc.loaded = make([]arena.Addr, 0, magSize)
+		pc.prev = make([]arena.Addr, 0, magSize)
+		pc.crit.ExitForeign(c)
 		runDtor := !k.poisonMode()
 		for _, obj := range loaded {
 			k.releaseObj(c, obj, runDtor)

@@ -13,7 +13,7 @@ import (
 
 const testPattern = 0xc7
 
-func newKMA(t *testing.T, ncpu int) (*machine.Machine, *core.Allocator, allocif.Allocator) {
+func newKMA(t testing.TB, ncpu int) (*machine.Machine, *core.Allocator, allocif.Allocator) {
 	t.Helper()
 	cfg := machine.DefaultConfig()
 	cfg.NumCPUs = ncpu
@@ -277,14 +277,13 @@ func TestShedUnderReclaim(t *testing.T) {
 // depot but leaves the hot per-CPU magazines loaded.
 func TestTrimShedsDepotOnly(t *testing.T) {
 	m, a, kma := newKMA(t, 1)
-	k, err := objcache.New(m, kma, "test:trim", 64, 8, nil, nil,
-		objcache.Opts{MagSize: 4, DepotMags: 8})
+	k, err := objcache.New(m, kma, "test:trim", 64, 8, nil, nil, objcache.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := m.CPU(0)
-	objs := make([]arena.Addr, 0, 32)
-	for i := 0; i < 32; i++ {
+	objs := make([]arena.Addr, 0, 64)
+	for i := 0; i < 64; i++ {
 		obj, err := k.Get(c)
 		if err != nil {
 			t.Fatal(err)
@@ -296,7 +295,7 @@ func TestTrimShedsDepotOnly(t *testing.T) {
 	}
 	st := k.Stats()
 	if st.DepotFull == 0 {
-		t.Fatal("expected full magazines in the depot after 32 puts with MagSize 4")
+		t.Fatal("expected full magazines in the depot after 64 puts into 8-object magazines")
 	}
 	a.Trim(c, -1)
 	st = k.Stats()
@@ -394,13 +393,13 @@ func TestEventSpine(t *testing.T) {
 		t.Fatal(err)
 	}
 	kma := allocif.NewKMA{Allocator: a}
-	k, err := objcache.New(m, kma, "test:events", 64, 8, nil, nil, objcache.Opts{MagSize: 4})
+	k, err := objcache.New(m, kma, "test:events", 64, 8, nil, nil, objcache.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := m.CPU(0)
-	objs := make([]arena.Addr, 0, 16)
-	for i := 0; i < 16; i++ {
+	objs := make([]arena.Addr, 0, 32)
+	for i := 0; i < 32; i++ {
 		obj, err := k.Get(c)
 		if err != nil {
 			t.Fatal(err)
@@ -410,7 +409,7 @@ func TestEventSpine(t *testing.T) {
 	for _, obj := range objs {
 		k.Put(c, obj)
 	}
-	for i := 0; i < 16; i++ { // warm round: all skips
+	for i := 0; i < 32; i++ { // warm round: all skips
 		obj, _ := k.Get(c)
 		objs[i] = obj
 	}

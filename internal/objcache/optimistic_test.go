@@ -31,7 +31,7 @@ func newNodedKMA(t *testing.T, ncpu, nodes int) (*machine.Machine, allocif.Alloc
 func TestPerNodeDepots(t *testing.T) {
 	m, kma := newNodedKMA(t, 4, 2)
 	const size = 64
-	k, err := objcache.New(m, kma, "test:depots", size, 8, nil, nil, objcache.Opts{MagSize: 4})
+	k, err := objcache.New(m, kma, "test:depots", size, 8, nil, nil, objcache.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestPerNodeDepots(t *testing.T) {
 	// Fill node 0's depot: get a working set, put it all back so full
 	// magazines retire into the depot.
 	var held []arena.Addr
-	for i := 0; i < 64; i++ {
+	for i := 0; i < 128; i++ {
 		obj, err := k.Get(c0)
 		if err != nil {
 			t.Fatal(err)
@@ -68,7 +68,7 @@ func TestPerNodeDepots(t *testing.T) {
 
 	// Node 1's Gets must not consume node 0's stock.
 	held = held[:0]
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 32; i++ {
 		obj, err := k.Get(c1)
 		if err != nil {
 			t.Fatal(err)
@@ -89,7 +89,7 @@ func TestPerNodeDepots(t *testing.T) {
 	// A node-0 CPU still enjoys the stock: its next misses exchange, not
 	// carve.
 	carves = k.Stats().Carves
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 32; i++ {
 		obj, err := k.Get(c0)
 		if err != nil {
 			t.Fatal(err)
@@ -143,11 +143,11 @@ func TestCacheRseqRestarts(t *testing.T) {
 	m.SetScheduleJitter(&machine.JitterConfig{Seed: 11, RestartEvery: 3})
 	const size = 96
 	k, err := objcache.New(m, kma, "test:rseq", size, 8, patternCtor(size), nil,
-		objcache.Opts{MagSize: 4, Rseq: true})
+		objcache.Opts{Rseq: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cacheChurn(t, m, k, 500)
+	cacheChurn(t, m, k, 1000)
 	st := k.Stats()
 	if st.RseqRestarts == 0 {
 		t.Fatal("no magazine sequence restarts under RestartEvery=3 jitter")

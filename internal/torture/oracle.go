@@ -77,8 +77,7 @@ func newOracle(m *machine.Machine, a *core.Allocator, cfg Config) *oracle {
 		maxSmall:  uint64(a.MaxSmall()),
 	}
 	if cfg.Harden {
-		// Torture always runs the default hardening geometry.
-		o.rz = (&harden.Config{}).RedzoneBytes()
+		o.rz = harden.DefaultRedzone
 	}
 	return o
 }

@@ -271,6 +271,7 @@ func (r *Runner) Run() (Report, error) {
 		Poison:              true,
 		LazySpans:           cfg.Lazy,
 		DisableRemoteShards: cfg.DisableShards,
+		Adaptive:            cfg.Adaptive,
 		Rseq:                cfg.Rseq,
 		LockFree:            cfg.LockFree,
 		// Keep blocked allocations cheap in virtual time: a few short
@@ -279,9 +280,6 @@ func (r *Runner) Run() (Report, error) {
 	}
 	if cfg.Pressure {
 		p.Pressure = &core.PressureConfig{}
-	}
-	if cfg.Adaptive {
-		p.Adaptive = &core.AdaptiveConfig{}
 	}
 	if cfg.Faults {
 		fs := faultpoint.New(cfg.FaultSeed)

@@ -109,10 +109,6 @@ const (
 	EvQuarantine      = core.EvQuarantine
 )
 
-// AdaptiveConfig tunes the per-class adaptive target controller; the
-// zero value of every field selects a sensible default.
-type AdaptiveConfig = core.AdaptiveConfig
-
 // EventCounter is a ready-made Hook sink that tallies events.
 type EventCounter = core.EventCounter
 
@@ -210,11 +206,16 @@ type Config struct {
 	// GblTarget overrides the global-layer capacity parameter per block
 	// size, in units of target-sized lists (default: 15 down to 3).
 	GblTarget func(size uint32) int
-	// Adaptive enables the per-class adaptive target controller: Target
-	// and GblTarget then only set each class's initial values, and a
-	// windowed miss-rate estimator retunes them online within the
-	// configured bounds. Nil keeps the paper's static targets.
-	Adaptive *AdaptiveConfig
+	// Adaptive switches on the per-class adaptive target controller:
+	// Target and GblTarget then only set each class's initial values,
+	// and a windowed miss-rate estimator retunes them online. It is a
+	// switch, not a tuning surface — the controller's constants are a
+	// 512-operation window (64 for the global layer), miss-rate
+	// setpoints of 0.02 (per-CPU) and 0.05 (global) with a ±50 %
+	// deadband, both targets held within [2, 64], and an 8-window
+	// holdoff between a grow and the next shrink. False keeps the
+	// paper's static targets.
+	Adaptive bool
 	// Hook, when non-nil, receives every layer-boundary event.
 	Hook Hook
 	// Pressure enables the memory-pressure model (watermarks on the
@@ -398,8 +399,9 @@ func (s *System) Machine() *machine.Machine { return s.m }
 // --- corruption hardening -------------------------------------------------
 
 // HardenConfig tunes the corruption-hardening layer (Config.Harden, and
-// per-cache via CacheOpts.Harden). The zero value selects a 16-byte
-// redzone, poisoning on, a 64-record audit ring, and PolicyQuarantine.
+// per-cache via CacheOpts.Harden). The redzone is 16 bytes and each
+// CPU's audit ring 64 records; the zero value selects poisoning on and
+// PolicyQuarantine.
 type HardenConfig = harden.Config
 
 // HardenPolicy selects what a corruption detection does beyond filing a
