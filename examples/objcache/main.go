@@ -14,7 +14,6 @@ import (
 	"log"
 
 	"kmem"
-	"kmem/internal/allocif"
 	"kmem/internal/arena"
 	"kmem/internal/machine"
 	"kmem/internal/objcache"
@@ -41,7 +40,7 @@ func main() {
 			log.Fatalf("dtor saw a corrupted object at %#x", uint64(obj))
 		}
 	}
-	cache, err := objcache.New(m, allocif.NewKMA{Allocator: sys.Allocator()},
+	cache, err := objcache.New(m, sys.Allocator(),
 		"example:request", 72, 8, ctor, dtor, objcache.Opts{ColorSpace: 64})
 	if err != nil {
 		log.Fatal(err)

@@ -110,8 +110,15 @@ func TestFacadeClassIntrospection(t *testing.T) {
 }
 
 func TestFacadeBadConfig(t *testing.T) {
-	if _, err := NewSystem(Config{Classes: []uint32{7}}); err == nil {
-		t.Fatal("bad class list accepted")
+	for what, cfg := range map[string]Config{
+		"bad class list":           {Classes: []uint32{7}},
+		"more CPUs than supported": {CPUs: 100},
+		"more nodes than CPUs":     {CPUs: 2, Nodes: 4},
+		"memory not whole pages":   {MemBytes: 4097},
+	} {
+		if _, err := NewSystem(cfg); err == nil {
+			t.Errorf("%s accepted", what)
+		}
 	}
 }
 

@@ -18,15 +18,18 @@ func (NewKMA) Name() string { return "newkma" }
 // CookieKMA adapts the paper's allocator behind the cookie interface:
 // cookies for every size class are translated once at construction, as a
 // kernel subsystem would do at compile/init time. This is the "cookie"
-// trace in Figures 7 and 8.
+// trace in Figures 7 and 8. Only Alloc and Free differ from NewKMA;
+// everything else the core allocator offers (DrainAll, AllocWait, Trim,
+// and the cookie, shed, sizing and event hooks typed object caches probe
+// for) is the embedded allocator's own.
 type CookieKMA struct {
-	A       *core.Allocator
+	*core.Allocator
 	cookies []core.Cookie // per class
 }
 
 // NewCookieKMA precomputes a cookie per size class.
 func NewCookieKMA(a *core.Allocator) *CookieKMA {
-	ck := &CookieKMA{A: a}
+	ck := &CookieKMA{Allocator: a}
 	for i := 0; i < a.NumClasses(); i++ {
 		c, err := a.GetCookie(uint64(a.ClassSize(i)))
 		if err != nil {
@@ -55,62 +58,19 @@ func (k *CookieKMA) cookieFor(size uint64) (core.Cookie, bool) {
 // without a compile-time size must).
 func (k *CookieKMA) Alloc(c *machine.CPU, size uint64) (arena.Addr, error) {
 	if ck, ok := k.cookieFor(size); ok {
-		return k.A.AllocCookie(c, ck)
+		return k.AllocCookie(c, ck)
 	}
-	return k.A.Alloc(c, size)
+	return k.Allocator.Alloc(c, size)
 }
 
 // Free implements Allocator.
 func (k *CookieKMA) Free(c *machine.CPU, addr arena.Addr, size uint64) {
 	if ck, ok := k.cookieFor(size); ok {
-		k.A.FreeCookie(c, addr, ck)
+		k.FreeCookie(c, addr, ck)
 		return
 	}
-	k.A.Free(c, addr, size)
+	k.Allocator.Free(c, addr, size)
 }
-
-// DrainAll implements Coalescer.
-func (k *CookieKMA) DrainAll(c *machine.CPU) { k.A.DrainAll(c) }
-
-// AllocWait implements Waiter via the core allocator's blocking path
-// (cookies carry no wait semantics of their own).
-func (k *CookieKMA) AllocWait(c *machine.CPU, size uint64) (arena.Addr, error) {
-	return k.A.AllocWait(c, size)
-}
-
-// Trim implements Trimmer (cookies change nothing about page backing).
-func (k *CookieKMA) Trim(c *machine.CPU, maxPages int64) int64 {
-	return k.A.Trim(c, maxPages)
-}
-
-// The remaining forwarders expose the core allocator's cookie,
-// cache-shed, sizing, and event-spine hooks, so typed object caches
-// (internal/objcache) layer over a CookieKMA exactly as over the core
-// allocator itself.
-
-// GetCookie forwards cookie resolution to the core allocator.
-func (k *CookieKMA) GetCookie(size uint64) (core.Cookie, error) { return k.A.GetCookie(size) }
-
-// AllocCookie forwards a cookie allocation to the core allocator.
-func (k *CookieKMA) AllocCookie(c *machine.CPU, ck core.Cookie) (arena.Addr, error) {
-	return k.A.AllocCookie(c, ck)
-}
-
-// FreeCookie forwards a cookie free to the core allocator.
-func (k *CookieKMA) FreeCookie(c *machine.CPU, addr arena.Addr, ck core.Cookie) {
-	k.A.FreeCookie(c, addr, ck)
-}
-
-// RoundedSize forwards class rounding to the core allocator.
-func (k *CookieKMA) RoundedSize(size uint64) uint64 { return k.A.RoundedSize(size) }
-
-// RegisterCacheShed forwards object-cache reclaim registration.
-func (k *CookieKMA) RegisterCacheShed(fn core.CacheShedFunc) func() {
-	return k.A.RegisterCacheShed(fn)
-}
-
-// EmitCacheEvent forwards object-cache events to the event spine.
-func (k *CookieKMA) EmitCacheEvent(ev core.LayerEvent, n int) { k.A.EmitCacheEvent(ev, n) }
 
 var (
 	_ Allocator = NewKMA{}

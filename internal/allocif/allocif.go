@@ -51,28 +51,21 @@ type Trimmer interface {
 // advance virtual time (other simulated CPUs may free memory meanwhile);
 // in native mode the retries are immediate and bounded. Embedding keeps
 // the wrapped allocator's Name and interfaces.
-type RetryWait struct {
-	Allocator
-	// MaxWaits bounds the retry rounds (0 selects 8).
-	MaxWaits int
-	// BackoffCycles is the first idle period, doubled each round
-	// (0 selects 4096).
-	BackoffCycles int64
-}
+type RetryWait struct{ Allocator }
+
+// RetryWait's bounds: the retry rounds, and the first idle period, which
+// doubles each round.
+const (
+	retryMaxWaits      = 8
+	retryBackoffCycles = 4096
+)
 
 // AllocWait implements Waiter by polling Alloc.
 func (w RetryWait) AllocWait(c *machine.CPU, size uint64) (arena.Addr, error) {
-	maxWaits := w.MaxWaits
-	if maxWaits <= 0 {
-		maxWaits = 8
-	}
-	backoff := w.BackoffCycles
-	if backoff <= 0 {
-		backoff = 4096
-	}
+	backoff := int64(retryBackoffCycles)
 	for attempt := 0; ; attempt++ {
 		addr, err := w.Alloc(c, size)
-		if err == nil || attempt >= maxWaits {
+		if err == nil || attempt >= retryMaxWaits {
 			return addr, err
 		}
 		c.Idle(backoff)

@@ -1,7 +1,14 @@
 package bench
 
 import (
+	"fmt"
+	"io"
+	"os"
+	"slices"
+	"strings"
+
 	"kmem/internal/arena"
+	"kmem/internal/core"
 	"kmem/internal/machine"
 	"kmem/internal/workload"
 )
@@ -17,23 +24,14 @@ type ReplayResult struct {
 }
 
 // Replay runs a recorded trace against the named allocator on a fresh
-// simulated machine, preserving the trace's CPU placement. Replaying the
-// same trace against every allocator gives an apples-to-apples
-// comparison on identical operation sequences.
-func Replay(t *workload.Trace, name string, ncpu int, physPages int64) (*ReplayResult, error) {
-	return ReplayCfg(t, name, ncpu, physPages, nil)
-}
-
-// ReplayCfg is Replay with a machine-configuration hook: mutate (when
-// non-nil) edits the machine config before the machine is built, e.g. to
-// set a NUMA topology with Config.Nodes.
-func ReplayCfg(t *workload.Trace, name string, ncpu int, physPages int64, mutate func(*machine.Config)) (*ReplayResult, error) {
+// simulated machine built from cfg (whose NumCPUs must cover the trace's
+// CPU placement, which is preserved). Replaying the same trace against
+// every allocator gives an apples-to-apples comparison on identical
+// operation sequences.
+func Replay(t *workload.Trace, name string, cfg machine.Config) (*ReplayResult, error) {
+	ncpu := cfg.NumCPUs
 	if err := t.Validate(ncpu); err != nil {
 		return nil, err
-	}
-	cfg := MachineFor(ncpu, 64<<20, physPages)
-	if mutate != nil {
-		mutate(&cfg)
 	}
 	m := machine.New(cfg)
 	a, err := BuildAllocator(m, name)
@@ -133,4 +131,129 @@ func ReplayTable(results []*ReplayResult) *Table {
 			r.Allocator, r.Ops, r.Failures, r.VirtualSec*1e3, r.OpsPerSec, r.CyclesPerOp)
 	}
 	return t
+}
+
+// TraceConfig is the flag set of `kmembench replay`, the scripting
+// harness in the manner of the paper's syscall_kma/syscall_kmf: obtain
+// one trace — read from ReplayFile, else synthesized — and save it to
+// Record, or else run it through Alloc on a machine of the given shape.
+type TraceConfig struct {
+	Alloc              string // one allocator name, or "all" for all five
+	Dist               string // of the synthesized trace, as are the next four
+	CPUs, Ops          int
+	WorkingSet         int // live blocks at steady state
+	Seed               int64
+	Record, ReplayFile string
+	Pages              int64
+	Nodes              int
+	Interconnect       int64 // occupancy cycles per remote transaction; 0 keeps the machine's default
+	Dump               bool
+}
+
+// TraceResult is what RunTrace did.
+type TraceResult struct {
+	Source   string          // where the trace came from, as a sentence
+	Recorded string          `json:",omitempty"` // the file it was saved to, in which case nothing ran
+	Results  []*ReplayResult `json:",omitempty"`
+	Dump     string          `json:",omitempty"` // the paper's allocator's state after the trace, under -dump
+}
+
+// Fprint renders the result as the command prints it.
+func (r *TraceResult) Fprint(w io.Writer) {
+	fmt.Fprintln(w, r.Source)
+	if r.Recorded != "" {
+		fmt.Fprintf(w, "trace written to %s\n", r.Recorded)
+		return
+	}
+	ReplayTable(r.Results).Fprint(w)
+	if r.Dump != "" {
+		fmt.Fprintf(w, "\n%s", r.Dump)
+	}
+}
+
+// RunTrace obtains cfg's trace and records or replays it.
+func RunTrace(cfg TraceConfig) (*TraceResult, error) {
+	var tr *workload.Trace
+	res := &TraceResult{}
+	if cfg.ReplayFile != "" {
+		f, err := os.Open(cfg.ReplayFile)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		if tr, err = workload.ReadTrace(f); err != nil {
+			return nil, fmt.Errorf("%s: %w", cfg.ReplayFile, err)
+		}
+		res.Source = fmt.Sprintf("replaying %s: %d events", cfg.ReplayFile, len(tr.Events))
+	} else {
+		dist, err := workload.ParseDist(cfg.Dist)
+		if err != nil {
+			return nil, err
+		}
+		tr = workload.Synthesize(cfg.Seed, cfg.CPUs, cfg.Ops, cfg.WorkingSet, dist)
+		res.Source = fmt.Sprintf("synthesized %d events (%s, working set %d, %d CPUs, seed %d)",
+			len(tr.Events), cfg.Dist, cfg.WorkingSet, cfg.CPUs, cfg.Seed)
+	}
+	if cfg.Record != "" {
+		res.Recorded = cfg.Record
+		return res, writeFile(cfg.Record, func(w io.Writer) error { _, err := tr.WriteTo(w); return err })
+	}
+
+	// The machine has as many CPUs as the trace uses.
+	ncpu := 1
+	for _, e := range tr.Events {
+		ncpu = max(ncpu, int(e.CPU)+1)
+	}
+	mc := MachineFor(ncpu, 64<<20, cfg.Pages)
+	mc.Nodes = cfg.Nodes
+	if cfg.Interconnect > 0 {
+		mc.InterconnectCycles = cfg.Interconnect
+	}
+	names := []string{cfg.Alloc}
+	if cfg.Alloc == "all" {
+		names = append(slices.Clone(AllocatorNames), "lazybuddy")
+	}
+	for _, name := range names {
+		r, err := Replay(tr, name, mc)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		res.Results = append(res.Results, r)
+	}
+	if cfg.Dump {
+		al, err := core.New(machine.New(mc), core.Params{})
+		if err != nil {
+			return nil, err
+		}
+		var dump strings.Builder
+		dumpAfterTrace(&dump, al, tr)
+		res.Dump = dump.String()
+	}
+	return res, nil
+}
+
+// dumpAfterTrace runs tr's events one after another on the paper's
+// allocator (ignoring failures) and dumps the state it is left in, the
+// trace's live blocks still allocated.
+func dumpAfterTrace(w io.Writer, al *core.Allocator, tr *workload.Trace) {
+	type slot struct {
+		addr arena.Addr
+		size uint32
+	}
+	slots := map[uint32]slot{}
+	for _, e := range tr.Events {
+		c := al.Machine().CPU(int(e.CPU))
+		switch e.Kind {
+		case workload.EvAlloc:
+			if b, err := al.Alloc(c, uint64(e.Size)); err == nil {
+				slots[e.Handle] = slot{b, e.Size}
+			}
+		case workload.EvFree:
+			if s, ok := slots[e.Handle]; ok {
+				al.Free(c, s.addr, uint64(s.size))
+				delete(slots, e.Handle)
+			}
+		}
+	}
+	al.Dump(w)
 }

@@ -32,16 +32,13 @@ func MachineFor(ncpu int, memBytes uint64, physPages int64) machine.Config {
 // BuildAllocator constructs the named allocator on machine m.
 func BuildAllocator(m *machine.Machine, name string) (allocif.Allocator, error) {
 	switch name {
-	case "cookie":
+	case "cookie", "newkma": // the paper's allocator behind either of its interfaces
 		a, err := core.New(m, core.Params{})
 		if err != nil {
 			return nil, err
 		}
-		return allocif.NewCookieKMA(a), nil
-	case "newkma":
-		a, err := core.New(m, core.Params{})
-		if err != nil {
-			return nil, err
+		if name == "cookie" {
+			return allocif.NewCookieKMA(a), nil
 		}
 		return allocif.NewKMA{Allocator: a}, nil
 	case "mk":

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+
+	"kmem/internal/machine"
 )
 
 // Sweep is one kmembench experiment, declared once: Sweeps is the
@@ -81,8 +83,8 @@ func Lookup(name string) *Sweep {
 // the sweep's flags and -json on fs, parses args, refuses a numeric flag
 // that is not positive — before any machine is built, so a zero window
 // or count is an error naming the flag rather than a NaN in the output —
-// and runs.
-func (s *Sweep) Run(fs *flag.FlagSet, args []string) (*Report, error) {
+// and runs; a machine shape no machine.New accepts is likewise an error.
+func (s *Sweep) Run(fs *flag.FlagSet, args []string) (rep *Report, err error) {
 	run := s.Flags(fs)
 	asJSON := fs.Bool("json", false, "emit the result as one JSON object instead of rendered tables")
 	if err := fs.Parse(args); err != nil {
@@ -97,8 +99,20 @@ func (s *Sweep) Run(fs *flag.FlagSet, args []string) (*Report, error) {
 	if bad != nil {
 		return nil, bad
 	}
-	rep, err := run()
-	if err != nil {
+	// Flags that passed may still describe a machine that cannot be
+	// built (-cpus 100, more nodes than CPUs). The *machine.ConfigError
+	// machine.New panics with is the command line's fault and becomes
+	// the error; any other panic is a bug and keeps unwinding.
+	defer func() {
+		switch r := recover().(type) {
+		case nil:
+		case *machine.ConfigError:
+			rep, err = nil, r
+		default:
+			panic(r)
+		}
+	}()
+	if rep, err = run(); err != nil {
 		return nil, err
 	}
 	if rep.Schema == "" {
@@ -186,17 +200,23 @@ func writeCSV(w io.Writer, path string, f *Figure) error {
 	if path == "" {
 		return nil
 	}
-	out, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := f.WriteCSV(out); err != nil {
-		out.Close()
-		return err
-	}
-	if err := out.Close(); err != nil {
+	if err := writeFile(path, f.WriteCSV); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "(series written to %s)\n", path)
 	return nil
+}
+
+// writeFile creates path, lets write fill it and closes it; the first
+// error of the three is the result.
+func writeFile(path string, write func(io.Writer) error) error {
+	out, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(out); err != nil {
+		out.Close()
+		return err
+	}
+	return out.Close()
 }

@@ -440,6 +440,39 @@ are the pool locks' spin and hold cycles from the EvLockWait accounting.
 			}
 		},
 	},
+	{
+		Name:  "replay",
+		Help:  "one trace (synthesized, -record'ed or -replay'ed) on any or all five allocators; -dump the state",
+		Title: "Trace replay: one operation sequence, any allocator",
+		Backs: "EXPERIMENTS.md X1 and X3: the one place an identical operation sequence runs through cookie, newkma, mk, oldkma and lazybuddy",
+		Smoke: [][]string{
+			{"-ops", "2000", "-cpus", "2", "-alloc", "all"},
+			{"-ops", "500", "-cpus", "2", "-nodes", "2", "-dump"},
+		},
+		AnyValue: []string{"seed", "interconnect"},
+		Flags: func(fs *flag.FlagSet) runner {
+			var cfg TraceConfig
+			fs.StringVar(&cfg.Alloc, "alloc", "cookie", "allocator: cookie|newkma|mk|oldkma|lazybuddy|all")
+			fs.IntVar(&cfg.CPUs, "cpus", 4, "number of simulated CPUs")
+			fs.IntVar(&cfg.Ops, "ops", 100000, "operations to run")
+			fs.IntVar(&cfg.WorkingSet, "workingset", 200, "live blocks at steady state")
+			fs.StringVar(&cfg.Dist, "dist", "uniform:16:4096", "size distribution: fixed:N | uniform:LO:HI | choice:A,B,C")
+			fs.Int64Var(&cfg.Seed, "seed", 1, "workload seed")
+			fs.Int64Var(&cfg.Pages, "pages", 8192, "physical pages")
+			fs.StringVar(&cfg.Record, "record", "", "write the synthesized trace to this file and exit")
+			fs.StringVar(&cfg.ReplayFile, "replay", "", "replay a trace file instead of synthesizing")
+			fs.BoolVar(&cfg.Dump, "dump", false, "dump allocator state after the run (the paper's allocator only)")
+			fs.IntVar(&cfg.Nodes, "nodes", 1, "NUMA nodes (1 = the classic single-bus machine)")
+			fs.Int64Var(&cfg.Interconnect, "interconnect", 0, "interconnect occupancy cycles per remote transaction (0 = default)")
+			return func() (*Report, error) {
+				res, err := RunTrace(cfg)
+				if err != nil {
+					return nil, err
+				}
+				return report(res, "", res), nil
+			}
+		},
+	},
 }
 
 // shardsHeadline is the scaling sweep's one-line summary of what the

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -9,6 +10,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"kmem/internal/machine"
 )
 
 // TestSweepsAreTheIndex: the registry is complete as an index — every
@@ -129,6 +132,26 @@ func TestSweepsRefuseDegenerateCounts(t *testing.T) {
 						s.Name, name, v, err, started)
 				}
 			}
+		}
+	}
+}
+
+// TestSweepsRefuseImpossibleMachine: a count that is positive but more
+// than the machine can have is the command line's error too — every sweep
+// with a -cpus flag answers -cpus 100 with an error naming the range
+// (machine.New's panic used to reach the user as a goroutine trace).
+func TestSweepsRefuseImpossibleMachine(t *testing.T) {
+	for _, s := range Sweeps {
+		probe := flag.NewFlagSet(s.Name, flag.ContinueOnError)
+		s.Flags(probe)
+		if probe.Lookup("cpus") == nil {
+			continue
+		}
+		fs := flag.NewFlagSet(s.Name, flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		_, err := s.Run(fs, slices.Concat(s.Smoke[0], []string{"-cpus", "100"}))
+		if want := fmt.Sprintf("out of range [1,%d]", machine.MaxCPUs); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s -cpus 100: got %v, want an error saying %q", s.Name, err, want)
 		}
 	}
 }

@@ -50,63 +50,72 @@ const (
 	adaptShrinkHoldoff = 8
 )
 
-// classController holds one size class's current targets and, when
-// adaptation is enabled, the windowed miss-rate estimators that steer
-// them. Every class has a controller even with adaptation off: the
-// atomics then simply hold the static targets forever, so readers need
-// no enabled-check. Per-CPU caches re-read the target lazily on their
-// next refill, spill or drain; the global pool re-reads it on every
-// list exchange. Nothing on the alloc/free fast path touches this
-// structure.
+// classController holds one size class's two knobs. Every class has a
+// controller even with adaptation off: the knobs then simply hold the
+// static targets forever, so readers need no enabled-check. Per-CPU
+// caches re-read the target lazily on their next refill, spill or
+// drain; the global pool re-reads it on every list exchange. Nothing on
+// the alloc/free fast path touches this structure.
 type classController struct {
-	enabled bool
+	enabled           bool
+	target, gbltarget knob
+}
 
-	// Current knob values. Readers use atomic loads; only adjust()
-	// writes, under mu.
-	target    atomic.Int64
-	gbltarget atomic.Int64
+// knob is one controlled value with the windowed miss-rate estimator
+// that steers it. target's estimator is fed per-CPU-layer operations,
+// gbltarget's global-layer ones; everything else about the two is the
+// same rule with different constants.
+type knob struct {
+	// Tuning, fixed at construction: operations per estimate, the miss
+	// rate steered toward, the value's bounds, and the decision events.
+	winSize          uint64
+	setpoint         float64
+	min, max         int
+	growEv, shrinkEv LayerEvent
 
-	// Windowed estimator feeds. Per-CPU ops are reported in deltas at
+	// Current value. Readers use atomic loads; only note writes, under mu.
+	val atomic.Int64
+
+	// Windowed estimator feed. Per-CPU ops are reported in deltas at
 	// refill/spill time (the reporting CPU batches all fast-path ops
 	// since its previous report), so the fast path itself never touches
 	// these. A reset may race with a concurrent Add and drop a few ops;
 	// the estimator tolerates that.
-	winOps   atomic.Uint64
-	winMiss  atomic.Uint64
-	gwinOps  atomic.Uint64
-	gwinMiss atomic.Uint64
+	winOps, winMiss atomic.Uint64
 
 	// Decision totals, readable without mu.
-	grows, shrinks       atomic.Uint64
-	gblGrows, gblShrinks atomic.Uint64
+	grows, shrinks atomic.Uint64
 
 	mu sync.Mutex // serializes adjustments (uncontended in the single-goroutine sim)
-	// Controller state, under mu. floor is a ratchet: when a grow fires,
-	// the value that proved too small becomes a floor the controller will
-	// never shrink back to, so a steady workload cannot drive a
-	// grow/shrink limit cycle — the controller converges instead.
-	window, lastGrow   uint64
-	floor              int
-	gwindow, gLastGrow uint64
-	gblFloor           int
+	// Controller state, under mu. floor is a ratchet (0 until the first
+	// grow): when a grow fires, the value that proved too small becomes a
+	// floor the controller will never shrink back to, so a steady workload
+	// cannot drive a grow/shrink limit cycle — the controller converges
+	// instead.
+	window, lastGrow uint64
+	floor            int
 }
 
 func newClassController(p *Params, target, gbltarget int) *classController {
-	ctl := &classController{enabled: p.Adaptive}
+	ctl := &classController{
+		enabled: p.Adaptive,
+		target: knob{winSize: adaptWindow, setpoint: adaptSetpoint, min: adaptMinTarget, max: adaptMaxTarget,
+			growEv: EvTargetGrow, shrinkEv: EvTargetShrink},
+		gbltarget: knob{winSize: adaptGblWindow, setpoint: adaptGblSetpoint, min: adaptMinGblTarget, max: adaptMaxGblTarget,
+			growEv: EvGblTargetGrow, shrinkEv: EvGblTargetShrink},
+	}
 	if ctl.enabled {
 		target = min(max(target, adaptMinTarget), adaptMaxTarget)
 		gbltarget = min(max(gbltarget, adaptMinGblTarget), adaptMaxGblTarget)
-		ctl.floor = adaptMinTarget
-		ctl.gblFloor = adaptMinGblTarget
 	}
-	ctl.target.Store(int64(target))
-	ctl.gbltarget.Store(int64(gbltarget))
+	ctl.target.val.Store(int64(target))
+	ctl.gbltarget.val.Store(int64(gbltarget))
 	return ctl
 }
 
 // curTarget and curGblTarget return the current knob values.
-func (ctl *classController) curTarget() int    { return int(ctl.target.Load()) }
-func (ctl *classController) curGblTarget() int { return int(ctl.gbltarget.Load()) }
+func (ctl *classController) curTarget() int    { return int(ctl.target.val.Load()) }
+func (ctl *classController) curGblTarget() int { return int(ctl.gbltarget.val.Load()) }
 
 // Controller bookkeeping cost, charged in the simulator only when
 // adaptation is enabled (the paper's static allocator charges nothing).
@@ -115,119 +124,64 @@ const (
 	insnAdaptAdjust = 16 // closing a window and moving a knob
 )
 
-// noteCPU feeds the per-CPU-layer estimator: ops fast-path operations
-// since the reporting CPU's previous report, of which misses crossed the
-// per-CPU/global boundary. Called only on refill/spill slow paths with
-// no allocator locks held.
-func (ctl *classController) noteCPU(a *Allocator, c *machine.CPU, cls int, ops, misses uint64) {
+// note feeds the knob's estimator: ops operations of its layer since the
+// caller's previous report, of which misses crossed to the layer below
+// (per-CPU to global for target, global to coalesce-to-page for
+// gbltarget). A full window closes here and may move the knob. Called
+// only on refill/spill slow paths — the global pool's after its lock is
+// released — with no allocator locks held.
+func (k *knob) note(a *Allocator, c *machine.CPU, cls int, ops, misses uint64) {
 	c.Work(insnAdaptNote)
-	o := ctl.winOps.Add(ops)
-	m := ctl.winMiss.Add(misses)
-	if o+m < adaptWindow {
+	o := k.winOps.Add(ops)
+	m := k.winMiss.Add(misses)
+	if o+m < k.winSize {
 		return
 	}
-	ctl.adjustCPU(a, c, cls)
-}
-
-func (ctl *classController) adjustCPU(a *Allocator, c *machine.CPU, cls int) {
-	ctl.mu.Lock()
-	o, m := ctl.winOps.Load(), ctl.winMiss.Load()
-	if o+m < adaptWindow {
+	k.mu.Lock()
+	o, m = k.winOps.Load(), k.winMiss.Load()
+	if o+m < k.winSize {
 		// Another CPU closed this window first.
-		ctl.mu.Unlock()
+		k.mu.Unlock()
 		return
 	}
-	ctl.winOps.Store(0)
-	ctl.winMiss.Store(0)
+	k.winOps.Store(0)
+	k.winMiss.Store(0)
 	c.Work(insnAdaptAdjust)
-	ctl.window++
-	rate := float64(m) / float64(o+m)
-	cur := int(ctl.target.Load())
-	next, ev := ctl.step(rate, adaptSetpoint, cur,
-		adaptMinTarget, adaptMaxTarget, &ctl.floor,
-		ctl.window, &ctl.lastGrow, EvTargetGrow, EvTargetShrink)
+	k.window++
+	cur := int(k.val.Load())
+	next, ev := k.step(float64(m)/float64(o+m), cur)
 	if next != cur {
-		ctl.target.Store(int64(next))
-		if ev == EvTargetGrow {
-			ctl.grows.Add(1)
+		k.val.Store(int64(next))
+		if ev == k.growEv {
+			k.grows.Add(1)
 		} else {
-			ctl.shrinks.Add(1)
+			k.shrinks.Add(1)
 		}
 	}
-	ctl.mu.Unlock()
+	k.mu.Unlock()
 	if next != cur {
 		a.emit(cls, ev, next)
 	}
 }
 
-// noteGbl feeds the global-layer estimator: ops global get/put
-// operations, of which misses crossed the global/coalesce-to-page
-// boundary. Called from the global pool's slow paths after its lock is
-// released.
-func (ctl *classController) noteGbl(a *Allocator, c *machine.CPU, cls int, ops, misses uint64) {
-	c.Work(insnAdaptNote)
-	o := ctl.gwinOps.Add(ops)
-	m := ctl.gwinMiss.Add(misses)
-	if o+m < adaptGblWindow {
-		return
-	}
-	ctl.mu.Lock()
-	o, m = ctl.gwinOps.Load(), ctl.gwinMiss.Load()
-	if o+m < adaptGblWindow {
-		ctl.mu.Unlock()
-		return
-	}
-	ctl.gwinOps.Store(0)
-	ctl.gwinMiss.Store(0)
-	c.Work(insnAdaptAdjust)
-	ctl.gwindow++
-	rate := float64(m) / float64(o+m)
-	cur := int(ctl.gbltarget.Load())
-	next, ev := ctl.step(rate, adaptGblSetpoint, cur,
-		adaptMinGblTarget, adaptMaxGblTarget, &ctl.gblFloor,
-		ctl.gwindow, &ctl.gLastGrow, EvGblTargetGrow, EvGblTargetShrink)
-	if next != cur {
-		ctl.gbltarget.Store(int64(next))
-		if ev == EvGblTargetGrow {
-			ctl.gblGrows.Add(1)
-		} else {
-			ctl.gblShrinks.Add(1)
-		}
-	}
-	ctl.mu.Unlock()
-	if next != cur {
-		a.emit(cls, ev, next)
-	}
-}
-
-// step applies the shared control rule to one knob and returns the next
-// value (== cur to hold) plus the decision event. Grow is multiplicative
-// (fast escape from an undersized cache) and ratchets the floor to
-// cur+1: a value observed to miss above the deadband is never returned
-// to. Shrink is additive and gated behind the holdoff, releasing memory
-// slowly when the workload genuinely quiets down.
-func (ctl *classController) step(rate, setpoint float64, cur, min, max int, floor *int,
-	window uint64, lastGrow *uint64, growEv, shrinkEv LayerEvent) (int, LayerEvent) {
-	hi := setpoint * (1 + adaptHysteresis)
-	lo := setpoint * (1 - adaptHysteresis)
+// step applies the control rule to the window's miss rate and returns
+// the next value (== cur to hold) plus the decision event. Grow is
+// multiplicative (fast escape from an undersized cache) and ratchets the
+// floor to cur+1: a value observed to miss above the deadband is never
+// returned to. Shrink is additive and gated behind the holdoff,
+// releasing memory slowly when the workload genuinely quiets down.
+// Caller holds mu.
+func (k *knob) step(rate float64, cur int) (int, LayerEvent) {
+	hi := k.setpoint * (1 + adaptHysteresis)
+	lo := k.setpoint * (1 - adaptHysteresis)
 	switch {
-	case rate > hi && cur < max:
-		if f := cur + 1; f > *floor {
-			*floor = f
-		}
-		*lastGrow = window
-		next := cur + cur/2 + 1
-		if next > max {
-			next = max
-		}
-		return next, growEv
-	case rate < lo && window-*lastGrow >= adaptShrinkHoldoff:
-		bound := min
-		if *floor > bound {
-			bound = *floor
-		}
-		if cur > bound {
-			return cur - 1, shrinkEv
+	case rate > hi && cur < k.max:
+		k.floor = max(k.floor, cur+1)
+		k.lastGrow = k.window
+		return min(cur+cur/2+1, k.max), k.growEv
+	case rate < lo && k.window-k.lastGrow >= adaptShrinkHoldoff:
+		if cur > max(k.min, k.floor) {
+			return cur - 1, k.shrinkEv
 		}
 	}
 	return cur, 0

@@ -54,9 +54,9 @@ type Allocator struct {
 	crit []machine.PerCPU
 
 	// spillScratch[cpu] is that CPU's reusable per-node partition buffer
-	// for routeSpill, sized [nodes]. Each CPU handle is driven by one
+	// for spill, sized [nodes]. Each CPU handle is driven by one
 	// goroutine at a time (the per-CPU contract), so no lock guards it,
-	// and routeSpill leaves every entry empty — allocating it once in New
+	// and spill leaves every entry empty — allocating it once in New
 	// keeps the spill slow path free of per-call make garbage. Nil on
 	// single-node machines, which never route.
 	spillScratch [][]blocklist.List
@@ -450,7 +450,7 @@ func (a *Allocator) allocClassOp(c *machine.CPU, cls int) (arena.Addr, error) {
 			crit.Exit(c)
 			a.emit(cls, EvCPURefill, n)
 			if ctl.enabled {
-				ctl.noteCPU(a, c, cls, delta, 1)
+				ctl.target.note(a, c, cls, delta, 1)
 			}
 			continue
 		}
@@ -557,35 +557,36 @@ func (a *Allocator) freeClassOp(c *machine.CPU, cls int, addr arena.Addr) {
 	if !spill.Empty() {
 		n := spill.Len()
 		c.Work(insnRefill)
-		switch {
-		case flushHome >= 0:
+		if flushHome >= 0 {
 			// A full remote shard: one batched putList straight to its
 			// home pool — no per-block routing, one remote lock trip per
 			// target remote frees.
 			a.classes[cls].globals[flushHome].putList(c, spill)
 			a.emit(cls, EvShardFlush, n)
-		case a.nodes == 1:
-			a.classes[cls].globals[0].putList(c, spill)
-			a.emit(cls, EvCPUSpill, n)
-		default:
-			a.routeSpill(c, cls, spill)
+		} else {
+			a.spill(c, cls, spill)
 			a.emit(cls, EvCPUSpill, n)
 		}
 	}
 	if noted {
-		ctl.noteCPU(a, c, cls, delta, 1)
+		ctl.target.note(a, c, cls, delta, 1)
 	}
 }
 
-// routeSpill returns a spilled list's blocks to their home nodes' global
-// pools: the dope vector answers "which node owns this block" for each
-// block, the list is partitioned by home, and each partition is put to
-// its node's pool. On a single-node machine the direct putList path is
-// used instead and no per-block lookup happens. A CPU's cache may mix
-// nodes (stolen blocks live beside local ones), so every spill routes.
-// The partition buffer is the calling CPU's reusable spillScratch —
-// taken empty, left empty — so this path allocates nothing per call.
-func (a *Allocator) routeSpill(c *machine.CPU, cls int, spill blocklist.List) {
+// spill returns a list leaving a CPU's main/aux cache — spilled by a
+// free, or drained — to the global layer. On a single-node machine that
+// is one putList and no per-block lookup happens. Otherwise the blocks
+// go to their home nodes' pools: the dope vector answers "which node
+// owns this block" for each block, the list is partitioned by home, and
+// each partition is put to its node's pool. A CPU's cache may mix nodes
+// (stolen blocks live beside local ones), so every spill routes. The
+// partition buffer is the calling CPU's reusable spillScratch — taken
+// empty, left empty — so this path allocates nothing per call.
+func (a *Allocator) spill(c *machine.CPU, cls int, spill blocklist.List) {
+	if a.nodes == 1 {
+		a.classes[cls].globals[0].putList(c, spill)
+		return
+	}
 	per := a.spillScratch[c.ID()]
 	for !spill.Empty() {
 		b := spill.Pop(c, a.mem)

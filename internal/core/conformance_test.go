@@ -58,7 +58,7 @@ func TestConformanceCookieLazy(t *testing.T) {
 }
 
 // The typed object-cache lifecycle must hold over both adapters: NewKMA
-// (cookie + shed probes resolve) and CookieKMA (through its forwarders).
+// (cookie + shed probes resolve) and CookieKMA (the same, promoted from the allocator it embeds).
 func TestObjCacheLifecycle(t *testing.T) {
 	alloctest.RunObjCache(t, factory(false, false))
 }

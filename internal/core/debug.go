@@ -232,29 +232,29 @@ func (a *Allocator) CheckConsistency() error {
 		}
 		return nil
 	}
+	// checkHomed is checkCached for a list that must also hold only
+	// blocks homed on one node: a global pool's lists and bucket (the
+	// home-node invariant) and a CPU's remote shards.
+	checkHomed := func(head arena.Addr, n int, cls, node int, where string) error {
+		if err := checkCached(head, n, cls, where); err != nil {
+			return err
+		}
+		for b := head; b != arena.NilAddr; b = a.mem.Load64(b) {
+			if home := a.vm.nodeOfPage(int32(b >> a.pageShift)); home != node {
+				return fmt.Errorf("kmem: %s holds block %#x homed on node %d", where, b, home)
+			}
+		}
+		return nil
+	}
 	for cls := range a.classes {
 		for _, g := range a.classes[cls].globals {
 			for li, l := range g.lists {
-				if err := checkCached(l.Head(), l.Len(), cls, fmt.Sprintf("class %d node %d global list %d", cls, g.node, li)); err != nil {
+				if err := checkHomed(l.Head(), l.Len(), cls, g.node, fmt.Sprintf("class %d node %d global list %d", cls, g.node, li)); err != nil {
 					return err
 				}
-				// Home-node invariant: every block a global pool caches
-				// is homed on the pool's node.
-				for b := l.Head(); b != arena.NilAddr; b = a.mem.Load64(b) {
-					if home := a.vm.nodeOfPage(int32(b >> a.pageShift)); home != g.node {
-						return fmt.Errorf("kmem: class %d node %d global pool holds block %#x homed on node %d",
-							cls, g.node, b, home)
-					}
-				}
 			}
-			if err := checkCached(g.bucket.Head(), g.bucket.Len(), cls, fmt.Sprintf("class %d node %d global bucket", cls, g.node)); err != nil {
+			if err := checkHomed(g.bucket.Head(), g.bucket.Len(), cls, g.node, fmt.Sprintf("class %d node %d global bucket", cls, g.node)); err != nil {
 				return err
-			}
-			for b := g.bucket.Head(); b != arena.NilAddr; b = a.mem.Load64(b) {
-				if home := a.vm.nodeOfPage(int32(b >> a.pageShift)); home != g.node {
-					return fmt.Errorf("kmem: class %d node %d global bucket holds block %#x homed on node %d",
-						cls, g.node, b, home)
-				}
 			}
 		}
 		for cpu := range a.percpu {
@@ -271,17 +271,11 @@ func (a *Allocator) CheckConsistency() error {
 			// node-k-homed blocks).
 			for node := range pc.remote {
 				sh := &pc.remote[node]
-				if err := checkCached(sh.Head(), sh.Len(), cls, fmt.Sprintf("cpu %d class %d shard %d", cpu, cls, node)); err != nil {
-					return err
-				}
 				if node == a.m.NodeOf(cpu) && !sh.Empty() {
 					return fmt.Errorf("kmem: cpu %d class %d stages local blocks in its own node-%d shard", cpu, cls, node)
 				}
-				for b := sh.Head(); b != arena.NilAddr; b = a.mem.Load64(b) {
-					if home := a.vm.nodeOfPage(int32(b >> a.pageShift)); home != node {
-						return fmt.Errorf("kmem: cpu %d class %d shard %d holds block %#x homed on node %d",
-							cpu, cls, node, b, home)
-					}
+				if err := checkHomed(sh.Head(), sh.Len(), cls, node, fmt.Sprintf("cpu %d class %d shard %d", cpu, cls, node)); err != nil {
+					return err
 				}
 			}
 		}

@@ -20,8 +20,8 @@ func (a *Allocator) Dump(w io.Writer) {
 		if cs.ctl.enabled {
 			fmt.Fprintf(w, " (adaptive; initial %d/%d, %d grows, %d shrinks)",
 				cs.target, cs.gbltarget,
-				cs.ctl.grows.Load()+cs.ctl.gblGrows.Load(),
-				cs.ctl.shrinks.Load()+cs.ctl.gblShrinks.Load())
+				cs.ctl.target.grows.Load()+cs.ctl.gbltarget.grows.Load(),
+				cs.ctl.target.shrinks.Load()+cs.ctl.gbltarget.shrinks.Load())
 		}
 		fmt.Fprintln(w)
 		for cpu := range a.percpu {

@@ -24,7 +24,7 @@ import (
 //
 // Home-node invariant: a pool only ever holds blocks homed on its node.
 // Frees route every spilled block to its home pool through the dope
-// vector (routeSpill), refills come from the node-local page pool, and
+// vector (spill), refills come from the node-local page pool, and
 // the cross-node steal path removes blocks from a victim pool rather
 // than mixing them in. drainAll may therefore push straight to the
 // node-local page pool, and the invariant is asserted both there
@@ -350,7 +350,7 @@ func (g *globalPool) noteOp(c *machine.CPU, missed bool) {
 	if missed {
 		m = 1
 	}
-	g.ctl.noteGbl(g.al, c, g.cls, 1, m)
+	g.ctl.gbltarget.note(g.al, c, g.cls, 1, m)
 }
 
 // countPut tallies one put of list l, and returns the blocks it carries
@@ -401,7 +401,7 @@ func (g *globalPool) spillCount(gbltarget int) int {
 // the page layer: a steal takes only blocks already cached here, so a
 // dry machine still funnels through the reclaim path rather than
 // carving remote pages. The stolen blocks keep this pool's home node —
-// when the thief's CPU cache spills them later, routeSpill sends them
+// when the thief's CPU cache spills them later, spill sends them
 // back here.
 func (g *globalPool) stealList(c *machine.CPU) blocklist.List {
 	if g.al.params.LockFree {

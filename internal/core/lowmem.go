@@ -13,9 +13,9 @@ import (
 // Blocks can be stranded in two kinds of cache: other CPUs' per-CPU
 // caches (up to 2*target blocks per CPU per class) and the global pools
 // (up to 2*gbltarget lists per class). Reclaim flushes both, all the way
-// down to the coalesce-to-page layer, so that fully-free pages are
-// released and the physical memory becomes available to whichever size
-// class (or large request) is starving.
+// down to the coalesce-to-page layer (DrainAll), so that fully-free
+// pages are released and the physical memory becomes available to
+// whichever size class (or large request) is starving.
 //
 // In a real kernel the per-CPU flushes would be requested by IPI; in this
 // reproduction the requesting CPU performs each flush directly under the
@@ -35,29 +35,7 @@ func (a *Allocator) reclaim(c *machine.CPU) {
 		a.AuditSweep(c)
 	}
 
-	// Typed object caches shed first: their constructed buffers are
-	// allocated blocks from this allocator's point of view, so
-	// destructing and freeing them is what lets the drains below
-	// coalesce those pages. No-op when no caches are registered.
-	a.shedCaches(c, true)
-
-	// Flush every CPU's caches for every class into the global pools.
-	for cpu := range a.percpu {
-		a.DrainCPU(c, cpu)
-	}
-
-	// Push every global pool's contents down to the coalesce-to-page
-	// layer; pages whose blocks are all free are released immediately,
-	// returning physical memory to the system.
-	for cls := range a.classes {
-		for _, g := range a.classes[cls].globals {
-			g.drainAll(c)
-		}
-	}
-
-	// With lazy spans, coalesced free spans still hold their physical
-	// frames; the starving caller needs those frames, so strip them all.
-	a.vm.decommitFree(c, -1)
+	a.DrainAll(c)
 	a.wakeAll()
 }
 
@@ -85,22 +63,11 @@ func (a *Allocator) DrainCPU(c *machine.CPU, cpu int) {
 			pc.target = ctl.curTarget()
 		}
 		a.crit[cpu].ExitForeign(c)
-		if a.nodes == 1 {
-			if !main.Empty() {
-				a.classes[cls].globals[0].putList(c, main)
-			}
-			if !aux.Empty() {
-				a.classes[cls].globals[0].putList(c, aux)
-			}
-		} else {
-			// Drained caches may hold blocks from several nodes
-			// (steals); route each block to its home pool.
-			if !main.Empty() {
-				a.routeSpill(c, cls, main)
-			}
-			if !aux.Empty() {
-				a.routeSpill(c, cls, aux)
-			}
+		if !main.Empty() {
+			a.spill(c, cls, main)
+		}
+		if !aux.Empty() {
+			a.spill(c, cls, aux)
 		}
 		// Partial remote shards go straight to their home pools: each
 		// shard is wholly owned by one node already, so no routing pass
@@ -121,15 +88,28 @@ func (a *Allocator) DrainCPU(c *machine.CPU, cpu int) {
 // allocator with no outstanding blocks, every page is returned to the
 // system and physical usage drops to the vmblk headers alone.
 func (a *Allocator) DrainAll(c *machine.CPU) {
+	// Typed object caches shed first: their constructed buffers are
+	// allocated blocks from this allocator's point of view, so
+	// destructing and freeing them is what lets the drains below
+	// coalesce those pages. No-op when no caches are registered.
 	a.shedCaches(c, true)
+
+	// Flush every CPU's caches for every class into the global pools.
 	for cpu := range a.percpu {
 		a.DrainCPU(c, cpu)
 	}
+
+	// Push every global pool's contents down to the coalesce-to-page
+	// layer; pages whose blocks are all free are released immediately,
+	// returning physical memory to the system.
 	for cls := range a.classes {
 		for _, g := range a.classes[cls].globals {
 			g.drainAll(c)
 		}
 	}
+
+	// With lazy spans, coalesced free spans still hold their physical
+	// frames; a starving caller needs those frames, so strip them all.
 	a.vm.decommitFree(c, -1)
 }
 

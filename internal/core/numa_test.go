@@ -158,7 +158,7 @@ func TestBucketRegroupAfterRetune(t *testing.T) {
 	}
 
 	newTarget := oldTarget + 3
-	g.ctl.target.Store(int64(newTarget))
+	g.ctl.target.val.Store(int64(newTarget))
 
 	// Exchange every cached list once: each comes out still grouped
 	// under the old target, is odd-sized under the new one, and must
@@ -266,7 +266,7 @@ func TestDopeVectorHomeConsistency(t *testing.T) {
 func TestNativeCrossNodeFree(t *testing.T) {
 	// Native mode with a topology: producers on node 0 allocate, consumers
 	// on node 1 free, concurrently. The race detector sees the whole
-	// remote-routing path (routeSpill's dope-vector reads in particular).
+	// remote-routing path (spill's dope-vector reads in particular).
 	cfg := machine.DefaultConfig()
 	cfg.Mode = machine.Native
 	cfg.NumCPUs = 4

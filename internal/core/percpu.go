@@ -175,7 +175,7 @@ func (pc *pcpu) takeAll(c *machine.CPU) (blocklist.List, blocklist.List) {
 // takeShards empties every remote shard, returning the staged lists
 // indexed by home node (nil when the cache has no shards or nothing is
 // staged). Each returned list is already partitioned by home, so drains
-// hand them straight to the home pools without routeSpill's per-block
+// hand them straight to the home pools without spill's per-block
 // lookups. Caller is inside the critical section.
 func (pc *pcpu) takeShards(c *machine.CPU) []blocklist.List {
 	var out []blocklist.List

@@ -366,10 +366,10 @@ func (a *Allocator) Stats(c *machine.CPU) Stats {
 			Size:             cs.size,
 			Target:           cs.ctl.curTarget(),
 			GblTarget:        cs.ctl.curGblTarget(),
-			TargetGrows:      cs.ctl.grows.Load(),
-			TargetShrinks:    cs.ctl.shrinks.Load(),
-			GblTargetGrows:   cs.ctl.gblGrows.Load(),
-			GblTargetShrinks: cs.ctl.gblShrinks.Load(),
+			TargetGrows:      cs.ctl.target.grows.Load(),
+			TargetShrinks:    cs.ctl.target.shrinks.Load(),
+			GblTargetGrows:   cs.ctl.gbltarget.grows.Load(),
+			GblTargetShrinks: cs.ctl.gbltarget.shrinks.Load(),
 		}
 	}
 
@@ -415,11 +415,7 @@ func (a *Allocator) Stats(c *machine.CPU) Stats {
 				st.HeldGlobal += l.Len()
 			}
 			g.lk.Release(c)
-			ls := g.lk.Stats()
-			st.GlobalLock.Acquisitions += ls.Acquisitions
-			st.GlobalLock.Contended += ls.Contended
-			st.GlobalLock.SpinCycles += ls.SpinCycles
-			st.GlobalLock.HoldCycles += ls.HoldCycles
+			st.GlobalLock.Add(g.lk.Stats())
 		}
 
 		for _, p := range cs.pages {
@@ -431,11 +427,7 @@ func (a *Allocator) Stats(c *machine.CPU) Stats {
 			st.LockWaitCycles += p.ev[EvLockWait]
 			st.CASRetries += p.ev[EvCASRetry]
 			p.lk.Release(c)
-			ls := p.lk.Stats()
-			st.PageLock.Acquisitions += ls.Acquisitions
-			st.PageLock.Contended += ls.Contended
-			st.PageLock.SpinCycles += ls.SpinCycles
-			st.PageLock.HoldCycles += ls.HoldCycles
+			st.PageLock.Add(p.lk.Stats())
 		}
 	}
 

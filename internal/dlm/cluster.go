@@ -3,7 +3,6 @@ package dlm
 import (
 	"fmt"
 
-	"kmem/internal/allocif"
 	"kmem/internal/arena"
 	"kmem/internal/core"
 	"kmem/internal/machine"
@@ -102,7 +101,7 @@ func NewCluster(al *core.Allocator, nBuckets int) (*Cluster, error) {
 	// Messages stay 256-byte paper blocks; the 64-byte live object
 	// leaves the cache seven distinct colors, so the inbox chains of
 	// different nodes stop stacking their headers on the same lines.
-	cl.msgCache, err = objcache.New(al.Machine(), allocif.NewKMA{Allocator: al},
+	cl.msgCache, err = objcache.New(al.Machine(), al,
 		"dlm:msg", msgObjSize, 8, nil, nil, objcache.Opts{MinBackSize: msgBlockSize})
 	if err != nil {
 		return nil, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"kmem/internal/allocif"
 	"kmem/internal/arena"
 	"kmem/internal/core"
 	"kmem/internal/machine"
@@ -92,11 +91,10 @@ func NewManager(al *core.Allocator, nBuckets int) (*Manager, error) {
 		return nil, fmt.Errorf("dlm: invalid bucket count %d", nBuckets)
 	}
 	d := &Manager{al: al, mem: al.Machine().Mem()}
-	back := allocif.NewKMA{Allocator: al}
 	var err error
 	// Resources are constructed with empty grant/wait queues and a zero
 	// lock count; Lock's create path writes only the id and hash link.
-	d.resCache, err = objcache.New(al.Machine(), back, "dlm:res", dlmObjSize, 8,
+	d.resCache, err = objcache.New(al.Machine(), al, "dlm:res", dlmObjSize, 8,
 		func(c *machine.CPU, mem *arena.Arena, obj arena.Addr) {
 			for _, off := range [...]uint64{rGrantHead, rWaitHead, rWaitTail, rLockCount} {
 				c.WriteAddr(obj + arena.Addr(off))
@@ -109,7 +107,7 @@ func NewManager(al *core.Allocator, nBuckets int) (*Manager, error) {
 	// Lock blocks have no reusable constructed state (every field is
 	// per-request); the cache still buys magazine reuse and coloring of
 	// the 256-byte paper blocks.
-	d.lockCache, err = objcache.New(al.Machine(), back, "dlm:lock", dlmObjSize, 8,
+	d.lockCache, err = objcache.New(al.Machine(), al, "dlm:lock", dlmObjSize, 8,
 		nil, nil, objcache.Opts{MinBackSize: lockBlockSize})
 	if err != nil {
 		return nil, err

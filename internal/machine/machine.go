@@ -213,29 +213,44 @@ type Line uint64
 
 const metaTag Line = 1 << 63
 
-// New constructs a machine from cfg, validating it.
+// ConfigError is a Config no machine can be built from. New panics with
+// one; code that builds a machine from outside input (kmem.NewSystem, a
+// kmembench flag) calls Validate first, or recovers exactly this type,
+// and reports it as an ordinary error.
+type ConfigError struct{ msg string }
+
+func (e *ConfigError) Error() string { return e.msg }
+
+// Validate reports, as a *ConfigError, the first reason New would refuse
+// cfg; nil if New accepts it.
+func (cfg Config) Validate() error {
+	var msg string
+	switch {
+	case cfg.NumCPUs < 1 || cfg.NumCPUs > MaxCPUs:
+		msg = fmt.Sprintf("machine: NumCPUs %d out of range [1,%d]", cfg.NumCPUs, MaxCPUs)
+	case cfg.Nodes < 0 || cfg.Nodes > cfg.NumCPUs: // 0 selects the single-bus machine
+		msg = fmt.Sprintf("machine: Nodes %d out of range [1,%d]", cfg.Nodes, cfg.NumCPUs)
+	case cfg.CacheLines&(cfg.CacheLines-1) != 0 || cfg.CacheLines <= 0:
+		msg = fmt.Sprintf("machine: CacheLines %d not a power of two", cfg.CacheLines)
+	case cfg.TLBEntries < 0 || cfg.TLBEntries&(cfg.TLBEntries-1) != 0:
+		msg = fmt.Sprintf("machine: TLBEntries %d not a power of two", cfg.TLBEntries)
+	case cfg.PageBytes&(cfg.PageBytes-1) != 0 || cfg.PageBytes < 1<<cfg.LineShift:
+		msg = fmt.Sprintf("machine: PageBytes %d not a power of two holding at least one %d-byte line", cfg.PageBytes, 1<<cfg.LineShift)
+	case cfg.MemBytes%cfg.PageBytes != 0:
+		msg = "machine: MemBytes not a multiple of PageBytes"
+	default:
+		return nil
+	}
+	return &ConfigError{msg}
+}
+
+// New constructs a machine from cfg; a cfg that fails Validate panics
+// with its *ConfigError.
 func New(cfg Config) *Machine {
-	if cfg.NumCPUs < 1 || cfg.NumCPUs > MaxCPUs {
-		panic(fmt.Sprintf("machine: NumCPUs %d out of range [1,%d]", cfg.NumCPUs, MaxCPUs))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
-	if cfg.Nodes == 0 {
-		cfg.Nodes = 1
-	}
-	if cfg.Nodes < 1 || cfg.Nodes > cfg.NumCPUs {
-		panic(fmt.Sprintf("machine: Nodes %d out of range [1,%d]", cfg.Nodes, cfg.NumCPUs))
-	}
-	if cfg.CacheLines&(cfg.CacheLines-1) != 0 || cfg.CacheLines <= 0 {
-		panic(fmt.Sprintf("machine: CacheLines %d not a power of two", cfg.CacheLines))
-	}
-	if cfg.TLBEntries < 0 || cfg.TLBEntries&(cfg.TLBEntries-1) != 0 {
-		panic(fmt.Sprintf("machine: TLBEntries %d not a power of two", cfg.TLBEntries))
-	}
-	if cfg.PageBytes&(cfg.PageBytes-1) != 0 || cfg.PageBytes < 1<<cfg.LineShift {
-		panic(fmt.Sprintf("machine: PageBytes %d not a power of two holding at least one %d-byte line", cfg.PageBytes, 1<<cfg.LineShift))
-	}
-	if cfg.MemBytes%cfg.PageBytes != 0 {
-		panic("machine: MemBytes not a multiple of PageBytes")
-	}
+	cfg.Nodes = max(cfg.Nodes, 1)
 	m := &Machine{
 		cfg:  cfg,
 		mem:  arena.New(cfg.MemBytes),

@@ -151,6 +151,15 @@ type LockStats struct {
 	HoldCycles   int64
 }
 
+// Add accumulates another lock's counters into s, for totals over a set
+// of locks (one pool per node).
+func (s *LockStats) Add(o LockStats) {
+	s.Acquisitions += o.Acquisitions
+	s.Contended += o.Contended
+	s.SpinCycles += o.SpinCycles
+	s.HoldCycles += o.HoldCycles
+}
+
 // Stats returns the lock's contention counters.
 func (l *SpinLock) Stats() LockStats {
 	return LockStats{

@@ -35,7 +35,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"kmem/internal/allocif"
 	"kmem/internal/arena"
 	"kmem/internal/core"
 	"kmem/internal/harden"
@@ -105,9 +104,17 @@ type Opts struct {
 	Rseq bool
 }
 
+// Backing is what a cache needs of the allocator beneath it. The paper's
+// allocator (*core.Allocator) offers more — the four capabilities below,
+// probed once in New — and any other allocator works degraded: plain
+// Alloc/Free per carve, no reclaim registration, no events.
+type Backing interface {
+	Alloc(c *machine.CPU, size uint64) (arena.Addr, error)
+	Free(c *machine.CPU, addr arena.Addr, size uint64)
+}
+
 // cookieBacking is the fast-path interface of the paper's allocator:
-// pre-resolved size-class cookies. Probed dynamically so objcache works
-// — degraded to plain Alloc/Free — over any allocif.Allocator.
+// pre-resolved size-class cookies.
 type cookieBacking interface {
 	GetCookie(size uint64) (core.Cookie, error)
 	AllocCookie(c *machine.CPU, ck core.Cookie) (arena.Addr, error)
@@ -184,7 +191,7 @@ type Cache struct {
 	name  string
 	m     *machine.Machine
 	mem   *arena.Arena
-	back  allocif.Allocator
+	back  Backing
 	ctor  Ctor
 	dtor  Dtor
 	size  uint64 // object size
@@ -193,10 +200,11 @@ type Cache struct {
 	// Backing geometry, fixed at New.
 	backReq  uint64 // size requested from the backing allocator
 	capacity uint64 // bytes the backing actually provides per carve
-	cookie   core.Cookie
-	hasCk    bool
-	sizer    sizeBacking
-	events   eventBacking
+	// back's cookie path (nil: plain Alloc/Free of backReq) and its
+	// event spine (a no-op when back has none), resolved once in New.
+	cookies cookieBacking
+	cookie  core.Cookie
+	emit    func(ev core.LayerEvent, n int)
 
 	// Coloring.
 	colorInc  uint64 // one cache line
@@ -280,7 +288,7 @@ var ErrDestroyed = errors.New("objcache: cache destroyed")
 // New creates a named cache of size-byte objects aligned to align
 // (0 selects 8) over back. ctor and dtor may be nil. The cache
 // registers with back's reclaim machinery when back supports it.
-func New(m *machine.Machine, back allocif.Allocator, name string, size, align uint64, ctor Ctor, dtor Dtor, o Opts) (*Cache, error) {
+func New(m *machine.Machine, back Backing, name string, size, align uint64, ctor Ctor, dtor Dtor, o Opts) (*Cache, error) {
 	if size == 0 {
 		return nil, errors.New("objcache: zero object size")
 	}
@@ -302,6 +310,7 @@ func New(m *machine.Machine, back allocif.Allocator, name string, size, align ui
 		align:    align,
 		colorInc: uint64(1) << m.Config().LineShift,
 		objs:     make(map[arena.Addr]arena.Addr),
+		emit:     func(core.LayerEvent, int) {},
 	}
 	k.depots = make([]depot, m.NumNodes())
 	for n := range k.depots {
@@ -338,13 +347,12 @@ func New(m *machine.Machine, back allocif.Allocator, name string, size, align ui
 	// the slack the allocator would leave anyway.
 	if cb, ok := back.(cookieBacking); ok {
 		if ck, err := cb.GetCookie(k.backReq); err == nil {
-			k.cookie, k.hasCk = ck, true
+			k.cookies, k.cookie = cb, ck
 			k.capacity = uint64(ck.Size())
 		}
 	}
-	if !k.hasCk {
+	if k.cookies == nil {
 		if sz, ok := back.(sizeBacking); ok {
-			k.sizer = sz
 			k.capacity = sz.RoundedSize(k.backReq)
 		}
 		if k.capacity < k.backReq {
@@ -373,7 +381,7 @@ func New(m *machine.Machine, back allocif.Allocator, name string, size, align ui
 		k.mags[i].crit = machine.NewPerCPUOn(m, m.NodeOf(i), o.Rseq)
 	}
 	if eb, ok := back.(eventBacking); ok {
-		k.events = eb
+		k.emit = eb.EmitCacheEvent
 	}
 	if sb, ok := back.(shedBacking); ok {
 		k.unregister = sb.RegisterCacheShed(k.shed)
@@ -416,9 +424,7 @@ func (k *Cache) lockDepot(c *machine.CPU, d *depot) {
 	d.lk.Acquire(c)
 	if w := d.lk.LastWait(); w > 0 {
 		k.depotWait.Add(uint64(w))
-		if k.events != nil {
-			k.events.EmitCacheEvent(core.EvLockWait, int(w))
-		}
+		k.emit(core.EvLockWait, int(w))
 	}
 }
 
@@ -530,8 +536,8 @@ func (k *Cache) getSlow(c *machine.CPU, pc *cpuMags) (arena.Addr, error) {
 func (k *Cache) carve(c *machine.CPU) (arena.Addr, error) {
 	var base arena.Addr
 	var err error
-	if k.hasCk {
-		base, err = k.back.(cookieBacking).AllocCookie(c, k.cookie)
+	if k.cookies != nil {
+		base, err = k.cookies.AllocCookie(c, k.cookie)
 	} else {
 		base, err = k.back.Alloc(c, k.backReq)
 	}
@@ -561,10 +567,8 @@ func (k *Cache) carve(c *machine.CPU) (arena.Addr, error) {
 	}
 	k.carves.Add(1)
 	k.ctorRuns.Add(1)
-	if k.events != nil {
-		k.events.EmitCacheEvent(core.EvCtorRun, 1)
-		k.publishSkips()
-	}
+	k.emit(core.EvCtorRun, 1)
+	k.publishSkips()
 	return obj, nil
 }
 
@@ -724,8 +728,8 @@ func (k *Cache) releaseObj(c *machine.CPU, obj arena.Addr, runDtor bool) {
 		panic(fmt.Sprintf("objcache %q: release of unknown object %#x", k.name, uint64(obj)))
 	}
 	c.Work(insnRelease)
-	if k.hasCk {
-		k.back.(cookieBacking).FreeCookie(c, base, k.cookie)
+	if k.cookies != nil {
+		k.cookies.FreeCookie(c, base, k.cookie)
 	} else {
 		k.back.Free(c, base, k.backReq)
 	}
@@ -750,10 +754,8 @@ func (k *Cache) noteShed(n int) {
 		return
 	}
 	k.sheds.Add(1)
-	if k.events != nil {
-		k.events.EmitCacheEvent(core.EvCacheShed, n)
-		k.publishSkips()
-	}
+	k.emit(core.EvCacheShed, n)
+	k.publishSkips()
 }
 
 // publishSkips pushes the ctor-skip tally accumulated on fast paths to
@@ -763,7 +765,7 @@ func (k *Cache) publishSkips() {
 	skips := k.ctorSkips.Load()
 	pub := k.skipsPub.Load()
 	if skips > pub && k.skipsPub.CompareAndSwap(pub, skips) {
-		k.events.EmitCacheEvent(core.EvCtorSkip, int(skips-pub))
+		k.emit(core.EvCtorSkip, int(skips-pub))
 	}
 }
 
@@ -933,9 +935,7 @@ func (k *Cache) hardenReport(c *machine.CPU, kind harden.Kind, obj arena.Addr, o
 // hardenDetected finishes a detection once hd.mu is released: event,
 // then policy. PolicyPanic aborts with the full report.
 func (k *Cache) hardenDetected(rep *harden.Report) {
-	if k.events != nil {
-		k.events.EmitCacheEvent(core.EvCorruption, 1)
-	}
+	k.emit(core.EvCorruption, 1)
 	if k.hd.cfg.Policy == harden.PolicyPanic {
 		panic(rep.String())
 	}
@@ -978,9 +978,7 @@ func (k *Cache) hardenGet(c *machine.CPU, obj arena.Addr) bool {
 			h.mu.Unlock()
 			k.hardenDetected(&rep)
 			if pol == harden.PolicyQuarantine {
-				if k.events != nil {
-					k.events.EmitCacheEvent(core.EvQuarantine, 1)
-				}
+				k.emit(core.EvQuarantine, 1)
 				return false
 			}
 			h.mu.Lock() // log-only: serve it anyway
@@ -1022,9 +1020,7 @@ func (k *Cache) hardenPut(c *machine.CPU, obj arena.Addr) bool {
 		h.mu.Unlock()
 		k.hardenDetected(&rep)
 		if pol == harden.PolicyQuarantine {
-			if k.events != nil {
-				k.events.EmitCacheEvent(core.EvQuarantine, 1)
-			}
+			k.emit(core.EvQuarantine, 1)
 			return false
 		}
 		h.mu.Lock() // log-only: heal the canary and rest it as usual

@@ -38,7 +38,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"kmem/internal/allocif"
 	"kmem/internal/arena"
 	"kmem/internal/core"
 	"kmem/internal/machine"
@@ -123,13 +122,12 @@ type Subsystem struct {
 // New builds a STREAMS subsystem over the given kernel allocator.
 func New(al *core.Allocator) (*Subsystem, error) {
 	s := &Subsystem{al: al, mem: al.Machine().Mem()}
-	back := allocif.NewKMA{Allocator: al}
 	m := al.Machine()
 	var err error
 
 	// Message blocks: next/cont constructed to zero. allocb writes only
 	// rptr/wptr/datap; freeb restores next/cont before recycling.
-	s.mblks, err = objcache.New(m, back, "streams:mblk", mblkObjSize, 8,
+	s.mblks, err = objcache.New(m, al, "streams:mblk", mblkObjSize, 8,
 		func(c *machine.CPU, mem *arena.Arena, obj arena.Addr) {
 			c.WriteAddr(obj + mbNext)
 			mem.Store64(obj+mbNext, 0)
@@ -142,7 +140,7 @@ func New(al *core.Allocator) (*Subsystem, error) {
 
 	// Bare data blocks (external/oversize): only db_ref is constructed —
 	// base, lim, size, and kind are per-use on these rare paths.
-	s.dblks, err = objcache.New(m, back, "streams:dblk", dblkObjSize, 8,
+	s.dblks, err = objcache.New(m, al, "streams:dblk", dblkObjSize, 8,
 		func(c *machine.CPU, mem *arena.Arena, obj arena.Addr) {
 			c.WriteAddr(obj + dbRef)
 			mem.Store64(obj+dbRef, 1)
@@ -160,7 +158,7 @@ func New(al *core.Allocator) (*Subsystem, error) {
 			break
 		}
 		kind := uint64(dbKindInline + i)
-		k, err := objcache.New(m, back, fmt.Sprintf("streams:dblk%d", bufSize),
+		k, err := objcache.New(m, al, fmt.Sprintf("streams:dblk%d", bufSize),
 			dblkHdr+bufSize, 8,
 			func(c *machine.CPU, mem *arena.Arena, obj arena.Addr) {
 				c.WriteAddr(obj + dbBase)

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"strings"
 
-	"kmem/internal/allocif"
 	"kmem/internal/arena"
 	"kmem/internal/core"
 	"kmem/internal/faultpoint"
@@ -326,7 +325,7 @@ func (r *Runner) Run() (Report, error) {
 				ora.dtorFail = fmt.Sprintf("dtor: object %#x byte %d not constructed at release", obj, off)
 			}
 		}
-		kc, err := objcache.New(m, allocif.NewKMA{Allocator: a}, "torture:obj",
+		kc, err := objcache.New(m, a, "torture:obj",
 			objCacheSize, 8, ctor, dtor, objcache.Opts{Rseq: cfg.Rseq})
 		if err != nil {
 			return Report{}, fmt.Errorf("torture: objcache: %w", err)

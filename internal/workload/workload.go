@@ -9,6 +9,8 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 )
 
 // NewRand returns a deterministic PRNG for the given seed; every
@@ -102,6 +104,37 @@ func (c *Choice) Max() uint64 {
 
 // String implements SizeDist.
 func (c *Choice) String() string { return fmt.Sprintf("choice(%v)", c.Sizes) }
+
+// ParseDist reads a size distribution as the command line spells it:
+// fixed:N, uniform:LO:HI, or choice:A,B,C (equal weights).
+func ParseDist(spec string) (SizeDist, error) {
+	kind, args, _ := strings.Cut(spec, ":")
+	sep := ":"
+	if kind == "choice" {
+		sep = ","
+	}
+	var n []uint64
+	for _, s := range strings.Split(args, sep) {
+		v, err := strconv.ParseUint(s, 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("size distribution %q: %w", spec, err)
+		}
+		n = append(n, v)
+	}
+	switch {
+	case kind == "fixed" && len(n) == 1:
+		return Fixed(n[0]), nil
+	case kind == "uniform" && len(n) == 2 && 0 < n[0] && n[0] <= n[1]:
+		return Uniform{Lo: n[0], Hi: n[1]}, nil
+	case kind == "choice":
+		weights := make([]int, len(n))
+		for i := range weights {
+			weights[i] = 1
+		}
+		return NewChoice(n, weights), nil
+	}
+	return nil, fmt.Errorf("size distribution %q: want fixed:N, uniform:LO:HI with 0 < LO <= HI, or choice:A,B,C", spec)
+}
 
 // Zipf draws skewed resource identifiers in [0, N): a few hot resources
 // take most of the traffic, as OLTP lock traffic does.

@@ -126,3 +126,28 @@ func TestQuickUniformBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestParseDist(t *testing.T) {
+	cases := []struct {
+		spec string
+		max  uint64
+	}{
+		{"fixed:128", 128},
+		{"uniform:16:4096", 4096},
+		{"choice:32,64,256", 256},
+	}
+	for _, tc := range cases {
+		d, err := ParseDist(tc.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.spec, err)
+		}
+		if d.Max() != tc.max {
+			t.Fatalf("%s: Max = %d, want %d", tc.spec, d.Max(), tc.max)
+		}
+	}
+	for _, bad := range []string{"", "fixed", "fixed:x", "uniform:1", "uniform:9:3", "uniform:0:5", "choice:", "zipf:2", "fixed:1:2", "choice:1:2"} {
+		if _, err := ParseDist(bad); err == nil {
+			t.Fatalf("%q accepted", bad)
+		}
+	}
+}

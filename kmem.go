@@ -32,7 +32,6 @@ import (
 	"sort"
 	"sync"
 
-	"kmem/internal/allocif"
 	"kmem/internal/arena"
 	"kmem/internal/core"
 	"kmem/internal/faultpoint"
@@ -281,6 +280,9 @@ func NewSystem(cfg Config) (*System, error) {
 			mc.PhysPages = cfg.PhysPages
 		}
 	}
+	if err := mc.Validate(); err != nil {
+		return nil, err
+	}
 	m := machine.New(mc)
 	a, err := core.New(m, core.Params{
 		Classes:        cfg.Classes,
@@ -478,7 +480,7 @@ func (s *System) NewCache(name string, size, align uint64, ctor Ctor, dtor Dtor,
 	if _, dup := s.caches[name]; dup {
 		return nil, fmt.Errorf("kmem: cache %q already exists", name)
 	}
-	k, err := objcache.New(s.m, allocif.NewKMA{Allocator: s.a}, name, size, align, ctor, dtor, opts)
+	k, err := objcache.New(s.m, s.a, name, size, align, ctor, dtor, opts)
 	if err != nil {
 		return nil, err
 	}
