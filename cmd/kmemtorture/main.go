@@ -52,7 +52,7 @@ func main() {
 		outDir     = flag.String("out", "torture-failures", "directory for failing repro artifacts")
 		replay     = flag.String("replay", "", "replay a saved repro file instead of generating a run")
 		emitCorpus = flag.String("emit-corpus", "", "write fuzz-corpus files for the run(s) into this directory")
-		plant      = flag.String("plant", "", "arm a planted bug (torturecheck builds): shardflush or rightmerge")
+		plant      = flag.String("plant", "", "arm a planted bug (torturecheck builds): shardflush, rightmerge, lfstackaba or stalepure")
 		verbose    = flag.Bool("v", false, "log every run, not just failures")
 	)
 	flag.Parse()
@@ -60,7 +60,7 @@ func main() {
 	if *plant != "" {
 		bug, ok := bugByName(*plant)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "kmemtorture: unknown -plant %q (want shardflush or rightmerge)\n", *plant)
+			fmt.Fprintf(os.Stderr, "kmemtorture: unknown -plant %q (want shardflush, rightmerge, lfstackaba or stalepure)\n", *plant)
 			os.Exit(2)
 		}
 		if !core.TortureBugsAvailable {
@@ -126,6 +126,10 @@ func bugByName(name string) (int, bool) {
 		return core.TortureBugSkipShardFlush, true
 	case "rightmerge":
 		return core.TortureBugDropRightMerge, true
+	case "lfstackaba":
+		return core.TortureBugLFStackABA, true
+	case "stalepure":
+		return core.TortureBugStaleNodePure, true
 	}
 	return 0, false
 }

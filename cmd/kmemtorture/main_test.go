@@ -7,11 +7,10 @@ import (
 )
 
 func TestBugByName(t *testing.T) {
-	if _, ok := bugByName("shardflush"); !ok {
-		t.Fatal("shardflush not recognized")
-	}
-	if _, ok := bugByName("rightmerge"); !ok {
-		t.Fatal("rightmerge not recognized")
+	for _, name := range []string{"shardflush", "rightmerge", "lfstackaba", "stalepure"} {
+		if _, ok := bugByName(name); !ok {
+			t.Fatalf("%s not recognized", name)
+		}
 	}
 	if _, ok := bugByName("nosuchbug"); ok {
 		t.Fatal("unknown bug accepted")

@@ -177,8 +177,13 @@ func TestBaselinesReproduce(t *testing.T) {
 		floor       float64
 	}{
 		{8, 4, "allocfree", 1.20}, // rseq replacing the interrupt-mask pair on the warm path
-		{8, 2, "prodcons", 1.20},  // the contended topology: four CPUs per node pool
-		{8, 4, "prodcons", 1.08},  // shards already removed most contention; the rseq saving remains
+		// The contended topology, four CPUs per node pool. 1.20 until
+		// PR 23: a node-pure spill is one putList for both rows, but the
+		// locked row also had lock wait to lose (237,670 -> 118,277
+		// cycles; +24.8 % pairs/s against the lock-free row's +18.1 %),
+		// so the gap between them reads 16.8 %, down from 23.4 %.
+		{8, 2, "prodcons", 1.15},
+		{8, 4, "prodcons", 1.08}, // shards already removed most contention; the rseq saving remains
 	} {
 		if off, on := pair(g.cpus, g.nodes, g.workload); on.PairsPerSec < g.floor*off.PairsPerSec {
 			t.Errorf("%d/%d %s: optimistic paths gain %.1f%%, want >= %.0f%%",

@@ -374,6 +374,8 @@ miss rate toward the controller's setpoint (see DESIGN.md, adaptive targets).
 Partitioning the machine into nodes splits both the bus bandwidth and the
 slow-path pool locks; frees of remote blocks route home over the interconnect
 (remote frees), and dry home pools steal cached lists cross-node (steals).
+Only a cache holding a stolen list spills block by block (routed); the rest
+hand whole lists to their own node's pool.
 `)
 			}
 		},

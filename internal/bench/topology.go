@@ -21,6 +21,7 @@ type TopologyPoint struct {
 
 	RemoteFrees uint64 // blocks routed to a non-local node's global pool
 	NodeSteals  uint64 // blocks stolen cross-node by dry refills
+	SpillRouted uint64 // blocks of main/aux spills routed home one lookup at a time
 }
 
 // TopologyResult sweeps the same workload across node counts at a fixed
@@ -90,10 +91,11 @@ func runTopologyPoint(ncpu, nnodes int, blockSize uint64, seconds float64, pairi
 		Pairs: w.pairs, PairsPerSec: float64(w.pairs) / seconds,
 		BusTxnsPerBus: w.busTxnsPerBus, BusOccupancy: w.busOccupancy, InterconnectTxns: w.icTxns,
 	}
-	// Unlike the window's other numbers these two count from boot.
+	// Unlike the window's other numbers these three count from boot.
 	for _, cs := range w.after.Classes {
 		pt.RemoteFrees += cs.RemoteFrees
 		pt.NodeSteals += cs.NodeSteals
+		pt.SpillRouted += cs.SpillRouted
 	}
 	return pt, nil
 }
@@ -103,12 +105,12 @@ func (r *TopologyResult) Table() *Table {
 	t := &Table{
 		Title: fmt.Sprintf("Producer/consumer cross-CPU frees: %d-byte blocks, %s pairing, topology sweep",
 			r.BlockSize, r.Pairing),
-		Headers: []string{"nodes", "cpus", "pairs/s", "txns/bus", "bus occ", "ic txns", "remote frees", "steals"},
+		Headers: []string{"nodes", "cpus", "pairs/s", "txns/bus", "bus occ", "ic txns", "remote frees", "steals", "routed"},
 	}
 	for _, p := range r.Points {
-		t.AddRowf("%d|%d|%.0f|%.0f|%.1f%%|%d|%d|%d",
+		t.AddRowf("%d|%d|%.0f|%.0f|%.1f%%|%d|%d|%d|%d",
 			p.Nodes, p.CPUs, p.PairsPerSec, p.BusTxnsPerBus, 100*p.BusOccupancy, p.InterconnectTxns,
-			p.RemoteFrees, p.NodeSteals)
+			p.RemoteFrees, p.NodeSteals, p.SpillRouted)
 	}
 	return t
 }

@@ -39,6 +39,11 @@ func TestTopologyCrossPairingExercisesRemotePath(t *testing.T) {
 	if pt.InterconnectTxns == 0 {
 		t.Fatal("cross pairing never crossed the interconnect")
 	}
+	// Nothing stole, so every cache stayed node-pure and every main/aux
+	// spill was one list operation.
+	if pt.NodeSteals != 0 || pt.SpillRouted != 0 {
+		t.Fatalf("cross pairing: %d blocks stolen, %d routed one by one", pt.NodeSteals, pt.SpillRouted)
+	}
 }
 
 func TestTopologyValidation(t *testing.T) {

@@ -419,11 +419,13 @@ func (a *Allocator) allocClassOp(c *machine.CPU, cls int) (arena.Addr, error) {
 		c.Work(insnRefill)
 		home := a.classes[cls].globalFor(c)
 		lst, err := home.getList(c, single)
+		stolen := false
 		if lst.Empty() && a.nodes > 1 {
 			for off := 1; off < a.nodes && lst.Empty(); off++ {
 				victim := (home.node + off) % a.nodes
 				lst = a.classes[cls].globals[victim].stealList(c)
 			}
+			stolen = !lst.Empty() && !tortureBug(TortureBugStaleNodePure)
 		}
 		if !lst.Empty() {
 			n := lst.Len()
@@ -440,6 +442,8 @@ func (a *Allocator) allocClassOp(c *machine.CPU, cls int) (arena.Addr, error) {
 				pc.notedOps = ops
 				pc.target = ctl.curTarget()
 			}
+			// A home refill into an empty cache restores node-purity.
+			pc.mixed = stolen || pc.mixed && !(pc.main.Empty() && pc.aux.Empty())
 			if pc.main.Empty() {
 				pc.main = lst
 			} else {
@@ -507,9 +511,9 @@ func (a *Allocator) freeClassOp(c *machine.CPU, cls int, addr arena.Addr) {
 
 	var spill blocklist.List
 	// flushHome is the destination node when spill is a full remote
-	// shard; -1 marks a classic main/aux spill, which still routes by
-	// per-block lookup (a cache may mix stolen blocks from any node).
-	flushHome := -1
+	// shard; -1 marks a classic main/aux spill, which goes where
+	// spillHome says.
+	flushHome, spillHome := -1, -1
 	var delta uint64
 	noted := false
 	if n := crit.Enter(c); n > 0 {
@@ -546,6 +550,9 @@ func (a *Allocator) freeClassOp(c *machine.CPU, cls int, addr arena.Addr) {
 	default:
 		spill = a.freeFast(c, pc, target, addr)
 	}
+	if flushHome < 0 && !spill.Empty() {
+		spillHome = a.spillHome(pc, c.Node(), spill.Len())
+	}
 	if ctl.enabled && !spill.Empty() {
 		ops := pc.ops()
 		delta = ops - pc.notedOps
@@ -564,7 +571,7 @@ func (a *Allocator) freeClassOp(c *machine.CPU, cls int, addr arena.Addr) {
 			a.classes[cls].globals[flushHome].putList(c, spill)
 			a.emit(cls, EvShardFlush, n)
 		} else {
-			a.spill(c, cls, spill)
+			a.spill(c, cls, spill, spillHome)
 			a.emit(cls, EvCPUSpill, n)
 		}
 	}
@@ -573,20 +580,32 @@ func (a *Allocator) freeClassOp(c *machine.CPU, cls int, addr arena.Addr) {
 	}
 }
 
+// spillHome names, inside the critical section of a cache on node, the
+// pool that takes n blocks leaving main/aux as one list: the machine's
+// only node, or the cache's own while it is node-pure. -1 sends them
+// through spill's per-block partition, tallied as EvSpillRouted.
+func (a *Allocator) spillHome(pc *pcpu, node, n int) int {
+	if a.nodes == 1 || (a.shards && !pc.mixed) {
+		return node
+	}
+	pc.ev[EvSpillRouted] += uint64(n)
+	return -1
+}
+
 // spill returns a list leaving a CPU's main/aux cache — spilled by a
-// free, or drained — to the global layer. On a single-node machine that
-// is one putList and no per-block lookup happens. Otherwise the blocks
-// go to their home nodes' pools: the dope vector answers "which node
-// owns this block" for each block, the list is partitioned by home, and
-// each partition is put to its node's pool. A CPU's cache may mix nodes
-// (stolen blocks live beside local ones), so every spill routes. The
-// partition buffer is the calling CPU's reusable spillScratch — taken
-// empty, left empty — so this path allocates nothing per call.
-func (a *Allocator) spill(c *machine.CPU, cls int, spill blocklist.List) {
-	if a.nodes == 1 {
-		a.classes[cls].globals[0].putList(c, spill)
+// free, or drained — to the global layer. With every block homed on
+// node home (spillHome) that is one putList and no per-block lookup
+// happens. With home -1 the blocks go to their home nodes' pools: the
+// dope vector answers "which node owns this block" for each block, the
+// list is partitioned by home, and each partition is put to its node's
+// pool. The partition buffer is the calling CPU's reusable spillScratch
+// — taken empty, left empty — so this path allocates nothing per call.
+func (a *Allocator) spill(c *machine.CPU, cls int, spill blocklist.List, home int) {
+	if home >= 0 {
+		a.classes[cls].globals[home].putList(c, spill)
 		return
 	}
+	a.emit(cls, EvSpillRouted, spill.Len())
 	per := a.spillScratch[c.ID()]
 	for !spill.Empty() {
 		b := spill.Pop(c, a.mem)

@@ -15,7 +15,8 @@ import (
 //     count, with every link inside the page and block-aligned;
 //   - no block appears on two freelists (page, global or per-CPU) —
 //     a double free or list corruption would trip this;
-//   - cached blocks belong to split pages of the correct class;
+//   - cached blocks belong to split pages of the correct class, and in a
+//     global pool, remote shard or node-pure CPU cache to its node;
 //   - every page's residency flags match its state: header, allocated
 //     and split pages are resident; free-span pages are unbacked in
 //     eager mode, and in lazy mode are resident, scrubbed (with the
@@ -234,12 +235,13 @@ func (a *Allocator) CheckConsistency() error {
 	}
 	// checkHomed is checkCached for a list that must also hold only
 	// blocks homed on one node: a global pool's lists and bucket (the
-	// home-node invariant) and a CPU's remote shards.
+	// home-node invariant), a CPU's remote shards, and the main and aux
+	// of a node-pure cache. node -1 accepts any home.
 	checkHomed := func(head arena.Addr, n int, cls, node int, where string) error {
 		if err := checkCached(head, n, cls, where); err != nil {
 			return err
 		}
-		for b := head; b != arena.NilAddr; b = a.mem.Load64(b) {
+		for b := head; node >= 0 && b != arena.NilAddr; b = a.mem.Load64(b) {
 			if home := a.vm.nodeOfPage(int32(b >> a.pageShift)); home != node {
 				return fmt.Errorf("kmem: %s holds block %#x homed on node %d", where, b, home)
 			}
@@ -259,10 +261,16 @@ func (a *Allocator) CheckConsistency() error {
 		}
 		for cpu := range a.percpu {
 			pc := &a.percpu[cpu][cls]
-			if err := checkCached(pc.main.Head(), pc.main.Len(), cls, fmt.Sprintf("cpu %d class %d main", cpu, cls)); err != nil {
+			// A node-pure cache spills without looking: its blocks must
+			// all be homed on the CPU's own node.
+			pure := -1
+			if a.shards && !pc.mixed {
+				pure = a.m.NodeOf(cpu)
+			}
+			if err := checkHomed(pc.main.Head(), pc.main.Len(), cls, pure, fmt.Sprintf("cpu %d class %d main", cpu, cls)); err != nil {
 				return err
 			}
-			if err := checkCached(pc.aux.Head(), pc.aux.Len(), cls, fmt.Sprintf("cpu %d class %d aux", cpu, cls)); err != nil {
+			if err := checkHomed(pc.aux.Head(), pc.aux.Len(), cls, pure, fmt.Sprintf("cpu %d class %d aux", cpu, cls)); err != nil {
 				return err
 			}
 			// Remote shards: every staged block must be homed on the

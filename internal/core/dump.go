@@ -29,9 +29,13 @@ func (a *Allocator) Dump(w io.Writer) {
 			if pc.ev[EvAlloc] == 0 && pc.held() == 0 {
 				continue
 			}
-			fmt.Fprintf(w, "  cpu %d: main %d + aux %d cached; %d allocs, %d frees, %d refills, %d spills\n",
+			fmt.Fprintf(w, "  cpu %d: main %d + aux %d cached; %d allocs, %d frees, %d refills, %d spills",
 				cpu, pc.main.Len(), pc.aux.Len(),
 				pc.ev[EvAlloc], pc.ev[EvFree], pc.ev[EvCPURefill], pc.ev[EvCPUSpill])
+			if pc.ev[EvSpillRouted] > 0 {
+				fmt.Fprintf(w, "; %d blocks routed one by one", pc.ev[EvSpillRouted])
+			}
+			fmt.Fprintln(w)
 		}
 		for _, g := range cs.globals {
 			label := "global"

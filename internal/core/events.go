@@ -137,6 +137,12 @@ const (
 	EvRseqRestart
 	EvCASRetry
 
+	// EvSpillRouted counts blocks a main/aux spill or drain partitioned
+	// by home one dope-vector lookup at a time (n = blocks): a cache
+	// holding a stolen refill, or any multi-node cache with shards off.
+	// A node-pure cache's list reaches its pool in one putList instead.
+	EvSpillRouted
+
 	numLayerEvents
 )
 
@@ -188,6 +194,7 @@ var layerEventNames = [numLayerEvents]string{
 	EvQuarantine:      "quarantine",
 	EvRseqRestart:     "rseq-restart",
 	EvCASRetry:        "cas-retry",
+	EvSpillRouted:     "spill-routed",
 }
 
 // NumLayerEvents is the number of distinct layer events.

@@ -23,12 +23,13 @@ import (
 // one and flow through the bucket to be regrouped.
 //
 // Home-node invariant: a pool only ever holds blocks homed on its node.
-// Frees route every spilled block to its home pool through the dope
-// vector (spill), refills come from the node-local page pool, and
-// the cross-node steal path removes blocks from a victim pool rather
-// than mixing them in. drainAll may therefore push straight to the
-// node-local page pool, and the invariant is asserted both there
-// (putBlockLocked) and by CheckConsistency.
+// A node-pure cache spills whole lists to its own node's pool, any other
+// spill routes each block home through the dope vector (spill), refills
+// come from the node-local page pool, and the cross-node steal path
+// removes blocks from a victim pool rather than mixing them in. drainAll
+// may therefore push straight to the node-local page pool, and the
+// invariant is asserted both there (putBlockLocked) and by
+// CheckConsistency.
 type globalPool struct {
 	al   *Allocator
 	cls  int
@@ -401,8 +402,8 @@ func (g *globalPool) spillCount(gbltarget int) int {
 // the page layer: a steal takes only blocks already cached here, so a
 // dry machine still funnels through the reclaim path rather than
 // carving remote pages. The stolen blocks keep this pool's home node —
-// when the thief's CPU cache spills them later, spill sends them
-// back here.
+// the thief's cache is marked mixed, so when it spills them later,
+// spill sends them back here.
 func (g *globalPool) stealList(c *machine.CPU) blocklist.List {
 	if g.al.params.LockFree {
 		c.Work(insnGlobalOp)

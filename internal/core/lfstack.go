@@ -43,6 +43,11 @@ type lfState struct {
 
 	hist [lfCommits]lfCommit
 	n    int // next ring slot
+
+	// maxAt is the highest commit time ever recorded. An attempt whose
+	// CAS window starts at or after it overlaps no entry of the ring, so
+	// commit skips the scan — the common case off a contended pool.
+	maxAt int64
 }
 
 // lfCommit is one recorded successful commit.
@@ -84,7 +89,7 @@ func (s *lfState) commit(c *machine.CPU, prep func()) int {
 		c.CAS(s.line)
 		end := c.Now()
 		conflict := false
-		if retries < lfMaxRetries {
+		if retries < lfMaxRetries && start < s.maxAt {
 			for i := range s.hist {
 				h := &s.hist[i]
 				if h.cpu != c.ID() && h.at > start && h.at <= end {
@@ -97,6 +102,9 @@ func (s *lfState) commit(c *machine.CPU, prep func()) int {
 			s.tag++ // ABA guard: every successful commit bumps the tag
 			s.hist[s.n] = lfCommit{cpu: c.ID(), at: end}
 			s.n = (s.n + 1) % lfCommits
+			if end > s.maxAt {
+				s.maxAt = end
+			}
 			return retries
 		}
 		retries++

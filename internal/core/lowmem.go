@@ -56,6 +56,8 @@ func (a *Allocator) DrainCPU(c *machine.CPU, cpu int) {
 		// under Params.Rseq it aborts any sequence in flight there.
 		a.crit[cpu].EnterForeign(c)
 		main, aux := pc.takeAll(c)
+		home := a.spillHome(pc, a.m.NodeOf(cpu), main.Len()+aux.Len())
+		pc.mixed = false // an empty cache is node-pure
 		if !tortureBug(TortureBugSkipShardFlush) {
 			shards = pc.takeShards(c)
 		}
@@ -64,10 +66,10 @@ func (a *Allocator) DrainCPU(c *machine.CPU, cpu int) {
 		}
 		a.crit[cpu].ExitForeign(c)
 		if !main.Empty() {
-			a.spill(c, cls, main)
+			a.spill(c, cls, main, home)
 		}
 		if !aux.Empty() {
-			a.spill(c, cls, aux)
+			a.spill(c, cls, aux, home)
 		}
 		// Partial remote shards go straight to their home pools: each
 		// shard is wholly owned by one node already, so no routing pass

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -322,4 +324,240 @@ func TestNativeCrossNodeFree(t *testing.T) {
 	}
 	a.DrainAll(c)
 	checkOK(t, a)
+}
+
+// walkedPure reports whether every block on cpu's main and aux for class
+// cls is homed on cpu's own node.
+func walkedPure(a *Allocator, cpu, cls int) bool {
+	pc := &a.percpu[cpu][cls]
+	for _, l := range []*blocklist.List{&pc.main, &pc.aux} {
+		for b := l.Head(); b != arena.NilAddr; b = a.mem.Load64(b) {
+			if a.HomeOf(b) != a.m.NodeOf(cpu) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func TestStealThenSpillRoutesHome(t *testing.T) {
+	// Node 0 holds a few blocks of its own, node 1 takes the rest of
+	// physical memory and returns a little to its pool. CPU 0's next
+	// refill finds node 0 dry and steals from node 1: its cache is now
+	// mixed, and the local frees that follow must spill the stolen
+	// blocks block by block — home to node 1, not into node 0's pool.
+	for _, lockFree := range []bool{false, true} {
+		name := "locked"
+		if lockFree {
+			name = "lockfree"
+		}
+		t.Run(name, func(t *testing.T) {
+			a, m := numaAllocator(t, 4, 2, 64, Params{LockFree: lockFree})
+			c0, c2 := m.CPU(0), m.CPU(2)
+			cls := a.classFor(64)
+			target := a.Target(cls)
+			pc := &a.percpu[0][cls]
+
+			var live0, live1 []arena.Addr
+			for i := 0; i < 4*target; i++ {
+				b, err := a.Alloc(c0, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live0 = append(live0, b)
+			}
+			for {
+				b, err := a.Alloc(c2, 64)
+				if err != nil {
+					break // physical memory exhausted
+				}
+				live1 = append(live1, b)
+			}
+			for _, b := range live1[:2*target] {
+				a.Free(c2, b, 64)
+			}
+			live1 = live1[2*target:]
+			a.DrainCPU(c2, 2)
+
+			// Allocate on node 0 until it has to steal. (Node 1 stole
+			// too, on its way to exhaustion, so NodeSteals is no guide.)
+			for !pc.mixed {
+				b, err := a.Alloc(c0, 64)
+				if err != nil {
+					t.Fatalf("node 0 ran dry without stealing: %v", err)
+				}
+				live0 = append(live0, b)
+			}
+			if walkedPure(a, 0, cls) {
+				t.Fatal("cache marked mixed holds no block of another node right after the refill")
+			}
+			routed := a.Stats(c0).Classes[cls].SpillRouted
+			checkOK(t, a)
+
+			// Local frees: the stolen blocks rotate into aux and spill.
+			held1 := a.classes[cls].globals[1].blocksHeld(c0)
+			for _, b := range live0[:3*target] {
+				if a.HomeOf(b) != 0 {
+					t.Fatalf("block %#x held by node 0 is homed on node %d", b, a.HomeOf(b))
+				}
+				a.Free(c0, b, 64)
+			}
+			live0 = live0[3*target:]
+			st := a.Stats(c0).Classes[cls]
+			if st.SpillRouted == routed {
+				t.Fatal("a mixed cache spilled without routing its blocks")
+			}
+			if got := a.classes[cls].globals[1].blocksHeld(c0); got <= held1 {
+				t.Fatalf("node 1 pool holds %d blocks after the spill, %d before: the stolen blocks did not come home", got, held1)
+			}
+			checkOK(t, a) // every pool holds only blocks homed on its node
+
+			// A drain empties the cache and restores purity: from here on
+			// node 0's spills are whole-list again.
+			a.DrainCPU(c0, 0)
+			if pc.mixed {
+				t.Fatal("drained cache still marked mixed")
+			}
+			routed = a.Stats(c0).Classes[cls].SpillRouted
+			for _, b := range live0 {
+				if a.HomeOf(b) == 0 {
+					a.Free(c0, b, 64)
+				} else {
+					a.Free(c2, b, 64)
+				}
+			}
+			for _, b := range live1 {
+				a.Free(c2, b, 64)
+			}
+			if got := a.Stats(c0).Classes[cls].SpillRouted; got != routed {
+				t.Fatalf("node-pure caches routed %d more blocks one by one", got-routed)
+			}
+			checkOK(t, a)
+			a.DrainAll(c0)
+			checkOK(t, a)
+		})
+	}
+}
+
+func TestNodePureBitMatchesWalk(t *testing.T) {
+	// Property: after every operation of a seeded alloc/free/drain
+	// sequence short of memory, each cache's bit is what its history
+	// says — mixed exactly when its last refill was stolen and no drain
+	// has emptied it since — and a cache not marked mixed holds only
+	// blocks of its own node, which is what lets it spill without
+	// looking.
+	for _, nodes := range []int{2, 4} {
+		const ncpu = 8
+		var (
+			cur     int // the CPU running the current op
+			pending = map[int]bool{}
+			want    [ncpu]map[int]bool
+		)
+		for i := range want {
+			want[i] = map[int]bool{}
+		}
+		hook := func(cls int, ev LayerEvent, n int) {
+			switch ev {
+			case EvNodeSteal:
+				pending[cls] = true
+			case EvCPURefill:
+				want[cur][cls] = pending[cls]
+				pending[cls] = false
+			case EvReclaim: // drains every CPU
+				for i := range want {
+					want[i] = map[int]bool{}
+				}
+			}
+		}
+		a, m := numaAllocator(t, ncpu, nodes, 112, Params{Hook: hook})
+		type held struct {
+			b    arena.Addr
+			size uint64
+		}
+		var (
+			live         []held
+			sizes        = []uint64{64, 64, 256, 1024}
+			next         = rand.New(rand.NewSource(int64(nodes))).Intn
+			mixedSeen    int
+			mixedPureNow int
+		)
+		for step := 0; step < 30000; step++ {
+			cur = next(ncpu)
+			c := m.CPU(cur)
+			switch r := next(100); {
+			case r < 2:
+				victim := next(ncpu)
+				a.DrainCPU(c, victim)
+				want[victim] = map[int]bool{}
+			case r < 55 || len(live) == 0:
+				size := sizes[next(len(sizes))]
+				b, err := a.Alloc(c, size)
+				if err != nil {
+					for i := 0; i < 8 && len(live) > 0; i++ {
+						h := live[0]
+						live = live[1:]
+						a.Free(c, h.b, h.size)
+					}
+					break
+				}
+				live = append(live, held{b, size})
+			default:
+				j := next(len(live))
+				h := live[j]
+				live[j] = live[len(live)-1]
+				live = live[:len(live)-1]
+				a.Free(c, h.b, h.size)
+			}
+			for cpu := 0; cpu < ncpu; cpu++ {
+				for cls := range a.classes {
+					pc := &a.percpu[cpu][cls]
+					if pc.mixed != want[cpu][cls] {
+						t.Fatalf("%d nodes, step %d: cpu %d class %d mixed=%v, history says %v",
+							nodes, step, cpu, cls, pc.mixed, want[cpu][cls])
+					}
+					pure := walkedPure(a, cpu, cls)
+					if !pc.mixed && !pure {
+						t.Fatalf("%d nodes, step %d: cpu %d class %d holds another node's block but is not marked mixed",
+							nodes, step, cpu, cls)
+					}
+					if pc.mixed {
+						mixedSeen++
+						if pure {
+							mixedPureNow++
+						}
+					}
+				}
+			}
+		}
+		if mixedSeen == 0 {
+			t.Fatalf("%d nodes: no cache was ever mixed — the sequence never stole", nodes)
+		}
+		t.Logf("%d nodes: %d mixed (cache, step) pairs, %d of them walked pure (stolen blocks since allocated away)",
+			nodes, mixedSeen, mixedPureNow)
+		c := m.CPU(0)
+		for _, h := range live {
+			a.Free(c, h.b, h.size)
+		}
+		checkOK(t, a)
+		a.DrainAll(c)
+		checkOK(t, a)
+	}
+}
+
+// TestShardsOffCyclesPinned holds the DisableRemoteShards ablation to
+// the cycles it had before node-pure spills (PR 23): with shards off
+// remote frees land in main/aux, no cache is ever pure, and every spill
+// keeps the per-block partition. The constants are TestSchedHashPinned's
+// mix with shards off, captured on PR 23's parent commit.
+func TestShardsOffCyclesPinned(t *testing.T) {
+	want := pinnedMix{
+		hash:   0xdc4f568c04a2b0d5,
+		clocks: []int64{42866580, 42589852, 42730215, 40493355, 43190142, 40507120, 43251637, 43208893},
+		bus:    0x1909bb, ic: 0xb1819,
+		restarts: 0x1e62, casRetries: 0x39, remoteMisses: 0x6df32,
+		trimmed: 450, decommits: 0x2d19, reclaimSteps: 0x5077, lockSpin: 49767,
+	}
+	if got := pinnedMixRun(t, true); !reflect.DeepEqual(got, want) {
+		t.Errorf("shards-off virtual results moved\n got  %#v\n want %#v", got, want)
+	}
 }

@@ -44,6 +44,14 @@ type pcpu struct {
 	// is never used (home frees go through main).
 	remote []blocklist.List
 
+	// mixed clears the cache's node-purity. With shards on, remote frees
+	// never enter main/aux and home refills carry only home blocks, so
+	// main/aux spill whole to the CPU's own node's pool (spillHome) —
+	// until a refill stolen from another node lands, which sets mixed; a
+	// home refill into an empty cache or a drain resets it. Written
+	// inside the critical section only.
+	mixed bool
+
 	// memoVmblk/memoHome are the 1-entry home-lookup memo: the vmblk
 	// index of the last block this cache classified on the sharded free
 	// path and that vmblk's home node. A block's 4 MB vmblk determines

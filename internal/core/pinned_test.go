@@ -30,7 +30,8 @@ type pinnedMix struct {
 // LazySpans + Pressure allocator, short of physical memory, with seeded
 // jitter (so sequences restart), blocks handed across nodes, a contended
 // spinlock in the workload itself, large requests and periodic Trim.
-func pinnedMixRun(t *testing.T) pinnedMix {
+// shardsOff adds the DisableRemoteShards ablation.
+func pinnedMixRun(t *testing.T, shardsOff bool) pinnedMix {
 	t.Helper()
 	cfg := machine.DefaultConfig()
 	cfg.NumCPUs = 8
@@ -44,6 +45,8 @@ func pinnedMixRun(t *testing.T) pinnedMix {
 		LockFree:  true,
 		LazySpans: true,
 		Pressure:  &PressureConfig{},
+
+		DisableRemoteShards: shardsOff,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -153,9 +156,11 @@ func pinnedMixRun(t *testing.T) pinnedMix {
 // captured on the commit before the simulator's host-cost rewrite — the
 // span-granular decommit pass, the indexed occupancy histories, the typed
 // run heap — and must never move unless a PR sets out to change the cost
-// model and says so.
+// model and says so. PR 23 did: a node-pure cache spills in one putList
+// (DESIGN.md §17), which moves every multi-node run with shards on; the
+// shards-off twin, TestShardsOffCyclesPinned, did not move.
 func TestSchedHashPinned(t *testing.T) {
-	got := pinnedMixRun(t)
+	got := pinnedMixRun(t, false)
 	if got.restarts == 0 || got.casRetries == 0 || got.remoteMisses == 0 ||
 		got.trimmed == 0 || got.reclaimSteps == 0 || got.lockSpin == 0 {
 		t.Errorf("the pinned mix no longer reaches every path: %+v", got)
@@ -166,9 +171,9 @@ func TestSchedHashPinned(t *testing.T) {
 }
 
 var pinnedMixWant = pinnedMix{
-	hash:   0x6a22256c12727e7f,
-	clocks: []int64{41987498, 43045416, 42165306, 40374235, 43188066, 43128988, 43187478, 43196104},
-	bus:    0x1a03e4, ic: 0xb7320,
-	restarts: 0x1fad, casRetries: 0x5b, remoteMisses: 0x70a68,
-	trimmed: 444, decommits: 0x2def, reclaimSteps: 0x523f, lockSpin: 31327,
+	hash:   0xcf2a4295d212f5cb,
+	clocks: []int64{42927427, 42050800, 41673432, 40838308, 41648556, 38517649, 42826442, 42632400},
+	bus:    0x194221, ic: 0xafd39,
+	restarts: 0x1f25, casRetries: 0x6b, remoteMisses: 0x6c647,
+	trimmed: 457, decommits: 0x2d24, reclaimSteps: 0x4efe, lockSpin: 46640,
 }

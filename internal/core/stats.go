@@ -38,6 +38,7 @@ type ClassStats struct {
 	RemotePuts   uint64 // putList lock trips taken against a non-local pool
 	NodeSteals   uint64 // blocks stolen from other nodes' pools by dry refills
 	Interconnect uint64 // slow-path pool operations that crossed the interconnect
+	SpillRouted  uint64 // blocks of main/aux spills routed home one lookup at a time
 
 	// Remote-free shard activity (zero with shards off).
 	ShardFlushes uint64 // remote shards flushed home in one batched putList
@@ -388,6 +389,7 @@ func (a *Allocator) Stats(c *machine.CPU) Stats {
 			st.FreeSpills += pc.ev[EvCPUSpill]
 			st.ShardFlushes += pc.ev[EvShardFlush]
 			st.HomeMemoHits += pc.ev[EvHomeMemoHit]
+			st.SpillRouted += pc.ev[EvSpillRouted]
 			st.RseqRestarts += pc.ev[EvRseqRestart]
 			st.HeldPerCPU += pc.held()
 		}

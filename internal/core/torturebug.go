@@ -2,7 +2,7 @@ package core
 
 // Planted-bug identifiers for the torture harness's mutation self-check.
 // A correctness harness is only worth trusting if it demonstrably fails
-// when the allocator is broken, so under the torturecheck build tag two
+// when the allocator is broken, so under the torturecheck build tag a few
 // historically-plausible bugs can be armed at runtime (see
 // torturebug_on.go); in normal builds the hooks are constant-false
 // branches the compiler deletes (torturebug_off.go).
@@ -23,6 +23,11 @@ const (
 	// prevent. The leaked blocks keep their pages mapped forever, which
 	// the torture end-audit's leak floor detects after a full drain.
 	TortureBugLFStackABA
+	// TortureBugStaleNodePure makes a refill stolen from another node
+	// leave the cache marked node-pure: its next spill or drain would
+	// hand the stolen blocks to its own node's pool. The consistency
+	// audit rejects the unmarked cache.
+	TortureBugStaleNodePure
 
 	numTortureBugs
 )

@@ -10,9 +10,9 @@ import (
 	"kmem/internal/core"
 )
 
-// The mutation self-check: prove the oracle has teeth by arming two
+// The mutation self-check: prove the oracle has teeth by arming the
 // planted bugs (see core/torturebug.go) and asserting the harness
-// catches both from a fixed seed within one run's op budget. A torture
+// catches each from a fixed seed within one run's op budget. A torture
 // harness that cannot catch known bugs is decoration.
 //
 // These tests mutate global allocator behavior, so the package's tests
@@ -74,6 +74,30 @@ func TestMutationLFStackABABugCaught(t *testing.T) {
 	if !strings.Contains(err.Error(), "leak") && !strings.Contains(err.Error(), "consistency") &&
 		!strings.Contains(err.Error(), "block") {
 		t.Errorf("failure does not look like the planted lost update: %v", err)
+	}
+}
+
+// stalePureCfg is the detection config for the stale node-purity plant:
+// the bug needs a cross-node steal, so physical memory is short enough
+// that a node's pool and page layer run dry while the other node's pool
+// holds blocks, and the audit runs after every op — it must see the
+// stolen blocks in the unmarked cache before a spill carries them into
+// the wrong pool, where the page layer's home assertion would panic.
+var stalePureCfg = Config{CPUs: 4, Nodes: 2, Ops: 2000, Seed: 7, JitterSeed: 3, PhysPages: 64, CheckEvery: 1}
+
+func TestMutationStaleNodePureBugCaught(t *testing.T) {
+	if rep, err := New(stalePureCfg).Run(); err != nil {
+		t.Fatalf("disarmed run fails after %d ops: %v", rep.OpsExecuted, err)
+	}
+	core.SetTortureBug(core.TortureBugStaleNodePure, true)
+	defer core.SetTortureBug(core.TortureBugStaleNodePure, false)
+	rep, err := New(stalePureCfg).Run()
+	if err == nil {
+		t.Fatalf("planted stale node-purity bug went undetected in %d ops", rep.OpsExecuted)
+	}
+	t.Logf("caught in %d ops: %v", rep.OpsExecuted, err)
+	if !strings.Contains(err.Error(), "homed on node") {
+		t.Errorf("failure does not look like the planted stale bit: %v", err)
 	}
 }
 
@@ -141,6 +165,7 @@ func TestCommittedReprosCatchPlantedBugs(t *testing.T) {
 		"shardflush": core.TortureBugSkipShardFlush,
 		"rightmerge": core.TortureBugDropRightMerge,
 		"lfstackaba": core.TortureBugLFStackABA,
+		"stalepure":  core.TortureBugStaleNodePure,
 	}
 	for prefix, bug := range cases {
 		paths, err := filepath.Glob(filepath.Join("testdata", prefix+"-*.torture.json"))
