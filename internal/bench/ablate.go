@@ -170,7 +170,9 @@ type RadixRow struct {
 // AblateRadix runs a churn workload with a long-lived fraction — the
 // pattern where preferring nearly-full pages lets nearly-empty ones
 // drain and be released ("pages that have only a few in-use blocks
-// [get] more time to gather them").
+// [get] more time to gather them"). The two policies differ only in
+// which page a refill picks: a free costs the same list work under
+// either (core's radix filing is lazy).
 func AblateRadix(rounds int) ([]RadixRow, error) {
 	var rows []RadixRow
 	for _, radix := range []bool{true, false} {

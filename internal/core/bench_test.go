@@ -44,6 +44,26 @@ func BenchmarkTrimColdSpan(b *testing.B) {
 	}
 }
 
+// BenchmarkPutBlocksScattered times the page layer's free path where it
+// is dearest: 64 pages of 16-byte blocks returned in one putBlocks in
+// golden-ratio-stride order, so consecutive blocks belong to different
+// pages. It reports host ns and virtual cycles per block; the virtual
+// figure is the one TestScatteredFreeCyclesPinned bounds.
+func BenchmarkPutBlocksScattered(b *testing.B) {
+	var cycles, blocks int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		_, pp, c, l := scatteredFree(b, Params{})
+		blocks += int64(l.Len())
+		b.StartTimer()
+		t0 := c.Now()
+		pp.putBlocks(c, l)
+		cycles += c.Now() - t0
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(blocks), "ns/block")
+	b.ReportMetric(float64(cycles)/float64(blocks), "vcycles/block")
+}
+
 // BenchmarkCookiePair times the host cost of one warm AllocCookie/
 // FreeCookie pair in Sim mode — the per-CPU layer end to end, both
 // critical-section protocols — with the cache primed so that no

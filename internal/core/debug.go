@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"kmem/internal/arena"
 )
@@ -13,6 +14,10 @@ import (
 //     with matching boundary tags, allocated spans, and split pages;
 //   - every split page's freelist length matches its descriptor's free
 //     count, with every link inside the page and block-aligned;
+//   - the page pools' lists and the descriptors agree both ways: a page
+//     on bucket k has filed == k <= nFree, the list walks reach exactly
+//     the pages with filed != 0, and a split page with free blocks is
+//     filed unless it is quarantined or parked;
 //   - no block appears on two freelists (page, global or per-CPU) —
 //     a double free or list corruption would trip this;
 //   - cached blocks belong to split pages of the correct class, and in a
@@ -40,6 +45,7 @@ func (a *Allocator) CheckConsistency() error {
 	}
 
 	var residentPages, reservedPages int64
+	var filedPages, reachedPages int        // split pages with filed != 0; pages the list walks reach
 	splitByClass := make(map[int32]int, 64) // page -> class for cache validation
 
 	for _, vb := range a.vm.dope {
@@ -158,6 +164,12 @@ func (a *Allocator) CheckConsistency() error {
 				if pd.flags&^pdfQuarantined != pdfResident {
 					return fmt.Errorf("kmem: split page %d has flags %#x, want resident", i, pd.flags)
 				}
+				if pd.filed != 0 {
+					filedPages++
+				} else if pd.nFree > 0 && pd.flags&pdfQuarantined == 0 &&
+					!slices.Contains(a.classes[cls].pages[vb.home].stk, i) {
+					return fmt.Errorf("kmem: split page %d has %d free blocks but is filed nowhere", i, pd.nFree)
+				}
 				splitByClass[i] = cls
 				residentPages++
 				i++
@@ -167,23 +179,22 @@ func (a *Allocator) CheckConsistency() error {
 		}
 	}
 
-	// Radix buckets: each filed page must be split, with the matching
-	// free count, in this class — and homed on the pool's own node.
+	// Page-pool lists: each filed page must be split, in this class, homed
+	// on the pool's own node, and filed where its descriptor says — with
+	// no more free blocks claimed than it has (filing is lazy: the count
+	// may have grown since).
 	for cls := range a.classes {
 		for _, p := range a.classes[cls].pages {
-			checkList := func(l *pdList, wantFree int) error {
+			checkList := func(l *pdList, bucket int) error {
 				for pg := l.head; pg != -1; {
 					pd := a.vm.pdOf(pg)
 					if pd.state != pdSplit || int(pd.class) != cls {
 						return fmt.Errorf("kmem: class %d bucket holds page %d (%s class %d)",
 							cls, pg, pdStateName(pd.state), pd.class)
 					}
-					if wantFree >= 0 && int(pd.nFree) != wantFree {
-						return fmt.Errorf("kmem: class %d bucket %d holds page %d with %d free",
-							cls, wantFree, pg, pd.nFree)
-					}
-					if pd.nFree == 0 {
-						return fmt.Errorf("kmem: class %d list holds empty page %d", cls, pg)
+					if int(pd.filed) != bucket || pd.nFree < pd.filed {
+						return fmt.Errorf("kmem: class %d bucket %d holds page %d filed in %d with %d free",
+							cls, bucket, pg, pd.filed, pd.nFree)
 					}
 					if pd.flags&pdfQuarantined != 0 {
 						return fmt.Errorf("kmem: class %d list holds quarantined page %d", cls, pg)
@@ -192,12 +203,13 @@ func (a *Allocator) CheckConsistency() error {
 						return fmt.Errorf("kmem: class %d node %d pool holds page %d homed on node %d",
 							cls, p.node, pg, home)
 					}
+					reachedPages++
 					pg = pd.next
 				}
 				return nil
 			}
 			if a.params.DisableRadixSort {
-				if err := checkList(&p.fifo, -1); err != nil {
+				if err := checkList(&p.fifo, 1); err != nil {
 					return err
 				}
 			} else {
@@ -208,6 +220,12 @@ func (a *Allocator) CheckConsistency() error {
 				}
 			}
 		}
+	}
+	// Every reached page has filed == its bucket, so the walks are
+	// disjoint: equal counts mean no descriptor claims a list that does
+	// not hold it.
+	if reachedPages != filedPages {
+		return fmt.Errorf("kmem: %d split pages say they are filed, the list walks reach %d", filedPages, reachedPages)
 	}
 
 	// Cached blocks at the global and per-CPU layers: each must sit in a

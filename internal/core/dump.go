@@ -51,13 +51,14 @@ func (a *Allocator) Dump(w io.Writer) {
 			fmt.Fprintln(w)
 		}
 
-		var carved, released uint64
+		var carved, released, refiled uint64
 		blocksPerPage := cs.pages[0].blocksPerPage
 		for _, p := range cs.pages {
 			carved += p.ev[EvPageCarve]
 			released += p.ev[EvPageFree]
+			refiled += p.ev[EvPageRefile]
 		}
-		fmt.Fprintf(w, "  pages: %d carved, %d released; split-page occupancy:", carved, released)
+		fmt.Fprintf(w, "  pages: %d carved, %d released, %d refiled; split-page occupancy:", carved, released, refiled)
 		// Histogram of free counts over split pages.
 		counts := map[int]int{}
 		for _, vb := range a.vm.dope {

@@ -143,6 +143,12 @@ const (
 	// A node-pure cache's list reaches its pool in one putList instead.
 	EvSpillRouted
 
+	// EvPageRefile counts split pages the coalesce-to-page layer moved
+	// between radix buckets (n = pages): a stale head pickPage repaired,
+	// or the page a refill left partly drawn. Frees never refile. Emitted
+	// with the refill's EvBlockGet; zero under DisableRadixSort.
+	EvPageRefile
+
 	numLayerEvents
 )
 
@@ -195,6 +201,7 @@ var layerEventNames = [numLayerEvents]string{
 	EvRseqRestart:     "rseq-restart",
 	EvCASRetry:        "cas-retry",
 	EvSpillRouted:     "spill-routed",
+	EvPageRefile:      "page-refile",
 }
 
 // NumLayerEvents is the number of distinct layer events.

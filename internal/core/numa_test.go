@@ -548,14 +548,15 @@ func TestNodePureBitMatchesWalk(t *testing.T) {
 // the cycles it had before node-pure spills (PR 23): with shards off
 // remote frees land in main/aux, no cache is ever pure, and every spill
 // keeps the per-block partition. The constants are TestSchedHashPinned's
-// mix with shards off, captured on PR 23's parent commit.
+// mix with shards off, captured on PR 23's parent commit and again on
+// PR 24, whose lazy radix filing moved them (DESIGN.md §17).
 func TestShardsOffCyclesPinned(t *testing.T) {
 	want := pinnedMix{
-		hash:   0xdc4f568c04a2b0d5,
-		clocks: []int64{42866580, 42589852, 42730215, 40493355, 43190142, 40507120, 43251637, 43208893},
-		bus:    0x1909bb, ic: 0xb1819,
-		restarts: 0x1e62, casRetries: 0x39, remoteMisses: 0x6df32,
-		trimmed: 450, decommits: 0x2d19, reclaimSteps: 0x5077, lockSpin: 49767,
+		hash:   0x7ad3a047eb108dca,
+		clocks: []int64{42158514, 40201402, 40141231, 39937437, 42344090, 41282423, 42614017, 42564828},
+		bus:    0x18c564, ic: 0xaf09f,
+		restarts: 0x1e45, casRetries: 0x55, remoteMisses: 0x69870,
+		trimmed: 454, decommits: 0x2c26, reclaimSteps: 0x4eca, lockSpin: 56769,
 	}
 	if got := pinnedMixRun(t, true); !reflect.DeepEqual(got, want) {
 		t.Errorf("shards-off virtual results moved\n got  %#v\n want %#v", got, want)

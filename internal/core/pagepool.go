@@ -18,6 +18,11 @@ import (
 // that "pages with the fewest free blocks will be allocated from most
 // frequently", giving nearly-free pages time to drain completely.
 //
+// The sort is kept lazily (DESIGN.md §5): only pickPage reads it, so a
+// free files a page when its first block comes home, takes it out when
+// its last one does, and leaves it alone in between. pd.filed <= pd.nFree
+// always holds, and pickPage refiles the stale heads it meets.
+//
 // Home-node invariant: every page in the pool is carved from a vmblk
 // homed on the pool's node, so its radix-sorted freelists and the pages
 // they thread through stay node-local.
@@ -31,9 +36,9 @@ type pagePool struct {
 	lk   *machine.SpinLock
 	line machine.Line
 
-	// buckets[k] lists split pages with exactly k free blocks
-	// (1 <= k <= blocksPerPage). minHint accelerates the
-	// fewest-free-first scan.
+	// buckets[k] lists split pages filed with k free blocks
+	// (1 <= k <= blocksPerPage; pageDesc.filed == k <= nFree). minHint
+	// accelerates the fewest-free-first scan.
 	buckets []pdList
 	minHint int
 
@@ -53,7 +58,7 @@ type pagePool struct {
 	stkLf lfState
 
 	// ev tallies this pool's slice of the event spine (EvBlockGet,
-	// EvBlockPut, EvPageCarve, EvPageFree), written under lk.
+	// EvBlockPut, EvPageCarve, EvPageFree, EvPageRefile), written under lk.
 	ev eventCounts
 }
 
@@ -86,54 +91,69 @@ func newPagePool(a *Allocator, cls, node int, size uint32) *pagePool {
 
 // pickPage returns a split page with free blocks — the one with the
 // fewest free blocks under the paper's radix policy, or FIFO order under
-// the ablation — or -1 when none exists.
+// the ablation — or -1 when none exists. A head of bucket k whose count
+// has grown is refiled and k examined again: filed <= nFree everywhere,
+// so the first accurate head has the minimum free count.
 func (p *pagePool) pickPage(c *machine.CPU) int32 {
 	if p.al.params.DisableRadixSort {
 		return p.fifo.head
 	}
 	for k := p.minHint; k <= p.blocksPerPage; k++ {
 		c.Work(1)
-		if !p.buckets[k].empty() {
-			p.minHint = k
-			return p.buckets[k].head
+		for !p.buckets[k].empty() {
+			pg := p.buckets[k].head
+			pd := p.al.vm.pdOf(pg)
+			c.Read(pd.line)
+			if int(pd.nFree) == k {
+				p.minHint = k
+				return pg
+			}
+			p.refile(c, pg, int(pd.nFree))
 		}
 	}
 	p.minHint = p.blocksPerPage + 1
 	return -1
 }
 
-// fileIn places page pg (with nFree free blocks) on the proper list.
+// fileIn places page pg (with nFree free blocks) on the proper list and
+// records the bucket in its descriptor.
 func (p *pagePool) fileIn(c *machine.CPU, pg int32, nFree int) {
 	if nFree <= 0 || nFree > p.blocksPerPage {
 		panic(fmt.Sprintf("kmem: fileIn nFree=%d", nFree))
 	}
+	pd := p.al.vm.pdOf(pg)
 	if p.al.params.DisableRadixSort {
+		pd.filed = 1 // the FIFO list stands in for bucket 1
 		p.al.vm.pdPush(c, &p.fifo, pg)
 		return
 	}
+	pd.filed = uint16(nFree)
 	p.al.vm.pdPush(c, &p.buckets[nFree], pg)
 	if nFree < p.minHint {
 		p.minHint = nFree
 	}
 }
 
-// fileOut removes page pg (currently filed with nFree free blocks).
-func (p *pagePool) fileOut(c *machine.CPU, pg int32, nFree int) {
-	if p.al.params.DisableRadixSort {
-		p.al.vm.pdRemove(c, &p.fifo, pg)
-		return
+// fileOut removes page pg from the list it is filed on.
+func (p *pagePool) fileOut(c *machine.CPU, pg int32) {
+	pd := p.al.vm.pdOf(pg)
+	l := &p.fifo
+	if !p.al.params.DisableRadixSort {
+		l = &p.buckets[pd.filed]
 	}
-	p.al.vm.pdRemove(c, &p.buckets[nFree], pg)
+	p.al.vm.pdRemove(c, l, pg)
+	pd.filed = 0
 }
 
-// refile moves page pg between radix buckets after its free count changed
-// from oldFree to newFree. Under FIFO the page stays put.
-func (p *pagePool) refile(c *machine.CPU, pg int32, oldFree, newFree int) {
+// refile moves page pg to radix bucket newFree. Under FIFO the page
+// stays put.
+func (p *pagePool) refile(c *machine.CPU, pg int32, newFree int) {
 	if p.al.params.DisableRadixSort {
 		return
 	}
-	p.fileOut(c, pg, oldFree)
+	p.fileOut(c, pg)
 	p.fileIn(c, pg, newFree)
+	p.ev[EvPageRefile]++
 }
 
 // carvePage obtains one page homed on the pool's node from the vmblk
@@ -190,6 +210,7 @@ func (p *pagePool) getLists(c *machine.CPU, nLists, target int) ([]blocklist.Lis
 	var lastErr error
 	want := nLists * target
 	got := 0
+	refiled := p.ev[EvPageRefile]
 	for got < want {
 		pg := p.pickPage(c)
 		if pg == -1 && p.al.params.LockFree {
@@ -205,7 +226,6 @@ func (p *pagePool) getLists(c *machine.CPU, nLists, target int) ([]blocklist.Lis
 		}
 		pd := p.al.vm.pdOf(pg)
 		c.Read(pd.line)
-		oldFree := int(pd.nFree)
 		for pd.nFree > 0 && got < want {
 			c.Work(insnPageOp)
 			b := pd.freeHead
@@ -221,9 +241,9 @@ func (p *pagePool) getLists(c *machine.CPU, nLists, target int) ([]blocklist.Lis
 		}
 		c.Write(pd.line)
 		if pd.nFree == 0 {
-			p.fileOut(c, pg, oldFree)
+			p.fileOut(c, pg)
 		} else {
-			p.refile(c, pg, oldFree, int(pd.nFree))
+			p.refile(c, pg, int(pd.nFree))
 		}
 	}
 	if !cur.Empty() {
@@ -231,6 +251,7 @@ func (p *pagePool) getLists(c *machine.CPU, nLists, target int) ([]blocklist.Lis
 	}
 	c.Write(p.line)
 	p.al.emit(p.cls, EvBlockGet, got)
+	p.al.emit(p.cls, EvPageRefile, int(p.ev[EvPageRefile]-refiled))
 	if len(out) == 0 {
 		if lastErr == nil {
 			lastErr = ErrNoMemory
@@ -296,8 +317,8 @@ func (p *pagePool) putBlockLocked(c *machine.CPU, b arena.Addr) {
 			// in-page freelist, is filed in no bucket, and the next
 			// refill reclaims it with one CAS pop. Not under pressure —
 			// then the system wants the frames, not a warm page.
-			if oldFree > 0 {
-				p.fileOut(c, pg, oldFree)
+			if pd.filed != 0 {
+				p.fileOut(c, pg)
 			}
 			if r := p.stkLf.commit(c, func() { c.Write(pd.line) }); r > 0 {
 				p.ev[EvCASRetry] += uint64(r)
@@ -306,23 +327,22 @@ func (p *pagePool) putBlockLocked(c *machine.CPU, b arena.Addr) {
 			return
 		}
 		// Every block in the page is free: give the page back at once.
-		p.releasePage(c, pg, pd, oldFree)
+		p.releasePage(c, pg, pd)
 		return
 	}
 	if oldFree == 0 {
+		// First block home: pickable from now on; later frees only count.
 		p.fileIn(c, pg, int(pd.nFree))
-	} else {
-		p.refile(c, pg, oldFree, int(pd.nFree))
 	}
 }
 
 // releasePage gives fully-free page pg back to the vmblk layer, first
-// taking it off the list it was filed on with oldFree free blocks (0: it
-// was filed nowhere — full until now, or parked). Caller holds p.lk.
-func (p *pagePool) releasePage(c *machine.CPU, pg int32, pd *pageDesc, oldFree int) {
+// taking it off the list it is filed on, if any (a page full until now,
+// or parked, is filed nowhere). Caller holds p.lk.
+func (p *pagePool) releasePage(c *machine.CPU, pg int32, pd *pageDesc) {
 	c.Work(insnPageSetup)
-	if oldFree > 0 {
-		p.fileOut(c, pg, oldFree)
+	if pd.filed != 0 {
+		p.fileOut(c, pg)
 	}
 	pd.freeHead = arena.NilAddr
 	pd.nFree = 0
@@ -369,7 +389,7 @@ func (p *pagePool) drainParked(c *machine.CPU) {
 	for len(p.stk) > 0 {
 		pg := p.stk[len(p.stk)-1]
 		p.stk = p.stk[:len(p.stk)-1]
-		p.releasePage(c, pg, p.al.vm.pdOf(pg), 0)
+		p.releasePage(c, pg, p.al.vm.pdOf(pg))
 	}
 	p.lk.Release(c)
 }

@@ -158,7 +158,10 @@ func pinnedMixRun(t *testing.T, shardsOff bool) pinnedMix {
 // run heap — and must never move unless a PR sets out to change the cost
 // model and says so. PR 23 did: a node-pure cache spills in one putList
 // (DESIGN.md §17), which moves every multi-node run with shards on; the
-// shards-off twin, TestShardsOffCyclesPinned, did not move.
+// shards-off twin, TestShardsOffCyclesPinned, did not move. PR 24 did
+// again, for both: frees no longer refile their page in the radix
+// buckets (lazy filing, DESIGN.md §5), which every run that reaches the
+// page layer feels.
 func TestSchedHashPinned(t *testing.T) {
 	got := pinnedMixRun(t, false)
 	if got.restarts == 0 || got.casRetries == 0 || got.remoteMisses == 0 ||
@@ -171,9 +174,9 @@ func TestSchedHashPinned(t *testing.T) {
 }
 
 var pinnedMixWant = pinnedMix{
-	hash:   0xcf2a4295d212f5cb,
-	clocks: []int64{42927427, 42050800, 41673432, 40838308, 41648556, 38517649, 42826442, 42632400},
-	bus:    0x194221, ic: 0xafd39,
-	restarts: 0x1f25, casRetries: 0x6b, remoteMisses: 0x6c647,
-	trimmed: 457, decommits: 0x2d24, reclaimSteps: 0x4efe, lockSpin: 46640,
+	hash:   0x2905209f69efd220,
+	clocks: []int64{42554822, 42471524, 42098215, 42496667, 43108797, 42316440, 43151749, 43068842},
+	bus:    0x1ab68b, ic: 0xb9082,
+	restarts: 0x1f60, casRetries: 0x7d, remoteMisses: 0x74fcc,
+	trimmed: 426, decommits: 0x2cfb, reclaimSteps: 0x565b, lockSpin: 39004,
 }

@@ -54,10 +54,11 @@ type ClassStats struct {
 	CASRetries   uint64 // lock-free commits that lost their CAS and re-ran
 
 	// Coalesce-to-page layer.
-	BlockGets  uint64
-	BlockPuts  uint64
-	PageAllocs uint64
-	PageFrees  uint64
+	BlockGets   uint64
+	BlockPuts   uint64
+	PageAllocs  uint64
+	PageFrees   uint64
+	PageRefiles uint64 // split pages moved between radix buckets by refills
 
 	// Blocks currently cached at each level.
 	HeldPerCPU int
@@ -426,6 +427,7 @@ func (a *Allocator) Stats(c *machine.CPU) Stats {
 			st.BlockPuts += p.ev[EvBlockPut]
 			st.PageAllocs += p.ev[EvPageCarve]
 			st.PageFrees += p.ev[EvPageFree]
+			st.PageRefiles += p.ev[EvPageRefile]
 			st.LockWaitCycles += p.ev[EvLockWait]
 			st.CASRetries += p.ev[EvCASRetry]
 			p.lk.Release(c)

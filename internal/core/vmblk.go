@@ -88,6 +88,7 @@ type pageDesc struct {
 	flags     uint8  // pdfResident / pdfScrubbed residency bits
 	class     int8   // size class, for pdSplit pages
 	nFree     uint16 // free blocks in this page, for pdSplit pages
+	filed     uint16 // page-pool bucket the page is filed in (0: none); <= nFree
 	spanPages uint32 // span length in pages, for span head/tail descriptors
 	resident  uint32 // pages of this free span still backed, for pdFreeHead (lazy mode)
 	freeHead  arena.Addr
