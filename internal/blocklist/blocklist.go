@@ -73,15 +73,23 @@ func (l *List) Take() List {
 	return out
 }
 
-// SplitOff removes exactly n blocks from the front of l and returns them
-// as a new list. Unlike Take, this must walk n-1 links (charged to c); the
-// global layer's bucket list pays this cost when regrouping odd-sized
-// lists into target-sized ones.
-func (l *List) SplitOff(c *machine.CPU, a *arena.Arena, n int) List {
+// Chain wraps an existing chain of n blocks starting at head — a page's
+// own freelist, say — as a List, touching no block.
+func Chain(head arena.Addr, n int) List { return List{head: head, n: n} }
+
+// SplitOnto removes exactly n blocks from the front of l and returns them,
+// in chain order, followed by onto. Unlike Take, this must walk n links
+// (charged to c, one read each) and write one: the segment's tail onto
+// onto's head. SplitOnto(n, List{}) is the plain split the global layer's
+// bucket pays when regrouping odd-sized lists into target-sized ones; a
+// refill uses the general form to cut a page's freelist straight onto
+// the list it is building. Splitting off all of l onto nothing is a free
+// Take.
+func (l *List) SplitOnto(c *machine.CPU, a *arena.Arena, n int, onto List) List {
 	if n <= 0 || n > l.n {
-		panic(fmt.Sprintf("blocklist: SplitOff(%d) from list of %d", n, l.n))
+		panic(fmt.Sprintf("blocklist: SplitOnto(%d) from list of %d", n, l.n))
 	}
-	if n == l.n {
+	if n == l.n && onto.Empty() {
 		return l.Take()
 	}
 	tail := l.head
@@ -89,11 +97,11 @@ func (l *List) SplitOff(c *machine.CPU, a *arena.Arena, n int) List {
 		tail = a.Load64(tail)
 		c.ReadAddr(tail)
 	}
-	out := List{head: l.head, n: n}
+	out := List{head: l.head, n: n + onto.n}
 	l.head = a.Load64(tail)
 	c.ReadAddr(tail)
 	l.n -= n
-	a.Store64(tail, arena.NilAddr)
+	a.Store64(tail, onto.head)
 	c.WriteAddr(tail)
 	return out
 }

@@ -64,6 +64,28 @@ func BenchmarkPutBlocksScattered(b *testing.B) {
 	b.ReportMetric(float64(cycles)/float64(blocks), "vcycles/block")
 }
 
+// BenchmarkRefillCold times the page layer's refill where every block is
+// fresh: one getLists of 64 whole pages of 16-byte blocks, each page
+// carved straight into its list. It reports host ns and virtual cycles
+// per block; the virtual figure is the one TestColdRefillCyclesPinned
+// bounds.
+func BenchmarkRefillCold(b *testing.B) {
+	var cycles, blocks int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		_, pp, c := fresh16(b, Params{})
+		b.StartTimer()
+		t0 := c.Now()
+		if _, err := pp.getLists(c, 64, pp.blocksPerPage); err != nil {
+			b.Fatal(err)
+		}
+		cycles += c.Now() - t0
+		blocks += int64(64 * pp.blocksPerPage)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(blocks), "ns/block")
+	b.ReportMetric(float64(cycles)/float64(blocks), "vcycles/block")
+}
+
 // BenchmarkCookiePair times the host cost of one warm AllocCookie/
 // FreeCookie pair in Sim mode — the per-CPU layer end to end, both
 // critical-section protocols — with the cache primed so that no

@@ -145,8 +145,10 @@ const (
 
 	// EvPageRefile counts split pages the coalesce-to-page layer moved
 	// between radix buckets (n = pages): a stale head pickPage repaired,
-	// or the page a refill left partly drawn. Frees never refile. Emitted
-	// with the refill's EvBlockGet; zero under DisableRadixSort.
+	// or a picked page a refill left partly drawn. Frees never refile, and
+	// a fresh or unparked page is filed once, at what the refill left of
+	// it. Emitted with the refill's EvBlockGet; zero under
+	// DisableRadixSort.
 	EvPageRefile
 
 	numLayerEvents

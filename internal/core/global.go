@@ -257,7 +257,7 @@ func (g *globalPool) putListLF(c *machine.CPU, l blocklist.List) {
 		g.bucket.Append(c, g.al.mem, l)
 		var regrouped []blocklist.List
 		for g.bucket.Len() >= target {
-			regrouped = append(regrouped, g.bucket.SplitOff(c, g.al.mem, target))
+			regrouped = append(regrouped, g.bucket.SplitOnto(c, g.al.mem, target, blocklist.List{}))
 		}
 		c.Write(g.line)
 		g.lk.Release(c)
@@ -268,18 +268,20 @@ func (g *globalPool) putListLF(c *machine.CPU, l blocklist.List) {
 	g.emitPut(remote)
 
 	// Same hysteresis as the locked path, popping the surplus list by
-	// list.
+	// list and taking it down in one trip.
 	spilled := 0
 	if n := g.spillCount(gbltarget); n > 0 {
 		g.ev[EvGlobalSpill]++
+		var spill []blocklist.List
 		for i := 0; i < n; i++ {
 			s, ok := g.lfPop(c)
 			if !ok {
 				break
 			}
 			spilled += s.Len()
-			g.pp.putBlocks(c, s)
+			spill = append(spill, s)
 		}
+		g.pp.putBlocks(c, spill...)
 	}
 	if spilled > 0 {
 		g.al.emit(g.cls, EvGlobalSpill, spilled)
@@ -311,7 +313,7 @@ func (g *globalPool) putList(c *machine.CPU, l blocklist.List) {
 	} else {
 		g.bucket.Append(c, g.al.mem, l)
 		for g.bucket.Len() >= target {
-			g.lists = append(g.lists, g.bucket.SplitOff(c, g.al.mem, target))
+			g.lists = append(g.lists, g.bucket.SplitOnto(c, g.al.mem, target, blocklist.List{}))
 		}
 	}
 
@@ -325,13 +327,13 @@ func (g *globalPool) putList(c *machine.CPU, l blocklist.List) {
 	g.lk.Release(c)
 	g.emitPut(remote)
 
-	// Push the excess to the coalescing layer outside the global lock;
-	// each block is examined individually there.
+	// Push the excess to the coalescing layer outside the global lock, in
+	// one trip; each block is examined individually there.
 	spilled := 0
 	for _, s := range spill {
 		spilled += s.Len()
-		g.pp.putBlocks(c, s)
 	}
+	g.pp.putBlocks(c, spill...)
 	if spilled > 0 {
 		g.al.emit(g.cls, EvGlobalSpill, spilled)
 	}
@@ -448,8 +450,9 @@ func (g *globalPool) stealList(c *machine.CPU) blocklist.List {
 }
 
 // drainAll pushes every block in the pool down to the coalesce-to-page
-// layer. The low-memory reclaim path uses it to let fully-free pages be
-// released for other sizes and for user processes.
+// layer, its lists and bucket in one trip. The low-memory reclaim path
+// uses it to let fully-free pages be released for other sizes and for
+// user processes.
 func (g *globalPool) drainAll(c *machine.CPU) {
 	g.lk.Acquire(c)
 	c.Read(g.line)
@@ -459,12 +462,7 @@ func (g *globalPool) drainAll(c *machine.CPU) {
 	c.Write(g.line)
 	g.lk.Release(c)
 
-	for _, l := range all {
-		g.pp.putBlocks(c, l)
-	}
-	if !bucket.Empty() {
-		g.pp.putBlocks(c, bucket)
-	}
+	g.pp.putBlocks(c, append(all, bucket)...)
 	if g.al.params.LockFree {
 		// Parked fully-free pages (the page layer's lock-free refill
 		// stack) must not survive a drain either: release them to the

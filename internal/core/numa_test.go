@@ -549,14 +549,15 @@ func TestNodePureBitMatchesWalk(t *testing.T) {
 // remote frees land in main/aux, no cache is ever pure, and every spill
 // keeps the per-block partition. The constants are TestSchedHashPinned's
 // mix with shards off, captured on PR 23's parent commit and again on
-// PR 24, whose lazy radix filing moved them (DESIGN.md §17).
+// PR 24, whose lazy radix filing moved them, and PR 25, whose one-move
+// refills and one-trip spills did (DESIGN.md §17).
 func TestShardsOffCyclesPinned(t *testing.T) {
 	want := pinnedMix{
-		hash:   0x7ad3a047eb108dca,
-		clocks: []int64{42158514, 40201402, 40141231, 39937437, 42344090, 41282423, 42614017, 42564828},
-		bus:    0x18c564, ic: 0xaf09f,
-		restarts: 0x1e45, casRetries: 0x55, remoteMisses: 0x69870,
-		trimmed: 454, decommits: 0x2c26, reclaimSteps: 0x4eca, lockSpin: 56769,
+		hash:   0xf3d7ed66e199b449,
+		clocks: []int64{40264119, 41343349, 41363726, 40021479, 41630433, 40562815, 41682675, 41661682},
+		bus:    0x16c39f, ic: 0xaaec3,
+		restarts: 0x1e04, casRetries: 0x2e, remoteMisses: 0x663e7,
+		trimmed: 451, decommits: 0x2bfd, reclaimSteps: 0x511b, lockSpin: 45826,
 	}
 	if got := pinnedMixRun(t, true); !reflect.DeepEqual(got, want) {
 		t.Errorf("shards-off virtual results moved\n got  %#v\n want %#v", got, want)

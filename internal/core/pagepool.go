@@ -156,17 +156,22 @@ func (p *pagePool) refile(c *machine.CPU, pg int32, newFree int) {
 	p.ev[EvPageRefile]++
 }
 
-// carvePage obtains one page homed on the pool's node from the vmblk
-// layer and splits it into blocks, building the per-page freelist inside
-// the page itself.
-func (p *pagePool) carvePage(c *machine.CPU) (int32, error) {
+// carveInto obtains one page homed on the pool's node from the vmblk
+// layer and splits it. Its first take blocks (at most a page) go
+// straight onto cur in ascending address order, a list cut into out
+// each time cur reaches target — the very lists popping them off a
+// carved page would build, so placement is unchanged. Only the rest are
+// linked, ascending, as the page's own freelist, and the page is filed
+// once at that remainder, or not at all when it is drawn whole. Returns
+// the blocks taken.
+func (p *pagePool) carveInto(c *machine.CPU, cur *blocklist.List, out *[]blocklist.List, target, take int) (int, error) {
 	if p.al.params.Faults.Should(FaultPagePoolRefill) {
 		p.al.noteFault()
-		return -1, ErrNoMemory
+		return 0, ErrNoMemory
 	}
 	pg, err := p.al.vm.allocSplitPage(c, p.cls, p.node)
 	if err != nil {
-		return -1, err
+		return 0, err
 	}
 	c.Work(insnPageSetup)
 	pd := p.al.vm.pdOf(pg)
@@ -175,10 +180,12 @@ func (p *pagePool) carvePage(c *machine.CPU) (int32, error) {
 	}
 	base := p.al.vm.pageAddr(pg)
 	mem := p.al.mem
-	// Link the blocks front-to-back so the freelist ascends through the
-	// page, as carving code does.
+	take = min(take, p.blocksPerPage)
+	// Link the rest back to front so the page's freelist ascends, as
+	// carving code does; the taken blocks are touched last, in the order
+	// the pop/push loop last touched them.
 	var head arena.Addr
-	for i := p.blocksPerPage - 1; i >= 0; i-- {
+	for i := p.blocksPerPage - 1; i >= take; i-- {
 		b := base + arena.Addr(i)*arena.Addr(p.size)
 		mem.Store64(b, head)
 		c.WriteAddr(b)
@@ -187,19 +194,68 @@ func (p *pagePool) carvePage(c *machine.CPU) (int32, error) {
 		}
 		head = b
 	}
+	for i := 0; i < take; i++ {
+		b := base + arena.Addr(i)*arena.Addr(p.size)
+		cur.Push(c, mem, b)
+		if p.al.params.Poison {
+			p.al.poison(b, p.size)
+		}
+		if cur.Len() == target {
+			c.Work(insnPageOp)
+			*out = append(*out, cur.Take())
+		}
+	}
 	pd.freeHead = head
-	pd.nFree = uint16(p.blocksPerPage)
+	pd.nFree = uint16(p.blocksPerPage - take)
 	c.Write(pd.line)
 	p.ev[EvPageCarve]++
+	p.ev[EvBlockGet] += uint64(take)
 	p.al.emit(p.cls, EvPageCarve, 1)
-	p.fileIn(c, pg, p.blocksPerPage)
-	return pg, nil
+	if pd.nFree > 0 {
+		p.fileIn(c, pg, int(pd.nFree))
+	}
+	return take, nil
+}
+
+// drawFrom cuts up to take blocks off drawn page pg's own freelist onto
+// cur, as chains: one SplitOnto per segment, a list cut into out each
+// time cur reaches target. The page was picked from its bucket (filed)
+// or popped off the parked stack (filed nowhere); what it has left is
+// refiled or filed in once. Returns the blocks taken.
+func (p *pagePool) drawFrom(c *machine.CPU, pg int32, filed bool, cur *blocklist.List, out *[]blocklist.List, target, take int) int {
+	pd := p.al.vm.pdOf(pg)
+	c.Read(pd.line)
+	chain := blocklist.Chain(pd.freeHead, int(pd.nFree))
+	got := 0
+	for !chain.Empty() && got < take {
+		seg := min(chain.Len(), take-got, target-cur.Len())
+		c.Work(insnPageOp + 2*int64(seg))
+		*cur = chain.SplitOnto(c, p.al.mem, seg, *cur)
+		got += seg
+		if cur.Len() == target {
+			*out = append(*out, cur.Take())
+		}
+	}
+	pd.freeHead, pd.nFree = chain.Head(), uint16(chain.Len())
+	c.Write(pd.line)
+	p.ev[EvBlockGet] += uint64(got)
+	switch {
+	case filed && pd.nFree == 0:
+		p.fileOut(c, pg)
+	case filed:
+		p.refile(c, pg, int(pd.nFree))
+	case pd.nFree > 0:
+		p.fileIn(c, pg, int(pd.nFree))
+	}
+	return got
 }
 
 // getLists fills up to nLists lists of exactly target blocks each (the
 // last may be partial when memory runs low), allocating fresh pages from
 // the vmblk layer as needed. It returns the lists built; an empty result
-// means no memory could be found at this layer.
+// means no memory could be found at this layer. Each block is moved
+// once: fresh pages are carved straight into the lists (carveInto),
+// drawn pages are cut as chains (drawFrom).
 func (p *pagePool) getLists(c *machine.CPU, nLists, target int) ([]blocklist.List, error) {
 	p.al.acquire(c, p.lk, &p.ev, p.cls)
 	defer p.lk.Release(c)
@@ -213,38 +269,20 @@ func (p *pagePool) getLists(c *machine.CPU, nLists, target int) ([]blocklist.Lis
 	refiled := p.ev[EvPageRefile]
 	for got < want {
 		pg := p.pickPage(c)
-		if pg == -1 && p.al.params.LockFree {
+		filed := pg != -1
+		if !filed && p.al.params.LockFree {
 			pg = p.popParked(c)
 		}
-		if pg == -1 {
-			var err error
-			pg, err = p.carvePage(c)
-			if err != nil {
-				lastErr = err
-				break
-			}
+		if pg != -1 {
+			got += p.drawFrom(c, pg, filed, &cur, &out, target, want-got)
+			continue
 		}
-		pd := p.al.vm.pdOf(pg)
-		c.Read(pd.line)
-		for pd.nFree > 0 && got < want {
-			c.Work(insnPageOp)
-			b := pd.freeHead
-			pd.freeHead = p.al.mem.Load64(b)
-			c.ReadAddr(b)
-			pd.nFree--
-			cur.Push(c, p.al.mem, b)
-			got++
-			p.ev[EvBlockGet]++
-			if cur.Len() == target {
-				out = append(out, cur.Take())
-			}
+		n, err := p.carveInto(c, &cur, &out, target, want-got)
+		if err != nil {
+			lastErr = err
+			break
 		}
-		c.Write(pd.line)
-		if pd.nFree == 0 {
-			p.fileOut(c, pg)
-		} else {
-			p.refile(c, pg, int(pd.nFree))
-		}
+		got += n
 	}
 	if !cur.Empty() {
 		out = append(out, cur.Take())
@@ -261,27 +299,37 @@ func (p *pagePool) getLists(c *machine.CPU, nLists, target int) ([]blocklist.Lis
 	return out, nil
 }
 
-// putBlocks returns blocks to their pages one at a time (each block must
-// be looked up through the dope vector — the cost the paper notes makes
-// worst-case frees of small blocks dearer than allocations). Pages whose
-// free count reaches blocks-per-page are released to the vmblk layer
-// immediately.
-func (p *pagePool) putBlocks(c *machine.CPU, blocks blocklist.List) {
-	n := blocks.Len()
+// putBlocks returns the blocks of one spill or drain to their pages in
+// one trip through the pool's lock, one block at a time: each block's
+// descriptor is read and written (the cost the paper notes makes
+// worst-case frees of small blocks dearer than allocations), but the
+// dope vector is read only when a block lies in another vmblk than the
+// one before it. Pages whose free count reaches blocks-per-page are
+// released to the vmblk layer immediately. Nothing to put is no trip.
+func (p *pagePool) putBlocks(c *machine.CPU, lists ...blocklist.List) {
+	n := 0
+	for _, l := range lists {
+		n += l.Len()
+	}
+	if n == 0 {
+		return
+	}
 	p.al.acquire(c, p.lk, &p.ev, p.cls)
 	defer p.lk.Release(c)
 	c.Read(p.line)
-	for !blocks.Empty() {
-		b := blocks.Pop(c, p.al.mem)
-		p.putBlockLocked(c, b)
+	var last *vmblk
+	for _, l := range lists {
+		for !l.Empty() {
+			p.putBlockLocked(c, l.Pop(c, p.al.mem), &last)
+		}
 	}
 	c.Write(p.line)
 	p.al.emit(p.cls, EvBlockPut, n)
 }
 
-func (p *pagePool) putBlockLocked(c *machine.CPU, b arena.Addr) {
+func (p *pagePool) putBlockLocked(c *machine.CPU, b arena.Addr, last **vmblk) {
 	c.Work(insnPageOp)
-	pd, pg := p.al.vm.lookup(c, b)
+	pd, pg := p.al.vm.lookupFrom(c, b, last)
 	if pd.state != pdSplit || int(pd.class) != p.cls {
 		panic(fmt.Sprintf("kmem: block %#x returned to class %d but page is %s/class %d",
 			b, p.cls, pdStateName(pd.state), pd.class))
@@ -358,11 +406,11 @@ func (p *pagePool) releasePage(c *machine.CPU, pg int32, pd *pageDesc) {
 }
 
 // popParked reclaims one parked fully-free page for the refill path
-// (caller holds p.lk): one CAS pop, then the page is filed back in with
-// its full freelist, ready for the pick loop. Returns -1 when nothing
-// is parked. Against the span path it replaces — span search under the
-// vmblk lock, PageMapCycles, PageZeroCycles, and the carve-link loop —
-// the pop is the whole point of the stack.
+// (caller holds p.lk): one CAS pop hands back the page with its full
+// freelist, filed nowhere until drawFrom files what is left of it.
+// Returns -1 when nothing is parked. Against the span path it replaces
+// — span search under the vmblk lock, PageMapCycles, PageZeroCycles, and
+// the carve-link loop — the pop is the whole point of the stack.
 func (p *pagePool) popParked(c *machine.CPU) int32 {
 	if len(p.stk) == 0 {
 		c.Read(p.stkLf.line)
@@ -373,7 +421,6 @@ func (p *pagePool) popParked(c *machine.CPU) int32 {
 	}
 	pg := p.stk[len(p.stk)-1]
 	p.stk = p.stk[:len(p.stk)-1]
-	p.fileIn(c, pg, p.blocksPerPage)
 	return pg
 }
 

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -55,11 +58,10 @@ func listOf(c *machine.CPU, a *Allocator, bs []arena.Addr) blocklist.List {
 	return l
 }
 
-// scatteredFree is the workload of TestScatteredFreeCyclesPinned and
-// BenchmarkPutBlocksScattered: 64 pages of 16-byte blocks drawn from the
-// page layer of a fresh one-CPU machine, threaded in scattered order and
-// ready to go back in one putBlocks.
-func scatteredFree(tb testing.TB, p Params) (*Allocator, *pagePool, *machine.CPU, blocklist.List) {
+// fresh16 is a fresh one-CPU machine, its allocator and the 16-byte
+// page pool: the setting of the page layer's cost pins and benchmarks.
+func fresh16(tb testing.TB, p Params) (*Allocator, *pagePool, *machine.CPU) {
+	tb.Helper()
 	cfg := machine.DefaultConfig()
 	cfg.NumCPUs = 1
 	cfg.MemBytes = 16 << 20
@@ -69,7 +71,16 @@ func scatteredFree(tb testing.TB, p Params) (*Allocator, *pagePool, *machine.CPU
 	if err != nil {
 		tb.Fatal(err)
 	}
-	c := m.CPU(0)
+	cls, _ := a.classOf(16)
+	return a, a.classes[cls].pages[0], m.CPU(0)
+}
+
+// scatteredFree is the workload of TestScatteredFreeCyclesPinned and
+// BenchmarkPutBlocksScattered: 64 pages of 16-byte blocks drawn from
+// fresh16's page layer, threaded in scattered order and ready to go back
+// in one putBlocks.
+func scatteredFree(tb testing.TB, p Params) (*Allocator, *pagePool, *machine.CPU, blocklist.List) {
+	a, _, c := fresh16(tb, p)
 	pp, bs := drawPages(tb, a, c, 16, 64)
 	return a, pp, c, listOf(c, a, scattered(bs))
 }
@@ -93,30 +104,177 @@ func scatteredFreeCycles(tb testing.TB, p Params) (int64, int) {
 
 // TestScatteredFreeCyclesPinned holds the page layer to what a freed
 // block costs with lazy filing: what it costs under the FIFO ablation,
-// where a free never relinked its page. The constant is FIFO's cost on
-// PR 24's parent commit, which must not move; with a refile per block
-// the radix run cost 1,649,348 there (and the gap widens with the heap:
-// 19.4 M against 16.7 M at 512 pages), so a return to eager filing fails
-// here by name.
+// where a free never relinked its page. On PR 24's parent a refile per
+// block made the radix run cost 1,649,348 against FIFO's 1,579,559 (and
+// the gap widens with the heap: 19.4 M against 16.7 M at 512 pages), so
+// a return to eager filing fails here by name. The constant is FIFO's
+// cost since PR 25, whose dope-vector memo (the 64 pages share one
+// vmblk) took both from 1,579,559 down to it.
 func TestScatteredFreeCyclesPinned(t *testing.T) {
-	const want = 1579559
+	const want = 1489964
 	if got, n := scatteredFreeCycles(t, Params{}); got > want {
 		t.Errorf("scattered free of %d blocks ran %d cycles, lazy filing ran %d (%.1f vs %.1f per block)",
 			n, got, want, float64(got)/float64(n), float64(want)/float64(n))
 	}
 	if got, _ := scatteredFreeCycles(t, Params{DisableRadixSort: true}); got != want {
-		t.Errorf("FIFO scattered free ran %d cycles, PR 24's parent ran %d", got, want)
+		t.Errorf("FIFO scattered free ran %d cycles, PR 25 ran %d", got, want)
 	}
 }
 
-// TestFIFOCyclesPinned: the FIFO ablation (A3) is untouched by lazy
-// filing. The constants are shardGoldenCycles under DisableRadixSort on
-// PR 24's parent commit.
+// TestFreshRefillListsUnchanged: carving a fresh page straight into the
+// outgoing lists builds, address for address, the lists the per-block
+// pop/push loop built from it — so warm-up placement, and with it every
+// number of churn, native_churn and native_handoff, is unchanged. Each
+// FNV-64 below was captured on PR 25's parent commit for a cold getLists
+// at the class's own targets and at target 7, where lists straddle
+// pages.
+func TestFreshRefillListsUnchanged(t *testing.T) {
+	for _, tc := range []struct {
+		size           uint64
+		nLists, target int // 0: the class controller's gbltarget and target
+		want           uint64
+	}{
+		{16, 0, 0, 0xc59d0073d23b90bf},
+		{16, 40, 7, 0x0da5b3239d05066d},
+		{128, 0, 0, 0x494e1f4cb1b954af},
+		{128, 40, 7, 0xba4c0bff5d891c3d},
+		{4096, 0, 0, 0x0a43447b2daa3697},
+		{4096, 40, 7, 0x8c2b77723eefac95},
+	} {
+		a, m := testAllocator(t, 1, 1024, Params{})
+		c := m.CPU(0)
+		cls, _ := a.classOf(tc.size)
+		nLists, target := tc.nLists, tc.target
+		if target == 0 {
+			nLists, target = a.classes[cls].ctl.curGblTarget(), a.classes[cls].ctl.curTarget()
+		}
+		lists, err := a.classes[cls].pages[0].getLists(c, nLists, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var buf [8]byte
+		for _, l := range lists {
+			binary.LittleEndian.PutUint64(buf[:], uint64(l.Len()))
+			h.Write(buf[:])
+			for b := l.Head(); b != arena.NilAddr; b = a.mem.Load64(b) {
+				binary.LittleEndian.PutUint64(buf[:], uint64(b))
+				h.Write(buf[:])
+			}
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("%d-byte class, %d lists of %d: lists hash to %#x, the pop/push loop's to %#x",
+				tc.size, nLists, target, got, tc.want)
+		}
+	}
+}
+
+// TestColdRefillCyclesPinned holds a cold refill — one getLists of 64
+// whole pages of 16-byte blocks on fresh16, every page carved — to
+// carving each block once: the constant is this cost with fresh pages
+// carved straight into the lists (PR 25). The per-block pop/push it
+// replaced ran 1,049,615 cycles, so a return to it fails here by name.
+func TestColdRefillCyclesPinned(t *testing.T) {
+	const want = 557008
+	a, pp, c := fresh16(t, Params{})
+	t0 := c.Now()
+	lists, err := pp.getLists(c, 64, pp.blocksPerPage)
+	got := c.Now() - t0
+	if err != nil || len(lists) != 64 {
+		t.Fatalf("cold refill gave %d lists, %v", len(lists), err)
+	}
+	if got > want {
+		n := 64 * pp.blocksPerPage
+		t.Errorf("cold refill of %d blocks ran %d cycles, carving into lists ran %d (%.1f vs %.1f per block)",
+			n, got, want, float64(got)/float64(n), float64(want)/float64(n))
+	}
+	checkOK(t, a)
+}
+
+// TestSpillIsOneTrip: a spill is one trip through the page pool's lock,
+// and a spill whose blocks share a vmblk reads the dope vector once.
+func TestSpillIsOneTrip(t *testing.T) {
+	for _, p := range []Params{{}, {LockFree: true}} {
+		a, m := testAllocator(t, 1, 1024, p)
+		c := m.CPU(0)
+		cls, _ := a.classOf(16)
+		g, pp := a.classes[cls].globals[0], a.classes[cls].pages[0]
+		target, gbltarget := g.ctl.curTarget(), g.ctl.curGblTarget()
+		lists, err := pp.getLists(c, 2*gbltarget+1, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range lists[:2*gbltarget] {
+			g.putList(c, l)
+		}
+		acq, put := pp.lk.Stats().Acquisitions, pp.ev[EvBlockPut]
+		c.StartTrace()
+		g.putList(c, lists[2*gbltarget]) // crosses 2*gbltarget: spills gbltarget lists
+		dope := 0
+		for _, e := range c.StopTrace() {
+			if e.Line == a.vm.dopeLine {
+				dope++
+			}
+		}
+		if d := pp.lk.Stats().Acquisitions - acq; d != 1 {
+			t.Errorf("LockFree=%v: spill took the page pool's lock %d times, want 1", p.LockFree, d)
+		}
+		if d := pp.ev[EvBlockPut] - put; d != uint64(gbltarget*target) {
+			t.Errorf("LockFree=%v: spill put %d blocks, want %d", p.LockFree, d, gbltarget*target)
+		}
+		if dope != 1 {
+			t.Errorf("LockFree=%v: spill within one vmblk read the dope line %d times, want 1", p.LockFree, dope)
+		}
+		checkOK(t, a)
+	}
+
+	// DrainAll: the global pool's lists and its bucket go down together.
+	a, m := testAllocator(t, 1, 1024, Params{})
+	c := m.CPU(0)
+	cls, _ := a.classOf(16)
+	g, pp := a.classes[cls].globals[0], a.classes[cls].pages[0]
+	target := g.ctl.curTarget()
+	lists, err := pp.getLists(c, 3, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.putList(c, lists[0])
+	g.putList(c, lists[1])
+	g.putList(c, lists[2].SplitOnto(c, a.mem, target-1, blocklist.List{})) // odd-sized: lands on the bucket
+	if len(g.lists) != 2 || g.bucket.Len() != target-1 {
+		t.Fatalf("global pool holds %d lists and a %d-block bucket, want 2 and %d", len(g.lists), g.bucket.Len(), target-1)
+	}
+	before := make(map[*pagePool]uint64)
+	for _, k := range a.classes {
+		for _, q := range k.pages {
+			before[q] = q.lk.Stats().Acquisitions
+		}
+	}
+	a.DrainAll(c)
+	for q, n := range before {
+		want := uint64(0)
+		if q == pp {
+			want = 1
+		}
+		if d := q.lk.Stats().Acquisitions - n; d != want {
+			t.Errorf("DrainAll took class %d's page pool lock %d times, want %d", q.cls, d, want)
+		}
+	}
+	checkOK(t, a)
+}
+
+// TestFIFOCyclesPinned: the FIFO ablation (A3) was untouched by lazy
+// filing and takes the radix policy's bulk paths. The constants are
+// shardGoldenCycles under DisableRadixSort; PR 24's parent read
+// {1087046, 854131, 846551, 833957} and {1865379, 985176, 960995,
+// 996308}, and PR 25's one-move refills and one-trip spills moved them
+// by what they moved the radix goldens, give or take the refiles FIFO
+// never did.
 func TestFIFOCyclesPinned(t *testing.T) {
 	assertGolden(t, "nodes=1 fifo", shardGoldenCycles(t, 1, Params{DisableRadixSort: true}),
-		[]int64{1087046, 854131, 846551, 833957})
+		[]int64{1079512, 844782, 837202, 826682})
 	assertGolden(t, "nodes=4 fifo shards-off", shardGoldenCycles(t, 4, Params{DisableRadixSort: true, DisableRemoteShards: true}),
-		[]int64{1865379, 985176, 960995, 996308})
+		[]int64{1803961, 966506, 945149, 977638})
 }
 
 // TestPageDescSize: filed lives in padding the descriptor already had.
@@ -167,7 +325,8 @@ func TestDrainOnePageFilesOnce(t *testing.T) {
 // seeded mix of refills and scattered frees driven straight at the page
 // pools, every getLists that finds a filed page draws first from one
 // with the minimum free count over all filed pages (brute-force scan of
-// the descriptors), and CheckConsistency holds after every step.
+// the descriptors), and CheckConsistency holds after every step
+// (refillMix, which also checks the lists' shape).
 func TestPickIsFewestFreeFirst(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -180,76 +339,255 @@ func TestPickIsFewestFreeFirst(t *testing.T) {
 		{"2nodes-lockfree", 2, Params{LockFree: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := machine.DefaultConfig()
-			cfg.NumCPUs = 2
-			cfg.Nodes = tc.nodes
-			cfg.MemBytes = 16 << 20
-			cfg.PhysPages = 1024
-			m := machine.New(cfg)
-			a, err := New(m, tc.p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cls, _ := a.classOf(64)
-			held := make([][]arena.Addr, tc.nodes)
-			rng := rand.New(rand.NewSource(24))
-			var checked int
-			for step := 0; step < 600; step++ {
-				node := rng.Intn(tc.nodes)
-				pp := a.classes[cls].pages[node]
-				c := m.CPU(node)
-				if rng.Intn(100) < 45 || len(held[node]) == 0 {
-					min := minFiledFree(a, cls, node)
-					lists, err := pp.getLists(c, 1+rng.Intn(3), 1+rng.Intn(40))
-					if err != nil {
-						t.Fatal(err)
-					}
-					// Lists are pushed at the head: the first block drawn
-					// is the tail of the first list.
-					first := lists[0].Head()
-					for nx := a.mem.Load64(first); nx != arena.NilAddr; nx = a.mem.Load64(first) {
-						first = nx
-					}
-					var got []arena.Addr
-					for _, l := range lists {
-						for !l.Empty() {
-							got = append(got, l.Pop(c, a.mem))
-						}
-					}
-					held[node] = append(held[node], got...)
-					if min > 0 {
-						checked++
-						before := int(a.vm.pdOf(int32(first >> a.pageShift)).nFree)
-						for _, b := range got {
-							if b>>a.pageShift == first>>a.pageShift {
-								before++
-							}
-						}
-						if before != min {
-							t.Fatalf("step %d: first page drawn from had %d free, fewest over the filed pages was %d",
-								step, before, min)
-						}
-					}
-				} else {
-					h := held[node]
-					rng.Shuffle(len(h), func(i, j int) { h[i], h[j] = h[j], h[i] })
-					k := 1 + rng.Intn(len(h))
-					pp.putBlocks(c, listOf(c, a, h[:k]))
-					held[node] = h[k:]
-				}
-				if err := a.CheckConsistency(); err != nil {
-					t.Fatalf("step %d: %v", step, err)
-				}
-			}
-			var refiled uint64
-			for _, pp := range a.classes[cls].pages {
-				refiled += pp.ev[EvPageRefile]
-			}
-			if checked < 50 || refiled == 0 {
-				t.Errorf("%d picks checked, %d pages refiled: the mix no longer reaches the repair path", checked, refiled)
+			r := refillMix(t, tc.nodes, mixShape{physPages: 1024, getPct: 45}, tc.p)
+			if r.picks < 50 || r.refiled == 0 {
+				t.Errorf("%d picks checked, %d pages refiled: the mix no longer reaches the repair path", r.picks, r.refiled)
 			}
 		})
 	}
+}
+
+// TestRefillListShape runs the same mix on a machine small enough that
+// refills run dry, under both policies: lists stay exactly target long
+// but for one short last list when the pool had nothing left, no block
+// is handed out twice, and every page gives up exactly the first k blocks
+// of its chain.
+func TestRefillListShape(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		nodes int
+		p     Params
+	}{
+		{"1node", 1, Params{}},
+		{"2nodes", 2, Params{}},
+		{"1node-lockfree", 1, Params{LockFree: true}},
+		{"2nodes-lockfree", 2, Params{LockFree: true}},
+		{"1node-fifo", 1, Params{DisableRadixSort: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := refillMix(t, tc.nodes, mixShape{physPages: 96, getPct: 70, putMax: 40}, tc.p)
+			if r.short == 0 || r.drawn == 0 || r.carved == 0 {
+				t.Errorf("%d short refills, %d drawn and %d carved pages: the mix no longer runs dry or reaches both paths",
+					r.short, r.drawn, r.carved)
+			}
+		})
+	}
+}
+
+// mixShape sizes refillMix: the machine's frames, the share of steps
+// that refill, and the most blocks one free step returns (0: up to all
+// held).
+type mixShape struct {
+	physPages      int64
+	getPct, putMax int
+}
+
+type mixResult struct {
+	picks, short, drawn, carved int
+	refiled                     uint64
+}
+
+// refillMix drives a seeded mix of getLists and scattered multi-list
+// putBlocks straight at the 64-byte page pools of a two-CPU machine,
+// checking after every getLists that
+//   - every list holds exactly target blocks, except one shorter last
+//     list, and only when the pool had no free block left;
+//   - no block is handed out twice;
+//   - each drawn page gave up exactly the first k blocks of its chain,
+//     in chain order, and keeps the rest as its chain; each fresh page
+//     gave up its first k blocks and chains the rest in address order;
+//   - under the radix policy, the first page drawn from had the fewest
+//     free blocks of all filed pages (brute-force scan);
+//
+// and that CheckConsistency holds after every step.
+func refillMix(t *testing.T, nodes int, sh mixShape, p Params) mixResult {
+	t.Helper()
+	cfg := machine.DefaultConfig()
+	cfg.NumCPUs = 2
+	cfg.Nodes = nodes
+	cfg.MemBytes = 16 << 20
+	cfg.PhysPages = sh.physPages
+	m := machine.New(cfg)
+	a, err := New(m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls, _ := a.classOf(64)
+	held := make([][]arena.Addr, nodes)
+	out := map[arena.Addr]bool{}
+	rng := rand.New(rand.NewSource(24))
+	var r mixResult
+	for step := 0; step < 600; step++ {
+		node := rng.Intn(nodes)
+		pp := a.classes[cls].pages[node]
+		c := m.CPU(node)
+		if rng.Intn(100) >= sh.getPct && len(held[node]) > 0 {
+			h := held[node]
+			rng.Shuffle(len(h), func(i, j int) { h[i], h[j] = h[j], h[i] })
+			k := len(h)
+			if sh.putMax > 0 {
+				k = min(k, sh.putMax)
+			}
+			k = 1 + rng.Intn(k)
+			var lists []blocklist.List
+			for lo := 0; lo < k; {
+				hi := min(k, lo+1+rng.Intn(k))
+				lists = append(lists, listOf(c, a, h[lo:hi]))
+				lo = hi
+			}
+			pp.putBlocks(c, lists...)
+			for _, b := range h[:k] {
+				delete(out, b)
+			}
+			held[node] = h[k:]
+		} else {
+			min := minFiledFree(a, cls, node)
+			before := pageChains(a, cls, node)
+			nLists, target := 1+rng.Intn(3), 1+rng.Intn(40)
+			lists, err := pp.getLists(c, nLists, target)
+			if err != nil && len(lists) > 0 {
+				t.Fatalf("step %d: %d lists and error %v", step, len(lists), err)
+			}
+			got := checkListShape(t, step, a, lists, nLists, target)
+			if len(got) < nLists*target {
+				r.short++
+				if left := freeLeft(a, cls, node); left != 0 || len(pp.stk) != 0 {
+					t.Fatalf("step %d: refill came up %d short with %d free blocks and %d parked pages left",
+						step, nLists*target-len(got), left, len(pp.stk))
+				}
+			}
+			for _, b := range got {
+				if out[b] {
+					t.Fatalf("step %d: block %#x handed out twice", step, b)
+				}
+				out[b] = true
+			}
+			held[node] = append(held[node], got...)
+			d, cv := checkFirstK(t, step, a, before, pageChains(a, cls, node), got, pp.size)
+			r.drawn += d
+			r.carved += cv
+			if min > 0 && len(got) > 0 && !p.DisableRadixSort {
+				// The first block drawn sits at the tail of the first list:
+				// fresh blocks are pushed, a drawn segment is linked in front
+				// of what cur held.
+				first := lists[0].Head()
+				for nx := a.mem.Load64(first); nx != arena.NilAddr; nx = a.mem.Load64(first) {
+					first = nx
+				}
+				r.picks++
+				if had := len(before[int32(first>>a.pageShift)]); had != min {
+					t.Fatalf("step %d: first page drawn from had %d free, fewest over the filed pages was %d",
+						step, had, min)
+				}
+			}
+		}
+		if err := a.CheckConsistency(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	for _, pp := range a.classes[cls].pages {
+		r.refiled += pp.ev[EvPageRefile]
+	}
+	return r
+}
+
+// checkListShape validates the lists of one getLists and returns their
+// blocks, list after list, each in list order.
+func checkListShape(t *testing.T, step int, a *Allocator, lists []blocklist.List, nLists, target int) []arena.Addr {
+	t.Helper()
+	var got []arena.Addr
+	for i, l := range lists {
+		l.Validate(a.mem)
+		if l.Len() != target && (i != len(lists)-1 || l.Len() > target) {
+			t.Fatalf("step %d: list %d of %d holds %d blocks, target %d", step, i, len(lists), l.Len(), target)
+		}
+		for b := l.Head(); b != arena.NilAddr; b = a.mem.Load64(b) {
+			got = append(got, b)
+		}
+	}
+	if len(lists) > nLists {
+		t.Fatalf("step %d: %d lists, asked for %d", step, len(lists), nLists)
+	}
+	if len(got) == nLists*target && len(lists) != nLists {
+		t.Fatalf("step %d: %d blocks in %d lists, want %d lists", step, len(got), len(lists), nLists)
+	}
+	return got
+}
+
+// checkFirstK compares each page's chain before and after a getLists
+// with the blocks it handed out, and returns how many drawn and fresh
+// pages it gave.
+func checkFirstK(t *testing.T, step int, a *Allocator, before, after map[int32][]arena.Addr, got []arena.Addr, size uint32) (drawn, carved int) {
+	t.Helper()
+	taken := map[int32][]arena.Addr{}
+	for _, b := range got {
+		pg := int32(b >> a.pageShift)
+		taken[pg] = append(taken[pg], b)
+	}
+	for pg, bs := range taken {
+		chain, ok := before[pg]
+		if !ok {
+			// Fresh: its first k blocks went out, the rest ascend.
+			carved++
+			base := a.vm.pageAddr(pg)
+			want := map[arena.Addr]bool{}
+			for i := range bs {
+				want[base+arena.Addr(i)*arena.Addr(size)] = true
+			}
+			for _, b := range bs {
+				if !want[b] {
+					t.Fatalf("step %d: fresh page %d gave %#x, not one of its first %d blocks", step, pg, b, len(bs))
+				}
+			}
+			for i, b := range after[pg] {
+				if w := base + arena.Addr(len(bs)+i)*arena.Addr(size); b != w {
+					t.Fatalf("step %d: fresh page %d chain[%d] = %#x, want %#x", step, pg, i, b, w)
+				}
+			}
+			continue
+		}
+		drawn++
+		if len(bs) > len(chain) || !slices.Equal(bs, chain[:len(bs)]) {
+			t.Fatalf("step %d: page %d gave %x, its chain began %x", step, pg, bs, chain[:min(len(chain), len(bs))])
+		}
+		if !slices.Equal(after[pg], chain[len(bs):]) {
+			t.Fatalf("step %d: page %d kept %x, want the rest of its chain %x", step, pg, after[pg], chain[len(bs):])
+		}
+	}
+	return drawn, carved
+}
+
+// pageChains walks the freelist of every split page of class cls homed
+// on node (charging nothing).
+func pageChains(a *Allocator, cls, node int) map[int32][]arena.Addr {
+	out := map[int32][]arena.Addr{}
+	for _, vb := range a.vm.dope {
+		if vb == nil || int(vb.home) != node {
+			continue
+		}
+		for i := range vb.pds {
+			pd := &vb.pds[i]
+			if pd.state != pdSplit || int(pd.class) != cls {
+				continue
+			}
+			var ch []arena.Addr
+			for b := pd.freeHead; b != arena.NilAddr; b = a.mem.Load64(b) {
+				ch = append(ch, b)
+			}
+			out[vb.firstPage+int32(i)] = ch
+		}
+	}
+	return out
+}
+
+// freeLeft counts the free blocks on the split pages of class cls homed
+// on node.
+func freeLeft(a *Allocator, cls, node int) int {
+	n := 0
+	for _, ch := range pageChains(a, cls, node) {
+		n += len(ch)
+	}
+	return n
 }
 
 // minFiledFree scans every descriptor for the fewest free blocks over

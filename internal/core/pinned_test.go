@@ -161,7 +161,8 @@ func pinnedMixRun(t *testing.T, shardsOff bool) pinnedMix {
 // shards-off twin, TestShardsOffCyclesPinned, did not move. PR 24 did
 // again, for both: frees no longer refile their page in the radix
 // buckets (lazy filing, DESIGN.md §5), which every run that reaches the
-// page layer feels.
+// page layer feels. PR 25 did once more, for both: a refill moves each
+// block once and a spill is one trip to the page layer (DESIGN.md §5).
 func TestSchedHashPinned(t *testing.T) {
 	got := pinnedMixRun(t, false)
 	if got.restarts == 0 || got.casRetries == 0 || got.remoteMisses == 0 ||
@@ -174,9 +175,9 @@ func TestSchedHashPinned(t *testing.T) {
 }
 
 var pinnedMixWant = pinnedMix{
-	hash:   0x2905209f69efd220,
-	clocks: []int64{42554822, 42471524, 42098215, 42496667, 43108797, 42316440, 43151749, 43068842},
-	bus:    0x1ab68b, ic: 0xb9082,
-	restarts: 0x1f60, casRetries: 0x7d, remoteMisses: 0x74fcc,
-	trimmed: 426, decommits: 0x2cfb, reclaimSteps: 0x565b, lockSpin: 39004,
+	hash:   0xa14e6a5c4e1af8f2,
+	clocks: []int64{42417192, 41936809, 41936085, 41897807, 42660099, 42365702, 42693856, 42649509},
+	bus:    0x17651e, ic: 0xb0e1a,
+	restarts: 0x1f42, casRetries: 0x2e, remoteMisses: 0x6a448,
+	trimmed: 475, decommits: 0x2d15, reclaimSteps: 0x5275, lockSpin: 43262,
 }

@@ -101,10 +101,14 @@ func shardGoldenCycles(t *testing.T, nodes int, p Params) []int64 {
 // instruction. PR 24 moved CPU 0's clock and said so (DESIGN.md §17): the
 // page layer no longer relinks a page on every freed block, and CPU 0 is
 // the one whose frees reach it (1,088,286 -> 1,087,233 and 1,869,145 ->
-// 1,865,677; the other CPUs did not move).
+// 1,865,677; the other CPUs did not move). PR 25 moved every CPU: each
+// one's first refill carves fresh pages straight into its lists, and
+// CPU 0's spills and drains reach the page layer in one trip (1,087,233
+// -> 1,079,548 and 1,865,677 -> 1,804,129 on CPU 0; 7,426-9,500 cycles
+// on the others single-node, 15,976-18,800 on four nodes).
 var (
-	goldenCyclesNodes1        = []int64{1087233, 854282, 846702, 834108}
-	goldenCyclesNodes4Routing = []int64{1865677, 985306, 961125, 996438}
+	goldenCyclesNodes1        = []int64{1079548, 844782, 837202, 826682}
+	goldenCyclesNodes4Routing = []int64{1804129, 966506, 945149, 977638}
 )
 
 func assertGolden(t *testing.T, name string, got, want []int64) {

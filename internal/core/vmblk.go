@@ -223,11 +223,26 @@ func (v *vmblkLayer) vmblkOf(pg int32) *vmblk {
 // address bits, then the page index within the vmblk minus the header
 // pages. It charges the dope and descriptor reads to c.
 func (v *vmblkLayer) lookup(c *machine.CPU, addr arena.Addr) (*pageDesc, int32) {
-	c.Work(insnDopeLook)
-	c.Read(v.dopeLine)
-	vb := v.dope[addr>>v.al.vmblkShift]
-	if vb == nil {
-		panic(fmt.Sprintf("kmem: address %#x not managed by allocator", addr))
+	var vb *vmblk
+	return v.lookupFrom(c, addr, &vb)
+}
+
+// lookupFrom is lookup for a walk over many blocks: *last memoises the
+// vmblk of the block before, and a block inside it costs one compare
+// (insnHomeMemo) instead of the dope-vector arithmetic and line read.
+// The descriptor read is charged either way.
+func (v *vmblkLayer) lookupFrom(c *machine.CPU, addr arena.Addr, last **vmblk) (*pageDesc, int32) {
+	vb := *last
+	if vb != nil && addr>>v.al.vmblkShift == vb.base>>v.al.vmblkShift {
+		c.Work(insnHomeMemo)
+	} else {
+		c.Work(insnDopeLook)
+		c.Read(v.dopeLine)
+		vb = v.dope[addr>>v.al.vmblkShift]
+		if vb == nil {
+			panic(fmt.Sprintf("kmem: address %#x not managed by allocator", addr))
+		}
+		*last = vb
 	}
 	pg := int32(addr >> v.al.pageShift)
 	pd := &vb.pds[pg-vb.firstPage]
