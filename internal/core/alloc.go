@@ -61,6 +61,14 @@ type Allocator struct {
 	// single-node machines, which never route.
 	spillScratch [][]blocklist.List
 
+	// released[cpu] is that CPU's reusable list of the pages a putBlocks
+	// or drainParked released under a page pool's lock, handed to the
+	// vmblk layer once the lock is dropped (pagePool.freeReleased). It is
+	// per CPU, not per pool, because it is read after the pool's lock is
+	// released; like spillScratch it needs no lock and keeps the spill
+	// path free of per-call garbage.
+	released [][]int32
+
 	reclaims atomic.Uint64
 
 	// Registered object-cache shed callbacks (cache.go). Nil until the
@@ -212,6 +220,7 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 			a.spillScratch[cpu] = make([]blocklist.List, a.nodes)
 		}
 	}
+	a.released = make([][]int32, n)
 	a.crit = make([]machine.PerCPU, n)
 	for cpu := range a.crit {
 		a.crit[cpu] = machine.NewPerCPUOn(m, m.NodeOf(cpu), p.Rseq)

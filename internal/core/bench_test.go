@@ -64,6 +64,28 @@ func BenchmarkPutBlocksScattered(b *testing.B) {
 	b.ReportMetric(float64(cycles)/float64(blocks), "vcycles/block")
 }
 
+// BenchmarkSpillReleasesPages times a spill whose every block empties a
+// page: the last blocks of 8 pages of 16-byte blocks in one putBlocks,
+// so the cost is the 8 releases — the pool's part under its lock, then
+// each page's unmap and span insert after it. It reports host ns and
+// virtual cycles per released page; the lock holds are what
+// TestPageReleaseOutsideLocks bounds.
+func BenchmarkSpillReleasesPages(b *testing.B) {
+	const k = 8
+	var cycles int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		_, pp, c, l := oneShort(b, Params{}, k)
+		b.StartTimer()
+		t0 := c.Now()
+		pp.putBlocks(c, l)
+		cycles += c.Now() - t0
+	}
+	pages := float64(b.N * k)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/pages, "ns/page")
+	b.ReportMetric(float64(cycles)/pages, "vcycles/page")
+}
+
 // BenchmarkRefillCold times the page layer's refill where every block is
 // fresh: one getLists of 64 whole pages of 16-byte blocks, each page
 // carved straight into its list. It reports host ns and virtual cycles

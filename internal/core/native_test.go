@@ -194,6 +194,63 @@ func TestNativeLargeAndSmallMix(t *testing.T) {
 	}
 }
 
+// TestNativePageReleaseRace: a page emptied by putBlocks reaches the
+// vmblk layer after the pool's lock is dropped, so its unmap and span
+// insert race whatever other CPUs do in the same vmblk. Two goroutines
+// draw whole 64-byte pages and give them straight back, emptying them;
+// two others carve 256-byte pages and allocate and free 8 KB spans
+// between them, whose boundary-tag merges read the released pages'
+// descriptors. Under -race this is the check that nothing touches a
+// released page in the gap between the two locks.
+func TestNativePageReleaseRace(t *testing.T) {
+	a, m := nativeAllocator(t, 4, 4096)
+	cls64, _ := a.classOf(64)
+	cls256, _ := a.classOf(256)
+	const large = 8192
+	var wg sync.WaitGroup
+	for i := 0; i < m.NumCPUs(); i++ {
+		wg.Add(1)
+		go func(c *machine.CPU) {
+			defer wg.Done()
+			for op := 0; op < scaledOps(1000); op++ {
+				if c.ID()%2 == 0 {
+					pp := a.classes[cls64].pages[0]
+					lists, err := pp.getLists(c, 4, pp.blocksPerPage)
+					if err != nil {
+						t.Errorf("draw 64-byte pages: %v", err)
+						return
+					}
+					pp.putBlocks(c, lists...)
+					continue
+				}
+				pp := a.classes[cls256].pages[0]
+				lists, err := pp.getLists(c, 1, pp.blocksPerPage)
+				if err != nil {
+					t.Errorf("carve a 256-byte page: %v", err)
+					return
+				}
+				b, err := a.Alloc(c, large)
+				if err != nil {
+					t.Errorf("alloc %d: %v", large, err)
+					return
+				}
+				pp.putBlocks(c, lists...)
+				a.Free(c, b, large)
+			}
+		}(m.CPU(i))
+	}
+	wg.Wait()
+	if err := a.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	for _, cls := range []int{cls64, cls256} {
+		pp := a.classes[cls].pages[0]
+		if carved, freed := pp.ev[EvPageCarve], pp.ev[EvPageFree]; carved == 0 || freed != carved {
+			t.Errorf("%d-byte pool carved %d pages and released %d, want every carved page back", pp.size, carved, freed)
+		}
+	}
+}
+
 func TestNativeStatsDuringTraffic(t *testing.T) {
 	// Stats snapshots must be safe while other CPUs allocate.
 	a, m := nativeAllocator(t, 4, 4096)

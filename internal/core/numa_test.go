@@ -550,14 +550,15 @@ func TestNodePureBitMatchesWalk(t *testing.T) {
 // keeps the per-block partition. The constants are TestSchedHashPinned's
 // mix with shards off, captured on PR 23's parent commit and again on
 // PR 24, whose lazy radix filing moved them, and PR 25, whose one-move
-// refills and one-trip spills did (DESIGN.md §17).
+// refills and one-trip spills did (DESIGN.md §17), and again when a
+// freed page's unmap left the page pool's and the vmblk layer's locks.
 func TestShardsOffCyclesPinned(t *testing.T) {
 	want := pinnedMix{
-		hash:   0xf3d7ed66e199b449,
-		clocks: []int64{40264119, 41343349, 41363726, 40021479, 41630433, 40562815, 41682675, 41661682},
-		bus:    0x16c39f, ic: 0xaaec3,
-		restarts: 0x1e04, casRetries: 0x2e, remoteMisses: 0x663e7,
-		trimmed: 451, decommits: 0x2bfd, reclaimSteps: 0x511b, lockSpin: 45826,
+		hash:   0xbfc35c9b8eed457c,
+		clocks: []int64{42427039, 42906796, 41636575, 43140120, 43033325, 43098742, 43278466, 43286777},
+		bus:    0x17cfcb, ic: 0xb51b9,
+		restarts: 0x1e5d, casRetries: 0x3d, remoteMisses: 0x6c438,
+		trimmed: 438, decommits: 0x2dbc, reclaimSteps: 0x545b, lockSpin: 35288,
 	}
 	if got := pinnedMixRun(t, true); !reflect.DeepEqual(got, want) {
 		t.Errorf("shards-off virtual results moved\n got  %#v\n want %#v", got, want)

@@ -305,7 +305,8 @@ func (p *pagePool) getLists(c *machine.CPU, nLists, target int) ([]blocklist.Lis
 // worst-case frees of small blocks dearer than allocations), but the
 // dope vector is read only when a block lies in another vmblk than the
 // one before it. Pages whose free count reaches blocks-per-page are
-// released to the vmblk layer immediately. Nothing to put is no trip.
+// released at once, and handed to the vmblk layer as soon as the lock is
+// dropped. Nothing to put is no trip.
 func (p *pagePool) putBlocks(c *machine.CPU, lists ...blocklist.List) {
 	n := 0
 	for _, l := range lists {
@@ -314,20 +315,26 @@ func (p *pagePool) putBlocks(c *machine.CPU, lists ...blocklist.List) {
 	if n == 0 {
 		return
 	}
+	rel := p.al.released[c.ID()]
 	p.al.acquire(c, p.lk, &p.ev, p.cls)
-	defer p.lk.Release(c)
 	c.Read(p.line)
 	var last *vmblk
 	for _, l := range lists {
 		for !l.Empty() {
-			p.putBlockLocked(c, l.Pop(c, p.al.mem), &last)
+			if pg := p.putBlockLocked(c, l.Pop(c, p.al.mem), &last); pg != -1 {
+				rel = append(rel, pg)
+			}
 		}
 	}
 	c.Write(p.line)
 	p.al.emit(p.cls, EvBlockPut, n)
+	p.lk.Release(c)
+	p.freeReleased(c, rel)
 }
 
-func (p *pagePool) putBlockLocked(c *machine.CPU, b arena.Addr, last **vmblk) {
+// putBlockLocked returns block b to its page and returns the page when
+// that emptied and released it, -1 otherwise.
+func (p *pagePool) putBlockLocked(c *machine.CPU, b arena.Addr, last **vmblk) int32 {
 	c.Work(insnPageOp)
 	pd, pg := p.al.vm.lookupFrom(c, b, last)
 	if pd.state != pdSplit || int(pd.class) != p.cls {
@@ -349,7 +356,7 @@ func (p *pagePool) putBlockLocked(c *machine.CPU, b arena.Addr, last **vmblk) {
 		c.Write(pd.line)
 		p.al.hd.qObjects.Add(1)
 		p.al.hd.qBytes.Add(uint64(p.size))
-		return
+		return -1
 	}
 	oldFree := int(pd.nFree)
 	p.al.mem.Store64(b, pd.freeHead)
@@ -372,21 +379,24 @@ func (p *pagePool) putBlockLocked(c *machine.CPU, b arena.Addr, last **vmblk) {
 				p.ev[EvCASRetry] += uint64(r)
 			}
 			p.stk = append(p.stk, pg)
-			return
+			return -1
 		}
 		// Every block in the page is free: give the page back at once.
 		p.releasePage(c, pg, pd)
-		return
+		return pg
 	}
 	if oldFree == 0 {
 		// First block home: pickable from now on; later frees only count.
 		p.fileIn(c, pg, int(pd.nFree))
 	}
+	return -1
 }
 
-// releasePage gives fully-free page pg back to the vmblk layer, first
-// taking it off the list it is filed on, if any (a page full until now,
-// or parked, is filed nowhere). Caller holds p.lk.
+// releasePage takes fully-free page pg out of the pool, first taking it
+// off the list it is filed on, if any (a page full until now, or parked,
+// is filed nowhere). Caller holds p.lk, and hands pg to the vmblk layer
+// once it is dropped (freeReleased): until then the page sits in no pool
+// and no span list, owned by the releasing CPU.
 func (p *pagePool) releasePage(c *machine.CPU, pg int32, pd *pageDesc) {
 	c.Work(insnPageSetup)
 	if pd.filed != 0 {
@@ -402,7 +412,17 @@ func (p *pagePool) releasePage(c *machine.CPU, pg int32, pd *pageDesc) {
 	}
 	p.ev[EvPageFree]++
 	p.al.emit(p.cls, EvPageFree, 1)
-	p.al.vm.freePages(c, pg, 1)
+}
+
+// freeReleased gives the pages rel released under p.lk back to the vmblk
+// layer in release order, after the lock is dropped, so the unmap each
+// one costs is paid outside both locks (vmblkLayer.freePages). rel is
+// c's released scratch, kept for its next trip.
+func (p *pagePool) freeReleased(c *machine.CPU, rel []int32) {
+	for _, pg := range rel {
+		p.al.vm.freePages(c, pg, 1)
+	}
+	p.al.released[c.ID()] = rel[:0]
 }
 
 // popParked reclaims one parked fully-free page for the refill path
@@ -432,11 +452,14 @@ func (p *pagePool) drainParked(c *machine.CPU) {
 	if len(p.stk) == 0 {
 		return
 	}
+	rel := p.al.released[c.ID()]
 	p.al.acquire(c, p.lk, &p.ev, p.cls)
 	for len(p.stk) > 0 {
 		pg := p.stk[len(p.stk)-1]
 		p.stk = p.stk[:len(p.stk)-1]
 		p.releasePage(c, pg, p.al.vm.pdOf(pg))
+		rel = append(rel, pg)
 	}
 	p.lk.Release(c)
+	p.freeReleased(c, rel)
 }

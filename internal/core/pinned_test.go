@@ -163,6 +163,10 @@ func pinnedMixRun(t *testing.T, shardsOff bool) pinnedMix {
 // buckets (lazy filing, DESIGN.md §5), which every run that reaches the
 // page layer feels. PR 25 did once more, for both: a refill moves each
 // block once and a spill is one trip to the page layer (DESIGN.md §5).
+// Both moved again when a freed page's unmap left the page pool's and
+// the vmblk layer's locks (DESIGN.md §11): the mix's lazy spans unmap
+// nothing on free, but every page release now takes the vmblk lock after
+// the pool's is dropped instead of inside it.
 func TestSchedHashPinned(t *testing.T) {
 	got := pinnedMixRun(t, false)
 	if got.restarts == 0 || got.casRetries == 0 || got.remoteMisses == 0 ||
@@ -175,9 +179,9 @@ func TestSchedHashPinned(t *testing.T) {
 }
 
 var pinnedMixWant = pinnedMix{
-	hash:   0xa14e6a5c4e1af8f2,
-	clocks: []int64{42417192, 41936809, 41936085, 41897807, 42660099, 42365702, 42693856, 42649509},
-	bus:    0x17651e, ic: 0xb0e1a,
-	restarts: 0x1f42, casRetries: 0x2e, remoteMisses: 0x6a448,
-	trimmed: 475, decommits: 0x2d15, reclaimSteps: 0x5275, lockSpin: 43262,
+	hash:   0xe2e7cebf7717f6fd,
+	clocks: []int64{43054067, 41431053, 41133045, 42776061, 43285628, 43051022, 43281499, 43248370},
+	bus:    0x1725c4, ic: 0xaee76,
+	restarts: 0x1f98, casRetries: 0x24, remoteMisses: 0x677f5,
+	trimmed: 432, decommits: 0x2d41, reclaimSteps: 0x4def, lockSpin: 28441,
 }

@@ -465,12 +465,21 @@ func (v *vmblkLayer) commitPhys(c *machine.CPU, n int64, ev LayerEvent) error {
 	return nil
 }
 
-// releasePhys returns n physical frames to the system — keeping their
-// reservation, so the VA span survives — and charges the unmap cost. ev
-// is EvPagesUnmap on the eager free path, EvPagesDecommit from the lazy
+// unmap charges the VM system's time to take n pages' frames away. The
+// eager free paths pay it on the freeing CPU before taking lk: the pages
+// are in no span list until freePagesLocked publishes them, so nothing
+// else can reach them meanwhile. The lazy decommit pass pays it under lk.
+func (v *vmblkLayer) unmap(c *machine.CPU, n int64) {
+	c.Idle(n * v.al.m.Config().PageMapCycles)
+}
+
+// releasePhys returns n physical frames, already unmapped, to the system
+// — keeping their reservation, so the VA span survives. ev is
+// EvPagesUnmap on the eager free path, EvPagesDecommit from the lazy
 // decommit pass. Pages coming free is the machine-level progress signal,
-// so every release also wakes any parked AllocWait callers.
-func (v *vmblkLayer) releasePhys(c *machine.CPU, n int64, ev LayerEvent) {
+// so every release also wakes any parked AllocWait callers. Caller holds
+// lk.
+func (v *vmblkLayer) releasePhys(n int64, ev LayerEvent) {
 	if err := v.al.m.Phys().Decommit(n); err != nil {
 		// The span bookkeeping guarantees n > 0; an error here means the
 		// layer's own accounting is broken.
@@ -478,7 +487,6 @@ func (v *vmblkLayer) releasePhys(c *machine.CPU, n int64, ev LayerEvent) {
 	}
 	v.ev[ev] += uint64(n)
 	v.al.emit(-1, ev, int(n))
-	c.Idle(n * v.al.m.Config().PageMapCycles)
 	v.al.wakeAll()
 }
 
@@ -568,7 +576,8 @@ scan:
 		}
 	}
 	if done > 0 {
-		v.releasePhys(c, done, EvPagesDecommit)
+		v.unmap(c, done)
+		v.releasePhys(done, EvPagesDecommit)
 	}
 	return done
 }
@@ -667,13 +676,19 @@ func (v *vmblkLayer) allocPagesLocked(c *machine.CPU, n int32, node int) (int32,
 // memory is unmapped immediately ("the physical memory is returned to
 // the system; the virtual memory is retained"); with lazy spans the
 // frames stay resident on the free span until the decommit pass claims
-// them under pressure.
+// them under pressure. The caller owns the pages, which sit in no page
+// pool and no span list, so the unmap is paid before lk is taken; the
+// frames are accounted and the span published under it.
 func (v *vmblkLayer) freePages(c *machine.CPU, pg, n int32) {
+	if !v.lazy {
+		v.unmap(c, int64(n))
+	}
 	v.al.acquire(c, v.lk, &v.ev, -1)
 	v.freePagesLocked(c, pg, n)
 	v.lk.Release(c)
 }
 
+// freePagesLocked is freePages under lk, the unmap already paid.
 func (v *vmblkLayer) freePagesLocked(c *machine.CPU, pg, n int32) {
 	c.Work(insnSpanOp)
 	vb := v.vmblkOf(pg)
@@ -684,7 +699,7 @@ func (v *vmblkLayer) freePagesLocked(c *machine.CPU, pg, n int32) {
 	// one gives them up here.
 	resident := n
 	if !v.lazy {
-		v.releasePhys(c, int64(n), EvPagesUnmap)
+		v.releasePhys(int64(n), EvPagesUnmap)
 		pds := v.pdsOf(pg, n)
 		for i := range pds {
 			pds[i].flags = 0
@@ -750,11 +765,16 @@ func (v *vmblkLayer) allocLarge(c *machine.CPU, size uint64) (arena.Addr, error)
 }
 
 // freeLarge frees a large allocation by address, using the descriptor's
-// recorded span length.
+// recorded span length. The caller's live allocation pins its head
+// descriptor, so the descriptor is resolved, and the span unmapped,
+// before lk is taken.
 func (v *vmblkLayer) freeLarge(c *machine.CPU, addr arena.Addr) {
 	c.Work(insnLargeOp)
-	v.al.acquire(c, v.lk, &v.ev, -1)
 	pd, pg := v.lookup(c, addr)
+	if !v.lazy {
+		v.unmap(c, int64(pd.spanPages))
+	}
+	v.al.acquire(c, v.lk, &v.ev, -1)
 	if pd.state != pdAllocHead {
 		panic(fmt.Sprintf("kmem: freeLarge(%#x) of %s page", addr, pdStateName(pd.state)))
 	}

@@ -139,6 +139,12 @@ func (l *SpinLock) Release(c *CPU) {
 // event spine (EvLockWait).
 func (l *SpinLock) LastWait() int64 { return l.lastWait }
 
+// HeldSince returns the virtual time the current hold began: the winning
+// test-and-set, where HoldCycles starts counting (Sim mode). Like
+// LastWait it is only meaningful while the lock is held — tests read it
+// to place a critical section on the clock.
+func (l *SpinLock) HeldSince() int64 { return l.curStart }
+
 // LockStats is a snapshot of spinlock contention counters. SpinCycles is
 // the accumulated wait time (cycles CPUs spent spinning for the lock);
 // HoldCycles is the accumulated time the lock was held. Their ratio is
