@@ -124,10 +124,6 @@ func TestBaselinesReproduce(t *testing.T) {
 	fresh := map[string]any{} // by baseline file
 	for _, s := range Sweeps {
 		for _, b := range s.Baselines {
-			if b.File == "BENCH_10.json" && testing.Short() {
-				t.Logf("%s not checked under -short (~5 s)", b.File)
-				continue
-			}
 			fresh[b.File] = reproduces(t, s, b).Doc
 		}
 	}

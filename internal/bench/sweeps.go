@@ -422,27 +422,6 @@ are the pool locks' spin and hold cycles from the EvLockWait accounting.
 		},
 	},
 	{
-		Name:      "serve",
-		Help:      "serving simulation: session traces with per-phase alloc/free latency quantiles",
-		Title:     "Serving simulation: per-phase tail latency",
-		Backs:     "BENCH_10.json (EXPERIMENTS.md E17, DESIGN.md §15)",
-		Baselines: []Baseline{{File: "BENCH_10.json"}},
-		Smoke:     [][]string{{"-cpus", "2", "-sessions", "32", "-ops", "800", "-nodes", "1"}},
-		AnyValue:  []string{"seed"},
-		Flags: func(fs *flag.FlagSet) runner {
-			cfg := ServeDefaults()
-			fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "trace seed")
-			fs.IntVar(&cfg.CPUs, "cpus", cfg.CPUs, "CPU count of the trace and the machines")
-			fs.IntVar(&cfg.Sessions, "sessions", cfg.Sessions, "steady-state open-session target")
-			fs.IntVar(&cfg.OpsPerPhase, "ops", cfg.OpsPerPhase, "operations per phase")
-			nodes := listFlag(fs, "nodes", "comma-separated node counts", 1, 2, 4)
-			return func() (*Report, error) {
-				res, err := RunServe(cfg, *nodes)
-				return tabled(res, err, "")
-			}
-		},
-	},
-	{
 		Name:  "replay",
 		Help:  "one trace (synthesized, -record'ed or -replay'ed) on any or all five allocators; -dump the state",
 		Title: "Trace replay: one operation sequence, any allocator",

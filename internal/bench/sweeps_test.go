@@ -65,19 +65,39 @@ func TestSweepsAreTheIndex(t *testing.T) {
 		}
 		return string(data)
 	}
-	design := read("DESIGN.md")
-	from, to := strings.Index(design, "\n## 4. "), strings.Index(design, "\n## 5. ")
-	if from < 0 || to < from {
-		t.Fatal("DESIGN.md has no §4 followed by a §5")
+	between := func(file, text, start, end string) string {
+		from := strings.Index(text, start)
+		to := strings.Index(text[from+1:], end)
+		if from < 0 || to < 0 {
+			t.Fatalf("%s has no %q followed by %q", file, start, end)
+		}
+		return text[from : from+1+to]
 	}
+	readme, design := read("README.md"), read("DESIGN.md")
+	section4 := between("DESIGN.md", design, "\n## 4. ", "\n## 5. ")
 	for what, text := range map[string]string{
-		"README.md":      read("README.md"),
-		"DESIGN.md §4":   design[from:to],
+		"README.md":      readme,
+		"DESIGN.md §4":   section4,
 		"EXPERIMENTS.md": read("EXPERIMENTS.md"),
 	} {
 		for _, s := range Sweeps {
 			if !regexp.MustCompile(`kmembench ` + s.Name + `\b`).MatchString(text) {
 				t.Errorf("%s never says `kmembench %s`", what, s.Name)
+			}
+		}
+	}
+
+	// And back: README's command block and §4 run no `kmembench <name>`
+	// that is not an entry (or the driver's `all` and `help`).
+	// EXPERIMENTS.md keeps retired sweeps as history, so it is not read.
+	command := regexp.MustCompile(`kmembench (\w+)`)
+	for what, text := range map[string]string{
+		"README.md's command block": between("README.md", readme, "```sh\n", "\n```"),
+		"DESIGN.md §4":              section4,
+	} {
+		for _, m := range command.FindAllStringSubmatch(text, -1) {
+			if name := m[1]; name != "all" && name != "help" && Lookup(name) == nil {
+				t.Errorf("%s says `kmembench %s`, which is not a bench.Sweeps entry", what, name)
 			}
 		}
 	}

@@ -95,10 +95,6 @@ type Allocator struct {
 	// Corruption-hardening state (harden.go). Nil unless Params.Harden
 	// is set, so every hardening hook is one nil test when off.
 	hd *hardenState
-
-	// Per-op latency recorder (latency.go). Nil unless Params.Latency,
-	// so the alloc/free boundaries pay one nil test when off.
-	lat *latencyRecorder
 }
 
 // classState groups one size class's parameters and upper layers. target
@@ -224,10 +220,6 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 	a.crit = make([]machine.PerCPU, n)
 	for cpu := range a.crit {
 		a.crit[cpu] = machine.NewPerCPUOn(m, m.NodeOf(cpu), p.Rseq)
-	}
-
-	if p.Latency {
-		a.lat = newLatencyRecorder(n)
 	}
 
 	a.waitCfg = p.Wait.withDefaults()
@@ -382,10 +374,8 @@ func (a *Allocator) FreeByAddr(c *machine.CPU, addr arena.Addr) {
 // first, then the global layer, then the low-memory reclaim path. Under
 // PressureCritical the reclaim retries are incremental — a budget of
 // reclaimSteps() single-CPU/single-pool steps, each followed by a retry —
-// instead of the one stop-the-world flush used otherwise. Callers go
-// through allocClass (latency.go), which stamps the op when the latency
-// recorder is armed.
-func (a *Allocator) allocClassOp(c *machine.CPU, cls int) (arena.Addr, error) {
+// instead of the one stop-the-world flush used otherwise.
+func (a *Allocator) allocClass(c *machine.CPU, cls int) (arena.Addr, error) {
 	if a.params.DebugOwnership {
 		defer c.EndExclusive(c.BeginExclusive())
 	}
@@ -485,10 +475,8 @@ func (a *Allocator) allocClassOp(c *machine.CPU, cls int) (arena.Addr, error) {
 	}
 }
 
-// freeClassOp frees one block of class cls on CPU c. Callers go through
-// freeClass (latency.go), which stamps the op when the latency recorder
-// is armed.
-func (a *Allocator) freeClassOp(c *machine.CPU, cls int, addr arena.Addr) {
+// freeClass frees one block of class cls on CPU c.
+func (a *Allocator) freeClass(c *machine.CPU, cls int, addr arena.Addr) {
 	if addr == arena.NilAddr {
 		panic("kmem: free of nil address")
 	}

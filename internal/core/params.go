@@ -164,20 +164,6 @@ type Params struct {
 	// (TestHardenOffCycleIdentity). Harden supersedes Poison on the
 	// class paths: its own poison/verify machinery runs instead.
 	Harden *harden.Config
-
-	// Latency arms the per-op latency recorder: every small-block class
-	// allocation and free records its elapsed cycles (machine.CPU.Stamp
-	// deltas spanning the whole operation, warm hit through reclaim)
-	// into per-CPU fixed-bucket log-scale histograms (LatencyHist),
-	// merged on demand by Allocator.LatencyStats. Recording is
-	// observation-only — it charges no simulated instructions, cycles,
-	// or memory traffic — so an armed run schedules byte-identically to
-	// an unarmed one (TestLatencyArmedScheduleIdentical); with the flag
-	// off (the default) each boundary pays a single nil test. Sim mode
-	// yields real cycle deltas; Native-mode stamps are 0, collapsing
-	// every sample into the zero bucket while still exercising the
-	// recorder's snapshot discipline.
-	Latency bool
 }
 
 // Names of the fault points compiled into the allocator's exhaustion

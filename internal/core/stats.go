@@ -1,9 +1,6 @@
 package core
 
 import (
-	"math"
-	"math/bits"
-
 	"kmem/internal/machine"
 	"kmem/internal/physmem"
 )
@@ -216,122 +213,6 @@ func (f FragStats) Utilization() float64 {
 		return 0
 	}
 	return float64(f.LiveBytes) / float64(f.ResidentBytes)
-}
-
-// LatencyBuckets is the number of fixed log-scale buckets in a
-// LatencyHist. Bucket 0 holds zero-cycle samples; bucket i (i >= 1)
-// holds samples in [2^(i-1), 2^i) cycles. The top bucket absorbs
-// everything from 2^(LatencyBuckets-2) cycles up — about 1.3 virtual
-// seconds at the default 50 MHz, far beyond any single allocator
-// operation — so no sample is ever dropped.
-const LatencyBuckets = 28
-
-// LatencyHist is a fixed-bucket log-scale cycle histogram of per-op
-// latency. Fixed buckets make merging, windowing (Sub of two snapshots
-// of a monotonically growing histogram) and quantile extraction exact
-// and deterministic: the same run always yields byte-identical buckets,
-// and a reported quantile is the upper bound of the bucket holding the
-// rank — resolution is a factor of two, which is what a tail-latency
-// gate needs (a regression that matters crosses a power of two; one
-// that does not is noise the gate should ignore). Log scale fits an
-// allocator whose operations span 13-instruction warm hits to reclaim
-// storms five decimal orders slower; linear buckets would waste their
-// range on one regime or the other.
-type LatencyHist struct {
-	Buckets [LatencyBuckets]uint64
-}
-
-// latencyBucket maps a cycle count to its bucket index.
-func latencyBucket(cycles int64) int {
-	if cycles <= 0 {
-		return 0
-	}
-	b := bits.Len64(uint64(cycles)) // cycles in [2^(b-1), 2^b)
-	if b > LatencyBuckets-1 {
-		b = LatencyBuckets - 1
-	}
-	return b
-}
-
-// Record adds one sample.
-func (h *LatencyHist) Record(cycles int64) { h.Buckets[latencyBucket(cycles)]++ }
-
-// Count returns the total number of samples.
-func (h *LatencyHist) Count() uint64 {
-	var n uint64
-	for _, b := range h.Buckets {
-		n += b
-	}
-	return n
-}
-
-// Add accumulates o into h bucket-wise.
-func (h *LatencyHist) Add(o *LatencyHist) {
-	for i := range h.Buckets {
-		h.Buckets[i] += o.Buckets[i]
-	}
-}
-
-// Sub returns h minus o bucket-wise: the activity window between two
-// snapshots of the same monotonically growing histogram (o must be the
-// earlier snapshot).
-func (h LatencyHist) Sub(o LatencyHist) LatencyHist {
-	out := h
-	for i := range out.Buckets {
-		out.Buckets[i] -= o.Buckets[i]
-	}
-	return out
-}
-
-// BucketUpper returns bucket i's inclusive upper bound in cycles — the
-// value Quantile reports for samples landing in it (0 for the
-// zero-cycle bucket).
-func BucketUpper(i int) int64 {
-	if i <= 0 {
-		return 0
-	}
-	return (int64(1) << uint(i)) - 1
-}
-
-// Quantile returns the latency at quantile q (0 < q <= 1) by the
-// nearest-rank rule, reported as the holding bucket's upper bound.
-// Returns 0 on an empty histogram.
-func (h *LatencyHist) Quantile(q float64) int64 {
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	var cum uint64
-	for i, b := range h.Buckets {
-		cum += b
-		if cum >= rank {
-			return BucketUpper(i)
-		}
-	}
-	return BucketUpper(LatencyBuckets - 1)
-}
-
-// P50 returns the median latency in cycles.
-func (h *LatencyHist) P50() int64 { return h.Quantile(0.50) }
-
-// P99 returns the 99th-percentile latency in cycles.
-func (h *LatencyHist) P99() int64 { return h.Quantile(0.99) }
-
-// P999 returns the 99.9th-percentile latency in cycles.
-func (h *LatencyHist) P999() int64 { return h.Quantile(0.999) }
-
-// LatencyStats is one merged snapshot of the per-op latency recorder
-// (zero-valued unless Params.Latency armed it).
-type LatencyStats struct {
-	Alloc LatencyHist // successful small-block class allocations
-	Free  LatencyHist // small-block class frees
 }
 
 // Stats is a full snapshot of the allocator.

@@ -95,15 +95,6 @@ func (c *CPU) Machine() *Machine { return c.m }
 // in Native mode).
 func (c *CPU) Now() int64 { return c.clock }
 
-// Stamp returns the CPU's cycle stamp for latency instrumentation: the
-// virtual clock in Sim mode, always 0 in Native mode (which has no
-// virtual time — Native-mode stamp deltas all collapse to the zero
-// bucket, still exercising a recorder's merge discipline). Reading a
-// stamp charges nothing — no instructions, no cycles, no memory traffic
-// — so stamping an operation's entry and exit cannot perturb the
-// schedule, the cycle goldens, or the instruction budgets.
-func (c *CPU) Stamp() int64 { return c.clock }
-
 // Work charges n straight-line instructions to the CPU. Allocator fast
 // paths charge the instruction budgets the paper reports (13 instructions
 // for a cookie allocation, 35 for a standard one, and so on).

@@ -3,8 +3,8 @@ package serve
 // Seeded trace generation. A trace is a pure function of its GenConfig:
 // the generator uses one xorshift64* stream and no host state, so the
 // same config always produces the same bytes — the basis of the
-// byte-reproducibility contract (TestServeDeterministic) and of
-// committed benchmark baselines.
+// byte-reproducibility contract (TestGeneratePinned) and of the
+// benchmark's `serve` workload, which replays these traces.
 
 // rng is the same xorshift64* generator the torture harness uses; its
 // constants are frozen because committed traces and baselines replay
@@ -44,9 +44,8 @@ type GenConfig struct {
 }
 
 // Message and payload size tables. Values stay within the allocator's
-// small classes so every operation exercises the latency-sampled class
-// path; the pressure phase skews large to press the physical-memory
-// watermarks.
+// small classes so every operation exercises the class path; the
+// pressure phase skews large to press the physical-memory watermarks.
 var (
 	paySizes      = []uint32{96, 160, 256, 384, 512}
 	msgSizes      = []uint32{64, 96, 128, 256, 512}

@@ -1,17 +1,13 @@
-// Package serve is the deterministic serving simulation: hundreds of
-// thousands of sessions — each owning a STREAMS pipe, a DLM lock, and
-// allocator-backed payload and held buffers — open, churn, and close
-// under a generated trace with day/night cycles, flash-crowd spikes,
-// and pressure waves. Per-op alloc/free latency is surfaced through the
-// core event spine as log-scale cycle histograms, windowed per phase,
-// so tail-latency SLOs (p50/p99/p999) can be gated in CI.
+// Package serve generates serving traces: seeded session records in
+// which sessions — each owning a payload, a STREAMS pipe, a DLM lock and
+// held buffers for its lifetime — open, churn and close across three
+// phases (a day/night steady state, a flash-crowd spike, a pressure
+// wave). It only generates; the repository benchmark's `serve` workload
+// (benchmark/wl_serve.go) replays a trace on overlapping per-CPU lanes.
 //
-// A trace is reproducible from its seed, and a run over a trace is
-// deterministic: same trace, same machine shape, same options — same
-// histograms and the same schedule hash.
+// A trace is a pure function of its GenConfig, so the benchmark's
+// workload is too (TestGeneratePinned).
 package serve
-
-import "fmt"
 
 // OpKind is one session operation in a trace.
 type OpKind uint8
@@ -37,8 +33,7 @@ const (
 	OpLockX
 )
 
-// PhaseKind labels a trace phase; the runner reports one latency window
-// per phase.
+// PhaseKind labels a trace phase.
 type PhaseKind uint8
 
 const (
@@ -52,19 +47,6 @@ const (
 	// buffers pressing the physical-memory watermarks, then a drain.
 	PhasePressure
 )
-
-// String returns the phase name used in results and CI gates.
-func (k PhaseKind) String() string {
-	switch k {
-	case PhaseSteady:
-		return "steady"
-	case PhaseSpike:
-		return "spike"
-	case PhasePressure:
-		return "pressure"
-	}
-	return fmt.Sprintf("phase(%d)", uint8(k))
-}
 
 // Op is one trace record.
 type Op struct {
@@ -93,18 +75,4 @@ func (t *Trace) NumOps() int {
 		n += len(t.Phases[i].Ops)
 	}
 	return n
-}
-
-// MaxSession returns the largest session id referenced, or -1 for an
-// empty trace.
-func (t *Trace) MaxSession() int {
-	max := -1
-	for i := range t.Phases {
-		for _, op := range t.Phases[i].Ops {
-			if int(op.Sess) > max {
-				max = int(op.Sess)
-			}
-		}
-	}
-	return max
 }

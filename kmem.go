@@ -466,8 +466,10 @@ type Ctor = objcache.Ctor
 // Dtor tears a constructed buffer down before its memory is released.
 type Dtor = objcache.Dtor
 
-// CacheOpts tunes an object cache (magazine and depot sizes, coloring,
-// per-cache hardening). The zero value selects defaults.
+// CacheOpts tunes an object cache: a floor on the backing size
+// (MinBackSize), extra coloring room (ColorSpace), per-cache hardening
+// (Harden) and the restartable-sequence fast path (Rseq). Magazine and
+// depot sizes are constants. The zero value selects defaults.
 type CacheOpts = objcache.Opts
 
 // NewCache creates and registers a named typed object cache over this
