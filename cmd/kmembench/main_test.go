@@ -77,11 +77,7 @@ func TestSubcommandsRunSmall(t *testing.T) {
 				t.Errorf("%s -json: %v", what, err)
 				continue
 			}
-			// scaling -lockfree is the one sweep with a schema of its own.
 			want := "kmembench/" + s.Name
-			if strings.Contains(what, "-lockfree") {
-				want += "-lockfree"
-			}
 			if doc["Schema"] != want || doc["SchemaVersion"] != float64(bench.EmitSchemaVersion) {
 				t.Errorf("%s -json: envelope %v v%v, want %q v%d", what, doc["Schema"], doc["SchemaVersion"], want, bench.EmitSchemaVersion)
 			}

@@ -7,7 +7,7 @@ import (
 	"kmem/internal/machine"
 )
 
-// ScalingPoint is one measured (CPUs, nodes, workload, shards)
+// ScalingPoint is one measured (CPUs, nodes, workload, fast path)
 // configuration of the scaling sweep. Throughput and every counter
 // cover the same clean measurement window after warmup (counters are
 // deltas of two Stats snapshots), so remote puts, flushes, and lock
@@ -16,7 +16,6 @@ type ScalingPoint struct {
 	CPUs     int
 	Nodes    int
 	Workload string // "allocfree" (local churn) or "prodcons" (cross-CPU handoff)
-	Shards   bool   // remote-free shards enabled
 	LockFree bool   // optimistic fast paths (Params.Rseq + Params.LockFree)
 
 	Pairs       uint64  // alloc+free round trips completed in the window
@@ -25,8 +24,8 @@ type ScalingPoint struct {
 	// Cross-node traffic and shard activity (zero on one node).
 	RemoteFrees  uint64 // blocks that reached a non-local node's global pool
 	RemotePuts   uint64 // putList lock trips taken against a non-local pool
-	ShardFlushes uint64 // batched shard flushes (zero with shards off)
-	HomeMemoHits uint64 // per-CPU home-memo hits (zero with shards off)
+	ShardFlushes uint64 // batched remote-free shard flushes
+	HomeMemoHits uint64 // per-CPU home-memo hits
 	NodeSteals   uint64 // blocks stolen cross-node by dry refills
 
 	InterconnectTxns uint64  // memory transactions that crossed the interconnect
@@ -54,7 +53,7 @@ type ScalingResult struct {
 // ScalingWorkloads lists the sweep's workload names.
 var ScalingWorkloads = []string{"allocfree", "prodcons"}
 
-// RunScaling sweeps CPU count x node count x workload x one on/off axis.
+// RunScaling sweeps CPU count x node count x workload x fast path.
 // Combinations where the node count exceeds or does not divide the CPU
 // count are skipped. Workload "allocfree" is same-CPU churn — every
 // block is freed where it was allocated, so it bounds what the shards
@@ -66,14 +65,12 @@ var ScalingWorkloads = []string{"allocfree", "prodcons"}
 // mostly-local blocks with remote homes interleaved — exactly the
 // pattern the remote-free shards batch.
 //
-// The axis is the remote-free shards, off then on, with the classical
-// interrupt-masked and spin-locked paths; or, with lockFreeAxis, the
-// optimistic one: shards on — the production configuration — measured
-// once with the classical paths and once with the restartable per-CPU
-// sequences and the CAS-based global layer (Params.Rseq +
-// Params.LockFree together). Either pairing holds the workload and the
-// topology identical, isolating what its axis buys.
-func RunScaling(cpuCounts, nodeCounts []int, blockSize uint64, seconds float64, lockFreeAxis bool) (*ScalingResult, error) {
+// Each configuration runs once with the classical interrupt-masked and
+// spin-locked paths and once with the restartable per-CPU sequences and
+// the CAS-based global layer (Params.Rseq + Params.LockFree together).
+// The pairing holds the workload and the topology identical, isolating
+// what the optimistic paths buy.
+func RunScaling(cpuCounts, nodeCounts []int, blockSize uint64, seconds float64) (*ScalingResult, error) {
 	res := &ScalingResult{BlockSize: blockSize, Seconds: seconds}
 	for _, ncpu := range cpuCounts {
 		if ncpu < 2 || ncpu%2 != 0 {
@@ -87,12 +84,8 @@ func RunScaling(cpuCounts, nodeCounts []int, blockSize uint64, seconds float64, 
 				continue
 			}
 			for _, wl := range ScalingWorkloads {
-				for _, on := range []bool{false, true} {
-					shards, lockFree := on, false
-					if lockFreeAxis {
-						shards, lockFree = true, on
-					}
-					pt, err := runScalingPoint(ncpu, nn, wl, shards, lockFree, blockSize, seconds)
+				for _, lockFree := range []bool{false, true} {
+					pt, err := runScalingPoint(ncpu, nn, wl, lockFree, blockSize, seconds)
 					if err != nil {
 						return nil, err
 					}
@@ -104,7 +97,7 @@ func RunScaling(cpuCounts, nodeCounts []int, blockSize uint64, seconds float64, 
 	return res, nil
 }
 
-func runScalingPoint(ncpu, nnodes int, workload string, shards, lockFree bool, blockSize uint64, seconds float64) (ScalingPoint, error) {
+func runScalingPoint(ncpu, nnodes int, workload string, lockFree bool, blockSize uint64, seconds float64) (ScalingPoint, error) {
 	cfg := MachineFor(ncpu, 32<<20, 8192)
 	cfg.Nodes = nnodes
 	var route func(id, n int) int // nil: "allocfree"
@@ -122,16 +115,12 @@ func runScalingPoint(ncpu, nnodes int, workload string, shards, lockFree bool, b
 			return id + 1 // same-node partner
 		}
 	}
-	w, err := runPairs(cfg, core.Params{
-		DisableRemoteShards: !shards,
-		Rseq:                lockFree,
-		LockFree:            lockFree,
-	}, blockSize, seconds, route, true)
+	w, err := runPairs(cfg, core.Params{Rseq: lockFree, LockFree: lockFree}, blockSize, seconds, route, true)
 	if err != nil {
 		return ScalingPoint{}, err
 	}
 	pt := ScalingPoint{
-		CPUs: ncpu, Nodes: nnodes, Workload: workload, Shards: shards, LockFree: lockFree,
+		CPUs: ncpu, Nodes: nnodes, Workload: workload, LockFree: lockFree,
 		Pairs: w.pairs, PairsPerSec: float64(w.pairs) / seconds,
 		InterconnectTxns: w.icTxns, BusOccupancy: w.busOccupancy,
 	}
@@ -166,37 +155,19 @@ func (pt *ScalingPoint) tally(st core.Stats, sign uint64) {
 }
 
 // Point returns the sweep's point for one exact configuration, or nil.
-func (r *ScalingResult) Point(cpus, nodes int, workload string, shards, lockFree bool) *ScalingPoint {
+func (r *ScalingResult) Point(cpus, nodes int, workload string, lockFree bool) *ScalingPoint {
 	for i := range r.Points {
 		p := &r.Points[i]
-		if p.CPUs == cpus && p.Nodes == nodes && p.Workload == workload && p.Shards == shards && p.LockFree == lockFree {
+		if p.CPUs == cpus && p.Nodes == nodes && p.Workload == workload && p.LockFree == lockFree {
 			return p
 		}
 	}
 	return nil
 }
 
-// Table renders the sweep.
+// Table renders the sweep: locked vs lock-free fast paths, per point,
+// with the restart/retry counters that price the optimism.
 func (r *ScalingResult) Table() *Table {
-	t := &Table{
-		Title: fmt.Sprintf("Scaling sweep: %d-byte blocks, %.3fs window, remote-free shards on/off",
-			r.BlockSize, r.Seconds),
-		Headers: []string{"cpus", "nodes", "workload", "shards", "pairs/s",
-			"remote puts", "flushes", "memo hits", "lock wait", "lock hold", "bus occ"},
-	}
-	onoff := map[bool]string{false: "off", true: "on"}
-	for _, p := range r.Points {
-		t.AddRowf("%d|%d|%s|%s|%.0f|%d|%d|%d|%d|%d|%.1f%%",
-			p.CPUs, p.Nodes, p.Workload, onoff[p.Shards], p.PairsPerSec, p.RemotePuts, p.ShardFlushes,
-			p.HomeMemoHits, p.LockWaitCycles, p.LockHoldCycles, 100*p.BusOccupancy)
-	}
-	return t
-}
-
-// LockFreeTable renders the optimistic sweep: locked vs lock-free fast
-// paths, per point, with the restart/retry counters that price the
-// optimism.
-func (r *ScalingResult) LockFreeTable() *Table {
 	t := &Table{
 		Title: fmt.Sprintf("Lock-free sweep: %d-byte blocks, %.3fs window, shards on, locked vs rseq+CAS paths",
 			r.BlockSize, r.Seconds),

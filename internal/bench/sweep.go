@@ -52,9 +52,7 @@ type Baseline struct {
 
 // Report is one finished sweep.
 type Report struct {
-	// Schema overrides the sweep's name in the -json envelope
-	// (scaling -lockfree is "scaling-lockfree"); Run fills in the default.
-	Schema string
+	Schema string                  // the sweep's name in the -json envelope; Run fills it in
 	Doc    any                     // what -json emits
 	Render func(w io.Writer) error // the tables, figures and prose
 	json   bool
@@ -115,9 +113,7 @@ func (s *Sweep) Run(fs *flag.FlagSet, args []string) (rep *Report, err error) {
 	if rep, err = run(); err != nil {
 		return nil, err
 	}
-	if rep.Schema == "" {
-		rep.Schema = s.Name
-	}
+	rep.Schema = s.Name
 	rep.json = *asJSON
 	return rep, nil
 }

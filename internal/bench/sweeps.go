@@ -382,41 +382,29 @@ hand whole lists to their own node's pool.
 	},
 	{
 		Name:  "scaling",
-		Help:  "CPUs x nodes sweep, remote-free shards on/off, lock cycle accounting",
-		Title: "Scaling sweep: remote-free shards and lock accounting",
-		Backs: "BENCH_4.json (EXPERIMENTS.md E12, DESIGN.md §9); BENCH_9.json with -lockfree (E16, DESIGN.md §14)",
+		Help:  "CPUs x nodes sweep, locked vs rseq+CAS fast paths, lock cycle accounting",
+		Title: "Scaling sweep: optimistic fast paths and lock accounting",
+		Backs: "BENCH_9.json (EXPERIMENTS.md E16, DESIGN.md §14)",
 		Baselines: []Baseline{
-			{File: "BENCH_4.json"},
-			{File: "BENCH_9.json", Args: []string{"-lockfree"}},
+			{File: "BENCH_9.json"},
 		},
 		Smoke: [][]string{
 			{"-cpus", "2,4", "-nodes", "1,2", "-seconds", "0.002"},
-			{"-lockfree", "-cpus", "2", "-nodes", "1", "-seconds", "0.002"},
 		},
 		Flags: func(fs *flag.FlagSet) runner {
 			cpus := listFlag(fs, "cpus", "comma-separated CPU counts (each even)", 2, 4, 8)
 			nodes := listFlag(fs, "nodes", "comma-separated node counts (sweep skips counts that do not divide the CPUs)", 1, 2, 4)
 			seconds := fs.Float64("seconds", 0.005, "virtual seconds per point")
 			size := fs.Uint64("size", 128, "block size")
-			lockFree := fs.Bool("lockfree", false, "sweep the optimistic axis instead: locked vs rseq+CAS fast paths, shards on")
 			return func() (*Report, error) {
-				res, err := RunScaling(*cpus, *nodes, *size, *seconds, *lockFree)
+				res, err := RunScaling(*cpus, *nodes, *size, *seconds)
 				if err != nil {
 					return nil, err
 				}
-				if *lockFree {
-					rep := report(res, lockFreeHeadline(res)+`
+				return report(res, lockFreeHeadline(res)+`
 Both runs keep remote-free shards on; "lockfree on" swaps the per-CPU
 interrupt-masked paths for restartable sequences and the global freelists for
 CAS commits (restarts/retries are the cycles the optimism paid back).
-`, res.LockFreeTable())
-					rep.Schema = "scaling-lockfree"
-					return rep, nil
-				}
-				return report(res, shardsHeadline(res)+`
-Each configuration runs with remote-free shards off (per-spill routing) and on
-(per-CPU staging, one batched putList per flush); "lock wait" and "lock hold"
-are the pool locks' spin and hold cycles from the EvLockWait accounting.
 `, res.Table()), nil
 			}
 		},
@@ -456,21 +444,10 @@ are the pool locks' spin and hold cycles from the EvLockWait accounting.
 	},
 }
 
-// shardsHeadline is the scaling sweep's one-line summary of what the
-// shards bought at its most contended point, if the sweep has it.
-func shardsHeadline(res *ScalingResult) string {
-	routed, sharded := res.Point(8, 4, "prodcons", false, false), res.Point(8, 4, "prodcons", true, false)
-	if routed == nil || sharded == nil || routed.Pairs == 0 || sharded.Pairs == 0 || sharded.RemotePuts == 0 {
-		return ""
-	}
-	ratio := (float64(routed.RemotePuts) / float64(routed.Pairs)) /
-		(float64(sharded.RemotePuts) / float64(sharded.Pairs))
-	return fmt.Sprintf("\n8 CPUs / 4 nodes, prodcons: shards cut remote putList trips %.1fx per pair\n", ratio)
-}
-
-// lockFreeHeadline is the same for the optimistic axis.
+// lockFreeHeadline is the scaling sweep's one-line summary of what the
+// optimistic paths bought at its most contended point, if the sweep has it.
 func lockFreeHeadline(res *ScalingResult) string {
-	lk, lf := res.Point(8, 4, "prodcons", true, false), res.Point(8, 4, "prodcons", true, true)
+	lk, lf := res.Point(8, 4, "prodcons", false), res.Point(8, 4, "prodcons", true)
 	if lk == nil || lf == nil || lk.LockWaitCycles == 0 {
 		return ""
 	}

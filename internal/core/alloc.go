@@ -32,13 +32,9 @@ type Allocator struct {
 
 	// nodes is the machine's NUMA node count; 1 selects the classic
 	// single-pool layout and keeps every routing branch off the old
-	// code paths.
+	// code paths. A multi-node machine frees through the per-CPU
+	// remote-free shards.
 	nodes int
-
-	// shards reports whether the per-CPU remote-free shards are active:
-	// multi-node machine and not Params.DisableRemoteShards. When false
-	// the free path is byte-for-byte the pre-shard code.
-	shards bool
 
 	classes       []classState
 	sizeToClass   []int8
@@ -195,7 +191,6 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 		a.classes[i] = cs
 	}
 
-	a.shards = a.nodes > 1 && !p.DisableRemoteShards
 	n := m.NumCPUs()
 	a.percpu = make([][]pcpu, n)
 	for cpu := 0; cpu < n; cpu++ {
@@ -205,7 +200,7 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 			pc.line = m.NewMetaLineOn(m.NodeOf(cpu))
 			pc.target = a.classes[k].ctl.curTarget()
 			pc.memoVmblk = -1
-			if a.shards {
+			if a.nodes > 1 {
 				pc.remote = make([]blocklist.List, a.nodes)
 			}
 		}
@@ -520,7 +515,7 @@ func (a *Allocator) freeClass(c *machine.CPU, cls int, addr arena.Addr) {
 	// so frees surrender surplus to the lower layers sooner.
 	target := a.effTarget(pc.target)
 	home := c.Node()
-	if a.shards {
+	if a.nodes > 1 {
 		// Classify the block's home first: remote blocks stage in the
 		// per-node shard and never enter main/aux, so a shard flush is
 		// already wholly owned by one node. The 1-entry memo answers
@@ -578,11 +573,11 @@ func (a *Allocator) freeClass(c *machine.CPU, cls int, addr arena.Addr) {
 }
 
 // spillHome names, inside the critical section of a cache on node, the
-// pool that takes n blocks leaving main/aux as one list: the machine's
-// only node, or the cache's own while it is node-pure. -1 sends them
-// through spill's per-block partition, tallied as EvSpillRouted.
+// pool that takes n blocks leaving main/aux as one list: the cache's own
+// while it is node-pure (always, on one node). -1 sends them through
+// spill's per-block partition, tallied as EvSpillRouted.
 func (a *Allocator) spillHome(pc *pcpu, node, n int) int {
-	if a.nodes == 1 || (a.shards && !pc.mixed) {
+	if !pc.mixed {
 		return node
 	}
 	pc.ev[EvSpillRouted] += uint64(n)

@@ -282,7 +282,7 @@ func (a *Allocator) CheckConsistency() error {
 			// A node-pure cache spills without looking: its blocks must
 			// all be homed on the CPU's own node.
 			pure := -1
-			if a.shards && !pc.mixed {
+			if !pc.mixed {
 				pure = a.m.NodeOf(cpu)
 			}
 			if err := checkHomed(pc.main.Head(), pc.main.Len(), cls, pure, fmt.Sprintf("cpu %d class %d main", cpu, cls)); err != nil {

@@ -138,9 +138,8 @@ const (
 	EvCASRetry
 
 	// EvSpillRouted counts blocks a main/aux spill or drain partitioned
-	// by home one dope-vector lookup at a time (n = blocks): a cache
-	// holding a stolen refill, or any multi-node cache with shards off.
-	// A node-pure cache's list reaches its pool in one putList instead.
+	// by home one dope-vector lookup at a time (n = blocks): only a
+	// cache holding a stolen refill does. A node-pure cache's list reaches its pool in one putList instead.
 	EvSpillRouted
 
 	// EvPageRefile counts split pages the coalesce-to-page layer moved

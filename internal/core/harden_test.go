@@ -40,8 +40,7 @@ func TestHardenOffCycleIdentity(t *testing.T) {
 	assertGolden(t, "nodes=1",
 		shardGoldenCycles(t, 1, Params{}), goldenCyclesNodes1)
 	assertGolden(t, "nodes=4",
-		shardGoldenCycles(t, 4, Params{DisableRemoteShards: true}),
-		goldenCyclesNodes4Routing)
+		shardGoldenCycles(t, 4, Params{}), goldenCyclesNodes4)
 }
 
 // TestHardenNoFalsePositives runs the full golden mixed workload —

@@ -20,8 +20,8 @@ import (
 func TestLazySpansOffCycleIdentity(t *testing.T) {
 	got := shardGoldenCycles(t, 1, Params{LazySpans: false})
 	assertGolden(t, "nodes=1 lazy-off", got, goldenCyclesNodes1)
-	got = shardGoldenCycles(t, 4, Params{LazySpans: false, DisableRemoteShards: true})
-	assertGolden(t, "nodes=4 lazy-off", got, goldenCyclesNodes4Routing)
+	got = shardGoldenCycles(t, 4, Params{LazySpans: false})
+	assertGolden(t, "nodes=4 lazy-off", got, goldenCyclesNodes4)
 }
 
 // lazyMachine builds a small machine with lazy spans on: a 4 MB arena

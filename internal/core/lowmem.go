@@ -73,8 +73,8 @@ func (a *Allocator) DrainCPU(c *machine.CPU, cpu int) {
 		}
 		// Partial remote shards go straight to their home pools: each
 		// shard is wholly owned by one node already, so no routing pass
-		// is needed. (shards is nil on single-node machines, under
-		// DisableRemoteShards, and when nothing is staged.)
+		// is needed. (shards is nil on single-node machines and when
+		// nothing is staged.)
 		for node := range shards {
 			if !shards[node].Empty() {
 				n := shards[node].Len()

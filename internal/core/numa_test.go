@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -541,26 +540,5 @@ func TestNodePureBitMatchesWalk(t *testing.T) {
 		checkOK(t, a)
 		a.DrainAll(c)
 		checkOK(t, a)
-	}
-}
-
-// TestShardsOffCyclesPinned holds the DisableRemoteShards ablation to
-// the cycles it had before node-pure spills (PR 23): with shards off
-// remote frees land in main/aux, no cache is ever pure, and every spill
-// keeps the per-block partition. The constants are TestSchedHashPinned's
-// mix with shards off, captured on PR 23's parent commit and again on
-// PR 24, whose lazy radix filing moved them, and PR 25, whose one-move
-// refills and one-trip spills did (DESIGN.md §17), and again when a
-// freed page's unmap left the page pool's and the vmblk layer's locks.
-func TestShardsOffCyclesPinned(t *testing.T) {
-	want := pinnedMix{
-		hash:   0xbfc35c9b8eed457c,
-		clocks: []int64{42427039, 42906796, 41636575, 43140120, 43033325, 43098742, 43278466, 43286777},
-		bus:    0x17cfcb, ic: 0xb51b9,
-		restarts: 0x1e5d, casRetries: 0x3d, remoteMisses: 0x6c438,
-		trimmed: 438, decommits: 0x2dbc, reclaimSteps: 0x545b, lockSpin: 35288,
-	}
-	if got := pinnedMixRun(t, true); !reflect.DeepEqual(got, want) {
-		t.Errorf("shards-off virtual results moved\n got  %#v\n want %#v", got, want)
 	}
 }

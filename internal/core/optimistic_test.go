@@ -17,8 +17,8 @@ func TestOptimisticOffCycleIdentity(t *testing.T) {
 		shardGoldenCycles(t, 1, Params{Rseq: false, LockFree: false}),
 		goldenCyclesNodes1)
 	assertGolden(t, "nodes=4 rseq/lockfree off",
-		shardGoldenCycles(t, 4, Params{Rseq: false, LockFree: false, DisableRemoteShards: true}),
-		goldenCyclesNodes4Routing)
+		shardGoldenCycles(t, 4, Params{Rseq: false, LockFree: false}),
+		goldenCyclesNodes4)
 }
 
 // optimisticChurn drives every CPU through an alloc/hold/free churn of

@@ -441,8 +441,8 @@ func TestSpillReleasingPagesAllocatesNothing(t *testing.T) {
 func TestFIFOCyclesPinned(t *testing.T) {
 	assertGolden(t, "nodes=1 fifo", shardGoldenCycles(t, 1, Params{DisableRadixSort: true}),
 		[]int64{971019, 720899, 731938, 742937})
-	assertGolden(t, "nodes=4 fifo shards-off", shardGoldenCycles(t, 4, Params{DisableRadixSort: true, DisableRemoteShards: true}),
-		[]int64{1737521, 949141, 913424, 928217})
+	assertGolden(t, "nodes=4 fifo", shardGoldenCycles(t, 4, Params{DisableRadixSort: true}),
+		[]int64{1697044, 912013, 899617, 923772})
 }
 
 // TestPageDescSize: filed lives in padding the descriptor already had.

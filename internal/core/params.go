@@ -79,19 +79,6 @@ type Params struct {
 	// is the default (false).
 	DisableSplitFreelist bool
 
-	// DisableRemoteShards turns off the per-CPU remote-free shards on
-	// multi-node machines, restoring the per-spill routing of the first
-	// NUMA implementation: every spilled list is partitioned by home via
-	// per-block dope-vector lookups and each partition takes its own
-	// putList lock trip. With shards enabled (the default on Nodes > 1)
-	// a free whose block is homed on another node stages it in a per-CPU
-	// per-class per-node shard under interrupt-disable only, and the
-	// shard flushes to its home pool in one batched putList when it
-	// reaches target blocks. Single-node machines never build shards, so
-	// this flag has no effect there and the classic free path is
-	// byte-for-byte unchanged.
-	DisableRemoteShards bool
-
 	// Adaptive enables the per-class adaptive target controller: a
 	// windowed miss-rate estimator that grows and shrinks target and
 	// gbltarget online to hold the observed miss rates near a setpoint

@@ -39,17 +39,16 @@ type pcpu struct {
 	// critical section alone, and the shard flushes to node n's global pool in
 	// one batched putList when it reaches target blocks — one remote
 	// lock trip per target remote frees instead of one per spill
-	// partition. nil on single-node machines and under
-	// Params.DisableRemoteShards; the owner CPU's shard for its own node
-	// is never used (home frees go through main).
+	// partition. nil on single-node machines; the owner CPU's shard for
+	// its own node is never used (home frees go through main).
 	remote []blocklist.List
 
-	// mixed clears the cache's node-purity. With shards on, remote frees
-	// never enter main/aux and home refills carry only home blocks, so
-	// main/aux spill whole to the CPU's own node's pool (spillHome) —
-	// until a refill stolen from another node lands, which sets mixed; a
-	// home refill into an empty cache or a drain resets it. Written
-	// inside the critical section only.
+	// mixed clears the cache's node-purity. Remote frees stage in the
+	// shards and never enter main/aux, and home refills carry only home
+	// blocks, so main/aux spill whole to the CPU's own node's pool
+	// (spillHome) — until a refill stolen from another node lands, which
+	// sets mixed; a home refill into an empty cache or a drain resets it.
+	// Written inside the critical section only.
 	mixed bool
 
 	// memoVmblk/memoHome are the 1-entry home-lookup memo: the vmblk

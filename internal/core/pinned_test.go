@@ -30,8 +30,7 @@ type pinnedMix struct {
 // LazySpans + Pressure allocator, short of physical memory, with seeded
 // jitter (so sequences restart), blocks handed across nodes, a contended
 // spinlock in the workload itself, large requests and periodic Trim.
-// shardsOff adds the DisableRemoteShards ablation.
-func pinnedMixRun(t *testing.T, shardsOff bool) pinnedMix {
+func pinnedMixRun(t *testing.T) pinnedMix {
 	t.Helper()
 	cfg := machine.DefaultConfig()
 	cfg.NumCPUs = 8
@@ -45,8 +44,6 @@ func pinnedMixRun(t *testing.T, shardsOff bool) pinnedMix {
 		LockFree:  true,
 		LazySpans: true,
 		Pressure:  &PressureConfig{},
-
-		DisableRemoteShards: shardsOff,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,18 +154,16 @@ func pinnedMixRun(t *testing.T, shardsOff bool) pinnedMix {
 // span-granular decommit pass, the indexed occupancy histories, the typed
 // run heap — and must never move unless a PR sets out to change the cost
 // model and says so. PR 23 did: a node-pure cache spills in one putList
-// (DESIGN.md §17), which moves every multi-node run with shards on; the
-// shards-off twin, TestShardsOffCyclesPinned, did not move. PR 24 did
-// again, for both: frees no longer refile their page in the radix
-// buckets (lazy filing, DESIGN.md §5), which every run that reaches the
-// page layer feels. PR 25 did once more, for both: a refill moves each
-// block once and a spill is one trip to the page layer (DESIGN.md §5).
-// Both moved again when a freed page's unmap left the page pool's and
-// the vmblk layer's locks (DESIGN.md §11): the mix's lazy spans unmap
-// nothing on free, but every page release now takes the vmblk lock after
-// the pool's is dropped instead of inside it.
+// (DESIGN.md §17), which moves every multi-node run. PR 24 did again:
+// frees no longer refile their page in the radix buckets (lazy filing,
+// DESIGN.md §5), which every run that reaches the page layer feels. PR 25
+// did once more: a refill moves each block once and a spill is one trip
+// to the page layer (DESIGN.md §5). It moved again when a freed page's
+// unmap left the page pool's and the vmblk layer's locks (DESIGN.md §11):
+// the mix's lazy spans unmap nothing on free, but every page release now
+// takes the vmblk lock after the pool's is dropped instead of inside it.
 func TestSchedHashPinned(t *testing.T) {
-	got := pinnedMixRun(t, false)
+	got := pinnedMixRun(t)
 	if got.restarts == 0 || got.casRetries == 0 || got.remoteMisses == 0 ||
 		got.trimmed == 0 || got.reclaimSteps == 0 || got.lockSpin == 0 {
 		t.Errorf("the pinned mix no longer reaches every path: %+v", got)

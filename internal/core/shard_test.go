@@ -82,68 +82,66 @@ func TestShardStagingAndFlush(t *testing.T) {
 	checkOK(t, a)
 }
 
-// TestShardBatchingReducesRemotePuts is the tentpole's acceptance
-// criterion: at 8 CPUs / 4 nodes with all-to-all producer/consumer
-// handoff, the shards must cut remote putList lock acquisitions by at
-// least 4x versus per-spill routing.
+// TestShardBatchingReducesRemotePuts holds the shards' batching
+// invariant at 8 CPUs / 4 nodes with all-to-all producer/consumer
+// handoff: every remote putList lock trip is one shard flush carrying
+// exactly target blocks, and no main/aux spill ever routes a block
+// (EXPERIMENTS.md E12).
 func TestShardBatchingReducesRemotePuts(t *testing.T) {
-	run := func(p Params) uint64 {
-		a, m := numaAllocator(t, 8, 4, 2048, p)
-		ck, err := a.GetCookie(128)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Each CPU allocates a burst well past its cache capacity; three
-		// quarters of each burst is freed by the allocator's same-node
-		// partner (local frees) and a quarter round-robin across all 8
-		// CPUs. Every freeing CPU therefore sees a stream of blocks with
-		// occasional remote homes scattered across all four nodes —
-		// the worst case for per-spill routing, where every spilled list
-		// fragments into a putList trip per distinct home node, while the
-		// shards coalesce each node's remote blocks into whole batches.
-		for r := 0; r < 40; r++ {
-			free := make([][]arena.Addr, 8)
-			// k outer, cpu inner: each freer's list interleaves blocks
-			// from many producers, so consecutive frees carry different
-			// home nodes (grouping by producer would let per-spill routing
-			// see nearly single-home spills and dodge the fragmentation).
-			for k := 0; k < 40; k++ {
-				for cpu := 0; cpu < 8; cpu++ {
-					b, err := a.AllocCookie(m.CPU(cpu), ck)
-					if err != nil {
-						t.Fatal(err)
-					}
-					freer := cpu ^ 1 // same-node partner
-					if k%4 == 3 {
-						freer = (cpu + k) % 8 // all-to-all
-					}
-					free[freer] = append(free[freer], b)
-				}
-			}
+	a, m := numaAllocator(t, 8, 4, 2048, Params{})
+	ck, err := a.GetCookie(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each CPU allocates a burst well past its cache capacity; three
+	// quarters of each burst is freed by the allocator's same-node
+	// partner (local frees) and a quarter round-robin across all 8
+	// CPUs. Every freeing CPU therefore sees a stream of blocks with
+	// occasional remote homes scattered across all four nodes, which the
+	// shards coalesce into whole per-node batches.
+	for r := 0; r < 40; r++ {
+		free := make([][]arena.Addr, 8)
+		// k outer, cpu inner: each freer's list interleaves blocks from
+		// many producers, so consecutive frees carry different home nodes.
+		for k := 0; k < 40; k++ {
 			for cpu := 0; cpu < 8; cpu++ {
-				c := m.CPU(cpu)
-				for _, b := range free[cpu] {
-					a.FreeCookie(c, b, ck)
+				b, err := a.AllocCookie(m.CPU(cpu), ck)
+				if err != nil {
+					t.Fatal(err)
 				}
+				freer := cpu ^ 1 // same-node partner
+				if k%4 == 3 {
+					freer = (cpu + k) % 8 // all-to-all
+				}
+				free[freer] = append(free[freer], b)
 			}
 		}
-		st := a.Stats(m.CPU(0)).Classes[a.classFor(128)]
-		a.DrainAll(m.CPU(0))
-		checkOK(t, a)
-		return st.RemotePuts
+		for cpu := 0; cpu < 8; cpu++ {
+			c := m.CPU(cpu)
+			for _, b := range free[cpu] {
+				a.FreeCookie(c, b, ck)
+			}
+		}
 	}
-
-	routed := run(Params{DisableRemoteShards: true})
-	sharded := run(Params{})
-	if routed == 0 || sharded == 0 {
-		t.Fatalf("degenerate run: routed=%d sharded=%d remote puts", routed, sharded)
+	cls := a.classFor(128)
+	st := a.Stats(m.CPU(0)).Classes[cls]
+	target := uint64(a.Target(cls))
+	t.Logf("%d shard flushes, %d remote putList trips, %d remote frees at target %d",
+		st.ShardFlushes, st.RemotePuts, st.RemoteFrees, target)
+	if st.ShardFlushes == 0 {
+		t.Fatal("degenerate run: no shard flushed")
 	}
-	t.Logf("remote putList trips: per-spill routing=%d sharded=%d (%.1fx reduction)",
-		routed, sharded, float64(routed)/float64(sharded))
-	if sharded*4 > routed {
-		t.Errorf("remote putList trips: sharded=%d routed=%d — want at least 4x reduction (got %.1fx)",
-			sharded, routed, float64(routed)/float64(sharded))
+	if st.RemotePuts != st.ShardFlushes {
+		t.Errorf("RemotePuts = %d, want one per shard flush (%d)", st.RemotePuts, st.ShardFlushes)
 	}
+	if st.RemoteFrees != target*st.ShardFlushes {
+		t.Errorf("RemoteFrees = %d, want target %d x %d flushes", st.RemoteFrees, target, st.ShardFlushes)
+	}
+	if st.NodeSteals != 0 || st.SpillRouted != 0 {
+		t.Errorf("NodeSteals = %d, SpillRouted = %d: a node-pure run must neither steal nor route", st.NodeSteals, st.SpillRouted)
+	}
+	a.DrainAll(m.CPU(0))
+	checkOK(t, a)
 }
 
 // TestShardPressureClampsFlushThreshold: under PressureLow the shard

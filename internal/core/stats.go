@@ -37,7 +37,7 @@ type ClassStats struct {
 	Interconnect uint64 // slow-path pool operations that crossed the interconnect
 	SpillRouted  uint64 // blocks of main/aux spills routed home one lookup at a time
 
-	// Remote-free shard activity (zero with shards off).
+	// Remote-free shard activity (zero on single-node machines).
 	ShardFlushes uint64 // remote shards flushed home in one batched putList
 	HomeMemoHits uint64 // sharded frees answered by the per-CPU home memo
 

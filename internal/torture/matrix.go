@@ -1,12 +1,12 @@
 package torture
 
 // The config matrix: topology (CPUs × nodes) × pressure × faultpoints ×
-// shards × adaptive × lazy spans × object caches × hardening × optimistic
+// adaptive × lazy spans × object caches × hardening × optimistic
 // fast paths (rseq + lock-free global layer) × serving traces. The small
 // matrix is the PR-smoke set — every dimension exercised at least once
 // on a multi-node topology, plus one planted corruption per kind, cheap
 // enough for every push. The full matrix is the nightly set: a pairwise
-// covering array over the same ten factors plus the small matrix's
+// covering array over the same nine factors plus the small matrix's
 // directed stacks, small enough that the nightly budget goes to jitter
 // seeds rather than to configs.
 
@@ -20,7 +20,6 @@ func MatrixSmall() []Config {
 		{CPUs: 8, Nodes: 4},
 		{CPUs: 4, Nodes: 2, Pressure: true},
 		{CPUs: 4, Nodes: 2, Faults: true},
-		{CPUs: 4, Nodes: 2, DisableShards: true},
 		{CPUs: 4, Nodes: 2, Adaptive: true},
 		{CPUs: 4, Nodes: 2, Lazy: true},
 		{CPUs: 4, Nodes: 2, Lazy: true, Pressure: true, Faults: true},
@@ -58,29 +57,22 @@ func MatrixSmall() []Config {
 // matrixTopos is the topology factor's levels.
 var matrixTopos = [...]struct{ cpus, nodes int }{{1, 1}, {2, 1}, {4, 2}, {8, 4}}
 
-// matrixRow is one point of the ten-factor space, a level per factor:
-// [0] indexes matrixTopos, [1..9] are the on/off factors (0 or 1) in the
+// matrixRow is one point of the nine-factor space, a level per factor:
+// [0] indexes matrixTopos, [1..8] are the on/off factors (0 or 1) in the
 // order config reads them.
-type matrixRow [10]int
-
-const matrixNoShards = 3 // the factor the space's one constraint is about
-
-// feasible: shard disabling only exists on multi-node machines.
-func (r matrixRow) feasible() bool {
-	return r[matrixNoShards] == 0 || matrixTopos[r[0]].nodes > 1
-}
+type matrixRow [9]int
 
 func (r matrixRow) config() Config {
 	tp := matrixTopos[r[0]]
 	on := func(f int) bool { return r[f] == 1 }
 	return Config{
 		CPUs: tp.cpus, Nodes: tp.nodes,
-		Pressure: on(1), Faults: on(2), DisableShards: on(matrixNoShards), Adaptive: on(4),
-		Lazy: on(5), ObjCache: on(6), Harden: on(7),
+		Pressure: on(1), Faults: on(2), Adaptive: on(3),
+		Lazy: on(4), ObjCache: on(5), Harden: on(6),
 		// The optimistic factor flips both fast paths together; each
 		// alone, and the restart storm, are directed configs.
-		Rseq: on(8), LockFree: on(8),
-		Serve: on(9),
+		Rseq: on(7), LockFree: on(7),
+		Serve: on(8),
 	}
 }
 
@@ -96,21 +88,19 @@ func (r matrixRow) pairs(visit func(matrixPair)) {
 }
 
 // coveringRows builds a strength-2 covering array greedily: from the
-// feasible cross product in enumeration order, repeatedly take the row
-// covering the most still-uncovered pairs (first wins ties) until every
-// pair some feasible row contains is covered. Deterministic, so config
-// k of the nightly matrix is the same config every night.
+// cross product in enumeration order, repeatedly take the row covering
+// the most still-uncovered pairs (first wins ties) until every pair is
+// covered. Deterministic, so config k of the nightly matrix is the same
+// config every night.
 func coveringRows() []matrixRow {
 	var all []matrixRow
 	for topo := range matrixTopos {
-		for bits := 0; bits < 1<<9; bits++ {
+		for bits := 0; bits < 1<<8; bits++ {
 			r := matrixRow{topo}
 			for f := 1; f < len(r); f++ {
 				r[f] = bits >> (f - 1) & 1
 			}
-			if r.feasible() {
-				all = append(all, r)
-			}
+			all = append(all, r)
 		}
 	}
 	uncovered := map[matrixPair]bool{}
@@ -138,9 +128,9 @@ func coveringRows() []matrixRow {
 }
 
 // MatrixFull returns the nightly configs: the pairwise covering array —
-// every feasible combination of two factor values runs together in some
-// config — followed by the small matrix's directed stacks, which pile up
-// more than two features on purpose (the restart storms, the planted
+// every combination of two factor values runs together in some config —
+// followed by the small matrix's directed stacks, which pile up more
+// than two features on purpose (the restart storms, the planted
 // corruptions, serving traces over caches under pressure).
 func MatrixFull() []Config {
 	var out []Config

@@ -49,8 +49,7 @@ type Config struct {
 	FaultSeed int64   `json:"fault_seed,omitempty"`
 	FaultProb float64 `json:"fault_prob,omitempty"`
 
-	DisableShards bool `json:"disable_shards,omitempty"`
-	Adaptive      bool `json:"adaptive,omitempty"`
+	Adaptive bool `json:"adaptive,omitempty"`
 	// Lazy selects the virtual-span backing model (core.Params.LazySpans):
 	// spans keep VA reserved with physical frames committed on demand. The
 	// oracle then also enforces the residency invariant chain
@@ -158,9 +157,6 @@ func (c Config) Name() string {
 	if c.Faults {
 		n += "-faults"
 	}
-	if c.DisableShards {
-		n += "-noshards"
-	}
 	if c.Adaptive {
 		n += "-adaptive"
 	}
@@ -267,12 +263,11 @@ func (r *Runner) Run() (Report, error) {
 	m.EnableSchedHash()
 
 	p := core.Params{
-		Poison:              true,
-		LazySpans:           cfg.Lazy,
-		DisableRemoteShards: cfg.DisableShards,
-		Adaptive:            cfg.Adaptive,
-		Rseq:                cfg.Rseq,
-		LockFree:            cfg.LockFree,
+		Poison:    true,
+		LazySpans: cfg.Lazy,
+		Adaptive:  cfg.Adaptive,
+		Rseq:      cfg.Rseq,
+		LockFree:  cfg.LockFree,
 		// Keep blocked allocations cheap in virtual time: a few short
 		// waits, then the typed error (a legal outcome for the oracle).
 		Wait: &core.WaitConfig{MaxWaits: 3, BaseBackoffCycles: 512, MaxBackoffCycles: 8192},

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"kmem/internal/workload"
@@ -170,13 +169,12 @@ func TestCorpusEncodings(t *testing.T) {
 // directed stacks.
 func TestMatrixShapes(t *testing.T) {
 	small := MatrixSmall()
-	var pressure, faults, noShards, adaptive, lazy, objCache, hardened, multiNode bool
+	var pressure, faults, adaptive, lazy, objCache, hardened, multiNode bool
 	var rseq, lockFree, storm, serve bool
 	plants := map[string]bool{}
 	for _, c := range small {
 		pressure = pressure || c.Pressure
 		faults = faults || c.Faults
-		noShards = noShards || c.DisableShards
 		adaptive = adaptive || c.Adaptive
 		lazy = lazy || c.Lazy
 		objCache = objCache || c.ObjCache
@@ -190,9 +188,9 @@ func TestMatrixShapes(t *testing.T) {
 			plants[c.Plant] = true
 		}
 	}
-	if !pressure || !faults || !noShards || !adaptive || !lazy || !objCache || !hardened || !multiNode {
-		t.Errorf("small matrix misses a dimension: pressure=%v faults=%v noShards=%v adaptive=%v lazy=%v objCache=%v harden=%v multiNode=%v",
-			pressure, faults, noShards, adaptive, lazy, objCache, hardened, multiNode)
+	if !pressure || !faults || !adaptive || !lazy || !objCache || !hardened || !multiNode {
+		t.Errorf("small matrix misses a dimension: pressure=%v faults=%v adaptive=%v lazy=%v objCache=%v harden=%v multiNode=%v",
+			pressure, faults, adaptive, lazy, objCache, hardened, multiNode)
 	}
 	if !rseq || !lockFree || !storm || !serve {
 		t.Errorf("small matrix misses an optimistic or serve dimension: rseq=%v lockFree=%v storm=%v serve=%v",
@@ -221,8 +219,8 @@ func TestMatrixShapes(t *testing.T) {
 	}
 }
 
-// TestMatrixFullCoversAllPairs: for every two of the ten factors and
-// every feasible combination of their values, some config of the full
+// TestMatrixFullCoversAllPairs: for every two of the nine factors and
+// every combination of their values, some config of the full
 // matrix runs that combination. Read off the Config fields, not the
 // generator's rows, so a generator bug cannot vouch for itself.
 func TestMatrixFullCoversAllPairs(t *testing.T) {
@@ -238,7 +236,6 @@ func TestMatrixFullCoversAllPairs(t *testing.T) {
 		{"topology", []string{"c1n1", "c2n1", "c4n2", "c8n4"}, func(c Config) string { return fmt.Sprintf("c%dn%d", c.CPUs, c.Nodes) }},
 		{"pressure", flag, onOff(func(c Config) bool { return c.Pressure })},
 		{"faults", flag, onOff(func(c Config) bool { return c.Faults })},
-		{"noshards", flag, onOff(func(c Config) bool { return c.DisableShards })},
 		{"adaptive", flag, onOff(func(c Config) bool { return c.Adaptive })},
 		{"lazy", flag, onOff(func(c Config) bool { return c.Lazy })},
 		{"objcache", flag, onOff(func(c Config) bool { return c.ObjCache })},
@@ -257,10 +254,6 @@ func TestMatrixFullCoversAllPairs(t *testing.T) {
 		for _, g := range factors[i+1:] {
 			for _, a := range f.levels {
 				for _, b := range g.levels {
-					// The one constraint: no shards to disable on one node.
-					if f.name == "topology" && g.name == "noshards" && b == "true" && strings.HasSuffix(a, "n1") {
-						continue
-					}
 					pairs++
 					found := false
 					for _, c := range full {
@@ -276,8 +269,8 @@ func TestMatrixFullCoversAllPairs(t *testing.T) {
 			}
 		}
 	}
-	if pairs != 214 {
-		t.Errorf("checked %d feasible pairs, the ten factors have 214", pairs)
+	if pairs != 176 {
+		t.Errorf("checked %d pairs, the nine factors have 176", pairs)
 	}
 }
 
