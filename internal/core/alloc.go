@@ -65,6 +65,13 @@ type Allocator struct {
 	// path free of per-call garbage.
 	released [][]int32
 
+	// resolved[cpu] is that CPU's reusable buffer of the blocks a
+	// putBlocks popped and resolved to their pages while the pool's lock
+	// was held by another CPU (pagePool.resolveBlocks). Like released it
+	// is per CPU, needs no lock, and keeps the contended spill free of
+	// per-call garbage.
+	resolved [][]resolvedBlock
+
 	reclaims atomic.Uint64
 
 	// Registered object-cache shed callbacks (cache.go). Nil until the
@@ -212,6 +219,7 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 		}
 	}
 	a.released = make([][]int32, n)
+	a.resolved = make([][]resolvedBlock, n)
 	a.crit = make([]machine.PerCPU, n)
 	for cpu := range a.crit {
 		a.crit[cpu] = machine.NewPerCPUOn(m, m.NodeOf(cpu), p.Rseq)

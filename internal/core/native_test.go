@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"kmem/internal/arena"
 	"kmem/internal/machine"
@@ -247,6 +248,61 @@ func TestNativePageReleaseRace(t *testing.T) {
 		pp := a.classes[cls].pages[0]
 		if carved, freed := pp.ev[EvPageCarve], pp.ev[EvPageFree]; carved == 0 || freed != carved {
 			t.Errorf("%d-byte pool carved %d pages and released %d, want every carved page back", pp.size, carved, freed)
+		}
+	}
+}
+
+// TestNativeContendedSpillRace: a spill whose TryLock fails pops and
+// resolves its blocks with no lock held, reading only what the blocks it
+// holds pin. Four goroutines draw 64-byte blocks from one pool, in lists
+// of 3/8 of a page so that neighbours' draws share pages, and spill them
+// back in halves. Their first spills start while a fifth CPU holds the
+// pool's lock, so each takes the contended path, and whichever gets the
+// lock first writes descriptors the others' pre-passes resolved. Under
+// -race this is the check that the pre-pass reads no descriptor field: a
+// read of pd.nFree there is reported.
+func TestNativeContendedSpillRace(t *testing.T) {
+	const workers = 4
+	a, m := nativeAllocator(t, workers+1, 4096)
+	cls, _ := a.classOf(64)
+	pp := a.classes[cls].pages[0]
+	var wg, drawn, spilling sync.WaitGroup
+	drawn.Add(workers)
+	spilling.Add(workers)
+	start := make(chan struct{})
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(c *machine.CPU) {
+			defer wg.Done()
+			lists, err := pp.getLists(c, 4, pp.blocksPerPage*3/8)
+			drawn.Done()
+			<-start
+			spilling.Done()
+			for op := 1; err == nil; op++ {
+				pp.putBlocks(c, lists[:2]...)
+				pp.putBlocks(c, lists[2:]...)
+				if op == scaledOps(1000) {
+					return
+				}
+				lists, err = pp.getLists(c, 4, pp.blocksPerPage*3/8)
+			}
+			t.Errorf("draw 64-byte blocks: %v", err)
+		}(m.CPU(i))
+	}
+	drawn.Wait()
+	holder := m.CPU(workers)
+	pp.lk.Acquire(holder)
+	close(start)
+	spilling.Wait()
+	time.Sleep(10 * time.Millisecond) // the first spills find the lock held
+	pp.lk.Release(holder)
+	wg.Wait()
+	if err := a.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	for cpu, res := range a.resolved[:workers] {
+		if cap(res) == 0 {
+			t.Errorf("CPU %d never resolved a spill before taking the lock", cpu)
 		}
 	}
 }

@@ -304,9 +304,11 @@ func (p *pagePool) getLists(c *machine.CPU, nLists, target int) ([]blocklist.Lis
 // descriptor is read and written (the cost the paper notes makes
 // worst-case frees of small blocks dearer than allocations), but the
 // dope vector is read only when a block lies in another vmblk than the
-// one before it. Pages whose free count reaches blocks-per-page are
-// released at once, and handed to the vmblk layer as soon as the lock is
-// dropped. Nothing to put is no trip.
+// one before it. A spill that finds the lock held spends the wait on
+// the part of that work no lock guards (resolveBlocks), then applies
+// the blocks newest first. Pages whose free count reaches blocks-per-page
+// are released at once, and handed to the vmblk layer as soon as the
+// lock is dropped. Nothing to put is no trip.
 func (p *pagePool) putBlocks(c *machine.CPU, lists ...blocklist.List) {
 	n := 0
 	for _, l := range lists {
@@ -316,15 +318,37 @@ func (p *pagePool) putBlocks(c *machine.CPU, lists ...blocklist.List) {
 		return
 	}
 	rel := p.al.released[c.ID()]
-	p.al.acquire(c, p.lk, &p.ev, p.cls)
-	c.Read(p.line)
-	var last *vmblk
-	for _, l := range lists {
-		for !l.Empty() {
-			if pg := p.putBlockLocked(c, l.Pop(c, p.al.mem), &last); pg != -1 {
+	if p.lk.TryAcquire(c) {
+		c.Read(p.line)
+		var last *vmblk
+		for _, l := range lists {
+			for !l.Empty() {
+				b := l.Pop(c, p.al.mem)
+				c.Work(insnPageOp)
+				pd, pg := p.al.vm.lookupFrom(c, b, &last)
+				if pg = p.putBlockLocked(c, b, pd, pg); pg != -1 {
+					rel = append(rel, pg)
+				}
+			}
+		}
+	} else {
+		res := p.resolveBlocks(c, lists)
+		p.al.acquire(c, p.lk, &p.ev, p.cls)
+		c.Read(p.line)
+		// Newest first: the descriptors touched last are the ones the
+		// cache still holds.
+		for i := len(res) - 1; i >= 0; i-- {
+			r := &res[i]
+			c.Work(insnPageOp)
+			c.Read(r.pd.line)
+			if tortureBug(TortureBugPrepassStaleHead) {
+				r.pd.freeHead = p.al.mem.Load64(r.b)
+			}
+			if pg := p.putBlockLocked(c, r.b, r.pd, r.pg); pg != -1 {
 				rel = append(rel, pg)
 			}
 		}
+		p.al.resolved[c.ID()] = res[:0]
 	}
 	c.Write(p.line)
 	p.al.emit(p.cls, EvBlockPut, n)
@@ -332,11 +356,39 @@ func (p *pagePool) putBlocks(c *machine.CPU, lists ...blocklist.List) {
 	p.freeReleased(c, rel)
 }
 
-// putBlockLocked returns block b to its page and returns the page when
+// resolvedBlock is one block of a contended spill, popped and mapped to
+// its page before the pool's lock is taken.
+type resolvedBlock struct {
+	b  arena.Addr
+	pd *pageDesc
+	pg int32
+}
+
+// resolveBlocks is the lock-free part of a spill, done while another CPU
+// holds p.lk: it pops every block and resolves its page, paying the dope
+// memo or dope read and a touch of the descriptor's line. It reads no
+// descriptor field but the immutable line — those belong to the lock —
+// and returns c's resolved scratch, filled in pop order.
+func (p *pagePool) resolveBlocks(c *machine.CPU, lists []blocklist.List) []resolvedBlock {
+	res := p.al.resolved[c.ID()]
+	var last *vmblk
+	for _, l := range lists {
+		for !l.Empty() {
+			b := l.Pop(c, p.al.mem)
+			pd, pg := p.al.vm.lookupFrom(c, b, &last)
+			if tortureBug(TortureBugPrepassStaleHead) {
+				p.al.mem.Store64(b, pd.freeHead)
+			}
+			res = append(res, resolvedBlock{b, pd, pg})
+		}
+	}
+	return res
+}
+
+// putBlockLocked returns block b to page pg, whose descriptor pd the
+// caller has resolved and read under p.lk, and returns the page when
 // that emptied and released it, -1 otherwise.
-func (p *pagePool) putBlockLocked(c *machine.CPU, b arena.Addr, last **vmblk) int32 {
-	c.Work(insnPageOp)
-	pd, pg := p.al.vm.lookupFrom(c, b, last)
+func (p *pagePool) putBlockLocked(c *machine.CPU, b arena.Addr, pd *pageDesc, pg int32) int32 {
 	if pd.state != pdSplit || int(pd.class) != p.cls {
 		panic(fmt.Sprintf("kmem: block %#x returned to class %d but page is %s/class %d",
 			b, p.cls, pdStateName(pd.state), pd.class))

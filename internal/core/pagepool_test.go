@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"slices"
@@ -61,9 +62,15 @@ func listOf(c *machine.CPU, a *Allocator, bs []arena.Addr) blocklist.List {
 // fresh16 is a fresh one-CPU machine, its allocator and the 16-byte
 // page pool: the setting of the page layer's cost pins and benchmarks.
 func fresh16(tb testing.TB, p Params) (*Allocator, *pagePool, *machine.CPU) {
+	return fresh16On(tb, 1, p)
+}
+
+// fresh16On is fresh16 on ncpu CPUs, returning CPU 0; the others exist
+// to hold the pool's lock against it (holdAcross).
+func fresh16On(tb testing.TB, ncpu int, p Params) (*Allocator, *pagePool, *machine.CPU) {
 	tb.Helper()
 	cfg := machine.DefaultConfig()
-	cfg.NumCPUs = 1
+	cfg.NumCPUs = ncpu
 	cfg.MemBytes = 16 << 20
 	cfg.PhysPages = 1024
 	m := machine.New(cfg)
@@ -194,41 +201,64 @@ func TestColdRefillCyclesPinned(t *testing.T) {
 	checkOK(t, a)
 }
 
+// holdAcross makes CPU 1 hold lk for span cycles from the clocks'
+// common present, so the next acquire of lk on any other CPU meets the
+// hold: the setting of the contended-spill tests.
+func holdAcross(m *machine.Machine, lk *machine.SpinLock, span int64) {
+	m.SyncClocks()
+	c := m.CPU(1)
+	lk.Acquire(c)
+	c.Idle(span)
+	lk.Release(c)
+}
+
 // TestSpillIsOneTrip: a spill is one trip through the page pool's lock,
-// and a spill whose blocks share a vmblk reads the dope vector once.
+// and a spill whose blocks share a vmblk reads the dope vector once —
+// also when the spill finds the lock held and resolves its blocks
+// before taking it.
 func TestSpillIsOneTrip(t *testing.T) {
 	for _, p := range []Params{{}, {LockFree: true}} {
-		a, m := testAllocator(t, 1, 1024, p)
-		c := m.CPU(0)
-		cls, _ := a.classOf(16)
-		g, pp := a.classes[cls].globals[0], a.classes[cls].pages[0]
-		target, gbltarget := g.ctl.curTarget(), g.ctl.curGblTarget()
-		lists, err := pp.getLists(c, 2*gbltarget+1, target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, l := range lists[:2*gbltarget] {
-			g.putList(c, l)
-		}
-		acq, put := pp.lk.Stats().Acquisitions, pp.ev[EvBlockPut]
-		c.StartTrace()
-		g.putList(c, lists[2*gbltarget]) // crosses 2*gbltarget: spills gbltarget lists
-		dope := 0
-		for _, e := range c.StopTrace() {
-			if e.Line == a.vm.dopeLine {
-				dope++
+		for _, contended := range []bool{false, true} {
+			a, m := testAllocator(t, 2, 1024, p)
+			c := m.CPU(0)
+			cls, _ := a.classOf(16)
+			g, pp := a.classes[cls].globals[0], a.classes[cls].pages[0]
+			target, gbltarget := g.ctl.curTarget(), g.ctl.curGblTarget()
+			lists, err := pp.getLists(c, 2*gbltarget+1, target)
+			if err != nil {
+				t.Fatal(err)
 			}
+			for _, l := range lists[:2*gbltarget] {
+				g.putList(c, l)
+			}
+			if contended {
+				holdAcross(m, pp.lk, 100000)
+			}
+			st, put := pp.lk.Stats(), pp.ev[EvBlockPut]
+			c.StartTrace()
+			g.putList(c, lists[2*gbltarget]) // crosses 2*gbltarget: spills gbltarget lists
+			dope := 0
+			for _, e := range c.StopTrace() {
+				if e.Line == a.vm.dopeLine {
+					dope++
+				}
+			}
+			name := fmt.Sprintf("LockFree=%v contended=%v", p.LockFree, contended)
+			met := pp.lk.Stats().Contended - st.Contended
+			if contended != (met == 1) || met > 1 {
+				t.Errorf("%s: spill met a held lock %d times", name, met)
+			}
+			if d := pp.lk.Stats().Acquisitions - st.Acquisitions; d != 1 {
+				t.Errorf("%s: spill took the page pool's lock %d times, want 1", name, d)
+			}
+			if d := pp.ev[EvBlockPut] - put; d != uint64(gbltarget*target) {
+				t.Errorf("%s: spill put %d blocks, want %d", name, d, gbltarget*target)
+			}
+			if dope != 1 {
+				t.Errorf("%s: spill within one vmblk read the dope line %d times, want 1", name, dope)
+			}
+			checkOK(t, a)
 		}
-		if d := pp.lk.Stats().Acquisitions - acq; d != 1 {
-			t.Errorf("LockFree=%v: spill took the page pool's lock %d times, want 1", p.LockFree, d)
-		}
-		if d := pp.ev[EvBlockPut] - put; d != uint64(gbltarget*target) {
-			t.Errorf("LockFree=%v: spill put %d blocks, want %d", p.LockFree, d, gbltarget*target)
-		}
-		if dope != 1 {
-			t.Errorf("LockFree=%v: spill within one vmblk read the dope line %d times, want 1", p.LockFree, dope)
-		}
-		checkOK(t, a)
 	}
 
 	// DrainAll: the global pool's lists and its bucket go down together.
@@ -403,30 +433,240 @@ func TestPageReleaseOutsideLocks(t *testing.T) {
 }
 
 // TestSpillReleasingPagesAllocatesNothing: the pages a spill releases
-// are listed in the CPU's reusable scratch, so once warm a putBlocks
-// that empties pages allocates nothing on the host.
+// are listed in the CPU's reusable scratch, and so are the blocks a
+// spill that meets a held lock resolves before taking it, so once warm a
+// putBlocks that empties pages allocates nothing on the host, contended
+// or not.
 func TestSpillReleasingPagesAllocatesNothing(t *testing.T) {
 	const k, runs = 4, 20
-	a, pp, c := fresh16(t, Params{})
-	lists := make([]blocklist.List, 0, k)
-	allocs := testing.AllocsPerRun(runs, func() {
-		lists = lists[:0]
-		var cur blocklist.List
-		pp.lk.Acquire(c)
-		for i := 0; i < k; i++ {
-			if _, err := pp.carveInto(c, &cur, &lists, pp.blocksPerPage, pp.blocksPerPage); err != nil {
-				t.Fatal(err)
+	for _, contended := range []bool{false, true} {
+		a, pp, c := fresh16On(t, 2, Params{})
+		lists := make([]blocklist.List, 0, k)
+		met := pp.lk.Stats().Contended
+		allocs := testing.AllocsPerRun(runs, func() {
+			lists = lists[:0]
+			var cur blocklist.List
+			pp.lk.Acquire(c)
+			for i := 0; i < k; i++ {
+				if _, err := pp.carveInto(c, &cur, &lists, pp.blocksPerPage, pp.blocksPerPage); err != nil {
+					t.Fatal(err)
+				}
 			}
+			pp.lk.Release(c)
+			if contended {
+				holdAcross(a.m, pp.lk, 100000)
+			}
+			pp.putBlocks(c, lists...)
+		})
+		if allocs != 0 {
+			t.Errorf("contended=%v: a spill releasing %d pages made %.1f host allocations, want 0", contended, k, allocs)
 		}
-		pp.lk.Release(c)
-		pp.putBlocks(c, lists...)
+		if got := pp.ev[EvPageFree]; got != (runs+1)*k {
+			t.Errorf("contended=%v: %d pages released, want %d", contended, got, (runs+1)*k)
+		}
+		if contended && pp.lk.Stats().Contended-met != runs+1 {
+			t.Errorf("%d of %d spills met the held lock", pp.lk.Stats().Contended-met, runs+1)
+		}
+		checkOK(t, a)
+	}
+}
+
+// twoSpills is the setting of TestContendedSpillResolvesBeforeLock: 16
+// pages of 64-byte blocks in scattered order, 600 of them spilled by CPU
+// 0 and then 300 by CPU 1 — from the same clock when contended, so CPU
+// 1's spill meets CPU 0's hold, or from well after it when not.
+type twoSpills struct {
+	a      *Allocator
+	pp     *pagePool
+	blocks [2][]arena.Addr
+	stats  [3]machine.LockStats // pool lock before, between and after the spills
+	held   []int64              // each spill's HeldSince
+	start  int64                // CPU 1's clock as its spill began
+	trace  []machine.TraceEvent // CPU 1's spill
+}
+
+func runTwoSpills(t *testing.T, contended bool) *twoSpills {
+	t.Helper()
+	r := &twoSpills{}
+	hook := func(cls int, ev LayerEvent, n int) {
+		if ev == EvBlockPut && r.pp != nil && cls == r.pp.cls {
+			r.held = append(r.held, r.pp.lk.HeldSince())
+		}
+	}
+	a, m := testAllocator(t, 2, 1024, Params{Hook: hook})
+	c0, c1 := m.CPU(0), m.CPU(1)
+	pp, bs := drawPages(t, a, c0, 64, 16)
+	r.a, r.pp = a, pp
+	bs = scattered(bs)
+	r.blocks = [2][]arena.Addr{bs[:600], bs[600:900]}
+	l0, l1 := listOf(c0, a, r.blocks[0]), listOf(c1, a, r.blocks[1])
+	m.SyncClocks()
+	if !contended {
+		c1.Idle(1 << 24)
+	}
+	r.stats[0] = pp.lk.Stats()
+	pp.putBlocks(c0, l0)
+	r.stats[1] = pp.lk.Stats()
+	r.start = c1.Now()
+	c1.StartTrace()
+	pp.putBlocks(c1, l1)
+	r.trace = c1.StopTrace()
+	r.stats[2] = pp.lk.Stats()
+	checkOK(t, a)
+	return r
+}
+
+// TestContendedSpillResolvesBeforeLock: a spill that meets another CPU's
+// hold on the pool's lock pops its blocks and touches their descriptors
+// before its own hold begins, and nothing of that under the lock; so it
+// holds the lock for less per block than the spill it waited on. Applied
+// newest first, its blocks leave every page with the free count and the
+// free blocks the uncontended spill leaves.
+func TestContendedSpillResolvesBeforeLock(t *testing.T) {
+	r := runTwoSpills(t, true)
+	a, pp := r.a, r.pp
+	s := r.stats
+	if d := s[2].Contended - s[1].Contended; d != 1 || s[1].Contended != s[0].Contended {
+		t.Fatalf("CPU 1's spill met a held lock %d times, CPU 0's %d; want 1, 0", d, s[1].Contended-s[0].Contended)
+	}
+	if s[2].Acquisitions-s[1].Acquisitions != 1 || len(r.held) != 2 {
+		t.Fatalf("CPU 1's spill took the lock %d times, %d holds recorded; want 1, 2", s[2].Acquisitions-s[1].Acquisitions, len(r.held))
+	}
+
+	// The lock-line events split CPU 1's trace: the failed test-and-set,
+	// the pre-pass, then the acquire (its test-and-sets and spin), the
+	// hold, and the releasing store.
+	var locks []int
+	for i, e := range r.trace {
+		if e.Line == pp.lk.Line() {
+			locks = append(locks, i)
+		}
+	}
+	if len(locks) < 3 || locks[0] != 0 || r.trace[locks[len(locks)-1]].Kind != machine.WriteAccess {
+		t.Fatalf("CPU 1's trace: lock events at %v, want the failed try first and the release last", locks)
+	}
+	first, win, rel := locks[0], locks[1], locks[len(locks)-1]
+	blockLines := map[machine.Line]bool{}
+	for _, b := range r.blocks[1] {
+		blockLines[a.m.LineOf(b)] = true
+	}
+	pdLines := map[machine.Line]bool{}
+	for _, b := range r.blocks[1] {
+		pdLines[a.vm.pdOf(int32(b>>a.pageShift)).line] = true
+	}
+	popped, touched := 0, map[machine.Line]bool{}
+	var prepass int64
+	for _, e := range r.trace[first+1 : win] {
+		prepass += e.Cycles
+		switch {
+		case e.Kind == machine.ReadAccess && blockLines[e.Line]:
+			popped++
+		case e.Kind == machine.ReadAccess && pdLines[e.Line]:
+			touched[e.Line] = true
+		case e.Line == a.vm.dopeLine:
+		default:
+			t.Fatalf("pre-pass accessed line %#x (%v), neither a block, a descriptor nor the dope vector", e.Line, e.Kind)
+		}
+	}
+	if popped != len(r.blocks[1]) || len(touched) != len(pdLines) {
+		t.Errorf("pre-pass popped %d of %d blocks and touched %d of %d descriptor lines",
+			popped, len(r.blocks[1]), len(touched), len(pdLines))
+	}
+	if r.held[1]-r.start < prepass {
+		t.Errorf("CPU 1's hold began %d cycles into its spill, before its %d-cycle pre-pass ended", r.held[1]-r.start, prepass)
+	}
+	for _, e := range r.trace[win:rel] {
+		if e.Kind == machine.ReadAccess && blockLines[e.Line] {
+			t.Fatalf("CPU 1 read block line %#x under the lock", e.Line)
+		}
+	}
+	per0 := float64(s[1].HoldCycles-s[0].HoldCycles) / float64(len(r.blocks[0]))
+	per1 := float64(s[2].HoldCycles-s[1].HoldCycles) / float64(len(r.blocks[1]))
+	if per1 >= per0 {
+		t.Errorf("contended spill held the lock %.1f cycles a block, the spill it waited on %.1f", per1, per0)
+	}
+
+	u := runTwoSpills(t, false)
+	if d := u.stats[2].Contended - u.stats[0].Contended; d != 0 {
+		t.Fatalf("uncontended run met a held lock %d times", d)
+	}
+	cls := pp.cls
+	got, want := pageChains(a, cls, 0), pageChains(u.a, cls, 0)
+	if len(got) != len(want) {
+		t.Fatalf("%d split pages after the contended spill, %d after the uncontended one", len(got), len(want))
+	}
+	for pg, ch := range want {
+		g := slices.Clone(got[pg])
+		slices.Sort(g)
+		w := slices.Clone(ch)
+		slices.Sort(w)
+		if !slices.Equal(g, w) || a.vm.pdOf(pg).nFree != u.a.vm.pdOf(pg).nFree {
+			t.Errorf("page %d: %d free %x contended, %d free %x uncontended",
+				pg, a.vm.pdOf(pg).nFree, g, u.a.vm.pdOf(pg).nFree, w)
+		}
+	}
+}
+
+// TestEagerMapOutsideVmblkLock: with eager backing a fresh span is
+// mapped and zero-filled by the allocating CPU after it drops the vmblk
+// lock. An 8 KB Alloc and a split-page carve (in a vmblk that already
+// exists) each hold the lock for less than one page's map and pay the
+// map and zero-fill after the release, and the frames are claimed — and
+// EvPagesMap counted — exactly as before.
+func TestEagerMapOutsideVmblkLock(t *testing.T) {
+	var heldSince, heldBefore int64
+	var a *Allocator
+	hook := func(cls int, ev LayerEvent, n int) {
+		if ev == EvPagesMap && a != nil {
+			heldSince, heldBefore = a.vm.lk.HeldSince(), a.vm.lk.Stats().HoldCycles
+		}
+	}
+	a, _, c := fresh16(t, Params{Hook: hook})
+	if _, err := a.Alloc(c, 16); err != nil { // creates the vmblk
+		t.Fatal(err)
+	}
+	cfg := a.m.Config()
+	perPage := cfg.PageMapCycles + cfg.PageZeroCycles
+	check := func(what string, pages int64, op func()) {
+		t.Helper()
+		heldSince = -1
+		maps, mapped := a.vm.ev[EvPagesMap], a.m.Phys().Mapped()
+		op()
+		end := c.Now()
+		if heldSince == -1 {
+			t.Fatalf("%s mapped no page", what)
+		}
+		hold := a.vm.lk.Stats().HoldCycles - heldBefore
+		if hold >= cfg.PageMapCycles {
+			t.Errorf("%s held the vmblk lock %d cycles, want < %d (one map)", what, hold, cfg.PageMapCycles)
+		}
+		if after := end - (heldSince + hold); after < pages*perPage {
+			t.Errorf("%s ran %d cycles after the vmblk lock, want >= %d (the map and zero-fill)", what, after, pages*perPage)
+		}
+		if d := a.vm.ev[EvPagesMap] - maps; d != uint64(pages) {
+			t.Errorf("%s: EvPagesMap +%d, want %d", what, d, pages)
+		}
+		if d := a.m.Phys().Mapped() - mapped; d != pages {
+			t.Errorf("%s: resident frames +%d, want %d", what, d, pages)
+		}
+	}
+	check("8 KB Alloc", 2, func() {
+		if _, err := a.Alloc(c, 2*cfg.PageBytes); err != nil {
+			t.Fatal(err)
+		}
 	})
-	if allocs != 0 {
-		t.Errorf("a spill releasing %d pages made %.1f host allocations, want 0", k, allocs)
+	cls, _ := a.classOf(128)
+	pg := int32(-1)
+	check("split-page carve", 1, func() {
+		var err error
+		if pg, err = a.vm.allocSplitPage(c, cls, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if d := c.Now() - (heldSince + a.vm.lk.Stats().HoldCycles - heldBefore); d != perPage {
+		t.Errorf("allocSplitPage ran %d cycles after its hold, want exactly the map and zero-fill, %d", d, perPage)
 	}
-	if got := pp.ev[EvPageFree]; got != (runs+1)*k {
-		t.Errorf("%d pages released, want %d", got, (runs+1)*k)
-	}
+	a.vm.freePages(c, pg, 1) // never carved: straight back
 	checkOK(t, a)
 }
 
@@ -436,13 +676,15 @@ func TestSpillReleasingPagesAllocatesNothing(t *testing.T) {
 // {1087046, 854131, 846551, 833957} and {1865379, 985176, 960995,
 // 996308}, and PR 25's one-move refills and one-trip spills moved them
 // by what they moved the radix goldens, give or take the refiles FIFO
-// never did. Paying a freed page's unmap outside both locks moved them by
-// exactly what it moved the radix goldens.
+// never did. Paying a freed page's unmap outside both locks, and then a
+// fresh span's map outside the vmblk lock and a contended spill's lookups
+// before the pool's, moved them by exactly what they moved the radix
+// goldens.
 func TestFIFOCyclesPinned(t *testing.T) {
 	assertGolden(t, "nodes=1 fifo", shardGoldenCycles(t, 1, Params{DisableRadixSort: true}),
-		[]int64{971019, 720899, 731938, 742937})
+		[]int64{921581, 697471, 698213, 698716})
 	assertGolden(t, "nodes=4 fifo", shardGoldenCycles(t, 4, Params{DisableRadixSort: true}),
-		[]int64{1697044, 912013, 899617, 923772})
+		[]int64{1419141, 641849, 636949, 643298})
 }
 
 // TestPageDescSize: filed lives in padding the descriptor already had.

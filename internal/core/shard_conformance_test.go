@@ -108,12 +108,18 @@ func shardGoldenCycles(t *testing.T, nodes int, p Params) []int64 {
 // freed page's unmap outside the page pool's and the vmblk layer's locks
 // moved every CPU again: the workload's frees release whole pages, and
 // the CPUs no longer queue on a lock held through PageMapCycles
-// (1,079,548 -> 971,055 on CPU 0). goldenCyclesNodes4 is the same
-// workload on four nodes, where every cross-node free goes through the
-// remote-free shards.
+// (1,079,548 -> 971,055 on CPU 0). Mapping a fresh eager span after the
+// vmblk lock is dropped moved every CPU once more, for the same reason on
+// the allocating side (971,055 -> 922,995 on CPU 0, 23,638-48,060 cycles
+// a CPU single-node, 262,668-280,474 on four nodes, where the CPUs' first
+// refills all queue on the one vmblk lock); a spill that meets a held
+// pool lock and resolves its blocks first took a further 1,378 cycles
+// off every single-node CPU. goldenCyclesNodes4 is the same workload on
+// four nodes, where every cross-node free goes through the remote-free
+// shards.
 var (
-	goldenCyclesNodes1 = []int64{971055, 720899, 731938, 742937}
-	goldenCyclesNodes4 = []int64{1697212, 912013, 899617, 923772}
+	goldenCyclesNodes1 = []int64{921617, 697471, 698213, 698716}
+	goldenCyclesNodes4 = []int64{1419309, 641849, 636949, 643298}
 )
 
 func assertGolden(t *testing.T, name string, got, want []int64) {

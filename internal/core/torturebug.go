@@ -28,6 +28,13 @@ const (
 	// hand the stolen blocks to its own node's pool. The consistency
 	// audit rejects the unmarked cache.
 	TortureBugStaleNodePure
+	// TortureBugPrepassStaleHead makes a contended spill's pre-pass link
+	// each block to the pd.freeHead it read before the pool's lock, and
+	// the apply step publish it without re-reading the head: when two
+	// blocks of one page share a spill, the first one applied is lost. The
+	// page's free count then exceeds its freelist, which the consistency
+	// audit rejects.
+	TortureBugPrepassStaleHead
 
 	numTortureBugs
 )

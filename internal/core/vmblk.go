@@ -448,21 +448,28 @@ func (v *vmblkLayer) newVmblk(c *machine.CPU, node int) error {
 	return nil
 }
 
-// commitPhys claims n physical frames within the layer's reservation and
-// charges the VM-system cost of committing and zeroing them. ev selects
-// the spine event: EvPagesMap on the eager-backing paths, EvPagesCommit
-// for lazy on-demand backing.
-func (v *vmblkLayer) commitPhys(c *machine.CPU, n int64, ev LayerEvent) error {
+// claimPhys claims n physical frames within the layer's reservation and
+// returns the VM-system cost of mapping and zeroing them, for the caller
+// to pay. ev selects the spine event: EvPagesMap on the eager-backing
+// paths, EvPagesCommit for lazy on-demand backing. Caller holds lk.
+func (v *vmblkLayer) claimPhys(n int64, ev LayerEvent) (int64, error) {
 	if err := v.al.m.Phys().Commit(n); err != nil {
 		v.ev[EvMapFail]++
 		v.al.emit(-1, EvMapFail, 1)
-		return err
+		return 0, err
 	}
 	v.ev[ev] += uint64(n)
 	v.al.emit(-1, ev, int(n))
 	cfg := v.al.m.Config()
-	c.Idle(n * (cfg.PageMapCycles + cfg.PageZeroCycles))
-	return nil
+	return n * (cfg.PageMapCycles + cfg.PageZeroCycles), nil
+}
+
+// commitPhys is claimPhys with the map and zero-fill paid at once, under
+// lk: a vmblk's header pages and the lazy first-carve commit.
+func (v *vmblkLayer) commitPhys(c *machine.CPU, n int64, ev LayerEvent) error {
+	cost, err := v.claimPhys(n, ev)
+	c.Idle(cost)
+	return err
 }
 
 // unmap charges the VM system's time to take n pages' frames away. The
@@ -600,31 +607,39 @@ func (v *vmblkLayer) decommitFree(c *machine.CPU, want int64) int64 {
 // freshly mapped physical memory, and hands it to the coalesce-to-page
 // layer as a split page of class cls. The descriptor changes hands under
 // lk: a concurrent free of a neighbouring span reads this page's state
-// (boundary tags) under the same lock.
+// (boundary tags) under the same lock. An eager page's map and zero-fill
+// are paid once lk is dropped.
 func (v *vmblkLayer) allocSplitPage(c *machine.CPU, cls, node int) (int32, error) {
 	v.al.acquire(c, v.lk, &v.ev, -1)
-	defer v.lk.Release(c)
-	pg, err := v.allocPagesLocked(c, 1, node)
-	if err != nil {
-		return -1, err
+	pg, owed, err := v.allocPagesLocked(c, 1, node)
+	if err == nil {
+		pd := v.pdOf(pg)
+		pd.state = pdSplit
+		pd.class = int8(cls)
 	}
-	pd := v.pdOf(pg)
-	pd.state = pdSplit
-	pd.class = int8(cls)
-	return pg, nil
+	v.lk.Release(c)
+	c.Idle(owed)
+	return pg, err
 }
 
-func (v *vmblkLayer) allocPagesLocked(c *machine.CPU, n int32, node int) (int32, error) {
+// allocPagesLocked takes a span of n pages homed on node off the span
+// freelists and backs it. With lazy spans the commit and zero-fill are
+// paid here, under lk. With eager backing the frames are claimed here
+// but the map and zero-fill are returned as owed cycles, for the caller
+// to pay once it drops lk: until then the span sits in no span list and
+// no pool, owned by the caller, and nothing touches it before its map
+// completes — the mirror of the eager unmap paid before lk (freePages).
+func (v *vmblkLayer) allocPagesLocked(c *machine.CPU, n int32, node int) (pg int32, owed int64, err error) {
 	c.Work(insnSpanOp)
 	pg, length := v.findSpan(c, n, node)
 	if pg == -1 {
 		if err := v.newVmblk(c, node); err != nil {
-			return -1, err
+			return -1, 0, err
 		}
 		pg, length = v.findSpan(c, n, node)
 		if pg == -1 {
 			// A fresh vmblk's data span is smaller than n.
-			return -1, ErrNoVA
+			return -1, 0, ErrNoVA
 		}
 	}
 	var resident int32 // backed pages of the chosen span, then of its remainder
@@ -637,15 +652,12 @@ func (v *vmblkLayer) allocPagesLocked(c *machine.CPU, n int32, node int) (int32,
 		had, err := v.commitSpan(c, pg, n)
 		if err != nil {
 			v.insertSpan(c, pg, length, resident)
-			return -1, err
+			return -1, 0, err
 		}
 		resident -= had
 	} else {
-		// Eager backing keeps the original charge order (findSpan →
-		// map → span surgery), pinning LazySpans=false cycle-identical
-		// to the pre-virtual-span allocator.
-		if err := v.commitPhys(c, int64(n), EvPagesMap); err != nil {
-			return -1, err
+		if owed, err = v.claimPhys(int64(n), EvPagesMap); err != nil {
+			return -1, 0, err
 		}
 		v.removeSpan(c, pg, length)
 	}
@@ -668,7 +680,7 @@ func (v *vmblkLayer) allocPagesLocked(c *machine.CPU, n int32, node int) (int32,
 	}
 	v.ev[EvSpanAlloc]++
 	v.al.emit(-1, EvSpanAlloc, int(n))
-	return pg, nil
+	return pg, owed, nil
 }
 
 // freePages returns the span [pg, pg+n) to the layer and coalesces it
@@ -748,19 +760,22 @@ func (v *vmblkLayer) pagesFor(size uint64) int32 {
 
 // allocLarge serves a request bigger than one page. Per the paper, such
 // requests "bypass layers 1 through 3 and are handled directly by the
-// coalesce-to-vmblk layer".
+// coalesce-to-vmblk layer". An eager span's map and zero-fill are paid
+// once lk is dropped.
 func (v *vmblkLayer) allocLarge(c *machine.CPU, size uint64) (arena.Addr, error) {
 	c.Work(insnLargeOp)
 	n := v.pagesFor(size)
 	v.al.acquire(c, v.lk, &v.ev, -1)
-	defer v.lk.Release(c)
-	pg, err := v.allocPagesLocked(c, n, c.Node())
+	pg, owed, err := v.allocPagesLocked(c, n, c.Node())
 	if err != nil {
+		v.lk.Release(c)
 		return arena.NilAddr, err
 	}
 	v.largeLivePages += int64(n)
 	v.ev[EvLargeAlloc]++
 	v.al.emit(-1, EvLargeAlloc, int(n))
+	v.lk.Release(c)
+	c.Idle(owed)
 	return v.pageAddr(pg), nil
 }
 

@@ -78,6 +78,104 @@ func TestSpinLockStatsNativeZeroWait(t *testing.T) {
 	}
 }
 
+// TestTryAcquireFreeIsAcquire: on a free lock TryAcquire takes it and
+// charges exactly what an uncontended Acquire charges — clock,
+// instructions, bus transactions — and the hold it starts is recorded
+// the same.
+func TestTryAcquireFreeIsAcquire(t *testing.T) {
+	run := func(try bool) (Stats, uint64, LockStats) {
+		m := simMachine(1)
+		c := m.CPU(0)
+		lk := NewSpinLock(m)
+		c.Work(50)
+		if try {
+			if !lk.TryAcquire(c) {
+				t.Fatal("TryAcquire failed on a free lock")
+			}
+		} else {
+			lk.Acquire(c)
+		}
+		c.Work(100)
+		lk.Release(c)
+		return c.Stats(), m.BusTransactions(), lk.Stats()
+	}
+	st, bus, ls := run(false)
+	tst, tbus, tls := run(true)
+	if tst != st || tbus != bus {
+		t.Errorf("TryAcquire: CPU %+v, %d bus txns; Acquire: %+v, %d", tst, tbus, st, bus)
+	}
+	if tls != ls || ls.Acquisitions != 1 || ls.Contended != 0 {
+		t.Errorf("TryAcquire recorded %+v, Acquire %+v", tls, ls)
+	}
+}
+
+// TestTryAcquireHeld: on a held lock TryAcquire pays one failed
+// test-and-set and nothing else, records no hold, and counts the
+// acquisition the caller then makes as contended — once: the Acquire
+// that follows adds the acquisition but not a second contention.
+func TestTryAcquireHeld(t *testing.T) {
+	m := simMachine(2)
+	c0, c1 := m.CPU(0), m.CPU(1)
+	lk := NewSpinLock(m)
+	lk.Acquire(c0)
+	c0.Work(1000)
+	lk.Release(c0)
+	before := lk.Stats()
+
+	st0, t0 := c1.Stats(), c1.Now()
+	if lk.TryAcquire(c1) {
+		t.Fatal("TryAcquire took a held lock")
+	}
+	st := c1.Stats()
+	if d := st.Atomics - st0.Atomics; d != 1 {
+		t.Errorf("failed TryAcquire issued %d atomics, want 1", d)
+	}
+	if d := st.Instructions - st0.Instructions; d != 1 {
+		t.Errorf("failed TryAcquire charged %d instructions, want 1", d)
+	}
+	if c1.Now() <= t0 || c1.Now() >= before.HoldCycles {
+		t.Errorf("failed TryAcquire moved the clock %d -> %d, want past the test-and-set only, inside the %d-cycle hold",
+			t0, c1.Now(), before.HoldCycles)
+	}
+	ls := lk.Stats()
+	if ls.Acquisitions != before.Acquisitions || ls.Contended != before.Contended+1 ||
+		ls.HoldCycles != before.HoldCycles || ls.SpinCycles != before.SpinCycles {
+		t.Errorf("failed TryAcquire: stats %+v -> %+v, want one more contended and nothing else", before, ls)
+	}
+
+	lk.Acquire(c1)
+	if lk.LastWait() <= 0 {
+		t.Error("the Acquire after a failed TryAcquire did not wait out the hold")
+	}
+	lk.Release(c1)
+	if ls := lk.Stats(); ls.Acquisitions != 2 || ls.Contended != 1 {
+		t.Errorf("after TryAcquire then Acquire: %d acquisitions, %d contended; want 2, 1", ls.Acquisitions, ls.Contended)
+	}
+}
+
+// TestTryAcquireNative: in Native mode TryAcquire is sync.Mutex.TryLock
+// — it fails while another goroutine holds the lock and succeeds once it
+// is released — and records nothing.
+func TestTryAcquireNative(t *testing.T) {
+	m := nativeMachine(2)
+	lk := NewSpinLock(m)
+	lk.Acquire(m.CPU(0))
+	held := make(chan bool)
+	go func() { held <- lk.TryAcquire(m.CPU(1)) }()
+	if <-held {
+		t.Fatal("TryAcquire took a mutex another goroutine holds")
+	}
+	lk.Release(m.CPU(0))
+	go func() { held <- lk.TryAcquire(m.CPU(1)) }()
+	if !<-held {
+		t.Fatal("TryAcquire failed on a free mutex")
+	}
+	lk.Release(m.CPU(1))
+	if ls := lk.Stats(); ls != (LockStats{}) {
+		t.Errorf("native lock stats populated: %+v", ls)
+	}
+}
+
 // adjacentPerCPUs lays n sections out at the stride PerCPU would have
 // without its trailing pad, so that neighbours' live words share lines:
 // each element's pad overlaps the elements after it. Nothing reads or

@@ -31,6 +31,10 @@ type SpinLock struct {
 	spinCycles   int64 // total cycles spent waiting for the lock
 	holdCycles   int64 // total cycles the lock was held
 	lastWait     int64 // wait cycles of the most recent Acquire (0 if uncontended)
+
+	// triedHeld is set by a failed TryAcquire, which already counted the
+	// Acquire that follows it as contended; that Acquire clears it.
+	triedHeld bool
 }
 
 // holdHistory is how many completed critical sections a lock remembers.
@@ -110,10 +114,36 @@ func (l *SpinLock) Acquire(c *CPU) {
 		tsStart = c.clock
 		c.Atomic(l.line)
 	}
-	if wasContended {
+	if wasContended && !l.triedHeld {
 		l.contended++
 	}
+	l.triedHeld = false
 	l.curStart = tsStart
+}
+
+// TryAcquire performs only Acquire's first test-and-set on behalf of CPU
+// c and reports whether it took the lock. On a free lock it charges
+// exactly what an uncontended Acquire charges. On a held lock it pays the
+// failed test-and-set and records no hold; it counts one contended
+// acquisition, the Acquire the caller makes once it has done whatever
+// work needs no lock, and that Acquire does not count it again. In Native
+// mode it is sync.Mutex.TryLock.
+func (l *SpinLock) TryAcquire(c *CPU) bool {
+	if !c.sim {
+		return l.mu.TryLock()
+	}
+	c.m.lockJitter(c)
+	tsStart := c.clock
+	c.Atomic(l.line)
+	if l.holds.chase(c.clock) > c.clock {
+		l.contended++
+		l.triedHeld = true
+		return false
+	}
+	l.acquisitions++
+	l.lastWait = 0
+	l.curStart = tsStart
+	return true
 }
 
 // Release drops the lock, recording the completed hold interval. The

@@ -101,6 +101,33 @@ func TestMutationStaleNodePureBugCaught(t *testing.T) {
 	}
 }
 
+// staleHeadCfg is the detection config for the contended spill's
+// stale-head plant: the bug needs a spill that meets another CPU's hold
+// on a page pool and carries two blocks of one page, so eight CPUs free
+// 16-byte blocks in session-close bursts over a large working set, and
+// the audit runs after every op — it must see the page whose free count
+// outran its freelist before a refill walks the short chain.
+var staleHeadCfg = Config{
+	CPUs: 8, Nodes: 1, Ops: 10000, Seed: 7, JitterSeed: 3,
+	Serve: true, WorkingSet: 2048, MaxSize: 16, CheckEvery: 1,
+}
+
+func TestMutationPrepassStaleHeadBugCaught(t *testing.T) {
+	if rep, err := New(staleHeadCfg).Run(); err != nil {
+		t.Fatalf("disarmed run fails after %d ops: %v", rep.OpsExecuted, err)
+	}
+	core.SetTortureBug(core.TortureBugPrepassStaleHead, true)
+	defer core.SetTortureBug(core.TortureBugPrepassStaleHead, false)
+	rep, err := New(staleHeadCfg).Run()
+	if err == nil {
+		t.Fatalf("planted stale-head bug went undetected in %d ops", rep.OpsExecuted)
+	}
+	t.Logf("caught in %d ops: %v", rep.OpsExecuted, err)
+	if !strings.Contains(err.Error(), "freelist has") {
+		t.Errorf("failure does not look like the planted lost update: %v", err)
+	}
+}
+
 // TestMutationLFStackABAShrinks runs the failure pipeline on the ABA
 // plant: catch, delta-debug, and confirm the shrunk repro still
 // reproduces and is materially smaller.
@@ -166,6 +193,7 @@ func TestCommittedReprosCatchPlantedBugs(t *testing.T) {
 		"rightmerge": core.TortureBugDropRightMerge,
 		"lfstackaba": core.TortureBugLFStackABA,
 		"stalepure":  core.TortureBugStaleNodePure,
+		"stalehead":  core.TortureBugPrepassStaleHead,
 	}
 	for prefix, bug := range cases {
 		paths, err := filepath.Glob(filepath.Join("testdata", prefix+"-*.torture.json"))
