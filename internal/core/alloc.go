@@ -13,7 +13,8 @@ import (
 	"kmem/internal/machine"
 )
 
-// ErrBadSize is returned for zero-sized or absurd requests.
+// ErrBadSize is returned for zero-sized or absurd requests: a large
+// request bigger than the whole arena is refused before any reclaim.
 var ErrBadSize = errors.New("kmem: invalid allocation size")
 
 // Allocator is the paper's four-layer kernel memory allocator. One
@@ -29,6 +30,10 @@ type Allocator struct {
 	vmblkShift         uint
 	pagesPerVmblkShift uint
 	maxSmall           uint32
+
+	// maxLarge is the largest request the arena could hold, less the
+	// hardening redzone a large span carries (badSize).
+	maxLarge uint64
 
 	// nodes is the machine's NUMA node count; 1 selects the classic
 	// single-pool layout and keeps every routing branch off the old
@@ -58,11 +63,11 @@ type Allocator struct {
 	spillScratch [][]blocklist.List
 
 	// released[cpu] is that CPU's reusable list of the pages a putBlocks
-	// or drainParked released under a page pool's lock, handed to the
-	// vmblk layer once the lock is dropped (pagePool.freeReleased). It is
-	// per CPU, not per pool, because it is read after the pool's lock is
-	// released; like spillScratch it needs no lock and keeps the spill
-	// path free of per-call garbage.
+	// released under a page pool's lock, handed to the vmblk layer once
+	// the lock is dropped (pagePool.freeReleased). It is per CPU, not per
+	// pool, because it is read after the pool's lock is released; like
+	// spillScratch it needs no lock and keeps the spill path free of
+	// per-call garbage.
 	released [][]int32
 
 	// resolved[cpu] is that CPU's reusable buffer of the blocks a
@@ -234,6 +239,10 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 		}
 		a.hd = newHardenState(a)
 	}
+	a.maxLarge = cfg.MemBytes
+	if a.hd != nil {
+		a.maxLarge -= a.hd.rz
+	}
 	if err := a.initPressure(); err != nil {
 		return nil, err
 	}
@@ -264,6 +273,12 @@ func (a *Allocator) GblTarget(cls int) int { return a.classes[cls].ctl.curGblTar
 // classFor returns the size class index for a small block size.
 func (a *Allocator) classFor(size uint64) int {
 	return int(a.sizeToClass[size])
+}
+
+// badSize reports a request no allocation can serve: zero bytes, or
+// more than the whole arena holds. Uncharged.
+func (a *Allocator) badSize(size uint64) bool {
+	return size == 0 || size > a.maxLarge
 }
 
 // classOf is the size→class rule of every entry point: a request is
@@ -328,7 +343,7 @@ func (a *Allocator) FreeCookie(c *machine.CPU, addr arena.Addr, ck Cookie) {
 // the size-to-class table. The extra function-call and table-lookup work
 // makes it 35 instructions on the fast path, versus the cookie's 13.
 func (a *Allocator) Alloc(c *machine.CPU, size uint64) (arena.Addr, error) {
-	if size == 0 {
+	if a.badSize(size) {
 		return arena.NilAddr, ErrBadSize
 	}
 	cls, small := a.classOf(size)

@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"kmem/internal/arena"
+	"kmem/internal/harden"
 	"kmem/internal/machine"
 )
 
@@ -150,6 +152,39 @@ func TestBadSizes(t *testing.T) {
 	c := m.CPU(0)
 	if _, err := a.Alloc(c, 0); !errors.Is(err, ErrBadSize) {
 		t.Fatalf("Alloc(0) err = %v", err)
+	}
+}
+
+// TestHugeRequestRefused: a large request bigger than the arena — one
+// whose page count wraps an int32, or whose byte count wraps 64 bits when
+// rounded up to a page — is ErrBadSize from Alloc, AllocZeroed and
+// AllocWait, before any reclaim, wait or cycle is spent, and RoundedSize
+// rounds it to 0. With hardening on, the redzone counts against the arena.
+func TestHugeRequestRefused(t *testing.T) {
+	for _, p := range []Params{{}, {Harden: &harden.Config{}}} {
+		a, m := testAllocator(t, 1, 1024, p)
+		c := m.CPU(0)
+		cfg := m.Config()
+		for _, size := range []uint64{cfg.PageBytes<<32 + 1, cfg.MemBytes + 1, ^uint64(0)} {
+			name := fmt.Sprintf("harden=%v size=%#x", p.Harden != nil, size)
+			t0 := c.Now()
+			if b, err := a.Alloc(c, size); !errors.Is(err, ErrBadSize) {
+				t.Errorf("%s: Alloc = %#x, %v; want ErrBadSize", name, b, err)
+			}
+			if b, err := a.AllocZeroed(c, size); !errors.Is(err, ErrBadSize) {
+				t.Errorf("%s: AllocZeroed = %#x, %v; want ErrBadSize", name, b, err)
+			}
+			if b, err := a.AllocWait(c, size); !errors.Is(err, ErrBadSize) {
+				t.Errorf("%s: AllocWait = %#x, %v; want ErrBadSize", name, b, err)
+			}
+			if got := a.RoundedSize(size); got != 0 {
+				t.Errorf("%s: RoundedSize = %#x, want 0", name, got)
+			}
+			if r, w, d := a.Reclaims(), a.waits.Load(), c.Now()-t0; r != 0 || w != 0 || d != 0 {
+				t.Errorf("%s: refusing cost %d reclaims, %d waits and %d cycles, want none", name, r, w, d)
+			}
+		}
+		checkOK(t, a)
 	}
 }
 

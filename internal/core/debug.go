@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"kmem/internal/arena"
 )
@@ -17,7 +16,7 @@ import (
 //   - the page pools' lists and the descriptors agree both ways: a page
 //     on bucket k has filed == k <= nFree, the list walks reach exactly
 //     the pages with filed != 0, and a split page with free blocks is
-//     filed unless it is quarantined or parked;
+//     filed unless it is quarantined;
 //   - no block appears on two freelists (page, global or per-CPU) —
 //     a double free or list corruption would trip this;
 //   - cached blocks belong to split pages of the correct class, and in a
@@ -166,8 +165,7 @@ func (a *Allocator) CheckConsistency() error {
 				}
 				if pd.filed != 0 {
 					filedPages++
-				} else if pd.nFree > 0 && pd.flags&pdfQuarantined == 0 &&
-					!slices.Contains(a.classes[cls].pages[vb.home].stk, i) {
+				} else if pd.nFree > 0 && pd.flags&pdfQuarantined == 0 {
 					return fmt.Errorf("kmem: split page %d has %d free blocks but is filed nowhere", i, pd.nFree)
 				}
 				splitByClass[i] = cls
@@ -333,9 +331,10 @@ func (a *Allocator) HomeOf(b arena.Addr) int {
 // compute the true extent of a live block when checking for overlap.
 // With hardening on the redzone is part of the reserved footprint, so
 // the usable rounded size is the class (or page-rounded) size minus the
-// redzone; usable extents of distinct blocks still never overlap.
+// redzone; usable extents of distinct blocks still never overlap. A size
+// Alloc refuses with ErrBadSize rounds to 0.
 func (a *Allocator) RoundedSize(size uint64) uint64 {
-	if size == 0 {
+	if a.badSize(size) {
 		return 0
 	}
 	var rz uint64

@@ -145,9 +145,8 @@ const (
 	// EvPageRefile counts split pages the coalesce-to-page layer moved
 	// between radix buckets (n = pages): a stale head pickPage repaired,
 	// or a picked page a refill left partly drawn. Frees never refile, and
-	// a fresh or unparked page is filed once, at what the refill left of
-	// it. Emitted with the refill's EvBlockGet; zero under
-	// DisableRadixSort.
+	// a fresh page is filed once, at what the refill left of it. Emitted
+	// with the refill's EvBlockGet; zero under DisableRadixSort.
 	EvPageRefile
 
 	numLayerEvents

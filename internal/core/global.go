@@ -463,12 +463,6 @@ func (g *globalPool) drainAll(c *machine.CPU) {
 	g.lk.Release(c)
 
 	g.pp.putBlocks(c, append(all, bucket)...)
-	if g.al.params.LockFree {
-		// Parked fully-free pages (the page layer's lock-free refill
-		// stack) must not survive a drain either: release them to the
-		// vmblk layer so the heap returns to its floor footprint.
-		g.pp.drainParked(c)
-	}
 }
 
 // blocksHeld reports the number of blocks currently in the pool. Used by

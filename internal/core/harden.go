@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -329,10 +328,9 @@ func (a *Allocator) hardenFree(c *machine.CPU, cls int, addr arena.Addr) bool {
 // --- quarantine -----------------------------------------------------------
 
 // quarantinePage pulls split page pg from circulation: flagged
-// pdfQuarantined under the page pool's lock and taken off whatever holds
-// it (its radix bucket or the parked-page stack), it is never refiled,
-// never coalesced into a free span, and never decommitted — the frames
-// stay mapped for post-mortem. Blocks of the page still out in caches
+// pdfQuarantined under the page pool's lock and filed out of its radix
+// bucket, if any, it is never refiled, never coalesced into a free span,
+// and never decommitted — the frames stay mapped for post-mortem. Blocks of the page still out in caches
 // are parked as they come home (putBlockLocked, hardenAlloc). Idempotent.
 func (a *Allocator) quarantinePage(c *machine.CPU, cls int, pg int32) {
 	pp := a.classes[cls].pages[a.vm.nodeOfPage(pg)]
@@ -343,8 +341,6 @@ func (a *Allocator) quarantinePage(c *machine.CPU, cls int, pg int32) {
 		pd.flags |= pdfQuarantined
 		if pd.filed != 0 {
 			pp.fileOut(c, pg)
-		} else if i := slices.Index(pp.stk, pg); i >= 0 {
-			pp.stk = slices.Delete(pp.stk, i, i+1) // parked: popParked must not file it back in
 		}
 	}
 	pp.lk.Release(c)

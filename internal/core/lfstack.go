@@ -4,7 +4,7 @@ import "kmem/internal/machine"
 
 // lfState is the Sim-mode cost model of one Treiber-style CAS freelist
 // (Params.LockFree): the global layer's per-node stack of target-sized
-// lists, and the page layer's stack of parked fully-free pages.
+// lists.
 //
 // The modeled protocol is the classic one. The stack head is a single
 // word holding {top pointer, tag}; a push or pop
@@ -74,17 +74,15 @@ func newLfState(m *machine.Machine, node int) lfState {
 }
 
 // commit charges one optimistic read-prep-CAS commit on CPU c and
-// returns how many times it retried. prep, when non-nil, is charged on
-// every attempt (the per-attempt node-link access described above).
-// Only the Sim mode of the machine ever calls this — New refuses
-// Params.LockFree on a Native machine.
+// returns how many times it retried. prep is charged on every attempt
+// (the per-attempt node-link access described above). Only the Sim mode
+// of the machine ever calls this — New refuses Params.LockFree on a
+// Native machine.
 func (s *lfState) commit(c *machine.CPU, prep func()) int {
 	retries := 0
 	for {
 		c.Read(s.line) // head-word snapshot: {top, tag}
-		if prep != nil {
-			prep()
-		}
+		prep()
 		start := c.Now()
 		c.CAS(s.line)
 		end := c.Now()

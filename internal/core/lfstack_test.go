@@ -14,9 +14,7 @@ func (s *lfState) commitFullScan(c *machine.CPU, prep func()) int {
 	retries := 0
 	for {
 		c.Read(s.line)
-		if prep != nil {
-			prep()
-		}
+		prep()
 		start := c.Now()
 		c.CAS(s.line)
 		end := c.Now()
@@ -73,8 +71,8 @@ func TestLfCommitShortcutMatchesFullScan(t *testing.T) {
 			if c1.Now() >= s1.maxAt {
 				skipped++ // the window starts later still: the scan is skipped
 			}
-			r1 := s1.commit(c1, nil)
-			r2 := s2.commitFullScan(c2, nil)
+			r1 := s1.commit(c1, func() { c1.Work(2) })
+			r2 := s2.commitFullScan(c2, func() { c2.Work(2) })
 			if r1 != r2 || c1.Now() != c2.Now() || s1.tag != s2.tag || s1.hist != s2.hist || s1.n != s2.n {
 				t.Fatalf("seed %d commit %d on cpu %d: shortcut %d retries, clock %d, tag %d; full scan %d retries, clock %d, tag %d",
 					seed, i, cpu, r1, c1.Now(), s1.tag, r2, c2.Now(), s2.tag)

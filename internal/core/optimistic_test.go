@@ -123,8 +123,7 @@ func TestRseqOffNoRestarts(t *testing.T) {
 // TestLockFreeCutsGlobalLockWait runs the same contended multi-CPU churn
 // with the lock-based and the CAS-based global layer and checks the
 // lock-free run (a) spends strictly fewer cycles spinning on locks,
-// (b) stays consistent, and (c) still drains to the header-pages floor —
-// parked pages included.
+// (b) stays consistent, and (c) still drains to the header-pages floor.
 func TestLockFreeCutsGlobalLockWait(t *testing.T) {
 	run := func(lockFree bool) (Stats, *Allocator, *machine.Machine) {
 		cfg := machine.DefaultConfig()
@@ -154,88 +153,6 @@ func TestLockFreeCutsGlobalLockWait(t *testing.T) {
 
 	checkOK(t, a)
 	c := m.CPU(0)
-	a.DrainAll(c)
-	checkOK(t, a)
-	for _, cs := range a.classes {
-		for _, pp := range cs.pages {
-			pp.lk.Acquire(c)
-			if n := len(pp.stk); n != 0 {
-				t.Errorf("class %d: %d pages still parked after DrainAll", cs.size, n)
-			}
-			pp.lk.Release(c)
-		}
-	}
-	if got := m.Phys().Mapped(); got != a.HeaderPages() {
-		t.Fatalf("mapped = %d after DrainAll, want header floor %d", got, a.HeaderPages())
-	}
-}
-
-// TestLockFreeParkedPageReuse checks the refill fast path actually
-// consumes the per-node parked-page stack: overflowing a class's global
-// capacity parks fully-free pages instead of unmapping them, and the
-// next refill wave pops them back without a page carve.
-func TestLockFreeParkedPageReuse(t *testing.T) {
-	cfg := machine.DefaultConfig()
-	cfg.NumCPUs = 1
-	cfg.MemBytes = 16 << 20
-	cfg.PhysPages = 1024
-	m := machine.New(cfg)
-	a, err := New(m, Params{LockFree: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := m.CPU(0)
-	cls := a.classFor(256)
-
-	parked := func() int {
-		n := 0
-		for _, pp := range a.classes[cls].pages {
-			pp.lk.Acquire(c)
-			n += len(pp.stk)
-			pp.lk.Release(c)
-		}
-		return n
-	}
-	pageAllocs := func() uint64 { return a.Stats(c).Classes[cls].PageAllocs }
-
-	const burst = 600
-	held := make([]arena.Addr, 0, burst)
-	for i := 0; i < burst; i++ {
-		b, err := a.Alloc(c, 256)
-		if err != nil {
-			t.Fatal(err)
-		}
-		held = append(held, b)
-	}
-	for _, b := range held {
-		a.Free(c, b, 256)
-	}
-	parkedStock := parked()
-	if parkedStock == 0 {
-		t.Fatal("freeing the burst parked no pages; the park branch is unreachable")
-	}
-	round1Carves := pageAllocs()
-
-	for i := 0; i < burst; i++ {
-		b, err := a.Alloc(c, 256)
-		if err != nil {
-			t.Fatal(err)
-		}
-		held[i] = b
-	}
-	if parked() != 0 {
-		t.Errorf("%d pages still parked after realloc burst; refill is not popping the stack", parked())
-	}
-	// Every parked page popped is a page carve (map + zero + split) the
-	// realloc burst did not pay for.
-	round2Carves := pageAllocs() - round1Carves
-	if round2Carves > round1Carves-uint64(parkedStock) {
-		t.Errorf("realloc burst carved %d pages; parked stock of %d should cap it at %d",
-			round2Carves, parkedStock, round1Carves-uint64(parkedStock))
-	}
-	for _, b := range held {
-		a.Free(c, b, 256)
-	}
 	a.DrainAll(c)
 	checkOK(t, a)
 	if got := m.Phys().Mapped(); got != a.HeaderPages() {

@@ -45,27 +45,10 @@ type pagePool struct {
 	// fifo replaces buckets under Params.DisableRadixSort (ablation A3).
 	fifo pdList
 
-	// stk is the lock-free stack of parked fully-free pages
-	// (Params.LockFree): a page whose last block comes home is parked
-	// here — split descriptor, in-page freelist and residency intact,
-	// filed in no bucket — instead of round-tripping through the vmblk
-	// layer's span lock, and the next refill reclaims it with one CAS
-	// pop (stkLf is the commit model), skipping the span search, the
-	// page map, the zero fill and the carve-link loop. Bounded to
-	// lfPageStackCap pages; drains flush it (drainParked) and pressure
-	// bypasses it, so the stack never delays memory the system needs.
-	stk   []int32
-	stkLf lfState
-
 	// ev tallies this pool's slice of the event spine (EvBlockGet,
 	// EvBlockPut, EvPageCarve, EvPageFree, EvPageRefile), written under lk.
 	ev eventCounts
 }
-
-// lfPageStackCap bounds the parked-page stack: enough to absorb the
-// carve/free flutter of a steady workload, small enough that the
-// parked residency stays a rounding error against the heap.
-const lfPageStackCap = 4
 
 func newPagePool(a *Allocator, cls, node int, size uint32) *pagePool {
 	p := &pagePool{
@@ -83,9 +66,6 @@ func newPagePool(a *Allocator, cls, node int, size uint32) *pagePool {
 		p.buckets[i] = newPdList()
 	}
 	p.minHint = p.blocksPerPage + 1
-	if a.params.LockFree {
-		p.stkLf = newLfState(a.m, node)
-	}
 	return p
 }
 
@@ -217,12 +197,11 @@ func (p *pagePool) carveInto(c *machine.CPU, cur *blocklist.List, out *[]blockli
 	return take, nil
 }
 
-// drawFrom cuts up to take blocks off drawn page pg's own freelist onto
+// drawFrom cuts up to take blocks off picked page pg's own freelist onto
 // cur, as chains: one SplitOnto per segment, a list cut into out each
-// time cur reaches target. The page was picked from its bucket (filed)
-// or popped off the parked stack (filed nowhere); what it has left is
-// refiled or filed in once. Returns the blocks taken.
-func (p *pagePool) drawFrom(c *machine.CPU, pg int32, filed bool, cur *blocklist.List, out *[]blocklist.List, target, take int) int {
+// time cur reaches target. What the page has left is refiled, or it is
+// filed out when drawn dry. Returns the blocks taken.
+func (p *pagePool) drawFrom(c *machine.CPU, pg int32, cur *blocklist.List, out *[]blocklist.List, target, take int) int {
 	pd := p.al.vm.pdOf(pg)
 	c.Read(pd.line)
 	chain := blocklist.Chain(pd.freeHead, int(pd.nFree))
@@ -239,13 +218,10 @@ func (p *pagePool) drawFrom(c *machine.CPU, pg int32, filed bool, cur *blocklist
 	pd.freeHead, pd.nFree = chain.Head(), uint16(chain.Len())
 	c.Write(pd.line)
 	p.ev[EvBlockGet] += uint64(got)
-	switch {
-	case filed && pd.nFree == 0:
+	if pd.nFree == 0 {
 		p.fileOut(c, pg)
-	case filed:
+	} else {
 		p.refile(c, pg, int(pd.nFree))
-	case pd.nFree > 0:
-		p.fileIn(c, pg, int(pd.nFree))
 	}
 	return got
 }
@@ -268,13 +244,8 @@ func (p *pagePool) getLists(c *machine.CPU, nLists, target int) ([]blocklist.Lis
 	got := 0
 	refiled := p.ev[EvPageRefile]
 	for got < want {
-		pg := p.pickPage(c)
-		filed := pg != -1
-		if !filed && p.al.params.LockFree {
-			pg = p.popParked(c)
-		}
-		if pg != -1 {
-			got += p.drawFrom(c, pg, filed, &cur, &out, target, want-got)
+		if pg := p.pickPage(c); pg != -1 {
+			got += p.drawFrom(c, pg, &cur, &out, target, want-got)
 			continue
 		}
 		n, err := p.carveInto(c, &cur, &out, target, want-got)
@@ -418,21 +389,6 @@ func (p *pagePool) putBlockLocked(c *machine.CPU, b arena.Addr, pd *pageDesc, pg
 	c.Write(pd.line)
 	p.ev[EvBlockPut]++
 	if int(pd.nFree) == p.blocksPerPage {
-		if p.al.params.LockFree && len(p.stk) < lfPageStackCap && p.al.pressureLevel() < PressureLow {
-			// Park the fully-free page on the lock-free stack instead of
-			// releasing its span: it keeps its split descriptor and
-			// in-page freelist, is filed in no bucket, and the next
-			// refill reclaims it with one CAS pop. Not under pressure —
-			// then the system wants the frames, not a warm page.
-			if pd.filed != 0 {
-				p.fileOut(c, pg)
-			}
-			if r := p.stkLf.commit(c, func() { c.Write(pd.line) }); r > 0 {
-				p.ev[EvCASRetry] += uint64(r)
-			}
-			p.stk = append(p.stk, pg)
-			return -1
-		}
 		// Every block in the page is free: give the page back at once.
 		p.releasePage(c, pg, pd)
 		return pg
@@ -445,10 +401,10 @@ func (p *pagePool) putBlockLocked(c *machine.CPU, b arena.Addr, pd *pageDesc, pg
 }
 
 // releasePage takes fully-free page pg out of the pool, first taking it
-// off the list it is filed on, if any (a page full until now, or parked,
-// is filed nowhere). Caller holds p.lk, and hands pg to the vmblk layer
-// once it is dropped (freeReleased): until then the page sits in no pool
-// and no span list, owned by the releasing CPU.
+// off the list it is filed on, if any (a page full until now is filed
+// nowhere). Caller holds p.lk, and hands pg to the vmblk layer once it
+// is dropped (freeReleased): until then the page sits in no pool and no
+// span list, owned by the releasing CPU.
 func (p *pagePool) releasePage(c *machine.CPU, pg int32, pd *pageDesc) {
 	c.Work(insnPageSetup)
 	if pd.filed != 0 {
@@ -475,43 +431,4 @@ func (p *pagePool) freeReleased(c *machine.CPU, rel []int32) {
 		p.al.vm.freePages(c, pg, 1)
 	}
 	p.al.released[c.ID()] = rel[:0]
-}
-
-// popParked reclaims one parked fully-free page for the refill path
-// (caller holds p.lk): one CAS pop hands back the page with its full
-// freelist, filed nowhere until drawFrom files what is left of it.
-// Returns -1 when nothing is parked. Against the span path it replaces
-// — span search under the vmblk lock, PageMapCycles, PageZeroCycles, and
-// the carve-link loop — the pop is the whole point of the stack.
-func (p *pagePool) popParked(c *machine.CPU) int32 {
-	if len(p.stk) == 0 {
-		c.Read(p.stkLf.line)
-		return -1
-	}
-	if r := p.stkLf.commit(c, nil); r > 0 {
-		p.ev[EvCASRetry] += uint64(r)
-	}
-	pg := p.stk[len(p.stk)-1]
-	p.stk = p.stk[:len(p.stk)-1]
-	return pg
-}
-
-// drainParked releases every parked page to the vmblk layer. Every
-// drain path (reclaim, DrainAll, incremental reclaim steps) reaches it
-// through globalPool.drainAll, so parked pages never outlive a drain
-// and the quiescent heap still collapses to its header-pages floor.
-func (p *pagePool) drainParked(c *machine.CPU) {
-	if len(p.stk) == 0 {
-		return
-	}
-	rel := p.al.released[c.ID()]
-	p.al.acquire(c, p.lk, &p.ev, p.cls)
-	for len(p.stk) > 0 {
-		pg := p.stk[len(p.stk)-1]
-		p.stk = p.stk[:len(p.stk)-1]
-		p.releasePage(c, pg, p.al.vm.pdOf(pg))
-		rel = append(rel, pg)
-	}
-	p.lk.Release(c)
-	p.freeReleased(c, rel)
 }

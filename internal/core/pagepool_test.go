@@ -11,7 +11,6 @@ import (
 
 	"kmem/internal/arena"
 	"kmem/internal/blocklist"
-	"kmem/internal/harden"
 	"kmem/internal/machine"
 )
 
@@ -369,67 +368,73 @@ func (lc *lockClock) checkGaps(t *testing.T, from, gap int64) {
 // empties k pages holds the page pool's lock for less than one page's
 // unmap and the vmblk lock for less than k of them, and each vmblk hold
 // starts an unmap after the lock before it was released. An 8 KB Free
-// through freeLarge does the same with one dope-vector lookup.
+// through freeLarge does the same with one dope-vector lookup. Under
+// LockFree too, the k emptied pages are k unmaps and k fewer resident
+// frames: the flag reaches no further down than the global layer.
 func TestPageReleaseOutsideLocks(t *testing.T) {
 	const k = 8
-	lc := &lockClock{}
-	a, pp, c, l := oneShort(t, Params{Hook: lc.hook}, k)
-	lc.a, lc.pool = a, pp.lk
-	mapCycles := a.m.Config().PageMapCycles
+	for _, lockFree := range []bool{false, true} {
+		t.Run(fmt.Sprintf("LockFree=%v", lockFree), func(t *testing.T) {
+			lc := &lockClock{}
+			a, pp, c, l := oneShort(t, Params{LockFree: lockFree, Hook: lc.hook}, k)
+			lc.a, lc.pool = a, pp.lk
+			mapCycles := a.m.Config().PageMapCycles
 
-	pool0, vm0 := pp.lk.Stats(), a.vm.lk.Stats()
-	unmaps0, resident0 := a.vm.ev[EvPagesUnmap], a.m.Phys().Mapped()
-	pp.putBlocks(c, l)
-	pool, vm := pp.lk.Stats(), a.vm.lk.Stats()
-	if d := pool.Acquisitions - pool0.Acquisitions; d != 1 {
-		t.Fatalf("putBlocks took the page pool's lock %d times, want 1", d)
-	}
-	if d := pool.HoldCycles - pool0.HoldCycles; d >= mapCycles {
-		t.Errorf("releasing %d pages held the page pool's lock %d cycles, want < %d (one unmap)", k, d, mapCycles)
-	}
-	if d := vm.HoldCycles - vm0.HoldCycles; d >= k*mapCycles {
-		t.Errorf("releasing %d pages held the vmblk lock %d cycles, want < %d (their unmaps)", k, d, k*mapCycles)
-	}
-	if d := a.vm.ev[EvPagesUnmap] - unmaps0; d != k {
-		t.Errorf("%d pages unmapped, want %d", d, k)
-	}
-	if d := resident0 - a.m.Phys().Mapped(); d != k {
-		t.Errorf("resident frames fell by %d, want %d", d, k)
-	}
-	lc.checkGaps(t, lc.poolStart+pool.HoldCycles-pool0.HoldCycles, mapCycles)
-	checkOK(t, a)
+			pool0, vm0 := pp.lk.Stats(), a.vm.lk.Stats()
+			unmaps0, resident0 := a.vm.ev[EvPagesUnmap], a.m.Phys().Mapped()
+			pp.putBlocks(c, l)
+			pool, vm := pp.lk.Stats(), a.vm.lk.Stats()
+			if d := pool.Acquisitions - pool0.Acquisitions; d != 1 {
+				t.Fatalf("putBlocks took the page pool's lock %d times, want 1", d)
+			}
+			if d := pool.HoldCycles - pool0.HoldCycles; d >= mapCycles {
+				t.Errorf("releasing %d pages held the page pool's lock %d cycles, want < %d (one unmap)", k, d, mapCycles)
+			}
+			if d := vm.HoldCycles - vm0.HoldCycles; d >= k*mapCycles {
+				t.Errorf("releasing %d pages held the vmblk lock %d cycles, want < %d (their unmaps)", k, d, k*mapCycles)
+			}
+			if d := a.vm.ev[EvPagesUnmap] - unmaps0; d != k {
+				t.Errorf("%d pages unmapped, want %d", d, k)
+			}
+			if d := resident0 - a.m.Phys().Mapped(); d != k {
+				t.Errorf("resident frames fell by %d, want %d", d, k)
+			}
+			lc.checkGaps(t, lc.poolStart+pool.HoldCycles-pool0.HoldCycles, mapCycles)
+			checkOK(t, a)
 
-	// An 8 KB free: the large path, no page pool.
-	size := 2 * a.m.Config().PageBytes
-	b, err := a.Alloc(c, size)
-	if err != nil {
-		t.Fatal(err)
+			// An 8 KB free: the large path, no page pool.
+			size := 2 * a.m.Config().PageBytes
+			b, err := a.Alloc(c, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lc.spanStarts, lc.heldBefore = nil, nil
+			vm0, unmaps0, resident0 = a.vm.lk.Stats(), a.vm.ev[EvPagesUnmap], a.m.Phys().Mapped()
+			t0 := c.Now()
+			c.StartTrace()
+			a.Free(c, b, size)
+			dope := 0
+			for _, e := range c.StopTrace() {
+				if e.Line == a.vm.dopeLine {
+					dope++
+				}
+			}
+			if dope != 1 {
+				t.Errorf("8 KB free read the dope line %d times, want 1", dope)
+			}
+			if d := a.vm.lk.Stats().HoldCycles - vm0.HoldCycles; d >= 2*mapCycles {
+				t.Errorf("8 KB free held the vmblk lock %d cycles, want < %d (its unmap)", d, 2*mapCycles)
+			}
+			if d := a.vm.ev[EvPagesUnmap] - unmaps0; d != 2 {
+				t.Errorf("8 KB free unmapped %d pages, want 2", d)
+			}
+			if d := resident0 - a.m.Phys().Mapped(); d != 2 {
+				t.Errorf("8 KB free: resident frames fell by %d, want 2", d)
+			}
+			lc.checkGaps(t, t0, 2*mapCycles)
+			checkOK(t, a)
+		})
 	}
-	lc.spanStarts, lc.heldBefore = nil, nil
-	vm0, unmaps0, resident0 = a.vm.lk.Stats(), a.vm.ev[EvPagesUnmap], a.m.Phys().Mapped()
-	t0 := c.Now()
-	c.StartTrace()
-	a.Free(c, b, size)
-	dope := 0
-	for _, e := range c.StopTrace() {
-		if e.Line == a.vm.dopeLine {
-			dope++
-		}
-	}
-	if dope != 1 {
-		t.Errorf("8 KB free read the dope line %d times, want 1", dope)
-	}
-	if d := a.vm.lk.Stats().HoldCycles - vm0.HoldCycles; d >= 2*mapCycles {
-		t.Errorf("8 KB free held the vmblk lock %d cycles, want < %d (its unmap)", d, 2*mapCycles)
-	}
-	if d := a.vm.ev[EvPagesUnmap] - unmaps0; d != 2 {
-		t.Errorf("8 KB free unmapped %d pages, want 2", d)
-	}
-	if d := resident0 - a.m.Phys().Mapped(); d != 2 {
-		t.Errorf("8 KB free: resident frames fell by %d, want 2", d)
-	}
-	lc.checkGaps(t, t0, 2*mapCycles)
-	checkOK(t, a)
 }
 
 // TestSpillReleasingPagesAllocatesNothing: the pages a spill releases
@@ -741,15 +746,12 @@ func TestPickIsFewestFreeFirst(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		nodes int
-		p     Params
 	}{
-		{"1node", 1, Params{}},
-		{"2nodes", 2, Params{}},
-		{"1node-lockfree", 1, Params{LockFree: true}},
-		{"2nodes-lockfree", 2, Params{LockFree: true}},
+		{"1node", 1},
+		{"2nodes", 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := refillMix(t, tc.nodes, mixShape{physPages: 1024, getPct: 45}, tc.p)
+			r := refillMix(t, tc.nodes, mixShape{physPages: 1024, getPct: 45}, Params{})
 			if r.picks < 50 || r.refiled == 0 {
 				t.Errorf("%d picks checked, %d pages refiled: the mix no longer reaches the repair path", r.picks, r.refiled)
 			}
@@ -770,8 +772,6 @@ func TestRefillListShape(t *testing.T) {
 	}{
 		{"1node", 1, Params{}},
 		{"2nodes", 2, Params{}},
-		{"1node-lockfree", 1, Params{LockFree: true}},
-		{"2nodes-lockfree", 2, Params{LockFree: true}},
 		{"1node-fifo", 1, Params{DisableRadixSort: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -861,9 +861,9 @@ func refillMix(t *testing.T, nodes int, sh mixShape, p Params) mixResult {
 			got := checkListShape(t, step, a, lists, nLists, target)
 			if len(got) < nLists*target {
 				r.short++
-				if left := freeLeft(a, cls, node); left != 0 || len(pp.stk) != 0 {
-					t.Fatalf("step %d: refill came up %d short with %d free blocks and %d parked pages left",
-						step, nLists*target-len(got), left, len(pp.stk))
+				if left := freeLeft(a, cls, node); left != 0 {
+					t.Fatalf("step %d: refill came up %d short with %d free blocks left",
+						step, nLists*target-len(got), left)
 				}
 			}
 			for _, b := range got {
@@ -1016,45 +1016,4 @@ func minFiledFree(a *Allocator, cls, node int) int {
 		}
 	}
 	return min
-}
-
-// TestQuarantineParkedPage: a page found corrupt while parked on the
-// lock-free stack is filed nowhere — quarantine must not file it out,
-// and must take it off the stack so no refill files it back in.
-func TestQuarantineParkedPage(t *testing.T) {
-	a, m := testAllocator(t, 1, 2048, Params{LockFree: true, Harden: &harden.Config{}})
-	c := m.CPU(0)
-	var bs []arena.Addr
-	for i := 0; i < 2000; i++ {
-		b, err := a.Alloc(c, 512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bs = append(bs, b)
-	}
-	for _, b := range bs {
-		a.Free(c, b, 512)
-	}
-	cls, _ := a.classOf(512)
-	pp := a.classes[cls].pages[0]
-	if len(pp.stk) != lfPageStackCap {
-		t.Fatalf("%d pages parked, want %d", len(pp.stk), lfPageStackCap)
-	}
-	pg := pp.stk[1]
-	a.mem.Bytes(a.vm.pageAddr(pg)+16, 1)[0] ^= 0xff // late write into a parked page
-
-	reps := a.AuditSweep(c)
-	if len(reps) != 1 || reps[0].Kind != harden.KindUseAfterFree {
-		t.Fatalf("AuditSweep filed %v, want one use-after-free", reps)
-	}
-	if got := a.Stats(c).Quarantine.Pages; got != 1 {
-		t.Errorf("Quarantine.Pages = %d, want 1", got)
-	}
-	for _, q := range pp.stk {
-		if q == pg {
-			t.Errorf("quarantined page %d still parked", pg)
-		}
-	}
-	a.DrainAll(c)
-	checkOK(t, a)
 }

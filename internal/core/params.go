@@ -129,13 +129,11 @@ type Params struct {
 	// LockFree rebuilds the global layer's per-node block stacks as
 	// Treiber-style CAS freelists with an ABA-guarding tag, so getList,
 	// putList, the shard-flush path and cross-node steals no longer take
-	// the pool spinlock on the common path; the page layer keeps its lock
-	// but gains a lock-free stack of parked fully-free pages that lets a
-	// refill skip the vmblk span layer entirely. Uncommon paths (bucket
-	// regrouping of odd-sized lists, drains, stats) keep the lock. The
-	// CAS stacks are a Sim-mode cost model; New refuses the flag on a
-	// Native machine. False — the default — keeps the spin-locked global
-	// layer cycle-for-cycle intact.
+	// the pool spinlock on the common path; no other layer reads the
+	// flag. Uncommon paths (bucket regrouping of odd-sized lists, drains,
+	// stats) keep the lock. The CAS stacks are a Sim-mode cost model; New
+	// refuses the flag on a Native machine. False — the default — keeps
+	// the spin-locked global layer cycle-for-cycle intact.
 	LockFree bool
 
 	// Harden, when non-nil, enables the corruption-hardening layer:

@@ -165,7 +165,10 @@ func pinnedMixRun(t *testing.T) pinnedMix {
 // It moved once more when a spill that finds the pool's lock held
 // resolves its blocks before taking it and applies them newest first
 // (DESIGN.md §5); the mix's lazy spans keep their commit under the vmblk
-// lock, so mapping an eager span after the lock moves nothing here.
+// lock, so mapping an eager span after the lock moves nothing here. It
+// moved again when the page layer lost LockFree's parked-page stack
+// (DESIGN.md §5): the mix runs LockFree, so a page whose last block
+// comes home is now released at once, as under every other profile.
 func TestSchedHashPinned(t *testing.T) {
 	got := pinnedMixRun(t)
 	if got.restarts == 0 || got.casRetries == 0 || got.remoteMisses == 0 ||
@@ -178,9 +181,9 @@ func TestSchedHashPinned(t *testing.T) {
 }
 
 var pinnedMixWant = pinnedMix{
-	hash:   0x6bf91323218d5819,
-	clocks: []int64{42783169, 42661213, 39541651, 42190332, 43027643, 41819401, 43105568, 43117829},
-	bus:    0x17059a, ic: 0xae9c1,
-	restarts: 0x1e63, casRetries: 0x27, remoteMisses: 0x66999,
-	trimmed: 429, decommits: 0x2cd7, reclaimSteps: 0x4e77, lockSpin: 50421,
+	hash:   0x55708a7ded57a30d,
+	clocks: []int64{42882548, 42552271, 41283421, 41159554, 42564775, 41094484, 42990046, 42965421},
+	bus:    0x1725ca, ic: 0xad3e3,
+	restarts: 0x1ea3, casRetries: 0x2c, remoteMisses: 0x65ae0,
+	trimmed: 538, decommits: 0x2cf8, reclaimSteps: 0x4f65, lockSpin: 42430,
 }

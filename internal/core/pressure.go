@@ -237,7 +237,7 @@ func (a *Allocator) wakeAll() {
 // memory); in native mode it is a real wait with an early wakeup on the
 // class's gate channel and a backoff timer as backstop.
 func (a *Allocator) AllocWait(c *machine.CPU, size uint64) (arena.Addr, error) {
-	if size == 0 {
+	if a.badSize(size) {
 		return arena.NilAddr, ErrBadSize
 	}
 	cls, small := a.classOf(size)

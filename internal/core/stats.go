@@ -310,7 +310,6 @@ func (a *Allocator) Stats(c *machine.CPU) Stats {
 			st.PageFrees += p.ev[EvPageFree]
 			st.PageRefiles += p.ev[EvPageRefile]
 			st.LockWaitCycles += p.ev[EvLockWait]
-			st.CASRetries += p.ev[EvCASRetry]
 			p.lk.Release(c)
 			st.PageLock.Add(p.lk.Stats())
 		}

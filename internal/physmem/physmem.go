@@ -377,13 +377,6 @@ func (p *Pool) Quarantine(n int64) {
 	p.mu.Unlock()
 }
 
-// Quarantined returns the number of pages pinned by Quarantine.
-func (p *Pool) Quarantined() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.quarantined
-}
-
 // Stats is a snapshot of pool accounting.
 type Stats struct {
 	Capacity     int64  // total physical pages

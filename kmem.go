@@ -124,7 +124,8 @@ var ErrNoMemory = core.ErrNoMemory
 // waiting: no free creates more address space, only more vmblks would.
 var ErrNoVA = core.ErrNoVA
 
-// ErrBadSize is returned for zero-sized requests.
+// ErrBadSize is returned for zero-sized requests and for requests
+// bigger than the whole arena (Config.MemBytes).
 var ErrBadSize = core.ErrBadSize
 
 // PressureLevel classifies the physical pool's distance from exhaustion

@@ -87,6 +87,30 @@ func TestErrorsSurface(t *testing.T) {
 	}
 }
 
+// TestHugeRequestRefused: a request bigger than the whole arena is
+// ErrBadSize, never a truncated span, with or without hardening.
+func TestHugeRequestRefused(t *testing.T) {
+	const mem = 16 << 20
+	for _, cfg := range []Config{{MemBytes: mem}, {MemBytes: mem, Harden: &HardenConfig{}}} {
+		s := newSys(t, cfg)
+		c := s.CPU(0)
+		for _, size := range []uint64{s.Machine().Config().PageBytes<<32 + 1, mem + 1, ^uint64(0)} {
+			if b, err := s.Alloc(c, size); !errors.Is(err, ErrBadSize) {
+				t.Errorf("harden=%v: Alloc(%#x) = %#x, %v; want ErrBadSize", cfg.Harden != nil, size, b, err)
+			}
+			if b, err := s.AllocZeroed(c, size); !errors.Is(err, ErrBadSize) {
+				t.Errorf("harden=%v: AllocZeroed(%#x) = %#x, %v; want ErrBadSize", cfg.Harden != nil, size, b, err)
+			}
+			if b, err := s.AllocWait(c, size); !errors.Is(err, ErrBadSize) {
+				t.Errorf("harden=%v: AllocWait(%#x) = %#x, %v; want ErrBadSize", cfg.Harden != nil, size, b, err)
+			}
+		}
+		if err := s.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestCustomClasses(t *testing.T) {
 	s := newSys(t, Config{Classes: []uint32{64, 256, 1024}})
 	c := s.CPU(0)
