@@ -14,7 +14,8 @@ import (
 )
 
 // ErrBadSize is returned for zero-sized or absurd requests: a large
-// request bigger than the whole arena is refused before any reclaim.
+// request bigger than one vmblk's data pages (less the hardening
+// redzone) is refused before any reclaim.
 var ErrBadSize = errors.New("kmem: invalid allocation size")
 
 // Allocator is the paper's four-layer kernel memory allocator. One
@@ -31,8 +32,8 @@ type Allocator struct {
 	pagesPerVmblkShift uint
 	maxSmall           uint32
 
-	// maxLarge is the largest request the arena could hold, less the
-	// hardening redzone a large span carries (badSize).
+	// maxLarge is the largest request one vmblk's data pages can hold,
+	// less the hardening redzone a large span carries (badSize).
 	maxLarge uint64
 
 	// nodes is the machine's NUMA node count; 1 selects the classic
@@ -127,11 +128,13 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 	p := params.withDefaults()
 	cfg := m.Config()
 	// The paper "manages large vmblks of virtual memory (4 megabytes in
-	// size for the current implementation)": shift 22.
+	// size for the current implementation)": shift 22. Its backing is
+	// eager: a freed span's frames go back at once.
 	vmblkShift := uint(22)
 	if p.LazySpans {
-		// Lazy spans over-reserve large virtual spans: 64 MB per vmblk,
-		// clamped so every NUMA node can still carve a span of its own
+		// Lazy spans keep a free span's frames until the decommit pass,
+		// and over-reserve large virtual spans: 64 MB per vmblk, clamped
+		// so every NUMA node can still carve a span of its own
 		// (reservation costs no frames, so bigger spans just mean fewer
 		// dope-vector slots).
 		vmblkShift = 26
@@ -174,7 +177,7 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 	}
 	a.sizeTableLine = m.NewMetaLine()
 
-	a.vm = newVmblkLayer(a)
+	a.vm = newVmblkLayer(a, !p.LazySpans)
 
 	a.classes = make([]classState, len(p.Classes))
 	for i, size := range p.Classes {
@@ -239,7 +242,8 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 		}
 		a.hd = newHardenState(a)
 	}
-	a.maxLarge = cfg.MemBytes
+	pages, hdr := a.vmblkPages()
+	a.maxLarge = uint64(pages-hdr) << a.pageShift
 	if a.hd != nil {
 		a.maxLarge -= a.hd.rz
 	}
@@ -276,9 +280,19 @@ func (a *Allocator) classFor(size uint64) int {
 }
 
 // badSize reports a request no allocation can serve: zero bytes, or
-// more than the whole arena holds. Uncharged.
+// more than one vmblk's data pages hold — a span never crosses a vmblk.
+// Uncharged.
 func (a *Allocator) badSize(size uint64) bool {
 	return size == 0 || size > a.maxLarge
+}
+
+// vmblkPages returns how many pages one vmblk spans and how many of them
+// its page-descriptor header fills.
+func (a *Allocator) vmblkPages() (pages, header int32) {
+	pageBytes := a.m.Config().PageBytes
+	pages = int32(1) << a.pagesPerVmblkShift
+	header = int32((uint64(pages)*pdSize + pageBytes - 1) / pageBytes)
+	return pages, header
 }
 
 // classOf is the size→class rule of every entry point: a request is

@@ -44,6 +44,44 @@ func BenchmarkTrimColdSpan(b *testing.B) {
 	}
 }
 
+// BenchmarkSpanCycle times a one-page span going free and back under
+// each backing policy: the split page an allocation took is freed to the
+// vmblk layer and allocated again, landing on the same page. Under eager
+// backing the free scrubs and unmaps the page and the allocation maps it,
+// verifies the scrub and zero-fills it; a lazy span keeps its frame and
+// commits nothing. It reports host ns and virtual cycles per page.
+func BenchmarkSpanCycle(b *testing.B) {
+	for _, lazy := range []bool{false, true} {
+		name := "eager"
+		if lazy {
+			name = "lazy"
+		}
+		b.Run(name, func(b *testing.B) {
+			m := machine.New(machine.DefaultConfig())
+			a, err := New(m, Params{LazySpans: lazy})
+			if err != nil {
+				b.Fatal(err)
+			}
+			c := m.CPU(0)
+			pg, err := a.vm.allocSplitPage(c, 0, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			t0 := c.Now()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.vm.freePages(c, pg, 1)
+				again, err := a.vm.allocSplitPage(c, 0, 0)
+				if err != nil || again != pg {
+					b.Fatalf("page %d came back as %d, %v", pg, again, err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/page")
+			b.ReportMetric(float64(c.Now()-t0)/float64(b.N), "vcycles/page")
+		})
+	}
+}
+
 // BenchmarkPutBlocksScattered times the page layer's free path where it
 // is dearest: 64 pages of 16-byte blocks returned in one putBlocks in
 // golden-ratio-stride order, so consecutive blocks belong to different

@@ -155,18 +155,20 @@ func TestBadSizes(t *testing.T) {
 	}
 }
 
-// TestHugeRequestRefused: a large request bigger than the arena — one
-// whose page count wraps an int32, or whose byte count wraps 64 bits when
-// rounded up to a page — is ErrBadSize from Alloc, AllocZeroed and
-// AllocWait, before any reclaim, wait or cycle is spent, and RoundedSize
-// rounds it to 0. With hardening on, the redzone counts against the arena.
+// TestHugeRequestRefused: a large request no vmblk can hold — one vmblk
+// long (its header pages leave less than that for data), bigger than the
+// arena, one whose page count wraps an int32, or whose byte count wraps 64
+// bits when rounded up to a page — is ErrBadSize from Alloc, AllocZeroed
+// and AllocWait under both backing policies, before any reclaim, wait or
+// cycle is spent, and RoundedSize rounds it to 0. With hardening on, the
+// redzone counts against the vmblk.
 func TestHugeRequestRefused(t *testing.T) {
-	for _, p := range []Params{{}, {Harden: &harden.Config{}}} {
+	for _, p := range []Params{{}, {Harden: &harden.Config{}}, {LazySpans: true}, {LazySpans: true, Harden: &harden.Config{}}} {
 		a, m := testAllocator(t, 1, 1024, p)
 		c := m.CPU(0)
 		cfg := m.Config()
-		for _, size := range []uint64{cfg.PageBytes<<32 + 1, cfg.MemBytes + 1, ^uint64(0)} {
-			name := fmt.Sprintf("harden=%v size=%#x", p.Harden != nil, size)
+		for _, size := range []uint64{1 << a.vmblkShift, cfg.PageBytes<<32 + 1, cfg.MemBytes + 1, ^uint64(0)} {
+			name := fmt.Sprintf("lazy=%v harden=%v size=%#x", p.LazySpans, p.Harden != nil, size)
 			t0 := c.Now()
 			if b, err := a.Alloc(c, size); !errors.Is(err, ErrBadSize) {
 				t.Errorf("%s: Alloc = %#x, %v; want ErrBadSize", name, b, err)

@@ -22,10 +22,10 @@ import (
 //   - cached blocks belong to split pages of the correct class, and in a
 //     global pool, remote shard or node-pure CPU cache to its node;
 //   - every page's residency flags match its state: header, allocated
-//     and split pages are resident; free-span pages are unbacked in
-//     eager mode, and in lazy mode are resident, scrubbed (with the
-//     scrub fill verified byte-for-byte), or never committed; every free
-//     span's head counts exactly its resident pages;
+//     and split pages are resident; free-span pages are resident,
+//     scrubbed (with the scrub fill verified byte-for-byte), or never
+//     backed, and never resident under the decommit-on-free policy; every
+//     free span's head counts exactly its resident pages;
 //   - physical-page accounting agrees with the flags: resident pages
 //     sum to physmem's Mapped, vmblk spans to its Reserved.
 //
@@ -89,18 +89,14 @@ func (a *Allocator) CheckConsistency() error {
 				for j := int32(0); j < n; j++ {
 					switch f := vb.pds[i+j-vb.firstPage].flags; f {
 					case 0:
-						// Unbacked: eager free pages, or a lazy page never
-						// committed since its vmblk was carved.
+						// Never backed since its vmblk was carved.
 					case pdfResident:
-						if !a.params.LazySpans {
-							return fmt.Errorf("kmem: eager free page %d still flagged resident", i+j)
+						if a.vm.decommitOnFree {
+							return fmt.Errorf("kmem: free page %d resident under decommit-on-free", i+j)
 						}
 						residentPages++
 						backed++
 					case pdfScrubbed:
-						if !a.params.LazySpans {
-							return fmt.Errorf("kmem: eager free page %d flagged scrubbed", i+j)
-						}
 						if off, ok := a.mem.CheckFill(a.vm.pageAddr(i+j), pageBytes, decommitScrub); !ok {
 							return fmt.Errorf("kmem: decommitted page %d dirty at offset %d", i+j, off)
 						}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"sort"
 	"strings"
@@ -11,12 +12,13 @@ import (
 	"kmem/internal/machine"
 )
 
-// TestLazySpansOffCycleIdentity is the virtual-span redesign's
-// conformance gate: with Params.LazySpans false (the default) the
-// allocator must execute the pre-virtual-span code instruction for
-// instruction, so the shard-era cycle goldens still hold exactly. The
-// reserve/commit split changes physmem's internal accounting, but the
-// eager path's charge order — findSpan, map, span surgery — is pinned.
+// TestLazySpansOffCycleIdentity is the backing policy's conformance
+// gate: with Params.LazySpans false (the default) the vmblk layer runs
+// the same reserve/commit state machine as lazy spans under its
+// decommit-on-free policy, and must charge exactly what the paper-era
+// eager code did, so the shared cycle goldens hold. The scrub and
+// zero-fill are host work; the charge order — findSpan, map, span
+// surgery, and the map and unmap paid outside vmblk.lk — is pinned.
 func TestLazySpansOffCycleIdentity(t *testing.T) {
 	got := shardGoldenCycles(t, 1, Params{LazySpans: false})
 	assertGolden(t, "nodes=1 lazy-off", got, goldenCyclesNodes1)
@@ -220,39 +222,70 @@ func TestLazyCommitDecommitFallback(t *testing.T) {
 }
 
 // TestLazyScrubDetectsDirtyReadback checks the decommit scrub audit end
-// to end: a write into a decommitted page is caught by CheckConsistency,
-// and recommitting the page panics instead of handing the caller a page
-// whose backing was silently resurrected with stale bytes.
+// to end under both backing policies: a write into a page whose frame was
+// released — by the Trim of a lazy span, by the free itself under eager
+// backing — is caught by CheckConsistency, and backing the page again
+// panics instead of handing the caller a page whose frame was silently
+// resurrected with stale bytes.
 func TestLazyScrubDetectsDirtyReadback(t *testing.T) {
-	m, a := lazyMachine(t, 256)
+	for _, lazy := range []bool{false, true} {
+		t.Run(fmt.Sprintf("LazySpans=%v", lazy), func(t *testing.T) {
+			a, m := testAllocator(t, 1, 256, Params{LazySpans: lazy})
+			c := m.CPU(0)
+			pageBytes := m.Config().PageBytes
+
+			b, err := a.Alloc(c, 16*pageBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.Free(c, b, 16*pageBytes)
+			trimmed := int64(0) // an eager free released the frames already
+			if lazy {
+				trimmed = 16
+			}
+			if got := a.Trim(c, -1); got != trimmed {
+				t.Fatalf("Trim = %d, want %d", got, trimmed)
+			}
+			// Simulate a wild write through a dangling reference into the
+			// decommitted page.
+			a.mem.Store64(b+256, 0xdeadbeef)
+			err = a.CheckConsistency()
+			if err == nil || !strings.Contains(err.Error(), "dirty") {
+				t.Fatalf("CheckConsistency = %v, want dirty-page report", err)
+			}
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("recommit of dirtied page did not panic")
+				}
+				if !strings.Contains(r.(string), "dirtied") {
+					t.Fatalf("panic = %v", r)
+				}
+			}()
+			_, _ = a.Alloc(c, 16*pageBytes)
+		})
+	}
+}
+
+// TestEagerFreePageNeverResident checks the audit's policy rule: under
+// decommit-on-free a free span whose pages kept their frames is an
+// error, even when the span's residency count and physmem's Mapped total
+// agree with the flags — the decommit pass never runs for eager backing,
+// so such a frame could never be reclaimed.
+func TestEagerFreePageNeverResident(t *testing.T) {
+	a, m := testAllocator(t, 1, 256, Params{})
 	c := m.CPU(0)
 	pageBytes := m.Config().PageBytes
-
-	b, err := a.Alloc(c, 16*pageBytes)
+	b, err := a.Alloc(c, 4*pageBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Free(c, b, 16*pageBytes)
-	if got := a.Trim(c, -1); got != 16 {
-		t.Fatalf("Trim = %d", got)
-	}
-	// Simulate a wild write through a dangling reference into the
-	// decommitted page.
-	a.mem.Store64(b+256, 0xdeadbeef)
+	// The free publishes the span without releasing anything.
+	a.vm.freePagesLocked(c, int32(b>>a.pageShift), 4, 0)
 	err = a.CheckConsistency()
-	if err == nil || !strings.Contains(err.Error(), "dirty") {
-		t.Fatalf("CheckConsistency = %v, want dirty-page report", err)
+	if err == nil || !strings.Contains(err.Error(), "resident under decommit-on-free") {
+		t.Fatalf("CheckConsistency = %v, want resident-free-page report", err)
 	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("recommit of dirtied page did not panic")
-		}
-		if !strings.Contains(r.(string), "dirtied") {
-			t.Fatalf("panic = %v", r)
-		}
-	}()
-	_, _ = a.Alloc(c, 16*pageBytes)
 }
 
 // TestLazyFragTriple checks the fragmentation triple's ordering and that

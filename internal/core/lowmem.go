@@ -110,20 +110,20 @@ func (a *Allocator) DrainAll(c *machine.CPU) {
 		}
 	}
 
-	// With lazy spans, coalesced free spans still hold their physical
-	// frames; a starving caller needs those frames, so strip them all.
+	// Free spans that kept their frames (lazy spans) give them up too: a
+	// starving caller needs those frames.
 	a.vm.decommitFree(c, -1)
 }
 
 // Trim releases the physical backing of up to maxPages free-span pages
 // (negative releases all) — the kernel's "give memory back to the
-// hypervisor / page cache" entry point for the lazy-span model. The
-// spans' virtual addresses, boundary tags, and homes are untouched, so
-// subsequent allocations recommit in place. Registered object caches
-// shrink their depots first (the non-aggressive shed), so cold
-// constructed buffers coalesce into spans the decommit pass can strip.
-// Returns the pages released; always 0 with Params.LazySpans off, where
-// free spans hold no backing.
+// hypervisor / page cache" entry point. The spans' virtual addresses,
+// boundary tags, and homes are untouched, so subsequent allocations
+// recommit in place. Registered object caches shrink their depots first
+// (the non-aggressive shed), so cold constructed buffers coalesce into
+// spans the decommit pass can strip. Returns the pages released; always
+// 0 under the Paper profile's decommit-on-free policy, where a freed
+// span's frames are gone already.
 func (a *Allocator) Trim(c *machine.CPU, maxPages int64) int64 {
 	a.shedCaches(c, false)
 	return a.vm.decommitFree(c, maxPages)

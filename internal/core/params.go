@@ -23,21 +23,21 @@ type Params struct {
 	// PageBytes. Nil selects DefaultClasses.
 	Classes []uint32
 
-	// LazySpans selects the virtual-span backing model for the vmblk
-	// layer: each vmblk reserves its whole span of address space at
-	// creation (VA only — no physical frames), pages are committed on
-	// demand the first time a span containing them is carved
-	// (EvPagesCommit), and freed spans keep their backing until an
-	// explicit decommit pass (reclaim, incremental reclaim steps, Trim,
-	// or commit-failure recovery) scrubs and releases it while leaving
-	// the VA span and its boundary tags intact. False — the default —
-	// keeps the eager backing of the paper's implementation: physical
-	// memory is mapped at span allocation and unmapped at span free,
-	// cycle-for-cycle identical to the pre-span code
-	// (TestLazySpansOffCycleIdentity). It also sets the vmblk size: the
-	// paper's 4 MB when false, 64 MB — clamped to what each node's share
-	// of the arena can hold — when true, since over-reserved virtual
-	// spans want to be big.
+	// LazySpans selects the lazy policy of the vmblk layer's one
+	// reserve/commit state machine: each vmblk reserves its whole span
+	// of address space at creation (VA only — no physical frames), a
+	// page is committed (EvPagesCommit) the first time a span holding it
+	// is carved, and a freed span keeps its frames until a decommit pass
+	// (reclaim, incremental reclaim steps, Trim, or commit-failure
+	// recovery) scrubs and releases them, leaving the VA span and its
+	// boundary tags intact. False — the default — is the paper's eager
+	// policy, decommit on free: a span's pages are mapped when it is
+	// allocated (EvPagesMap) and scrubbed and unmapped when it is freed
+	// (EvPagesUnmap); TestLazySpansOffCycleIdentity pins its cycles to
+	// the paper goldens. It also sets the vmblk size: the paper's 4 MB
+	// when false, 64 MB — clamped to what each node's share of the arena
+	// can hold — when true, since over-reserved virtual spans want to be
+	// big. core.New is the only reader.
 	LazySpans bool
 
 	// TargetFor overrides the per-CPU cache target for a block size.

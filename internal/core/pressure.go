@@ -114,13 +114,13 @@ func exhaustErr(err error) error {
 
 // reclaimSteps is the number of incremental steps that together cover
 // what one stop-the-world reclaim covers: every CPU cache plus every
-// per-node global pool of every class — plus, with lazy spans, one
-// decommit step that strips physical backing from free spans, plus one
+// per-node global pool of every class — plus, when free spans keep
+// their frames (lazy spans), one decommit step that strips them, plus one
 // depot-shrink step per registered object cache (zero extra steps, and
 // an unchanged rotation, when no caches exist).
 func (a *Allocator) reclaimSteps() int {
 	n := len(a.percpu) + len(a.classes)*a.nodes + a.numShedders()
-	if a.params.LazySpans {
+	if !a.vm.decommitOnFree {
 		n++
 	}
 	return n
@@ -142,7 +142,7 @@ func (a *Allocator) reclaimStep(c *machine.CPU) {
 		a.DrainCPU(c, i)
 	} else if i -= len(a.percpu); i < len(a.classes)*a.nodes {
 		a.classes[i/a.nodes].globals[i%a.nodes].drainAll(c)
-	} else if i -= len(a.classes) * a.nodes; a.params.LazySpans && i == 0 {
+	} else if i -= len(a.classes) * a.nodes; !a.vm.decommitOnFree && i == 0 {
 		a.vm.decommitFree(c, trimStepPages)
 	} else {
 		// One object cache's depot shrink — the incremental form of the

@@ -26,7 +26,7 @@ const pdSize = 32
 // Page descriptor states.
 const (
 	pdHeader    uint8 = iota // header page holding the page descriptors
-	pdFreeHead               // first page of a free span (physical memory unmapped)
+	pdFreeHead               // first page of a free span
 	pdFreeTail               // last page of a free span (boundary tag)
 	pdAllocHead              // first page of an allocated span
 	pdAllocMid               // interior page of an allocated span
@@ -51,15 +51,16 @@ func pdStateName(s uint8) string {
 	return fmt.Sprintf("state(%d)", s)
 }
 
-// Residency flags carried by every page descriptor. In eager mode
-// pdfResident tracks exactly "page belongs to a mapped span"; with lazy
-// spans it is the real residency bit — free-span pages may keep their
-// backing — and pdfScrubbed marks a page whose frames were returned by
-// the decommit pass, its bytes overwritten with decommitScrub so a dirty
-// read-back is detectable when the page is recommitted.
+// Residency flags carried by every page descriptor, under every backing
+// policy. pdfResident marks a page holding a frame. pdfScrubbed marks a
+// page whose frame was released — by a free under the decommit-on-free
+// policy, or by the decommit pass — its bytes overwritten with
+// decommitScrub so a write after the release is caught when the page is
+// backed again. A free-span page is never backed (0), resident, or
+// scrubbed; under decommit-on-free it is never resident.
 const (
 	pdfResident uint8 = 1 << 0 // page is physically committed
-	pdfScrubbed uint8 = 1 << 1 // decommitted and scrub-filled (lazy mode)
+	pdfScrubbed uint8 = 1 << 1 // frame released and scrub-filled
 	// pdfQuarantined marks a split page the hardening layer pulled from
 	// circulation after a corruption detection: it is filed out of every
 	// radix bucket, its blocks are parked on its own freelist as their
@@ -70,9 +71,10 @@ const (
 	pdfQuarantined uint8 = 1 << 2
 )
 
-// decommitScrub is the fill byte the decommit pass writes over a page's
-// payload. Recommit verifies it intact before zero-filling: a mismatch
-// means something read or wrote a page whose physical backing was gone.
+// decommitScrub is the fill byte a page's payload gets when its frame is
+// released. Backing the page again verifies it intact before
+// zero-filling: a mismatch means something wrote a page whose physical
+// backing was gone.
 const decommitScrub = 0xdc
 
 // trimStepPages bounds one incremental reclaim step's decommit batch, so
@@ -90,7 +92,7 @@ type pageDesc struct {
 	nFree     uint16 // free blocks in this page, for pdSplit pages
 	filed     uint16 // page-pool bucket the page is filed in (0: none); <= nFree
 	spanPages uint32 // span length in pages, for span head/tail descriptors
-	resident  uint32 // pages of this free span still backed, for pdFreeHead (lazy mode)
+	resident  uint32 // pages of this free span still backed, for pdFreeHead
 	freeHead  arena.Addr
 	prev      int32 // page-number links for whichever pdList holds this PD
 	next      int32
@@ -134,11 +136,19 @@ func spanBucket(n int32) int {
 }
 
 // vmblkLayer is layer 4: it manages vmblks of virtual address space,
-// coalesces adjacent free page spans with boundary tags, maps and unmaps
-// physical memory, and serves multi-page ("large") requests directly.
+// coalesces adjacent free page spans with boundary tags, commits and
+// decommits physical memory, and serves multi-page ("large") requests
+// directly.
 type vmblkLayer struct {
 	al *Allocator
 	lk *machine.SpinLock
+
+	// decommitOnFree is the backing policy (DESIGN.md §11), fixed by
+	// core.New: set (eager, the paper's), a freed span's frames go back
+	// at once and a commit is paid after lk is dropped; clear (lazy
+	// spans), free spans keep their frames until the decommit pass and a
+	// commit is paid under lk.
+	decommitOnFree bool
 
 	// dope is the paper's dope vector: "the upper bits of the block's
 	// address are used to index into a dope vector, which contains the
@@ -152,11 +162,6 @@ type vmblkLayer struct {
 	// that node, so page allocations stay node-local (one table on a
 	// single-node machine).
 	spans []nodeSpans
-
-	// lazy caches Params.LazySpans: true selects the virtual-span
-	// backing model (commit on first carve, decommit under pressure),
-	// false the paper's eager map/unmap per span.
-	lazy bool
 
 	// largeLivePages counts pages currently handed out through the large
 	// path, maintained under lk — the large-block contribution to the
@@ -174,13 +179,13 @@ type vmblkLayer struct {
 // nodeSpans is one node's span freelists, indexed by span bucket.
 type nodeSpans [maxSpanBucket + 1]pdList
 
-func newVmblkLayer(a *Allocator) *vmblkLayer {
+func newVmblkLayer(a *Allocator, decommitOnFree bool) *vmblkLayer {
 	v := &vmblkLayer{
-		al:       a,
-		lk:       machine.NewSpinLock(a.m),
-		dope:     make([]*vmblk, a.m.Config().MemBytes>>a.vmblkShift),
-		dopeLine: a.m.NewMetaLine(),
-		lazy:     a.params.LazySpans,
+		al:             a,
+		lk:             machine.NewSpinLock(a.m),
+		decommitOnFree: decommitOnFree,
+		dope:           make([]*vmblk, a.m.Config().MemBytes>>a.vmblkShift),
+		dopeLine:       a.m.NewMetaLine(),
 	}
 	v.spans = make([]nodeSpans, a.m.NumNodes())
 	for n := range v.spans {
@@ -380,8 +385,8 @@ func (v *vmblkLayer) findSpan(c *machine.CPU, n int32, node int) (int32, int32) 
 
 // newVmblk carves the next vmblk out of the arena with the given home
 // node: the whole span's virtual address space is reserved up front
-// (VA-only — no frames), physical pages are committed for its
-// page-descriptor header, its pages' home is registered with the
+// (VA-only — no frames), physical pages are committed, and paid for, for
+// its page-descriptor header, its pages' home is registered with the
 // machine, and its data pages are donated as one big free span on the
 // node's span freelist. Returns ErrNoVA when the arena (or the pool's VA
 // quota) is exhausted and a physmem error when the header cannot be
@@ -397,26 +402,21 @@ func (v *vmblkLayer) newVmblk(c *machine.CPU, node int) error {
 	if base+vmblkBytes > m.Config().MemBytes {
 		return ErrNoVA
 	}
-	pageBytes := m.Config().PageBytes
-	pagesPer := int32(vmblkBytes / pageBytes)
-	hdrBytes := uint64(pagesPer) * pdSize
-	hdrPages := int32((hdrBytes + pageBytes - 1) / pageBytes)
+	pagesPer, hdrPages := v.al.vmblkPages()
 
 	if err := m.Phys().Reserve(int64(pagesPer)); err != nil {
 		return ErrNoVA
 	}
 	v.ev[EvPagesReserve] += uint64(pagesPer)
 	v.al.emit(-1, EvPagesReserve, int(pagesPer))
-	hdrEv := EvPagesMap
-	if v.lazy {
-		hdrEv = EvPagesCommit
-	}
-	if err := v.commitPhys(c, int64(hdrPages), hdrEv); err != nil {
+	cost, err := v.claim(int64(hdrPages))
+	if err != nil {
 		if uerr := m.Phys().Unreserve(int64(pagesPer)); uerr != nil {
 			panic(fmt.Sprintf("kmem: newVmblk unwind: %v", uerr))
 		}
 		return err
 	}
+	c.Idle(cost)
 
 	vb := &vmblk{
 		base:        base,
@@ -448,15 +448,18 @@ func (v *vmblkLayer) newVmblk(c *machine.CPU, node int) error {
 	return nil
 }
 
-// claimPhys claims n physical frames within the layer's reservation and
-// returns the VM-system cost of mapping and zeroing them, for the caller
-// to pay. ev selects the spine event: EvPagesMap on the eager-backing
-// paths, EvPagesCommit for lazy on-demand backing. Caller holds lk.
-func (v *vmblkLayer) claimPhys(n int64, ev LayerEvent) (int64, error) {
+// claim commits n frames within the layer's reservation, counted as the
+// policy's commit event, and returns the VM system's cost of mapping and
+// zeroing them, for the caller to pay. Caller holds lk.
+func (v *vmblkLayer) claim(n int64) (int64, error) {
 	if err := v.al.m.Phys().Commit(n); err != nil {
 		v.ev[EvMapFail]++
 		v.al.emit(-1, EvMapFail, 1)
 		return 0, err
+	}
+	ev := EvPagesCommit
+	if v.decommitOnFree {
+		ev = EvPagesMap
 	}
 	v.ev[ev] += uint64(n)
 	v.al.emit(-1, ev, int(n))
@@ -464,67 +467,12 @@ func (v *vmblkLayer) claimPhys(n int64, ev LayerEvent) (int64, error) {
 	return n * (cfg.PageMapCycles + cfg.PageZeroCycles), nil
 }
 
-// commitPhys is claimPhys with the map and zero-fill paid at once, under
-// lk: a vmblk's header pages and the lazy first-carve commit.
-func (v *vmblkLayer) commitPhys(c *machine.CPU, n int64, ev LayerEvent) error {
-	cost, err := v.claimPhys(n, ev)
-	c.Idle(cost)
-	return err
-}
-
-// unmap charges the VM system's time to take n pages' frames away. The
-// eager free paths pay it on the freeing CPU before taking lk: the pages
-// are in no span list until freePagesLocked publishes them, so nothing
-// else can reach them meanwhile. The lazy decommit pass pays it under lk.
-func (v *vmblkLayer) unmap(c *machine.CPU, n int64) {
-	c.Idle(n * v.al.m.Config().PageMapCycles)
-}
-
-// releasePhys returns n physical frames, already unmapped, to the system
-// — keeping their reservation, so the VA span survives. ev is
-// EvPagesUnmap on the eager free path, EvPagesDecommit from the lazy
-// decommit pass. Pages coming free is the machine-level progress signal,
-// so every release also wakes any parked AllocWait callers. Caller holds
-// lk.
-func (v *vmblkLayer) releasePhys(n int64, ev LayerEvent) {
-	if err := v.al.m.Phys().Decommit(n); err != nil {
-		// The span bookkeeping guarantees n > 0; an error here means the
-		// layer's own accounting is broken.
-		panic(fmt.Sprintf("kmem: releasePhys(%d): %v", n, err))
-	}
-	v.ev[ev] += uint64(n)
-	v.al.emit(-1, ev, int(n))
-	v.al.wakeAll()
-}
-
-// commitSpan backs the not-yet-resident pages of [pg, pg+n) — the lazy
-// mode's first-carve commit. Each newly committed page is verified still
-// scrub-filled (nothing touched it while its frames were gone), then
-// zero-filled as the VM system would hand back fresh frames. On physical
-// exhaustion the pass decommits other free spans' resident pages and
-// retries once before failing; the caller unwinds on error (no page
-// state has changed). Returns how many of the n pages were resident
-// already — what the carve takes out of the span's residency count.
-func (v *vmblkLayer) commitSpan(c *machine.CPU, pg, n int32) (int32, error) {
-	pds := v.pdsOf(pg, n)
-	var need int64
-	for i := range pds {
-		if pds[i].flags&pdfResident == 0 {
-			need++
-		}
-	}
-	had := n - int32(need)
-	if need == 0 {
-		return had, nil
-	}
-	if err := v.commitPhys(c, need, EvPagesCommit); err != nil {
-		if v.decommitFreeLocked(c, need) == 0 {
-			return 0, err
-		}
-		if err := v.commitPhys(c, need, EvPagesCommit); err != nil {
-			return 0, err
-		}
-	}
+// back finishes the commit of the pages pds describes, from page pg on:
+// each page that gains a frame is verified still scrub-filled if a
+// decommit left it so (nothing wrote it while it had no frame), then
+// zero-filled as the VM system hands out fresh frames, and flagged
+// resident. Uncharged: claim's cost covers the map and the zero-fill.
+func (v *vmblkLayer) back(pg int32, pds []pageDesc) {
 	pageBytes := v.al.m.Config().PageBytes
 	for i := range pds {
 		pd := &pds[i]
@@ -540,22 +488,51 @@ func (v *vmblkLayer) commitSpan(c *machine.CPU, pg, n int32) (int32, error) {
 		v.al.mem.Fill(addr, pageBytes, 0)
 		pd.flags = pdfResident
 	}
-	return had, nil
 }
 
-// decommitFreeLocked scrubs and releases the physical backing of free
-// spans' resident pages, up to want pages (want < 0 releases all) — the
-// madvise-style reclaim of the lazy model. The spans stay exactly where
-// they are: freelists, boundary tags, and homes untouched; only the
-// pdfResident bit moves, and with it the head's residency count — which
-// is also what bounds the walk: a span with no resident page is skipped
-// without reading its descriptors, and the walk inside a span ends at its
-// last resident page. Returns the pages released. Caller holds lk.
-func (v *vmblkLayer) decommitFreeLocked(c *machine.CPU, want int64) int64 {
-	if !v.lazy {
-		return 0
+// A page's decommit is scrub, unmap, release: decommitFreed does the
+// first two before lk, the decommit pass all three under it. scrub
+// overwrites page pg with decommitScrub and flags its descriptor
+// scrubbed, so back can prove nothing wrote it while it had no frame.
+func (v *vmblkLayer) scrub(pd *pageDesc, pg int32) {
+	v.al.mem.Fill(v.pageAddr(pg), v.al.m.Config().PageBytes, decommitScrub)
+	pd.flags = pdfScrubbed
+}
+
+// unmap charges the VM system's time to take n pages' frames away.
+func (v *vmblkLayer) unmap(c *machine.CPU, n int64) {
+	c.Idle(n * v.al.m.Config().PageMapCycles)
+}
+
+// release returns n scrubbed, unmapped pages' frames to the system,
+// keeping their reservation so the VA span survives, counted as the
+// policy's decommit event. Pages coming free is the machine-level
+// progress signal, so it also wakes any parked AllocWait callers. Caller
+// holds lk.
+func (v *vmblkLayer) release(n int64) {
+	if err := v.al.m.Phys().Decommit(n); err != nil {
+		// The span bookkeeping guarantees n > 0; an error here means the
+		// layer's own accounting is broken.
+		panic(fmt.Sprintf("kmem: release(%d): %v", n, err))
 	}
-	pageBytes := v.al.m.Config().PageBytes
+	ev := EvPagesDecommit
+	if v.decommitOnFree {
+		ev = EvPagesUnmap
+	}
+	v.ev[ev] += uint64(n)
+	v.al.emit(-1, ev, int(n))
+	v.al.wakeAll()
+}
+
+// decommitFreeLocked decommits free spans' resident pages, up to want
+// pages (want < 0 releases all) — the madvise-style reclaim of the lazy
+// model. The spans stay exactly where they are: freelists, boundary tags,
+// and homes untouched; only the pdfResident bit moves, and with it the
+// head's residency count — which is also what bounds the walk: a span
+// with no resident page is skipped without reading its descriptors, and
+// the walk inside a span ends at its last resident page. Returns the
+// pages released. Caller holds lk.
+func (v *vmblkLayer) decommitFreeLocked(c *machine.CPU, want int64) int64 {
 	var done int64
 scan:
 	for node := range v.spans {
@@ -570,12 +547,10 @@ scan:
 				}
 				pds := v.pdsOf(pg, int32(head.spanPages))
 				for i := 0; head.resident > 0 && (want < 0 || done < want); i++ {
-					pd := &pds[i]
-					if pd.flags&pdfResident == 0 {
+					if pds[i].flags&pdfResident == 0 {
 						continue
 					}
-					v.al.mem.Fill(v.pageAddr(pg+int32(i)), pageBytes, decommitScrub)
-					pd.flags = pdfScrubbed
+					v.scrub(&pds[i], pg+int32(i))
 					head.resident--
 					done++
 				}
@@ -584,17 +559,16 @@ scan:
 	}
 	if done > 0 {
 		v.unmap(c, done)
-		v.releasePhys(done, EvPagesDecommit)
+		v.release(done)
 	}
 	return done
 }
 
 // decommitFree is the locked entry to the decommit pass (Trim,
-// incremental reclaim steps, stop-the-world reclaim and DrainAll). No-op
-// (0) with lazy spans off, since eager backing never leaves a free page
-// resident.
+// incremental reclaim steps, stop-the-world reclaim and DrainAll): 0,
+// without taking lk, when no free span can hold a frame.
 func (v *vmblkLayer) decommitFree(c *machine.CPU, want int64) int64 {
-	if !v.lazy {
+	if v.decommitOnFree {
 		return 0
 	}
 	v.al.acquire(c, v.lk, &v.ev, -1)
@@ -604,11 +578,11 @@ func (v *vmblkLayer) decommitFree(c *machine.CPU, want int64) int64 {
 }
 
 // allocSplitPage allocates one page homed on the given node, backed by
-// freshly mapped physical memory, and hands it to the coalesce-to-page
+// freshly committed physical memory, and hands it to the coalesce-to-page
 // layer as a split page of class cls. The descriptor changes hands under
 // lk: a concurrent free of a neighbouring span reads this page's state
-// (boundary tags) under the same lock. An eager page's map and zero-fill
-// are paid once lk is dropped.
+// (boundary tags) under the same lock. What allocPagesLocked leaves owed
+// is paid once lk is dropped.
 func (v *vmblkLayer) allocSplitPage(c *machine.CPU, cls, node int) (int32, error) {
 	v.al.acquire(c, v.lk, &v.ev, -1)
 	pg, owed, err := v.allocPagesLocked(c, 1, node)
@@ -623,12 +597,13 @@ func (v *vmblkLayer) allocSplitPage(c *machine.CPU, cls, node int) (int32, error
 }
 
 // allocPagesLocked takes a span of n pages homed on node off the span
-// freelists and backs it. With lazy spans the commit and zero-fill are
-// paid here, under lk. With eager backing the frames are claimed here
-// but the map and zero-fill are returned as owed cycles, for the caller
-// to pay once it drops lk: until then the span sits in no span list and
-// no pool, owned by the caller, and nothing touches it before its map
-// completes — the mirror of the eager unmap paid before lk (freePages).
+// freelists and backs it: claim commits the frames its pages lack, back
+// zero-fills them. A lazy layer pays the commit here, under lk, and falls
+// back on the decommit pass once when the claim comes up short. Under
+// decommitOnFree no free span has a frame to give, and the commit is
+// returned as owed cycles for the caller to pay once it drops lk: the
+// span is in no list and no pool until then, so nothing touches it before
+// its map completes — the mirror of the unmap paid before lk (freePages).
 func (v *vmblkLayer) allocPagesLocked(c *machine.CPU, n int32, node int) (pg int32, owed int64, err error) {
 	c.Work(insnSpanOp)
 	pg, length := v.findSpan(c, n, node)
@@ -642,39 +617,50 @@ func (v *vmblkLayer) allocPagesLocked(c *machine.CPU, n int32, node int) (pg int
 			return -1, 0, ErrNoVA
 		}
 	}
-	var resident int32 // backed pages of the chosen span, then of its remainder
-	if v.lazy {
-		// The chosen span comes off its freelist before the commit so the
-		// decommit fallback inside commitSpan cannot cannibalize it; a
-		// commit failure re-inserts it untouched.
-		resident = int32(v.pdOf(pg).resident)
-		v.removeSpan(c, pg, length)
-		had, err := v.commitSpan(c, pg, n)
+	resident := int32(v.pdOf(pg).resident) // backed pages of the chosen span, then of its remainder
+	pds := v.pdsOf(pg, n)
+	var need int64
+	for i := range pds {
+		if pds[i].flags&pdfResident == 0 {
+			need++
+		}
+	}
+	if need > 0 {
+		owed, err = v.claim(need)
+	}
+	if err != nil && v.decommitOnFree {
+		return -1, 0, err
+	}
+	// The chosen span comes off its freelist before the decommit fallback
+	// so the pass cannot cannibalize it; a failure re-inserts it untouched.
+	v.removeSpan(c, pg, length)
+	if err != nil {
+		if v.decommitFreeLocked(c, need) > 0 {
+			owed, err = v.claim(need)
+		}
 		if err != nil {
 			v.insertSpan(c, pg, length, resident)
 			return -1, 0, err
 		}
-		resident -= had
-	} else {
-		if owed, err = v.claimPhys(int64(n), EvPagesMap); err != nil {
-			return -1, 0, err
-		}
-		v.removeSpan(c, pg, length)
 	}
+	if !v.decommitOnFree {
+		c.Idle(owed)
+		owed = 0
+	}
+	v.back(pg, pds)
+	resident -= n - int32(need)
 	if length > n {
 		v.insertSpan(c, pg+n, length-n, resident)
 	}
-	head := v.pdOf(pg)
+	head := &pds[0]
 	head.state = pdAllocHead
-	head.flags = pdfResident
 	head.spanPages = uint32(n)
 	head.freeHead = arena.NilAddr
 	head.nFree = 0
 	c.Write(head.line)
 	for i := int32(1); i < n; i++ {
-		mid := v.pdOf(pg + i)
+		mid := &pds[i]
 		mid.state = pdAllocMid
-		mid.flags = pdfResident
 		mid.spanPages = uint32(n)
 		c.Write(mid.line)
 	}
@@ -684,40 +670,45 @@ func (v *vmblkLayer) allocPagesLocked(c *machine.CPU, n int32, node int) (pg int
 }
 
 // freePages returns the span [pg, pg+n) to the layer and coalesces it
-// with free neighbors via the boundary tags. In eager mode physical
-// memory is unmapped immediately ("the physical memory is returned to
-// the system; the virtual memory is retained"); with lazy spans the
-// frames stay resident on the free span until the decommit pass claims
-// them under pressure. The caller owns the pages, which sit in no page
-// pool and no span list, so the unmap is paid before lk is taken; the
-// frames are accounted and the span published under it.
+// with free neighbors via the boundary tags. The caller owns the pages,
+// which sit in no page pool and no span list, so under decommitOnFree
+// they are scrubbed and unmapped before lk is taken ("the physical memory
+// is returned to the system; the virtual memory is retained"); their
+// frames are released and the span published under it.
 func (v *vmblkLayer) freePages(c *machine.CPU, pg, n int32) {
-	if !v.lazy {
-		v.unmap(c, int64(n))
-	}
+	released := v.decommitFreed(c, pg, n)
 	v.al.acquire(c, v.lk, &v.ev, -1)
-	v.freePagesLocked(c, pg, n)
+	v.freePagesLocked(c, pg, n, released)
 	v.lk.Release(c)
 }
 
-// freePagesLocked is freePages under lk, the unmap already paid.
-func (v *vmblkLayer) freePagesLocked(c *machine.CPU, pg, n int32) {
+// decommitFreed is decommitOnFree's part of a span free, before lk: it
+// scrubs pages [pg, pg+n), charges their unmap and returns the frames
+// freePagesLocked releases — 0 when free spans keep their frames.
+func (v *vmblkLayer) decommitFreed(c *machine.CPU, pg, n int32) int32 {
+	if !v.decommitOnFree {
+		return 0
+	}
+	pds := v.pdsOf(pg, n)
+	for i := range pds {
+		v.scrub(&pds[i], pg+int32(i))
+	}
+	v.unmap(c, int64(n))
+	return n
+}
+
+// freePagesLocked is freePages under lk. released is what decommitFreed
+// returned: the pages already scrubbed and unmapped.
+func (v *vmblkLayer) freePagesLocked(c *machine.CPU, pg, n, released int32) {
 	c.Work(insnSpanOp)
 	vb := v.vmblkOf(pg)
 	if vb == nil {
 		panic(fmt.Sprintf("kmem: freePages of unmanaged page %d", pg))
 	}
-	// A lazy span keeps the frames of the n pages coming back; an eager
-	// one gives them up here.
-	resident := n
-	if !v.lazy {
-		v.releasePhys(int64(n), EvPagesUnmap)
-		pds := v.pdsOf(pg, n)
-		for i := range pds {
-			pds[i].flags = 0
-		}
-		resident = 0
+	if released > 0 {
+		v.release(int64(released))
 	}
+	resident := n - released
 
 	start, length := pg, n
 	// Coalesce left: the page just below must be the tail of a free span
@@ -760,7 +751,7 @@ func (v *vmblkLayer) pagesFor(size uint64) int32 {
 
 // allocLarge serves a request bigger than one page. Per the paper, such
 // requests "bypass layers 1 through 3 and are handled directly by the
-// coalesce-to-vmblk layer". An eager span's map and zero-fill are paid
+// coalesce-to-vmblk layer". What allocPagesLocked leaves owed is paid
 // once lk is dropped.
 func (v *vmblkLayer) allocLarge(c *machine.CPU, size uint64) (arena.Addr, error) {
 	c.Work(insnLargeOp)
@@ -781,20 +772,18 @@ func (v *vmblkLayer) allocLarge(c *machine.CPU, size uint64) (arena.Addr, error)
 
 // freeLarge frees a large allocation by address, using the descriptor's
 // recorded span length. The caller's live allocation pins its head
-// descriptor, so the descriptor is resolved, and the span unmapped,
-// before lk is taken.
+// descriptor, so the descriptor is resolved and checked, and the span
+// decommitted under decommitOnFree, before lk is taken.
 func (v *vmblkLayer) freeLarge(c *machine.CPU, addr arena.Addr) {
 	c.Work(insnLargeOp)
 	pd, pg := v.lookup(c, addr)
-	if !v.lazy {
-		v.unmap(c, int64(pd.spanPages))
-	}
-	v.al.acquire(c, v.lk, &v.ev, -1)
 	if pd.state != pdAllocHead {
 		panic(fmt.Sprintf("kmem: freeLarge(%#x) of %s page", addr, pdStateName(pd.state)))
 	}
 	n := int32(pd.spanPages)
-	v.freePagesLocked(c, pg, n)
+	released := v.decommitFreed(c, pg, n)
+	v.al.acquire(c, v.lk, &v.ev, -1)
+	v.freePagesLocked(c, pg, n, released)
 	v.largeLivePages -= int64(n)
 	v.ev[EvLargeFree]++
 	v.al.emit(-1, EvLargeFree, int(n))

@@ -17,8 +17,9 @@
 //     always). Decommit releases the frames but keeps the reservation —
 //     the madvise(DONTNEED) of this simulation.
 //
-// Map and Unmap remain as the fused legacy operations (reserve+commit,
-// decommit+unreserve) for allocators that never separate the two.
+// Map remains as the fused legacy operation (reserve+commit) for the
+// baseline allocators, which never separate the two and never give a
+// page back.
 // Exhaustion of physical capacity is what drives the allocator's
 // low-memory path and the worst-case benchmark (Figure 9), and the
 // commit/decommit operation counts are what make large-block allocation
@@ -324,8 +325,8 @@ func (p *Pool) Decommit(n int64) error {
 
 // Map is the fused legacy operation: reserve n pages and commit them in
 // one call, claiming all n or none. Allocators that never separate
-// address space from residency (the baselines) use this and Unmap; for
-// them reserved always equals resident.
+// address space from residency (the baselines) use it; for them reserved
+// always equals resident.
 func (p *Pool) Map(n int64) error {
 	if n <= 0 {
 		return fmt.Errorf("%w: Map(%d)", ErrBadCount, n)
@@ -338,21 +339,6 @@ func (p *Pool) Map(n int64) error {
 			panic(fmt.Sprintf("physmem: Map unwind: %v", uerr))
 		}
 		return err
-	}
-	return nil
-}
-
-// Unmap is the fused legacy operation: decommit n pages and release
-// their reservation.
-func (p *Pool) Unmap(n int64) error {
-	if n <= 0 {
-		return fmt.Errorf("%w: Unmap(%d)", ErrBadCount, n)
-	}
-	if err := p.Decommit(n); err != nil {
-		return err
-	}
-	if err := p.Unreserve(n); err != nil {
-		panic(fmt.Sprintf("physmem: Unmap unwind: %v", err))
 	}
 	return nil
 }

@@ -6,6 +6,18 @@ import (
 	"testing"
 )
 
+// unmap undoes n pages of Map the way the allocator gives a page back:
+// Decommit, then Unreserve.
+func unmap(t *testing.T, p *Pool, n int64) {
+	t.Helper()
+	if err := p.Decommit(n); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Unreserve(n); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMapUnmap(t *testing.T) {
 	p := NewPool(10)
 	if err := p.Map(4); err != nil {
@@ -17,7 +29,7 @@ func TestMapUnmap(t *testing.T) {
 	if got := p.Available(); got != 6 {
 		t.Fatalf("Available = %d", got)
 	}
-	p.Unmap(3)
+	unmap(t, p, 3)
 	if got := p.Mapped(); got != 1 {
 		t.Fatalf("Mapped after unmap = %d", got)
 	}
@@ -33,7 +45,7 @@ func TestExhaustion(t *testing.T) {
 		t.Fatalf("err = %v, want ErrNoPages", err)
 	}
 	// All-or-nothing: a partial map must not consume pages.
-	p.Unmap(2)
+	unmap(t, p, 2)
 	if err := p.Map(3); !errors.Is(err, ErrNoPages) {
 		t.Fatalf("err = %v, want ErrNoPages (3 > 2 available)", err)
 	}
@@ -48,7 +60,7 @@ func TestExhaustion(t *testing.T) {
 func TestStats(t *testing.T) {
 	p := NewPool(8)
 	_ = p.Map(6)
-	p.Unmap(2)
+	unmap(t, p, 2)
 	_ = p.Map(1)
 	_ = p.Map(100) // fails
 	s := p.Stats()
@@ -61,8 +73,8 @@ func TestStats(t *testing.T) {
 func TestPanics(t *testing.T) {
 	p := NewPool(4)
 	for name, f := range map[string]func(){
-		"zero capacity": func() { NewPool(0) },
-		"unmap excess":  func() { _ = p.Unmap(1) },
+		"zero capacity":   func() { NewPool(0) },
+		"decommit excess": func() { _ = p.Decommit(1) },
 	} {
 		func() {
 			defer func() {
@@ -78,10 +90,10 @@ func TestPanics(t *testing.T) {
 func TestBadCountErrors(t *testing.T) {
 	p := NewPool(4)
 	for name, err := range map[string]error{
-		"map zero":     p.Map(0),
-		"map negative": p.Map(-3),
-		"unmap zero":   p.Unmap(0),
-		"unmap neg":    p.Unmap(-1),
+		"map zero":      p.Map(0),
+		"map negative":  p.Map(-3),
+		"decommit zero": p.Decommit(0),
+		"unreserve neg": p.Unreserve(-1),
 	} {
 		if !errors.Is(err, ErrBadCount) {
 			t.Errorf("%s: err = %v, want ErrBadCount", name, err)
@@ -117,7 +129,7 @@ func TestWatermarksAndPressure(t *testing.T) {
 	if p.Pressure() != PressureCritical {
 		t.Fatalf("pressure at free=3 = %v", p.Pressure())
 	}
-	_ = p.Unmap(95) // free 98: back to ok
+	unmap(t, p, 95) // free 98: back to ok
 	want := []string{"ok>low", "low>critical", "critical>ok"}
 	if len(transitions) != len(want) {
 		t.Fatalf("transitions = %v, want %v", transitions, want)
@@ -340,7 +352,8 @@ func TestConcurrentMapUnmap(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
 				if err := p.Map(2); err == nil {
-					p.Unmap(2)
+					_ = p.Decommit(2)
+					_ = p.Unreserve(2)
 				}
 			}
 		}()

@@ -124,8 +124,9 @@ var ErrNoMemory = core.ErrNoMemory
 // waiting: no free creates more address space, only more vmblks would.
 var ErrNoVA = core.ErrNoVA
 
-// ErrBadSize is returned for zero-sized requests and for requests
-// bigger than the whole arena (Config.MemBytes).
+// ErrBadSize is returned for zero-sized requests and for large requests
+// no vmblk can hold: bigger than one vmblk's data pages (less the
+// hardening redzone). They are refused before any reclaim.
 var ErrBadSize = core.ErrBadSize
 
 // PressureLevel classifies the physical pool's distance from exhaustion

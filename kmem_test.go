@@ -87,14 +87,16 @@ func TestErrorsSurface(t *testing.T) {
 	}
 }
 
-// TestHugeRequestRefused: a request bigger than the whole arena is
-// ErrBadSize, never a truncated span, with or without hardening.
+// TestHugeRequestRefused: a request no vmblk can hold — one 4 MB vmblk
+// long, whose header pages leave less than that for data, or bigger than
+// the whole arena — is ErrBadSize, never a truncated span or a search
+// through fresh vmblks, with or without hardening.
 func TestHugeRequestRefused(t *testing.T) {
 	const mem = 16 << 20
 	for _, cfg := range []Config{{MemBytes: mem}, {MemBytes: mem, Harden: &HardenConfig{}}} {
 		s := newSys(t, cfg)
 		c := s.CPU(0)
-		for _, size := range []uint64{s.Machine().Config().PageBytes<<32 + 1, mem + 1, ^uint64(0)} {
+		for _, size := range []uint64{4 << 20, s.Machine().Config().PageBytes<<32 + 1, mem + 1, ^uint64(0)} {
 			if b, err := s.Alloc(c, size); !errors.Is(err, ErrBadSize) {
 				t.Errorf("harden=%v: Alloc(%#x) = %#x, %v; want ErrBadSize", cfg.Harden != nil, size, b, err)
 			}
