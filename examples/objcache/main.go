@@ -41,7 +41,7 @@ func main() {
 		}
 	}
 	cache, err := objcache.New(m, sys.Allocator(),
-		"example:request", 72, 8, ctor, dtor, objcache.Opts{ColorSpace: 64})
+		"example:request", 72, 8, ctor, dtor, objcache.Opts{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,34 +2,14 @@ package kmem
 
 import (
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"strings"
 	"testing"
 
-	"kmem/internal/machine"
+	"kmem/internal/core"
 )
-
-func TestMachineConfigOverride(t *testing.T) {
-	mc := machine.DefaultConfig()
-	mc.NumCPUs = 3
-	mc.MemBytes = 8 << 20
-	mc.PhysPages = 64
-	mc.HzMHz = 100
-	s, err := NewSystem(Config{
-		MachineConfig: &mc,
-		// These must be ignored when MachineConfig is set.
-		CPUs:      9,
-		PhysPages: 9999,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.NumCPUs() != 3 {
-		t.Fatalf("NumCPUs = %d, want 3 from MachineConfig", s.NumCPUs())
-	}
-	if got := s.Machine().Config().HzMHz; got != 100 {
-		t.Fatalf("HzMHz = %d", got)
-	}
-}
 
 func TestFacadeZeroedAndDump(t *testing.T) {
 	s, err := NewSystem(Config{CPUs: 1})
@@ -280,5 +260,54 @@ func TestFacadeFaultInjection(t *testing.T) {
 	s.Free(c, b, 64)
 	if st := s.Stats(c); st.Pressure.FaultsInjected == 0 {
 		t.Fatal("fault injections not counted in stats")
+	}
+}
+
+// TestEveryEventHasAnAlias: a Hook receives every core event, so the
+// facade must name each one. The list is read from core's source, so an
+// event added there without an alias here fails by name.
+func TestEveryEventHasAnAlias(t *testing.T) {
+	fset := token.NewFileSet()
+	consts := func(path string) []*ast.ValueSpec {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []*ast.ValueSpec
+		for _, d := range f.Decls {
+			if g, ok := d.(*ast.GenDecl); ok && g.Tok == token.CONST {
+				for _, s := range g.Specs {
+					out = append(out, s.(*ast.ValueSpec))
+				}
+			}
+		}
+		return out
+	}
+	aliased := map[string]bool{}
+	for _, vs := range consts("kmem.go") {
+		for i, v := range vs.Values {
+			if sel, ok := v.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "core" && vs.Names[i].Name == sel.Sel.Name {
+					aliased[sel.Sel.Name] = true
+				}
+			}
+		}
+	}
+	var events, missing []string
+	for _, vs := range consts("internal/core/events.go") {
+		for _, n := range vs.Names {
+			if strings.HasPrefix(n.Name, "Ev") {
+				events = append(events, n.Name)
+				if !aliased[n.Name] {
+					missing = append(missing, n.Name)
+				}
+			}
+		}
+	}
+	if len(events) < core.NumLayerEvents {
+		t.Fatalf("read %d Ev* constants from core, want %d", len(events), core.NumLayerEvents)
+	}
+	if len(missing) > 0 {
+		t.Errorf("kmem.go has no alias for %d core events: %s", len(missing), strings.Join(missing, ", "))
 	}
 }

@@ -33,7 +33,7 @@ func ocCtor(c *machine.CPU, mem *arena.Arena, obj arena.Addr) {
 func newObjCache(t *testing.T, inst Instance, name string, dtor objcache.Dtor) *objcache.Cache {
 	t.Helper()
 	k, err := objcache.New(inst.M, inst.A, name, ocSize, 8, ocCtor, dtor,
-		objcache.Opts{ColorSpace: 64})
+		objcache.Opts{MinBackSize: ocSize + 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func testObjCacheColors(t *testing.T, f Factory) {
 	k := newObjCache(t, inst, "alloctest:color", nil)
 	c := inst.M.CPU(0)
 	if k.NumColors() < 2 {
-		t.Fatalf("ColorSpace 64 yields %d colors, want >= 2", k.NumColors())
+		t.Fatalf("64 bytes of MinBackSize slack yield %d colors, want >= 2", k.NumColors())
 	}
 	objs := make([]arena.Addr, 0, 24)
 	for i := 0; i < 24; i++ {

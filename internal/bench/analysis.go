@@ -251,7 +251,7 @@ func summarize(m *machine.Machine, op string, samples []traceSample) AnalysisRes
 	toUs := func(cy int64) float64 { return m.CyclesToSeconds(cy) * 1e6 }
 	return AnalysisResult{
 		Op:            op,
-		PredictedUs:   toUs(int64(sumInsns/uint64(n)) * m.Config().CyclesPerInsn),
+		PredictedUs:   toUs(int64(sumInsns/uint64(n)) * machine.CyclesPerInsn),
 		MinUs:         toUs(minC),
 		AvgUs:         toUs(sumC / n),
 		MaxUs:         toUs(maxC),

@@ -221,7 +221,7 @@ func (a *Allocator) hardenAlloc(c *machine.CPU, cls int, b arena.Addr) bool {
 	}
 	hp := hd.pageSlotsLocked(a, pg, cls)
 	slot := &hp.slots[uint64(b-a.vm.pageAddr(pg))/size]
-	if !hd.cfg.NoPoison && slot.state == slotFree && size > 8 {
+	if slot.state == slotFree && size > 8 {
 		if off, ok := a.mem.CheckFill(b+8, size-8, harden.PoisonByte); !ok {
 			off += 8
 			got := a.mem.Bytes(b+arena.Addr(off), 1)[0]
@@ -287,7 +287,7 @@ func (a *Allocator) hardenFree(c *machine.CPU, cls int, addr arena.Addr) bool {
 		// and park the block, keeping the page out of circulation.
 		slot.state = slotFree
 		slot.lastFree = hd.recordLocked(c, harden.OpFree, addr)
-		if !hd.cfg.NoPoison && size > 8 {
+		if size > 8 {
 			a.mem.Fill(addr+8, size-8, harden.PoisonByte)
 		}
 		hd.lk.Release(c)
@@ -302,7 +302,7 @@ func (a *Allocator) hardenFree(c *machine.CPU, cls int, addr arena.Addr) bool {
 		slot.state = slotFree
 		slot.lastFree = hd.recordLocked(c, harden.OpFree, addr)
 		pol := hd.cfg.Policy
-		if pol != harden.PolicyQuarantine && !hd.cfg.NoPoison && size > 8 {
+		if pol != harden.PolicyQuarantine && size > 8 {
 			// Log-only: the free proceeds normally, so poison as usual.
 			a.mem.Fill(addr+8, size-8, harden.PoisonByte)
 		}
@@ -318,7 +318,7 @@ func (a *Allocator) hardenFree(c *machine.CPU, cls int, addr arena.Addr) bool {
 
 	slot.state = slotFree
 	slot.lastFree = hd.recordLocked(c, harden.OpFree, addr)
-	if !hd.cfg.NoPoison && size > 8 {
+	if size > 8 {
 		a.mem.Fill(addr+8, size-8, harden.PoisonByte)
 	}
 	hd.lk.Release(c)
@@ -502,7 +502,7 @@ func (a *Allocator) AuditSweep(c *machine.CPU) []harden.Report {
 					found = append(found, finding{rep, hp.cls, pg})
 				}
 			case slotFree:
-				if hd.cfg.NoPoison || size <= 8 {
+				if size <= 8 {
 					continue
 				}
 				if off, ok := a.mem.CheckFill(b+8, size-8, harden.PoisonByte); !ok {

@@ -334,24 +334,36 @@ func TestLazyFragTriple(t *testing.T) {
 	}
 }
 
-// TestLazyVAQuotaError checks that exhausting the pool's VA quota
-// surfaces as the typed ErrNoVA, distinct from physical exhaustion.
+// TestLazyVAQuotaError checks that running out of the arena's vmblk
+// slots — the allocator's VA quota — surfaces as the typed ErrNoVA while
+// physical frames are still free, distinct from physical exhaustion.
 func TestLazyVAQuotaError(t *testing.T) {
 	cfg := machine.DefaultConfig()
 	cfg.NumCPUs = 1
-	cfg.MemBytes = 4 << 20
-	cfg.PhysPages = 256
+	cfg.MemBytes = 4 << 20 // one 1024-page span
+	cfg.PhysPages = 2048   // more frames than the arena has pages
 	m := machine.New(cfg)
-	if err := m.Phys().SetVAQuota(512); err != nil { // half the 1024-page span
-		t.Fatal(err)
-	}
 	a, err := New(m, Params{LazySpans: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = a.Alloc(m.CPU(0), 64)
+	c := m.CPU(0)
+	const size = 16 * 4096
+	n := 0
+	for ; ; n++ {
+		if _, err = a.Alloc(c, size); err != nil {
+			break
+		}
+	}
 	if !errors.Is(err, ErrNoVA) {
-		t.Fatalf("err = %v, want ErrNoVA", err)
+		t.Fatalf("err = %v after %d spans, want ErrNoVA", err, n)
+	}
+	// 1016 data pages / 16 pages per span = 63 spans.
+	if n != 63 {
+		t.Fatalf("allocated %d spans, want 63", n)
+	}
+	if avail := m.Phys().Available(); avail <= 0 {
+		t.Fatalf("VA ran out with %d frames free, want > 0", avail)
 	}
 }
 

@@ -39,9 +39,6 @@ func (a *Allocator) reclaim(c *machine.CPU) {
 	a.wakeAll()
 }
 
-// Reclaims reports how many times the low-memory path has run.
-func (a *Allocator) Reclaims() uint64 { return a.reclaims.Load() }
-
 // DrainCPU flushes CPU cpu's caches for every class into the global
 // layer. Callers use it to return cached memory when a CPU goes idle;
 // tests use it to reach deterministic states. A drain also requotes the

@@ -378,7 +378,7 @@ func TestPageReleaseOutsideLocks(t *testing.T) {
 			lc := &lockClock{}
 			a, pp, c, l := oneShort(t, Params{LockFree: lockFree, Hook: lc.hook}, k)
 			lc.a, lc.pool = a, pp.lk
-			mapCycles := a.m.Config().PageMapCycles
+			mapCycles := machine.PageMapCycles
 
 			pool0, vm0 := pp.lk.Stats(), a.vm.lk.Stats()
 			unmaps0, resident0 := a.vm.ev[EvPagesUnmap], a.m.Phys().Mapped()
@@ -630,8 +630,7 @@ func TestEagerMapOutsideVmblkLock(t *testing.T) {
 	if _, err := a.Alloc(c, 16); err != nil { // creates the vmblk
 		t.Fatal(err)
 	}
-	cfg := a.m.Config()
-	perPage := cfg.PageMapCycles + cfg.PageZeroCycles
+	perPage := machine.PageMapCycles + machine.PageZeroCycles
 	check := func(what string, pages int64, op func()) {
 		t.Helper()
 		heldSince = -1
@@ -642,8 +641,8 @@ func TestEagerMapOutsideVmblkLock(t *testing.T) {
 			t.Fatalf("%s mapped no page", what)
 		}
 		hold := a.vm.lk.Stats().HoldCycles - heldBefore
-		if hold >= cfg.PageMapCycles {
-			t.Errorf("%s held the vmblk lock %d cycles, want < %d (one map)", what, hold, cfg.PageMapCycles)
+		if hold >= machine.PageMapCycles {
+			t.Errorf("%s held the vmblk lock %d cycles, want < %d (one map)", what, hold, machine.PageMapCycles)
 		}
 		if after := end - (heldSince + hold); after < pages*perPage {
 			t.Errorf("%s ran %d cycles after the vmblk lock, want >= %d (the map and zero-fill)", what, after, pages*perPage)
@@ -656,7 +655,7 @@ func TestEagerMapOutsideVmblkLock(t *testing.T) {
 		}
 	}
 	check("8 KB Alloc", 2, func() {
-		if _, err := a.Alloc(c, 2*cfg.PageBytes); err != nil {
+		if _, err := a.Alloc(c, 2*a.m.Config().PageBytes); err != nil {
 			t.Fatal(err)
 		}
 	})

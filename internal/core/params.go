@@ -211,20 +211,21 @@ type WaitConfig struct {
 	// 1<<18 respectively.
 	BaseBackoffCycles int64
 	MaxBackoffCycles  int64
-	// BaseBackoff / MaxBackoff bound the real-time exponential backoff in
-	// native mode (waiters also wake early on frees and reclaim
-	// progress). 0 selects 50µs and 5ms respectively.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 }
+
+// nativeBaseBackoff and nativeMaxBackoff bound AllocWait's real-time
+// exponential backoff in native mode; waiters also wake early on frees
+// and reclaim progress.
+const (
+	nativeBaseBackoff = 50 * time.Microsecond
+	nativeMaxBackoff  = 5 * time.Millisecond
+)
 
 // DefaultWaitConfig is the WaitConfig used when Params.Wait is nil.
 var DefaultWaitConfig = WaitConfig{
 	MaxWaits:          32,
 	BaseBackoffCycles: 4096,
 	MaxBackoffCycles:  1 << 18,
-	BaseBackoff:       50 * time.Microsecond,
-	MaxBackoff:        5 * time.Millisecond,
 }
 
 func (w *WaitConfig) withDefaults() WaitConfig {
@@ -241,17 +242,8 @@ func (w *WaitConfig) withDefaults() WaitConfig {
 	if w.MaxBackoffCycles > 0 {
 		out.MaxBackoffCycles = w.MaxBackoffCycles
 	}
-	if w.BaseBackoff > 0 {
-		out.BaseBackoff = w.BaseBackoff
-	}
-	if w.MaxBackoff > 0 {
-		out.MaxBackoff = w.MaxBackoff
-	}
 	if out.MaxBackoffCycles < out.BaseBackoffCycles {
 		out.MaxBackoffCycles = out.BaseBackoffCycles
-	}
-	if out.MaxBackoff < out.BaseBackoff {
-		out.MaxBackoff = out.BaseBackoff
 	}
 	return out
 }

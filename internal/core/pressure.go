@@ -155,9 +155,6 @@ func (a *Allocator) reclaimStep(c *machine.CPU) {
 	a.wakeAll()
 }
 
-// ReclaimStepsDone reports how many incremental reclaim steps have run.
-func (a *Allocator) ReclaimStepsDone() uint64 { return a.reclaimStepsDone.Load() }
-
 // --- wait queues and AllocWait -------------------------------------------
 
 // waitq parks native-mode AllocWait callers for one size class (the last
@@ -248,7 +245,7 @@ func (a *Allocator) AllocWait(c *machine.CPU, size uint64) (arena.Addr, error) {
 	wq := &a.waitqs[qi]
 	sim := a.m.Config().Mode == machine.Sim
 	backoffCycles := a.waitCfg.BaseBackoffCycles
-	backoff := a.waitCfg.BaseBackoff
+	backoff := nativeBaseBackoff
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		var ch chan struct{}
@@ -289,8 +286,8 @@ func (a *Allocator) AllocWait(c *machine.CPU, size uint64) (arena.Addr, error) {
 			}
 			wq.nwait.Add(-1)
 			backoff *= 2
-			if backoff > a.waitCfg.MaxBackoff {
-				backoff = a.waitCfg.MaxBackoff
+			if backoff > nativeMaxBackoff {
+				backoff = nativeMaxBackoff
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"kmem/internal/arena"
 	"kmem/internal/machine"
@@ -33,11 +32,7 @@ func TestPressureWaitNative(t *testing.T) {
 		TargetFor:    func(uint32) int { return 2 },
 		GblTargetFor: func(uint32) int { return 1 },
 		Pressure:     &PressureConfig{LowPages: 8, MinPages: 4},
-		Wait: &WaitConfig{
-			MaxWaits:    100000,
-			BaseBackoff: 20 * time.Microsecond,
-			MaxBackoff:  2 * time.Millisecond,
-		},
+		Wait:         &WaitConfig{MaxWaits: 100000},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -150,7 +150,7 @@ func TestReclaimStepShedsCaches(t *testing.T) {
 	if v2 == 0 {
 		t.Error("cache 2 never shed through the reclaimStep rotation")
 	}
-	if got := a.ReclaimStepsDone(); got != uint64(steps) {
-		t.Errorf("ReclaimStepsDone = %d, want %d", got, steps)
+	if got := a.reclaimStepsDone.Load(); got != uint64(steps) {
+		t.Errorf("reclaimStepsDone = %d, want %d", got, steps)
 	}
 }

@@ -388,8 +388,8 @@ func (v *vmblkLayer) findSpan(c *machine.CPU, n int32, node int) (int32, int32) 
 // (VA-only — no frames), physical pages are committed, and paid for, for
 // its page-descriptor header, its pages' home is registered with the
 // machine, and its data pages are donated as one big free span on the
-// node's span freelist. Returns ErrNoVA when the arena (or the pool's VA
-// quota) is exhausted and a physmem error when the header cannot be
+// node's span freelist. Returns ErrNoVA when the arena's vmblk slots are
+// exhausted and a physmem error when the header cannot be
 // backed — in which case the reservation is unwound.
 func (v *vmblkLayer) newVmblk(c *machine.CPU, node int) error {
 	m := v.al.m
@@ -405,7 +405,8 @@ func (v *vmblkLayer) newVmblk(c *machine.CPU, node int) error {
 	pagesPer, hdrPages := v.al.vmblkPages()
 
 	if err := m.Phys().Reserve(int64(pagesPer)); err != nil {
-		return ErrNoVA
+		// pagesPer > 0, and a pool reservation has no other limit.
+		panic(fmt.Sprintf("kmem: newVmblk reserve: %v", err))
 	}
 	v.ev[EvPagesReserve] += uint64(pagesPer)
 	v.al.emit(-1, EvPagesReserve, int(pagesPer))
@@ -463,8 +464,7 @@ func (v *vmblkLayer) claim(n int64) (int64, error) {
 	}
 	v.ev[ev] += uint64(n)
 	v.al.emit(-1, ev, int(n))
-	cfg := v.al.m.Config()
-	return n * (cfg.PageMapCycles + cfg.PageZeroCycles), nil
+	return n * (machine.PageMapCycles + machine.PageZeroCycles), nil
 }
 
 // back finishes the commit of the pages pds describes, from page pg on:
@@ -501,7 +501,7 @@ func (v *vmblkLayer) scrub(pd *pageDesc, pg int32) {
 
 // unmap charges the VM system's time to take n pages' frames away.
 func (v *vmblkLayer) unmap(c *machine.CPU, n int64) {
-	c.Idle(n * v.al.m.Config().PageMapCycles)
+	c.Idle(n * machine.PageMapCycles)
 }
 
 // release returns n scrubbed, unmapped pages' frames to the system,

@@ -255,10 +255,10 @@ func TestPageDescriptorLinesInsideHeader(t *testing.T) {
 	if vb == nil {
 		t.Fatal("no vmblk")
 	}
-	hdrLines := uint64(vb.headerPages) * m.Config().PageBytes >> m.Config().LineShift
+	hdrLines := uint64(vb.headerPages) * m.Config().PageBytes >> machine.LineShift
 	for i := range vb.pds {
 		l := uint64(vb.pds[i].line)
-		base := uint64(vb.base) >> m.Config().LineShift
+		base := uint64(vb.base) >> machine.LineShift
 		if l < base || l >= base+hdrLines {
 			t.Fatalf("pd %d line %#x outside header [%#x, %#x)", i, l, base, base+hdrLines)
 		}

@@ -33,7 +33,7 @@ func (a *Allocator) AllocCookieZeroed(c *machine.CPU, ck Cookie) (arena.Addr, er
 // loop instructions (a rep stos-style sequence).
 func (a *Allocator) zero(c *machine.CPU, b arena.Addr, size uint64) {
 	a.mem.Fill(b, size, 0)
-	lineBytes := uint64(1) << a.m.Config().LineShift
+	lineBytes := uint64(1) << machine.LineShift
 	for off := uint64(0); off < size; off += lineBytes {
 		c.WriteAddr(b + off)
 		c.Work(3)

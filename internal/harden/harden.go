@@ -111,12 +111,6 @@ func (k Kind) String() string {
 // a whole is enabled by presence (a non-nil *Config) and disabled by
 // absence, so the allocator's fast paths carry only a nil test when off.
 type Config struct {
-	// NoPoison disables poison-on-free and verify-on-alloc, leaving
-	// only redzones and ownership tracking. For object caches poison
-	// also disables constructed-state reuse (a poisoned object must be
-	// re-constructed), so caches that want hardening without losing the
-	// ctor-skip win set this.
-	NoPoison bool
 	// Policy selects panic, quarantine-and-continue (default), or
 	// log-only handling after a detection.
 	Policy Policy

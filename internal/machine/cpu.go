@@ -103,7 +103,7 @@ func (c *CPU) Work(n int64) {
 		return
 	}
 	c.insns += uint64(n)
-	c.clock += n * c.m.cfg.CyclesPerInsn
+	c.clock += n * CyclesPerInsn
 }
 
 // Idle advances the CPU's clock by n cycles without charging instructions
@@ -122,7 +122,7 @@ func (c *CPU) DisableIntr() {
 		return
 	}
 	c.insns += 2
-	c.clock += c.m.cfg.IntrCycles
+	c.clock += IntrCycles
 }
 
 // tlbCheck charges a TLB fill when the arena page holding line l is not
@@ -137,7 +137,7 @@ func (c *CPU) tlbCheck(l Line) {
 	if *slot != page {
 		*slot = page
 		c.tlbMisses++
-		c.clock += c.m.cfg.TLBMissCycles
+		c.clock += TLBMissCycles
 	}
 }
 
@@ -168,8 +168,6 @@ func (c *CPU) access(l Line, kind AccessKind) {
 	case ReadAccess:
 		if present && (*dir == ownerNone || *dir == int8(c.id)) {
 			c.hits++
-			cost = m.cfg.HitCycles
-			c.clock += cost
 		} else {
 			// Line transfer; if another CPU held it exclusively it is
 			// downgraded to shared.
@@ -201,8 +199,6 @@ func (c *CPU) access(l Line, kind AccessKind) {
 			}
 		} else if present && *dir == int8(c.id) {
 			c.hits++
-			cost = m.cfg.HitCycles
-			c.clock += cost
 		} else {
 			// Read-for-ownership: fetch the line exclusively,
 			// invalidating other copies.
@@ -228,7 +224,7 @@ func (c *CPU) Read(l Line) {
 		return
 	}
 	c.insns++
-	c.clock += c.m.cfg.CyclesPerInsn
+	c.clock += CyclesPerInsn
 	c.access(l, ReadAccess)
 }
 
@@ -238,7 +234,7 @@ func (c *CPU) Write(l Line) {
 		return
 	}
 	c.insns++
-	c.clock += c.m.cfg.CyclesPerInsn
+	c.clock += CyclesPerInsn
 	c.access(l, WriteAccess)
 }
 
@@ -248,7 +244,7 @@ func (c *CPU) Atomic(l Line) {
 		return
 	}
 	c.insns++
-	c.clock += c.m.cfg.CyclesPerInsn
+	c.clock += CyclesPerInsn
 	c.access(l, AtomicAccess)
 }
 
@@ -263,7 +259,7 @@ func (c *CPU) CAS(l Line) {
 		return
 	}
 	c.insns++
-	c.clock += c.m.cfg.CyclesPerInsn
+	c.clock += CyclesPerInsn
 	m := c.m
 	c.tlbCheck(l)
 	slot := &c.cache[uint64(l)&uint64(len(c.cache)-1)]
@@ -271,7 +267,7 @@ func (c *CPU) CAS(l Line) {
 	c.atomics++
 	before := c.clock
 	c.clock = m.busTxn(c, c.remoteFor(l, *dir))
-	c.clock += m.cfg.CASCycles
+	c.clock += CASCycles
 	*dir = int8(c.id)
 	*slot = l
 	if m.profile != nil {

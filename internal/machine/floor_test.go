@@ -60,51 +60,50 @@ func TestFnvMixMatchesBytewise(t *testing.T) {
 // TestCacheTLBSlotsMatchModulo replays a read stream on one CPU against
 // the model the slots were written from: line l lives in cache slot
 // l % CacheLines, its page is its address divided by PageBytes, and the
-// page lives in TLB slot page % TLBEntries — for every power-of-two size,
-// two line sizes and two page sizes.
+// page lives in TLB slot page % TLBEntries — for every power-of-two TLB
+// size and two page sizes.
 func TestCacheTLBSlotsMatchModulo(t *testing.T) {
-	for _, lineShift := range []uint{5, 6} {
-		for _, pageBytes := range []uint64{4096, 8192} {
-			for size := 1; size <= 1<<12; size <<= 1 {
-				cfg := DefaultConfig()
-				cfg.MemBytes = 4 << 20
-				cfg.LineShift = lineShift
-				cfg.PageBytes = pageBytes
-				cfg.CacheLines = size
-				cfg.TLBEntries = size
-				m := New(cfg)
-				c := m.CPU(0)
+	for _, pageBytes := range []uint64{4096, 8192} {
+		for size := 1; size <= 1<<12; size <<= 1 {
+			cfg := DefaultConfig()
+			cfg.MemBytes = 4 << 20
+			cfg.PageBytes = pageBytes
+			cfg.TLBEntries = size
+			m := New(cfg)
+			c := m.CPU(0)
 
-				cache := make([]uint64, size)
-				tlb := make([]uint64, size)
-				for i := range cache {
-					cache[i], tlb[i] = ^uint64(0), ^uint64(0)
+			cache := make([]uint64, CacheLines)
+			tlb := make([]uint64, size)
+			for i := range cache {
+				cache[i] = ^uint64(0)
+			}
+			for i := range tlb {
+				tlb[i] = ^uint64(0)
+			}
+			var want Stats
+			rng := rand.New(rand.NewSource(int64(size)))
+			for i := 0; i < 4096; i++ {
+				// Clustered addresses, so slots are revisited as well
+				// as evicted.
+				addr := uint64(rng.Intn(64))*pageBytes*uint64(size)/8 + uint64(rng.Intn(int(4*pageBytes)))
+				addr %= cfg.MemBytes
+				line := addr >> LineShift
+				if page := addr / pageBytes; tlb[page%uint64(size)] != page {
+					tlb[page%uint64(size)] = page
+					want.TLBMisses++
 				}
-				var want Stats
-				rng := rand.New(rand.NewSource(int64(size)))
-				for i := 0; i < 4096; i++ {
-					// Clustered addresses, so slots are revisited as well
-					// as evicted.
-					addr := uint64(rng.Intn(64))*pageBytes*uint64(size)/8 + uint64(rng.Intn(int(4*pageBytes)))
-					addr %= cfg.MemBytes
-					line := addr >> lineShift
-					if page := addr / pageBytes; tlb[page%uint64(size)] != page {
-						tlb[page%uint64(size)] = page
-						want.TLBMisses++
-					}
-					if cache[line%uint64(size)] == line {
-						want.Hits++
-					} else {
-						cache[line%uint64(size)] = line
-						want.Misses++
-					}
-					c.ReadAddr(addr)
+				if cache[line%CacheLines] == line {
+					want.Hits++
+				} else {
+					cache[line%CacheLines] = line
+					want.Misses++
 				}
-				got := c.Stats()
-				if got.Hits != want.Hits || got.Misses != want.Misses || got.TLBMisses != want.TLBMisses {
-					t.Fatalf("line %d B, page %d B, %d slots: hits/misses/TLB misses %d/%d/%d, modulo model %d/%d/%d",
-						1<<lineShift, pageBytes, size, got.Hits, got.Misses, got.TLBMisses, want.Hits, want.Misses, want.TLBMisses)
-				}
+				c.ReadAddr(addr)
+			}
+			got := c.Stats()
+			if got.Hits != want.Hits || got.Misses != want.Misses || got.TLBMisses != want.TLBMisses {
+				t.Fatalf("page %d B, %d TLB slots: hits/misses/TLB misses %d/%d/%d, modulo model %d/%d/%d",
+					pageBytes, size, got.Hits, got.Misses, got.TLBMisses, want.Hits, want.Misses, want.TLBMisses)
 			}
 		}
 	}

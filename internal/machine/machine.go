@@ -9,7 +9,7 @@
 // exactly those quantities:
 //
 //   - Each simulated CPU has its own virtual cycle clock and a
-//     direct-mapped cache of configurable size.
+//     direct-mapped cache of CacheLines lines.
 //   - A coherence directory tracks line ownership; reads of lines owned
 //     exclusively elsewhere and writes to lines not owned exclusively are
 //     misses that cross the shared bus.
@@ -52,8 +52,52 @@ const (
 // uses an 8-bit owner field; the paper's machine had 26 CPUs).
 const MaxCPUs = 64
 
-// Config describes the simulated machine. The defaults returned by
-// DefaultConfig approximate the paper's Symmetry 2000.
+// The machine's calibration: the paper's Symmetry 2000, with 50 MHz 80486
+// CPUs, 32-byte lines, an 8 KB on-chip cache and a VM system whose page
+// mapping cost dwarfs a fast-path allocation. No experiment varies these;
+// the costs some do vary are Config fields.
+const (
+	// HzMHz is the CPU clock rate in MHz, used only to convert cycle
+	// counts to seconds when reporting results.
+	HzMHz = 50
+	// LineShift is log2 of the cache line size (32-byte lines, as on the
+	// i486 generation).
+	LineShift = 5
+	// CacheLines is the number of lines in each CPU's direct-mapped cache
+	// (8 KB), a power of two.
+	CacheLines = 256
+
+	CyclesPerInsn  int64 = 1    // cost of one straight-line instruction
+	HitCycles      int64 = 0    // extra cost of a cache hit: none, so a hit is not charged
+	TLBMissCycles  int64 = 28   // page-table walk cost when TLBEntries > 0
+	IntrCycles     int64 = 8    // cost of an interrupt disable/enable pair
+	SpinRetryGap   int64 = 50   // cycles between spin retries on a held lock
+	PageMapCycles  int64 = 1600 // VM-system cost to map one physical page
+	PageZeroCycles int64 = 1024 // cost to zero a freshly mapped page
+
+	// Atomic-op costs of the optimistic-concurrency fast paths
+	// (restartable sequences, percpu.go, and the lock-free Treiber stacks
+	// in the allocator's global layer). A CAS is the same bus-locked
+	// read-modify-write transaction as AtomicCycles models; it has its
+	// own constant so the lock-free layer's commit instruction is
+	// calibrated independently of the spinlock's test-and-set. The commit
+	// store of a restartable sequence is the cheap one: a plain store to
+	// a line the CPU already owns, plus the abort-ip window check — this
+	// is what replaces the interrupt-disable charge (2 insns + IntrCycles)
+	// on the per-CPU fast path.
+	CASCycles     int64 = 40 // bus-locked compare-and-swap (lock-free stack commit)
+	FenceCycles   int64 = 12 // store fence draining the write buffer
+	CommitCycles  int64 = 2  // rseq commit: single store to an owned line + ip check
+	RestartCycles int64 = 80 // rseq abort: vector to the abort handler + re-entry
+
+	// RemoteMissCycles is the extra stall when a line transfer crosses
+	// nodes (Nodes > 1).
+	RemoteMissCycles int64 = 60
+)
+
+// Config describes the simulated machine: its shape and the costs the
+// experiments vary. The defaults returned by DefaultConfig approximate
+// the paper's Symmetry 2000.
 type Config struct {
 	Mode    Mode
 	NumCPUs int
@@ -72,17 +116,6 @@ type Config struct {
 	// PageBytes is the machine page size.
 	PageBytes uint64
 
-	// HzMHz is the CPU clock rate in MHz, used only to convert cycle
-	// counts to seconds when reporting results.
-	HzMHz int64
-
-	// LineShift is log2 of the cache line size (5 => 32-byte lines, as
-	// on the i486 generation).
-	LineShift uint
-	// CacheLines is the number of lines in each CPU's direct-mapped
-	// cache. Must be a power of two.
-	CacheLines int
-
 	// TLBEntries enables a direct-mapped per-CPU TLB over arena pages
 	// when non-zero (must then be a power of two). The paper's footnote
 	// notes "variations in the number of TLB misses" as a secondary
@@ -90,70 +123,32 @@ type Config struct {
 	// figures primary.
 	TLBEntries int
 
-	// Cycle costs.
-	CyclesPerInsn  int64 // cost of one straight-line instruction
-	HitCycles      int64 // extra cost of a cache hit (usually 0)
-	MissCycles     int64 // stall cycles for a line transfer across the bus
-	BusCycles      int64 // bus occupancy per transaction
-	AtomicCycles   int64 // extra cost of a bus-locked read-modify-write
-	TLBMissCycles  int64 // page-table walk cost when TLBEntries > 0
-	IntrCycles     int64 // cost of an interrupt disable/enable pair
-	SpinRetryGap   int64 // cycles between spin retries on a held lock
-	PageMapCycles  int64 // VM-system cost to map one physical page
-	PageZeroCycles int64 // cost to zero a freshly mapped page
+	// Bus costs, varied by the E8 projection (a widening CPU/memory gap).
+	MissCycles   int64 // stall cycles for a line transfer across the bus
+	BusCycles    int64 // bus occupancy per transaction
+	AtomicCycles int64 // extra cost of a bus-locked read-modify-write
 
-	// Atomic-op cost model for the optimistic-concurrency fast paths
-	// (restartable sequences, percpu.go, and the lock-free Treiber stacks
-	// in the allocator's global layer). A CAS is the same bus-locked
-	// read-modify-write transaction as AtomicCycles models; it gets its
-	// own constant so the lock-free layer's commit instruction can be
-	// calibrated independently of the spinlock's test-and-set. The
-	// commit store of a restartable sequence is the cheap one: a plain
-	// store to a line the CPU already owns, plus the abort-ip window
-	// check — this is what replaces the interrupt-disable charge
-	// (2 insns + IntrCycles) on the per-CPU fast path.
-	CASCycles     int64 // bus-locked compare-and-swap (lock-free stack commit)
-	FenceCycles   int64 // store fence draining the write buffer
-	CommitCycles  int64 // rseq commit: single store to an owned line + ip check
-	RestartCycles int64 // rseq abort: vector to the abort handler + re-entry
-
-	// NUMA cycle costs, used only when Nodes > 1.
-	RemoteMissCycles   int64 // extra stall when a line transfer crosses nodes
-	InterconnectCycles int64 // interconnect occupancy per remote transaction
+	// InterconnectCycles is the interconnect occupancy per remote
+	// transaction (Nodes > 1), varied by the topology and replay sweeps.
+	InterconnectCycles int64
 }
 
 // DefaultConfig returns a configuration approximating the paper's test
-// machine: 50 MHz 80486 CPUs, 32-byte lines, a shared bus where a line
-// transfer costs tens of CPU cycles, and a VM system whose page mapping
-// cost dwarfs a fast-path allocation.
+// machine: a 64 MB arena over 2048 pages of 4 KB, and a shared bus where
+// a line transfer costs tens of CPU cycles.
 func DefaultConfig() Config {
 	return Config{
-		Mode:           Sim,
-		NumCPUs:        1,
-		Nodes:          1,
-		MemBytes:       64 << 20,
-		PhysPages:      2048,
-		PageBytes:      4096,
-		HzMHz:          50,
-		LineShift:      5,
-		CacheLines:     256, // 8 KB on-chip cache
-		CyclesPerInsn:  1,
-		HitCycles:      0,
-		MissCycles:     40,
-		BusCycles:      16,
-		AtomicCycles:   40,
-		TLBMissCycles:  28,
-		IntrCycles:     8,
-		SpinRetryGap:   50,
-		PageMapCycles:  1600,
-		PageZeroCycles: 1024,
+		Mode:      Sim,
+		NumCPUs:   1,
+		Nodes:     1,
+		MemBytes:  64 << 20,
+		PhysPages: 2048,
+		PageBytes: 4096,
 
-		CASCycles:     40,
-		FenceCycles:   12,
-		CommitCycles:  2,
-		RestartCycles: 80,
+		MissCycles:   40,
+		BusCycles:    16,
+		AtomicCycles: 40,
 
-		RemoteMissCycles:   60,
 		InterconnectCycles: 24,
 	}
 }
@@ -230,12 +225,10 @@ func (cfg Config) Validate() error {
 		msg = fmt.Sprintf("machine: NumCPUs %d out of range [1,%d]", cfg.NumCPUs, MaxCPUs)
 	case cfg.Nodes < 0 || cfg.Nodes > cfg.NumCPUs: // 0 selects the single-bus machine
 		msg = fmt.Sprintf("machine: Nodes %d out of range [1,%d]", cfg.Nodes, cfg.NumCPUs)
-	case cfg.CacheLines&(cfg.CacheLines-1) != 0 || cfg.CacheLines <= 0:
-		msg = fmt.Sprintf("machine: CacheLines %d not a power of two", cfg.CacheLines)
 	case cfg.TLBEntries < 0 || cfg.TLBEntries&(cfg.TLBEntries-1) != 0:
 		msg = fmt.Sprintf("machine: TLBEntries %d not a power of two", cfg.TLBEntries)
-	case cfg.PageBytes&(cfg.PageBytes-1) != 0 || cfg.PageBytes < 1<<cfg.LineShift:
-		msg = fmt.Sprintf("machine: PageBytes %d not a power of two holding at least one %d-byte line", cfg.PageBytes, 1<<cfg.LineShift)
+	case cfg.PageBytes&(cfg.PageBytes-1) != 0 || cfg.PageBytes < 1<<LineShift:
+		msg = fmt.Sprintf("machine: PageBytes %d not a power of two holding at least one %d-byte line", cfg.PageBytes, 1<<LineShift)
 	case cfg.MemBytes%cfg.PageBytes != 0:
 		msg = "machine: MemBytes not a multiple of PageBytes"
 	default:
@@ -256,10 +249,10 @@ func New(cfg Config) *Machine {
 		mem:  arena.New(cfg.MemBytes),
 		phys: physmem.NewPool(cfg.PhysPages),
 
-		pageShift: uint(bits.TrailingZeros64(cfg.PageBytes)) - cfg.LineShift,
+		pageShift: uint(bits.TrailingZeros64(cfg.PageBytes)) - LineShift,
 	}
 	if cfg.Mode == Sim {
-		nLines := cfg.MemBytes >> cfg.LineShift
+		nLines := cfg.MemBytes >> LineShift
 		m.arenaDir = make([]int8, nLines)
 		for i := range m.arenaDir {
 			m.arenaDir[i] = ownerNone
@@ -279,7 +272,7 @@ func New(cfg Config) *Machine {
 		c.sim = cfg.Mode == Sim
 		c.node = i * cfg.Nodes / cfg.NumCPUs
 		if cfg.Mode == Sim {
-			c.cache = make([]Line, cfg.CacheLines)
+			c.cache = make([]Line, CacheLines)
 			for j := range c.cache {
 				c.cache[j] = invalidLine
 			}
@@ -374,7 +367,7 @@ func (m *Machine) lineHome(l Line) int {
 
 // LineOf returns the cache line holding the arena address addr.
 func (m *Machine) LineOf(addr arena.Addr) Line {
-	return Line(addr >> m.cfg.LineShift)
+	return Line(addr >> LineShift)
 }
 
 // dirSlot returns a pointer to the directory entry for line l.
@@ -420,7 +413,7 @@ func (m *Machine) busTxn(c *CPU, remote bool) int64 {
 		m.ic.occupy(start, start+m.cfg.InterconnectCycles)
 		m.ic.txns++
 		c.remoteMisses++
-		return start + m.cfg.MissCycles + m.cfg.RemoteMissCycles
+		return start + m.cfg.MissCycles + RemoteMissCycles
 	}
 	return start + m.cfg.MissCycles
 }
@@ -443,13 +436,13 @@ func (m *Machine) NodeBusTransactions(node int) uint64 { return m.buses[node].tx
 // crossed the inter-node interconnect (always 0 with a single node).
 func (m *Machine) InterconnectTransactions() uint64 { return m.ic.txns }
 
-// CyclesToSeconds converts a cycle count to seconds at the configured
+// CyclesToSeconds converts a cycle count to seconds at the machine's
 // clock rate.
 func (m *Machine) CyclesToSeconds(cycles int64) float64 {
-	return float64(cycles) / (float64(m.cfg.HzMHz) * 1e6)
+	return float64(cycles) / (HzMHz * 1e6)
 }
 
-// SecondsToCycles converts seconds to cycles at the configured clock rate.
+// SecondsToCycles converts seconds to cycles at the machine's clock rate.
 func (m *Machine) SecondsToCycles(sec float64) int64 {
-	return int64(sec * float64(m.cfg.HzMHz) * 1e6)
+	return int64(sec * HzMHz * 1e6)
 }

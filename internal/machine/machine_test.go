@@ -72,7 +72,7 @@ func TestReadSharingNoPingPong(t *testing.T) {
 func TestDirectMappedConflict(t *testing.T) {
 	m := simMachine(1)
 	c := m.CPU(0)
-	nSets := uint64(m.Config().CacheLines)
+	nSets := uint64(CacheLines)
 	l1 := Line(3)
 	l2 := Line(3 + nSets) // same set
 	c.Read(l1)
@@ -102,7 +102,7 @@ func TestWorkAdvancesClock(t *testing.T) {
 	m := simMachine(1)
 	c := m.CPU(0)
 	c.Work(100)
-	if c.Now() != 100*m.Config().CyclesPerInsn {
+	if c.Now() != 100*CyclesPerInsn {
 		t.Fatalf("clock = %d", c.Now())
 	}
 	if s := c.Stats(); s.Instructions != 100 {
@@ -285,7 +285,6 @@ func TestConfigValidation(t *testing.T) {
 	for name, mutate := range map[string]func(*Config){
 		"cpus":  func(c *Config) { c.NumCPUs = 0 },
 		"many":  func(c *Config) { c.NumCPUs = MaxCPUs + 1 },
-		"cache": func(c *Config) { c.CacheLines = 100 },
 		"page":  func(c *Config) { c.PageBytes = 1000 },
 		"page0": func(c *Config) { c.PageBytes = 0 },
 		"subln": func(c *Config) { c.PageBytes = 16 }, // smaller than a 32-byte line

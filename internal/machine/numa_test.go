@@ -84,9 +84,9 @@ func TestRemoteMetaMissCostsMore(t *testing.T) {
 	c.Read(remote)
 	remoteCost := c.Now() - start
 
-	if want := localCost + cfg.RemoteMissCycles; remoteCost != want {
+	if want := localCost + RemoteMissCycles; remoteCost != want {
 		t.Fatalf("remote cold miss cost %d, local %d, want remote = local+%d",
-			remoteCost, localCost, cfg.RemoteMissCycles)
+			remoteCost, localCost, RemoteMissCycles)
 	}
 	if got := m.InterconnectTransactions(); got != 1 {
 		t.Fatalf("interconnect transactions = %d, want 1 (remote miss only)", got)

@@ -93,7 +93,7 @@ func (p *PerCPU) Enter(c *CPU) (restarts int) {
 			restarts++
 			c.restarts++
 			c.Work(1 + wasted)
-			c.clock += m.cfg.RestartCycles
+			c.clock += RestartCycles
 		}
 		c.Work(1) // arm the descriptor
 	default:
@@ -123,7 +123,7 @@ func (p *PerCPU) Exit(c *CPU) {
 		p.mu.Unlock()
 	case c.sim:
 		c.Work(1) // commit store
-		c.clock += c.m.cfg.CommitCycles
+		c.clock += CommitCycles
 	default:
 		p.claim.Store(0)
 	}
@@ -138,7 +138,7 @@ func (p *PerCPU) EnterForeign(c *CPU) {
 		p.Enter(c)
 	case c.sim:
 		c.Atomic(p.line)
-		c.clock += c.m.cfg.FenceCycles
+		c.clock += FenceCycles
 	default:
 		for !p.claim.CompareAndSwap(0, 2) {
 			runtime.Gosched()

@@ -140,18 +140,17 @@ func TestPerCPUNativeExclusion(t *testing.T) {
 // bus-locked RMW on the descriptor line plus the fence.
 func TestPerCPURseqSimCharges(t *testing.T) {
 	m := simMachine(2)
-	cfg := m.Config()
 	cs := NewPerCPUOn(m, 0, true)
 	c := m.CPU(0)
 	t0, i0 := c.Now(), c.Stats().Instructions
 	if n := cs.Enter(c); n != 0 {
 		t.Fatalf("unjittered Enter reported %d restarts", n)
 	}
-	if got := c.Now() - t0; got != cfg.CyclesPerInsn {
-		t.Errorf("Enter cost %d cycles, want %d", got, cfg.CyclesPerInsn)
+	if got := c.Now() - t0; got != CyclesPerInsn {
+		t.Errorf("Enter cost %d cycles, want %d", got, CyclesPerInsn)
 	}
 	cs.Exit(c)
-	if got, want := c.Now()-t0, 2*cfg.CyclesPerInsn+cfg.CommitCycles; got != want {
+	if got, want := c.Now()-t0, 2*CyclesPerInsn+CommitCycles; got != want {
 		t.Errorf("section cost %d cycles, want %d", got, want)
 	}
 	if got := c.Stats().Instructions - i0; got != 2 {
@@ -165,7 +164,7 @@ func TestPerCPURseqSimCharges(t *testing.T) {
 	t1, a1 := f.Now(), f.Stats().Atomics
 	cs.EnterForeign(f)
 	cs.ExitForeign(f)
-	if got, want := f.Now()-t1, rmw+cfg.FenceCycles; got != want {
+	if got, want := f.Now()-t1, rmw+FenceCycles; got != want {
 		t.Errorf("foreign section cost %d cycles, want %d", got, want)
 	}
 	if got := f.Stats().Atomics - a1; got != 1 {

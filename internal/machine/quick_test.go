@@ -84,7 +84,7 @@ func TestQuickHitNeverCostsMoreThanMiss(t *testing.T) {
 			c.Read(Line(l))
 		}
 		s := c.Stats()
-		worst := int64(len(lines)) * (m.Config().MissCycles + m.Config().CyclesPerInsn)
+		worst := int64(len(lines)) * (m.Config().MissCycles + CyclesPerInsn)
 		return s.Cycles <= worst
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -160,7 +160,7 @@ func TestIntrLockSimCharges(t *testing.T) {
 	before := c.Now()
 	il.Enter(c)
 	il.Exit(c)
-	if c.Now()-before != m.Config().IntrCycles {
-		t.Fatalf("intr cost = %d, want %d", c.Now()-before, m.Config().IntrCycles)
+	if c.Now()-before != IntrCycles {
+		t.Fatalf("intr cost = %d, want %d", c.Now()-before, IntrCycles)
 	}
 }

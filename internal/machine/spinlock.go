@@ -92,7 +92,7 @@ func (l *SpinLock) Acquire(c *CPU) {
 		l.lastWait += wait
 		c.spinWait += wait
 		c.noteWait(l.line, wait)
-		retries := wait / c.m.cfg.SpinRetryGap
+		retries := wait / SpinRetryGap
 		if retries > maxRetryCharge {
 			retries = maxRetryCharge
 		}

@@ -51,8 +51,8 @@ func TestTLBMissChargesCycles(t *testing.T) {
 	cw.Read(Line(100))
 	co.Read(Line(100))
 	diff := cw.Now() - co.Now()
-	if diff != with.Config().TLBMissCycles {
-		t.Fatalf("TLB cost = %d, want %d", diff, with.Config().TLBMissCycles)
+	if diff != TLBMissCycles {
+		t.Fatalf("TLB cost = %d, want %d", diff, TLBMissCycles)
 	}
 }
 

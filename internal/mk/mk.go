@@ -138,8 +138,7 @@ func (a *Allocator) carvePage(c *machine.CPU, bkt int) error {
 	if err := a.m.Phys().Map(1); err != nil {
 		return ErrNoMemory
 	}
-	cfg := a.m.Config()
-	c.Idle(cfg.PageMapCycles + cfg.PageZeroCycles)
+	c.Idle(machine.PageMapCycles + machine.PageZeroCycles)
 	c.Work(20)
 	pg := a.nextPage
 	a.nextPage++
@@ -147,9 +146,9 @@ func (a *Allocator) carvePage(c *machine.CPU, bkt int) error {
 	c.Write(a.sizesLine)
 	a.pageCarves++
 
-	base := a.pageZero + arena.Addr(pg)*arena.Addr(cfg.PageBytes)
+	base := a.pageZero + arena.Addr(pg)*arena.Addr(a.m.Config().PageBytes)
 	bsize := arena.Addr(1) << bkt
-	n := arena.Addr(cfg.PageBytes) / bsize
+	n := arena.Addr(a.m.Config().PageBytes) / bsize
 	for i := n; i > 0; i-- {
 		a.buckets[bkt].Push(c, a.mem, base+(i-1)*bsize)
 	}

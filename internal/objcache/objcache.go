@@ -73,6 +73,9 @@ const (
 	depotMags = 8
 )
 
+// colorInc is the coloring step: one machine cache line.
+const colorInc = 1 << machine.LineShift
+
 // Opts tunes a cache. The zero value selects defaults.
 type Opts struct {
 	// MinBackSize sets a floor on the backing allocation request, for
@@ -80,17 +83,11 @@ type Opts struct {
 	// 512-byte resource blocks) while the live object is smaller. The
 	// slack becomes coloring room.
 	MinBackSize uint64
-	// ColorSpace asks for this many extra bytes of backing purely for
-	// coloring, when the natural class slack is too small to spread
-	// objects (e.g. an exact-fit size class).
-	ColorSpace uint64
 	// Harden, when non-nil, enables per-cache corruption hardening: a
 	// redzone canary immediately after the object (verified on every
-	// Put), and — unless NoPoison is set — poison-on-put with
-	// verify-on-get. Poisoning sacrifices the constructed-state reuse
-	// win: a poisoned object must be destructed on Put and
-	// re-constructed on Get, so caches that want hardening without
-	// losing ctor skips set NoPoison. Detections follow Config.Policy;
+	// Put), and poison-on-put with verify-on-get. Poisoning sacrifices the
+	// constructed-state reuse win: a poisoned object must be destructed
+	// on Put and re-constructed on Get. Detections follow Config.Policy;
 	// quarantined objects are pinned (never magazined, never released)
 	// and counted in Stats.Quarantined.
 	Harden *harden.Config
@@ -207,7 +204,6 @@ type Cache struct {
 	emit    func(ev core.LayerEvent, n int)
 
 	// Coloring.
-	colorInc  uint64 // one cache line
 	nColors   int
 	colorBase int
 
@@ -275,11 +271,10 @@ type objOwner struct {
 // cacheHardenMaxReports bounds the retained per-cache report buffer.
 const cacheHardenMaxReports = 64
 
-// poisonMode reports whether objects at rest are poisoned (hardening on
-// and NoPoison unset) — the mode that trades ctor skips for
-// use-after-free detection.
+// poisonMode reports whether objects at rest are poisoned (hardening on)
+// — the mode that trades ctor skips for use-after-free detection.
 func (k *Cache) poisonMode() bool {
-	return k.hd != nil && !k.hd.cfg.NoPoison
+	return k.hd != nil
 }
 
 // ErrDestroyed is returned by Get on a destroyed cache.
@@ -300,17 +295,16 @@ func New(m *machine.Machine, back Backing, name string, size, align uint64, ctor
 	}
 
 	k := &Cache{
-		name:     name,
-		m:        m,
-		mem:      m.Mem(),
-		back:     back,
-		ctor:     ctor,
-		dtor:     dtor,
-		size:     size,
-		align:    align,
-		colorInc: uint64(1) << m.Config().LineShift,
-		objs:     make(map[arena.Addr]arena.Addr),
-		emit:     func(core.LayerEvent, int) {},
+		name:  name,
+		m:     m,
+		mem:   m.Mem(),
+		back:  back,
+		ctor:  ctor,
+		dtor:  dtor,
+		size:  size,
+		align: align,
+		objs:  make(map[arena.Addr]arena.Addr),
+		emit:  func(core.LayerEvent, int) {},
 	}
 	k.depots = make([]depot, m.NumNodes())
 	for n := range k.depots {
@@ -321,8 +315,7 @@ func New(m *machine.Machine, back Backing, name string, size, align uint64, ctor
 	// Backing request: the object, worst-case alignment pad (backing
 	// blocks are at least 8-byte aligned), the hardening redzone (the
 	// canary lives immediately after the object, where an overrun lands
-	// first), any explicit color space, and the subsystem's block-size
-	// floor.
+	// first), and the subsystem's block-size floor.
 	var pad uint64
 	if align > 8 {
 		pad = align - 8
@@ -337,7 +330,7 @@ func New(m *machine.Machine, back Backing, name string, size, align uint64, ctor
 			quar:  make(map[arena.Addr]bool),
 		}
 	}
-	k.backReq = size + pad + rz + o.ColorSpace
+	k.backReq = size + pad + rz
 	if k.backReq < o.MinBackSize {
 		k.backReq = o.MinBackSize
 	}
@@ -365,7 +358,7 @@ func New(m *machine.Machine, back Backing, name string, size, align uint64, ctor
 	// is not slack — the canary must fit after the object at every
 	// color.
 	slack := k.capacity - size - pad - rz
-	k.nColors = int(slack/k.colorInc) + 1
+	k.nColors = int(slack/colorInc) + 1
 	h := fnv.New32a()
 	h.Write([]byte(name))
 	k.colorBase = int(h.Sum32()) % k.nColors
@@ -401,9 +394,6 @@ func (k *Cache) Capacity() uint64 { return k.capacity }
 // NumColors returns how many distinct line offsets the cache cycles
 // through.
 func (k *Cache) NumColors() int { return k.nColors }
-
-// ColorInc returns the coloring step (the machine's cache line size).
-func (k *Cache) ColorInc() uint64 { return k.colorInc }
 
 // enter begins CPU c's magazine critical section. The restart tally is
 // this cache's own atomic, not state the section guards, so it needs no
@@ -547,7 +537,7 @@ func (k *Cache) carve(c *machine.CPU) (arena.Addr, error) {
 	c.Work(insnCarve)
 
 	k.objMu.Lock()
-	color := uint64((k.colorBase+k.carveSeq)%k.nColors) * k.colorInc
+	color := uint64((k.colorBase+k.carveSeq)%k.nColors) * colorInc
 	k.carveSeq++
 	obj := (base + arena.Addr(k.align) - 1) &^ (arena.Addr(k.align) - 1)
 	obj += arena.Addr(color)

@@ -353,17 +353,17 @@ func (r rawAllocator) Free(c *machine.CPU, addr arena.Addr, size uint64) {
 }
 
 // TestGenericBacking: the cache works over a bare Alloc/Free allocator,
-// with coloring from explicit ColorSpace.
+// with coloring from the slack of a MinBackSize floor.
 func TestGenericBacking(t *testing.T) {
 	m, _, kma := newKMA(t, 1)
 	const size = 80
 	k, err := objcache.New(m, rawAllocator{inner: kma}, "test:raw", size, 8,
-		patternCtor(size), nil, objcache.Opts{ColorSpace: 64})
+		patternCtor(size), nil, objcache.Opts{MinBackSize: size + 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k.NumColors() < 2 {
-		t.Fatalf("ColorSpace 64 gave %d colors, want >= 2", k.NumColors())
+		t.Fatalf("64 bytes of MinBackSize slack gave %d colors, want >= 2", k.NumColors())
 	}
 	c := m.CPU(0)
 	for i := 0; i < 20; i++ {

@@ -10,7 +10,7 @@
 //
 //   - Reserve / Unreserve move pages of *virtual* quota: address space a
 //     client has claimed but that costs no physical frames. Reservations
-//     are bounded only by the optional VA quota (SetVAQuota).
+//     are unbounded here: the allocator's VA limit is its arena.
 //   - Commit / Decommit move pages between reserved and *resident*:
 //     committed pages consume physical frames out of the pool's capacity
 //     and must lie within an existing reservation (resident <= reserved
@@ -43,11 +43,6 @@ import (
 // ErrNoPages is returned by Commit (and Map) when physical memory is
 // exhausted.
 var ErrNoPages = errors.New("physmem: out of physical pages")
-
-// ErrNoVA is returned by Reserve (and Map) when the optional virtual
-// quota is exhausted. No amount of decommit helps: address space and
-// physical frames are separate budgets.
-var ErrNoVA = errors.New("physmem: virtual address quota exhausted")
 
 // ErrBadCount is returned by every pool operation for a non-positive page
 // count — a caller bug, but an unwindable one: no accounting has been
@@ -88,7 +83,6 @@ type Pool struct {
 	capacity  int64
 	reserved  int64 // VA pages claimed (resident <= reserved)
 	resident  int64 // pages physically committed
-	vaQuota   int64 // cap on reserved; 0 = unlimited
 	highWater int64 // max resident ever
 
 	reserveOps   uint64
@@ -113,28 +107,13 @@ type Pool struct {
 	mapHook func(n int64) error
 }
 
-// NewPool returns a pool holding capacity physical pages, no VA quota,
-// and no watermarks (pressure model disabled).
+// NewPool returns a pool holding capacity physical pages and no
+// watermarks (pressure model disabled).
 func NewPool(capacity int64) *Pool {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("physmem: invalid capacity %d", capacity))
 	}
 	return &Pool{capacity: capacity}
-}
-
-// SetVAQuota caps the total reserved pages; 0 removes the cap. The quota
-// cannot be set below what is already reserved.
-func (p *Pool) SetVAQuota(pages int64) error {
-	if pages < 0 {
-		return fmt.Errorf("physmem: negative VA quota %d", pages)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if pages != 0 && pages < p.reserved {
-		return fmt.Errorf("physmem: VA quota %d below %d already reserved", pages, p.reserved)
-	}
-	p.vaQuota = pages
-	return nil
 }
 
 // SetWatermarks enables the pressure model: the pool is at PressureLow
@@ -188,18 +167,14 @@ func (p *Pool) levelLocked() PressureLevel {
 }
 
 // Reserve claims n pages of virtual quota. Reservations consume no
-// physical frames and never move the pressure level; they fail only
-// against the optional VA quota (ErrNoVA), all or nothing.
+// physical frames, never move the pressure level and never fail for a
+// positive n.
 func (p *Pool) Reserve(n int64) error {
 	if n <= 0 {
 		return fmt.Errorf("%w: Reserve(%d)", ErrBadCount, n)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.vaQuota != 0 && p.reserved+n > p.vaQuota {
-		p.failures++
-		return ErrNoVA
-	}
 	p.reserved += n
 	p.reserveOps += uint64(n)
 	return nil
@@ -369,13 +344,12 @@ type Stats struct {
 	Reserved     int64  // VA pages currently reserved
 	Mapped       int64  // pages currently resident (committed)
 	Free         int64  // physical pages still available (Capacity - Mapped)
-	VAQuota      int64  // reserved-page cap (0 = unlimited)
 	HighWater    int64  // maximum pages ever simultaneously resident
 	MapOps       uint64 // cumulative pages committed
 	UnmapOps     uint64 // cumulative pages decommitted
 	ReserveOps   uint64 // cumulative pages reserved
 	UnreserveOps uint64 // cumulative pages unreserved
-	Failures     uint64 // commits/reserves refused (exhaustion or injected fault)
+	Failures     uint64 // commits refused (exhaustion or injected fault)
 	Quarantined  int64  // resident pages pinned for post-mortem by the hardening layer
 
 	// Pressure model (zero watermarks = model disabled, Pressure ok).
@@ -394,7 +368,6 @@ func (p *Pool) Stats() Stats {
 		Reserved:     p.reserved,
 		Mapped:       p.resident,
 		Free:         p.capacity - p.resident,
-		VAQuota:      p.vaQuota,
 		HighWater:    p.highWater,
 		MapOps:       p.mapOps,
 		UnmapOps:     p.unmapOps,

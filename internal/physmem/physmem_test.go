@@ -237,32 +237,6 @@ func TestReserveCommitSplit(t *testing.T) {
 	}
 }
 
-func TestVAQuota(t *testing.T) {
-	p := NewPool(8)
-	if err := p.SetVAQuota(10); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Reserve(8); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Reserve(3); !errors.Is(err, ErrNoVA) {
-		t.Fatalf("Reserve past quota: err = %v, want ErrNoVA", err)
-	}
-	if s := p.Stats(); s.Failures != 1 || s.Reserved != 8 || s.VAQuota != 10 {
-		t.Fatalf("stats = %+v", s)
-	}
-	// Quota cannot undercut live reservations.
-	if err := p.SetVAQuota(4); err == nil {
-		t.Fatal("SetVAQuota below reserved accepted")
-	}
-	if err := p.SetVAQuota(0); err != nil { // unlimited again
-		t.Fatal(err)
-	}
-	if err := p.Reserve(1000); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCommitUnreservePanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"commit beyond reservation": func() {

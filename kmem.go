@@ -106,6 +106,17 @@ const (
 	EvCacheShed       = core.EvCacheShed
 	EvCorruption      = core.EvCorruption
 	EvQuarantine      = core.EvQuarantine
+	EvShardFlush      = core.EvShardFlush
+	EvHomeMemoHit     = core.EvHomeMemoHit
+	EvRemotePut       = core.EvRemotePut
+	EvLockWait        = core.EvLockWait
+	EvPagesReserve    = core.EvPagesReserve
+	EvPagesCommit     = core.EvPagesCommit
+	EvPagesDecommit   = core.EvPagesDecommit
+	EvRseqRestart     = core.EvRseqRestart
+	EvCASRetry        = core.EvCASRetry
+	EvSpillRouted     = core.EvSpillRouted
+	EvPageRefile      = core.EvPageRefile
 )
 
 // EventCounter is a ready-made Hook sink that tallies events.
@@ -144,8 +155,9 @@ const (
 // degradation (PressureLow) and incremental reclaim (PressureCritical).
 type PressureConfig = core.PressureConfig
 
-// WaitConfig bounds AllocWait's blocking: retry rounds and the
-// exponential backoff (cycles in Sim mode, durations in Native mode).
+// WaitConfig bounds AllocWait's blocking: retry rounds and, in Sim mode,
+// the exponential backoff in cycles. Native mode backs off 50 µs
+// doubling to 5 ms, waking early on frees and reclaim progress.
 type WaitConfig = core.WaitConfig
 
 // PressureStats reports pressure-model activity in Stats.Pressure.
@@ -170,16 +182,16 @@ const (
 )
 
 // Mode selects the execution substrate.
-type Mode int
+type Mode = machine.Mode
 
 const (
 	// Sim runs on the deterministic simulated multiprocessor with the
 	// paper-calibrated cycle cost model. Use it to reproduce the
 	// evaluation or to study allocator behaviour.
-	Sim Mode = iota
+	Sim = machine.Sim
 	// Native disables all cost modelling; CPU handles become plain
 	// shards and the allocator is an ordinary concurrent Go library.
-	Native
+	Native = machine.Native
 )
 
 // Config shapes a System. The zero value of every field selects a
@@ -224,8 +236,9 @@ type Config struct {
 	// incremental reclaim under PressureCritical). Nil — the default —
 	// keeps the pre-pressure behavior and cycle counts exactly.
 	Pressure *PressureConfig
-	// Wait bounds AllocWait's blocking; nil selects core defaults
-	// (32 rounds, 50µs–5ms native backoff, 4096–262144 cycles in Sim).
+	// Wait bounds AllocWait's blocking: its rounds, and its backoff
+	// cycles in Sim mode. Nil selects core defaults (32 rounds,
+	// 4096–262144 cycles); Native mode always backs off 50 µs–5 ms.
 	Wait *WaitConfig
 	// Faults, when non-nil, arms deterministic fault injection at the
 	// exhaustion seams (FaultPhysMap, FaultVmblkCarve,
@@ -244,10 +257,6 @@ type Config struct {
 	// DebugOwnership panics when two goroutines drive one CPU handle
 	// concurrently (debugging aid for Native mode).
 	DebugOwnership bool
-	// MachineConfig, when non-nil, overrides the whole simulated-machine
-	// configuration (cycle costs, cache shape); Mode, CPUs, MemBytes and
-	// PhysPages above are then ignored.
-	MachineConfig *machine.Config
 }
 
 // System is an allocator bound to its (simulated or native) machine.
@@ -261,26 +270,19 @@ type System struct {
 
 // NewSystem builds a System from cfg.
 func NewSystem(cfg Config) (*System, error) {
-	var mc machine.Config
-	if cfg.MachineConfig != nil {
-		mc = *cfg.MachineConfig
-	} else {
-		mc = machine.DefaultConfig()
-		if cfg.Mode == Native {
-			mc.Mode = machine.Native
-		}
-		if cfg.CPUs > 0 {
-			mc.NumCPUs = cfg.CPUs
-		}
-		if cfg.Nodes > 0 {
-			mc.Nodes = cfg.Nodes
-		}
-		if cfg.MemBytes > 0 {
-			mc.MemBytes = cfg.MemBytes
-		}
-		if cfg.PhysPages > 0 {
-			mc.PhysPages = cfg.PhysPages
-		}
+	mc := machine.DefaultConfig()
+	mc.Mode = cfg.Mode
+	if cfg.CPUs > 0 {
+		mc.NumCPUs = cfg.CPUs
+	}
+	if cfg.Nodes > 0 {
+		mc.Nodes = cfg.Nodes
+	}
+	if cfg.MemBytes > 0 {
+		mc.MemBytes = cfg.MemBytes
+	}
+	if cfg.PhysPages > 0 {
+		mc.PhysPages = cfg.PhysPages
 	}
 	if err := mc.Validate(); err != nil {
 		return nil, err
@@ -403,9 +405,9 @@ func (s *System) Machine() *machine.Machine { return s.m }
 // --- corruption hardening -------------------------------------------------
 
 // HardenConfig tunes the corruption-hardening layer (Config.Harden, and
-// per-cache via CacheOpts.Harden). The redzone is 16 bytes and each
-// CPU's audit ring 64 records; the zero value selects poisoning on and
-// PolicyQuarantine.
+// per-cache via CacheOpts.Harden). The redzone is 16 bytes, each CPU's
+// audit ring 64 records, and freed memory is always poisoned; the zero
+// value selects PolicyQuarantine.
 type HardenConfig = harden.Config
 
 // HardenPolicy selects what a corruption detection does beyond filing a
@@ -469,9 +471,9 @@ type Ctor = objcache.Ctor
 type Dtor = objcache.Dtor
 
 // CacheOpts tunes an object cache: a floor on the backing size
-// (MinBackSize), extra coloring room (ColorSpace), per-cache hardening
-// (Harden) and the restartable-sequence fast path (Rseq). Magazine and
-// depot sizes are constants. The zero value selects defaults.
+// (MinBackSize), per-cache hardening (Harden) and the restartable-sequence
+// fast path (Rseq). Colors come from the backing block's slack; magazine
+// and depot sizes are constants. The zero value selects defaults.
 type CacheOpts = objcache.Opts
 
 // NewCache creates and registers a named typed object cache over this
