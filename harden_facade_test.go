@@ -94,15 +94,16 @@ func TestSystemHarden(t *testing.T) {
 	}
 }
 
-// TestSystemHardenedCache runs a hardened named cache end to end through
-// the facade.
+// TestSystemHardenedCache runs a named cache of a hardened System end to
+// end through the facade: the cache inherits the hardening, and its
+// detection lands once in the System's one log.
 func TestSystemHardenedCache(t *testing.T) {
-	s := newSys(t, Config{CPUs: 1})
-	c := s.CPU(0)
 	var got []CorruptionReport
-	k, err := s.NewCache("hardened", 96, 8, nil, nil, CacheOpts{
-		Harden: &HardenConfig{OnReport: func(r CorruptionReport) { got = append(got, r) }},
-	})
+	s := newSys(t, Config{CPUs: 1, Harden: &HardenConfig{
+		OnReport: func(r CorruptionReport) { got = append(got, r) },
+	}})
+	c := s.CPU(0)
+	k, err := s.NewCache("hardened", 96, 8, nil, nil, CacheOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +116,16 @@ func TestSystemHardenedCache(t *testing.T) {
 	if len(got) != 1 || got[0].Kind != KindOverrun || got[0].Cache != "hardened" {
 		t.Fatalf("reports = %v, want one overrun in %q", got, "hardened")
 	}
-	if st := k.Stats(); st.Quarantined != 1 {
-		t.Fatalf("cache quarantined = %d, want 1", st.Quarantined)
+	if reps := s.HardenReports(c); len(reps) != 1 || reps[0].Cache != "hardened" {
+		t.Fatalf("HardenReports = %v, want the one overrun", reps)
+	}
+	if q := s.Stats(c).Quarantine; q.Detections != 1 || q.Overruns != 1 || q.Objects != 1 || q.Bytes != 96 {
+		t.Fatalf("Stats.Quarantine = %+v, want one overrun pinning one 96-byte object", q)
 	}
 	if live := s.DestroyCache(c, "hardened"); live != 1 {
 		t.Fatalf("DestroyCache = %d live, want 1 (the quarantined object)", live)
+	}
+	if err := s.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -20,8 +20,8 @@ func (NewKMA) Name() string { return "newkma" }
 // kernel subsystem would do at compile/init time. This is the "cookie"
 // trace in Figures 7 and 8. Only Alloc and Free differ from NewKMA;
 // everything else the core allocator offers (DrainAll, AllocWait, Trim,
-// and the cookie, shed, sizing and event hooks typed object caches probe
-// for) is the embedded allocator's own.
+// and the cookie, shed, sizing, event and hardening hooks a typed cache
+// calls) is the embedded allocator's own.
 type CookieKMA struct {
 	*core.Allocator
 	cookies []core.Cookie // per class

@@ -9,11 +9,10 @@ import (
 )
 
 // RunObjCache executes the typed object-cache lifecycle suite over an
-// allocator: the cache contract (ctor exactly once per carve,
-// constructed state visible across Get/Put, dtor before every release,
-// coloring inside the backing capacity) must hold whether the backing
-// allocator offers cookies and shed registration (the paper's
-// allocator) or only plain Alloc/Free (the baselines).
+// adapter of the paper's allocator (the only backing a cache takes):
+// the cache contract (ctor exactly once per carve, constructed state
+// visible across Get/Put, dtor before every release, coloring inside
+// the backing capacity) must hold over each.
 func RunObjCache(t *testing.T, f Factory) {
 	t.Run("ObjCacheCtorOnce", func(t *testing.T) { testObjCacheCtorOnce(t, f) })
 	t.Run("ObjCacheConstructedState", func(t *testing.T) { testObjCacheConstructed(t, f) })
@@ -32,7 +31,7 @@ func ocCtor(c *machine.CPU, mem *arena.Arena, obj arena.Addr) {
 
 func newObjCache(t *testing.T, inst Instance, name string, dtor objcache.Dtor) *objcache.Cache {
 	t.Helper()
-	k, err := objcache.New(inst.M, inst.A, name, ocSize, 8, ocCtor, dtor,
+	k, err := objcache.New(inst.M, inst.A.(objcache.Backing), name, ocSize, 8, ocCtor, dtor,
 		objcache.Opts{MinBackSize: ocSize + 64})
 	if err != nil {
 		t.Fatal(err)

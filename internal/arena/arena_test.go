@@ -34,7 +34,7 @@ func TestLittleEndianLayout(t *testing.T) {
 func TestQuickRoundTrip64(t *testing.T) {
 	a := New(1 << 16)
 	f := func(off uint16, v uint64) bool {
-		addr := Addr(off)%((1<<16)-8) + 8
+		addr := Addr(off)%((1<<16)-16) + 8 // [8, 1<<16-8]: the word fits
 		a.Store64(addr, v)
 		return a.Load64(addr) == v
 	}

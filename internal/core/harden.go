@@ -25,6 +25,12 @@ import (
 //   - physmem records quarantined frames so the pinned-but-unusable
 //     memory is visible at the bottom layer too.
 //
+// Typed object caches (internal/objcache) over a hardened allocator are
+// hardened too and report through this file: the cache lays a canary
+// right after each object and poisons objects at rest, and the
+// HardenCache* hooks below verify both, keep the objects' owner slots
+// beside the large spans', and file reports under the same policy.
+//
 // Locking: the hardening state has one spinlock (hd.lk) guarding the
 // owner slots, audit rings, site tags and report buffer. The only
 // nesting ever used is pagePool.lk -> hd.lk (forgetPage from carve and
@@ -80,7 +86,8 @@ type hardenState struct {
 	sites   []string       // per CPU current site tag
 	pages   map[int32]*hardenPage
 	large   map[arena.Addr]*largeSlot
-	qpages  map[int32]bool // quarantined split pages
+	cobjs   map[arena.Addr]*ownerSlot // typed-cache objects
+	qpages  map[int32]bool            // quarantined split pages
 	reports []harden.Report
 
 	// Counters bumped from page-pool paths that do not hold lk.
@@ -98,6 +105,7 @@ func newHardenState(a *Allocator) *hardenState {
 		lk:     machine.NewSpinLock(a.m),
 		pages:  make(map[int32]*hardenPage),
 		large:  make(map[arena.Addr]*largeSlot),
+		cobjs:  make(map[arena.Addr]*ownerSlot),
 		qpages: make(map[int32]bool),
 	}
 	n := a.m.NumCPUs()
@@ -151,13 +159,15 @@ func (hd *hardenState) forgetPage(c *machine.CPU, pg int32) {
 }
 
 // reportLocked builds and files one CorruptionReport: counters, the
-// bounded report buffer, and the OnReport callback. Caller holds hd.lk
-// and afterwards (with hd.lk released) must call hardenDetected to emit
-// the spine event and apply PolicyPanic.
+// bounded report buffer, and the OnReport callback. cache names the
+// typed cache of a cache object ("" for blocks and spans). Caller holds
+// hd.lk and afterwards (with hd.lk released) must call hardenDetected to
+// emit the spine event and apply PolicyPanic.
 func (hd *hardenState) reportLocked(a *Allocator, c *machine.CPU, kind harden.Kind,
-	addr arena.Addr, cls int, size, off uint64, got byte, slot *ownerSlot) harden.Report {
+	addr arena.Addr, cls int, size, off uint64, got byte, slot *ownerSlot, cache string) harden.Report {
 	rep := harden.Report{
 		Kind:   kind,
+		Cache:  cache,
 		Addr:   uint64(addr),
 		Class:  cls,
 		Size:   size,
@@ -225,7 +235,7 @@ func (a *Allocator) hardenAlloc(c *machine.CPU, cls int, b arena.Addr) bool {
 		if off, ok := a.mem.CheckFill(b+8, size-8, harden.PoisonByte); !ok {
 			off += 8
 			got := a.mem.Bytes(b+arena.Addr(off), 1)[0]
-			rep := hd.reportLocked(a, c, harden.KindUseAfterFree, b, cls, size, off, got, slot)
+			rep := hd.reportLocked(a, c, harden.KindUseAfterFree, b, cls, size, off, got, slot, "")
 			pol := hd.cfg.Policy
 			hd.lk.Release(c)
 			a.hardenDetected(c, cls, &rep)
@@ -272,7 +282,7 @@ func (a *Allocator) hardenFree(c *machine.CPU, cls int, addr arena.Addr) bool {
 		// double free (state free) or a free of a never-allocated
 		// pointer (state unknown). Always swallowed — threading the
 		// block twice would corrupt the freelists even in log mode.
-		rep := hd.reportLocked(a, c, harden.KindDoubleFree, addr, cls, size, 0, 0, slot)
+		rep := hd.reportLocked(a, c, harden.KindDoubleFree, addr, cls, size, 0, 0, slot, "")
 		pol := hd.cfg.Policy
 		hd.lk.Release(c)
 		a.hardenDetected(c, cls, &rep)
@@ -298,7 +308,7 @@ func (a *Allocator) hardenFree(c *machine.CPU, cls int, addr arena.Addr) bool {
 	if coff, ok := a.mem.CheckFill(addr+arena.Addr(size-hd.rz), hd.rz, harden.CanaryByte); !ok {
 		boff := size - hd.rz + coff
 		got := a.mem.Bytes(addr+arena.Addr(boff), 1)[0]
-		rep := hd.reportLocked(a, c, harden.KindOverrun, addr, cls, size, boff, got, slot)
+		rep := hd.reportLocked(a, c, harden.KindOverrun, addr, cls, size, boff, got, slot, "")
 		slot.state = slotFree
 		slot.lastFree = hd.recordLocked(c, harden.OpFree, addr)
 		pol := hd.cfg.Policy
@@ -421,7 +431,7 @@ func (a *Allocator) hardenFreeLarge(c *machine.CPU, addr arena.Addr) bool {
 		if ls != nil {
 			slot = &ls.ownerSlot
 		}
-		rep := hd.reportLocked(a, c, harden.KindDoubleFree, addr, -1, 0, 0, 0, slot)
+		rep := hd.reportLocked(a, c, harden.KindDoubleFree, addr, -1, 0, 0, 0, slot, "")
 		hd.lk.Release(c)
 		a.hardenDetected(c, -1, &rep)
 		return false
@@ -429,7 +439,7 @@ func (a *Allocator) hardenFreeLarge(c *machine.CPU, addr arena.Addr) bool {
 	if coff, ok := a.mem.CheckFill(addr+arena.Addr(ls.bytes-hd.rz), hd.rz, harden.CanaryByte); !ok {
 		boff := ls.bytes - hd.rz + coff
 		got := a.mem.Bytes(addr+arena.Addr(boff), 1)[0]
-		rep := hd.reportLocked(a, c, harden.KindOverrun, addr, -1, ls.bytes, boff, got, &ls.ownerSlot)
+		rep := hd.reportLocked(a, c, harden.KindOverrun, addr, -1, ls.bytes, boff, got, &ls.ownerSlot, "")
 		ls.state = slotFree
 		ls.lastFree = hd.recordLocked(c, harden.OpFree, addr)
 		pol := hd.cfg.Policy
@@ -453,6 +463,110 @@ func (a *Allocator) hardenFreeLarge(c *machine.CPU, addr arena.Addr) bool {
 	ls.state = slotFree
 	ls.lastFree = hd.recordLocked(c, harden.OpFree, addr)
 	hd.lk.Release(c)
+	return true
+}
+
+// --- typed-cache hooks ----------------------------------------------------
+
+// HardenRedzone returns the width of the canary a typed object cache
+// lays right after each object, or 0 with hardening off: a cache is
+// hardened exactly when the allocator beneath it is, and calls the
+// HardenCache* hooks only then.
+func (a *Allocator) HardenRedzone() uint64 {
+	if a.hd == nil {
+		return 0
+	}
+	return a.hd.rz
+}
+
+// HardenCacheCarve starts tracking a freshly carved cache object: it is
+// out (held by the caller), and the canary its cache laid after it must
+// survive to its Put.
+func (a *Allocator) HardenCacheCarve(c *machine.CPU, obj arena.Addr) {
+	hd := a.hd
+	hd.lk.Acquire(c)
+	slot := &ownerSlot{state: slotAllocated}
+	slot.lastAlloc = hd.recordLocked(c, harden.OpAlloc, obj)
+	hd.cobjs[obj] = slot
+	hd.lk.Release(c)
+}
+
+// HardenCacheGet verifies a resting object of cache before the cache
+// hands it out again. Its size bytes were poisoned at its Put, so a
+// changed byte is a late write through a stale pointer (use-after-free).
+// It returns false when the object was quarantined: the cache then pins
+// it — never serves it, never releases it — and takes another.
+func (a *Allocator) HardenCacheGet(c *machine.CPU, cache string, obj arena.Addr, size uint64) bool {
+	hd := a.hd
+	hd.lk.Acquire(c)
+	slot := hd.cobjs[obj]
+	if off, ok := a.mem.CheckFill(obj, size, harden.PoisonByte); !ok {
+		got := a.mem.Bytes(obj+arena.Addr(off), 1)[0]
+		rep := hd.reportLocked(a, c, harden.KindUseAfterFree, obj, -1, size, off, got, slot, cache)
+		hd.lk.Release(c)
+		if a.cacheDetected(c, &rep, size) {
+			return false
+		}
+		hd.lk.Acquire(c) // log-only: serve it anyway
+	}
+	slot.state = slotAllocated
+	slot.lastAlloc = hd.recordLocked(c, harden.OpAlloc, obj)
+	hd.lk.Release(c)
+	return true
+}
+
+// HardenCachePut runs the put-side checks on an object of cache. A put
+// of an object that is not out is a double put, always swallowed —
+// magazining it twice would corrupt the cache. A smashed canary after
+// the object is an overrun: healed under PolicyLog, the object pinned
+// under PolicyQuarantine. It returns false when the cache must drop the
+// Put.
+func (a *Allocator) HardenCachePut(c *machine.CPU, cache string, obj arena.Addr, size uint64) bool {
+	hd := a.hd
+	hd.lk.Acquire(c)
+	slot := hd.cobjs[obj]
+	if slot == nil || slot.state != slotAllocated {
+		rep := hd.reportLocked(a, c, harden.KindDoubleFree, obj, -1, size, 0, 0, slot, cache)
+		hd.lk.Release(c)
+		a.hardenDetected(c, -1, &rep)
+		return false
+	}
+	rz := obj + arena.Addr(size)
+	coff, ok := a.mem.CheckFill(rz, hd.rz, harden.CanaryByte)
+	var rep harden.Report
+	if !ok {
+		got := a.mem.Bytes(rz+arena.Addr(coff), 1)[0]
+		rep = hd.reportLocked(a, c, harden.KindOverrun, obj, -1, size, size+coff, got, slot, cache)
+		if hd.cfg.Policy == harden.PolicyLog {
+			a.mem.Fill(rz, hd.rz, harden.CanaryByte)
+		}
+	}
+	slot.state = slotFree
+	slot.lastFree = hd.recordLocked(c, harden.OpFree, obj)
+	hd.lk.Release(c)
+	return ok || !a.cacheDetected(c, &rep, size)
+}
+
+// HardenCacheRelease stops tracking obj as its cache returns the
+// object's backing block to the allocator.
+func (a *Allocator) HardenCacheRelease(c *machine.CPU, obj arena.Addr) {
+	a.hd.lk.Acquire(c)
+	delete(a.hd.cobjs, obj)
+	a.hd.lk.Release(c)
+}
+
+// cacheDetected finishes a cache-object detection once hd.lk is
+// released, and reports whether the policy pins the object. A pinned
+// object counts in Stats.Quarantine's Objects and Bytes; its backing
+// block stays allocated to the cache, so no page leaves circulation.
+func (a *Allocator) cacheDetected(c *machine.CPU, rep *harden.Report, size uint64) bool {
+	a.hardenDetected(c, -1, rep)
+	if a.hd.cfg.Policy != harden.PolicyQuarantine {
+		return false
+	}
+	a.hd.qObjects.Add(1)
+	a.hd.qBytes.Add(size)
+	a.emit(-1, EvQuarantine, 1)
 	return true
 }
 
@@ -498,7 +612,7 @@ func (a *Allocator) AuditSweep(c *machine.CPU) []harden.Report {
 				if off, ok := a.mem.CheckFill(b+arena.Addr(size-hd.rz), hd.rz, harden.CanaryByte); !ok {
 					boff := size - hd.rz + off
 					got := a.mem.Bytes(b+arena.Addr(boff), 1)[0]
-					rep := hd.reportLocked(a, c, harden.KindOverrun, b, hp.cls, size, boff, got, slot)
+					rep := hd.reportLocked(a, c, harden.KindOverrun, b, hp.cls, size, boff, got, slot, "")
 					found = append(found, finding{rep, hp.cls, pg})
 				}
 			case slotFree:
@@ -508,7 +622,7 @@ func (a *Allocator) AuditSweep(c *machine.CPU) []harden.Report {
 				if off, ok := a.mem.CheckFill(b+8, size-8, harden.PoisonByte); !ok {
 					boff := off + 8
 					got := a.mem.Bytes(b+arena.Addr(boff), 1)[0]
-					rep := hd.reportLocked(a, c, harden.KindUseAfterFree, b, hp.cls, size, boff, got, slot)
+					rep := hd.reportLocked(a, c, harden.KindUseAfterFree, b, hp.cls, size, boff, got, slot, "")
 					found = append(found, finding{rep, hp.cls, pg})
 				}
 			}
@@ -527,7 +641,7 @@ func (a *Allocator) AuditSweep(c *machine.CPU) []harden.Report {
 		if off, ok := a.mem.CheckFill(b+arena.Addr(ls.bytes-hd.rz), hd.rz, harden.CanaryByte); !ok {
 			boff := ls.bytes - hd.rz + off
 			got := a.mem.Bytes(b+arena.Addr(boff), 1)[0]
-			rep := hd.reportLocked(a, c, harden.KindOverrun, b, -1, ls.bytes, boff, got, &ls.ownerSlot)
+			rep := hd.reportLocked(a, c, harden.KindOverrun, b, -1, ls.bytes, boff, got, &ls.ownerSlot, "")
 			found = append(found, finding{rep, -1, -1})
 		}
 	}

@@ -1,11 +1,11 @@
 // Package harden defines the configuration and report vocabulary of the
 // allocator's corruption-hardening layer. The layer itself lives inside
-// the allocator (internal/core) and the typed object caches
-// (internal/objcache); this package holds only the parts both share with
-// their callers — the knobs, the provenance records, and the typed
-// CorruptionReport a detection produces — so that facade-level code can
-// configure hardening and consume reports without importing allocator
-// internals.
+// the allocator (internal/core), which also checks the objects of typed
+// caches over it (internal/objcache); this package holds only the parts
+// it shares with callers — the knobs, the provenance records, and the
+// typed CorruptionReport a detection produces — so that facade-level
+// code can configure hardening and consume reports without importing
+// allocator internals.
 //
 // The hardening layer provides, when enabled:
 //

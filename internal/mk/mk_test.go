@@ -54,21 +54,6 @@ func TestConcurrentGetPut(t *testing.T) {
 	})
 }
 
-// The typed object-cache layer must degrade gracefully over this
-// baseline's plain Alloc/Free: no cookies, no shed registration, no
-// event spine — the lifecycle contract holds regardless.
-func TestObjCacheLifecycle(t *testing.T) {
-	alloctest.RunObjCache(t, func(t *testing.T, ncpu int, physPages int64) alloctest.Instance {
-		a, m := newTest(t, ncpu, physPages)
-		return alloctest.Instance{
-			A:       allocif.RetryWait{Allocator: a},
-			M:       m,
-			MaxSize: a.MaxSize(),
-			Check:   a.CheckConsistency,
-		}
-	})
-}
-
 // This baseline has no hardening layer; the corruption suite checks the
 // documented-UB contract only — planted corruptions must not hang it.
 func TestCorruption(t *testing.T) {

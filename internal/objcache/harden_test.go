@@ -2,24 +2,78 @@ package objcache_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
+	"kmem/internal/allocif"
 	"kmem/internal/arena"
+	"kmem/internal/core"
 	"kmem/internal/harden"
 	"kmem/internal/machine"
 	"kmem/internal/objcache"
 )
 
-func newHardenCache(t *testing.T, size uint64, hcfg *harden.Config, ctor objcache.Ctor, dtor objcache.Dtor) (*machine.Machine, *objcache.Cache, *[]harden.Report) {
+// hardEnv is a cache over a hardened allocator, with every channel a
+// detection can surface on: OnReport, the allocator's report buffer and
+// Stats.Quarantine, and the event spine.
+type hardEnv struct {
+	m       *machine.Machine
+	a       *core.Allocator
+	k       *objcache.Cache
+	reports []harden.Report
+	events  core.EventCounter
+}
+
+func newHardenCache(t *testing.T, size uint64, hcfg *harden.Config, ctor objcache.Ctor, dtor objcache.Dtor) *hardEnv {
 	t.Helper()
-	var reports []harden.Report
-	hcfg.OnReport = func(r harden.Report) { reports = append(reports, r) }
-	m, _, kma := newKMA(t, 1)
-	k, err := objcache.New(m, kma, "test:hard", size, 8, ctor, dtor, objcache.Opts{Harden: hcfg})
+	e := &hardEnv{}
+	hcfg.OnReport = func(r harden.Report) { e.reports = append(e.reports, r) }
+	m, a, kma := newAllocator(t, 1, core.Params{Harden: hcfg, Hook: e.events.Hook()})
+	k, err := objcache.New(m, kma, "test:hard", size, 8, ctor, dtor, objcache.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, k, &reports
+	e.m, e.a, e.k = m, a, k
+	return e
+}
+
+// oneLog asserts the allocator logged exactly one detection, of kind at
+// obj, on every channel, naming the cache; pinned says whether the
+// object was quarantined (counted in Objects and Bytes).
+func (e *hardEnv) oneLog(t *testing.T, kind harden.Kind, obj arena.Addr, size uint64, pinned bool) harden.Report {
+	t.Helper()
+	c := e.m.CPU(0)
+	if len(e.reports) != 1 {
+		t.Fatalf("OnReport saw %d reports, want 1: %v", len(e.reports), e.reports)
+	}
+	rep := e.reports[0]
+	if rep.Kind != kind || rep.Addr != uint64(obj) || rep.Cache != "test:hard" || rep.Size != size {
+		t.Errorf("report = %v at %#x in %q (size %d), want %v at %#x in test:hard (size %d)",
+			rep.Kind, rep.Addr, rep.Cache, rep.Size, kind, uint64(obj), size)
+	}
+	if reps := e.a.HardenReports(c); len(reps) != 1 || reps[0].String() != rep.String() {
+		t.Errorf("HardenReports = %v, want the one OnReport saw", reps)
+	}
+	q := e.a.Stats(c).Quarantine
+	byKind := map[harden.Kind]uint64{
+		harden.KindOverrun:      q.Overruns,
+		harden.KindDoubleFree:   q.DoubleFrees,
+		harden.KindUseAfterFree: q.UseAfterFrees,
+	}
+	if q.Detections != 1 || byKind[kind] != 1 {
+		t.Errorf("Stats.Quarantine = %+v, want one %v", q, kind)
+	}
+	var objects, bytes uint64
+	if pinned {
+		objects, bytes = 1, size
+	}
+	if q.Objects != objects || q.Bytes != bytes || q.Pages != 0 {
+		t.Errorf("Stats.Quarantine objects %d bytes %d pages %d, want %d/%d/0", q.Objects, q.Bytes, q.Pages, objects, bytes)
+	}
+	if n := e.events.Count(core.EvCorruption); n != 1 {
+		t.Errorf("spine saw %d EvCorruption, want 1", n)
+	}
+	return rep
 }
 
 // TestCacheHardenOverrun writes past the object and asserts Put detects
@@ -27,32 +81,19 @@ func newHardenCache(t *testing.T, size uint64, hcfg *harden.Config, ctor objcach
 // again), and the cache keeps working.
 func TestCacheHardenOverrun(t *testing.T) {
 	const size = 96
-	m, k, reports := newHardenCache(t, size, &harden.Config{}, patternCtor(size), nil)
-	c := m.CPU(0)
+	e := newHardenCache(t, size, &harden.Config{}, patternCtor(size), nil)
+	c, k := e.m.CPU(0), e.k
 
 	obj, err := k.Get(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Mem().Fill(obj+size, 1, 0x41) // one byte past the object
+	e.m.Mem().Fill(obj+size, 1, 0x41) // one byte past the object
 	k.Put(c, obj)
 
-	if len(*reports) != 1 {
-		t.Fatalf("got %d reports, want 1", len(*reports))
-	}
-	rep := (*reports)[0]
-	if rep.Kind != harden.KindOverrun || rep.Addr != uint64(obj) {
-		t.Errorf("report = %v at %#x, want overrun at %#x", rep.Kind, rep.Addr, uint64(obj))
-	}
-	if rep.Cache != "test:hard" {
-		t.Errorf("report cache = %q, want test:hard", rep.Cache)
-	}
+	rep := e.oneLog(t, harden.KindOverrun, obj, size, true)
 	if rep.Offset != size || rep.Got != 0x41 || rep.Expected != harden.CanaryByte {
 		t.Errorf("report bytes = offset %d got %#x expected %#x", rep.Offset, rep.Got, rep.Expected)
-	}
-	st := k.Stats()
-	if st.Detections != 1 || st.Quarantined != 1 {
-		t.Errorf("stats = %d detections %d quarantined, want 1/1", st.Detections, st.Quarantined)
 	}
 	// The quarantined object is pinned live and never handed out again.
 	for i := 0; i < 50; i++ {
@@ -74,8 +115,8 @@ func TestCacheHardenOverrun(t *testing.T) {
 // must be detected and swallowed without corrupting the magazines.
 func TestCacheHardenDoublePut(t *testing.T) {
 	const size = 64
-	m, k, reports := newHardenCache(t, size, &harden.Config{}, patternCtor(size), nil)
-	c := m.CPU(0)
+	e := newHardenCache(t, size, &harden.Config{}, patternCtor(size), nil)
+	c, k := e.m.CPU(0), e.k
 
 	obj, err := k.Get(c)
 	if err != nil {
@@ -84,9 +125,7 @@ func TestCacheHardenDoublePut(t *testing.T) {
 	k.Put(c, obj)
 	k.Put(c, obj)
 
-	if len(*reports) != 1 || (*reports)[0].Kind != harden.KindDoubleFree {
-		t.Fatalf("reports = %v, want one double put", *reports)
-	}
+	e.oneLog(t, harden.KindDoubleFree, obj, size, false)
 	// Only one instance of obj circulates: two Gets must return obj at
 	// most once.
 	a, _ := k.Get(c)
@@ -107,15 +146,15 @@ func TestCacheHardenDoublePut(t *testing.T) {
 // the flip, quarantine it, and serve another object.
 func TestCacheHardenUseAfterFree(t *testing.T) {
 	const size = 96
-	m, k, reports := newHardenCache(t, size, &harden.Config{}, patternCtor(size), nil)
-	c := m.CPU(0)
+	e := newHardenCache(t, size, &harden.Config{}, patternCtor(size), nil)
+	c, k := e.m.CPU(0), e.k
 
 	obj, err := k.Get(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.Put(c, obj)                // destructed + poisoned at rest
-	m.Mem().Fill(obj+8, 1, 0x77) // late write through the stale pointer
+	k.Put(c, obj)                  // destructed + poisoned at rest
+	e.m.Mem().Fill(obj+8, 1, 0x77) // late write through the stale pointer
 
 	nb, err := k.Get(c)
 	if err != nil {
@@ -124,17 +163,16 @@ func TestCacheHardenUseAfterFree(t *testing.T) {
 	if nb == obj {
 		t.Fatalf("cache served the corrupted object %#x", uint64(obj))
 	}
-	if len(*reports) != 1 {
-		t.Fatalf("got %d reports, want 1", len(*reports))
-	}
-	rep := (*reports)[0]
-	if rep.Kind != harden.KindUseAfterFree || rep.Addr != uint64(obj) || rep.Offset != 8 {
-		t.Errorf("report = %v at %#x+%d, want use-after-free at %#x+8",
-			rep.Kind, rep.Addr, rep.Offset, uint64(obj))
+	rep := e.oneLog(t, harden.KindUseAfterFree, obj, size, true)
+	if rep.Offset != 8 || rep.Expected != harden.PoisonByte {
+		t.Errorf("report offset %d expected %#x, want 8/%#x", rep.Offset, rep.Expected, harden.PoisonByte)
 	}
 	// The served object is fully constructed despite having been
 	// poisoned at rest.
-	checkConstructed(t, m.Mem(), nb, size)
+	checkConstructed(t, e.m.Mem(), nb, size)
+	if live := k.Destroy(c); live != 2 {
+		t.Errorf("Destroy reported %d live, want 2 (the held and the pinned object)", live)
+	}
 }
 
 // TestCacheHardenPoisonModeReconstructs verifies the documented poison
@@ -142,15 +180,21 @@ func TestCacheHardenUseAfterFree(t *testing.T) {
 // and the object always arrives constructed.
 func TestCacheHardenPoisonModeReconstructs(t *testing.T) {
 	const size = 80
-	m, k, _ := newHardenCache(t, size, &harden.Config{}, patternCtor(size), nil)
-	c := m.CPU(0)
+	e := newHardenCache(t, size, &harden.Config{}, patternCtor(size), nil)
+	c, k := e.m.CPU(0), e.k
 	for i := 0; i < 20; i++ {
 		obj, err := k.Get(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkConstructed(t, m.Mem(), obj, size)
+		checkConstructed(t, e.m.Mem(), obj, size)
+		if off, ok := e.m.Mem().CheckFill(obj+size, harden.DefaultRedzone, harden.CanaryByte); !ok {
+			t.Fatalf("no canary after the object (byte %d)", off)
+		}
 		k.Put(c, obj)
+		if off, ok := e.m.Mem().CheckFill(obj, size, harden.PoisonByte); !ok {
+			t.Fatalf("object not poisoned at rest (byte %d)", off)
+		}
 	}
 	st := k.Stats()
 	if st.CtorSkips != 0 {
@@ -162,18 +206,21 @@ func TestCacheHardenPoisonModeReconstructs(t *testing.T) {
 	if st.DtorRuns != 20 {
 		t.Errorf("dtor runs = %d, want 20 (each put destructs)", st.DtorRuns)
 	}
+	if len(e.reports) != 0 {
+		t.Errorf("clean cycling filed %d reports", len(e.reports))
+	}
 }
 
 // TestCacheHardenPanicPolicy asserts PolicyPanic aborts with the report.
 func TestCacheHardenPanicPolicy(t *testing.T) {
 	const size = 64
-	m, k, _ := newHardenCache(t, size, &harden.Config{Policy: harden.PolicyPanic}, nil, nil)
-	c := m.CPU(0)
+	e := newHardenCache(t, size, &harden.Config{Policy: harden.PolicyPanic}, nil, nil)
+	c, k := e.m.CPU(0), e.k
 	obj, err := k.Get(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Mem().Fill(obj+size, 1, 0x41)
+	e.m.Mem().Fill(obj+size, 1, 0x41)
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -182,8 +229,29 @@ func TestCacheHardenPanicPolicy(t *testing.T) {
 		if s, ok := r.(string); !ok || !strings.Contains(s, "overrun") {
 			t.Errorf("panic value %v does not carry the report", r)
 		}
+		e.oneLog(t, harden.KindOverrun, obj, size, false)
 	}()
 	k.Put(c, obj)
+}
+
+// TestCacheHardenLogPolicy: under PolicyLog an overrun is reported once
+// and the object keeps circulating with its canary healed, so the next
+// Put of it is clean.
+func TestCacheHardenLogPolicy(t *testing.T) {
+	const size = 64
+	e := newHardenCache(t, size, &harden.Config{Policy: harden.PolicyLog}, patternCtor(size), nil)
+	c, k := e.m.CPU(0), e.k
+	obj, err := k.Get(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.m.Mem().Fill(obj+size, 1, 0x41)
+	k.Put(c, obj)
+	if again, _ := k.Get(c); again != obj {
+		t.Fatalf("log policy did not keep %#x circulating (got %#x)", uint64(obj), uint64(again))
+	}
+	k.Put(c, obj)
+	e.oneLog(t, harden.KindOverrun, obj, size, false)
 }
 
 // TestCacheHardenReleaseClean verifies hardened objects flow back to the
@@ -193,8 +261,8 @@ func TestCacheHardenReleaseClean(t *testing.T) {
 	const size = 96
 	var dtors int
 	dtor := func(c *machine.CPU, mem *arena.Arena, obj arena.Addr) { dtors++ }
-	m, k, _ := newHardenCache(t, size, &harden.Config{}, patternCtor(size), dtor)
-	c := m.CPU(0)
+	e := newHardenCache(t, size, &harden.Config{}, patternCtor(size), dtor)
+	c, k := e.m.CPU(0), e.k
 
 	var objs []arena.Addr
 	for i := 0; i < 30; i++ {
@@ -220,5 +288,112 @@ func TestCacheHardenReleaseClean(t *testing.T) {
 	}
 	if st.Releases != 30 {
 		t.Errorf("releases = %d, want 30", st.Releases)
+	}
+	if q := e.a.Stats(c).Quarantine; q.Detections != 0 {
+		t.Errorf("clean drain: %+v", q)
+	}
+	if err := e.a.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCacheOverUnhardenedAllocator: a cache over an unhardened allocator
+// lays no canary, leaves resting objects constructed rather than
+// poisoned, skips the ctor on every warm Get, and reports nothing.
+func TestCacheOverUnhardenedAllocator(t *testing.T) {
+	const size = 96
+	m, a, kma := newKMA(t, 1)
+	k, err := objcache.New(m, kma, "test:plain", size, 8, patternCtor(size), nil, objcache.Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := m.CPU(0)
+	obj, err := k.Get(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < harden.DefaultRedzone; i++ {
+		if b := m.Mem().Bytes(obj+arena.Addr(size+i), 1)[0]; b == harden.CanaryByte {
+			t.Fatalf("canary byte at object+%d", size+i)
+		}
+	}
+	m.Mem().Fill(obj+size, 1, 0x41) // no canary to smash
+	for i := 0; i < 10; i++ {
+		k.Put(c, obj)
+		checkConstructed(t, m.Mem(), obj, size)
+		if obj, err = k.Get(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k.Put(c, obj)
+	if st := k.Stats(); st.CtorRuns != 1 || st.CtorSkips != 10 || st.DtorRuns != 0 {
+		t.Errorf("ctor runs %d, skips %d, dtor runs %d; want 1/10/0", st.CtorRuns, st.CtorSkips, st.DtorRuns)
+	}
+	if reps := a.HardenReports(c); reps != nil {
+		t.Errorf("unhardened allocator filed %v", reps)
+	}
+}
+
+// TestCacheHardenNativeConcurrent runs a hardened cache on real
+// goroutines, one per CPU handle, with drains interfering: the objects'
+// owner slots in the allocator are shared state, and a clean run files
+// no report, leaves ctors == dtors and releases every carve.
+func TestCacheHardenNativeConcurrent(t *testing.T) {
+	const size = 72
+	cfg := machine.DefaultConfig()
+	cfg.Mode = machine.Native
+	cfg.NumCPUs = 4
+	cfg.MemBytes = 16 << 20
+	m := machine.New(cfg)
+	a, err := core.New(m, core.Params{Harden: &harden.Config{Policy: harden.PolicyPanic}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := objcache.New(m, allocif.NewKMA{Allocator: a}, "test:native", size, 8, patternCtor(size), nil, objcache.Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < m.NumCPUs(); i++ {
+		wg.Add(1)
+		go func(c *machine.CPU) {
+			defer wg.Done()
+			held := make([]arena.Addr, 0, 24)
+			for op := 0; op < 2000; op++ {
+				if len(held) < 24 && (op/24)%2 == 0 {
+					obj, err := k.Get(c)
+					if err != nil {
+						t.Errorf("cpu %d: get: %v", c.ID(), err)
+						return
+					}
+					if off, ok := m.Mem().CheckFill(obj, size, testPattern); !ok {
+						t.Errorf("cpu %d: object %#x unconstructed at byte %d", c.ID(), uint64(obj), off)
+					}
+					held = append(held, obj)
+				} else if len(held) > 0 {
+					k.Put(c, held[len(held)-1])
+					held = held[:len(held)-1]
+				}
+				if c.ID() == 0 && op%500 == 0 {
+					k.Drain(c)
+				}
+			}
+			for _, obj := range held {
+				k.Put(c, obj)
+			}
+		}(m.CPU(i))
+	}
+	wg.Wait()
+	c := m.CPU(0)
+	k.Drain(c)
+	st := k.Stats()
+	if st.Live != 0 || st.Releases != st.Carves || st.CtorRuns != st.DtorRuns {
+		t.Errorf("stats %+v: want live 0, releases == carves, ctors == dtors", st)
+	}
+	if reps := a.HardenReports(c); len(reps) != 0 {
+		t.Errorf("clean concurrent run filed %d reports: %v", len(reps), reps[0].String())
+	}
+	if err := a.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }

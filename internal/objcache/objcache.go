@@ -18,8 +18,8 @@
 // buffer from the backing allocator and run the constructor.
 //
 // Each cache also colors its buffers: successive carves offset the
-// object within its backing block by increasing multiples of the cache
-// line size, consuming the slack the backing size class leaves over.
+// object within its backing block by increasing multiples of a cache
+// line (or coarser alignment), consuming the size class's slack.
 // Caches whose objects would otherwise start at identical offsets in
 // identical classes (the "all headers on line 0" hot-spot the paper's
 // power-of-two critics point at) instead spread their hot first lines
@@ -73,7 +73,8 @@ const (
 	depotMags = 8
 )
 
-// colorInc is the coloring step: one machine cache line.
+// colorInc is the least coloring step, one machine cache line; a
+// coarser alignment sets a cache's step (colorStep) instead.
 const colorInc = 1 << machine.LineShift
 
 // Opts tunes a cache. The zero value selects defaults.
@@ -83,14 +84,6 @@ type Opts struct {
 	// 512-byte resource blocks) while the live object is smaller. The
 	// slack becomes coloring room.
 	MinBackSize uint64
-	// Harden, when non-nil, enables per-cache corruption hardening: a
-	// redzone canary immediately after the object (verified on every
-	// Put), and poison-on-put with verify-on-get. Poisoning sacrifices the
-	// constructed-state reuse win: a poisoned object must be destructed
-	// on Put and re-constructed on Get. Detections follow Config.Policy;
-	// quarantined objects are pinned (never magazined, never released)
-	// and counted in Stats.Quarantined.
-	Harden *harden.Config
 
 	// Rseq replaces the magazine fast path's interrupt-disable pair with
 	// a restartable per-CPU sequence (machine.NewPerCPUOn's protocol
@@ -101,38 +94,30 @@ type Opts struct {
 	Rseq bool
 }
 
-// Backing is what a cache needs of the allocator beneath it. The paper's
-// allocator (*core.Allocator) offers more — the four capabilities below,
-// probed once in New — and any other allocator works degraded: plain
-// Alloc/Free per carve, no reclaim registration, no events.
+// Backing is the paper's allocator as a cache sees it: *core.Allocator,
+// and the allocif adapters that embed it, satisfy it. A carve takes the
+// cookie path, or plain Alloc/Free with capacity from RoundedSize when
+// the backing request exceeds the largest class. The cache registers
+// with the allocator's reclaim machinery and reports through its event
+// spine, and it is hardened exactly when the allocator is
+// (HardenRedzone > 0): the allocator owns the objects' provenance,
+// reports and policy (core/harden.go).
 type Backing interface {
-	Alloc(c *machine.CPU, size uint64) (arena.Addr, error)
-	Free(c *machine.CPU, addr arena.Addr, size uint64)
-}
-
-// cookieBacking is the fast-path interface of the paper's allocator:
-// pre-resolved size-class cookies.
-type cookieBacking interface {
 	GetCookie(size uint64) (core.Cookie, error)
 	AllocCookie(c *machine.CPU, ck core.Cookie) (arena.Addr, error)
 	FreeCookie(c *machine.CPU, addr arena.Addr, ck core.Cookie)
-}
-
-// shedBacking lets the cache register with the allocator's reclaim and
-// pressure machinery.
-type shedBacking interface {
-	RegisterCacheShed(fn core.CacheShedFunc) func()
-}
-
-// eventBacking routes cache events through the allocator's event spine.
-type eventBacking interface {
-	EmitCacheEvent(ev core.LayerEvent, n int)
-}
-
-// sizeBacking reports the true capacity a request rounds up to, so
-// coloring can use the full slack even without a cookie.
-type sizeBacking interface {
+	Alloc(c *machine.CPU, size uint64) (arena.Addr, error)
+	Free(c *machine.CPU, addr arena.Addr, size uint64)
 	RoundedSize(size uint64) uint64
+
+	RegisterCacheShed(fn core.CacheShedFunc) func()
+	EmitCacheEvent(ev core.LayerEvent, n int)
+
+	HardenRedzone() uint64
+	HardenCacheCarve(c *machine.CPU, obj arena.Addr)
+	HardenCacheGet(c *machine.CPU, cache string, obj arena.Addr, size uint64) bool
+	HardenCachePut(c *machine.CPU, cache string, obj arena.Addr, size uint64) bool
+	HardenCacheRelease(c *machine.CPU, obj arena.Addr)
 }
 
 // cpuMags is one CPU's magazine pair. loaded serves the fast path; prev
@@ -177,10 +162,6 @@ type Stats struct {
 	// Optimistic fast path and depot contention.
 	RseqRestarts    uint64 // magazine sequences restarted (zero with Opts.Rseq off)
 	DepotWaitCycles uint64 // cycles spent spinning on depot locks
-
-	// Hardening (all zero with Opts.Harden nil).
-	Detections  uint64 // corruption reports filed by this cache
-	Quarantined uint64 // objects pinned after a detection
 }
 
 // Cache is a typed object cache over a backing allocator.
@@ -197,15 +178,16 @@ type Cache struct {
 	// Backing geometry, fixed at New.
 	backReq  uint64 // size requested from the backing allocator
 	capacity uint64 // bytes the backing actually provides per carve
-	// back's cookie path (nil: plain Alloc/Free of backReq) and its
-	// event spine (a no-op when back has none), resolved once in New.
-	cookies cookieBacking
-	cookie  core.Cookie
-	emit    func(ev core.LayerEvent, n int)
+	small    bool   // backReq fits a class: carve through cookie
+	cookie   core.Cookie
+	// rz is the canary after each object; nonzero exactly when back is
+	// hardened, which also poisons objects at rest.
+	rz uint64
 
 	// Coloring.
 	nColors   int
 	colorBase int
+	colorStep uint64
 
 	mags []cpuMags
 
@@ -237,44 +219,6 @@ type Cache struct {
 
 	unregister func()
 	destroyed  atomic.Bool
-
-	// Corruption hardening (nil with Opts.Harden nil).
-	hd *cacheHarden
-}
-
-// cacheHarden is one cache's hardening state: the canary/poison
-// geometry, per-object owner records, and the quarantine set. The
-// bookkeeping lock is an uncharged host mutex like objMu — a kernel
-// would keep these fields in the slab header.
-type cacheHarden struct {
-	cfg *harden.Config
-	rz  uint64 // canary bytes after the object
-
-	mu      sync.Mutex
-	seq     uint64
-	state   map[arena.Addr]*objOwner
-	quar    map[arena.Addr]bool
-	reports []harden.Report
-
-	detections  atomic.Uint64
-	quarantined atomic.Uint64
-}
-
-// objOwner tracks one carved object's whereabouts and last-owner
-// provenance.
-type objOwner struct {
-	out     bool // handed to a caller (vs resting in a magazine/depot)
-	lastGet harden.Record
-	lastPut harden.Record
-}
-
-// cacheHardenMaxReports bounds the retained per-cache report buffer.
-const cacheHardenMaxReports = 64
-
-// poisonMode reports whether objects at rest are poisoned (hardening on)
-// — the mode that trades ctor skips for use-after-free detection.
-func (k *Cache) poisonMode() bool {
-	return k.hd != nil
 }
 
 // ErrDestroyed is returned by Get on a destroyed cache.
@@ -282,7 +226,7 @@ var ErrDestroyed = errors.New("objcache: cache destroyed")
 
 // New creates a named cache of size-byte objects aligned to align
 // (0 selects 8) over back. ctor and dtor may be nil. The cache
-// registers with back's reclaim machinery when back supports it.
+// registers with back's reclaim machinery.
 func New(m *machine.Machine, back Backing, name string, size, align uint64, ctor Ctor, dtor Dtor, o Opts) (*Cache, error) {
 	if size == 0 {
 		return nil, errors.New("objcache: zero object size")
@@ -304,7 +248,7 @@ func New(m *machine.Machine, back Backing, name string, size, align uint64, ctor
 		size:  size,
 		align: align,
 		objs:  make(map[arena.Addr]arena.Addr),
-		emit:  func(core.LayerEvent, int) {},
+		rz:    back.HardenRedzone(),
 	}
 	k.depots = make([]depot, m.NumNodes())
 	for n := range k.depots {
@@ -320,45 +264,29 @@ func New(m *machine.Machine, back Backing, name string, size, align uint64, ctor
 	if align > 8 {
 		pad = align - 8
 	}
-	var rz uint64
-	if o.Harden != nil {
-		rz = harden.DefaultRedzone
-		k.hd = &cacheHarden{
-			cfg:   o.Harden,
-			rz:    rz,
-			state: make(map[arena.Addr]*objOwner),
-			quar:  make(map[arena.Addr]bool),
-		}
-	}
-	k.backReq = size + pad + rz
+	k.backReq = size + pad + k.rz
 	if k.backReq < o.MinBackSize {
 		k.backReq = o.MinBackSize
 	}
 
 	// Resolve the backing capacity: a cookie pins both the class and
-	// its true block size; otherwise RoundedSize, when offered, reports
-	// the slack the allocator would leave anyway.
-	if cb, ok := back.(cookieBacking); ok {
-		if ck, err := cb.GetCookie(k.backReq); err == nil {
-			k.cookies, k.cookie = cb, ck
-			k.capacity = uint64(ck.Size())
-		}
-	}
-	if k.cookies == nil {
-		if sz, ok := back.(sizeBacking); ok {
-			k.capacity = sz.RoundedSize(k.backReq)
-		}
-		if k.capacity < k.backReq {
-			k.capacity = k.backReq
-		}
+	// its true block size; above the largest class RoundedSize reports
+	// the slack the large path leaves anyway.
+	if ck, err := back.GetCookie(k.backReq); err == nil {
+		k.small, k.cookie = true, ck
+		k.capacity = uint64(ck.Size())
+	} else if k.capacity = back.RoundedSize(k.backReq); k.capacity < k.backReq {
+		return nil, fmt.Errorf("objcache: %q: backing cannot serve %d bytes", name, k.backReq)
 	}
 
-	// Coloring: one color per cache line of slack, starting at a
-	// name-derived offset so same-shaped caches interleave. The redzone
-	// is not slack — the canary must fit after the object at every
-	// color.
-	slack := k.capacity - size - pad - rz
-	k.nColors = int(slack/colorInc) + 1
+	// Coloring: one color per step of slack, starting at a name-derived
+	// offset so same-shaped caches interleave. A step is a cache line,
+	// or the alignment when that is coarser, so every color keeps the
+	// object aligned. The redzone is not slack — the canary must fit
+	// after the object at every color.
+	k.colorStep = max(colorInc, align)
+	slack := k.capacity - size - pad - k.rz
+	k.nColors = int(slack/k.colorStep) + 1
 	h := fnv.New32a()
 	h.Write([]byte(name))
 	k.colorBase = int(h.Sum32()) % k.nColors
@@ -373,12 +301,7 @@ func New(m *machine.Machine, back Backing, name string, size, align uint64, ctor
 		k.mags[i].prev = make([]arena.Addr, 0, magSize)
 		k.mags[i].crit = machine.NewPerCPUOn(m, m.NodeOf(i), o.Rseq)
 	}
-	if eb, ok := back.(eventBacking); ok {
-		k.emit = eb.EmitCacheEvent
-	}
-	if sb, ok := back.(shedBacking); ok {
-		k.unregister = sb.RegisterCacheShed(k.shed)
-	}
+	k.unregister = back.RegisterCacheShed(k.shed)
 	return k, nil
 }
 
@@ -414,7 +337,7 @@ func (k *Cache) lockDepot(c *machine.CPU, d *depot) {
 	d.lk.Acquire(c)
 	if w := d.lk.LastWait(); w > 0 {
 		k.depotWait.Add(uint64(w))
-		k.emit(core.EvLockWait, int(w))
+		k.back.EmitCacheEvent(core.EvLockWait, int(w))
 	}
 }
 
@@ -422,63 +345,75 @@ func (k *Cache) lockDepot(c *machine.CPU, d *depot) {
 // loaded magazine under its interrupt lock (or as a restartable sequence
 // under Opts.Rseq) — no shared locks, and instruction-for-instruction
 // the cost of a cookie alloc. Misses fall through to the node's depot
-// and finally to a fresh carve (the only point the constructor runs).
+// and finally to a fresh carve (the only point the constructor runs,
+// unless the cache is hardened).
 func (k *Cache) Get(c *machine.CPU) (arena.Addr, error) {
 	if k.destroyed.Load() {
 		return arena.NilAddr, ErrDestroyed
 	}
 	pc := &k.mags[c.ID()]
-	k.enter(c, pc)
-	obj, ok := k.getFast(c, pc)
-	pc.crit.Exit(c)
-	if ok {
-		return obj, nil
+	for {
+		k.enter(c, pc)
+		obj, ok := k.getFast(c, pc)
+		pc.crit.Exit(c)
+		if !ok {
+			obj, ok = k.refill(c, pc)
+		}
+		if !ok {
+			return k.carve(c)
+		}
+		if k.reuse(c, obj) {
+			return obj, nil
+		}
 	}
-	return k.getSlow(c, pc)
 }
 
 // getFast pops from the magazine pair. Caller is inside the magazine
 // critical section.
 func (k *Cache) getFast(c *machine.CPU, pc *cpuMags) (arena.Addr, bool) {
 	c.Read(pc.line)
-	for {
-		if len(pc.loaded) == 0 {
-			if len(pc.prev) == 0 {
-				return arena.NilAddr, false
-			}
-			pc.loaded, pc.prev = pc.prev, pc.loaded
-			c.Work(insnMagSwap)
+	if len(pc.loaded) == 0 {
+		if len(pc.prev) == 0 {
+			return arena.NilAddr, false
 		}
-		obj := pc.loaded[len(pc.loaded)-1]
-		pc.loaded = pc.loaded[:len(pc.loaded)-1]
-		c.Work(insnSlot)
-		c.Write(pc.line)
-		c.Work(insnGetResidual)
-		if k.hd != nil && !k.hardenGet(c, obj) {
-			continue // object quarantined; try the next one
-		}
-		k.gets.Add(1)
-		if k.poisonMode() {
-			// The object was destructed and poisoned when it was Put;
-			// rebuild the constructed state — the price verify-on-get
-			// pays for catching late writes.
-			if k.ctor != nil {
-				k.ctor(c, k.mem, obj)
-			}
-			k.ctorRuns.Add(1)
-		} else {
-			k.ctorSkips.Add(1)
-		}
-		return obj, true
+		pc.loaded, pc.prev = pc.prev, pc.loaded
+		c.Work(insnMagSwap)
 	}
+	obj := pc.loaded[len(pc.loaded)-1]
+	pc.loaded = pc.loaded[:len(pc.loaded)-1]
+	c.Work(insnSlot)
+	c.Write(pc.line)
+	c.Work(insnGetResidual)
+	return obj, true
 }
 
-// getSlow refills from the calling CPU's node depot, or carves and
-// constructs a fresh buffer. Runs with no cache locks held across
-// backing-allocator calls, so a carve that triggers reclaim may re-enter
-// this cache's shed.
-func (k *Cache) getSlow(c *machine.CPU, pc *cpuMags) (arena.Addr, error) {
-	// Try to exchange the empty loaded magazine for a full one.
+// reuse hands out an object that rested in a magazine. Its constructed
+// state is reused as is, unless the cache is hardened: then the
+// allocator verifies the at-rest poison — and may quarantine the object,
+// when reuse returns false and Get takes another — and the constructor
+// rebuilds the state the poison destroyed. Runs outside the magazine
+// critical section.
+func (k *Cache) reuse(c *machine.CPU, obj arena.Addr) bool {
+	if k.rz == 0 {
+		k.gets.Add(1)
+		k.ctorSkips.Add(1)
+		return true
+	}
+	if !k.back.HardenCacheGet(c, k.name, obj, k.size) {
+		return false
+	}
+	k.gets.Add(1)
+	if k.ctor != nil {
+		k.ctor(c, k.mem, obj)
+	}
+	k.ctorRuns.Add(1)
+	return true
+}
+
+// refill exchanges the empty loaded magazine for a full one from the
+// calling CPU's node depot and pops from it; false when the depot is
+// dry.
+func (k *Cache) refill(c *machine.CPU, pc *cpuMags) (arena.Addr, bool) {
 	d := k.depotOf(c)
 	k.lockDepot(c, d)
 	c.Read(d.ln)
@@ -491,43 +426,37 @@ func (k *Cache) getSlow(c *machine.CPU, pc *cpuMags) (arena.Addr, error) {
 	}
 	c.Work(insnDepot)
 	d.lk.Release(c)
-
-	if full != nil {
-		k.enter(c, pc)
-		// A Put may have refilled the pair while the depot lock was
-		// held; prefer the magazines and return the depot's magazine.
-		obj, raced := k.getFast(c, pc)
-		if !raced {
-			// Install the full magazine; the empty loaded becomes spare.
-			full, pc.prev, pc.loaded = pc.prev, pc.loaded, full
-			obj, _ = k.getFast(c, pc)
-		}
-		pc.crit.Exit(c)
-		if raced {
-			k.putDepotFull(c, full)
-		} else {
-			k.recycleEmpty(c, full)
-		}
-		return obj, nil
+	if full == nil {
+		return arena.NilAddr, false
 	}
 
-	// Depot dry: carve a new buffer and construct it.
-	obj, err := k.carve(c)
-	if err != nil {
-		return arena.NilAddr, err
+	k.enter(c, pc)
+	// A Put may have refilled the pair while the depot lock was held;
+	// prefer the magazines and return the depot's magazine.
+	obj, raced := k.getFast(c, pc)
+	if !raced {
+		// Install the full magazine; the empty loaded becomes spare.
+		full, pc.prev, pc.loaded = pc.prev, pc.loaded, full
+		obj, _ = k.getFast(c, pc)
 	}
-	k.gets.Add(1)
-	return obj, nil
+	pc.crit.Exit(c)
+	if raced {
+		k.putDepotFull(c, full)
+	} else {
+		k.recycleEmpty(c, full)
+	}
+	return obj, true
 }
 
 // carve allocates one backing block, picks its color, and runs the
 // constructor. The buffer is born "in use" — it does not pass through
-// a magazine.
+// a magazine. No cache lock is held across the backing allocation, so a
+// carve that triggers reclaim may re-enter this cache's shed.
 func (k *Cache) carve(c *machine.CPU) (arena.Addr, error) {
 	var base arena.Addr
 	var err error
-	if k.cookies != nil {
-		base, err = k.cookies.AllocCookie(c, k.cookie)
+	if k.small {
+		base, err = k.back.AllocCookie(c, k.cookie)
 	} else {
 		base, err = k.back.Alloc(c, k.backReq)
 	}
@@ -537,7 +466,7 @@ func (k *Cache) carve(c *machine.CPU) (arena.Addr, error) {
 	c.Work(insnCarve)
 
 	k.objMu.Lock()
-	color := uint64((k.colorBase+k.carveSeq)%k.nColors) * colorInc
+	color := uint64((k.colorBase+k.carveSeq)%k.nColors) * k.colorStep
 	k.carveSeq++
 	obj := (base + arena.Addr(k.align) - 1) &^ (arena.Addr(k.align) - 1)
 	obj += arena.Addr(color)
@@ -547,17 +476,14 @@ func (k *Cache) carve(c *machine.CPU) (arena.Addr, error) {
 	if k.ctor != nil {
 		k.ctor(c, k.mem, obj)
 	}
-	if k.hd != nil {
-		k.mem.Fill(obj+arena.Addr(k.size), k.hd.rz, harden.CanaryByte)
-		k.hd.mu.Lock()
-		o := &objOwner{out: true}
-		o.lastGet = k.hd.record(c, harden.OpAlloc, obj)
-		k.hd.state[obj] = o
-		k.hd.mu.Unlock()
+	if k.rz != 0 {
+		k.mem.Fill(obj+arena.Addr(k.size), k.rz, harden.CanaryByte)
+		k.back.HardenCacheCarve(c, obj)
 	}
+	k.gets.Add(1)
 	k.carves.Add(1)
 	k.ctorRuns.Add(1)
-	k.emit(core.EvCtorRun, 1)
+	k.back.EmitCacheEvent(core.EvCtorRun, 1)
 	k.publishSkips()
 	return obj, nil
 }
@@ -567,13 +493,13 @@ func (k *Cache) carve(c *machine.CPU) (arena.Addr, error) {
 // still far cheaper than a full re-construction). The common case
 // pushes onto the loaded magazine under the CPU's interrupt lock.
 func (k *Cache) Put(c *machine.CPU, obj arena.Addr) {
-	if k.hd != nil && !k.hardenPut(c, obj) {
-		return // swallowed: double put, or quarantined after an overrun
+	if k.rz != 0 && !k.retire(c, obj) {
+		return
 	}
 	if k.destroyed.Load() {
 		// Late Put on a destroyed cache: release directly.
 		k.puts.Add(1)
-		k.releaseObj(c, obj, !k.poisonMode())
+		k.releaseObj(c, obj)
 		return
 	}
 	pc := &k.mags[c.ID()]
@@ -583,6 +509,23 @@ func (k *Cache) Put(c *machine.CPU, obj arena.Addr) {
 	if !ok {
 		k.putSlow(c, pc, obj)
 	}
+}
+
+// retire readies a hardened cache's object to rest: the allocator checks
+// the Put (and swallows a double put or a quarantined overrun, when
+// retire returns false), then the object is destructed and poisoned —
+// the price of catching late writes is the constructed state. Runs
+// outside the magazine critical section.
+func (k *Cache) retire(c *machine.CPU, obj arena.Addr) bool {
+	if !k.back.HardenCachePut(c, k.name, obj, k.size) {
+		return false
+	}
+	if k.dtor != nil {
+		k.dtor(c, k.mem, obj)
+	}
+	k.dtorRuns.Add(1)
+	k.mem.Fill(obj, k.size, harden.PoisonByte)
+	return true
 }
 
 // putFast pushes onto the magazine pair. Caller is inside the magazine
@@ -609,7 +552,7 @@ func (k *Cache) putFast(c *machine.CPU, pc *cpuMags, obj arena.Addr) bool {
 func (k *Cache) putSlow(c *machine.CPU, pc *cpuMags, obj arena.Addr) {
 	if k.destroyed.Load() {
 		k.puts.Add(1)
-		k.releaseObj(c, obj, !k.poisonMode())
+		k.releaseObj(c, obj)
 		return
 	}
 	// Take an empty magazine (recycled or fresh), then swap it in for
@@ -681,34 +624,27 @@ func (k *Cache) recycleEmpty(c *machine.CPU, mag []arena.Addr) {
 }
 
 // releaseMag destructs and releases every object in mag; returns the
-// count. The emptied magazine is recycled. In poison mode the resting
-// objects were already destructed (and poisoned) on Put, so the
-// destructor must not run again.
+// count. The emptied magazine is recycled.
 func (k *Cache) releaseMag(c *machine.CPU, mag []arena.Addr) int {
 	n := len(mag)
-	runDtor := !k.poisonMode()
 	for _, obj := range mag {
-		k.releaseObj(c, obj, runDtor)
+		k.releaseObj(c, obj)
 	}
 	k.recycleEmpty(c, mag[:0])
 	return n
 }
 
-// releaseObj returns the backing block to the allocator — the only path
-// on which a buffer leaves the cache. runDtor tears down constructed
-// state; callers pass false when the object was already destructed on
-// Put (poison mode).
-func (k *Cache) releaseObj(c *machine.CPU, obj arena.Addr, runDtor bool) {
-	if runDtor {
+// releaseObj destructs obj and returns its backing block to the
+// allocator — the only path on which a buffer leaves the cache. A
+// hardened cache destructed its resting objects at Put (retire).
+func (k *Cache) releaseObj(c *machine.CPU, obj arena.Addr) {
+	if k.rz == 0 {
 		if k.dtor != nil {
 			k.dtor(c, k.mem, obj)
 		}
 		k.dtorRuns.Add(1)
-	}
-	if k.hd != nil {
-		k.hd.mu.Lock()
-		delete(k.hd.state, obj)
-		k.hd.mu.Unlock()
+	} else {
+		k.back.HardenCacheRelease(c, obj)
 	}
 	k.objMu.Lock()
 	base, ok := k.objs[obj]
@@ -718,8 +654,8 @@ func (k *Cache) releaseObj(c *machine.CPU, obj arena.Addr, runDtor bool) {
 		panic(fmt.Sprintf("objcache %q: release of unknown object %#x", k.name, uint64(obj)))
 	}
 	c.Work(insnRelease)
-	if k.cookies != nil {
-		k.cookies.FreeCookie(c, base, k.cookie)
+	if k.small {
+		k.back.FreeCookie(c, base, k.cookie)
 	} else {
 		k.back.Free(c, base, k.backReq)
 	}
@@ -744,7 +680,7 @@ func (k *Cache) noteShed(n int) {
 		return
 	}
 	k.sheds.Add(1)
-	k.emit(core.EvCacheShed, n)
+	k.back.EmitCacheEvent(core.EvCacheShed, n)
 	k.publishSkips()
 }
 
@@ -755,7 +691,7 @@ func (k *Cache) publishSkips() {
 	skips := k.ctorSkips.Load()
 	pub := k.skipsPub.Load()
 	if skips > pub && k.skipsPub.CompareAndSwap(pub, skips) {
-		k.emit(core.EvCtorSkip, int(skips-pub))
+		k.back.EmitCacheEvent(core.EvCtorSkip, int(skips-pub))
 	}
 }
 
@@ -797,13 +733,12 @@ func (k *Cache) drainMags(c *machine.CPU) int {
 		pc.loaded = make([]arena.Addr, 0, magSize)
 		pc.prev = make([]arena.Addr, 0, magSize)
 		pc.crit.ExitForeign(c)
-		runDtor := !k.poisonMode()
 		for _, obj := range loaded {
-			k.releaseObj(c, obj, runDtor)
+			k.releaseObj(c, obj)
 			n++
 		}
 		for _, obj := range prev {
-			k.releaseObj(c, obj, runDtor)
+			k.releaseObj(c, obj)
 			n++
 		}
 	}
@@ -852,7 +787,7 @@ func (k *Cache) Stats() Stats {
 	k.objMu.Lock()
 	live := len(k.objs)
 	k.objMu.Unlock()
-	s := Stats{
+	return Stats{
 		Gets:      k.gets.Load(),
 		Puts:      k.puts.Load(),
 		CtorRuns:  k.ctorRuns.Load(),
@@ -868,177 +803,4 @@ func (k *Cache) Stats() Stats {
 		RseqRestarts:    k.rseqRestarts.Load(),
 		DepotWaitCycles: k.depotWait.Load(),
 	}
-	if k.hd != nil {
-		s.Detections = k.hd.detections.Load()
-		s.Quarantined = k.hd.quarantined.Load()
-	}
-	return s
-}
-
-// record stamps a fresh provenance record. Caller holds hd.mu.
-func (h *cacheHarden) record(c *machine.CPU, op harden.Op, obj arena.Addr) harden.Record {
-	h.seq++
-	return harden.Record{
-		Op:    op,
-		Addr:  uint64(obj),
-		Site:  "", // caches attribute by cache name, not call site
-		CPU:   c.ID(),
-		Node:  c.Node(),
-		Cycle: c.Now(),
-		Seq:   h.seq,
-	}
-}
-
-// hardenReport files a corruption report. Caller holds hd.mu; the
-// returned report is for the caller to act on (event, panic) after
-// releasing the lock.
-func (k *Cache) hardenReport(c *machine.CPU, kind harden.Kind, obj arena.Addr, off uint64, expected, got byte, o *objOwner) harden.Report {
-	h := k.hd
-	rep := harden.Report{
-		Kind:     kind,
-		Cache:    k.name,
-		Addr:     uint64(obj),
-		Class:    -1, // cache objects are not size-class blocks
-		Size:     k.size,
-		Offset:   off,
-		Expected: expected,
-		Got:      got,
-		CPU:      c.ID(),
-		Node:     c.Node(),
-		Cycle:    c.Now(),
-	}
-	if o != nil {
-		rep.LastAlloc = o.lastGet
-		rep.LastFree = o.lastPut
-	}
-	h.detections.Add(1)
-	h.reports = append(h.reports, rep)
-	if len(h.reports) > cacheHardenMaxReports {
-		h.reports = h.reports[len(h.reports)-cacheHardenMaxReports:]
-	}
-	if h.cfg.OnReport != nil {
-		h.cfg.OnReport(rep)
-	}
-	return rep
-}
-
-// hardenDetected finishes a detection once hd.mu is released: event,
-// then policy. PolicyPanic aborts with the full report.
-func (k *Cache) hardenDetected(rep *harden.Report) {
-	k.emit(core.EvCorruption, 1)
-	if k.hd.cfg.Policy == harden.PolicyPanic {
-		panic(rep.String())
-	}
-}
-
-// quarantineObj pins obj: it stays in k.objs (so its backing is never
-// released) and in hd.quar (so no magazine will serve it again). Caller
-// holds hd.mu.
-func (k *Cache) quarantineObj(obj arena.Addr) {
-	h := k.hd
-	if !h.quar[obj] {
-		h.quar[obj] = true
-		h.quarantined.Add(1)
-	}
-}
-
-// hardenGet verifies a magazine-served object before handing it out: a
-// quarantined object is skipped, and in poison mode the at-rest poison
-// must be intact — a flipped byte is a late write through a stale
-// pointer (use-after-free). Returns false when the caller must pick
-// another object.
-func (k *Cache) hardenGet(c *machine.CPU, obj arena.Addr) bool {
-	h := k.hd
-	h.mu.Lock()
-	if h.quar[obj] {
-		// A stale magazine slot can still name a quarantined object;
-		// drop it silently — the detection was already reported.
-		h.mu.Unlock()
-		return false
-	}
-	o := h.state[obj]
-	if k.poisonMode() {
-		if off, ok := k.mem.CheckFill(obj, k.size, harden.PoisonByte); !ok {
-			got := k.mem.Bytes(obj+arena.Addr(off), 1)[0]
-			rep := k.hardenReport(c, harden.KindUseAfterFree, obj, off, harden.PoisonByte, got, o)
-			pol := h.cfg.Policy
-			if pol == harden.PolicyQuarantine {
-				k.quarantineObj(obj)
-			}
-			h.mu.Unlock()
-			k.hardenDetected(&rep)
-			if pol == harden.PolicyQuarantine {
-				k.emit(core.EvQuarantine, 1)
-				return false
-			}
-			h.mu.Lock() // log-only: serve it anyway
-		}
-	}
-	if o != nil {
-		o.out = true
-		o.lastGet = h.record(c, harden.OpAlloc, obj)
-	}
-	h.mu.Unlock()
-	return true
-}
-
-// hardenPut runs the put-side checks: a put of an object that is not
-// currently out is a double put (always swallowed — magazining it twice
-// would corrupt the cache), the canary after the object is verified,
-// and in poison mode the object is destructed and poisoned before it
-// rests. Returns false when the Put was swallowed.
-func (k *Cache) hardenPut(c *machine.CPU, obj arena.Addr) bool {
-	h := k.hd
-	h.mu.Lock()
-	o := h.state[obj]
-	if o == nil || !o.out {
-		rep := k.hardenReport(c, harden.KindDoubleFree, obj, 0, 0, 0, o)
-		h.mu.Unlock()
-		k.hardenDetected(&rep)
-		return false
-	}
-	if off, ok := k.mem.CheckFill(obj+arena.Addr(k.size), h.rz, harden.CanaryByte); !ok {
-		boff := k.size + off
-		got := k.mem.Bytes(obj+arena.Addr(boff), 1)[0]
-		rep := k.hardenReport(c, harden.KindOverrun, obj, boff, harden.CanaryByte, got, o)
-		o.out = false
-		o.lastPut = h.record(c, harden.OpFree, obj)
-		pol := h.cfg.Policy
-		if pol == harden.PolicyQuarantine {
-			k.quarantineObj(obj)
-		}
-		h.mu.Unlock()
-		k.hardenDetected(&rep)
-		if pol == harden.PolicyQuarantine {
-			k.emit(core.EvQuarantine, 1)
-			return false
-		}
-		h.mu.Lock() // log-only: heal the canary and rest it as usual
-		k.mem.Fill(obj+arena.Addr(k.size), h.rz, harden.CanaryByte)
-	} else {
-		o.out = false
-		o.lastPut = h.record(c, harden.OpFree, obj)
-	}
-	if k.poisonMode() {
-		if k.dtor != nil {
-			k.dtor(c, k.mem, obj)
-		}
-		k.dtorRuns.Add(1)
-		k.mem.Fill(obj, k.size, harden.PoisonByte)
-	}
-	h.mu.Unlock()
-	return true
-}
-
-// HardenReports returns the cache's retained corruption reports (oldest
-// first, bounded). Empty when hardening is off.
-func (k *Cache) HardenReports() []harden.Report {
-	if k.hd == nil {
-		return nil
-	}
-	k.hd.mu.Lock()
-	defer k.hd.mu.Unlock()
-	out := make([]harden.Report, len(k.hd.reports))
-	copy(out, k.hd.reports)
-	return out
 }

@@ -13,13 +13,18 @@ import (
 
 const testPattern = 0xc7
 
-func newKMA(t testing.TB, ncpu int) (*machine.Machine, *core.Allocator, allocif.Allocator) {
+func newKMA(t testing.TB, ncpu int) (*machine.Machine, *core.Allocator, allocif.NewKMA) {
+	return newAllocator(t, ncpu, core.Params{})
+}
+
+// newAllocator builds the paper's allocator under p on a 16 MiB machine.
+func newAllocator(t testing.TB, ncpu int, p core.Params) (*machine.Machine, *core.Allocator, allocif.NewKMA) {
 	t.Helper()
 	cfg := machine.DefaultConfig()
 	cfg.NumCPUs = ncpu
 	cfg.MemBytes = 16 << 20
 	m := machine.New(cfg)
-	a, err := core.New(m, core.Params{})
+	a, err := core.New(m, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,44 +345,102 @@ func TestDestroyWithOutstanding(t *testing.T) {
 	}
 }
 
-// rawAllocator exposes only Alloc/Free — no cookies, no shed registry,
-// no event spine — to prove the cache degrades to the generic path.
-type rawAllocator struct{ inner allocif.Allocator }
-
-func (r rawAllocator) Name() string { return "raw" }
-func (r rawAllocator) Alloc(c *machine.CPU, size uint64) (arena.Addr, error) {
-	return r.inner.Alloc(c, size)
-}
-func (r rawAllocator) Free(c *machine.CPU, addr arena.Addr, size uint64) {
-	r.inner.Free(c, addr, size)
-}
-
-// TestGenericBacking: the cache works over a bare Alloc/Free allocator,
-// with coloring from the slack of a MinBackSize floor.
-func TestGenericBacking(t *testing.T) {
-	m, _, kma := newKMA(t, 1)
+// TestLargeBacking: a backing request above the largest class is served
+// by the allocator's Alloc/Free, with capacity from RoundedSize. The
+// contract holds there as on the cookie path: ctor once per carve,
+// coloring inside the capacity, and every carve released on Drain.
+func TestLargeBacking(t *testing.T) {
+	m, a, kma := newKMA(t, 1)
 	const size = 80
-	k, err := objcache.New(m, rawAllocator{inner: kma}, "test:raw", size, 8,
-		patternCtor(size), nil, objcache.Opts{MinBackSize: size + 64})
+	back := uint64(a.MaxSmall()) + 1
+	k, err := objcache.New(m, kma, "test:large", size, 8,
+		patternCtor(size), nil, objcache.Opts{MinBackSize: back})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want := a.RoundedSize(back); k.Capacity() != want || want <= back {
+		t.Fatalf("capacity %d, want RoundedSize(%d) = %d", k.Capacity(), back, want)
+	}
 	if k.NumColors() < 2 {
-		t.Fatalf("64 bytes of MinBackSize slack gave %d colors, want >= 2", k.NumColors())
+		t.Fatalf("%d bytes of slack gave %d colors, want >= 2", k.Capacity()-size, k.NumColors())
 	}
 	c := m.CPU(0)
-	for i := 0; i < 20; i++ {
+	held := make([]arena.Addr, 0, 8)
+	for i := 0; i < 8; i++ {
 		obj, err := k.Get(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkConstructed(t, m.Mem(), obj, size)
+		held = append(held, obj)
+	}
+	offsets := map[uint64]bool{}
+	k.ForEachCarved(func(obj, base arena.Addr) {
+		off := uint64(obj - base)
+		offsets[off] = true
+		if off+size > k.Capacity() {
+			t.Errorf("object at offset %d overruns %d-byte capacity", off, k.Capacity())
+		}
+	})
+	if len(offsets) < 2 {
+		t.Fatalf("8 carves used %d distinct offsets, want >= 2", len(offsets))
+	}
+	for round := 0; round < 4; round++ {
+		for _, obj := range held {
+			k.Put(c, obj)
+		}
+		for i := range held {
+			if held[i], err = k.Get(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, obj := range held {
 		k.Put(c, obj)
 	}
-	if st := k.Stats(); st.CtorRuns != 1 {
-		t.Fatalf("ctor ran %d times, want 1", st.CtorRuns)
+	if st := k.Stats(); st.CtorRuns != 8 || st.Carves != 8 {
+		t.Fatalf("ctor runs %d, carves %d for 8 recycled buffers, want 8/8", st.CtorRuns, st.Carves)
 	}
-	k.Drain(c)
+	if n := k.Drain(c); n != 8 {
+		t.Fatalf("Drain released %d, want 8", n)
+	}
+	if st := k.Stats(); st.Live != 0 || st.Releases != 8 {
+		t.Fatalf("after drain: live %d, releases %d, want 0/8", st.Live, st.Releases)
+	}
+	if err := a.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestColorStepKeepsAlignment: an alignment coarser than a cache line
+// sets the color step, so every color keeps the object aligned and the
+// slack still yields more than one color.
+func TestColorStepKeepsAlignment(t *testing.T) {
+	for _, align := range []uint64{64, 128} {
+		m, _, kma := newKMA(t, 1)
+		k, err := objcache.New(m, kma, "test:align", 40, align, nil, nil, objcache.Opts{MinBackSize: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k.NumColors() < 2 {
+			t.Errorf("align %d: %d colors, want >= 2", align, k.NumColors())
+		}
+		c := m.CPU(0)
+		for i := 0; i < 16; i++ {
+			obj, err := k.Get(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if uint64(obj)%align != 0 {
+				t.Errorf("align %d: object %#x misaligned", align, uint64(obj))
+			}
+		}
+		k.ForEachCarved(func(obj, base arena.Addr) {
+			if off := uint64(obj - base); off+40 > k.Capacity() {
+				t.Errorf("align %d: object at offset %d overruns %d-byte capacity", align, off, k.Capacity())
+			}
+		})
+	}
 }
 
 // TestEventSpine: EvCtorRun / EvCtorSkip / EvCacheShed reach the

@@ -10,7 +10,7 @@ import (
 	"kmem/internal/objcache"
 )
 
-func newNodedKMA(t *testing.T, ncpu, nodes int) (*machine.Machine, allocif.Allocator) {
+func newNodedKMA(t *testing.T, ncpu, nodes int) (*machine.Machine, allocif.NewKMA) {
 	t.Helper()
 	cfg := machine.DefaultConfig()
 	cfg.NumCPUs = ncpu

@@ -61,9 +61,10 @@ type Config struct {
 	// allocator alongside the heap workload: OpCacheGet/OpCachePut ops
 	// enter the mix, every Get is checked for constructed state, every
 	// held object is mark-stamped against double hand-outs, and the
-	// end-of-run audit destroys the cache and proves the destructor ran
-	// for every buffer the cache ever released (carves == dtors ==
-	// releases) before the leak check.
+	// end-of-run audit destroys the cache and proves every construction
+	// was undone (ctors == dtors) and every buffer carved was released
+	// (carves == releases) before the leak check. Under Harden the cache
+	// is hardened too: it re-runs the ctor on every magazine Get.
 	ObjCache bool `json:"objcache,omitempty"`
 	// Harden runs the allocator with the corruption-hardening layer on
 	// (internal/harden: redzones, poison auditing, quarantine). With no
@@ -213,6 +214,9 @@ type Report struct {
 	Skipped     uint64
 	CacheGets   uint64
 	CachePuts   uint64
+	// Cache is the torture cache's counters after the end-of-run audit
+	// destroyed it (zero without ObjCache).
+	Cache objcache.Stats
 	// SchedHash is the machine's schedule hash: the identity of the
 	// interleaving this run executed.
 	SchedHash uint64
@@ -561,10 +565,11 @@ func (r *Runner) endAudit(m *machine.Machine, a *core.Allocator, ora *oracle, re
 	if ora.cache != nil {
 		// Return every held object (same per-object checks as OpCachePut),
 		// then destroy the cache: zero live, and the accounting must prove
-		// a destructor ran for every buffer the cache ever released —
-		// carves == dtors == releases. This precedes the DrainAll leak
-		// check because cached buffers are live allocations until the
-		// cache sheds them.
+		// a destructor undid every construction — ctors == dtors, one
+		// each per carve and release, plus one each per Get and Put when
+		// hardened — and every carve was released. This precedes the
+		// DrainAll leak check because cached buffers are live allocations
+		// until the cache sheds them.
 		for _, co := range ora.cached {
 			if msg := ora.beforeCachePut(co); msg != "" {
 				return &Failure{OpIndex: -1, Msg: msg}
@@ -578,10 +583,11 @@ func (r *Runner) endAudit(m *machine.Machine, a *core.Allocator, ora *oracle, re
 				"objcache: %d objects live after quiescent destroy", live)}
 		}
 		st := ora.cache.Stats()
-		if st.DtorRuns != st.Carves || st.Releases != st.Carves {
+		rep.Cache = st
+		if st.CtorRuns != st.DtorRuns || st.Releases != st.Carves {
 			return &Failure{OpIndex: -1, Msg: fmt.Sprintf(
-				"objcache: carves %d, dtors %d, releases %d after destroy; a dtor must precede every release",
-				st.Carves, st.DtorRuns, st.Releases)}
+				"objcache: ctors %d, dtors %d, carves %d, releases %d after destroy; want ctors == dtors, carves == releases",
+				st.CtorRuns, st.DtorRuns, st.Carves, st.Releases)}
 		}
 		if ora.dtorFail != "" {
 			return &Failure{OpIndex: -1, Msg: ora.dtorFail}

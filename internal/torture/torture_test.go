@@ -39,6 +39,32 @@ func jitterTag(seed uint64) string {
 	return "-jitter"
 }
 
+// TestHardenedObjCache: the small matrix's Harden×ObjCache config runs
+// its cache hardened — the ctor re-runs on every magazine Get, so ctors
+// outnumber carves — and passes the end audit.
+func TestHardenedObjCache(t *testing.T) {
+	var ran bool
+	for i, cfg := range MatrixSmall() {
+		if !cfg.Harden || !cfg.ObjCache {
+			continue
+		}
+		cfg.Ops = 1200
+		cfg.Seed = uint64(1000 + i)
+		rep, err := New(cfg).Run()
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Name(), err)
+		}
+		if st := rep.Cache; st.CtorRuns <= st.Carves || st.CtorSkips != 0 {
+			t.Errorf("%s: cache ctors %d, carves %d, skips %d; a hardened cache re-runs the ctor on every warm Get",
+				cfg.Name(), st.CtorRuns, st.Carves, st.CtorSkips)
+		}
+		ran = true
+	}
+	if !ran {
+		t.Fatal("MatrixSmall has no Harden×ObjCache config")
+	}
+}
+
 // TestGoldenDeterminism is the golden determinism test: the same seeds
 // produce the identical interleaving (schedule hash) and identical op
 // accounting across two runs, at every CPU count, jittered or not.

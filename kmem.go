@@ -404,8 +404,10 @@ func (s *System) Machine() *machine.Machine { return s.m }
 
 // --- corruption hardening -------------------------------------------------
 
-// HardenConfig tunes the corruption-hardening layer (Config.Harden, and
-// per-cache via CacheOpts.Harden). The redzone is 16 bytes, each CPU's
+// HardenConfig tunes the corruption-hardening layer (Config.Harden). It
+// covers every block and span the System hands out and every object of
+// its named caches, all reported through one log (HardenReports,
+// Stats.Quarantine, OnReport). The redzone is 16 bytes, each CPU's
 // audit ring 64 records, and freed memory is always poisoned; the zero
 // value selects PolicyQuarantine.
 type HardenConfig = harden.Config
@@ -471,15 +473,18 @@ type Ctor = objcache.Ctor
 type Dtor = objcache.Dtor
 
 // CacheOpts tunes an object cache: a floor on the backing size
-// (MinBackSize), per-cache hardening (Harden) and the restartable-sequence
-// fast path (Rseq). Colors come from the backing block's slack; magazine
-// and depot sizes are constants. The zero value selects defaults.
+// (MinBackSize) and the restartable-sequence fast path (Rseq). Colors
+// come from the backing block's slack; magazine and depot sizes are
+// constants; a cache is hardened exactly when its System is. The zero
+// value selects defaults.
 type CacheOpts = objcache.Opts
 
 // NewCache creates and registers a named typed object cache over this
 // System's allocator — the kmem_cache_create shape. Names are unique per
 // System; look registered caches up with Cache, release them with
-// DestroyCache.
+// DestroyCache. On a hardened System the cache lays a canary after each
+// object and poisons objects at rest (re-running ctor on every Get and
+// dtor on every Put), and its detections land in the System's log.
 func (s *System) NewCache(name string, size, align uint64, ctor Ctor, dtor Dtor, opts CacheOpts) (*ObjCache, error) {
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
