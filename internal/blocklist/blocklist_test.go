@@ -1,8 +1,10 @@
 package blocklist
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"kmem/internal/arena"
 	"kmem/internal/machine"
@@ -251,4 +253,257 @@ func TestQuickSplitOffPreservesBlocks(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestListIs16Bytes: a run packs its count and stride into the word a
+// linked list's count used; lists are copied by value through every
+// layer, and a 24-byte List measurably raised a sweep's host RSS.
+func TestListIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(List{}); got != 16 {
+		t.Errorf("List is %d bytes, want 16", got)
+	}
+}
+
+// walk returns l's blocks in list order.
+func walk(a *arena.Arena, l *List) []arena.Addr {
+	var out []arena.Addr
+	l.Walk(a, func(b arena.Addr) bool { out = append(out, b); return true })
+	return out
+}
+
+// TestRunPopsByAddress: a run pops its blocks at its stride, up or down,
+// reading and writing none of them, and empties into the zero List.
+func TestRunPopsByAddress(t *testing.T) {
+	for _, stride := range []int{32, -32} {
+		c, a := testCPU(t)
+		head := arena.Addr(1024)
+		l := Run(head, 5, stride)
+		if !l.IsRun() || l.Len() != 5 || l.Head() != head {
+			t.Fatalf("stride %d: Run gave run=%v len %d head %#x", stride, l.IsRun(), l.Len(), l.Head())
+		}
+		l.Validate(a)
+		st := c.Stats()
+		for i := 0; i < 5; i++ {
+			want := head + arena.Addr(i*stride)
+			if got := l.Pop(c, a); got != want {
+				t.Fatalf("stride %d: pop %d = %#x, want %#x", stride, i, got, want)
+			}
+		}
+		if got := c.Stats(); got != st {
+			t.Errorf("stride %d: popping a run charged %+v, want nothing", stride, got)
+		}
+		if l != (List{}) {
+			t.Errorf("stride %d: emptied run is %+v, want the zero List", stride, l)
+		}
+	}
+}
+
+// TestRunTakeAndWalk: Take moves a run whole, still unlinked, and Walk
+// reaches its blocks by address, stopping when asked.
+func TestRunTakeAndWalk(t *testing.T) {
+	_, a := testCPU(t)
+	l := Run(2048, 4, -64)
+	m := l.Take()
+	if !l.Empty() || l.IsRun() || !m.IsRun() || m.Len() != 4 {
+		t.Fatalf("take: src %+v dst %+v", l, m)
+	}
+	if got, want := walk(a, &m), []arena.Addr{2048, 1984, 1920, 1856}; !slices.Equal(got, want) {
+		t.Errorf("walk = %#x, want %#x", got, want)
+	}
+	n := 0
+	m.Walk(a, func(arena.Addr) bool { n++; return n < 2 })
+	if n != 2 {
+		t.Errorf("walk went on %d blocks after being told to stop at 2", n)
+	}
+}
+
+// TestRunLinks: Link writes one link per block, as Push would charge
+// them, and leaves the linked list of the same blocks in the same order;
+// linking a linked list writes nothing.
+func TestRunLinks(t *testing.T) {
+	for _, stride := range []int{32, -32} {
+		c, a := testCPU(t)
+		l := Run(4096, 6, stride)
+		want := walk(a, &l)
+		w0 := c.Stats()
+		l.Link(c, a)
+		w1 := c.Stats()
+		if l.IsRun() || l.Len() != 6 || l.Head() != want[0] {
+			t.Fatalf("stride %d: linked list is %+v", stride, l)
+		}
+		l.Validate(a)
+		if got := walk(a, &l); !slices.Equal(got, want) {
+			t.Errorf("stride %d: linked order %#x, run order %#x", stride, got, want)
+		}
+		var p List
+		for i := len(want) - 1; i >= 0; i-- {
+			p.Push(c, a, want[i]+8192)
+		}
+		w2 := c.Stats()
+		if w1.Instructions-w0.Instructions != w2.Instructions-w1.Instructions {
+			t.Errorf("stride %d: Link charged %d instructions, six pushes %d",
+				stride, w1.Instructions-w0.Instructions, w2.Instructions-w1.Instructions)
+		}
+		l.Link(c, a)
+		if c.Stats() != w2 {
+			t.Errorf("stride %d: linking a linked list charged something", stride)
+		}
+		for i := range want {
+			if got := l.Pop(c, a); got != want[i] {
+				t.Fatalf("stride %d: pop %d = %#x, want %#x", stride, i, got, want[i])
+			}
+		}
+	}
+}
+
+// TestRunValidate: a run that reaches outside the arena fails Validate.
+func TestRunValidate(t *testing.T) {
+	_, a := testCPU(t)
+	for name, l := range map[string]List{
+		"below": Run(64, 4, -32),
+		"above": Run(arena.Addr(a.Size())-64, 4, 32),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Validate of %+v did not panic", name, l)
+				}
+			}()
+			l.Validate(a)
+		}()
+	}
+	for _, l := range []List{Run(128, 3, -32), Run(arena.Addr(a.Size())-96, 3, 32)} {
+		l.Validate(a)
+	}
+}
+
+// TestRunRefusesSplicing: nothing is pushed or spliced onto a run, or
+// cut from one, before it is linked — its link words are not written.
+func TestRunRefusesSplicing(t *testing.T) {
+	c, a := testCPU(t)
+	linked := func() List { var l List; l.Push(c, a, 8192); l.Push(c, a, 8224); return l }
+	for name, f := range map[string]func(){
+		"push onto run":      func() { r := Run(64, 3, 32); r.Push(c, a, 4096) },
+		"append onto run":    func() { r := Run(64, 3, 32); r.Append(c, a, linked()) },
+		"split onto run":     func() { l := linked(); l.SplitOnto(c, a, 1, Run(64, 3, 32)) },
+		"split from run":     func() { r := Run(64, 3, 32); r.SplitOnto(c, a, 1, List{}) },
+		"run of nothing":     func() { Run(64, 0, 32) },
+		"run without stride": func() { Run(64, 3, 0) },
+		"run from nil":       func() { Run(arena.NilAddr, 3, 32) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+	// A run may be the list appended: Append pops it by address.
+	l := linked()
+	l.Append(c, a, Run(64, 3, 32))
+	if got, want := walk(a, &l), []arena.Addr{128, 96, 64, 8224, 8192}; !slices.Equal(got, want) {
+		t.Errorf("append of a run gave %#x, want %#x", got, want)
+	}
+}
+
+// FuzzListOps drives two lists through random pushes, pops, takes,
+// splits, appends, runs and links, checking each against a slice of
+// addresses after every step.
+func FuzzListOps(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 8, 2, 4, 3, 5, 6, 7})
+	f.Add([]byte{4, 12, 5, 1, 0, 9, 6, 2, 3, 0, 0, 0, 1, 1})
+	f.Add([]byte{4, 3, 6, 4, 1, 9, 13, 2, 7, 3})
+	cfg := machine.DefaultConfig()
+	cfg.MemBytes = 1 << 20
+	cfg.PhysPages = 16
+	m := machine.New(cfg)
+	c, a := m.CPU(0), m.Mem()
+	const size = 32
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 512 {
+			ops = ops[:512]
+		}
+		var ls [2]List
+		var refs [2][]arena.Addr
+		next := arena.Addr(64) // blocks are never reused: a bump pointer
+		fresh := func(n int) arena.Addr {
+			b := next
+			next += arena.Addr(n * size)
+			return b
+		}
+		for i := 0; i+1 < len(ops); i += 2 {
+			op, arg := ops[i]%8, int(ops[i+1])
+			k := arg & 1
+			l, ref := &ls[k], &refs[k]
+			o, oref := &ls[1-k], &refs[1-k]
+			switch op {
+			case 0: // push
+				if l.IsRun() {
+					l.Link(c, a)
+				}
+				b := fresh(1)
+				l.Push(c, a, b)
+				*ref = append([]arena.Addr{b}, *ref...)
+			case 1: // pop
+				if !l.Empty() {
+					want := (*ref)[0]
+					if got := l.Pop(c, a); got != want {
+						t.Fatalf("op %d: pop %#x, want %#x", i/2, got, want)
+					}
+					*ref = (*ref)[1:]
+				}
+			case 2: // take l into the other list, when it is empty
+				if o.Empty() {
+					*o, *oref = l.Take(), *ref
+					*ref = nil
+				}
+			case 3: // split a front segment of l onto the other list
+				if n := 1 + arg>>1; n <= l.Len() && !l.IsRun() && !o.IsRun() {
+					*o = l.SplitOnto(c, a, n, *o)
+					*oref = append(slices.Clone((*ref)[:n]), *oref...)
+					*ref = (*ref)[n:]
+				}
+			case 4: // replace an empty list by a fresh run, up or down
+				if l.Empty() {
+					n := 1 + (arg>>1)%16
+					lo := fresh(n)
+					head, stride := lo, size
+					if arg&2 != 0 {
+						head, stride = lo+arena.Addr((n-1)*size), -size
+					}
+					*l = Run(head, n, stride)
+					*ref = nil
+					for j := 0; j < n; j++ {
+						*ref = append(*ref, head+arena.Addr(j*stride))
+					}
+				}
+			case 5: // link
+				l.Link(c, a)
+			case 6: // append the other list onto l
+				if !l.IsRun() {
+					l.Append(c, a, o.Take())
+					for _, b := range *oref {
+						*ref = append([]arena.Addr{b}, *ref...)
+					}
+					*oref = nil
+				}
+			case 7: // pop down to nothing
+				for !l.Empty() {
+					l.Pop(c, a)
+				}
+				*ref = nil
+			}
+			for j := range ls {
+				if ls[j].Len() != len(refs[j]) {
+					t.Fatalf("op %d: list %d holds %d, reference %d", i/2, j, ls[j].Len(), len(refs[j]))
+				}
+				ls[j].Validate(a)
+				if got := walk(a, &ls[j]); !slices.Equal(got, refs[j]) {
+					t.Fatalf("op %d: list %d walks %#x, reference %#x", i/2, j, got, refs[j])
+				}
+			}
+		}
+	})
 }

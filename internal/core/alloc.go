@@ -459,6 +459,10 @@ func (a *Allocator) allocClass(c *machine.CPU, cls int) (arena.Addr, error) {
 			stolen = !lst.Empty() && !tortureBug(TortureBugStaleNodePure)
 		}
 		if !lst.Empty() {
+			// Blocks fresh from a page can arrive as an unlinked run:
+			// they are this CPU's alone now, so it writes their links
+			// on its own clock, outside every lock.
+			lst.Link(c, a.mem)
 			n := lst.Len()
 			var delta uint64
 			if r := crit.Enter(c); r > 0 {

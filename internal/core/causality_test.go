@@ -7,7 +7,8 @@ import (
 )
 
 // TestRefillPublishedBeforeConsumed pins the causality a lock-hold
-// shortening (ROADMAP item 3) must keep. Two CPUs allocate 1 KB from a
+// shortening (ROADMAP, "A publication rule in the simulator, then
+// shorter lock holds") must keep. Two CPUs allocate 1 KB from a
 // cold class at clock 0. CPU 0 runs first and refills the global layer
 // from the page layer; CPU 1 is handed a list from that refill, so its
 // allocation must not end before the refill was published. Operations
@@ -61,7 +62,7 @@ func TestRefillPublishedBeforeConsumed(t *testing.T) {
 		if end[1] < published {
 			// Measured when this test was written: CPU 1 ends at 385
 			// holding a block of the refill CPU 0 publishes at 99,660.
-			t.Skipf("known gap (ROADMAP item 2, DESIGN.md §14): CPU 1's alloc ends at cycle %d, CPU 0 publishes the refill at %d and ends at %d — a lock-free pop takes a list from its own virtual future",
+			t.Skipf("known gap (ROADMAP, \"A publication rule in the simulator\"; DESIGN.md §14): CPU 1's alloc ends at cycle %d, CPU 0 publishes the refill at %d and ends at %d — a lock-free pop takes a list from its own virtual future",
 				end[1], published, end[0])
 		}
 	})

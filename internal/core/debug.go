@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"kmem/internal/arena"
+	"kmem/internal/blocklist"
 )
 
 // CheckConsistency audits every data structure of the allocator and
@@ -11,14 +12,16 @@ import (
 //
 //   - vmblk page maps partition cleanly into header pages, free spans
 //     with matching boundary tags, allocated spans, and split pages;
-//   - every split page's freelist length matches its descriptor's free
-//     count, with every link inside the page and block-aligned;
+//   - every split page's freelist length plus its uncarved tail matches
+//     its descriptor's free count, with every link inside the page and
+//     block-aligned;
 //   - the page pools' lists and the descriptors agree both ways: a page
 //     on bucket k has filed == k <= nFree, the list walks reach exactly
 //     the pages with filed != 0, and a split page with free blocks is
 //     filed unless it is quarantined;
-//   - no block appears on two freelists (page, global or per-CPU) —
-//     a double free or list corruption would trip this;
+//   - no block appears on two freelists (page, global or per-CPU) or on
+//     a freelist and in its page's uncarved tail — a double free or list
+//     corruption would trip this;
 //   - cached blocks belong to split pages of the correct class, and in a
 //     global pool, remote shard or node-pure CPU cache to its node;
 //   - every page's residency flags match its state: header, allocated
@@ -152,9 +155,15 @@ func (a *Allocator) CheckConsistency() error {
 						return fmt.Errorf("kmem: split page %d freelist longer than page", i)
 					}
 				}
-				if count != uint64(pd.nFree) {
-					return fmt.Errorf("kmem: split page %d freelist has %d blocks, descriptor says %d",
-						i, count, pd.nFree)
+				tail := uint64(pd.tail())
+				if count+tail != uint64(pd.nFree) {
+					return fmt.Errorf("kmem: split page %d freelist has %d blocks and a %d-block tail, descriptor says %d",
+						i, count, tail, pd.nFree)
+				}
+				for j := perPage - tail; j < perPage; j++ {
+					if err := note(base+arena.Addr(j*size), fmt.Sprintf("page %d tail", i)); err != nil {
+						return err
+					}
 				}
 				if pd.flags&^pdfQuarantined != pdfResident {
 					return fmt.Errorf("kmem: split page %d has flags %#x, want resident", i, pd.flags)
@@ -223,51 +232,41 @@ func (a *Allocator) CheckConsistency() error {
 	}
 
 	// Cached blocks at the global and per-CPU layers: each must sit in a
-	// split page of its class and appear only once anywhere.
-	checkCached := func(head arena.Addr, n int, cls int, where string) error {
+	// split page of its class and appear only once anywhere. A list that
+	// must also hold only blocks homed on one node — a global pool's
+	// lists and bucket (the home-node invariant), a CPU's remote shards,
+	// and the main and aux of a node-pure cache — names the node; -1
+	// accepts any home. A global pool's lists may be runs (a refill's
+	// unlinked blocks): List.Walk reaches their blocks by address.
+	checkHomed := func(l blocklist.List, cls, node int, where string) error {
 		count := 0
-		for b := head; b != arena.NilAddr; b = a.mem.Load64(b) {
+		var err error
+		l.Walk(a.mem, func(b arena.Addr) bool {
 			pg := int32(b >> a.pageShift)
-			pcls, ok := splitByClass[pg]
-			if !ok || pcls != cls {
-				return fmt.Errorf("kmem: %s holds block %#x not in a class-%d split page", where, b, cls)
+			if pcls, ok := splitByClass[pg]; !ok || pcls != cls || (b-a.vm.pageAddr(pg))%arena.Addr(a.classes[cls].size) != 0 {
+				err = fmt.Errorf("kmem: %s holds block %#x not in a class-%d split page", where, b, cls)
+			} else if home := a.vm.nodeOfPage(pg); node >= 0 && home != node {
+				err = fmt.Errorf("kmem: %s holds block %#x homed on node %d", where, b, home)
+			} else if err = note(b, where); err == nil {
+				if count++; count > l.Len() {
+					err = fmt.Errorf("kmem: %s longer than declared %d", where, l.Len())
+				}
 			}
-			if err := note(b, where); err != nil {
-				return err
-			}
-			count++
-			if count > n {
-				return fmt.Errorf("kmem: %s longer than declared %d", where, n)
-			}
+			return err == nil
+		})
+		if err == nil && count != l.Len() {
+			err = fmt.Errorf("kmem: %s has %d blocks, declared %d", where, count, l.Len())
 		}
-		if count != n {
-			return fmt.Errorf("kmem: %s has %d blocks, declared %d", where, count, n)
-		}
-		return nil
-	}
-	// checkHomed is checkCached for a list that must also hold only
-	// blocks homed on one node: a global pool's lists and bucket (the
-	// home-node invariant), a CPU's remote shards, and the main and aux
-	// of a node-pure cache. node -1 accepts any home.
-	checkHomed := func(head arena.Addr, n int, cls, node int, where string) error {
-		if err := checkCached(head, n, cls, where); err != nil {
-			return err
-		}
-		for b := head; node >= 0 && b != arena.NilAddr; b = a.mem.Load64(b) {
-			if home := a.vm.nodeOfPage(int32(b >> a.pageShift)); home != node {
-				return fmt.Errorf("kmem: %s holds block %#x homed on node %d", where, b, home)
-			}
-		}
-		return nil
+		return err
 	}
 	for cls := range a.classes {
 		for _, g := range a.classes[cls].globals {
 			for li, l := range g.lists {
-				if err := checkHomed(l.Head(), l.Len(), cls, g.node, fmt.Sprintf("class %d node %d global list %d", cls, g.node, li)); err != nil {
+				if err := checkHomed(l, cls, g.node, fmt.Sprintf("class %d node %d global list %d", cls, g.node, li)); err != nil {
 					return err
 				}
 			}
-			if err := checkHomed(g.bucket.Head(), g.bucket.Len(), cls, g.node, fmt.Sprintf("class %d node %d global bucket", cls, g.node)); err != nil {
+			if err := checkHomed(g.bucket, cls, g.node, fmt.Sprintf("class %d node %d global bucket", cls, g.node)); err != nil {
 				return err
 			}
 		}
@@ -279,10 +278,10 @@ func (a *Allocator) CheckConsistency() error {
 			if !pc.mixed {
 				pure = a.m.NodeOf(cpu)
 			}
-			if err := checkHomed(pc.main.Head(), pc.main.Len(), cls, pure, fmt.Sprintf("cpu %d class %d main", cpu, cls)); err != nil {
+			if err := checkHomed(pc.main, cls, pure, fmt.Sprintf("cpu %d class %d main", cpu, cls)); err != nil {
 				return err
 			}
-			if err := checkHomed(pc.aux.Head(), pc.aux.Len(), cls, pure, fmt.Sprintf("cpu %d class %d aux", cpu, cls)); err != nil {
+			if err := checkHomed(pc.aux, cls, pure, fmt.Sprintf("cpu %d class %d aux", cpu, cls)); err != nil {
 				return err
 			}
 			// Remote shards: every staged block must be homed on the
@@ -294,7 +293,7 @@ func (a *Allocator) CheckConsistency() error {
 				if node == a.m.NodeOf(cpu) && !sh.Empty() {
 					return fmt.Errorf("kmem: cpu %d class %d stages local blocks in its own node-%d shard", cpu, cls, node)
 				}
-				if err := checkHomed(sh.Head(), sh.Len(), cls, node, fmt.Sprintf("cpu %d class %d shard %d", cpu, cls, node)); err != nil {
+				if err := checkHomed(*sh, cls, node, fmt.Sprintf("cpu %d class %d shard %d", cpu, cls, node)); err != nil {
 					return err
 				}
 			}

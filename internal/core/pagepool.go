@@ -137,13 +137,12 @@ func (p *pagePool) refile(c *machine.CPU, pg int32, newFree int) {
 }
 
 // carveInto obtains one page homed on the pool's node from the vmblk
-// layer and splits it. Its first take blocks (at most a page) go
-// straight onto cur in ascending address order, a list cut into out
-// each time cur reaches target — the very lists popping them off a
-// carved page would build, so placement is unchanged. Only the rest are
-// linked, ascending, as the page's own freelist, and the page is filed
-// once at that remainder, or not at all when it is drawn whole. Returns
-// the blocks taken.
+// layer and splits it: every block starts in the page's uncarved tail.
+// Its first take blocks (at most a page) are cut from the tail straight
+// onto cur, a list cut into out each time cur reaches target (cutTail);
+// the rest stay in the tail, unlinked, and the page is filed once at
+// that remainder, or not at all when it is drawn whole. Returns the
+// blocks taken.
 func (p *pagePool) carveInto(c *machine.CPU, cur *blocklist.List, out *[]blocklist.List, target, take int) (int, error) {
 	if p.al.params.Faults.Should(FaultPagePoolRefill) {
 		p.al.noteFault()
@@ -158,34 +157,23 @@ func (p *pagePool) carveInto(c *machine.CPU, cur *blocklist.List, out *[]blockli
 	if p.al.hd != nil {
 		p.al.hd.forgetPage(c, pg)
 	}
-	base := p.al.vm.pageAddr(pg)
-	mem := p.al.mem
-	take = min(take, p.blocksPerPage)
-	// Link the rest back to front so the page's freelist ascends, as
-	// carving code does; the taken blocks are touched last, in the order
-	// the pop/push loop last touched them.
-	var head arena.Addr
-	for i := p.blocksPerPage - 1; i >= take; i-- {
-		b := base + arena.Addr(i)*arena.Addr(p.size)
-		mem.Store64(b, head)
-		c.WriteAddr(b)
-		if p.al.params.Poison {
-			p.al.poison(b, p.size)
+	if p.al.params.Poison {
+		base := p.al.vm.pageAddr(pg)
+		for i := 0; i < p.blocksPerPage; i++ {
+			p.al.poison(base+arena.Addr(i)*arena.Addr(p.size), p.size)
 		}
-		head = b
 	}
-	for i := 0; i < take; i++ {
-		b := base + arena.Addr(i)*arena.Addr(p.size)
-		cur.Push(c, mem, b)
-		if p.al.params.Poison {
-			p.al.poison(b, p.size)
-		}
+	pd.freeHead = arena.NilAddr
+	pd.setTail(p.blocksPerPage)
+	take = min(take, p.blocksPerPage)
+	for got := 0; got < take; {
+		seg := min(take-got, target-cur.Len())
+		*cur = p.cutTail(c, pg, pd, seg, target, true, *cur)
+		got += seg
 		if cur.Len() == target {
-			c.Work(insnPageOp)
 			*out = append(*out, cur.Take())
 		}
 	}
-	pd.freeHead = head
 	pd.nFree = uint16(p.blocksPerPage - take)
 	c.Write(pd.line)
 	p.ev[EvPageCarve]++
@@ -197,25 +185,65 @@ func (p *pagePool) carveInto(c *machine.CPU, cur *blocklist.List, out *[]blockli
 	return take, nil
 }
 
-// drawFrom cuts up to take blocks off picked page pg's own freelist onto
-// cur, as chains: one SplitOnto per segment, a list cut into out each
-// time cur reaches target. What the page has left is refiled, or it is
-// filed out when drawn dry. Returns the blocks taken.
+// cutTail takes the n lowest blocks of page pg's uncarved tail and
+// returns them followed by onto. A whole target-sized list with nothing
+// to follow leaves as a run, at the cost of one page op: the CPU that
+// takes it writes its links (allocClass). Anything else is linked in
+// front of onto here, one store per block. The blocks run in the order a
+// page's freelist would have given them: a page being carved hands its
+// lowest block out last (the order pushing them built, carving), a
+// drawn page's tail ascends (the order of the chain it once linked).
+func (p *pagePool) cutTail(c *machine.CPU, pg int32, pd *pageDesc, n, target int, carving bool, onto blocklist.List) blocklist.List {
+	size := int(p.size)
+	lo := p.al.vm.pageAddr(pg) + arena.Addr((p.blocksPerPage-pd.tail())*size)
+	if !carving && tortureBug(TortureBugTailOverlap) {
+		lo -= arena.Addr(size)
+	}
+	pd.setTail(pd.tail() - n)
+	head, stride := lo, size
+	if carving {
+		head, stride = lo+arena.Addr((n-1)*size), -size
+	}
+	c.Work(insnPageOp)
+	if onto.Empty() && n == target {
+		return blocklist.Run(head, n, stride)
+	}
+	for i := n - 1; i >= 0; i-- {
+		onto.Push(c, p.al.mem, head+arena.Addr(i*stride))
+	}
+	return onto
+}
+
+// drawFrom cuts up to take blocks off picked page pg onto cur: its freed
+// chain first, as chains (one SplitOnto per segment), then its uncarved
+// tail (cutTail) — the blocks, and the order, of the one chain the page
+// would hold had its tail been linked at the carve. A list is cut into
+// out each time cur reaches target. What the page has left is refiled,
+// or it is filed out when drawn dry. Returns the blocks taken.
 func (p *pagePool) drawFrom(c *machine.CPU, pg int32, cur *blocklist.List, out *[]blocklist.List, target, take int) int {
 	pd := p.al.vm.pdOf(pg)
 	c.Read(pd.line)
-	chain := blocklist.Chain(pd.freeHead, int(pd.nFree))
+	chain := blocklist.Chain(pd.freeHead, int(pd.nFree)-pd.tail())
 	got := 0
-	for !chain.Empty() && got < take {
-		seg := min(chain.Len(), take-got, target-cur.Len())
-		c.Work(insnPageOp + 2*int64(seg))
-		*cur = chain.SplitOnto(c, p.al.mem, seg, *cur)
+	for got < take && (!chain.Empty() || pd.tail() > 0) {
+		seg := min(chain.Len()+pd.tail(), take-got, target-cur.Len())
+		// A segment that runs off the end of the freed chain continues
+		// into the tail: link the tail's part first, then the chain's in
+		// front of it.
+		fromChain := min(seg, chain.Len())
+		if fromChain < seg {
+			*cur = p.cutTail(c, pg, pd, seg-fromChain, target, false, *cur)
+		}
+		if fromChain > 0 {
+			c.Work(insnPageOp + 2*int64(fromChain))
+			*cur = chain.SplitOnto(c, p.al.mem, fromChain, *cur)
+		}
 		got += seg
 		if cur.Len() == target {
 			*out = append(*out, cur.Take())
 		}
 	}
-	pd.freeHead, pd.nFree = chain.Head(), uint16(chain.Len())
+	pd.freeHead, pd.nFree = chain.Head(), uint16(chain.Len()+pd.tail())
 	c.Write(pd.line)
 	p.ev[EvBlockGet] += uint64(got)
 	if pd.nFree == 0 {
@@ -231,7 +259,9 @@ func (p *pagePool) drawFrom(c *machine.CPU, pg int32, cur *blocklist.List, out *
 // the vmblk layer as needed. It returns the lists built; an empty result
 // means no memory could be found at this layer. Each block is moved
 // once: fresh pages are carved straight into the lists (carveInto),
-// drawn pages are cut as chains (drawFrom).
+// drawn pages are cut as chains and tails (drawFrom). Whole lists cut
+// from a tail leave as runs, so the hold pays per list, not per block,
+// for them.
 func (p *pagePool) getLists(c *machine.CPU, nLists, target int) ([]blocklist.List, error) {
 	p.al.acquire(c, p.lk, &p.ev, p.cls)
 	defer p.lk.Release(c)
@@ -412,6 +442,7 @@ func (p *pagePool) releasePage(c *machine.CPU, pg int32, pd *pageDesc) {
 	}
 	pd.freeHead = arena.NilAddr
 	pd.nFree = 0
+	pd.setTail(0)
 	pd.class = -1
 	if p.al.hd != nil {
 		// The page is leaving the split state; its owner slots must not

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -136,7 +137,7 @@ func TestScatteredFreeCyclesPinned(t *testing.T) {
 // number of churn, native_churn and native_handoff, is unchanged. Each
 // FNV-64 below was captured on PR 25's parent commit for a cold getLists
 // at the class's own targets and at target 7, where lists straddle
-// pages.
+// pages; a run is hashed by address, in the order its links will read.
 func TestFreshRefillListsUnchanged(t *testing.T) {
 	for _, tc := range []struct {
 		size           uint64
@@ -166,10 +167,11 @@ func TestFreshRefillListsUnchanged(t *testing.T) {
 		for _, l := range lists {
 			binary.LittleEndian.PutUint64(buf[:], uint64(l.Len()))
 			h.Write(buf[:])
-			for b := l.Head(); b != arena.NilAddr; b = a.mem.Load64(b) {
+			l.Walk(a.mem, func(b arena.Addr) bool {
 				binary.LittleEndian.PutUint64(buf[:], uint64(b))
 				h.Write(buf[:])
-			}
+				return true
+			})
 		}
 		if got := h.Sum64(); got != tc.want {
 			t.Errorf("%d-byte class, %d lists of %d: lists hash to %#x, the pop/push loop's to %#x",
@@ -180,11 +182,12 @@ func TestFreshRefillListsUnchanged(t *testing.T) {
 
 // TestColdRefillCyclesPinned holds a cold refill — one getLists of 64
 // whole pages of 16-byte blocks on fresh16, every page carved — to
-// carving each block once: the constant is this cost with fresh pages
-// carved straight into the lists (PR 25). The per-block pop/push it
-// replaced ran 1,049,615 cycles, so a return to it fails here by name.
+// writing no block: each page leaves as one unlinked run, and the CPU
+// that takes a run links it. Carving every block straight into linked
+// lists ran 557,008 cycles, and the per-block pop/push before that
+// 1,049,615, so a return to eager linking fails here by name.
 func TestColdRefillCyclesPinned(t *testing.T) {
-	const want = 557008
+	const want = 209104
 	a, pp, c := fresh16(t, Params{})
 	t0 := c.Now()
 	lists, err := pp.getLists(c, 64, pp.blocksPerPage)
@@ -198,6 +201,108 @@ func TestColdRefillCyclesPinned(t *testing.T) {
 			n, got, want, float64(got)/float64(n), float64(want)/float64(n))
 	}
 	checkOK(t, a)
+}
+
+// TestColdRefillLinksOutsideLocks: a cold 16-byte refill — the first
+// Alloc on fresh16, every layer empty — reads and writes no block line
+// between its acquire and its release of the global pool's lock, nor of
+// the page pool's inside it: every list it publishes leaves the fresh
+// page as a run. Once both are released, the allocating CPU writes
+// exactly target links, its own list's, and the lists left in the
+// global pool stay runs until a CPU takes them.
+func TestColdRefillLinksOutsideLocks(t *testing.T) {
+	a, pp, c := fresh16(t, Params{})
+	g := a.classes[pp.cls].globals[0]
+	target, gbltarget := g.ctl.curTarget(), g.ctl.curGblTarget()
+	c.StartTrace()
+	b, err := a.Alloc(c, 16)
+	trace := c.StopTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pp.ev[EvPageCarve] != 1 || gbltarget*target > pp.blocksPerPage {
+		t.Fatalf("refill carved %d pages for %d lists of %d; the setting wants one page", pp.ev[EvPageCarve], gbltarget, target)
+	}
+	blockLines := map[machine.Line]bool{}
+	base := a.vm.pageAddr(int32(b >> a.pageShift))
+	for off := uint64(0); off < a.m.Config().PageBytes; off += uint64(pp.size) {
+		blockLines[a.m.LineOf(base+off)] = true
+	}
+	// span returns the first and last trace events on lk's line: the
+	// acquire's test-and-set and the releasing store.
+	span := func(lk *machine.SpinLock) (first, last int) {
+		first = -1
+		for i, e := range trace {
+			if e.Line == lk.Line() {
+				if first < 0 {
+					first = i
+				}
+				last = i
+			}
+		}
+		if first < 0 || trace[last].Kind != machine.WriteAccess {
+			t.Fatalf("no acquire and release of lock line %#x in the trace", lk.Line())
+		}
+		return first, last
+	}
+	gAcq, gRel := span(g.lk)
+	pAcq, pRel := span(pp.lk)
+	if pAcq < gAcq || pRel > gRel {
+		t.Fatalf("page pool's hold [%d, %d] is not inside the global pool's [%d, %d]", pAcq, pRel, gAcq, gRel)
+	}
+	for i, e := range trace[gAcq : gRel+1] {
+		if blockLines[e.Line] {
+			t.Fatalf("event %d under the global pool's lock touches block line %#x (%v)", gAcq+i, e.Line, e.Kind)
+		}
+	}
+	writes := 0
+	for _, e := range trace[gRel+1:] {
+		if blockLines[e.Line] && e.Kind == machine.WriteAccess {
+			writes++
+		}
+	}
+	if writes != target {
+		t.Errorf("after the release the CPU wrote %d block links, want target = %d", writes, target)
+	}
+	if len(g.lists) != gbltarget-1 {
+		t.Fatalf("global pool holds %d lists after the refill, want %d", len(g.lists), gbltarget-1)
+	}
+	for i, l := range g.lists {
+		if !l.IsRun() || l.Len() != target {
+			t.Errorf("global list %d: run=%v, %d blocks; want an unlinked run of %d", i, l.IsRun(), l.Len(), target)
+		}
+	}
+	checkOK(t, a)
+}
+
+// TestConsistencyCountsTail: the audit counts a page's uncarved tail in
+// its free count, and refuses a tail block that is also on a list — the
+// block would be handed out twice.
+func TestConsistencyCountsTail(t *testing.T) {
+	a, pp, c := fresh16(t, Params{})
+	b, err := a.Alloc(c, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkOK(t, a)
+	pg := int32(b >> a.pageShift)
+	pd := a.vm.pdOf(pg)
+	tail := pd.tail()
+	if tail == 0 || tail >= int(pd.nFree)+1 {
+		t.Fatalf("carved page keeps a %d-block tail of %d free", tail, pd.nFree)
+	}
+	pd.setTail(tail - 1)
+	if err := a.CheckConsistency(); err == nil || !strings.Contains(err.Error(), "tail") {
+		t.Errorf("audit of a tail one short of nFree: %v", err)
+	}
+	pd.setTail(tail)
+	checkOK(t, a)
+	g := a.classes[pp.cls].globals[0]
+	top := a.vm.pageAddr(pg) + arena.Addr((pp.blocksPerPage-1)*int(pp.size))
+	g.bucket.Push(c, a.mem, top)
+	if err := a.CheckConsistency(); err == nil || !strings.Contains(err.Error(), "tail") {
+		t.Errorf("audit of a tail block on the global bucket: %v", err)
+	}
 }
 
 // holdAcross makes CPU 1 hold lk for span cycles from the clocks'
@@ -272,6 +377,7 @@ func TestSpillIsOneTrip(t *testing.T) {
 	}
 	g.putList(c, lists[0])
 	g.putList(c, lists[1])
+	lists[2].Link(c, a.mem)                                                // as the CPU taking it would
 	g.putList(c, lists[2].SplitOnto(c, a.mem, target-1, blocklist.List{})) // odd-sized: lands on the bucket
 	if len(g.lists) != 2 || g.bucket.Len() != target-1 {
 		t.Fatalf("global pool holds %d lists and a %d-block bucket, want 2 and %d", len(g.lists), g.bucket.Len(), target-1)
@@ -683,12 +789,13 @@ func TestEagerMapOutsideVmblkLock(t *testing.T) {
 // never did. Paying a freed page's unmap outside both locks, and then a
 // fresh span's map outside the vmblk lock and a contended spill's lookups
 // before the pool's, moved them by exactly what they moved the radix
-// goldens.
+// goldens, and so did handing a fresh page's whole lists out as unlinked
+// runs.
 func TestFIFOCyclesPinned(t *testing.T) {
 	assertGolden(t, "nodes=1 fifo", shardGoldenCycles(t, 1, Params{DisableRadixSort: true}),
-		[]int64{921581, 697471, 698213, 698716})
+		[]int64{902911, 681451, 682193, 682696})
 	assertGolden(t, "nodes=4 fifo", shardGoldenCycles(t, 4, Params{DisableRadixSort: true}),
-		[]int64{1419141, 641849, 636949, 643298})
+		[]int64{1333839, 627155, 624043, 628418})
 }
 
 // TestPageDescSize: filed lives in padding the descriptor already had.
@@ -879,10 +986,8 @@ func refillMix(t *testing.T, nodes int, sh mixShape, p Params) mixResult {
 				// The first block drawn sits at the tail of the first list:
 				// fresh blocks are pushed, a drawn segment is linked in front
 				// of what cur held.
-				first := lists[0].Head()
-				for nx := a.mem.Load64(first); nx != arena.NilAddr; nx = a.mem.Load64(first) {
-					first = nx
-				}
+				var first arena.Addr
+				lists[0].Walk(a.mem, func(b arena.Addr) bool { first = b; return true })
 				r.picks++
 				if had := len(before[int32(first>>a.pageShift)]); had != min {
 					t.Fatalf("step %d: first page drawn from had %d free, fewest over the filed pages was %d",
@@ -910,9 +1015,7 @@ func checkListShape(t *testing.T, step int, a *Allocator, lists []blocklist.List
 		if l.Len() != target && (i != len(lists)-1 || l.Len() > target) {
 			t.Fatalf("step %d: list %d of %d holds %d blocks, target %d", step, i, len(lists), l.Len(), target)
 		}
-		for b := l.Head(); b != arena.NilAddr; b = a.mem.Load64(b) {
-			got = append(got, b)
-		}
+		l.Walk(a.mem, func(b arena.Addr) bool { got = append(got, b); return true })
 	}
 	if len(lists) > nLists {
 		t.Fatalf("step %d: %d lists, asked for %d", step, len(lists), nLists)
@@ -967,7 +1070,8 @@ func checkFirstK(t *testing.T, step int, a *Allocator, before, after map[int32][
 }
 
 // pageChains walks the freelist of every split page of class cls homed
-// on node (charging nothing).
+// on node, followed by its uncarved tail in address order: the chain the
+// page would hold had its tail been linked (charging nothing).
 func pageChains(a *Allocator, cls, node int) map[int32][]arena.Addr {
 	out := map[int32][]arena.Addr{}
 	for _, vb := range a.vm.dope {
@@ -983,7 +1087,13 @@ func pageChains(a *Allocator, cls, node int) map[int32][]arena.Addr {
 			for b := pd.freeHead; b != arena.NilAddr; b = a.mem.Load64(b) {
 				ch = append(ch, b)
 			}
-			out[vb.firstPage+int32(i)] = ch
+			pg := vb.firstPage + int32(i)
+			size := uint64(a.classes[cls].size)
+			perPage := a.m.Config().PageBytes / size
+			for j := perPage - uint64(pd.tail()); j < perPage; j++ {
+				ch = append(ch, a.vm.pageAddr(pg)+arena.Addr(j*size))
+			}
+			out[pg] = ch
 		}
 	}
 	return out

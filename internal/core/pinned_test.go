@@ -168,7 +168,10 @@ func pinnedMixRun(t *testing.T) pinnedMix {
 // lock, so mapping an eager span after the lock moves nothing here. It
 // moved again when the page layer lost LockFree's parked-page stack
 // (DESIGN.md §5): the mix runs LockFree, so a page whose last block
-// comes home is now released at once, as under every other profile.
+// comes home is now released at once, as under every other profile. It
+// moved again when a refill began handing a fresh page's whole lists
+// out as unlinked runs, each linked by the CPU that takes it, outside
+// the global and page pools' locks (DESIGN.md §5).
 func TestSchedHashPinned(t *testing.T) {
 	got := pinnedMixRun(t)
 	if got.restarts == 0 || got.casRetries == 0 || got.remoteMisses == 0 ||
@@ -181,9 +184,9 @@ func TestSchedHashPinned(t *testing.T) {
 }
 
 var pinnedMixWant = pinnedMix{
-	hash:   0x55708a7ded57a30d,
-	clocks: []int64{42882548, 42552271, 41283421, 41159554, 42564775, 41094484, 42990046, 42965421},
-	bus:    0x1725ca, ic: 0xad3e3,
-	restarts: 0x1ea3, casRetries: 0x2c, remoteMisses: 0x65ae0,
-	trimmed: 538, decommits: 0x2cf8, reclaimSteps: 0x4f65, lockSpin: 42430,
+	hash:   0x2c373f8ac7b7c773,
+	clocks: []int64{44212286, 45344326, 40161036, 45068360, 45187774, 41266196, 45438258, 44435633},
+	bus:    0x19ab1e, ic: 0xc1907,
+	restarts: 0x1ed6, casRetries: 0x31, remoteMisses: 0x6943c,
+	trimmed: 433, decommits: 0x2e55, reclaimSteps: 0x505d, lockSpin: 42235,
 }

@@ -114,12 +114,15 @@ func shardGoldenCycles(t *testing.T, nodes int, p Params) []int64 {
 // a CPU single-node, 262,668-280,474 on four nodes, where the CPUs' first
 // refills all queue on the one vmblk lock); a spill that meets a held
 // pool lock and resolves its blocks first took a further 1,378 cycles
-// off every single-node CPU. goldenCyclesNodes4 is the same workload on
-// four nodes, where every cross-node free goes through the remote-free
-// shards.
+// off every single-node CPU. Handing a refill's whole lists out of a
+// fresh page as unlinked runs, linked by the CPU that takes each, moved
+// every CPU once more (921,617 -> 902,947 on CPU 0, 16,020 cycles on the
+// others single-node; 1,419,309 -> 1,334,007 and 12,906-14,880 on four
+// nodes). goldenCyclesNodes4 is the same workload on four nodes, where
+// every cross-node free goes through the remote-free shards.
 var (
-	goldenCyclesNodes1 = []int64{921617, 697471, 698213, 698716}
-	goldenCyclesNodes4 = []int64{1419309, 641849, 636949, 643298}
+	goldenCyclesNodes1 = []int64{902947, 681451, 682193, 682696}
+	goldenCyclesNodes4 = []int64{1334007, 627155, 624043, 628418}
 )
 
 func assertGolden(t *testing.T, name string, got, want []int64) {

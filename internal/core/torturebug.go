@@ -35,6 +35,12 @@ const (
 	// page's free count then exceeds its freelist, which the consistency
 	// audit rejects.
 	TortureBugPrepassStaleHead
+	// TortureBugTailOverlap makes drawFrom start a page's uncarved tail
+	// one block low: the block below the tail, the last one carved, is
+	// handed out a second time. Its two owners overwrite each other,
+	// which the shadow model sees, or it sits on two lists at once,
+	// which the consistency audit rejects.
+	TortureBugTailOverlap
 
 	numTortureBugs
 )

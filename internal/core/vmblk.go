@@ -92,12 +92,19 @@ type pageDesc struct {
 	nFree     uint16 // free blocks in this page, for pdSplit pages
 	filed     uint16 // page-pool bucket the page is filed in (0: none); <= nFree
 	spanPages uint32 // span length in pages, for span head/tail descriptors
-	resident  uint32 // pages of this free span still backed, for pdFreeHead
+	resident  uint32 // pages of this free span still backed, for pdFreeHead; the uncarved tail of a pdSplit page (tail)
 	freeHead  arena.Addr
 	prev      int32 // page-number links for whichever pdList holds this PD
 	next      int32
 	line      machine.Line // cache line of this PD's slot in the vmblk header
 }
+
+// tail is split page pd's uncarved tail: its highest blocks, counted in
+// nFree but never yet handed out or linked. A split page keeps it in
+// resident, which only free span heads use.
+func (pd *pageDesc) tail() int { return int(pd.resident) }
+
+func (pd *pageDesc) setTail(n int) { pd.resident = uint32(n) }
 
 // vmblk is one 4 MB (by default) block of kernel virtual address space:
 // header pages holding the page descriptors, then the data pages. Every

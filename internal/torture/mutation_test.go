@@ -128,6 +128,40 @@ func TestMutationPrepassStaleHeadBugCaught(t *testing.T) {
 	}
 }
 
+// tailOverlapCfg is the detection config for the uncarved-tail plant: a
+// stock MatrixSmall config, at the default CheckEvery and the shared
+// seeds. A block handed out twice shows up as a live block overwritten
+// by its second owner, or as a list the audit walks longer than it
+// claims.
+func tailOverlapCfg(t *testing.T) Config {
+	for _, c := range MatrixSmall() {
+		if c.Name() == "c4n2-faults" {
+			c.Ops, c.Seed, c.JitterSeed = 2000, 7, 3
+			return c
+		}
+	}
+	t.Fatal("MatrixSmall has no c4n2-faults config")
+	return Config{}
+}
+
+func TestMutationTailOverlapBugCaught(t *testing.T) {
+	cfg := tailOverlapCfg(t)
+	if rep, err := New(cfg).Run(); err != nil {
+		t.Fatalf("disarmed run fails after %d ops: %v", rep.OpsExecuted, err)
+	}
+	core.SetTortureBug(core.TortureBugTailOverlap, true)
+	defer core.SetTortureBug(core.TortureBugTailOverlap, false)
+	rep, err := New(cfg).Run()
+	if err == nil {
+		t.Fatalf("planted tail-overlap bug went undetected in %d ops", rep.OpsExecuted)
+	}
+	t.Logf("caught in %d ops: %v", rep.OpsExecuted, err)
+	if msg := err.Error(); !strings.Contains(msg, "while live") && !strings.Contains(msg, "overlaps") &&
+		!strings.Contains(msg, "longer than declared") && !strings.Contains(msg, "on both") {
+		t.Errorf("failure does not look like a block handed out twice: %v", err)
+	}
+}
+
 // TestMutationLFStackABAShrinks runs the failure pipeline on the ABA
 // plant: catch, delta-debug, and confirm the shrunk repro still
 // reproduces and is materially smaller.
@@ -189,11 +223,12 @@ func TestMutationCleanWhenDisarmed(t *testing.T) {
 // honest against allocator drift.
 func TestCommittedReprosCatchPlantedBugs(t *testing.T) {
 	cases := map[string]int{
-		"shardflush": core.TortureBugSkipShardFlush,
-		"rightmerge": core.TortureBugDropRightMerge,
-		"lfstackaba": core.TortureBugLFStackABA,
-		"stalepure":  core.TortureBugStaleNodePure,
-		"stalehead":  core.TortureBugPrepassStaleHead,
+		"shardflush":  core.TortureBugSkipShardFlush,
+		"rightmerge":  core.TortureBugDropRightMerge,
+		"lfstackaba":  core.TortureBugLFStackABA,
+		"stalepure":   core.TortureBugStaleNodePure,
+		"stalehead":   core.TortureBugPrepassStaleHead,
+		"tailoverlap": core.TortureBugTailOverlap,
 	}
 	for prefix, bug := range cases {
 		paths, err := filepath.Glob(filepath.Join("testdata", prefix+"-*.torture.json"))
