@@ -436,7 +436,7 @@ func (a *Allocator) allocClass(c *machine.CPU, cls int) (arena.Addr, error) {
 					continue
 				}
 			} else if a.params.Poison {
-				a.poisonCheck(b, a.classes[cls].size)
+				a.poisonCheck(b, cls)
 			}
 			return b, nil
 		}
@@ -530,12 +530,8 @@ func (a *Allocator) freeClass(c *machine.CPU, cls int, addr arena.Addr) {
 		// Debug mode: a free through the wrong cookie would silently
 		// thread the block onto the wrong class's freelists; catch it at
 		// the source via the page descriptor.
-		pd, _ := a.vm.lookup(c, addr)
-		if pd.state != pdSplit || int(pd.class) != cls {
-			panic(fmt.Sprintf("kmem: free of %#x as class %d (size %d) but page is %s/class %d",
-				addr, cls, a.classes[cls].size, pdStateName(pd.state), pd.class))
-		}
-		a.poison(addr, a.classes[cls].size)
+		a.freePage(c, cls, addr)
+		a.lay(addr, restGuard(uint64(a.classes[cls].size), poisonByte))
 	}
 	cpu := c.ID()
 	pc := &a.percpu[cpu][cls]
@@ -677,20 +673,31 @@ func (a *Allocator) allocLargeWithReclaim(c *machine.CPU, size uint64) (arena.Ad
 	return arena.NilAddr, exhaustErr(err)
 }
 
-// poison fills a freed block's payload (past the link word) with a
-// pattern; poisonCheck verifies it on reallocation.
-const poisonByte = 0xdb
-
-func (a *Allocator) poison(addr arena.Addr, size uint32) {
-	if size > 8 {
-		a.mem.Fill(addr+8, uint64(size-8), poisonByte)
+// freePage resolves the page of a block freed as class cls. A free
+// through the wrong cookie, or off a block boundary, is an interface
+// bug rather than corruption: it panics under either debugging mode.
+func (a *Allocator) freePage(c *machine.CPU, cls int, addr arena.Addr) int32 {
+	size := a.classes[cls].size
+	pd, pg := a.vm.lookup(c, addr)
+	if pd.state != pdSplit || int(pd.class) != cls {
+		panic(fmt.Sprintf("kmem: free of %#x as class %d (size %d) but page is %s/class %d",
+			addr, cls, size, pdStateName(pd.state), pd.class))
 	}
+	if uint64(addr-a.vm.pageAddr(pg))%uint64(size) != 0 {
+		panic(fmt.Sprintf("kmem: free of %#x not on a class-%d block boundary", addr, cls))
+	}
+	return pg
 }
 
-func (a *Allocator) poisonCheck(addr arena.Addr, size uint32) {
-	if size > 8 {
-		if off, ok := a.mem.CheckFill(addr+8, uint64(size-8), poisonByte); !ok {
-			panic(fmt.Sprintf("kmem: block %#x modified while free (offset %d)", addr, off+8))
-		}
+// poisonByte is the legacy Params.Poison mode's poison: a freed block's
+// restGuard is filled with it, and verified when the block is allocated
+// again. It is not harden.PoisonByte, so a hexdump names the mode.
+const poisonByte = 0xdb
+
+// poisonCheck panics when the legacy Params.Poison mode hands out block
+// b of class cls with its poison broken: a write while it was free.
+func (a *Allocator) poisonCheck(b arena.Addr, cls int) {
+	if off, ok := a.intact(b, restGuard(uint64(a.classes[cls].size), poisonByte)); !ok {
+		panic(fmt.Sprintf("kmem: block %#x modified while free (offset %d)", b, off))
 	}
 }

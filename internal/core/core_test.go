@@ -494,7 +494,7 @@ func TestPoisonDetectsUseAfterFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		if nb == b {
-			return // poisonCheck should have panicked before this
+			return // the Poison check should have panicked before this
 		}
 	}
 	t.Fatal("freed block never reallocated")

@@ -158,9 +158,9 @@ func (p *pagePool) carveInto(c *machine.CPU, cur *blocklist.List, out *[]blockli
 		p.al.hd.forgetPage(c, pg)
 	}
 	if p.al.params.Poison {
-		base := p.al.vm.pageAddr(pg)
+		base, g := p.al.vm.pageAddr(pg), restGuard(uint64(p.size), poisonByte)
 		for i := 0; i < p.blocksPerPage; i++ {
-			p.al.poison(base+arena.Addr(i)*arena.Addr(p.size), p.size)
+			p.al.lay(base+arena.Addr(i)*arena.Addr(p.size), g)
 		}
 	}
 	pd.freeHead = arena.NilAddr

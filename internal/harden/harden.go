@@ -9,21 +9,22 @@
 //
 // The hardening layer provides, when enabled:
 //
-//   - per-object redzones: each block is sized up by a few canary bytes
-//     whose fill is verified on free and on reclaim audit sweeps, so an
-//     out-of-band write past the requested size is caught at the latest
-//     on the next free;
-//   - poison-on-free with verify-on-alloc: freed payloads are filled
-//     with PoisonByte and re-verified when the block is handed out
-//     again, so a late write through a stale pointer is caught on the
-//     next allocation of that block;
+//   - per-object redzones: each block, span or cache object is sized up
+//     by a few canary bytes whose fill is verified on free and on
+//     reclaim audit sweeps, so an out-of-band write past the requested
+//     size is caught at the latest on the next free;
+//   - poison-on-free with verify-on-alloc: freed blocks and cache
+//     objects are filled with PoisonByte and re-verified when handed out
+//     again (and by audit sweeps), so a late write through a stale
+//     pointer is caught at the latest on the next allocation;
 //   - ownership tracking: a per-block owner slot (an extension of the
 //     allocator's dope vector) records the last alloc and free with
 //     site tag, CPU, node and sim-cycle, and every event also lands in
 //     a bounded per-CPU audit ring;
 //   - graceful degradation: under the default PolicyQuarantine a
-//     detection quarantines the containing page (pulled from freelists,
-//     kept mapped for post-mortem) and the allocator keeps serving.
+//     detection quarantines a block's page (pulled from freelists, kept
+//     mapped for post-mortem), keeps a span allocated or pins a cache
+//     object, and the allocator keeps serving.
 package harden
 
 import (
@@ -60,8 +61,9 @@ const (
 	PolicyQuarantine Policy = iota
 	// PolicyPanic panics with the report — the fail-stop debug mode.
 	PolicyPanic
-	// PolicyLog files the report (and the OnReport callback) but takes
-	// no containment action; the corrupt block continues to circulate.
+	// PolicyLog files the report (and the OnReport callback) and heals
+	// the finding — restores the canary or poison — but takes no
+	// containment action; the corrupt block continues to circulate.
 	PolicyLog
 )
 
@@ -203,9 +205,6 @@ func (r *Ring) Len() int {
 	}
 	return len(r.rec)
 }
-
-// Pushed returns the total number of records ever pushed (held + evicted).
-func (r *Ring) Pushed() uint64 { return r.n }
 
 // Snapshot returns the held records, oldest first.
 func (r *Ring) Snapshot() []Record {

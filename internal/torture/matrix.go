@@ -51,6 +51,7 @@ func MatrixSmall() []Config {
 		{CPUs: 4, Nodes: 2, Harden: true, Plant: "overrun"},
 		{CPUs: 4, Nodes: 2, Harden: true, Plant: "doublefree"},
 		{CPUs: 4, Nodes: 2, Harden: true, Plant: "latewrite"},
+		{CPUs: 4, Nodes: 2, Harden: true, ObjCache: true, Plant: "latewrite"},
 	}
 }
 

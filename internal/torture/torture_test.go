@@ -236,8 +236,8 @@ func TestMatrixShapes(t *testing.T) {
 			plants[c.Plant] = true
 		}
 	}
-	if directed != 5 || len(plants) != 3 {
-		t.Errorf("full matrix carries %d storm/plant configs and plants %v, want both storms and all three plants", directed, plants)
+	if directed != 6 || len(plants) != 3 {
+		t.Errorf("full matrix carries %d storm/plant configs and plants %v, want both storms and all four plant configs", directed, plants)
 	}
 	// The cross product it replaced had 1536.
 	if n := len(full) - directed; n > 24 {

@@ -424,7 +424,8 @@ const (
 	PolicyQuarantine = harden.PolicyQuarantine
 	// PolicyPanic panics with the report text (fail-stop debugging).
 	PolicyPanic = harden.PolicyPanic
-	// PolicyLog only files the report; operation proceeds unchanged.
+	// PolicyLog files the report and heals the finding (restores the
+	// canary or poison), and the object carries on.
 	PolicyLog = harden.PolicyLog
 )
 
@@ -446,8 +447,9 @@ const (
 // QuarantineStats is the hardening slice of Stats (Stats.Quarantine).
 type QuarantineStats = core.QuarantineStats
 
-// AuditSweep re-verifies every tracked block's at-rest canary and
-// poison, filing a report per violation. The reclaim path runs one
+// AuditSweep re-verifies the canary of every block, span and cache
+// object out with a caller and the poison of every one at rest, filing
+// a report per finding not filed before. The reclaim path runs one
 // automatically; call it directly for an on-demand audit. Nil with
 // hardening off.
 func (s *System) AuditSweep(c *CPU) []CorruptionReport { return s.a.AuditSweep(c) }
@@ -482,9 +484,10 @@ type CacheOpts = objcache.Opts
 // NewCache creates and registers a named typed object cache over this
 // System's allocator — the kmem_cache_create shape. Names are unique per
 // System; look registered caches up with Cache, release them with
-// DestroyCache. On a hardened System the cache lays a canary after each
-// object and poisons objects at rest (re-running ctor on every Get and
-// dtor on every Put), and its detections land in the System's log.
+// DestroyCache. On a hardened System the allocator lays a canary after
+// each of the cache's objects and poisons them at rest (so the cache
+// re-runs ctor on every Get and dtor on every Put), and its detections
+// land in the System's log.
 func (s *System) NewCache(name string, size, align uint64, ctor Ctor, dtor Dtor, opts CacheOpts) (*ObjCache, error) {
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
