@@ -178,8 +178,9 @@ type QuarantineStats struct {
 	UseAfterFrees uint64 // free-poison destroyed by a late write
 
 	Pages   uint64 // pages pulled from circulation (split pages + large spans)
-	Objects uint64 // blocks and spans parked or swallowed
+	Objects uint64 // blocks, spans and typed-cache objects parked or kept
 	Bytes   uint64 // bytes of parked blocks/spans (rounded sizes)
+	Pinned  uint64 // typed-cache objects pinned (counted in Objects too)
 }
 
 // FragStats is the fragmentation triple: the three nested footprints of

@@ -59,10 +59,13 @@ type oracle struct {
 	// between a block's usable capacity (RoundedSize) and its true
 	// footprint, which is what alignment and extents must be checked
 	// against. planted collects the hardening layer's corruption
-	// reports on Plant configs; plantDone latches the one-shot plant.
+	// reports on Plant configs; plantDone latches the one-shot plant,
+	// and pinned is a cache latewrite plant's victim, which must stay
+	// carved to the end.
 	rz        uint64
 	planted   *[]harden.Report
 	plantDone bool
+	pinned    arena.Addr
 
 	pageBytes uint64
 	maxSmall  uint64
