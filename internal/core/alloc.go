@@ -78,28 +78,25 @@ type Allocator struct {
 	// per-call garbage.
 	resolved [][]resolvedBlock
 
-	reclaims atomic.Uint64
+	// The low-memory path's one table of reclaim sources (lowmem.go),
+	// replaced whole, under srcMu, when a typed cache (un)registers, and
+	// the incremental rotation's cursor over it.
+	srcMu         sync.Mutex
+	sources       atomic.Pointer[[]reclaimSource]
+	reclaimCursor atomic.Uint32
 
-	// Registered object-cache shed callbacks (cache.go). Nil until the
-	// first RegisterCacheShed, so the reclaim paths of cache-free
-	// allocators stay cycle-identical to the pre-objcache code.
-	shedMu    sync.Mutex
-	shedFns   []cacheShedEntry
-	shedSeq   int
-	shedQueue []int // ids pending in shedOne's current sweep
+	// ev is the allocator-wide slice of the event spine: the events no
+	// layer structure owns (reclaims and their steps, waits, wakes,
+	// injected faults, pressure transitions), each counted by the call
+	// that emits it (note).
+	ev [numLayerEvents]atomic.Uint64
 
 	// Memory-pressure machinery (pressure.go). pressure mirrors the
 	// physmem pool's level (always 0 with Params.Pressure nil); waitqs
 	// holds one AllocWait queue per class plus one for large requests.
-	pressure            atomic.Int32
-	waitqs              []waitq
-	waitCfg             WaitConfig
-	reclaimCursor       atomic.Uint32
-	waits               atomic.Uint64
-	wakes               atomic.Uint64
-	faultsInjected      atomic.Uint64
-	pressureTransitions atomic.Uint64
-	reclaimStepsDone    atomic.Uint64
+	pressure atomic.Int32
+	waitqs   []waitq
+	waitCfg  WaitConfig
 
 	// Corruption-hardening state (harden.go). Nil unless Params.Harden
 	// is set, so every hardening hook is one nil test when off.
@@ -247,6 +244,7 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 	if a.hd != nil {
 		a.maxLarge -= a.hd.rz
 	}
+	a.initSources()
 	if err := a.initPressure(); err != nil {
 		return nil, err
 	}
@@ -362,7 +360,11 @@ func (a *Allocator) Alloc(c *machine.CPU, size uint64) (arena.Addr, error) {
 	}
 	cls, small := a.classOf(size)
 	if !small {
-		return a.allocLargeWithReclaim(c, size)
+		b, err := a.vmAllocLarge(c, size)
+		if err != nil {
+			return a.retry(c, err, func() (arena.Addr, error) { return a.vmAllocLarge(c, size) })
+		}
+		return b, nil
 	}
 	c.Work(insnStdAllocExtra)
 	c.Read(a.sizeTableLine)
@@ -402,21 +404,29 @@ func (a *Allocator) FreeByAddr(c *machine.CPU, addr arena.Addr) {
 
 // --- per-class operations -------------------------------------------------
 
-// allocClassOp allocates one block of class cls on CPU c: per-CPU cache
-// first, then the global layer, then the low-memory reclaim path. Under
-// PressureCritical the reclaim retries are incremental — a budget of
-// reclaimSteps() single-CPU/single-pool steps, each followed by a retry —
-// instead of the one stop-the-world flush used otherwise.
+// allocClass allocates one block of class cls on CPU c: per-CPU cache
+// first, then the global layer (tryClass), then the low-memory path's
+// retry.
 func (a *Allocator) allocClass(c *machine.CPU, cls int) (arena.Addr, error) {
 	if a.params.DebugOwnership {
 		defer c.EndExclusive(c.BeginExclusive())
 	}
+	b, err := a.tryClass(c, cls)
+	if err != nil {
+		return a.retry(c, err, func() (arena.Addr, error) { return a.tryClass(c, cls) })
+	}
+	return b, nil
+}
+
+// tryClass is one allocation attempt of class cls on CPU c without
+// reclaim: the per-CPU cache, refilled from the global layer as long as
+// the global layer has blocks to give.
+func (a *Allocator) tryClass(c *machine.CPU, cls int) (arena.Addr, error) {
 	cpu := c.ID()
 	pc := &a.percpu[cpu][cls]
 	crit := &a.crit[cpu]
 	ctl := a.classes[cls].ctl
 	single := a.params.DisableSplitFreelist
-	reclaimBudget := -1 // -1: reclaim not yet attempted
 	for {
 		var b arena.Addr
 		var ok bool
@@ -491,20 +501,6 @@ func (a *Allocator) allocClass(c *machine.CPU, cls int) (arena.Addr, error) {
 			if ctl.enabled {
 				ctl.target.note(a, c, cls, delta, 1)
 			}
-			continue
-		}
-		if reclaimBudget == -1 {
-			if a.pressureLevel() == PressureCritical {
-				reclaimBudget = a.reclaimSteps()
-			} else {
-				reclaimBudget = 0
-				a.reclaim(c)
-				continue
-			}
-		}
-		if reclaimBudget > 0 {
-			reclaimBudget--
-			a.reclaimStep(c)
 			continue
 		}
 		return arena.NilAddr, exhaustErr(err)
@@ -645,32 +641,6 @@ func (a *Allocator) spill(c *machine.CPU, cls int, spill blocklist.List, home in
 			a.classes[cls].globals[node].putList(c, per[node].Take())
 		}
 	}
-}
-
-// allocLargeWithReclaim is the large path plus reclaim retries, so that
-// multi-page allocations also benefit from low-memory recovery. As in
-// allocClass, PressureCritical takes incremental steps with a retry
-// after each, while the normal path keeps the single stop-the-world
-// reclaim retry.
-func (a *Allocator) allocLargeWithReclaim(c *machine.CPU, size uint64) (arena.Addr, error) {
-	b, err := a.vmAllocLarge(c, size)
-	if err == nil {
-		return b, nil
-	}
-	if a.pressureLevel() == PressureCritical {
-		for i := a.reclaimSteps(); i > 0; i-- {
-			a.reclaimStep(c)
-			if b, err = a.vmAllocLarge(c, size); err == nil {
-				return b, nil
-			}
-		}
-	} else {
-		a.reclaim(c)
-		if b, err = a.vmAllocLarge(c, size); err == nil {
-			return b, nil
-		}
-	}
-	return arena.NilAddr, exhaustErr(err)
 }
 
 // freePage resolves the page of a block freed as class cls. A free

@@ -182,7 +182,7 @@ func TestHugeRequestRefused(t *testing.T) {
 			if got := a.RoundedSize(size); got != 0 {
 				t.Errorf("%s: RoundedSize = %#x, want 0", name, got)
 			}
-			if r, w, d := a.reclaims.Load(), a.waits.Load(), c.Now()-t0; r != 0 || w != 0 || d != 0 {
+			if r, w, d := a.ev[EvReclaim].Load(), a.ev[EvWait].Load(), c.Now()-t0; r != 0 || w != 0 || d != 0 {
 				t.Errorf("%s: refusing cost %d reclaims, %d waits and %d cycles, want none", name, r, w, d)
 			}
 		}
@@ -404,7 +404,7 @@ func TestLastBufferAnyCPU(t *testing.T) {
 		t.Fatalf("CPU 1 could not allocate the last buffers: %v", err)
 	}
 	a.Free(c1, b, 512)
-	if a.reclaims.Load() == 0 {
+	if a.ev[EvReclaim].Load() == 0 {
 		t.Fatal("reclaim path never ran")
 	}
 	for _, b := range addrs[6:] {

@@ -123,5 +123,5 @@ func (a *Allocator) Dump(w io.Writer) {
 	}
 	ph := a.m.Phys().Stats()
 	fmt.Fprintf(w, "physical: %d/%d pages mapped (high water %d), %d map failures, %d reclaims\n",
-		ph.Mapped, ph.Capacity, ph.HighWater, ph.Failures, a.reclaims.Load())
+		ph.Mapped, ph.Capacity, ph.HighWater, ph.Failures, a.ev[EvReclaim].Load())
 }

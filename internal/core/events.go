@@ -241,6 +241,26 @@ func (a *Allocator) emit(cls int, ev LayerEvent, n int) {
 	}
 }
 
+// note counts an allocator-wide event in the allocator's own slice of
+// the spine (Allocator.ev) and emits it. EvPressure's n is the new level,
+// not a count, so its counter counts emissions.
+func (a *Allocator) note(cls int, ev LayerEvent, n int) {
+	k := uint64(n)
+	if ev == EvPressure {
+		k = 1
+	}
+	a.ev[ev].Add(k)
+	a.emit(cls, ev, n)
+}
+
+// EmitCacheEvent pushes an object-cache event (EvCtorRun, EvCacheShed)
+// through the allocator's Hook on behalf of the objcache layer. Cache
+// events are classless (-1): a cache's backing class is its own affair.
+// Like every Hook emission this must only be called on slow paths.
+func (a *Allocator) EmitCacheEvent(ev LayerEvent, n int) {
+	a.emit(-1, ev, n)
+}
+
 // acquire takes lk on CPU c and attributes the cycles the acquire spent
 // spinning to the event spine: EvLockWait in ev, the counters lk guards,
 // and through the Hook for class cls. Uncontended acquires (and Native

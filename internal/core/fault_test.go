@@ -119,7 +119,7 @@ func TestFaultPagePoolRefillFailsTyped(t *testing.T) {
 }
 
 // lazyFaultAllocator mirrors faultAllocator with lazy spans on — the
-// mode where FaultPhysCommit fires on data-page commits at carve and
+// mode where FaultPhysMap fires on data-page commits at carve and
 // recommit time, not just on the header mapping.
 func lazyFaultAllocator(t *testing.T, fs *faultpoint.Set) (*Allocator, *machine.Machine) {
 	t.Helper()
@@ -141,7 +141,7 @@ func TestFaultPhysCommitRecoversViaRetry(t *testing.T) {
 	// reservation), and the reclaim+retry path succeeds on the second
 	// attempt without a caller-visible error.
 	fs := faultpoint.New(1)
-	fs.Arm(FaultPhysCommit, faultpoint.Spec{Count: 1})
+	fs.Arm(FaultPhysMap, faultpoint.Spec{Count: 1})
 	a, m := lazyFaultAllocator(t, fs)
 	c := m.CPU(0)
 
@@ -172,7 +172,7 @@ func TestFaultPhysCommitDuringTrimUnwind(t *testing.T) {
 	// be absorbed by the decommit-fallback retry; after disarm and full
 	// release the allocator is consistent and holds only vmblk headers.
 	fs := faultpoint.New(7)
-	fs.Arm(FaultPhysCommit, faultpoint.Spec{Prob: 0.3})
+	fs.Arm(FaultPhysMap, faultpoint.Spec{Prob: 0.3})
 	a, m := lazyFaultAllocator(t, fs)
 	c := m.CPU(0)
 	pageBytes := m.Config().PageBytes
@@ -209,7 +209,7 @@ func TestFaultPhysCommitDuringTrimUnwind(t *testing.T) {
 		t.Fatal("commit fault never fired")
 	}
 
-	fs.Disarm(FaultPhysCommit)
+	fs.Disarm(FaultPhysMap)
 	for _, h := range live {
 		a.Free(c, h.addr, h.size)
 	}

@@ -390,7 +390,7 @@ func (g *globalPool) emitPut(remote int) {
 // coalescing layer as fast as frees arrive.
 func (g *globalPool) spillCount(gbltarget int) int {
 	limit, n := 2*gbltarget, gbltarget
-	if g.al.pressureLevel() >= PressureLow {
+	if g.al.Pressure() >= PressureLow {
 		limit, n = gbltarget, len(g.lists)-gbltarget
 	}
 	if len(g.lists) <= limit {

@@ -320,7 +320,7 @@ func TestReclaimRecoversOtherClassPages(t *testing.T) {
 	if err != nil {
 		t.Fatalf("large alloc with reclaim failed (avail was %d pages): %v", avail, err)
 	}
-	if a.reclaims.Load() == 0 {
+	if a.ev[EvReclaim].Load() == 0 {
 		t.Fatal("reclaim never ran")
 	}
 	a.Free(c0, b, big)

@@ -145,7 +145,7 @@ func (p *pagePool) refile(c *machine.CPU, pg int32, newFree int) {
 // blocks taken.
 func (p *pagePool) carveInto(c *machine.CPU, cur *blocklist.List, out *[]blocklist.List, target, take int) (int, error) {
 	if p.al.params.Faults.Should(FaultPagePoolRefill) {
-		p.al.noteFault()
+		p.al.note(-1, EvFaultInjected, 1)
 		return 0, ErrNoMemory
 	}
 	pg, err := p.al.vm.allocSplitPage(c, p.cls, p.node)

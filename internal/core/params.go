@@ -107,9 +107,10 @@ type Params struct {
 	Wait *WaitConfig
 
 	// Faults, when non-nil, arms deterministic fault injection at the
-	// allocator's exhaustion seams (FaultPhysMap, FaultVmblkCarve,
-	// FaultPagePoolRefill). Nil — the default — compiles the checks down
-	// to a nil-receiver test on slow paths only.
+	// allocator's three exhaustion seams: FaultPhysMap (every physical
+	// commit, a map included), FaultVmblkCarve and FaultPagePoolRefill.
+	// Nil — the default — compiles the checks down to a nil-receiver test
+	// on slow paths only.
 	Faults *faultpoint.Set
 
 	// Rseq replaces the per-CPU layer's interrupt-disable critical
@@ -154,9 +155,11 @@ type Params struct {
 // Names of the fault points compiled into the allocator's exhaustion
 // paths. Arm them on Params.Faults to force the corresponding failure.
 const (
-	// FaultPhysMap fails physmem.Pool.Map with ErrNoPages — a physical
-	// frame shortage, possibly mid-allocation after virtual space was
-	// already carved.
+	// FaultPhysMap fails physmem.Pool.Commit, and so Map (Reserve plus
+	// Commit), with ErrNoPages — a physical frame shortage, possibly
+	// mid-allocation after virtual space was already carved, or an
+	// allocation racing a decommit pass that has not yet returned enough
+	// frames.
 	FaultPhysMap = "physmem.map"
 	// FaultVmblkCarve fails vmblk creation with ErrNoVA — virtual
 	// address-space exhaustion.
@@ -164,10 +167,6 @@ const (
 	// FaultPagePoolRefill fails the coalesce-to-page layer's page carve —
 	// exhaustion seen from the middle of the stack.
 	FaultPagePoolRefill = "pagepool.refill"
-	// FaultPhysCommit fails physmem.Pool.Commit with ErrNoPages — a frame
-	// shortage surfacing at the reserve/commit seam, e.g. an allocation
-	// racing a decommit pass that has not yet returned enough frames.
-	FaultPhysCommit = "physmem.commit"
 )
 
 // PressureConfig sets the free-page watermarks driving the pressure

@@ -12,12 +12,12 @@ import (
 )
 
 // This file is the memory-pressure resilience layer: watermark-driven
-// graceful degradation, incremental reclaim, and blocking (KM_SLEEP-style)
-// allocation. All of it is opt-in — with Params.Pressure nil the
-// allocator's pressure level is permanently PressureOK, every branch
-// below resolves to the pre-pressure behavior, and the simulator's cycle
-// counts are unchanged (the level checks are plain atomic loads, which
-// charge nothing).
+// graceful degradation, the switch to incremental reclaim (lowmem.go),
+// and blocking (KM_SLEEP-style) allocation. All of it is opt-in — with
+// Params.Pressure nil the allocator's pressure level is permanently
+// PressureOK, every branch below resolves to the pre-pressure behavior,
+// and the simulator's cycle counts are unchanged (the level checks are
+// plain atomic loads, which charge nothing).
 
 // PressureLevel re-exports the physmem pressure classification.
 type PressureLevel = physmem.PressureLevel
@@ -29,16 +29,11 @@ const (
 	PressureCritical = physmem.PressureCritical
 )
 
-// pressureLevel returns the allocator's view of the physmem pool's
-// pressure level, maintained by the transition callback registered in
+// Pressure returns the allocator's view of the physmem pool's pressure
+// level, maintained by the transition callback registered in
 // initPressure. A plain atomic load: safe on fast paths, free in the
 // simulator.
-func (a *Allocator) pressureLevel() PressureLevel {
-	return PressureLevel(a.pressure.Load())
-}
-
-// Pressure returns the current memory-pressure level.
-func (a *Allocator) Pressure() PressureLevel { return a.pressureLevel() }
+func (a *Allocator) Pressure() PressureLevel { return PressureLevel(a.pressure.Load()) }
 
 // effTarget degrades a per-CPU cache target under pressure: at
 // PressureLow and above, targets are halved (minimum 1), so caches
@@ -70,8 +65,7 @@ func (a *Allocator) initPressure() error {
 		}
 		phys.SetPressureFunc(func(old, new physmem.PressureLevel) {
 			a.pressure.Store(int32(new))
-			a.pressureTransitions.Add(1)
-			a.emit(-1, EvPressure, int(new)+1)
+			a.note(-1, EvPressure, int(new)+1)
 			if new < old {
 				// Easing pressure means pages came free; release waiters.
 				a.wakeAll()
@@ -81,23 +75,13 @@ func (a *Allocator) initPressure() error {
 	if f := a.params.Faults; f != nil {
 		phys.SetMapHook(func(n int64) error {
 			if f.Should(FaultPhysMap) {
-				a.noteFault()
-				return physmem.ErrNoPages
-			}
-			if f.Should(FaultPhysCommit) {
-				a.noteFault()
+				a.note(-1, EvFaultInjected, 1)
 				return physmem.ErrNoPages
 			}
 			return nil
 		})
 	}
 	return nil
-}
-
-// noteFault records one injected fault firing.
-func (a *Allocator) noteFault() {
-	a.faultsInjected.Add(1)
-	a.emit(-1, EvFaultInjected, 1)
 }
 
 // exhaustErr maps a slow-path failure to the facade's typed exhaustion
@@ -108,51 +92,6 @@ func exhaustErr(err error) error {
 		return ErrNoVA
 	}
 	return ErrNoMemory
-}
-
-// --- incremental reclaim -------------------------------------------------
-
-// reclaimSteps is the number of incremental steps that together cover
-// what one stop-the-world reclaim covers: every CPU cache plus every
-// per-node global pool of every class — plus, when free spans keep
-// their frames (lazy spans), one decommit step that strips them, plus one
-// depot-shrink step per registered object cache (zero extra steps, and
-// an unchanged rotation, when no caches exist).
-func (a *Allocator) reclaimSteps() int {
-	n := len(a.percpu) + len(a.classes)*a.nodes + a.numShedders()
-	if !a.vm.decommitOnFree {
-		n++
-	}
-	return n
-}
-
-// reclaimStep performs one increment of the reclaim sweep — flush one
-// CPU's caches, or drain one global pool — chosen round-robin by a
-// shared cursor so concurrent critical-path callers divide the sweep
-// instead of each repeating it. The caller is charged insnReclaimStep
-// (versus insnReclaim for the stop-the-world path), which is how
-// PressureCritical converts one caller's long stall into short bounded
-// stalls spread across allocating CPUs.
-func (a *Allocator) reclaimStep(c *machine.CPU) {
-	c.Work(insnReclaimStep)
-	i := int((a.reclaimCursor.Add(1) - 1) % uint32(a.reclaimSteps()))
-	a.reclaimStepsDone.Add(1)
-	a.emit(-1, EvReclaimStep, 1)
-	if i < len(a.percpu) {
-		a.DrainCPU(c, i)
-	} else if i -= len(a.percpu); i < len(a.classes)*a.nodes {
-		a.classes[i/a.nodes].globals[i%a.nodes].drainAll(c)
-	} else if i -= len(a.classes) * a.nodes; !a.vm.decommitOnFree && i == 0 {
-		a.vm.decommitFree(c, trimStepPages)
-	} else {
-		// One object cache's depot shrink — the incremental form of the
-		// cache shed the stop-the-world reclaim performs in full. Only
-		// reached when caches are registered; shedOne keeps its own
-		// id-based cursor, so the rotation position only decides *when*
-		// a shed step runs, not which cache it lands on.
-		a.shedOne(c)
-	}
-	a.wakeAll()
 }
 
 // --- wait queues and AllocWait -------------------------------------------
@@ -202,26 +141,18 @@ func (w *waitq) wake() int {
 // available.
 func (a *Allocator) wakeClass(cls int) {
 	if n := a.waitqs[cls].wake(); n > 0 {
-		a.wakes.Add(uint64(n))
-		a.emit(cls, EvWake, n)
+		a.note(cls, EvWake, n)
 	}
 }
 
 // wakeAll releases every waiter — pages were unmapped or reclaim made
 // progress, so any class (and the large path) may now succeed.
 func (a *Allocator) wakeAll() {
-	if a.waitqs == nil {
-		return
+	for cls := range a.classes {
+		a.wakeClass(cls)
 	}
-	for i := range a.waitqs {
-		if n := a.waitqs[i].wake(); n > 0 {
-			a.wakes.Add(uint64(n))
-			cls := i
-			if cls == len(a.classes) {
-				cls = -1 // the large-request queue
-			}
-			a.emit(cls, EvWake, n)
-		}
+	if n := a.waitqs[len(a.classes)].wake(); n > 0 {
+		a.note(-1, EvWake, n) // the large-request queue
 	}
 }
 
@@ -269,8 +200,7 @@ func (a *Allocator) AllocWait(c *machine.CPU, size uint64) (arena.Addr, error) {
 			}
 			return arena.NilAddr, lastErr
 		}
-		a.waits.Add(1)
-		a.emit(cls, EvWait, 1)
+		a.note(cls, EvWait, 1)
 		if sim {
 			c.Idle(backoffCycles)
 			backoffCycles *= 2

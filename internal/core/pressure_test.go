@@ -205,10 +205,10 @@ func TestCriticalUsesIncrementalReclaim(t *testing.T) {
 	if a.Pressure() != PressureCritical {
 		t.Fatalf("pressure at exhaustion = %v", a.Pressure())
 	}
-	if got := a.reclaims.Load(); got != 0 {
+	if got := a.ev[EvReclaim].Load(); got != 0 {
 		t.Fatalf("stop-the-world reclaims = %d under critical pressure", got)
 	}
-	if got := a.reclaimStepsDone.Load(); got == 0 {
+	if got := a.ev[EvReclaimStep].Load(); got == 0 {
 		t.Fatal("no incremental reclaim steps ran")
 	}
 
@@ -219,16 +219,16 @@ func TestCriticalUsesIncrementalReclaim(t *testing.T) {
 	a.Free(c1, held[len(held)-1], 4096)
 	a.Free(c1, held[len(held)-2], 4096)
 	held = held[:len(held)-2]
-	stepsBefore := a.reclaimStepsDone.Load()
+	stepsBefore := a.ev[EvReclaimStep].Load()
 	b, err := a.Alloc(c0, 4096)
 	if err != nil {
 		t.Fatalf("CPU 0 could not recover CPU 1's cached block: %v", err)
 	}
 	held = append(held, b)
-	if a.reclaimStepsDone.Load() == stepsBefore {
+	if a.ev[EvReclaimStep].Load() == stepsBefore {
 		t.Fatal("recovery did not use incremental reclaim")
 	}
-	if got := a.reclaims.Load(); got != 0 {
+	if got := a.ev[EvReclaim].Load(); got != 0 {
 		t.Fatalf("stop-the-world reclaims = %d, want 0", got)
 	}
 

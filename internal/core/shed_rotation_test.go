@@ -1,13 +1,16 @@
 package core
 
 import (
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"kmem/internal/machine"
 )
 
-// newShedAlloc builds a minimal allocator for driving the shed rotation
-// directly.
+// newShedAlloc builds a minimal allocator for driving the reclaim
+// rotation directly.
 func newShedAlloc(t *testing.T) (*machine.Machine, *Allocator) {
 	t.Helper()
 	cfg := machine.DefaultConfig()
@@ -21,12 +24,11 @@ func newShedAlloc(t *testing.T) (*machine.Machine, *Allocator) {
 	return m, a
 }
 
-// TestShedRotationAdversarialChurn is the regression test for the
-// position-modulo cursor bug: between every rotation step an adversary
-// unregisters and re-registers one cache, reshuffling slice positions so
-// that position-based selection lands on the churned cache every time
-// and starves its stable neighbor forever. The id-based cursor must
-// visit the stable cache once per sweep regardless.
+// TestShedRotationAdversarialChurn is the regression test for
+// starvation under churn: between every rotation step an adversary
+// unregisters and re-registers one cache. The churned cache takes back
+// the slot it left, so the stable cache keeps its turn and every
+// rotation still visits each cache exactly once.
 func TestShedRotationAdversarialChurn(t *testing.T) {
 	m, a := newShedAlloc(t)
 	c := m.CPU(0)
@@ -39,85 +41,141 @@ func TestShedRotationAdversarialChurn(t *testing.T) {
 	unregStable := a.RegisterCacheShed(stableFn)
 	defer unregStable()
 
-	const steps = 40
+	const rotations = 20
+	steps := rotations * a.reclaimSteps()
 	for i := 0; i < steps; i++ {
-		// The adversary re-registers the churn cache before every step;
-		// with position-modulo selection this kept the churned entry
-		// under the cursor's position each step.
 		unregChurn()
 		unregChurn = a.RegisterCacheShed(churnFn)
-		a.shedOne(c)
+		a.reclaimStep(c)
 	}
 	unregChurn()
 
-	// Two registered caches: a fair rotation visits each on every other
-	// step. Allow slack for sweep alignment but not starvation.
-	if stableVisits < steps/2-1 {
-		t.Fatalf("stable cache visited %d times in %d steps (churned cache: %d) — starved",
-			stableVisits, steps, churnVisits)
+	if stableVisits != rotations || churnVisits != rotations {
+		t.Fatalf("over %d rotations the stable cache was visited %d times and the churned one %d, want %d each",
+			rotations, stableVisits, churnVisits, rotations)
 	}
 }
 
 // TestShedRotationFullSweep checks the core guarantee: with N registered
-// caches and no churn, N consecutive rotation increments visit every
-// cache exactly once, in registration order, and the sweep wraps.
+// caches and no churn, one rotation visits every cache exactly once, in
+// registration order, and the next rotation wraps to the first again.
 func TestShedRotationFullSweep(t *testing.T) {
 	m, a := newShedAlloc(t)
 	c := m.CPU(0)
 
 	const n = 5
-	visits := make([]int, n)
 	var order []int
 	for i := 0; i < n; i++ {
 		i := i
 		defer a.RegisterCacheShed(func(*machine.CPU, bool) int {
-			visits[i]++
 			order = append(order, i)
 			return 0
 		})()
 	}
-	for s := 0; s < 2*n; s++ {
-		a.shedOne(c)
+	for s := 2 * a.reclaimSteps(); s > 0; s-- {
+		a.reclaimStep(c)
 	}
-	for i, v := range visits {
-		if v != 2 {
-			t.Errorf("cache %d visited %d times over two sweeps, want 2", i, v)
-		}
+	if len(order) != 2*n {
+		t.Fatalf("two rotations visited %d caches, want %d: %v", len(order), 2*n, order)
 	}
-	for s := 0; s < 2*n; s++ {
-		if order[s] != s%n {
-			t.Fatalf("visit order %v: step %d hit cache %d, want %d", order, s, order[s], s%n)
+	for s, i := range order {
+		if i != s%n {
+			t.Fatalf("visit order %v: cache step %d hit cache %d, want %d", order, s, i, s%n)
 		}
 	}
 }
 
-// TestShedRotationMidSweepUnregister unregisters the cache the cursor
-// would visit next; the sweep must skip to its successor without
-// revisiting earlier caches or missing later ones.
+// TestShedRotationMidSweepUnregister unregisters, in the middle of a
+// later rotation, a cache the rotation has not reached yet and then the
+// last cache: the rotation must go on to the next registered cache
+// without revisiting earlier ones or missing later ones, and, once the
+// table has shrunk under it, resume at its first source.
 func TestShedRotationMidSweepUnregister(t *testing.T) {
 	m, a := newShedAlloc(t)
 	c := m.CPU(0)
 
-	visits := make(map[string]int)
+	var order []string
 	reg := func(name string) func() {
 		return a.RegisterCacheShed(func(*machine.CPU, bool) int {
-			visits[name]++
+			order = append(order, name)
 			return 0
 		})
 	}
-	unregA := reg("a")
-	unregB := reg("b")
-	unregC := reg("c")
+	unregA, unregB, unregC, unregD := reg("a"), reg("b"), reg("c"), reg("d")
 	defer unregA()
 	defer unregC()
 
-	a.shedOne(c) // visits a
-	unregB()     // the cursor's next stop vanishes
-	a.shedOne(c) // must visit c, not wrap to a
-	a.shedOne(c) // wraps to a
+	// One whole rotation first, so that the cursor has wrapped once.
+	for n := a.reclaimSteps(); n > 0; n-- {
+		a.reclaimStep(c)
+	}
+	for len(order) < 5 { // through a's slot again
+		a.reclaimStep(c)
+	}
+	unregB() // a hole: c and d keep their turns
+	for len(order) < 6 {
+		a.reclaimStep(c)
+	}
+	unregD() // the last slot: the table shrinks under the cursor
+	if s := a.reclaimStep(c); s.kind != srcCPU || s.i != 0 {
+		t.Fatalf("after the last cache left, the rotation went on at %+v, want CPU 0", s)
+	}
+	for len(order) < 8 {
+		a.reclaimStep(c)
+	}
+	if got := strings.Join(order, " "); got != "a b c d a c a c" {
+		t.Fatalf("visit order %q, want \"a b c d a c a c\"", got)
+	}
+}
 
-	if visits["a"] != 2 || visits["b"] != 0 || visits["c"] != 1 {
-		t.Fatalf("visits = %v, want a:2 b:0 c:1", visits)
+// TestReclaimSourceOrderPinned pins the whole table over two rotations
+// on the serving benchmark's shape: 8 CPUs on 2 nodes, lazy spans,
+// the pressure model, and three caches registered once. A step runs its
+// cache at light strength.
+func TestReclaimSourceOrderPinned(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	cfg.NumCPUs = 8
+	cfg.Nodes = 2
+	cfg.MemBytes = 32 << 20
+	m := machine.New(cfg)
+	a, err := New(m, Params{LazySpans: true, Pressure: &PressureConfig{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := m.CPU(0)
+	var names []string
+	for i := 0; i < 3; i++ {
+		i := i
+		defer a.RegisterCacheShed(func(_ *machine.CPU, aggressive bool) int {
+			if aggressive {
+				t.Errorf("cache %d shed aggressively on a reclaim step", i)
+			}
+			names = append(names, fmt.Sprintf("cache%d", i))
+			return 0
+		})()
+	}
+	const rotation = "cpu0 cpu1 cpu2 cpu3 cpu4 cpu5 cpu6 cpu7 " +
+		"pool16/0 pool16/1 pool32/0 pool32/1 pool64/0 pool64/1 pool128/0 pool128/1 pool256/0 pool256/1 " +
+		"pool512/0 pool512/1 pool1024/0 pool1024/1 pool2048/0 pool2048/1 pool4096/0 pool4096/1 " +
+		"decommit cache0 cache1 cache2"
+	if n := a.reclaimSteps(); n != len(strings.Fields(rotation)) {
+		t.Fatalf("reclaimSteps = %d, want %d", n, len(strings.Fields(rotation)))
+	}
+	for i := 0; i < 2*a.reclaimSteps(); i++ {
+		switch s := a.reclaimStep(c); s.kind {
+		case srcCPU:
+			names = append(names, fmt.Sprintf("cpu%d", s.i))
+		case srcPool:
+			names = append(names, fmt.Sprintf("pool%d/%d", a.ClassSize(s.i/a.nodes), s.i%a.nodes))
+		case srcDecommit:
+			names = append(names, "decommit")
+		}
+	}
+	if got, want := strings.Join(names, " "), rotation+" "+rotation; got != want {
+		t.Fatalf("two rotations ran\n%s\nwant\n%s", got, want)
+	}
+	if got := a.ev[EvReclaimStep].Load(); got != 2*uint64(a.reclaimSteps()) {
+		t.Errorf("EvReclaimStep counted %d, want %d", got, 2*a.reclaimSteps())
 	}
 }
 
@@ -150,7 +208,51 @@ func TestReclaimStepShedsCaches(t *testing.T) {
 	if v2 == 0 {
 		t.Error("cache 2 never shed through the reclaimStep rotation")
 	}
-	if got := a.reclaimStepsDone.Load(); got != uint64(steps) {
-		t.Errorf("reclaimStepsDone = %d, want %d", got, steps)
+	if got := a.ev[EvReclaimStep].Load(); got != uint64(steps) {
+		t.Errorf("EvReclaimStep counted %d, want %d", got, steps)
 	}
+}
+
+// TestNativeSourceTableRace registers and unregisters caches on one
+// handle while the others walk the source table: reclaimStep, Trim and
+// DrainAll. Run it under -race; a reader must never see a slot change
+// under it, and every cache's unregister must leave no trace.
+func TestNativeSourceTableRace(t *testing.T) {
+	a, m := nativeAllocator(t, 4, 4096)
+	var wg sync.WaitGroup
+	shed := func(*machine.CPU, bool) int { return 0 }
+	n := scaledOps(2000)
+	wg.Add(4)
+	go func() {
+		defer wg.Done()
+		var unreg []func()
+		for i := 0; i < n; i++ {
+			unreg = append(unreg, a.RegisterCacheShed(shed))
+			if len(unreg) == 3 || i%5 == 0 {
+				unreg[0]()
+				unreg = unreg[1:]
+			}
+		}
+		for _, u := range unreg {
+			u()
+		}
+	}()
+	walkers := []func(c *machine.CPU){
+		func(c *machine.CPU) { a.reclaimStep(c) },
+		func(c *machine.CPU) { a.Trim(c, 8) },
+		func(c *machine.CPU) { a.DrainAll(c) },
+	}
+	for i, walk := range walkers {
+		go func(c *machine.CPU, walk func(*machine.CPU)) {
+			defer wg.Done()
+			for j := 0; j < n; j++ {
+				walk(c)
+			}
+		}(m.CPU(i+1), walk)
+	}
+	wg.Wait()
+	if got, want := len(a.sourceTable()), len(a.percpu)+len(a.classes)*a.nodes; got != want {
+		t.Fatalf("table holds %d sources after every cache unregistered, want %d", got, want)
+	}
+	checkOK(t, a)
 }

@@ -242,7 +242,7 @@ type Stats struct {
 // nondecreasing between successive snapshots, and on a quiescent
 // allocator the snapshot is exact (block conservation holds per class).
 func (a *Allocator) Stats(c *machine.CPU) Stats {
-	out := Stats{Reclaims: a.reclaims.Load()}
+	out := Stats{Reclaims: a.ev[EvReclaim].Load()}
 	out.Classes = make([]ClassStats, len(a.classes))
 	for i := range a.classes {
 		cs := &a.classes[i]
@@ -355,12 +355,12 @@ func (a *Allocator) Stats(c *machine.CPU) Stats {
 		LiveBytes:     live,
 	}
 	out.Pressure = PressureStats{
-		Level:          a.pressureLevel(),
-		Transitions:    a.pressureTransitions.Load(),
-		Waits:          a.waits.Load(),
-		Wakes:          a.wakes.Load(),
-		FaultsInjected: a.faultsInjected.Load(),
-		ReclaimSteps:   a.reclaimStepsDone.Load(),
+		Level:          a.Pressure(),
+		Transitions:    a.ev[EvPressure].Load(),
+		Waits:          a.ev[EvWait].Load(),
+		Wakes:          a.ev[EvWake].Load(),
+		FaultsInjected: a.ev[EvFaultInjected].Load(),
+		ReclaimSteps:   a.ev[EvReclaimStep].Load(),
 	}
 	out.Quarantine = a.hd.quarantineStats()
 	return out

@@ -401,7 +401,7 @@ func (v *vmblkLayer) findSpan(c *machine.CPU, n int32, node int) (int32, int32) 
 func (v *vmblkLayer) newVmblk(c *machine.CPU, node int) error {
 	m := v.al.m
 	if v.al.params.Faults.Should(FaultVmblkCarve) {
-		v.al.noteFault()
+		v.al.note(-1, EvFaultInjected, 1)
 		return ErrNoVA
 	}
 	vmblkBytes := uint64(1) << v.al.vmblkShift

@@ -286,12 +286,6 @@ func (r *Runner) Run() (Report, error) {
 		fs.Arm(core.FaultPhysMap, spec)
 		fs.Arm(core.FaultVmblkCarve, spec)
 		fs.Arm(core.FaultPagePoolRefill, spec)
-		if cfg.Lazy {
-			// The lazy model's fourth exhaustion seam: commit-on-carve.
-			// Armed only for lazy configs so existing eager fault runs
-			// draw the same fault-RNG stream as before.
-			fs.Arm(core.FaultPhysCommit, spec)
-		}
 		p.Faults = fs
 	}
 	var planted []harden.Report

@@ -176,7 +176,7 @@ var NewFaultSet = faultpoint.New
 
 // Fault-point names compiled into the allocator's exhaustion paths.
 const (
-	FaultPhysMap        = core.FaultPhysMap        // physmem map fails with ErrNoPages
+	FaultPhysMap        = core.FaultPhysMap        // physmem commit (and so map) fails with ErrNoPages
 	FaultVmblkCarve     = core.FaultVmblkCarve     // vmblk creation fails with ErrNoVA
 	FaultPagePoolRefill = core.FaultPagePoolRefill // page carve fails with ErrNoMemory
 )
@@ -241,8 +241,8 @@ type Config struct {
 	// 4096–262144 cycles); Native mode always backs off 50 µs–5 ms.
 	Wait *WaitConfig
 	// Faults, when non-nil, arms deterministic fault injection at the
-	// exhaustion seams (FaultPhysMap, FaultVmblkCarve,
-	// FaultPagePoolRefill).
+	// three exhaustion seams: FaultPhysMap (every physical commit, a
+	// map included), FaultVmblkCarve and FaultPagePoolRefill.
 	Faults *FaultSet
 	// Poison fills freed memory with a pattern and checks it on
 	// reallocation (debugging aid). Superseded by Harden, which includes
