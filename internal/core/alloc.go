@@ -460,6 +460,7 @@ func (a *Allocator) tryClass(c *machine.CPU, cls int) (arena.Addr, error) {
 		c.Work(insnRefill)
 		home := a.classes[cls].globalFor(c)
 		lst, err := home.getList(c, single)
+		took := !lst.Empty() && !single
 		stolen := false
 		if lst.Empty() && a.nodes > 1 {
 			for off := 1; off < a.nodes && lst.Empty(); off++ {
@@ -500,6 +501,11 @@ func (a *Allocator) tryClass(c *machine.CPU, cls int) (arena.Addr, error) {
 			a.emit(cls, EvCPURefill, n)
 			if ctl.enabled {
 				ctl.target.note(a, c, cls, delta, 1)
+			}
+			if took {
+				// A home list taken: with every lock dropped, back the
+				// pages it used ahead of the pool's next refill.
+				home.pp.backAhead(c)
 			}
 			continue
 		}

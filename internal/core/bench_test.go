@@ -180,6 +180,32 @@ func BenchmarkRefillCold(b *testing.B) {
 	b.ReportMetric(float64(cycles)/float64(blocks), "vcycles/block")
 }
 
+// BenchmarkRefillStreak times streakFill, four CPUs filling the 512-byte
+// class from a cold start: after four contended refills the CPUs taking
+// lists back the next refill's pages ahead. It reports the fill's
+// virtual cycles (the last CPU's clock) per page carved, the global
+// pool's lock hold per refill, and host ns per page.
+func BenchmarkRefillStreak(b *testing.B) {
+	var cycles, held, pages, refills int64
+	for i := 0; i < b.N; i++ {
+		a, m, recs := streakFill(b, 4, 512, 600)
+		cls, _ := a.classOf(512)
+		var end int64
+		for cpu := 0; cpu < m.NumCPUs(); cpu++ {
+			end = max(end, m.CPU(cpu).Now())
+		}
+		cycles += end
+		for _, r := range recs {
+			held += r.hold
+		}
+		pages += int64(a.classes[cls].pages[0].ev[EvPageCarve])
+		refills += int64(len(recs))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pages), "ns/page")
+	b.ReportMetric(float64(cycles)/float64(pages), "vcycles/page")
+	b.ReportMetric(float64(held)/float64(refills), "vcycles-held/refill")
+}
+
 // BenchmarkCookiePair times the host cost of one warm AllocCookie/
 // FreeCookie pair in Sim mode — the per-CPU layer end to end, both
 // critical-section protocols — with the cache primed so that no

@@ -18,7 +18,11 @@ import (
 //   - the page pools' lists and the descriptors agree both ways: a page
 //     on bucket k has filed == k <= nFree, the list walks reach exactly
 //     the pages with filed != 0, and a split page with free blocks is
-//     filed unless it is quarantined;
+//     filed unless it is quarantined or in a ready stock;
+//   - every ready page is a resident split page of its pool's class,
+//     homed on its node, with every block in its uncarved tail (none
+//     handed out), filed in no bucket and in no other stock, and each
+//     pool's reservation count equals its stock;
 //   - no block appears on two freelists (page, global or per-CPU) or on
 //     a freelist and in its page's uncarved tail — a double free or list
 //     corruption would trip this;
@@ -49,6 +53,36 @@ func (a *Allocator) CheckConsistency() error {
 	var residentPages, reservedPages int64
 	var filedPages, reachedPages int        // split pages with filed != 0; pages the list walks reach
 	splitByClass := make(map[int32]int, 64) // page -> class for cache validation
+
+	// Ready stocks first: the page walk below exempts their pages from
+	// the filed-if-free rule, and notes their tails like any other.
+	ready := make(map[int32]bool)
+	for cls := range a.classes {
+		for _, p := range a.classes[cls].pages {
+			if n := p.stocked.Load(); int(n) != len(p.ready) {
+				return fmt.Errorf("kmem: class %d node %d reserves %d stock pages, holds %d", cls, p.node, n, len(p.ready))
+			}
+			for _, r := range p.ready {
+				pd := a.vm.pdOf(r.pg)
+				switch {
+				case ready[r.pg]:
+					return fmt.Errorf("kmem: ready page %d in two stocks", r.pg)
+				case pd.state != pdSplit || int(pd.class) != cls || pd.flags != pdfResident:
+					return fmt.Errorf("kmem: class %d ready page %d is %s class %d flags %#x",
+						cls, r.pg, pdStateName(pd.state), pd.class, pd.flags)
+				case int(pd.nFree) != p.blocksPerPage || pd.tail() != p.blocksPerPage || pd.freeHead != arena.NilAddr:
+					return fmt.Errorf("kmem: class %d ready page %d has %d free, a %d-block tail, of %d",
+						cls, r.pg, pd.nFree, pd.tail(), p.blocksPerPage)
+				case pd.filed != 0:
+					return fmt.Errorf("kmem: class %d ready page %d filed in bucket %d", cls, r.pg, pd.filed)
+				case a.vm.nodeOfPage(r.pg) != p.node:
+					return fmt.Errorf("kmem: class %d node %d stock holds page %d homed on node %d",
+						cls, p.node, r.pg, a.vm.nodeOfPage(r.pg))
+				}
+				ready[r.pg] = true
+			}
+		}
+	}
 
 	for _, vb := range a.vm.dope {
 		if vb == nil {
@@ -170,7 +204,7 @@ func (a *Allocator) CheckConsistency() error {
 				}
 				if pd.filed != 0 {
 					filedPages++
-				} else if pd.nFree > 0 && pd.flags&pdfQuarantined == 0 {
+				} else if pd.nFree > 0 && pd.flags&pdfQuarantined == 0 && !ready[i] {
 					return fmt.Errorf("kmem: split page %d has %d free blocks but is filed nowhere", i, pd.nFree)
 				}
 				splitByClass[i] = cls
@@ -341,6 +375,20 @@ func (a *Allocator) RoundedSize(size uint64) uint64 {
 	}
 	pb := a.m.Config().PageBytes
 	return (size+rz+pb-1)/pb*pb - rz
+}
+
+// ReadyPages returns the pages held in every page pool's ready stock,
+// backed ahead of a refill (DESIGN.md §5). Uncharged and lock-free, for
+// tests and the torture harness inspecting a quiescent allocator: after
+// DrainAll it is 0.
+func (a *Allocator) ReadyPages() int {
+	n := 0
+	for cls := range a.classes {
+		for _, p := range a.classes[cls].pages {
+			n += len(p.ready)
+		}
+	}
+	return n
 }
 
 // HeaderPages returns the total header pages of every vmblk created so

@@ -450,7 +450,8 @@ func (g *globalPool) stealList(c *machine.CPU) blocklist.List {
 }
 
 // drainAll pushes every block in the pool down to the coalesce-to-page
-// layer, its lists and bucket in one trip. The low-memory reclaim path
+// layer, its lists and bucket in one trip, which also returns the page
+// pool's ready stock to the vmblk layer. The low-memory reclaim path
 // uses it to let fully-free pages be released for other sizes and for
 // user processes.
 func (g *globalPool) drainAll(c *machine.CPU) {
@@ -462,7 +463,7 @@ func (g *globalPool) drainAll(c *machine.CPU) {
 	c.Write(g.line)
 	g.lk.Release(c)
 
-	g.pp.putBlocks(c, append(all, bucket)...)
+	g.pp.drain(c, append(all, bucket))
 }
 
 // blocksHeld reports the number of blocks currently in the pool. Used by

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"kmem/internal/arena"
 	"kmem/internal/blocklist"
@@ -48,6 +49,41 @@ type pagePool struct {
 	// ev tallies this pool's slice of the event spine (EvBlockGet,
 	// EvBlockPut, EvPageCarve, EvPageFree, EvPageRefile), written under lk.
 	ev eventCounts
+
+	// The ready stock (DESIGN.md §5): pages that CPUs taking this pool's
+	// lists backed ahead of the next refill, oldest first. streak counts
+	// the refills in a row that carved a fresh page and found the pool
+	// contended: this pool's or its global pool's EvLockWait had grown
+	// past waits, their total at the refill before. All three are under
+	// lk.
+	ready  []readyPage
+	streak int
+	waits  uint64
+
+	// armed says the streak has reached backAheadStreak under the
+	// decommit-on-free policy; the CPUs taking lists read it without lk.
+	// stocked counts the ready pages plus the pages backers have claimed
+	// and not yet filed, and is what a backer reserves its pages on.
+	armed   atomic.Bool
+	stocked atomic.Int32
+}
+
+// backAheadStreak is how many refills in a row must carve a fresh page
+// under contention before the CPUs that take a pool's lists back its
+// pages ahead. A constant, not a knob: two refills arm pools whose
+// contention is only a warm-up's, and uncontended streaks arm pools no
+// CPU waits on (EXPERIMENTS E34).
+const backAheadStreak = 4
+
+// readyPage is one page of a ready stock: split for the pool's class,
+// mapped and zero-filled, every block in its uncarved tail, and stamped
+// with the virtual time it was filed. A carve takes it only at or after
+// that time: Sim runs whole operations in start-clock order, so a page
+// filed at the end of one CPU's operation can meet a refill that starts
+// earlier on the clock but runs later on the host.
+type readyPage struct {
+	pg int32
+	at int64
 }
 
 func newPagePool(a *Allocator, cls, node int, size uint32) *pagePool {
@@ -136,8 +172,10 @@ func (p *pagePool) refile(c *machine.CPU, pg int32, newFree int) {
 	p.ev[EvPageRefile]++
 }
 
-// carveInto obtains one page homed on the pool's node from the vmblk
-// layer and splits it: every block starts in the page's uncarved tail.
+// carveInto obtains one page homed on the pool's node — the oldest ready
+// page the carving CPU's clock has reached (takeReady), else a fresh one
+// from the vmblk layer — and splits it: every block starts in the page's
+// uncarved tail.
 // Its first take blocks (at most a page) are cut from the tail straight
 // onto cur, a list cut into out each time cur reaches target (cutTail);
 // the rest stay in the tail, unlinked, and the page is filed once at
@@ -148,9 +186,12 @@ func (p *pagePool) carveInto(c *machine.CPU, cur *blocklist.List, out *[]blockli
 		p.al.note(-1, EvFaultInjected, 1)
 		return 0, ErrNoMemory
 	}
-	pg, err := p.al.vm.allocSplitPage(c, p.cls, p.node)
-	if err != nil {
-		return 0, err
+	pg := p.takeReady(c)
+	if pg == -1 {
+		var err error
+		if pg, err = p.al.vm.allocSplitPage(c, p.cls, p.node); err != nil {
+			return 0, err
+		}
 	}
 	c.Work(insnPageSetup)
 	pd := p.al.vm.pdOf(pg)
@@ -261,7 +302,7 @@ func (p *pagePool) drawFrom(c *machine.CPU, pg int32, cur *blocklist.List, out *
 // once: fresh pages are carved straight into the lists (carveInto),
 // drawn pages are cut as chains and tails (drawFrom). Whole lists cut
 // from a tail leave as runs, so the hold pays per list, not per block,
-// for them.
+// for them. Every refill counts into the pool's streak (noteRefill).
 func (p *pagePool) getLists(c *machine.CPU, nLists, target int) ([]blocklist.List, error) {
 	p.al.acquire(c, p.lk, &p.ev, p.cls)
 	defer p.lk.Release(c)
@@ -272,7 +313,7 @@ func (p *pagePool) getLists(c *machine.CPU, nLists, target int) ([]blocklist.Lis
 	var lastErr error
 	want := nLists * target
 	got := 0
-	refiled := p.ev[EvPageRefile]
+	refiled, carved := p.ev[EvPageRefile], p.ev[EvPageCarve]
 	for got < want {
 		if pg := p.pickPage(c); pg != -1 {
 			got += p.drawFrom(c, pg, &cur, &out, target, want-got)
@@ -288,6 +329,7 @@ func (p *pagePool) getLists(c *machine.CPU, nLists, target int) ([]blocklist.Lis
 	if !cur.Empty() {
 		out = append(out, cur.Take())
 	}
+	p.noteRefill(p.ev[EvPageCarve] > carved && lastErr == nil)
 	c.Write(p.line)
 	p.al.emit(p.cls, EvBlockGet, got)
 	p.al.emit(p.cls, EvPageRefile, int(p.ev[EvPageRefile]-refiled))
@@ -309,13 +351,25 @@ func (p *pagePool) getLists(c *machine.CPU, nLists, target int) ([]blocklist.Lis
 // the part of that work no lock guards (resolveBlocks), then applies
 // the blocks newest first. Pages whose free count reaches blocks-per-page
 // are released at once, and handed to the vmblk layer as soon as the
-// lock is dropped. Nothing to put is no trip.
+// lock is dropped, and a trip that released a page returns the ready
+// stock with them. Nothing to put is no trip.
 func (p *pagePool) putBlocks(c *machine.CPU, lists ...blocklist.List) {
+	p.put(c, lists, false)
+}
+
+// drain is putBlocks for globalPool.drainAll: the same trip also returns
+// the ready stock, and a pool with a stock and nothing to put still
+// takes it, so every reclaim source that drains a pool frees its stock.
+func (p *pagePool) drain(c *machine.CPU, lists []blocklist.List) {
+	p.put(c, lists, !tortureBug(TortureBugReadyLeak))
+}
+
+func (p *pagePool) put(c *machine.CPU, lists []blocklist.List, drain bool) {
 	n := 0
 	for _, l := range lists {
 		n += l.Len()
 	}
-	if n == 0 {
+	if n == 0 && (!drain || p.stocked.Load() == 0) {
 		return
 	}
 	rel := p.al.released[c.ID()]
@@ -351,8 +405,13 @@ func (p *pagePool) putBlocks(c *machine.CPU, lists ...blocklist.List) {
 		}
 		p.al.resolved[c.ID()] = res[:0]
 	}
+	if drain || len(rel) > 0 {
+		rel = p.dropStock(c, rel)
+	}
 	c.Write(p.line)
-	p.al.emit(p.cls, EvBlockPut, n)
+	if n > 0 {
+		p.al.emit(p.cls, EvBlockPut, n)
+	}
 	p.lk.Release(c)
 	p.freeReleased(c, rel)
 }
@@ -440,10 +499,7 @@ func (p *pagePool) releasePage(c *machine.CPU, pg int32, pd *pageDesc) {
 	if pd.filed != 0 {
 		p.fileOut(c, pg)
 	}
-	pd.freeHead = arena.NilAddr
-	pd.nFree = 0
-	pd.setTail(0)
-	pd.class = -1
+	unsplit(pd)
 	if p.al.hd != nil {
 		// The page is leaving the split state; its owner slots must not
 		// survive into the page's next life.
@@ -463,3 +519,146 @@ func (p *pagePool) freeReleased(c *machine.CPU, rel []int32) {
 	}
 	p.al.released[c.ID()] = rel[:0]
 }
+
+// unsplit clears the split-page fields of a descriptor whose page is
+// leaving the pool for the vmblk layer.
+func unsplit(pd *pageDesc) {
+	pd.freeHead = arena.NilAddr
+	pd.nFree = 0
+	pd.setTail(0)
+	pd.class = -1
+}
+
+// --- the ready stock (DESIGN.md §5) ----------------------------------------
+
+// noteRefill counts one refill into the streak, under lk: a refill that
+// carved a fresh page (from the stock or the vmblk layer), failed no
+// claim, and found this pool's or its global pool's lock contended since
+// the refill before extends it; any other refill ends it. Only the
+// decommit-on-free policy arms: a lazy layer pays its commit under
+// vmblk.lk, where a back-ahead could not take it out of anyone's hold.
+// Uncharged: it reads only counters the pool already keeps.
+func (p *pagePool) noteRefill(carved bool) {
+	waits := p.ev[EvLockWait] + p.al.classes[p.cls].globals[p.node].ev[EvLockWait]
+	p.streak++
+	if !carved || waits == p.waits {
+		p.streak = 0
+	}
+	p.waits = waits
+	p.armed.Store(p.streak >= backAheadStreak && p.al.vm.decommitOnFree)
+}
+
+// endStreak resets the streak and disarms the pool. Caller holds lk.
+func (p *pagePool) endStreak() {
+	p.streak = 0
+	p.armed.Store(false)
+}
+
+// takeReady removes and returns the oldest ready page filed at or before
+// c's clock, or -1 when there is none. Caller holds lk.
+func (p *pagePool) takeReady(c *machine.CPU) int32 {
+	for i, r := range p.ready {
+		if r.at <= c.Now() {
+			p.ready = append(p.ready[:i], p.ready[i+1:]...)
+			p.stocked.Add(-1)
+			return r.pg
+		}
+	}
+	return -1
+}
+
+// dropStock ends the streak and empties the ready stock onto rel, the
+// caller's released scratch, for freeReleased to hand to the vmblk layer
+// once lk is dropped. Caller holds lk.
+func (p *pagePool) dropStock(c *machine.CPU, rel []int32) []int32 {
+	p.endStreak()
+	for _, r := range p.ready {
+		c.Work(insnPageSetup)
+		unsplit(p.al.vm.pdOf(r.pg))
+		rel = append(rel, r.pg)
+	}
+	p.stocked.Add(-int32(len(p.ready)))
+	p.ready = p.ready[:0]
+	return rel
+}
+
+// backAhead is the ready stock's filling half, run with no lock held by
+// a CPU that just took one of the pool's lists: it backs the pages that
+// list used up, ceil(target/blocksPerPage), so the next refill carves
+// them with no map in its hold. It reserves them on stocked first (one
+// atomic on the pool's line), then backs them one at a time (backOne).
+// A pool backs ahead only while armed (noteRefill), below PressureLow,
+// while physmem has at least the stock's cap of free frames, and never
+// past that cap: one refill's worth of pages. The armed test is
+// uncharged: the word belongs on the global pool's line, which the
+// taking CPU has just read under g.lk.
+func (p *pagePool) backAhead(c *machine.CPU) {
+	if !p.armed.Load() || p.al.Pressure() >= PressureLow {
+		return
+	}
+	ctl := p.al.classes[p.cls].ctl
+	target := ctl.curTarget()
+	limit := ceilDiv(ctl.curGblTarget()*target, p.blocksPerPage)
+	if p.al.m.Phys().Available() < int64(limit) {
+		return
+	}
+	n := p.reserve(c, ceilDiv(target, p.blocksPerPage), limit)
+	for i := 0; i < n; i++ {
+		if !p.backOne(c) {
+			p.stocked.Add(-int32(n - i - 1))
+			return
+		}
+	}
+}
+
+// backOne backs one reserved page: it claims the page from the vmblk
+// layer with the map and zero-fill paid on c's clock (allocSplitPage),
+// then files it in a short hold of lk, every block in its uncarved tail,
+// stamped with c's clock. A failed claim ends the streak, and a page
+// whose streak has ended by the time it would be filed goes back to the
+// vmblk layer once lk is dropped. It reports whether the streak still
+// holds.
+func (p *pagePool) backOne(c *machine.CPU) bool {
+	pg, err := p.al.vm.allocSplitPage(c, p.cls, p.node)
+	p.al.acquire(c, p.lk, &p.ev, p.cls)
+	c.Read(p.line)
+	if err != nil {
+		p.endStreak()
+	}
+	armed := p.streak >= backAheadStreak
+	if armed {
+		pd := p.al.vm.pdOf(pg)
+		pd.freeHead = arena.NilAddr
+		pd.nFree = uint16(p.blocksPerPage)
+		pd.setTail(p.blocksPerPage)
+		c.Write(pd.line)
+		p.ready = append(p.ready, readyPage{pg, c.Now()})
+	} else {
+		p.stocked.Add(-1)
+	}
+	c.Write(p.line)
+	p.lk.Release(c)
+	if !armed && err == nil {
+		unsplit(p.al.vm.pdOf(pg))
+		p.al.vm.freePages(c, pg, 1)
+	}
+	return armed
+}
+
+// reserve claims up to want pages of the stock's cap for one backer and
+// returns how many it got.
+func (p *pagePool) reserve(c *machine.CPU, want, limit int) int {
+	c.Atomic(p.line)
+	for {
+		s := p.stocked.Load()
+		n := min(want, limit-int(s))
+		if n <= 0 {
+			return 0
+		}
+		if p.stocked.CompareAndSwap(s, s+int32(n)) {
+			return n
+		}
+	}
+}
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -790,10 +790,10 @@ func TestEagerMapOutsideVmblkLock(t *testing.T) {
 // fresh span's map outside the vmblk lock and a contended spill's lookups
 // before the pool's, moved them by exactly what they moved the radix
 // goldens, and so did handing a fresh page's whole lists out as unlinked
-// runs.
+// runs, and backing pages ahead.
 func TestFIFOCyclesPinned(t *testing.T) {
 	assertGolden(t, "nodes=1 fifo", shardGoldenCycles(t, 1, Params{DisableRadixSort: true}),
-		[]int64{902911, 681451, 682193, 682696})
+		[]int64{749150, 524181, 524778, 519664})
 	assertGolden(t, "nodes=4 fifo", shardGoldenCycles(t, 4, Params{DisableRadixSort: true}),
 		[]int64{1333839, 627155, 624043, 628418})
 }

@@ -118,10 +118,17 @@ func shardGoldenCycles(t *testing.T, nodes int, p Params) []int64 {
 // fresh page as unlinked runs, linked by the CPU that takes each, moved
 // every CPU once more (921,617 -> 902,947 on CPU 0, 16,020 cycles on the
 // others single-node; 1,419,309 -> 1,334,007 and 12,906-14,880 on four
-// nodes). goldenCyclesNodes4 is the same workload on four nodes, where
-// every cross-node free goes through the remote-free shards.
+// nodes). Backing pages ahead moved every single-node CPU once more:
+// the 4,096-byte allocations of the first loop refill six fresh pages at
+// a time with all four CPUs queued on the pool, so from the fifth such
+// refill on the CPUs taking its lists map the next refill's pages on
+// their own clocks, and the refill carves them with no map in its hold
+// (902,947 -> 749,186 on CPU 0, 153,761-163,032 cycles a CPU; E34). On
+// four nodes each CPU refills its own node's pool, no refill waits, and
+// nothing moved. goldenCyclesNodes4 is the same workload on four nodes,
+// where every cross-node free goes through the remote-free shards.
 var (
-	goldenCyclesNodes1 = []int64{902947, 681451, 682193, 682696}
+	goldenCyclesNodes1 = []int64{749186, 524181, 524778, 519664}
 	goldenCyclesNodes4 = []int64{1334007, 627155, 624043, 628418}
 )
 

@@ -41,6 +41,11 @@ const (
 	// which the shadow model sees, or it sits on two lists at once,
 	// which the consistency audit rejects.
 	TortureBugTailOverlap
+	// TortureBugReadyLeak makes globalPool.drainAll forget the page
+	// pool's ready stock: pages backed ahead stay mapped after a drain,
+	// which the torture end audit's first drain, run with the blocks
+	// still live, rejects.
+	TortureBugReadyLeak
 
 	numTortureBugs
 )

@@ -162,6 +162,35 @@ func TestMutationTailOverlapBugCaught(t *testing.T) {
 	}
 }
 
+// readyLeakCfg is the detection config for the forgotten ready stock. No
+// stock MatrixSmall config catches it: none of them has a pool holding a
+// stock when its ops end (most never arm one), because a pool arms only
+// after four contended refills in a row that each carve a fresh page,
+// and the first page it releases returns its stock. Here four CPUs share
+// one node's pools and requests stop at 128 bytes, so two in three land
+// in the 128-byte class. Each of its refills carves about five fresh
+// pages, and a page goes back only when all 32 of its blocks have come
+// home, so over a long run the pool often ends holding its stock (six
+// of the first eight seeds do, seed 7 among them). The end audit's first
+// drain must return it.
+var readyLeakCfg = Config{CPUs: 4, Nodes: 1, Ops: 10000, Seed: 7, JitterSeed: 3, MaxSize: 128, WorkingSet: 4096}
+
+func TestMutationReadyLeakBugCaught(t *testing.T) {
+	if rep, err := New(readyLeakCfg).Run(); err != nil {
+		t.Fatalf("disarmed run fails after %d ops: %v", rep.OpsExecuted, err)
+	}
+	core.SetTortureBug(core.TortureBugReadyLeak, true)
+	defer core.SetTortureBug(core.TortureBugReadyLeak, false)
+	rep, err := New(readyLeakCfg).Run()
+	if err == nil {
+		t.Fatalf("planted ready-stock leak went undetected in %d ops", rep.OpsExecuted)
+	}
+	t.Logf("caught in %d ops: %v", rep.OpsExecuted, err)
+	if !strings.Contains(err.Error(), "ready pages") {
+		t.Errorf("failure does not look like the planted forgotten stock: %v", err)
+	}
+}
+
 // TestMutationLFStackABAShrinks runs the failure pipeline on the ABA
 // plant: catch, delta-debug, and confirm the shrunk repro still
 // reproduces and is materially smaller.

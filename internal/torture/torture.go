@@ -586,12 +586,19 @@ func (r *Runner) auditPlant(ora *oracle, q core.QuarantineStats) string {
 	return ""
 }
 
-// endAudit frees everything still live (with the same per-block checks),
-// drains every layer, and verifies the allocator returns to its
-// header-pages-only physical footprint — the leak check that catches
-// blocks stranded anywhere in the caching hierarchy.
+// endAudit drains every layer with the run's blocks still live and
+// requires every ready stock to be gone (the end frees release pages,
+// which would return a stock the drain forgot), then frees everything
+// still live (with the same per-block checks), drains again, and
+// verifies the allocator returns to its header-pages-only physical
+// footprint — the leak check that catches blocks stranded anywhere in
+// the caching hierarchy.
 func (r *Runner) endAudit(m *machine.Machine, a *core.Allocator, ora *oracle, rep *Report) *Failure {
 	c := m.CPU(0)
+	a.DrainAll(c)
+	if n := a.ReadyPages(); n != 0 {
+		return &Failure{OpIndex: -1, Msg: fmt.Sprintf("leak: %d ready pages backed ahead after a drain", n)}
+	}
 	var pinnedPages int64
 	if ora.cache != nil {
 		// Return every held object (same per-object checks as OpCachePut),
