@@ -10,7 +10,7 @@
 //	            [-pressure] [-faults] [-adaptive]
 //	            [-matrix small|full] [-shrink] [-out dir]
 //	            [-replay file.json] [-emit-corpus dir]
-//	            [-plant shardflush|rightmerge|lfstackaba|stalepure|stalehead|tailoverlap] [-v]
+//	            [-plant shardflush|rightmerge|lfstackaba|stalepure|stalehead|tailoverlap|runstraddle] [-v]
 //
 // With -matrix, every config in the matrix runs under -seeds jitter
 // seeds (J, J+1, ...). On failure the run's repro — shrunk first when
@@ -51,7 +51,7 @@ func main() {
 		outDir     = flag.String("out", "torture-failures", "directory for failing repro artifacts")
 		replay     = flag.String("replay", "", "replay a saved repro file instead of generating a run")
 		emitCorpus = flag.String("emit-corpus", "", "write fuzz-corpus files for the run(s) into this directory")
-		plant      = flag.String("plant", "", "arm a planted bug (torturecheck builds): shardflush, rightmerge, lfstackaba, stalepure, stalehead or tailoverlap")
+		plant      = flag.String("plant", "", "arm a planted bug (torturecheck builds): shardflush, rightmerge, lfstackaba, stalepure, stalehead, tailoverlap or runstraddle")
 		verbose    = flag.Bool("v", false, "log every run, not just failures")
 	)
 	flag.Parse()
@@ -59,7 +59,7 @@ func main() {
 	if *plant != "" {
 		bug, ok := bugByName(*plant)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "kmemtorture: unknown -plant %q (want shardflush, rightmerge, lfstackaba, stalepure, stalehead or tailoverlap)\n", *plant)
+			fmt.Fprintf(os.Stderr, "kmemtorture: unknown -plant %q (want shardflush, rightmerge, lfstackaba, stalepure, stalehead, tailoverlap or runstraddle)\n", *plant)
 			os.Exit(2)
 		}
 		if !core.TortureBugsAvailable {
@@ -133,6 +133,8 @@ func bugByName(name string) (int, bool) {
 		return core.TortureBugPrepassStaleHead, true
 	case "tailoverlap":
 		return core.TortureBugTailOverlap, true
+	case "runstraddle":
+		return core.TortureBugRunStraddle, true
 	}
 	return 0, false
 }

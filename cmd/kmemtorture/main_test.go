@@ -7,7 +7,7 @@ import (
 )
 
 func TestBugByName(t *testing.T) {
-	for _, name := range []string{"shardflush", "rightmerge", "lfstackaba", "stalepure"} {
+	for _, name := range []string{"shardflush", "rightmerge", "lfstackaba", "stalepure", "stalehead", "tailoverlap", "runstraddle"} {
 		if _, ok := bugByName(name); !ok {
 			t.Fatalf("%s not recognized", name)
 		}

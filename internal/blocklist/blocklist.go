@@ -54,6 +54,9 @@ func (l *List) Head() arena.Addr { return l.head }
 // IsRun reports whether the list is a run whose links are not written.
 func (l *List) IsRun() bool { return l.stride != 0 }
 
+// Stride returns a run's stride, 0 for a linked list.
+func (l *List) Stride() int { return int(l.stride) }
+
 // Reset empties the list without touching the blocks.
 func (l *List) Reset() { *l = List{} }
 

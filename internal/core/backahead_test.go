@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -76,11 +77,14 @@ func streakFill(tb testing.TB, ncpu int, size uint64, perCPU int) (*Allocator, *
 // start queue on its pools, so after the first every refill carves fresh
 // pages under contention. The first contended refills map their pages
 // inside the global pool's hold; from the fifth on, the CPUs taking its
-// lists have backed the pages ahead, and no refill's hold contains a map.
-// The pages each refill mapped in its hold are pinned.
+// lists have backed the pages ahead, and a refill's hold maps at most one
+// page: a 512-byte refill needs up to all 19 pages of the stock's cap,
+// and now that its lists run across adjacent pages it is quick enough
+// to meet the last backer still mapping the last span (E35). The pages
+// each refill mapped in its hold are pinned.
 func TestBackAheadStreakPinned(t *testing.T) {
 	a, _, recs := streakFill(t, 4, 512, 600)
-	wantMaps := []int{27, 19, 19, 18, 19, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	wantMaps := []int{27, 19, 19, 18, 19, 0, 0, 0, 1, 1, 1, 0, 1, 1, 1, 0}
 	if len(recs) != len(wantMaps) {
 		t.Fatalf("fill ran %d refills, want %d", len(recs), len(wantMaps))
 	}
@@ -97,6 +101,39 @@ func TestBackAheadStreakPinned(t *testing.T) {
 		} else if 4*r.hold > coldHold {
 			t.Errorf("refill %d held the global pool's lock %d cycles, more than a quarter of the shortest unarmed hold, %d", i, r.hold, coldHold)
 		}
+	}
+	checkOK(t, a)
+}
+
+// TestBackAheadArms16: a 16-byte refill takes 150 of a page's 256
+// blocks, so every other refill of a cold four-CPU fill only draws the
+// page the one before it carved. A draw neither extends nor ends the
+// streak, so the carving refills arm the pool (the sixth refill, the
+// fourth carving one in a row), and from the refill after it on none
+// maps a page inside the global pool's hold: the one page each carving
+// refill needs is in the stock. The streak and the maps of each refill
+// are pinned.
+func TestBackAheadArms16(t *testing.T) {
+	a, _, recs := streakFill(t, 4, 16, 600)
+	wantStreak := []int{0, 1, 1, 2, 2, 3, 4, 4, 5, 5, 6, 7, 7, 8, 8, 9}
+	wantMaps := []int{9, 1, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	if len(recs) != len(wantMaps) {
+		t.Fatalf("fill ran %d refills, want %d", len(recs), len(wantMaps))
+	}
+	armedAt := -1
+	for i, r := range recs {
+		if r.streak != wantStreak[i] || r.maps != wantMaps[i] {
+			t.Errorf("refill %d: streak %d, %d pages mapped in its hold; want streak %d, %d mapped",
+				i, r.streak, r.maps, wantStreak[i], wantMaps[i])
+		}
+		if armedAt < 0 && r.streak >= backAheadStreak {
+			armedAt = i
+		} else if armedAt >= 0 && r.maps != 0 {
+			t.Errorf("refill %d, after the pool armed at refill %d, mapped %d pages in its hold", i, armedAt, r.maps)
+		}
+	}
+	if armedAt < 0 {
+		t.Fatal("the 16-byte pool never armed")
 	}
 	checkOK(t, a)
 }
@@ -128,11 +165,26 @@ func arm(c *machine.CPU, p *pagePool) {
 	p.lk.Release(c)
 }
 
-// pool4096 returns a two-CPU allocator's one-page class and its pool.
-func pool4096(t *testing.T) (*Allocator, *machine.Machine, *pagePool) {
+// poolOf returns a two-CPU allocator's size-byte class and its pool.
+func poolOf(t *testing.T, size uint64) (*Allocator, *machine.Machine, *pagePool) {
 	a, m := testAllocator(t, 2, 1024, Params{})
-	cls, _ := a.classOf(4096)
+	cls, _ := a.classOf(size)
 	return a, m, a.classes[cls].pages[0]
+}
+
+// stockUp arms pool p and backs pages ahead on c until the stock is at
+// its cap, returning the ready pages in the order they were filed.
+func stockUp(c *machine.CPU, p *pagePool) []int32 {
+	arm(c, p)
+	for n := int32(-1); p.stocked.Load() != n; {
+		n = p.stocked.Load()
+		p.backAhead(c)
+	}
+	var pgs []int32
+	for _, r := range p.ready {
+		pgs = append(pgs, r.pg)
+	}
+	return pgs
 }
 
 // TestBackAheadStamp: a ready page is stamped with the clock of the CPU
@@ -141,7 +193,7 @@ func pool4096(t *testing.T) (*Allocator, *machine.Machine, *pagePool) {
 // once its clock passes the stamp, the carve takes the stocked pages and
 // maps none.
 func TestBackAheadStamp(t *testing.T) {
-	a, m, pp := pool4096(t)
+	a, m, pp := poolOf(t, 4096)
 	early, late := m.CPU(0), m.CPU(1)
 	late.Idle(1_000_000)
 	arm(late, pp)
@@ -176,7 +228,7 @@ func TestBackAheadStamp(t *testing.T) {
 // LiveBytes does not move. A release in the pool returns the stock and
 // ends the streak.
 func TestBackAheadResidentNotLive(t *testing.T) {
-	a, m, pp := pool4096(t)
+	a, m, pp := poolOf(t, 4096)
 	c := m.CPU(0)
 	b, err := a.Alloc(c, 4096)
 	if err != nil {
@@ -207,21 +259,33 @@ func TestBackAheadResidentNotLive(t *testing.T) {
 
 // TestCheckConsistencyReadyStock: the audit rejects a ready page that is
 // also filed in a bucket, one that is in two stocks, and a reservation
-// count that disagrees with the stock.
+// count that disagrees with the stock. A back-ahead of a 512-byte list
+// claims its two pages as one span; the audit holds the span's second
+// page to the same rules as a page claimed alone: split for the class,
+// filed in no bucket, every block in its tail.
 func TestCheckConsistencyReadyStock(t *testing.T) {
+	second := func(pp *pagePool) int32 { return pp.ready[1].pg }
 	for _, tc := range []struct {
 		name    string
+		size    uint64
 		corrupt func(a *Allocator, pp *pagePool)
 		want    string
 	}{
-		{"filed", func(a *Allocator, pp *pagePool) { a.vm.pdOf(pp.ready[0].pg).filed = 1 }, "filed in bucket"},
-		{"twice", func(a *Allocator, pp *pagePool) { pp.ready = append(pp.ready, pp.ready[0]); pp.stocked.Add(1) }, "two stocks"},
-		{"reserved", func(a *Allocator, pp *pagePool) { pp.stocked.Add(1) }, "reserves"},
+		{"filed", 4096, func(a *Allocator, pp *pagePool) { a.vm.pdOf(pp.ready[0].pg).filed = 1 }, "filed in bucket"},
+		{"twice", 4096, func(a *Allocator, pp *pagePool) { pp.ready = append(pp.ready, pp.ready[0]); pp.stocked.Add(1) }, "two stocks"},
+		{"reserved", 4096, func(a *Allocator, pp *pagePool) { pp.stocked.Add(1) }, "reserves"},
+		{"span filed", 512, func(a *Allocator, pp *pagePool) { a.vm.pdOf(second(pp)).filed = 3 }, "filed in bucket"},
+		{"span unsplit", 512, func(a *Allocator, pp *pagePool) { a.vm.pdOf(second(pp)).state = pdAllocMid }, "alloc-mid"},
+		{"span class", 512, func(a *Allocator, pp *pagePool) { a.vm.pdOf(second(pp)).class-- }, "ready page"},
+		{"span tail", 512, func(a *Allocator, pp *pagePool) { a.vm.pdOf(second(pp)).setTail(pp.blocksPerPage - 1) }, "-block tail"},
 	} {
-		a, m, pp := pool4096(t)
+		a, m, pp := poolOf(t, tc.size)
 		arm(m.CPU(0), pp)
 		pp.backAhead(m.CPU(0))
 		checkOK(t, a)
+		if tc.size == 512 && (len(pp.ready) != 2 || second(pp) != pp.ready[0].pg+1) {
+			t.Fatalf("%s: one 512-byte back-ahead filed %v, want two adjacent pages", tc.name, pp.ready)
+		}
 		tc.corrupt(a, pp)
 		if err := a.CheckConsistency(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: audit says %v, want an error naming %q", tc.name, err, tc.want)
@@ -234,9 +298,17 @@ func TestCheckConsistencyReadyStock(t *testing.T) {
 // A Native lock never reports a wait, so the streak is set by hand
 // before every round; the streak, the stamps and the stock are only ever
 // read under the pool's lock, which is what the race detector checks.
+// Both classes back each list's two pages as one span, and the 512-byte
+// one carves lists that run across adjacent pages.
 func TestNativeBackAheadRace(t *testing.T) {
+	for _, size := range []uint64{4096, 512} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) { nativeBackAheadRace(t, size) })
+	}
+}
+
+func nativeBackAheadRace(t *testing.T, size uint64) {
 	a, m := nativeAllocator(t, 4, 4096)
-	cls, _ := a.classOf(4096)
+	cls, _ := a.classOf(size)
 	pp := a.classes[cls].pages[0]
 	var wg sync.WaitGroup
 	for i := 0; i < m.NumCPUs(); i++ {
@@ -247,8 +319,8 @@ func TestNativeBackAheadRace(t *testing.T) {
 			for round := 0; round < scaledOps(200); round++ {
 				arm(c, pp)
 				pp.backAhead(c)
-				for k := 0; k < 8; k++ {
-					b, err := a.Alloc(c, 4096)
+				for k := 0; k < 8*4096/int(size); k++ {
+					b, err := a.Alloc(c, size)
 					if err != nil {
 						t.Error(err)
 						return
@@ -256,7 +328,7 @@ func TestNativeBackAheadRace(t *testing.T) {
 					held = append(held, b)
 				}
 				for _, b := range held {
-					a.Free(c, b, 4096)
+					a.Free(c, b, size)
 				}
 				held = held[:0]
 				if c.ID() == 0 && round%16 == 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"kmem/internal/machine"
@@ -180,16 +181,24 @@ func BenchmarkRefillCold(b *testing.B) {
 	b.ReportMetric(float64(cycles)/float64(blocks), "vcycles/block")
 }
 
-// BenchmarkRefillStreak times streakFill, four CPUs filling the 512-byte
-// class from a cold start: after four contended refills the CPUs taking
-// lists back the next refill's pages ahead. It reports the fill's
-// virtual cycles (the last CPU's clock) per page carved, the global
-// pool's lock hold per refill, and host ns per page.
+// BenchmarkRefillStreak times streakFill, four CPUs filling one class
+// from a cold start: after four contended carving refills the CPUs
+// taking lists back the next refill's pages ahead. 16 bytes arms through
+// refills that only draw, 128 bytes runs lists across a page boundary,
+// and 512 bytes backs each list's two pages as one span. It reports the
+// fill's virtual cycles (the last CPU's clock) per page carved, the
+// global pool's lock hold per refill, and host ns per page.
 func BenchmarkRefillStreak(b *testing.B) {
+	for _, size := range []uint64{16, 128, 512} {
+		b.Run(fmt.Sprint(size), func(b *testing.B) { benchRefillStreak(b, size) })
+	}
+}
+
+func benchRefillStreak(b *testing.B, size uint64) {
 	var cycles, held, pages, refills int64
 	for i := 0; i < b.N; i++ {
-		a, m, recs := streakFill(b, 4, 512, 600)
-		cls, _ := a.classOf(512)
+		a, m, recs := streakFill(b, 4, size, 600)
+		cls, _ := a.classOf(size)
 		var end int64
 		for cpu := 0; cpu < m.NumCPUs(); cpu++ {
 			end = max(end, m.CPU(cpu).Now())

@@ -52,10 +52,10 @@ type pagePool struct {
 
 	// The ready stock (DESIGN.md §5): pages that CPUs taking this pool's
 	// lists backed ahead of the next refill, oldest first. streak counts
-	// the refills in a row that carved a fresh page and found the pool
-	// contended: this pool's or its global pool's EvLockWait had grown
-	// past waits, their total at the refill before. All three are under
-	// lk.
+	// the carving refills in a row that found the pool contended: this
+	// pool's or its global pool's EvLockWait had grown past waits, their
+	// total at the last refill that counted (noteRefill). All three are
+	// under lk.
 	ready  []readyPage
 	streak int
 	waits  uint64
@@ -172,9 +172,9 @@ func (p *pagePool) refile(c *machine.CPU, pg int32, newFree int) {
 	p.ev[EvPageRefile]++
 }
 
-// carveInto obtains one page homed on the pool's node — the oldest ready
-// page the carving CPU's clock has reached (takeReady), else a fresh one
-// from the vmblk layer — and splits it: every block starts in the page's
+// carveInto obtains one page homed on the pool's node — a ready page
+// the carving CPU's clock has reached (takeReady), else a fresh one from
+// the vmblk layer — and splits it: every block starts in the page's
 // uncarved tail.
 // Its first take blocks (at most a page) are cut from the tail straight
 // onto cur, a list cut into out each time cur reaches target (cutTail);
@@ -186,8 +186,10 @@ func (p *pagePool) carveInto(c *machine.CPU, cur *blocklist.List, out *[]blockli
 		p.al.note(-1, EvFaultInjected, 1)
 		return 0, ErrNoMemory
 	}
-	pg := p.takeReady(c)
+	how := cutReady
+	pg := p.takeReady(c, p.nextPage(*cur))
 	if pg == -1 {
+		how = cutFresh
 		var err error
 		if pg, err = p.al.vm.allocSplitPage(c, p.cls, p.node); err != nil {
 			return 0, err
@@ -209,7 +211,7 @@ func (p *pagePool) carveInto(c *machine.CPU, cur *blocklist.List, out *[]blockli
 	take = min(take, p.blocksPerPage)
 	for got := 0; got < take; {
 		seg := min(take-got, target-cur.Len())
-		*cur = p.cutTail(c, pg, pd, seg, target, true, *cur)
+		*cur = p.cutTail(c, pg, pd, seg, target, how, *cur)
 		got += seg
 		if cur.Len() == target {
 			*out = append(*out, cur.Take())
@@ -226,33 +228,74 @@ func (p *pagePool) carveInto(c *machine.CPU, cur *blocklist.List, out *[]blockli
 	return take, nil
 }
 
+// cut says which page cutTail cuts, and so the order it lists blocks in.
+type cut uint8
+
+const (
+	// cutFresh: a fresh page being carved hands its lowest block out
+	// last, the order pushing its blocks one by one built.
+	cutFresh cut = iota
+	// cutReady: a ready page being carved ascends, so a list that runs
+	// off its end can run on into the next page.
+	cutReady
+	// cutDrawn: a drawn page's tail ascends, the order of the chain it
+	// once linked.
+	cutDrawn
+)
+
 // cutTail takes the n lowest blocks of page pg's uncarved tail and
 // returns them followed by onto. A whole target-sized list with nothing
 // to follow leaves as a run, at the cost of one page op: the CPU that
-// takes it writes its links (allocClass). Anything else is linked in
-// front of onto here, one store per block. The blocks run in the order a
-// page's freelist would have given them: a page being carved hands its
-// lowest block out last (the order pushing them built, carving), a
-// drawn page's tail ascends (the order of the chain it once linked).
-func (p *pagePool) cutTail(c *machine.CPU, pg int32, pd *pageDesc, n, target int, carving bool, onto blocklist.List) blocklist.List {
+// takes it writes its links (allocClass). An ascending cut that starts
+// where onto, a run, ends extends it, so a list runs across adjacent
+// pages, and a run short of target stays unlinked while the ready page
+// it would run on into is there to take (carveInto takes it next).
+// Anything else is linked in front of onto here, one store per block,
+// after onto's own links if it is a run.
+func (p *pagePool) cutTail(c *machine.CPU, pg int32, pd *pageDesc, n, target int, how cut, onto blocklist.List) blocklist.List {
 	size := int(p.size)
 	lo := p.al.vm.pageAddr(pg) + arena.Addr((p.blocksPerPage-pd.tail())*size)
-	if !carving && tortureBug(TortureBugTailOverlap) {
+	if how == cutDrawn && tortureBug(TortureBugTailOverlap) {
 		lo -= arena.Addr(size)
 	}
-	pd.setTail(pd.tail() - n)
+	runsOn := how != cutFresh && onto.Stride() == size && onto.Head()+arena.Addr(onto.Len()*size) == lo
+	if !runsOn || !tortureBug(TortureBugRunStraddle) {
+		pd.setTail(pd.tail() - n)
+	}
 	head, stride := lo, size
-	if carving {
+	if how == cutFresh {
 		head, stride = lo+arena.Addr((n-1)*size), -size
 	}
 	c.Work(insnPageOp)
-	if onto.Empty() && n == target {
-		return blocklist.Run(head, n, stride)
+	var run blocklist.List
+	switch {
+	case onto.Empty():
+		run = blocklist.Run(head, n, stride)
+	case runsOn:
+		run = blocklist.Run(onto.Head(), onto.Len()+n, size)
 	}
+	if !run.Empty() && (run.Len() == target || how != cutFresh && p.readyIndex(c, p.nextPage(run)) >= 0) {
+		return run
+	}
+	onto.Link(c, p.al.mem)
 	for i := n - 1; i >= 0; i-- {
 		onto.Push(c, p.al.mem, head+arena.Addr(i*stride))
 	}
 	return onto
+}
+
+// nextPage returns the page an ascending run of the pool's blocks would
+// run on into — the page its last block ends — or -1 for a linked list,
+// a descending run, or a run that ends inside a page.
+func (p *pagePool) nextPage(l blocklist.List) int32 {
+	if l.Stride() != int(p.size) {
+		return -1
+	}
+	end := uint64(l.Head()) + uint64(l.Len())*uint64(p.size)
+	if end&(p.al.m.Config().PageBytes-1) != 0 {
+		return -1
+	}
+	return int32(end >> p.al.pageShift)
 }
 
 // drawFrom cuts up to take blocks off picked page pg onto cur: its freed
@@ -273,10 +316,11 @@ func (p *pagePool) drawFrom(c *machine.CPU, pg int32, cur *blocklist.List, out *
 		// front of it.
 		fromChain := min(seg, chain.Len())
 		if fromChain < seg {
-			*cur = p.cutTail(c, pg, pd, seg-fromChain, target, false, *cur)
+			*cur = p.cutTail(c, pg, pd, seg-fromChain, target, cutDrawn, *cur)
 		}
 		if fromChain > 0 {
 			c.Work(insnPageOp + 2*int64(fromChain))
+			cur.Link(c, p.al.mem)
 			*cur = chain.SplitOnto(c, p.al.mem, fromChain, *cur)
 		}
 		got += seg
@@ -329,7 +373,7 @@ func (p *pagePool) getLists(c *machine.CPU, nLists, target int) ([]blocklist.Lis
 	if !cur.Empty() {
 		out = append(out, cur.Take())
 	}
-	p.noteRefill(p.ev[EvPageCarve] > carved && lastErr == nil)
+	p.noteRefill(p.ev[EvPageCarve] > carved, lastErr != nil)
 	c.Write(p.line)
 	p.al.emit(p.cls, EvBlockGet, got)
 	p.al.emit(p.cls, EvPageRefile, int(p.ev[EvPageRefile]-refiled))
@@ -532,16 +576,22 @@ func unsplit(pd *pageDesc) {
 // --- the ready stock (DESIGN.md §5) ----------------------------------------
 
 // noteRefill counts one refill into the streak, under lk: a refill that
-// carved a fresh page (from the stock or the vmblk layer), failed no
-// claim, and found this pool's or its global pool's lock contended since
-// the refill before extends it; any other refill ends it. Only the
+// carved a fresh page (from the stock or the vmblk layer) and found this
+// pool's or its global pool's lock contended since the last refill that
+// counted extends it; one that carved uncontended, or failed a claim,
+// ends it. A refill that only drew pages counts for neither: a pool
+// whose refills take less than a page (16 B: 150 of 256 blocks) draws
+// every other time, and would otherwise never arm. Only the
 // decommit-on-free policy arms: a lazy layer pays its commit under
 // vmblk.lk, where a back-ahead could not take it out of anyone's hold.
 // Uncharged: it reads only counters the pool already keeps.
-func (p *pagePool) noteRefill(carved bool) {
+func (p *pagePool) noteRefill(carved, failed bool) {
+	if !carved && !failed {
+		return
+	}
 	waits := p.ev[EvLockWait] + p.al.classes[p.cls].globals[p.node].ev[EvLockWait]
 	p.streak++
-	if !carved || waits == p.waits {
+	if failed || waits == p.waits {
 		p.streak = 0
 	}
 	p.waits = waits
@@ -554,14 +604,34 @@ func (p *pagePool) endStreak() {
 	p.armed.Store(false)
 }
 
-// takeReady removes and returns the oldest ready page filed at or before
-// c's clock, or -1 when there is none. Caller holds lk.
-func (p *pagePool) takeReady(c *machine.CPU) int32 {
+// takeReady removes and returns a ready page filed at or before c's
+// clock — page next when it is one, so the list being built runs on into
+// it, else the oldest — or -1 when there is none. Caller holds lk.
+func (p *pagePool) takeReady(c *machine.CPU, next int32) int32 {
+	i := p.readyIndex(c, next)
+	for k := 0; i < 0 && k < len(p.ready); k++ {
+		if p.ready[k].at <= c.Now() {
+			i = k
+		}
+	}
+	if i < 0 {
+		return -1
+	}
+	pg := p.ready[i].pg
+	p.ready = append(p.ready[:i], p.ready[i+1:]...)
+	p.stocked.Add(-1)
+	return pg
+}
+
+// readyIndex returns where the stock holds page pg, filed at or before
+// c's clock, or -1. Caller holds lk.
+func (p *pagePool) readyIndex(c *machine.CPU, pg int32) int {
+	if pg < 0 {
+		return -1
+	}
 	for i, r := range p.ready {
-		if r.at <= c.Now() {
-			p.ready = append(p.ready[:i], p.ready[i+1:]...)
-			p.stocked.Add(-1)
-			return r.pg
+		if r.pg == pg && r.at <= c.Now() {
+			return i
 		}
 	}
 	return -1
@@ -586,7 +656,7 @@ func (p *pagePool) dropStock(c *machine.CPU, rel []int32) []int32 {
 // a CPU that just took one of the pool's lists: it backs the pages that
 // list used up, ceil(target/blocksPerPage), so the next refill carves
 // them with no map in its hold. It reserves them on stocked first (one
-// atomic on the pool's line), then backs them one at a time (backOne).
+// atomic on the pool's line), then backs them (backPages).
 // A pool backs ahead only while armed (noteRefill), below PressureLow,
 // while physmem has at least the stock's cap of free frames, and never
 // past that cap: one refill's worth of pages. The armed test is
@@ -602,47 +672,55 @@ func (p *pagePool) backAhead(c *machine.CPU) {
 	if p.al.m.Phys().Available() < int64(limit) {
 		return
 	}
-	n := p.reserve(c, ceilDiv(target, p.blocksPerPage), limit)
-	for i := 0; i < n; i++ {
-		if !p.backOne(c) {
-			p.stocked.Add(-int32(n - i - 1))
-			return
-		}
+	if n := p.reserve(c, ceilDiv(target, p.blocksPerPage), limit); n > 0 {
+		p.backPages(c, n)
 	}
 }
 
-// backOne backs one reserved page: it claims the page from the vmblk
-// layer with the map and zero-fill paid on c's clock (allocSplitPage),
-// then files it in a short hold of lk, every block in its uncarved tail,
-// stamped with c's clock. A failed claim ends the streak, and a page
-// whose streak has ended by the time it would be filed goes back to the
-// vmblk layer once lk is dropped. It reports whether the streak still
-// holds.
-func (p *pagePool) backOne(c *machine.CPU) bool {
-	pg, err := p.al.vm.allocSplitPage(c, p.cls, p.node)
-	p.al.acquire(c, p.lk, &p.ev, p.cls)
-	c.Read(p.line)
-	if err != nil {
-		p.endStreak()
+// backPages backs n reserved pages: it claims them from the vmblk layer
+// as one span of adjacent pages (allocSplitSpan), so the lists carved
+// from them run across their boundaries (cutTail), then maps and
+// zero-fills each on c's clock and files it at once in a short hold of
+// lk of its own, every block in its uncarved tail, stamped with c's
+// clock. A failed claim ends the streak, and the pages not yet filed
+// when the streak has ended go back to the vmblk layer once lk is
+// dropped, their maps paid.
+func (p *pagePool) backPages(c *machine.CPU, n int) {
+	pg, owed, err := p.al.vm.allocSplitSpan(c, p.cls, p.node, int32(n))
+	perPage := owed / int64(n)
+	for i := int32(0); i < int32(n); i++ {
+		c.Idle(perPage)
+		p.al.acquire(c, p.lk, &p.ev, p.cls)
+		c.Read(p.line)
+		if err != nil {
+			p.endStreak()
+		}
+		armed := p.streak >= backAheadStreak
+		if armed {
+			pd := p.al.vm.pdOf(pg + i)
+			pd.freeHead = arena.NilAddr
+			pd.nFree = uint16(p.blocksPerPage)
+			pd.setTail(p.blocksPerPage)
+			c.Write(pd.line)
+			p.ready = append(p.ready, readyPage{pg + i, c.Now()})
+		} else {
+			p.stocked.Add(-(int32(n) - i))
+		}
+		c.Write(p.line)
+		p.lk.Release(c)
+		if !armed {
+			if err == nil {
+				rest := int32(n) - i
+				c.Idle(int64(rest-1) * perPage)
+				pds := p.al.vm.pdsOf(pg+i, rest)
+				for k := range pds {
+					unsplit(&pds[k])
+				}
+				p.al.vm.freePages(c, pg+i, rest)
+			}
+			return
+		}
 	}
-	armed := p.streak >= backAheadStreak
-	if armed {
-		pd := p.al.vm.pdOf(pg)
-		pd.freeHead = arena.NilAddr
-		pd.nFree = uint16(p.blocksPerPage)
-		pd.setTail(p.blocksPerPage)
-		c.Write(pd.line)
-		p.ready = append(p.ready, readyPage{pg, c.Now()})
-	} else {
-		p.stocked.Add(-1)
-	}
-	c.Write(p.line)
-	p.lk.Release(c)
-	if !armed && err == nil {
-		unsplit(p.al.vm.pdOf(pg))
-		p.al.vm.freePages(c, pg, 1)
-	}
-	return armed
 }
 
 // reserve claims up to want pages of the stock's cap for one backer and

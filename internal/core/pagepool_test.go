@@ -178,6 +178,59 @@ func TestFreshRefillListsUnchanged(t *testing.T) {
 				tc.size, nLists, target, got, tc.want)
 		}
 	}
+	t.Run("cross-page run", testReadyRefillRuns)
+}
+
+// testReadyRefillRuns: a refill that carves adjacent ready pages cuts
+// them ascending, and a list that runs off one page's end runs on into
+// the next as one run. Walked in order, the lists of a 128-byte refill
+// from a full stock are the stock's blocks from its first page on, each
+// once, every list a run of target, and at least one crosses a page
+// boundary.
+func testReadyRefillRuns(t *testing.T) {
+	a, m, pp := poolOf(t, 128)
+	c := m.CPU(0)
+	pgs := stockUp(c, pp)
+	for i := range pgs {
+		if pgs[i] != pgs[0]+int32(i) {
+			t.Fatalf("stock %v is not adjacent pages", pgs)
+		}
+	}
+	ctl := a.classes[pp.cls].ctl
+	nLists, target := ctl.curGblTarget(), ctl.curTarget()
+	if nLists*target > len(pgs)*pp.blocksPerPage {
+		t.Fatalf("%d lists of %d outgrow a %d-page stock", nLists, target, len(pgs))
+	}
+	maps := a.vm.ev[EvPagesMap]
+	lists, err := pp.getLists(c, nLists, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, crossed := a.vm.pageAddr(pgs[0]), 0
+	for i, l := range lists {
+		if !l.IsRun() || l.Len() != target {
+			t.Errorf("list %d: run=%v, %d blocks; want a run of %d", i, l.IsRun(), l.Len(), target)
+		}
+		first := next
+		l.Walk(a.mem, func(b arena.Addr) bool {
+			if b != next {
+				t.Fatalf("list %d: block %#x, want %#x", i, b, next)
+			}
+			next += arena.Addr(pp.size)
+			return true
+		})
+		if first>>a.pageShift != (next-1)>>a.pageShift {
+			crossed++
+		}
+	}
+	if crossed == 0 {
+		t.Error("no list crossed a page boundary")
+	}
+	if pp.ev[EvPageCarve] != uint64(len(pgs)) || a.vm.ev[EvPagesMap] != maps {
+		t.Errorf("refill carved %d pages and mapped %d; want the stock's %d, none mapped",
+			pp.ev[EvPageCarve], a.vm.ev[EvPagesMap]-maps, len(pgs))
+	}
+	checkOK(t, a)
 }
 
 // TestColdRefillCyclesPinned holds a cold refill — one getLists of 64
@@ -209,24 +262,85 @@ func TestColdRefillCyclesPinned(t *testing.T) {
 // the page pool's inside it: every list it publishes leaves the fresh
 // page as a run. Once both are released, the allocating CPU writes
 // exactly target links, its own list's, and the lists left in the
-// global pool stay runs until a CPU takes them.
+// global pool stay runs until a CPU takes them. The same holds for an
+// armed 128- or 512-byte pool whose stock is adjacent pages, though
+// their lists straddle pages: each runs on from one page into the next.
+// A stock whose pages lie apart links each straddling list in the hold.
 func TestColdRefillLinksOutsideLocks(t *testing.T) {
-	a, pp, c := fresh16(t, Params{})
+	t.Run("fresh16", func(t *testing.T) {
+		a, pp, c := fresh16(t, Params{})
+		if pp.ev[EvPageCarve] != 0 || gblWant(a, pp) > pp.blocksPerPage {
+			t.Fatal("the setting wants one fresh page")
+		}
+		checkRefillLinks(t, a, pp, c, false)
+	})
+	for _, size := range []uint64{128, 512} {
+		t.Run(fmt.Sprintf("ready%d", size), func(t *testing.T) {
+			a, m, pp := poolOf(t, size)
+			c := m.CPU(0)
+			pgs := stockUp(c, pp)
+			if pgs[len(pgs)-1]-pgs[0] != int32(len(pgs)-1) || gblWant(a, pp) > len(pgs)*pp.blocksPerPage {
+				t.Fatalf("stock %v: want one refill's worth of adjacent pages", pgs)
+			}
+			checkRefillLinks(t, a, pp, c, false)
+		})
+	}
+	t.Run("apart128", func(t *testing.T) {
+		a, m, pp := poolOf(t, 128)
+		c := m.CPU(0)
+		arm(c, pp)
+		for pp.stocked.Load() < int32(ceilDiv(gblWant(a, pp), pp.blocksPerPage)) {
+			pp.backAhead(c)
+			if _, err := a.Alloc(c, 2*a.m.Config().PageBytes); err != nil { // a gap after each ready page
+				t.Fatal(err)
+			}
+		}
+		checkRefillLinks(t, a, pp, c, true)
+	})
+}
+
+// gblWant is the blocks one refill of pool pp takes at the class's
+// targets.
+func gblWant(a *Allocator, pp *pagePool) int {
+	ctl := a.classes[pp.cls].ctl
+	return ctl.curGblTarget() * ctl.curTarget()
+}
+
+// checkRefillLinks runs the first Alloc of pool pp's class on c, a
+// refill, and checks where it touched the lines of the pages it carved.
+// With apart false no block line is read or written inside the global
+// pool's hold, the CPU writes exactly target links after it, and every
+// list left in the global pool is a run. With apart true the lists that
+// straddle two pages are linked in the hold, one store per block, and
+// the rest stay runs.
+func checkRefillLinks(t *testing.T, a *Allocator, pp *pagePool, c *machine.CPU, apart bool) {
+	t.Helper()
 	g := a.classes[pp.cls].globals[0]
 	target, gbltarget := g.ctl.curTarget(), g.ctl.curGblTarget()
+	carved := pp.ev[EvPageCarve]
 	c.StartTrace()
-	b, err := a.Alloc(c, 16)
+	b, err := a.Alloc(c, uint64(pp.size))
 	trace := c.StopTrace()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pp.ev[EvPageCarve] != 1 || gbltarget*target > pp.blocksPerPage {
-		t.Fatalf("refill carved %d pages for %d lists of %d; the setting wants one page", pp.ev[EvPageCarve], gbltarget, target)
-	}
 	blockLines := map[machine.Line]bool{}
-	base := a.vm.pageAddr(int32(b >> a.pageShift))
-	for off := uint64(0); off < a.m.Config().PageBytes; off += uint64(pp.size) {
-		blockLines[a.m.LineOf(base+off)] = true
+	pages := map[int32]bool{}
+	lists := append([]blocklist.List{}, g.lists...)
+	for _, l := range append(lists, a.percpu[c.ID()][pp.cls].main, blocklist.Run(b, 1, 1)) {
+		l.Walk(a.mem, func(b arena.Addr) bool {
+			pages[int32(b>>a.pageShift)] = true
+			return true
+		})
+	}
+	if want := uint64(ceilDiv(gbltarget*target, pp.blocksPerPage)); pp.ev[EvPageCarve]-carved != want {
+		t.Fatalf("refill carved %d pages, want %d", pp.ev[EvPageCarve]-carved, want)
+	}
+	for pg := range pages {
+		base := a.vm.pageAddr(pg)
+		for off := uint64(0); off < a.m.Config().PageBytes; off += uint64(pp.size) {
+			blockLines[a.m.LineOf(base+off)] = true
+		}
 	}
 	// span returns the first and last trace events on lk's line: the
 	// acquire's test-and-set and the releasing store.
@@ -250,9 +364,13 @@ func TestColdRefillLinksOutsideLocks(t *testing.T) {
 	if pAcq < gAcq || pRel > gRel {
 		t.Fatalf("page pool's hold [%d, %d] is not inside the global pool's [%d, %d]", pAcq, pRel, gAcq, gRel)
 	}
+	held := 0
 	for i, e := range trace[gAcq : gRel+1] {
 		if blockLines[e.Line] {
-			t.Fatalf("event %d under the global pool's lock touches block line %#x (%v)", gAcq+i, e.Line, e.Kind)
+			if !apart || e.Kind != machine.WriteAccess {
+				t.Fatalf("event %d under the global pool's lock touches block line %#x (%v)", gAcq+i, e.Line, e.Kind)
+			}
+			held++
 		}
 	}
 	writes := 0
@@ -261,16 +379,26 @@ func TestColdRefillLinksOutsideLocks(t *testing.T) {
 			writes++
 		}
 	}
-	if writes != target {
-		t.Errorf("after the release the CPU wrote %d block links, want target = %d", writes, target)
-	}
 	if len(g.lists) != gbltarget-1 {
 		t.Fatalf("global pool holds %d lists after the refill, want %d", len(g.lists), gbltarget-1)
 	}
+	straddled := 0
 	for i, l := range g.lists {
-		if !l.IsRun() || l.Len() != target {
-			t.Errorf("global list %d: run=%v, %d blocks; want an unlinked run of %d", i, l.IsRun(), l.Len(), target)
+		first, last := l.Head(), l.Head()
+		l.Walk(a.mem, func(b arena.Addr) bool { last = b; return true })
+		straddles := first>>a.pageShift != last>>a.pageShift
+		if straddles {
+			straddled += l.Len()
 		}
+		if wantRun := !apart || !straddles; l.IsRun() != wantRun || l.Len() != target {
+			t.Errorf("global list %d: run=%v, %d blocks, straddles=%v; want run=%v, %d blocks", i, l.IsRun(), l.Len(), straddles, wantRun, target)
+		}
+	}
+	if !apart && writes != target {
+		t.Errorf("after the release the CPU wrote %d block links, want target = %d", writes, target)
+	}
+	if apart && (straddled == 0 || held < straddled) {
+		t.Errorf("pages apart: %d block writes in the hold, want at least the %d blocks of the straddling global lists (> 0)", held, straddled)
 	}
 	checkOK(t, a)
 }
@@ -790,10 +918,11 @@ func TestEagerMapOutsideVmblkLock(t *testing.T) {
 // fresh span's map outside the vmblk lock and a contended spill's lookups
 // before the pool's, moved them by exactly what they moved the radix
 // goldens, and so did handing a fresh page's whole lists out as unlinked
-// runs, and backing pages ahead.
+// runs, backing pages ahead, and then backing a list's pages as one
+// span.
 func TestFIFOCyclesPinned(t *testing.T) {
 	assertGolden(t, "nodes=1 fifo", shardGoldenCycles(t, 1, Params{DisableRadixSort: true}),
-		[]int64{749150, 524181, 524778, 519664})
+		[]int64{749518, 524549, 525146, 520032})
 	assertGolden(t, "nodes=4 fifo", shardGoldenCycles(t, 4, Params{DisableRadixSort: true}),
 		[]int64{1333839, 627155, 624043, 628418})
 }

@@ -190,3 +190,30 @@ var pinnedMixWant = pinnedMix{
 	restarts: 0x1ed6, casRetries: 0x31, remoteMisses: 0x6943c,
 	trimmed: 433, decommits: 0x2e55, reclaimSteps: 0x505d, lockSpin: 42235,
 }
+
+// TestChurnMetaLinesPinned pins the metadata lines of the 128-byte
+// per-CPU caches on the benchmark's churn machine (8 CPUs, one node,
+// 32 MB, 4,096 pages, the Paper profile). The simulated cache is direct
+// mapped with 256 sets, and churn's throughput hangs on one conflict:
+// CPU 6's cache line, 0x60, shares set 96 with a block on CPU 6's ring,
+// and the two evict each other on every op (about 18,000 misses each in
+// a 2-second run, no other line above 16). Allocating one to thirteen
+// more metadata lines before New moved churn from 6.96 M to 20 M ops/vs
+// (EXPERIMENTS E35). A change that allocates a metadata line earlier, or
+// one fewer, moves every churn number by that much without touching
+// its fast path.
+func TestChurnMetaLinesPinned(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	cfg.NumCPUs, cfg.Nodes, cfg.MemBytes, cfg.PhysPages = 8, 1, 32<<20, 4096
+	a, err := New(machine.New(cfg), Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls, _ := a.classOf(128)
+	want := []uint64{0x2a, 0x33, 0x3c, 0x45, 0x4e, 0x57, 0x60, 0x69}
+	for cpu, w := range want {
+		if got := uint64(a.percpu[cpu][cls].line) &^ (1 << 63); got != w {
+			t.Errorf("CPU %d's 128-byte cache is metadata line %#x, want %#x: churn's v_ops_per_s depends on these lines' cache sets", cpu, got, w)
+		}
+	}
+}

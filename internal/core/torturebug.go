@@ -46,6 +46,13 @@ const (
 	// which the torture end audit's first drain, run with the blocks
 	// still live, rejects.
 	TortureBugReadyLeak
+	// TortureBugRunStraddle makes a list that runs on across a page
+	// boundary (cutTail) leave the next page's uncarved tail uncut: the
+	// blocks the run took there stay in the tail too, and go out a second
+	// time. Their owners overwrite each other, which the shadow model
+	// sees, or the page's tail outgrows its free count, which the
+	// consistency audit rejects.
+	TortureBugRunStraddle
 
 	numTortureBugs
 )

@@ -586,21 +586,35 @@ func (v *vmblkLayer) decommitFree(c *machine.CPU, want int64) int64 {
 
 // allocSplitPage allocates one page homed on the given node, backed by
 // freshly committed physical memory, and hands it to the coalesce-to-page
-// layer as a split page of class cls. The descriptor changes hands under
-// lk: a concurrent free of a neighbouring span reads this page's state
-// (boundary tags) under the same lock. What allocPagesLocked leaves owed
-// is paid once lk is dropped.
+// layer as a split page of class cls (allocSplitSpan), paying its map
+// and zero-fill before it returns.
 func (v *vmblkLayer) allocSplitPage(c *machine.CPU, cls, node int) (int32, error) {
-	v.al.acquire(c, v.lk, &v.ev, -1)
-	pg, owed, err := v.allocPagesLocked(c, 1, node)
-	if err == nil {
-		pd := v.pdOf(pg)
-		pd.state = pdSplit
-		pd.class = int8(cls)
-	}
-	v.lk.Release(c)
+	pg, owed, err := v.allocSplitSpan(c, cls, node, 1)
 	c.Idle(owed)
 	return pg, err
+}
+
+// allocSplitSpan allocates n adjacent pages homed on the given node and
+// hands each to the coalesce-to-page layer as a split page of class cls:
+// one claim, so a back-ahead's pages lie side by side
+// (pagePool.backPages). The descriptors change hands under lk: a
+// concurrent free of a neighbouring span reads their state (boundary
+// tags) under the same lock. What allocPagesLocked leaves owed, the n
+// pages' map and zero-fill under decommit-on-free, is returned for the
+// caller to pay once lk is dropped, before it touches a page.
+func (v *vmblkLayer) allocSplitSpan(c *machine.CPU, cls, node int, n int32) (int32, int64, error) {
+	v.al.acquire(c, v.lk, &v.ev, -1)
+	pg, owed, err := v.allocPagesLocked(c, n, node)
+	if err == nil {
+		pds := v.pdsOf(pg, n)
+		for i := range pds {
+			pds[i].state = pdSplit
+			pds[i].class = int8(cls)
+			pds[i].spanPages = 1
+		}
+	}
+	v.lk.Release(c)
+	return pg, owed, err
 }
 
 // allocPagesLocked takes a span of n pages homed on node off the span
