@@ -245,15 +245,9 @@ func (a *Allocator) CheckConsistency() error {
 				}
 				return nil
 			}
-			if a.params.DisableRadixSort {
-				if err := checkList(&p.fifo, 1); err != nil {
+			for k := 1; k < len(p.buckets); k++ {
+				if err := checkList(&p.buckets[k], k); err != nil {
 					return err
-				}
-			} else {
-				for k := 1; k < len(p.buckets); k++ {
-					if err := checkList(&p.buckets[k], k); err != nil {
-						return err
-					}
 				}
 			}
 		}

@@ -161,15 +161,18 @@ func TestRadixPrefersFullestPage(t *testing.T) {
 // TestZeroValueParamsIsPaper: Params{} is the 1993 design. It replays
 // the paper allocator's cycle goldens (TestSchedHashPinned holds the
 // extended modes the same way), the legacy RadixSort field changes
-// nothing either way, split pages are filed in the radix buckets, and
-// only DisableRadixSort reaches the FIFO list.
+// nothing either way, split pages are filed in the radix bucket of their
+// free count, and only DisableRadixSort files them all in bucket 1, the
+// FIFO list.
 func TestZeroValueParamsIsPaper(t *testing.T) {
 	assertGolden(t, "Params{}, 1 node", shardGoldenCycles(t, 1, Params{}), goldenCyclesNodes1)
 	var legacy Params
 	legacy.RadixSort = true
 	assertGolden(t, "legacy RadixSort set", shardGoldenCycles(t, 1, legacy), goldenCyclesNodes1)
 
-	filed := func(p Params) (radix, fifo bool) {
+	// filed reports whether some page sits in a bucket above 1, and
+	// whether some page sits in bucket 1.
+	filed := func(p Params) (above, one bool) {
 		a, m := testAllocator(t, 1, 2048, p)
 		c := m.CPU(0)
 		ck, _ := a.GetCookie(512)
@@ -189,16 +192,16 @@ func TestZeroValueParamsIsPaper(t *testing.T) {
 		a.DrainAll(c) // partly free pages now sit in the page layer
 		checkOK(t, a)
 		pool := a.classes[ck.cls].pages[0]
-		for k := range pool.buckets {
-			radix = radix || !pool.buckets[k].empty()
+		for k := 2; k < len(pool.buckets); k++ {
+			above = above || !pool.buckets[k].empty()
 		}
-		return radix, !pool.fifo.empty()
+		return above, !pool.buckets[1].empty()
 	}
-	if radix, fifo := filed(Params{}); !radix || fifo {
-		t.Errorf("Params{}: pages in radix buckets %v, on the FIFO list %v; want true, false", radix, fifo)
+	if above, _ := filed(Params{}); !above {
+		t.Error("Params{}: no page filed above bucket 1; want pages filed by free count")
 	}
-	if radix, fifo := filed(Params{DisableRadixSort: true}); radix || !fifo {
-		t.Errorf("DisableRadixSort: pages in radix buckets %v, on the FIFO list %v; want false, true", radix, fifo)
+	if above, one := filed(Params{DisableRadixSort: true}); above || !one {
+		t.Errorf("DisableRadixSort: pages above bucket 1 %v, in bucket 1 %v; want false, true", above, one)
 	}
 }
 

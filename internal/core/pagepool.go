@@ -39,12 +39,11 @@ type pagePool struct {
 
 	// buckets[k] lists split pages filed with k free blocks
 	// (1 <= k <= blocksPerPage; pageDesc.filed == k <= nFree). minHint
-	// accelerates the fewest-free-first scan.
+	// accelerates the fewest-free-first scan. Under
+	// Params.DisableRadixSort (ablation A3) every page is filed in
+	// buckets[1], one list in filing order.
 	buckets []pdList
 	minHint int
-
-	// fifo replaces buckets under Params.DisableRadixSort (ablation A3).
-	fifo pdList
 
 	// ev tallies this pool's slice of the event spine (EvBlockGet,
 	// EvBlockPut, EvPageCarve, EvPageFree, EvPageRefile), written under lk.
@@ -95,7 +94,6 @@ func newPagePool(a *Allocator, cls, node int, size uint32) *pagePool {
 		blocksPerPage: int(a.m.Config().PageBytes / uint64(size)),
 		lk:            machine.NewSpinLockOn(a.m, node),
 		line:          a.m.NewMetaLineOn(node),
-		fifo:          newPdList(),
 	}
 	p.buckets = make([]pdList, p.blocksPerPage+1)
 	for i := range p.buckets {
@@ -112,7 +110,7 @@ func newPagePool(a *Allocator, cls, node int, size uint32) *pagePool {
 // so the first accurate head has the minimum free count.
 func (p *pagePool) pickPage(c *machine.CPU) int32 {
 	if p.al.params.DisableRadixSort {
-		return p.fifo.head
+		return p.buckets[1].head
 	}
 	for k := p.minHint; k <= p.blocksPerPage; k++ {
 		c.Work(1)
@@ -131,33 +129,24 @@ func (p *pagePool) pickPage(c *machine.CPU) int32 {
 	return -1
 }
 
-// fileIn places page pg (with nFree free blocks) on the proper list and
-// records the bucket in its descriptor.
+// fileIn places page pg (with nFree free blocks) in its bucket — bucket
+// 1 under the FIFO ablation — and records the bucket in its descriptor.
 func (p *pagePool) fileIn(c *machine.CPU, pg int32, nFree int) {
 	if nFree <= 0 || nFree > p.blocksPerPage {
 		panic(fmt.Sprintf("kmem: fileIn nFree=%d", nFree))
 	}
-	pd := p.al.vm.pdOf(pg)
 	if p.al.params.DisableRadixSort {
-		pd.filed = 1 // the FIFO list stands in for bucket 1
-		p.al.vm.pdPush(c, &p.fifo, pg)
-		return
+		nFree = 1
 	}
-	pd.filed = uint16(nFree)
+	p.al.vm.pdOf(pg).filed = uint16(nFree)
 	p.al.vm.pdPush(c, &p.buckets[nFree], pg)
-	if nFree < p.minHint {
-		p.minHint = nFree
-	}
+	p.minHint = min(p.minHint, nFree)
 }
 
-// fileOut removes page pg from the list it is filed on.
+// fileOut removes page pg from the bucket it is filed in.
 func (p *pagePool) fileOut(c *machine.CPU, pg int32) {
 	pd := p.al.vm.pdOf(pg)
-	l := &p.fifo
-	if !p.al.params.DisableRadixSort {
-		l = &p.buckets[pd.filed]
-	}
-	p.al.vm.pdRemove(c, l, pg)
+	p.al.vm.pdRemove(c, &p.buckets[pd.filed], pg)
 	pd.filed = 0
 }
 
@@ -172,24 +161,20 @@ func (p *pagePool) refile(c *machine.CPU, pg int32, newFree int) {
 	p.ev[EvPageRefile]++
 }
 
-// carveInto obtains one page homed on the pool's node — a ready page
-// the carving CPU's clock has reached (takeReady), else a fresh one from
-// the vmblk layer — and splits it: every block starts in the page's
-// uncarved tail.
-// Its first take blocks (at most a page) are cut from the tail straight
-// onto cur, a list cut into out each time cur reaches target (cutTail);
-// the rest stay in the tail, unlinked, and the page is filed once at
-// that remainder, or not at all when it is drawn whole. Returns the
-// blocks taken.
+// carveInto obtains one page homed on the pool's node — the oldest
+// ready page the carving CPU's clock has reached (takeReady), else a
+// fresh one from the vmblk layer — and splits it: every block starts in
+// the page's uncarved tail, and its first take blocks are cut as a drawn
+// page's are (cutPage). The rest stay in the tail, unlinked, and the
+// page is filed once at that remainder, or not at all when it is cut
+// whole. Returns the blocks taken.
 func (p *pagePool) carveInto(c *machine.CPU, cur *blocklist.List, out *[]blocklist.List, target, take int) (int, error) {
 	if p.al.params.Faults.Should(FaultPagePoolRefill) {
 		p.al.note(-1, EvFaultInjected, 1)
 		return 0, ErrNoMemory
 	}
-	how := cutReady
-	pg := p.takeReady(c, p.nextPage(*cur))
+	pg := p.takeReady(c)
 	if pg == -1 {
-		how = cutFresh
 		var err error
 		if pg, err = p.al.vm.allocSplitPage(c, p.cls, p.node); err != nil {
 			return 0, err
@@ -206,117 +191,48 @@ func (p *pagePool) carveInto(c *machine.CPU, cur *blocklist.List, out *[]blockli
 			p.al.lay(base+arena.Addr(i)*arena.Addr(p.size), g)
 		}
 	}
-	pd.freeHead = arena.NilAddr
+	pd.freeHead, pd.nFree = arena.NilAddr, uint16(p.blocksPerPage)
 	pd.setTail(p.blocksPerPage)
-	take = min(take, p.blocksPerPage)
-	for got := 0; got < take; {
-		seg := min(take-got, target-cur.Len())
-		*cur = p.cutTail(c, pg, pd, seg, target, how, *cur)
-		got += seg
-		if cur.Len() == target {
-			*out = append(*out, cur.Take())
-		}
-	}
-	pd.nFree = uint16(p.blocksPerPage - take)
-	c.Write(pd.line)
+	got := p.cutPage(c, pg, pd, cur, out, target, take, false)
 	p.ev[EvPageCarve]++
-	p.ev[EvBlockGet] += uint64(take)
 	p.al.emit(p.cls, EvPageCarve, 1)
 	if pd.nFree > 0 {
 		p.fileIn(c, pg, int(pd.nFree))
 	}
-	return take, nil
+	return got, nil
 }
 
-// cut says which page cutTail cuts, and so the order it lists blocks in.
-type cut uint8
-
-const (
-	// cutFresh: a fresh page being carved hands its lowest block out
-	// last, the order pushing its blocks one by one built.
-	cutFresh cut = iota
-	// cutReady: a ready page being carved ascends, so a list that runs
-	// off its end can run on into the next page.
-	cutReady
-	// cutDrawn: a drawn page's tail ascends, the order of the chain it
-	// once linked.
-	cutDrawn
-)
-
-// cutTail takes the n lowest blocks of page pg's uncarved tail and
-// returns them followed by onto. A whole target-sized list with nothing
-// to follow leaves as a run, at the cost of one page op: the CPU that
-// takes it writes its links (allocClass). An ascending cut that starts
-// where onto, a run, ends extends it, so a list runs across adjacent
-// pages, and a run short of target stays unlinked while the ready page
-// it would run on into is there to take (carveInto takes it next).
-// Anything else is linked in front of onto here, one store per block,
-// after onto's own links if it is a run.
-func (p *pagePool) cutTail(c *machine.CPU, pg int32, pd *pageDesc, n, target int, how cut, onto blocklist.List) blocklist.List {
-	size := int(p.size)
-	lo := p.al.vm.pageAddr(pg) + arena.Addr((p.blocksPerPage-pd.tail())*size)
-	if how == cutDrawn && tortureBug(TortureBugTailOverlap) {
-		lo -= arena.Addr(size)
-	}
-	runsOn := how != cutFresh && onto.Stride() == size && onto.Head()+arena.Addr(onto.Len()*size) == lo
-	if !runsOn || !tortureBug(TortureBugRunStraddle) {
-		pd.setTail(pd.tail() - n)
-	}
-	head, stride := lo, size
-	if how == cutFresh {
-		head, stride = lo+arena.Addr((n-1)*size), -size
-	}
-	c.Work(insnPageOp)
-	var run blocklist.List
-	switch {
-	case onto.Empty():
-		run = blocklist.Run(head, n, stride)
-	case runsOn:
-		run = blocklist.Run(onto.Head(), onto.Len()+n, size)
-	}
-	if !run.Empty() && (run.Len() == target || how != cutFresh && p.readyIndex(c, p.nextPage(run)) >= 0) {
-		return run
-	}
-	onto.Link(c, p.al.mem)
-	for i := n - 1; i >= 0; i-- {
-		onto.Push(c, p.al.mem, head+arena.Addr(i*stride))
-	}
-	return onto
-}
-
-// nextPage returns the page an ascending run of the pool's blocks would
-// run on into — the page its last block ends — or -1 for a linked list,
-// a descending run, or a run that ends inside a page.
-func (p *pagePool) nextPage(l blocklist.List) int32 {
-	if l.Stride() != int(p.size) {
-		return -1
-	}
-	end := uint64(l.Head()) + uint64(l.Len())*uint64(p.size)
-	if end&(p.al.m.Config().PageBytes-1) != 0 {
-		return -1
-	}
-	return int32(end >> p.al.pageShift)
-}
-
-// drawFrom cuts up to take blocks off picked page pg onto cur: its freed
-// chain first, as chains (one SplitOnto per segment), then its uncarved
-// tail (cutTail) — the blocks, and the order, of the one chain the page
-// would hold had its tail been linked at the carve. A list is cut into
-// out each time cur reaches target. What the page has left is refiled,
-// or it is filed out when drawn dry. Returns the blocks taken.
+// drawFrom cuts up to take blocks off picked page pg (cutPage). What the
+// page has left is refiled, or it is filed out when drawn dry. Returns
+// the blocks taken.
 func (p *pagePool) drawFrom(c *machine.CPU, pg int32, cur *blocklist.List, out *[]blocklist.List, target, take int) int {
 	pd := p.al.vm.pdOf(pg)
 	c.Read(pd.line)
+	got := p.cutPage(c, pg, pd, cur, out, target, take, true)
+	if pd.nFree == 0 {
+		p.fileOut(c, pg)
+	} else {
+		p.refile(c, pg, int(pd.nFree))
+	}
+	return got
+}
+
+// cutPage cuts up to take blocks off page pg, whose descriptor is pd,
+// onto cur, a list cut into out each time cur reaches target: its freed
+// chain first, as chains (one SplitOnto per segment), then its uncarved
+// tail (cutTail). A fresh or ready page is one with an empty chain and a
+// whole tail; drawn says pg was picked, not carved. A segment that runs
+// off the end of the chain continues into the tail: the tail's part is
+// cut first, then the chain's linked in front of it. Returns the blocks
+// taken, with pd written back.
+func (p *pagePool) cutPage(c *machine.CPU, pg int32, pd *pageDesc, cur *blocklist.List, out *[]blocklist.List, target, take int, drawn bool) int {
 	chain := blocklist.Chain(pd.freeHead, int(pd.nFree)-pd.tail())
 	got := 0
 	for got < take && (!chain.Empty() || pd.tail() > 0) {
 		seg := min(chain.Len()+pd.tail(), take-got, target-cur.Len())
-		// A segment that runs off the end of the freed chain continues
-		// into the tail: link the tail's part first, then the chain's in
-		// front of it.
 		fromChain := min(seg, chain.Len())
 		if fromChain < seg {
-			*cur = p.cutTail(c, pg, pd, seg-fromChain, target, cutDrawn, *cur)
+			*cur = p.cutTail(c, pg, pd, seg-fromChain, target, drawn, *cur)
 		}
 		if fromChain > 0 {
 			c.Work(insnPageOp + 2*int64(fromChain))
@@ -331,20 +247,50 @@ func (p *pagePool) drawFrom(c *machine.CPU, pg int32, cur *blocklist.List, out *
 	pd.freeHead, pd.nFree = chain.Head(), uint16(chain.Len()+pd.tail())
 	c.Write(pd.line)
 	p.ev[EvBlockGet] += uint64(got)
-	if pd.nFree == 0 {
-		p.fileOut(c, pg)
-	} else {
-		p.refile(c, pg, int(pd.nFree))
-	}
 	return got
+}
+
+// cutTail takes the n lowest blocks of page pg's uncarved tail and
+// returns them, highest first, followed by onto: the order pushing them
+// one by one would build, the page's lowest block handed out last. With
+// nothing to follow, or onto a run whose head the cut's lowest block sits
+// just above, the cut is a descending run, or extends one: a list runs
+// on into the page above. Such a run leaves unlinked, at the cost of one
+// page op, when it is a whole target-sized list or while the page above
+// it is the ready page carveInto takes next (nextReady); the CPU that
+// takes it writes its links (allocClass). Anything else is linked in
+// front of onto here, one store per block, after onto's own links if it
+// is a run.
+func (p *pagePool) cutTail(c *machine.CPU, pg int32, pd *pageDesc, n, target int, drawn bool, onto blocklist.List) blocklist.List {
+	size := int(p.size)
+	lo := p.al.vm.pageAddr(pg) + arena.Addr((p.blocksPerPage-pd.tail())*size)
+	if drawn && tortureBug(TortureBugTailOverlap) {
+		lo -= arena.Addr(size)
+	}
+	runsOn := onto.Stride() == -size && onto.Head()+arena.Addr(size) == lo
+	if !runsOn || !tortureBug(TortureBugRunStraddle) {
+		pd.setTail(pd.tail() - n)
+	}
+	c.Work(insnPageOp)
+	if onto.Empty() || runsOn {
+		run := blocklist.Run(lo+arena.Addr((n-1)*size), onto.Len()+n, -size)
+		if run.Len() == target || p.nextReady(c, run) {
+			return run
+		}
+	}
+	onto.Link(c, p.al.mem)
+	for i := 0; i < n; i++ {
+		onto.Push(c, p.al.mem, lo+arena.Addr(i*size))
+	}
+	return onto
 }
 
 // getLists fills up to nLists lists of exactly target blocks each (the
 // last may be partial when memory runs low), allocating fresh pages from
 // the vmblk layer as needed. It returns the lists built; an empty result
 // means no memory could be found at this layer. Each block is moved
-// once: fresh pages are carved straight into the lists (carveInto),
-// drawn pages are cut as chains and tails (drawFrom). Whole lists cut
+// once: picked pages (drawFrom) and fresh or ready ones (carveInto) are
+// cut straight into the lists by one loop (cutPage). Whole lists cut
 // from a tail leave as runs, so the hold pays per list, not per block,
 // for them. Every refill counts into the pool's streak (noteRefill).
 func (p *pagePool) getLists(c *machine.CPU, nLists, target int) ([]blocklist.List, error) {
@@ -604,16 +550,10 @@ func (p *pagePool) endStreak() {
 	p.armed.Store(false)
 }
 
-// takeReady removes and returns a ready page filed at or before c's
-// clock — page next when it is one, so the list being built runs on into
-// it, else the oldest — or -1 when there is none. Caller holds lk.
-func (p *pagePool) takeReady(c *machine.CPU, next int32) int32 {
-	i := p.readyIndex(c, next)
-	for k := 0; i < 0 && k < len(p.ready); k++ {
-		if p.ready[k].at <= c.Now() {
-			i = k
-		}
-	}
+// takeReady removes and returns the oldest ready page filed at or before
+// c's clock, or -1 when there is none. Caller holds lk.
+func (p *pagePool) takeReady(c *machine.CPU) int32 {
+	i := p.oldestReady(c)
 	if i < 0 {
 		return -1
 	}
@@ -623,14 +563,20 @@ func (p *pagePool) takeReady(c *machine.CPU, next int32) int32 {
 	return pg
 }
 
-// readyIndex returns where the stock holds page pg, filed at or before
-// c's clock, or -1. Caller holds lk.
-func (p *pagePool) readyIndex(c *machine.CPU, pg int32) int {
-	if pg < 0 {
-		return -1
-	}
+// nextReady reports whether the page above a descending run's head
+// block is the ready page takeReady gives c next, so the run can run on
+// into it. A backer files its span oldest first, so adjacent ready pages
+// come out in address order. Caller holds lk.
+func (p *pagePool) nextReady(c *machine.CPU, run blocklist.List) bool {
+	i := p.oldestReady(c)
+	return i >= 0 && p.al.vm.pageAddr(p.ready[i].pg) == run.Head()+arena.Addr(p.size)
+}
+
+// oldestReady returns where the stock holds its oldest page filed at or
+// before c's clock, or -1. Caller holds lk.
+func (p *pagePool) oldestReady(c *machine.CPU) int {
 	for i, r := range p.ready {
-		if r.pg == pg && r.at <= c.Now() {
+		if r.at <= c.Now() {
 			return i
 		}
 	}
@@ -678,48 +624,35 @@ func (p *pagePool) backAhead(c *machine.CPU) {
 }
 
 // backPages backs n reserved pages: it claims them from the vmblk layer
-// as one span of adjacent pages (allocSplitSpan), so the lists carved
-// from them run across their boundaries (cutTail), then maps and
+// as one span of adjacent pages (allocSplitSpan), then maps and
 // zero-fills each on c's clock and files it at once in a short hold of
 // lk of its own, every block in its uncarved tail, stamped with c's
-// clock. A failed claim ends the streak, and the pages not yet filed
-// when the streak has ended go back to the vmblk layer once lk is
-// dropped, their maps paid.
+// clock. Filed oldest first, the span's pages leave the stock in address
+// order, so the lists carved from them run across their boundaries
+// (cutTail). A failed claim ends the streak and returns the reservation.
 func (p *pagePool) backPages(c *machine.CPU, n int) {
 	pg, owed, err := p.al.vm.allocSplitSpan(c, p.cls, p.node, int32(n))
-	perPage := owed / int64(n)
-	for i := int32(0); i < int32(n); i++ {
-		c.Idle(perPage)
+	if err != nil {
 		p.al.acquire(c, p.lk, &p.ev, p.cls)
 		c.Read(p.line)
-		if err != nil {
-			p.endStreak()
-		}
-		armed := p.streak >= backAheadStreak
-		if armed {
-			pd := p.al.vm.pdOf(pg + i)
-			pd.freeHead = arena.NilAddr
-			pd.nFree = uint16(p.blocksPerPage)
-			pd.setTail(p.blocksPerPage)
-			c.Write(pd.line)
-			p.ready = append(p.ready, readyPage{pg + i, c.Now()})
-		} else {
-			p.stocked.Add(-(int32(n) - i))
-		}
+		p.endStreak()
+		p.stocked.Add(-int32(n))
 		c.Write(p.line)
 		p.lk.Release(c)
-		if !armed {
-			if err == nil {
-				rest := int32(n) - i
-				c.Idle(int64(rest-1) * perPage)
-				pds := p.al.vm.pdsOf(pg+i, rest)
-				for k := range pds {
-					unsplit(&pds[k])
-				}
-				p.al.vm.freePages(c, pg+i, rest)
-			}
-			return
-		}
+		return
+	}
+	for i := int32(0); i < int32(n); i++ {
+		c.Idle(owed / int64(n))
+		p.al.acquire(c, p.lk, &p.ev, p.cls)
+		c.Read(p.line)
+		pd := p.al.vm.pdOf(pg + i)
+		pd.freeHead = arena.NilAddr
+		pd.nFree = uint16(p.blocksPerPage)
+		pd.setTail(p.blocksPerPage)
+		c.Write(pd.line)
+		p.ready = append(p.ready, readyPage{pg + i, c.Now()})
+		c.Write(p.line)
+		p.lk.Release(c)
 	}
 }
 

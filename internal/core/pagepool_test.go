@@ -182,11 +182,12 @@ func TestFreshRefillListsUnchanged(t *testing.T) {
 }
 
 // testReadyRefillRuns: a refill that carves adjacent ready pages cuts
-// them ascending, and a list that runs off one page's end runs on into
-// the next as one run. Walked in order, the lists of a 128-byte refill
-// from a full stock are the stock's blocks from its first page on, each
-// once, every list a run of target, and at least one crosses a page
-// boundary.
+// each highest block first, as it cuts a fresh one, and a list that runs
+// off the top of one page runs on into the page above as one descending
+// run. Each list of a 128-byte refill from a full stock is a run of
+// target, the lowest block of each sits just above the head of the one
+// before, the first starts at the stock's first block, and at least one
+// crosses a page boundary.
 func testReadyRefillRuns(t *testing.T) {
 	a, m, pp := poolOf(t, 128)
 	c := m.CPU(0)
@@ -206,22 +207,18 @@ func testReadyRefillRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	size := arena.Addr(pp.size)
 	next, crossed := a.vm.pageAddr(pgs[0]), 0
 	for i, l := range lists {
-		if !l.IsRun() || l.Len() != target {
-			t.Errorf("list %d: run=%v, %d blocks; want a run of %d", i, l.IsRun(), l.Len(), target)
+		lowest := l.Head() - arena.Addr(l.Len()-1)*size
+		if !l.IsRun() || l.Len() != target || l.Stride() != -int(size) || lowest != next {
+			t.Fatalf("list %d: run=%v, %d blocks by %d from %#x down to %#x; want a run of %d by %d down to %#x",
+				i, l.IsRun(), l.Len(), l.Stride(), l.Head(), lowest, target, -int(size), next)
 		}
-		first := next
-		l.Walk(a.mem, func(b arena.Addr) bool {
-			if b != next {
-				t.Fatalf("list %d: block %#x, want %#x", i, b, next)
-			}
-			next += arena.Addr(pp.size)
-			return true
-		})
-		if first>>a.pageShift != (next-1)>>a.pageShift {
+		if lowest>>a.pageShift != l.Head()>>a.pageShift {
 			crossed++
 		}
+		next = l.Head() + size
 	}
 	if crossed == 0 {
 		t.Error("no list crossed a page boundary")
@@ -231,6 +228,103 @@ func testReadyRefillRuns(t *testing.T) {
 			pp.ev[EvPageCarve], a.vm.ev[EvPagesMap]-maps, len(pgs))
 	}
 	checkOK(t, a)
+}
+
+// TestRunsAcrossPages: a descending run that reaches the top of a page
+// runs on into the page above when that page is the ready page the
+// stock gives the refilling CPU next, whatever the page below is: a
+// fresh page, a ready page, or a drawn page whose freed chain is empty.
+// It does not run on into a ready page that is not adjacent, nor into
+// one stamped after the CPU's clock: the list is linked in the hold.
+// Each row refills one 40-block list of 128-byte blocks, 32 to a page,
+// from page P and a ready page one or two pages above it.
+func TestRunsAcrossPages(t *testing.T) {
+	const target = 40
+	for _, tc := range []struct {
+		name        string
+		below       string // P is "fresh", "ready", or "drawn" with an 8-block tail
+		apart, late bool   // the ready page is P+2, not P+1; it is stamped far ahead
+		runsOn      bool
+	}{
+		{"fresh", "fresh", false, false, true},
+		{"fresh-apart", "fresh", true, false, false},
+		{"fresh-late", "fresh", false, true, false},
+		{"ready", "ready", false, false, true},
+		{"ready-apart", "ready", true, false, false},
+		{"ready-late", "ready", false, true, false},
+		{"drawn", "drawn", false, false, true},
+		{"drawn-apart", "drawn", true, false, false},
+		{"drawn-late", "drawn", false, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, m, pp := poolOf(t, 128)
+			c := m.CPU(0)
+			pg, owed, err := a.vm.allocSplitSpan(c, pp.cls, 0, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Idle(owed)
+			release := func(q int32) {
+				unsplit(a.vm.pdOf(q))
+				a.vm.freePages(c, q, 1)
+			}
+			stock := func(q int32, at int64) {
+				pd := a.vm.pdOf(q)
+				pd.freeHead, pd.nFree = arena.NilAddr, uint16(pp.blocksPerPage)
+				pd.setTail(pp.blocksPerPage)
+				pp.ready = append(pp.ready, readyPage{q, at})
+				pp.stocked.Add(1)
+			}
+			above := pg + 1
+			if tc.apart {
+				above = pg + 2
+			}
+			if tc.apart {
+				release(pg + 1)
+			}
+			low := 0 // the first block of P the refill takes
+			switch tc.below {
+			case "fresh":
+				release(pg) // the vmblk layer's one free page: the refill carves it
+			case "ready":
+				stock(pg, c.Now())
+			case "drawn":
+				low = pp.blocksPerPage - 8
+				pd := a.vm.pdOf(pg)
+				pd.freeHead, pd.nFree = arena.NilAddr, 8
+				pd.setTail(8)
+				pp.fileIn(c, pg, 8)
+			}
+			at := c.Now()
+			if tc.below == "fresh" {
+				at += machine.PageMapCycles / 2 // passed while P is mapped
+			}
+			if tc.late {
+				at += 1 << 40
+			}
+			stock(above, at)
+			lists, err := pp.getLists(c, 1, target)
+			if err != nil || len(lists) != 1 || lists[0].Len() != target {
+				t.Fatalf("refill gave %d lists, %v; want one of %d", len(lists), err, target)
+			}
+			l, size := lists[0], arena.Addr(pp.size)
+			var last arena.Addr
+			l.Walk(a.mem, func(b arena.Addr) bool { last = b; return true })
+			if lowest := a.vm.pageAddr(pg) + arena.Addr(low)*size; last != lowest {
+				t.Fatalf("list ends at %#x, want P's block %#x", last, lowest)
+			}
+			fromP := pp.blocksPerPage - low
+			want := blocklist.Run(a.vm.pageAddr(above)+arena.Addr(target-fromP-1)*size, target, -int(size))
+			if tc.runsOn && l != want {
+				t.Errorf("list run=%v, %d blocks by %d from %#x; want a run of %d by %d from %#x",
+					l.IsRun(), l.Len(), l.Stride(), l.Head(), want.Len(), want.Stride(), want.Head())
+			}
+			if !tc.runsOn && l.IsRun() {
+				t.Errorf("list runs from %#x by %d into page %d; want it linked in the hold", l.Head(), l.Stride(), above)
+			}
+			checkOK(t, a)
+		})
+	}
 }
 
 // TestColdRefillCyclesPinned holds a cold refill — one getLists of 64
@@ -834,10 +928,10 @@ func TestContendedSpillResolvesBeforeLock(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("%d split pages after the contended spill, %d after the uncontended one", len(got), len(want))
 	}
-	for pg, ch := range want {
-		g := slices.Clone(got[pg])
+	for pg, f := range want {
+		g := got[pg].all()
 		slices.Sort(g)
-		w := slices.Clone(ch)
+		w := f.all()
 		slices.Sort(w)
 		if !slices.Equal(g, w) || a.vm.pdOf(pg).nFree != u.a.vm.pdOf(pg).nFree {
 			t.Errorf("page %d: %d free %x contended, %d free %x uncontended",
@@ -918,11 +1012,11 @@ func TestEagerMapOutsideVmblkLock(t *testing.T) {
 // fresh span's map outside the vmblk lock and a contended spill's lookups
 // before the pool's, moved them by exactly what they moved the radix
 // goldens, and so did handing a fresh page's whole lists out as unlinked
-// runs, backing pages ahead, and then backing a list's pages as one
-// span.
+// runs, backing pages ahead, then backing a list's pages as one span, and
+// then cutting every page in one descending order.
 func TestFIFOCyclesPinned(t *testing.T) {
 	assertGolden(t, "nodes=1 fifo", shardGoldenCycles(t, 1, Params{DisableRadixSort: true}),
-		[]int64{749518, 524549, 525146, 520032})
+		[]int64{749427, 524458, 525055, 519941})
 	assertGolden(t, "nodes=4 fifo", shardGoldenCycles(t, 4, Params{DisableRadixSort: true}),
 		[]int64{1333839, 627155, 624043, 628418})
 }
@@ -1038,9 +1132,9 @@ type mixResult struct {
 //   - every list holds exactly target blocks, except one shorter last
 //     list, and only when the pool had no free block left;
 //   - no block is handed out twice;
-//   - each drawn page gave up exactly the first k blocks of its chain,
-//     in chain order, and keeps the rest as its chain; each fresh page
-//     gave up its first k blocks and chains the rest in address order;
+//   - each page gave up the first blocks of its freed chain, in chain
+//     order, then the lowest blocks of its uncarved tail, each cut
+//     highest first, and keeps the rest (checkFirstK);
 //   - under the radix policy, the first page drawn from had the fewest
 //     free blocks of all filed pages (brute-force scan);
 //
@@ -1108,7 +1202,7 @@ func refillMix(t *testing.T, nodes int, sh mixShape, p Params) mixResult {
 				out[b] = true
 			}
 			held[node] = append(held[node], got...)
-			d, cv := checkFirstK(t, step, a, before, pageChains(a, cls, node), got, pp.size)
+			d, cv := checkFirstK(t, step, a, before, pageChains(a, cls, node), lists, pp.size)
 			r.drawn += d
 			r.carved += cv
 			if min > 0 && len(got) > 0 && !p.DisableRadixSort {
@@ -1118,7 +1212,7 @@ func refillMix(t *testing.T, nodes int, sh mixShape, p Params) mixResult {
 				var first arena.Addr
 				lists[0].Walk(a.mem, func(b arena.Addr) bool { first = b; return true })
 				r.picks++
-				if had := len(before[int32(first>>a.pageShift)]); had != min {
+				if had := before[int32(first>>a.pageShift)].n(); had != min {
 					t.Fatalf("step %d: first page drawn from had %d free, fewest over the filed pages was %d",
 						step, had, min)
 				}
@@ -1155,54 +1249,82 @@ func checkListShape(t *testing.T, step int, a *Allocator, lists []blocklist.List
 	return got
 }
 
-// checkFirstK compares each page's chain before and after a getLists
-// with the blocks it handed out, and returns how many drawn and fresh
-// pages it gave.
-func checkFirstK(t *testing.T, step int, a *Allocator, before, after map[int32][]arena.Addr, got []arena.Addr, size uint32) (drawn, carved int) {
+// checkFirstK compares each page's free blocks before and after a
+// getLists with the blocks it handed out in lists, and returns how many
+// drawn and fresh pages it gave. A page gives the first blocks of its
+// freed chain, in chain order, then the lowest blocks of its uncarved
+// tail, and keeps the rest of its chain and the top of its tail; the
+// blocks one list takes from a tail descend by one block each. A fresh
+// page is one with an empty chain and a whole tail.
+func checkFirstK(t *testing.T, step int, a *Allocator, before, after map[int32]pageFree, lists []blocklist.List, size uint32) (drawn, carved int) {
 	t.Helper()
+	freeBefore := func(pg int32) pageFree {
+		f, ok := before[pg]
+		if !ok {
+			for i := uint64(0); i < a.m.Config().PageBytes/uint64(size); i++ {
+				f.tail = append(f.tail, a.vm.pageAddr(pg)+arena.Addr(i)*arena.Addr(size))
+			}
+		}
+		return f
+	}
 	taken := map[int32][]arena.Addr{}
-	for _, b := range got {
-		pg := int32(b >> a.pageShift)
-		taken[pg] = append(taken[pg], b)
+	for i, l := range lists {
+		last := map[int32]arena.Addr{} // the tail block this list took last from each page
+		l.Walk(a.mem, func(b arena.Addr) bool {
+			pg := int32(b >> a.pageShift)
+			taken[pg] = append(taken[pg], b)
+			if !slices.Contains(freeBefore(pg).tail, b) {
+				return true
+			}
+			if prev, ok := last[pg]; ok && b != prev-arena.Addr(size) {
+				t.Fatalf("step %d: list %d takes %#x from page %d's tail after %#x, want one block below", step, i, b, pg, prev)
+			}
+			last[pg] = b
+			return true
+		})
 	}
 	for pg, bs := range taken {
-		chain, ok := before[pg]
-		if !ok {
-			// Fresh: its first k blocks went out, the rest ascend.
+		f := freeBefore(pg)
+		if _, ok := before[pg]; ok {
+			drawn++
+		} else {
 			carved++
-			base := a.vm.pageAddr(pg)
-			want := map[arena.Addr]bool{}
-			for i := range bs {
-				want[base+arena.Addr(i)*arena.Addr(size)] = true
-			}
-			for _, b := range bs {
-				if !want[b] {
-					t.Fatalf("step %d: fresh page %d gave %#x, not one of its first %d blocks", step, pg, b, len(bs))
-				}
-			}
-			for i, b := range after[pg] {
-				if w := base + arena.Addr(len(bs)+i)*arena.Addr(size); b != w {
-					t.Fatalf("step %d: fresh page %d chain[%d] = %#x, want %#x", step, pg, i, b, w)
-				}
-			}
-			continue
 		}
-		drawn++
-		if len(bs) > len(chain) || !slices.Equal(bs, chain[:len(bs)]) {
-			t.Fatalf("step %d: page %d gave %x, its chain began %x", step, pg, bs, chain[:min(len(chain), len(bs))])
+		k := min(len(bs), len(f.chain))
+		if !slices.Equal(bs[:k], f.chain[:k]) {
+			t.Fatalf("step %d: page %d gave %x, its chain began %x", step, pg, bs[:k], f.chain[:k])
 		}
-		if !slices.Equal(after[pg], chain[len(bs):]) {
-			t.Fatalf("step %d: page %d kept %x, want the rest of its chain %x", step, pg, after[pg], chain[len(bs):])
+		fromTail := bs[k:]
+		sorted := slices.Clone(fromTail)
+		slices.Sort(sorted)
+		if len(fromTail) > len(f.tail) || !slices.Equal(sorted, f.tail[:len(fromTail)]) {
+			t.Fatalf("step %d: page %d gave %x from its tail %x, not its lowest blocks", step, pg, fromTail, f.tail)
+		}
+		for i := 1; i < len(fromTail); i++ {
+			if fromTail[i] != fromTail[i-1]-arena.Addr(size) && fromTail[i] < slices.Max(fromTail[:i]) {
+				t.Fatalf("step %d: page %d gave %x from its tail, not cuts highest first", step, pg, fromTail)
+			}
+		}
+		if !slices.Equal(after[pg].chain, f.chain[k:]) || !slices.Equal(after[pg].tail, f.tail[len(fromTail):]) {
+			t.Fatalf("step %d: page %d kept %x and tail %x, want %x and %x",
+				step, pg, after[pg].chain, after[pg].tail, f.chain[k:], f.tail[len(fromTail):])
 		}
 	}
 	return drawn, carved
 }
 
-// pageChains walks the freelist of every split page of class cls homed
-// on node, followed by its uncarved tail in address order: the chain the
-// page would hold had its tail been linked (charging nothing).
-func pageChains(a *Allocator, cls, node int) map[int32][]arena.Addr {
-	out := map[int32][]arena.Addr{}
+// pageFree is one split page's free blocks: its freed chain in link
+// order and its uncarved tail in address order.
+type pageFree struct{ chain, tail []arena.Addr }
+
+func (f pageFree) n() int { return len(f.chain) + len(f.tail) }
+
+func (f pageFree) all() []arena.Addr { return append(slices.Clone(f.chain), f.tail...) }
+
+// pageChains returns the free blocks of every split page of class cls
+// homed on node (charging nothing).
+func pageChains(a *Allocator, cls, node int) map[int32]pageFree {
+	out := map[int32]pageFree{}
 	for _, vb := range a.vm.dope {
 		if vb == nil || int(vb.home) != node {
 			continue
@@ -1212,17 +1334,17 @@ func pageChains(a *Allocator, cls, node int) map[int32][]arena.Addr {
 			if pd.state != pdSplit || int(pd.class) != cls {
 				continue
 			}
-			var ch []arena.Addr
+			var f pageFree
 			for b := pd.freeHead; b != arena.NilAddr; b = a.mem.Load64(b) {
-				ch = append(ch, b)
+				f.chain = append(f.chain, b)
 			}
 			pg := vb.firstPage + int32(i)
 			size := uint64(a.classes[cls].size)
 			perPage := a.m.Config().PageBytes / size
 			for j := perPage - uint64(pd.tail()); j < perPage; j++ {
-				ch = append(ch, a.vm.pageAddr(pg)+arena.Addr(j*size))
+				f.tail = append(f.tail, a.vm.pageAddr(pg)+arena.Addr(j*size))
 			}
-			out[pg] = ch
+			out[pg] = f
 		}
 	}
 	return out
@@ -1232,8 +1354,8 @@ func pageChains(a *Allocator, cls, node int) map[int32][]arena.Addr {
 // on node.
 func freeLeft(a *Allocator, cls, node int) int {
 	n := 0
-	for _, ch := range pageChains(a, cls, node) {
-		n += len(ch)
+	for _, f := range pageChains(a, cls, node) {
+		n += f.n()
 	}
 	return n
 }

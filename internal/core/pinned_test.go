@@ -171,7 +171,11 @@ func pinnedMixRun(t *testing.T) pinnedMix {
 // comes home is now released at once, as under every other profile. It
 // moved again when a refill began handing a fresh page's whole lists
 // out as unlinked runs, each linked by the CPU that takes it, outside
-// the global and page pools' locks (DESIGN.md §5).
+// the global and page pools' locks (DESIGN.md §5). It moved again when
+// every page came to be cut in one descending order (DESIGN.md §5): the
+// mix's lazy spans never arm a ready stock, but a drawn page's uncarved
+// tail now leaves highest block first, where it ascended, so the blocks
+// a refill hands out land in another order.
 func TestSchedHashPinned(t *testing.T) {
 	got := pinnedMixRun(t)
 	if got.restarts == 0 || got.casRetries == 0 || got.remoteMisses == 0 ||
@@ -184,11 +188,11 @@ func TestSchedHashPinned(t *testing.T) {
 }
 
 var pinnedMixWant = pinnedMix{
-	hash:   0x2c373f8ac7b7c773,
-	clocks: []int64{44212286, 45344326, 40161036, 45068360, 45187774, 41266196, 45438258, 44435633},
-	bus:    0x19ab1e, ic: 0xc1907,
-	restarts: 0x1ed6, casRetries: 0x31, remoteMisses: 0x6943c,
-	trimmed: 433, decommits: 0x2e55, reclaimSteps: 0x505d, lockSpin: 42235,
+	hash:   0xbeac869099d53f4a,
+	clocks: []int64{40624576, 42931027, 41356615, 41866459, 42446551, 42073532, 43022428, 42793230},
+	bus:    0x18b878, ic: 0xbb546,
+	restarts: 0x1ea9, casRetries: 0x2f, remoteMisses: 0x669d3,
+	trimmed: 475, decommits: 0x2b1c, reclaimSteps: 0x4dd5, lockSpin: 43879,
 }
 
 // TestChurnMetaLinesPinned pins the metadata lines of the 128-byte

@@ -127,12 +127,17 @@ func shardGoldenCycles(t *testing.T, nodes int, p Params) []int64 {
 // Backing a list's two pages as one span moved every single-node CPU
 // by +368 cycles (749,186 -> 749,554 on CPU 0): the span claim alone
 // accounts for it, a copy that claims the two pages one at a time
-// reading 749,106 (E35). On
+// reading 749,106 (E35). Cutting every page in one descending order
+// moved every single-node CPU by -91 cycles (749,554 -> 749,463 on CPU
+// 0): the same 4 KB pages are carved in the same order, but a list that
+// runs across two ready pages now runs downward, the upper page's block
+// first, so the CPU that takes it links and hands out the two blocks in
+// the other order (E36). On
 // four nodes each CPU refills its own node's pool, no refill waits, and
 // nothing moved. goldenCyclesNodes4 is the same workload on four nodes,
 // where every cross-node free goes through the remote-free shards.
 var (
-	goldenCyclesNodes1 = []int64{749554, 524549, 525146, 520032}
+	goldenCyclesNodes1 = []int64{749463, 524458, 525055, 519941}
 	goldenCyclesNodes4 = []int64{1334007, 627155, 624043, 628418}
 )
 

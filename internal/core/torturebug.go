@@ -35,11 +35,11 @@ const (
 	// page's free count then exceeds its freelist, which the consistency
 	// audit rejects.
 	TortureBugPrepassStaleHead
-	// TortureBugTailOverlap makes drawFrom start a page's uncarved tail
-	// one block low: the block below the tail, the last one carved, is
-	// handed out a second time. Its two owners overwrite each other,
-	// which the shadow model sees, or it sits on two lists at once,
-	// which the consistency audit rejects.
+	// TortureBugTailOverlap makes cutTail start a drawn page's uncarved
+	// tail one block low: the block below the tail, the head of a list
+	// cut before, is handed out a second time. Its two owners overwrite
+	// each other, which the shadow model sees, or it sits on two lists at
+	// once, which the consistency audit rejects.
 	TortureBugTailOverlap
 	// TortureBugReadyLeak makes globalPool.drainAll forget the page
 	// pool's ready stock: pages backed ahead stay mapped after a drain,
@@ -50,8 +50,8 @@ const (
 	// boundary (cutTail) leave the next page's uncarved tail uncut: the
 	// blocks the run took there stay in the tail too, and go out a second
 	// time. Their owners overwrite each other, which the shadow model
-	// sees, or the page's tail outgrows its free count, which the
-	// consistency audit rejects.
+	// sees, or they sit on two lists at once, which the consistency
+	// audit rejects.
 	TortureBugRunStraddle
 
 	numTortureBugs

@@ -3,6 +3,7 @@
 package torture
 
 import (
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -106,9 +107,11 @@ func TestMutationStaleNodePureBugCaught(t *testing.T) {
 // on a page pool and carries two blocks of one page, so eight CPUs free
 // 16-byte blocks in session-close bursts over a large working set, and
 // the audit runs after every op — it must see the page whose free count
-// outran its freelist before a refill walks the short chain.
+// outran its freelist before a refill walks the short chain. Jitter seed
+// 1: since every page is cut in one order, no spill of the run at seeds
+// 7/3 meets a held page-pool lock in 10,000 ops.
 var staleHeadCfg = Config{
-	CPUs: 8, Nodes: 1, Ops: 10000, Seed: 7, JitterSeed: 3,
+	CPUs: 8, Nodes: 1, Ops: 10000, Seed: 7, JitterSeed: 1,
 	Serve: true, WorkingSet: 2048, MaxSize: 16, CheckEvery: 1,
 }
 
@@ -129,14 +132,16 @@ func TestMutationPrepassStaleHeadBugCaught(t *testing.T) {
 }
 
 // tailOverlapCfg is the detection config for the uncarved-tail plant: a
-// stock MatrixSmall config, at the default CheckEvery and the shared
-// seeds. A block handed out twice shows up as a live block overwritten
-// by its second owner, or as a list the audit walks longer than it
-// claims.
+// stock MatrixSmall config at the shared seeds, with the audit after
+// every op. A block handed out twice shows up as a live block
+// overwritten by its second owner, or as a block on two lists. The block
+// below a drawn tail heads a list cut before, so once a refill links the
+// plant's list through it the other list walks short of what it declares
+// — the audit must see the block on both lists first.
 func tailOverlapCfg(t *testing.T) Config {
 	for _, c := range MatrixSmall() {
 		if c.Name() == "c4n2-faults" {
-			c.Ops, c.Seed, c.JitterSeed = 2000, 7, 3
+			c.Ops, c.Seed, c.JitterSeed, c.CheckEvery = 2000, 7, 3, 1
 			return c
 		}
 	}
@@ -200,9 +205,11 @@ func TestMutationReadyLeakBugCaught(t *testing.T) {
 // pool sees four contended carving refills in a row, or run too few
 // CPUs to contend. It is readyLeakCfg's setting at seed 7 — four CPUs
 // on one node's pools, requests up to 128 bytes, so the 128-byte class
-// arms and its 10-block lists straddle 32-block pages — and the audit
-// meets a page whose uncut tail outgrew its free count.
-var runStraddleCfg = Config{CPUs: 4, Nodes: 1, Ops: 6000, Seed: 7, JitterSeed: 3, MaxSize: 128, WorkingSet: 4096}
+// arms and its 10-block lists straddle 32-block pages — and the audit,
+// run after every op, meets a block handed out a second time while it
+// still sits on a list. Audited only every 128 ops, the run hands such a
+// block out and the poison check panics first (TestMutationPanicIsFailure).
+var runStraddleCfg = Config{CPUs: 4, Nodes: 1, Ops: 6000, Seed: 7, JitterSeed: 3, MaxSize: 128, WorkingSet: 4096, CheckEvery: 1}
 
 func TestMutationRunStraddleBugCaught(t *testing.T) {
 	if rep, err := New(runStraddleCfg).Run(); err != nil {
@@ -219,6 +226,28 @@ func TestMutationRunStraddleBugCaught(t *testing.T) {
 		!strings.Contains(msg, "overlaps") && !strings.Contains(msg, "on both") {
 		t.Errorf("failure does not look like a block handed out twice: %v", err)
 	}
+}
+
+// TestMutationPanicIsFailure: an allocator panic inside an op is the
+// run's failure at that op, not a crash of the harness. runStraddleCfg
+// audited at the default cadence hands a block out a second time, and the
+// poison check panics ("modified while free") in the allocation that
+// meets it.
+func TestMutationPanicIsFailure(t *testing.T) {
+	core.SetTortureBug(core.TortureBugRunStraddle, true)
+	defer core.SetTortureBug(core.TortureBugRunStraddle, false)
+	cfg := runStraddleCfg
+	cfg.CheckEvery = 0
+	r := New(cfg)
+	_, err := r.Run()
+	var f *Failure
+	if !errors.As(err, &f) || f.OpIndex < 0 || !strings.HasPrefix(f.Msg, "panic: kmem: ") {
+		t.Fatalf("run returned %v; want the panic as the failure of an op", err)
+	}
+	if k := r.Ops()[f.OpIndex].Kind; k != OpAlloc && k != OpAllocWait {
+		t.Errorf("failure names op %d, %v; want the allocation that met the broken poison", f.OpIndex, k)
+	}
+	t.Logf("caught: %v", err)
 }
 
 // TestMutationLFStackABAShrinks runs the failure pipeline on the ABA

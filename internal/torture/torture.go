@@ -349,26 +349,42 @@ func (r *Runner) Run() (Report, error) {
 		}
 		i := perCPU[id][cursors[id]]
 		cursors[id]++
-		failure = r.exec(c, a, ora, &rep, i)
 		rep.OpsExecuted++
-		if failure == nil && rep.OpsExecuted%cfg.CheckEvery == 0 {
+		failure = guard(i, func() *Failure {
+			if f := r.exec(c, a, ora, &rep, i); f != nil || rep.OpsExecuted%cfg.CheckEvery != 0 {
+				return f
+			}
 			// Quiescent in the simulator: operations run to completion,
 			// so between ops every structure is in a consistent state.
 			if err := a.CheckConsistency(); err != nil {
-				failure = &Failure{OpIndex: i, Msg: err.Error()}
+				return &Failure{OpIndex: i, Msg: err.Error()}
 			}
-		}
+			return nil
+		})
 		return failure == nil
 	})
 
 	if failure == nil {
-		failure = r.endAudit(m, a, ora, &rep)
+		failure = guard(-1, func() *Failure { return r.endAudit(m, a, ora, &rep) })
 	}
 	rep.SchedHash = m.SchedHash()
 	if failure != nil {
 		return rep, failure
 	}
 	return rep, nil
+}
+
+// guard runs f and returns a panic raised inside it, an allocator's
+// assertion say, as the Failure of op i (-1: the end-of-run audit), so a
+// run that panics shrinks and replays like any other failing run. The
+// run stops there: the panicking CPU may hold locks it never released.
+func guard(i int, f func() *Failure) (fail *Failure) {
+	defer func() {
+		if v := recover(); v != nil {
+			fail = &Failure{OpIndex: i, Msg: fmt.Sprintf("panic: %v", v)}
+		}
+	}()
+	return f()
 }
 
 // exec runs one op and its oracle postconditions; nil means healthy.
