@@ -4,7 +4,7 @@
 // every warm Get/Put cycle after that skips it, because Put's contract
 // is that objects come back constructed. The example builds a cache of
 // small "request" structs, cycles it, and shows the ctor-skip ratio,
-// the cache-line coloring, and what a memory-pressure trim sheds.
+// the cache-line coloring, and when the cache gives memory back.
 //
 //	go run ./examples/objcache
 package main
@@ -86,12 +86,13 @@ func main() {
 		cache.Put(cpu0, obj)
 	}
 
-	// Under pressure the allocator asks registered caches to shed:
-	// Trim empties the depot (constructed buffers the CPU magazines
-	// don't need); a full drain releases everything, running the dtor
-	// exactly once per released object.
-	sys.Allocator().Trim(cpu0, 0)
-	fmt.Printf("after trim:  %d shed, %d dtor runs\n", cache.Stats().Sheds, cache.Stats().DtorRuns)
+	// A cache keeps no idle objects beyond its CPUs' magazine pairs (two
+	// magazines of 8): putting the 40 back overflows the pair, and each
+	// overflow destructs and releases the older magazine at once. What
+	// stays idle leaves on a full drain — the allocator's reclaim, or
+	// Destroy here — with the dtor run exactly once per released object.
+	st = cache.Stats()
+	fmt.Printf("after puts:  %d idle, %d shed, %d dtor runs\n", st.Live, st.Sheds, st.DtorRuns)
 	if live := cache.Destroy(cpu0); live != 0 {
 		log.Fatalf("%d objects leaked", live)
 	}

@@ -62,8 +62,8 @@ func testObjCacheCtorOnce(t *testing.T, f Factory) {
 }
 
 // testObjCacheConstructed: every Get observes the constructed pattern,
-// including Gets served through the depot, and dirtying + restoring
-// before Put preserves the contract.
+// including Gets served after a magazine swap or a fresh carve, and
+// dirtying + restoring before Put preserves the contract.
 func testObjCacheConstructed(t *testing.T, f Factory) {
 	inst := f(t, 1, 2048)
 	k := newObjCache(t, inst, "alloctest:state", nil)
@@ -71,7 +71,7 @@ func testObjCacheConstructed(t *testing.T, f Factory) {
 	mem := inst.M.Mem()
 	for round := 0; round < 4; round++ {
 		objs := make([]arena.Addr, 0, 40)
-		for i := 0; i < 40; i++ { // deep enough to cycle magazines + depot
+		for i := 0; i < 40; i++ { // deep enough to swap and overflow magazines
 			obj, err := k.Get(c)
 			if err != nil {
 				t.Fatal(err)

@@ -78,12 +78,13 @@ type Allocator struct {
 	// per-call garbage.
 	resolved [][]resolvedBlock
 
-	// The low-memory path's one table of reclaim sources (lowmem.go),
-	// replaced whole, under srcMu, when a typed cache (un)registers, and
-	// the incremental rotation's cursor over it.
-	srcMu         sync.Mutex
-	sources       atomic.Pointer[[]reclaimSource]
+	// The low-memory path's one table of reclaim sources (lowmem.go) and
+	// the incremental rotation's cursor over it, and the typed caches'
+	// sheds, replaced whole, under cacheMu, when a cache (un)registers.
+	sources       []reclaimSource
 	reclaimCursor atomic.Uint32
+	cacheMu       sync.Mutex
+	caches        atomic.Pointer[[]*CacheShedFunc]
 
 	// ev is the allocator-wide slice of the event spine: the events no
 	// layer structure owns (reclaims and their steps, waits, wakes,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"kmem/internal/arena"
@@ -14,18 +15,17 @@ import (
 // infrequent low-memory situation". It keeps one table of the places free
 // memory strands above the coalescing layers, in this order: every CPU's
 // caches; every per-node global pool, class-major; the free-span decommit
-// pass, when free spans keep frames; one slot per registered typed cache.
-// DrainAll (so reclaim) runs every source at full strength, reclaimStep
-// one per step at light strength, and Trim the cache slots at light
-// strength before the decommit pass. The requesting CPU does each flush
-// itself under the owner's critical section (PerCPU.EnterForeign), where
-// a kernel would send an IPI, and is charged the work.
+// pass, when free spans keep frames. DrainAll (so reclaim) sheds every
+// registered typed cache and then runs every source at full strength,
+// reclaimStep one source per step at light strength. The requesting CPU
+// does each flush itself under the owner's critical section
+// (PerCPU.EnterForeign), where a kernel would send an IPI, and is charged
+// the work.
 
 // reclaimSource is one entry of the table.
 type reclaimSource struct {
 	kind sourceKind
-	i    int           // the CPU (srcCPU), or class·nodes+node (srcPool)
-	shed CacheShedFunc // srcCache: nil while the slot is a hole
+	i    int // the CPU (srcCPU), or class·nodes+node (srcPool)
 }
 
 type sourceKind uint8
@@ -34,76 +34,53 @@ const (
 	srcCPU sourceKind = iota
 	srcPool
 	srcDecommit
-	srcCache
 )
 
-// CacheShedFunc is one typed cache's reclaim callback. A non-aggressive
-// (light) call shrinks the cache's depot of full magazines, destructing
-// those cold constructed buffers and freeing their backing; an aggressive
-// (full) call also flushes the per-CPU magazines. It returns the number
-// of buffers released, runs with no allocator locks held and may call
-// Free/FreeCookie.
-type CacheShedFunc func(c *machine.CPU, aggressive bool) int
+// CacheShedFunc is one typed cache's reclaim callback: it flushes the
+// cache's per-CPU magazines, destructing those constructed buffers and
+// freeing their backing. A cache keeps nothing else idle, so the shed has
+// one strength. It returns the number of buffers released, runs with no
+// allocator locks held and may call Free/FreeCookie.
+type CacheShedFunc func(c *machine.CPU) int
 
-// initSources builds the table's fixed part; cache slots come and go
-// with RegisterCacheShed.
+// initSources builds the table, which is fixed for the allocator's life,
+// and the empty list of cache sheds.
 func (a *Allocator) initSources() {
-	var t []reclaimSource
+	a.caches.Store(new([]*CacheShedFunc))
 	for cpu := range a.percpu {
-		t = append(t, reclaimSource{kind: srcCPU, i: cpu})
+		a.sources = append(a.sources, reclaimSource{kind: srcCPU, i: cpu})
 	}
 	for i := 0; i < len(a.classes)*a.nodes; i++ {
-		t = append(t, reclaimSource{kind: srcPool, i: i})
+		a.sources = append(a.sources, reclaimSource{kind: srcPool, i: i})
 	}
 	if !a.vm.decommitOnFree {
-		t = append(t, reclaimSource{kind: srcDecommit})
+		a.sources = append(a.sources, reclaimSource{kind: srcDecommit})
 	}
-	a.sources.Store(&t)
 }
 
-// RegisterCacheShed gives a typed cache a slot in the table and returns
-// the function that empties it. A slot keeps its position when another
-// cache unregisters: the unregister leaves a hole, which the next
-// registration fills, so churn can neither starve a cache nor make the
-// rotation revisit or skip one. A trailing hole holds no one's position
-// and goes.
+// RegisterCacheShed adds a typed cache's shed to the ones DrainAll runs,
+// in registration order, and returns the function that removes it. Every
+// change installs a fresh slice, so DrainAll's snapshot never changes
+// under it.
 func (a *Allocator) RegisterCacheShed(fn CacheShedFunc) func() {
-	a.srcMu.Lock()
-	defer a.srcMu.Unlock()
-	t := append([]reclaimSource(nil), a.sourceTable()...)
-	slot := len(t)
-	for i := len(t) - 1; i >= 0 && t[i].kind == srcCache; i-- {
-		if t[i].shed == nil {
-			slot = i
-		}
-	}
-	if slot == len(t) {
-		t = append(t, reclaimSource{kind: srcCache})
-	}
-	t[slot].shed = fn
-	a.sources.Store(&t)
+	f := &fn
+	a.cacheMu.Lock()
+	defer a.cacheMu.Unlock()
+	sheds := append(slices.Clone(*a.caches.Load()), f)
+	a.caches.Store(&sheds)
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			a.srcMu.Lock()
-			defer a.srcMu.Unlock()
-			t := append([]reclaimSource(nil), a.sourceTable()...)
-			t[slot].shed = nil
-			for n := len(t); t[n-1].kind == srcCache && t[n-1].shed == nil; n-- {
-				t = t[:n-1]
-			}
-			a.sources.Store(&t)
+			a.cacheMu.Lock()
+			defer a.cacheMu.Unlock()
+			sheds := slices.DeleteFunc(slices.Clone(*a.caches.Load()), func(g *CacheShedFunc) bool { return g == f })
+			a.caches.Store(&sheds)
 		})
 	}
 }
 
-// sourceTable returns the current table. Every change to it installs a
-// fresh copy, so the snapshot never changes under its reader.
-func (a *Allocator) sourceTable() []reclaimSource { return *a.sources.Load() }
-
 // run runs source s at full or light strength. A light decommit strips
-// at most trimStepPages pages and a light cache shed only shrinks the
-// depot; a CPU or pool drain has one strength.
+// at most trimStepPages pages; a CPU or pool drain has one strength.
 func (a *Allocator) run(c *machine.CPU, s reclaimSource, full bool) {
 	switch s.kind {
 	case srcCPU:
@@ -116,20 +93,6 @@ func (a *Allocator) run(c *machine.CPU, s reclaimSource, full bool) {
 			pages = -1
 		}
 		a.vm.decommitFree(c, pages)
-	case srcCache:
-		if s.shed != nil {
-			s.shed(c, full)
-		}
-	}
-}
-
-// runAll runs, in table order and at the given strength, every cache
-// slot (caches) or every other source.
-func (a *Allocator) runAll(c *machine.CPU, full, caches bool) {
-	for _, s := range a.sourceTable() {
-		if (s.kind == srcCache) == caches {
-			a.run(c, s, full)
-		}
 	}
 }
 
@@ -153,27 +116,19 @@ func (a *Allocator) reclaim(c *machine.CPU) {
 }
 
 // reclaimSteps is the number of incremental steps that together cover
-// what one stop-the-world reclaim covers: one per source.
-func (a *Allocator) reclaimSteps() int { return len(a.sourceTable()) }
+// the sources one stop-the-world reclaim drains: one per source. The
+// typed caches are not among them: a cache's one strength is a flush of
+// every CPU's magazines, which is no bounded step.
+func (a *Allocator) reclaimSteps() int { return len(a.sources) }
 
 // reclaimStep runs, and returns, the table's next source at light
 // strength. One shared cursor picks it round-robin, so concurrent callers
-// divide the sweep instead of each repeating it; the cursor is a table
-// position, so a cache (un)registering mid-rotation moves no other
-// source's turn. The caller is charged insnReclaimStep, not insnReclaim:
-// PressureCritical spreads one long stall as short bounded ones.
+// divide the sweep instead of each repeating it. The caller is charged
+// insnReclaimStep, not insnReclaim: PressureCritical spreads one long
+// stall as short bounded ones.
 func (a *Allocator) reclaimStep(c *machine.CPU) reclaimSource {
 	c.Work(insnReclaimStep)
-	t := a.sourceTable()
-	var i uint32
-	for ok := false; !ok; {
-		old := a.reclaimCursor.Load()
-		if i = old; i >= uint32(len(t)) {
-			i = 0 // the rotation wraps, or the table shrank under the cursor
-		}
-		ok = a.reclaimCursor.CompareAndSwap(old, i+1)
-	}
-	s := t[i]
+	s := a.sources[(a.reclaimCursor.Add(1)-1)%uint32(len(a.sources))]
 	a.note(-1, EvReclaimStep, 1)
 	a.run(c, s, false)
 	a.wakeAll()
@@ -249,28 +204,29 @@ func (a *Allocator) DrainCPU(c *machine.CPU, cpu int) {
 }
 
 // DrainAll flushes every cache at every layer, leaving all free memory
-// coalesced into pages and free spans: every source at full strength.
-// The typed caches shed first: their constructed buffers are allocated
-// blocks from this allocator's point of view, so destructing and freeing
-// them is what lets the drains after them coalesce those pages. After
-// DrainAll on a quiescent allocator with no outstanding blocks, every
-// page is returned to the system and physical usage drops to the vmblk
-// headers alone.
+// coalesced into pages and free spans: every typed cache sheds, then
+// every source runs at full strength. The typed caches go first: their
+// constructed buffers are allocated blocks from this allocator's point of
+// view, so destructing and freeing them is what lets the drains after
+// them coalesce those pages. After DrainAll on a quiescent allocator with
+// no outstanding blocks, every page is returned to the system and
+// physical usage drops to the vmblk headers alone.
 func (a *Allocator) DrainAll(c *machine.CPU) {
-	a.runAll(c, true, true)
-	a.runAll(c, true, false)
+	for _, shed := range *a.caches.Load() {
+		(*shed)(c)
+	}
+	for _, s := range a.sources {
+		a.run(c, s, true)
+	}
 }
 
 // Trim releases the physical backing of up to maxPages free-span pages
 // (negative releases all) — the kernel's "give memory back to the
 // hypervisor / page cache" entry point. The spans' virtual addresses,
 // boundary tags, and homes are untouched, so subsequent allocations
-// recommit in place. The cache slots run first at light strength (their
-// depots shrink), so cold constructed buffers coalesce into spans the
-// decommit pass can strip. Returns the pages released; always 0 under
-// the Paper profile's decommit-on-free policy, where a freed span's
-// frames are gone already.
+// recommit in place. Constructed objects stay in their caches. Returns
+// the pages released; always 0 under the Paper profile's
+// decommit-on-free policy, where a freed span's frames are gone already.
 func (a *Allocator) Trim(c *machine.CPU, maxPages int64) int64 {
-	a.runAll(c, false, true)
 	return a.vm.decommitFree(c, maxPages)
 }

@@ -8,8 +8,8 @@ import (
 
 // BenchmarkGetPut times the host cost of one warm Get/Put pair in Sim
 // mode — the magazine fast path under both critical-section protocols —
-// with the loaded magazine primed so that no iteration reaches the
-// depot. CI runs it with -benchtime 1x so it keeps compiling.
+// with the loaded magazine primed so that no iteration carves or
+// overflows. CI runs it with -benchtime 1x so it keeps compiling.
 func BenchmarkGetPut(b *testing.B) {
 	for _, proto := range []struct {
 		name string

@@ -3,19 +3,21 @@
 // *constructed* objects of one type: the constructor runs once when a
 // buffer is first carved from its backing allocation, the destructor
 // runs only when the cache releases the buffer back to the allocator
-// under reclaim or Trim pressure, and every Get/Put in between reuses
-// the constructed state for free. This is the observation (Bonwick's)
-// that object initialization often costs more than allocation itself:
-// once a message block's header fields or a lock block's queue pointers
-// are set up, handing the same buffer back out skips that work.
+// (a magazine overflow, a drain or reclaim), and every Get/Put in
+// between reuses the constructed state for free. This is the
+// observation (Bonwick's) that object initialization often costs more
+// than allocation itself: once a message block's header fields or a
+// lock block's queue pointers are set up, handing the same buffer back
+// out skips that work.
 //
 // The common Get/Put case is served from a per-CPU pair of magazines
 // (loaded + previous) under the CPU's interrupt lock — the same
 // synchronization, and the same 13-instruction charge, as the cookie
-// fast path it sits above. When both magazines are empty (or both full
-// on Put) the cache exchanges a magazine with a spin-locked central
-// depot; only when the depot too is exhausted does it carve a new
-// buffer from the backing allocator and run the constructor.
+// fast path it sits above. A cache keeps no shared layer of its own: a
+// Get that finds both magazines empty carves a new buffer from the
+// backing allocator and runs the constructor, and a Put that finds both
+// full destructs and releases the older magazine at once. Moving blocks
+// between CPUs is the backing allocator's global layer's job.
 //
 // Each cache also colors its buffers: successive carves offset the
 // object within its backing block by increasing multiples of a cache
@@ -50,7 +52,6 @@ const (
 	insnPutResidual = 8  // residual fast-path bookkeeping on Put
 	insnSlot        = 1  // load/store of the magazine slot
 	insnMagSwap     = 2  // exchange loaded and previous magazines
-	insnDepot       = 12 // depot list manipulation under its spin lock
 	insnCarve       = 10 // color selection + bookkeeping on a fresh carve
 	insnRelease     = 6  // bookkeeping when a buffer is released
 )
@@ -61,16 +62,11 @@ const (
 type Ctor func(c *machine.CPU, mem *arena.Arena, obj arena.Addr)
 
 // Dtor tears a constructed buffer down before its backing memory is
-// returned to the allocator (reclaim, Trim, or Destroy).
+// returned to the allocator (a magazine overflow, Drain, or Destroy).
 type Dtor func(c *machine.CPU, mem *arena.Arena, obj arena.Addr)
 
-// magSize is the number of objects per magazine; depotMags bounds the
-// full magazines a node's depot retains (overflow magazines are
-// destructed and released immediately) and the empties it recycles.
-const (
-	magSize   = 8
-	depotMags = 8
-)
+// magSize is the number of objects per magazine.
+const magSize = 8
 
 // colorInc is the least coloring step, one machine cache line; a
 // coarser alignment sets a cache's step (colorStep) instead.
@@ -131,19 +127,6 @@ type cpuMags struct {
 	crit   machine.PerCPU
 }
 
-// depot is one node's magazine depot: full magazines awaiting a CPU on
-// that node, plus the bounded recycled-empty pool. One depot per node
-// (rather than one per cache) keeps magazine exchanges node-local — the
-// single-depot design serialized every node's slow path on one lock and
-// bounced its line across the interconnect. The lock and metadata line
-// are placed on the depot's home node.
-type depot struct {
-	lk    *machine.SpinLock
-	ln    machine.Line
-	full  [][]arena.Addr
-	empty [][]arena.Addr // recycled empty magazines (bounded)
-}
-
 // Stats is a point-in-time snapshot of one cache's counters.
 type Stats struct {
 	Gets      uint64 // objects handed out
@@ -153,14 +136,17 @@ type Stats struct {
 	DtorRuns  uint64 // destructors executed (releases)
 	Carves    uint64 // buffers carved from the backing allocator
 	Releases  uint64 // buffers returned to the backing allocator
-	Sheds     uint64 // shed passes that released at least one buffer
-	Live      uint64 // buffers currently carved (in magazines, depot, in use, or pinned)
-	DepotFull int    // full magazines currently retained, summed over node depots
+	Sheds     uint64 // shed passes (and magazine overflows) that released at least one buffer
+	Live      uint64 // buffers currently carved (in magazines, in use, or pinned)
 	Colors    int    // distinct colors the backing slack allows
 
-	// Optimistic fast path and depot contention.
-	RseqRestarts    uint64 // magazine sequences restarted (zero with Opts.Rseq off)
-	DepotWaitCycles uint64 // cycles spent spinning on depot locks
+	RseqRestarts uint64 // magazine sequences restarted (zero with Opts.Rseq off)
+
+	// DepotWaitCycles is always 0: a cache keeps no depot, so it has no
+	// lock to spin on. The field exists only because the frozen
+	// benchmark/sut.go reads it; the next benchmark change drops that
+	// read and this field with it.
+	DepotWaitCycles uint64
 }
 
 // Cache is a typed object cache over a backing allocator.
@@ -190,15 +176,7 @@ type Cache struct {
 
 	mags []cpuMags
 
-	// Per-node magazine depots. The carve bookkeeping is kept under a
-	// separate lock (objMu) so sheds can walk carves without contending
-	// with magazine exchanges. depotFull mirrors the summed retained
-	// full-magazine count for CPU-less Stats reads.
-	depots    []depot
-	depotFull atomic.Int32
-
 	rseqRestarts atomic.Uint64 // magazine sequences restarted (Opts.Rseq)
-	depotWait    atomic.Uint64 // cycles spent spinning on depot locks
 
 	// obj -> backing base, for releases. Bookkeeping memory (a kernel
 	// would keep this in the slab header); uncharged, slow-path only.
@@ -249,11 +227,6 @@ func New(m *machine.Machine, back Backing, name string, size, align uint64, ctor
 		objs:  make(map[arena.Addr]arena.Addr),
 		rz:    back.HardenRedzone(),
 	}
-	k.depots = make([]depot, m.NumNodes())
-	for n := range k.depots {
-		k.depots[n].lk = machine.NewSpinLockOn(m, n)
-		k.depots[n].ln = m.NewMetaLineOn(n)
-	}
 
 	// Backing request: the object, worst-case alignment pad (backing
 	// blocks are at least 8-byte aligned), the hardening redzone (the
@@ -300,7 +273,7 @@ func New(m *machine.Machine, back Backing, name string, size, align uint64, ctor
 		k.mags[i].prev = make([]arena.Addr, 0, magSize)
 		k.mags[i].crit = machine.NewPerCPUOn(m, m.NodeOf(i), o.Rseq)
 	}
-	k.unregister = back.RegisterCacheShed(k.shed)
+	k.unregister = back.RegisterCacheShed(k.Drain)
 	return k, nil
 }
 
@@ -326,26 +299,11 @@ func (k *Cache) enter(c *machine.CPU, pc *cpuMags) {
 	}
 }
 
-// depotOf returns the calling CPU's node depot.
-func (k *Cache) depotOf(c *machine.CPU) *depot { return &k.depots[c.Node()] }
-
-// lockDepot takes d's lock and accounts the spin the acquire paid: the
-// cycles surface through the allocator's event spine (EvLockWait, like
-// every charged lock in core).
-func (k *Cache) lockDepot(c *machine.CPU, d *depot) {
-	d.lk.Acquire(c)
-	if w := d.lk.LastWait(); w > 0 {
-		k.depotWait.Add(uint64(w))
-		k.back.EmitCacheEvent(core.EvLockWait, int(w))
-	}
-}
-
 // Get returns a constructed object. The common case pops the CPU's
 // loaded magazine under its interrupt lock (or as a restartable sequence
 // under Opts.Rseq) — no shared locks, and instruction-for-instruction
-// the cost of a cookie alloc. Misses fall through to the node's depot
-// and finally to a fresh carve (the only point the constructor runs,
-// unless the cache is hardened).
+// the cost of a cookie alloc. A miss carves a fresh buffer (the only
+// point the constructor runs, unless the cache is hardened).
 func (k *Cache) Get(c *machine.CPU) (arena.Addr, error) {
 	if k.destroyed.Load() {
 		return arena.NilAddr, ErrDestroyed
@@ -355,9 +313,6 @@ func (k *Cache) Get(c *machine.CPU) (arena.Addr, error) {
 		k.enter(c, pc)
 		obj, ok := k.getFast(c, pc)
 		pc.crit.Exit(c)
-		if !ok {
-			obj, ok = k.refill(c, pc)
-		}
 		if !ok {
 			return k.carve(c)
 		}
@@ -409,44 +364,6 @@ func (k *Cache) reuse(c *machine.CPU, obj arena.Addr) bool {
 	return true
 }
 
-// refill exchanges the empty loaded magazine for a full one from the
-// calling CPU's node depot and pops from it; false when the depot is
-// dry.
-func (k *Cache) refill(c *machine.CPU, pc *cpuMags) (arena.Addr, bool) {
-	d := k.depotOf(c)
-	k.lockDepot(c, d)
-	c.Read(d.ln)
-	var full []arena.Addr
-	if n := len(d.full); n > 0 {
-		full = d.full[n-1]
-		d.full = d.full[:n-1]
-		k.depotFull.Add(-1)
-		c.Write(d.ln)
-	}
-	c.Work(insnDepot)
-	d.lk.Release(c)
-	if full == nil {
-		return arena.NilAddr, false
-	}
-
-	k.enter(c, pc)
-	// A Put may have refilled the pair while the depot lock was held;
-	// prefer the magazines and return the depot's magazine.
-	obj, raced := k.getFast(c, pc)
-	if !raced {
-		// Install the full magazine; the empty loaded becomes spare.
-		full, pc.prev, pc.loaded = pc.prev, pc.loaded, full
-		obj, _ = k.getFast(c, pc)
-	}
-	pc.crit.Exit(c)
-	if raced {
-		k.putDepotFull(c, full)
-	} else {
-		k.recycleEmpty(c, full)
-	}
-	return obj, true
-}
-
 // carve allocates one backing block, picks its color, and runs the
 // constructor. The buffer is born "in use" — it does not pass through
 // a magazine. No cache lock is held across the backing allocation, so a
@@ -489,7 +406,10 @@ func (k *Cache) carve(c *machine.CPU) (arena.Addr, error) {
 // Put returns a constructed object to the cache. The object must be in
 // constructed state (Put callers undo their modifications, which is
 // still far cheaper than a full re-construction). The common case
-// pushes onto the loaded magazine under the CPU's interrupt lock.
+// pushes onto the loaded magazine under the CPU's interrupt lock. When
+// both magazines are full the older one leaves the pair, its emptied
+// slot takes obj, and its objects are destructed and released once the
+// section is left: an overflow is a shed.
 func (k *Cache) Put(c *machine.CPU, obj arena.Addr) {
 	if k.rz != 0 && !k.retire(c, obj) {
 		return
@@ -501,12 +421,23 @@ func (k *Cache) Put(c *machine.CPU, obj arena.Addr) {
 		return
 	}
 	pc := &k.mags[c.ID()]
+	var old [magSize]arena.Addr
+	var n int
 	k.enter(c, pc)
-	ok := k.putFast(c, pc, obj)
-	pc.crit.Exit(c)
-	if !ok {
-		k.putSlow(c, pc, obj)
+	if !k.putFast(c, pc, obj) {
+		n = copy(old[:], pc.prev)
+		pc.loaded, pc.prev = pc.prev[:0], pc.loaded
+		c.Work(insnMagSwap)
+		k.putFast(c, pc, obj)
 	}
+	pc.crit.Exit(c)
+	var released int
+	for _, o := range old[:n] {
+		if k.releaseObj(c, o) {
+			released++
+		}
+	}
+	k.noteShed(released)
 }
 
 // retire readies a hardened cache's object to rest: the allocator checks
@@ -541,95 +472,6 @@ func (k *Cache) putFast(c *machine.CPU, pc *cpuMags, obj arena.Addr) bool {
 	return true
 }
 
-// putSlow moves a full magazine to the depot to make room. If the cache
-// has been destroyed meanwhile, the object is released instead.
-func (k *Cache) putSlow(c *machine.CPU, pc *cpuMags, obj arena.Addr) {
-	if k.destroyed.Load() {
-		k.puts.Add(1)
-		k.releaseObj(c, obj)
-		return
-	}
-	// Take an empty magazine (recycled or fresh), then swap it in for
-	// the older full one.
-	d := k.depotOf(c)
-	k.lockDepot(c, d)
-	c.Read(d.ln)
-	var empty []arena.Addr
-	if n := len(d.empty); n > 0 {
-		empty = d.empty[n-1]
-		d.empty = d.empty[:n-1]
-	}
-	c.Work(insnDepot)
-	d.lk.Release(c)
-	if empty == nil {
-		empty = make([]arena.Addr, 0, magSize)
-	}
-
-	var full []arena.Addr
-	k.enter(c, pc)
-	if !k.putFast(c, pc, obj) { // else raced: room appeared
-		full, pc.prev, pc.loaded = pc.prev, pc.loaded, empty
-		k.putFast(c, pc, obj)
-	}
-	pc.crit.Exit(c)
-	if full == nil {
-		k.recycleEmpty(c, empty)
-		return
-	}
-	k.putDepotFull(c, full)
-}
-
-// putDepotFull deposits a full magazine in the calling CPU's node depot,
-// releasing the oldest one when the depot exceeds its bound (the cache's
-// per-node working-set limit).
-func (k *Cache) putDepotFull(c *machine.CPU, full []arena.Addr) {
-	var victim []arena.Addr
-	d := k.depotOf(c)
-	k.lockDepot(c, d)
-	c.Read(d.ln)
-	d.full = append(d.full, full)
-	if len(d.full) > depotMags {
-		victim = d.full[0]
-		d.full = d.full[1:]
-	} else {
-		k.depotFull.Add(1)
-	}
-	c.Write(d.ln)
-	c.Work(insnDepot)
-	d.lk.Release(c)
-	if victim != nil {
-		n := k.releaseMag(c, victim)
-		k.noteShed(n)
-	}
-}
-
-// recycleEmpty returns an empty magazine to the node depot's bounded
-// spare pool.
-func (k *Cache) recycleEmpty(c *machine.CPU, mag []arena.Addr) {
-	if mag == nil || len(mag) != 0 {
-		return
-	}
-	d := k.depotOf(c)
-	k.lockDepot(c, d)
-	if len(d.empty) < depotMags {
-		d.empty = append(d.empty, mag)
-	}
-	d.lk.Release(c)
-}
-
-// releaseMag destructs and releases every object in mag; returns the
-// count released. The emptied magazine is recycled.
-func (k *Cache) releaseMag(c *machine.CPU, mag []arena.Addr) int {
-	var n int
-	for _, obj := range mag {
-		if k.releaseObj(c, obj) {
-			n++
-		}
-	}
-	k.recycleEmpty(c, mag[:0])
-	return n
-}
-
 // releaseObj destructs obj and returns its backing block to the
 // allocator — the only path on which a buffer leaves the cache. A
 // hardened cache destructed its resting objects at Put (retire), and
@@ -661,18 +503,6 @@ func (k *Cache) releaseObj(c *machine.CPU, obj arena.Addr) bool {
 	return true
 }
 
-// shed is the allocator's reclaim callback: non-aggressive shrinks the
-// depot (cold magazines), aggressive also flushes every CPU's pair.
-// Runs with no allocator locks held.
-func (k *Cache) shed(c *machine.CPU, aggressive bool) int {
-	n := k.shrinkDepot(c)
-	if aggressive {
-		n += k.drainMags(c)
-	}
-	k.noteShed(n)
-	return n
-}
-
 // noteShed accounts one shed pass releasing n buffers.
 func (k *Cache) noteShed(n int) {
 	if n == 0 {
@@ -694,36 +524,13 @@ func (k *Cache) publishSkips() {
 	}
 }
 
-// shrinkDepot releases every full magazine in every node depot.
-func (k *Cache) shrinkDepot(c *machine.CPU) int {
-	var n int
-	for di := range k.depots {
-		d := &k.depots[di]
-		for {
-			k.lockDepot(c, d)
-			c.Read(d.ln)
-			var mag []arena.Addr
-			if l := len(d.full); l > 0 {
-				mag = d.full[l-1]
-				d.full = d.full[:l-1]
-				k.depotFull.Add(-1)
-				c.Write(d.ln)
-			}
-			c.Work(insnDepot)
-			d.lk.Release(c)
-			if mag == nil {
-				break
-			}
-			n += k.releaseMag(c, mag)
-		}
-	}
-	return n
-}
-
-// drainMags flushes every CPU's magazine pair. Under Opts.Rseq the swap
-// runs as an interference on the owner CPU — its in-flight sequence, if
-// any, restarts rather than observing the half-drained pair.
-func (k *Cache) drainMags(c *machine.CPU) int {
+// Drain flushes every CPU's magazine pair, releasing all idle
+// constructed buffers; objects currently handed out are unaffected. It
+// is also the cache's reclaim callback, run with no allocator locks
+// held. Under Opts.Rseq the swap runs as an interference on the owner
+// CPU — its in-flight sequence, if any, restarts rather than observing
+// the half-drained pair.
+func (k *Cache) Drain(c *machine.CPU) int {
 	var n int
 	for i := range k.mags {
 		pc := &k.mags[i]
@@ -732,24 +539,14 @@ func (k *Cache) drainMags(c *machine.CPU) int {
 		pc.loaded = make([]arena.Addr, 0, magSize)
 		pc.prev = make([]arena.Addr, 0, magSize)
 		pc.crit.ExitForeign(c)
-		for _, obj := range loaded {
-			if k.releaseObj(c, obj) {
-				n++
-			}
-		}
-		for _, obj := range prev {
-			if k.releaseObj(c, obj) {
-				n++
+		for _, mag := range [2][]arena.Addr{loaded, prev} {
+			for _, obj := range mag {
+				if k.releaseObj(c, obj) {
+					n++
+				}
 			}
 		}
 	}
-	return n
-}
-
-// Drain flushes the depot and every magazine, releasing all idle
-// constructed buffers. Objects currently handed out are unaffected.
-func (k *Cache) Drain(c *machine.CPU) int {
-	n := k.shrinkDepot(c) + k.drainMags(c)
 	k.noteShed(n)
 	return n
 }
@@ -799,10 +596,8 @@ func (k *Cache) Stats() Stats {
 		Releases:  k.releases.Load(),
 		Sheds:     k.sheds.Load(),
 		Live:      uint64(live),
-		DepotFull: int(k.depotFull.Load()),
 		Colors:    k.nColors,
 
-		RseqRestarts:    k.rseqRestarts.Load(),
-		DepotWaitCycles: k.depotWait.Load(),
+		RseqRestarts: k.rseqRestarts.Load(),
 	}
 }

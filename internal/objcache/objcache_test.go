@@ -257,7 +257,7 @@ func TestShedUnderReclaim(t *testing.T) {
 	for _, obj := range objs {
 		k.Put(c, obj)
 	}
-	// DrainAll is the aggressive shed path: depot and magazines empty.
+	// DrainAll sheds every cache: the magazines empty.
 	a.DrainAll(c)
 	st := k.Stats()
 	if st.Live != 0 {
@@ -278,15 +278,36 @@ func TestShedUnderReclaim(t *testing.T) {
 	k.Put(c, obj)
 }
 
-// TestTrimShedsDepotOnly: the non-aggressive path gives back the cold
-// depot but leaves the hot per-CPU magazines loaded.
-func TestTrimShedsDepotOnly(t *testing.T) {
-	m, a, kma := newKMA(t, 1)
-	k, err := objcache.New(m, kma, "test:trim", 64, 8, nil, nil, objcache.Opts{})
+// magSize mirrors the package's magazine size: a CPU's pair holds at
+// most 2*magSize idle objects.
+const magSize = 8
+
+// TestShedHasOneStrength: a cache keeps nothing idle beyond its CPUs'
+// magazine pairs, so a light shed has nothing to take. Trim and the
+// incremental reclaim steps of PressureCritical release no constructed
+// object, DrainAll releases every idle one, and a Put burst past a full
+// pair releases its overflow at once.
+func TestShedHasOneStrength(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	cfg.NumCPUs = 2
+	cfg.MemBytes = 16 << 20
+	cfg.PhysPages = 20
+	m := machine.New(cfg)
+	a, err := core.New(m, core.Params{
+		TargetFor:    func(uint32) int { return 2 },
+		GblTargetFor: func(uint32) int { return 1 },
+		Pressure:     &core.PressureConfig{LowPages: 8, MinPages: 6},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := objcache.New(m, allocif.NewKMA{Allocator: a}, "test:strength", 64, 8, nil, nil, objcache.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := m.CPU(0)
+
+	// A Put burst: every object past the pair's 2*magSize leaves at once.
 	objs := make([]arena.Addr, 0, 64)
 	for i := 0; i < 64; i++ {
 		obj, err := k.Get(c)
@@ -295,20 +316,44 @@ func TestTrimShedsDepotOnly(t *testing.T) {
 		}
 		objs = append(objs, obj)
 	}
-	for _, obj := range objs {
+	for i, obj := range objs {
 		k.Put(c, obj)
+		held := uint64(len(objs) - i - 1)
+		if live := k.Stats().Live; live > held+2*magSize {
+			t.Fatalf("after %d Puts %d objects live, %d held: the overflow past %d idle stayed", i+1, live, held, 2*magSize)
+		}
 	}
 	st := k.Stats()
-	if st.DepotFull == 0 {
-		t.Fatal("expected full magazines in the depot after 64 puts into 8-object magazines")
+	if st.Releases == 0 || st.Sheds == 0 {
+		t.Fatalf("the Put burst released %d objects in %d sheds, want some", st.Releases, st.Sheds)
 	}
+	idle, released := st.Live, st.Releases
+
+	// Trim and the reclaim steps of an allocation that exhausts memory
+	// under PressureCritical leave the magazines loaded.
 	a.Trim(c, -1)
-	st = k.Stats()
-	if st.DepotFull != 0 {
-		t.Fatalf("depot still holds %d full magazines after Trim", st.DepotFull)
+	var blocks []arena.Addr
+	for {
+		b, err := a.Alloc(c, 4096)
+		if err != nil {
+			break
+		}
+		blocks = append(blocks, b)
 	}
-	if st.Live == 0 {
-		t.Fatal("Trim flushed the per-CPU magazines; non-aggressive shed must not")
+	if steps := a.Stats(c).Pressure.ReclaimSteps; a.Pressure() != core.PressureCritical || steps == 0 {
+		t.Fatalf("exhaustion ran at %v with %d reclaim steps, want critical steps", a.Pressure(), steps)
+	}
+	if st := k.Stats(); st.Live != idle || st.Releases != released {
+		t.Fatalf("Trim and reclaim steps released %d constructed objects: %d live, want %d",
+			st.Releases-released, st.Live, idle)
+	}
+	for _, b := range blocks {
+		a.Free(c, b, 4096)
+	}
+
+	a.DrainAll(c)
+	if live := k.Stats().Live; live != 0 {
+		t.Fatalf("%d idle objects live after DrainAll", live)
 	}
 }
 

@@ -43,7 +43,7 @@ func MatrixSmall() []Config {
 		{CPUs: 8, Nodes: 4, Rseq: true, LockFree: true, RestartStorm: true, Pressure: true},
 		// Serving traces: session open/churn/close lifetimes instead of
 		// uniform random ops, so skewed lifetimes concentrate cross-CPU
-		// frees on the shard and depot paths.
+		// frees on the shard and magazine-overflow paths.
 		{CPUs: 4, Nodes: 2, Serve: true},
 		{CPUs: 8, Nodes: 4, Serve: true, ObjCache: true, Pressure: true},
 		// Planted corruptions: each kind must be detected, attributed to

@@ -196,8 +196,8 @@ const (
 )
 
 // onCacheGet checks a freshly gotten cache object: it must carry the
-// constructed pattern (whether it came from the ctor, a magazine, or the
-// depot), must not alias another held object, and must not land inside
+// constructed pattern (whether it came from the ctor or a magazine),
+// must not alias another held object, and must not land inside
 // any live heap block's extent. Then the object is dirtied with this
 // op's mark, deliberately destroying the constructed state — the cache
 // must never hand it to anyone else before Put restores it.

@@ -101,8 +101,9 @@ type Config struct {
 	// on a home CPU, churn, and close as a burst of frees — often on a
 	// different CPU and biased toward the oldest live handles — under a
 	// day/night population wave. The lifetime skew concentrates frees of
-	// remotely-allocated blocks, hammering the shard, depot, and
-	// cross-CPU drain paths that uniform random traffic rarely lines up.
+	// remotely-allocated blocks, hammering the shard, magazine-overflow
+	// and cross-CPU drain paths that uniform random traffic rarely lines
+	// up.
 	Serve bool `json:"serve,omitempty"`
 
 	// WorkingSet caps the live handles; allocs at the cap are skipped.

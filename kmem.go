@@ -476,9 +476,9 @@ type Dtor = objcache.Dtor
 
 // CacheOpts tunes an object cache: a floor on the backing size
 // (MinBackSize) and the restartable-sequence fast path (Rseq). Colors
-// come from the backing block's slack; magazine and depot sizes are
-// constants; a cache is hardened exactly when its System is. The zero
-// value selects defaults.
+// come from the backing block's slack; the magazine size is a constant;
+// a cache is hardened exactly when its System is. The zero value selects
+// defaults.
 type CacheOpts = objcache.Opts
 
 // NewCache creates and registers a named typed object cache over this
