@@ -52,31 +52,36 @@ func (a *Arena) Size() uint64 { return uint64(len(a.mem)) }
 // check panics if [addr, addr+n) is not a valid, non-nil range.
 func (a *Arena) check(addr Addr, n uint64) {
 	if addr == NilAddr || addr+n > uint64(len(a.mem)) || addr+n < addr {
-		panic(fmt.Sprintf("arena: access [%#x,+%d) outside arena of size %d", addr, n, len(a.mem)))
+		a.outside(addr, n)
 	}
 }
 
-// Load64 reads the 8-byte little-endian word at addr. It is how freelist
-// links stored inside blocks are followed.
-func (a *Arena) Load64(addr Addr) uint64 {
-	a.check(addr, 8)
-	b := a.mem[addr : addr+8 : addr+8]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+// outside panics for the access [addr,+n) that a bounds check refused.
+// It stays out of line so that the word accessors inline.
+//
+//go:noinline
+func (a *Arena) outside(addr Addr, n uint64) {
+	panic(fmt.Sprintf("arena: access [%#x,+%d) outside arena of size %d", addr, n, len(a.mem)))
 }
 
-// Store64 writes the 8-byte little-endian word v at addr.
+// Load64 reads the 8-byte little-endian word at addr. It is how freelist
+// links stored inside blocks are followed. The bounds check is check's
+// in one compare: addr-1 wraps for NilAddr, and an arena holds at least
+// 16 bytes.
+func (a *Arena) Load64(addr Addr) uint64 {
+	if addr-1 >= uint64(len(a.mem))-8 {
+		a.outside(addr, 8)
+	}
+	return binary.LittleEndian.Uint64(a.mem[addr:])
+}
+
+// Store64 writes the 8-byte little-endian word v at addr, bounds-checked
+// as Load64 is.
 func (a *Arena) Store64(addr Addr, v uint64) {
-	a.check(addr, 8)
-	b := a.mem[addr : addr+8 : addr+8]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
+	if addr-1 >= uint64(len(a.mem))-8 {
+		a.outside(addr, 8)
+	}
+	binary.LittleEndian.PutUint64(a.mem[addr:], v)
 }
 
 // Load32 reads the 4-byte little-endian word at addr.

@@ -95,9 +95,17 @@ func (l *List) Pop(c *machine.CPU, a *arena.Arena) arena.Addr {
 	l.head = a.Load64(b)
 	c.ReadAddr(b)
 	if l.n == 0 && l.head != arena.NilAddr {
-		panic(fmt.Sprintf("blocklist: count reached 0 with non-nil head %#x", l.head))
+		l.badCount()
 	}
 	return b
+}
+
+// badCount panics for a linked list whose count reached 0 before its
+// links did. It is out of line so that Pop builds no message.
+//
+//go:noinline
+func (l *List) badCount() {
+	panic(fmt.Sprintf("blocklist: count reached 0 with non-nil head %#x", l.head))
 }
 
 // Link writes a run's links, making it the linked list of the same

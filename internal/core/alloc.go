@@ -47,12 +47,23 @@ type Allocator struct {
 	sizeTableLine machine.Line
 
 	vm     *vmblkLayer
-	percpu [][]pcpu // [cpu][class]
+	percpu [][]pcpu // [cpu][class], each row a newRow
+
+	// shards[cpu][cls*nodes+n] is CPU cpu's class-cls remote-free shard
+	// for node n (shardsOf): frees of blocks homed on node n != the
+	// CPU's own node stage there inside the critical section alone, and
+	// the shard flushes to node n's global pool in one batched putList
+	// when it reaches target blocks — one remote lock trip per target
+	// remote frees instead of one per spill partition. Nil on
+	// single-node machines; a CPU's shard for its own node is never used
+	// (home frees go through main). Each row is a newRow, as percpu's.
+	shards [][]blocklist.List
 
 	// crit[cpu] is the critical section guarding percpu[cpu] across every
-	// class: interrupt disable, or a restartable sequence under
-	// Params.Rseq. The owning CPU brackets its accesses with Enter/Exit,
-	// everyone else (drains, stats) with EnterForeign/ExitForeign.
+	// class: in Sim interrupt disable, or a restartable sequence under
+	// Params.Rseq; in Native the claim word (see New). The owning CPU
+	// brackets its accesses with Enter/Exit, everyone else (drains,
+	// stats) with EnterForeign/ExitForeign.
 	crit []machine.PerCPU
 
 	// spillScratch[cpu] is that CPU's reusable per-node partition buffer
@@ -102,6 +113,9 @@ type Allocator struct {
 	// Corruption-hardening state (harden.go). Nil unless Params.Harden
 	// is set, so every hardening hook is one nil test when off.
 	hd *hardenState
+
+	// rare is the rare-feature word (rareOwned, ...), fixed by New.
+	rare uint8
 }
 
 // classState groups one size class's parameters and upper layers. target
@@ -122,6 +136,12 @@ type classState struct {
 func (cs *classState) globalFor(c *machine.CPU) *globalPool { return cs.globals[c.Node()] }
 
 // New builds an allocator over machine m with the given parameters.
+//
+// Each CPU's caches are guarded by one machine.PerCPU section. In Sim it
+// charges the paper's interrupt disable, or a restartable sequence under
+// Params.Rseq. On a Native machine it is one protocol under both: a claim
+// word that the owner takes with a CAS and leaves with a store, and that
+// a foreign entrant (DrainCPU, reclaim, Stats) takes the same way.
 func New(m *machine.Machine, params Params) (*Allocator, error) {
 	p := params.withDefaults()
 	cfg := m.Config()
@@ -207,18 +227,19 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 	n := m.NumCPUs()
 	a.percpu = make([][]pcpu, n)
 	for cpu := 0; cpu < n; cpu++ {
-		a.percpu[cpu] = make([]pcpu, len(p.Classes))
+		a.percpu[cpu] = newRow[pcpu](len(p.Classes))
 		for k := range a.percpu[cpu] {
 			pc := &a.percpu[cpu][k]
 			pc.line = m.NewMetaLineOn(m.NodeOf(cpu))
 			pc.target = a.classes[k].ctl.curTarget()
 			pc.memoVmblk = -1
-			if a.nodes > 1 {
-				pc.remote = make([]blocklist.List, a.nodes)
-			}
 		}
 	}
 	if a.nodes > 1 {
+		a.shards = make([][]blocklist.List, n)
+		for cpu := range a.shards {
+			a.shards[cpu] = newRow[blocklist.List](len(p.Classes) * a.nodes)
+		}
 		a.spillScratch = make([][]blocklist.List, n)
 		for cpu := range a.spillScratch {
 			a.spillScratch[cpu] = make([]blocklist.List, a.nodes)
@@ -245,6 +266,7 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 	if a.hd != nil {
 		a.maxLarge -= a.hd.rz
 	}
+	a.rare = rareWord(&p, a.nodes)
 	a.initSources()
 	if err := a.initPressure(); err != nil {
 		return nil, err
@@ -276,6 +298,15 @@ func (a *Allocator) GblTarget(cls int) int { return a.classes[cls].ctl.curGblTar
 // classFor returns the size class index for a small block size.
 func (a *Allocator) classFor(size uint64) int {
 	return int(a.sizeToClass[size])
+}
+
+// shardsOf returns CPU cpu's class-cls remote-free shards, indexed by
+// home node; nil on a single-node machine.
+func (a *Allocator) shardsOf(cpu, cls int) []blocklist.List {
+	if a.shards == nil {
+		return nil
+	}
+	return a.shards[cpu][cls*a.nodes : (cls+1)*a.nodes]
 }
 
 // badSize reports a request no allocation can serve: zero bytes, or
@@ -405,18 +436,77 @@ func (a *Allocator) FreeByAddr(c *machine.CPU, addr arena.Addr) {
 
 // --- per-class operations -------------------------------------------------
 
+// The rare features, decided once by New into Allocator.rare. A per-CPU
+// hit tests the word, not the Params fields behind it, and a feature
+// that is off costs a hit nothing more; every path below a hit reads
+// the same word.
+const (
+	// rareOwned: Params.DebugOwnership holds the CPU's exclusive marker
+	// across every class operation (allocOwned, freeOwned).
+	rareOwned = 1 << iota
+	// rareChecked: Params.Harden or Params.Poison checks a block leaving
+	// the cache (checkOut) and entering it (freeChecked).
+	rareChecked
+	// rareRouted: a free picks its list (freeRouted) — by the block's
+	// home node on a multi-node machine, or the single freelist of
+	// Params.DisableSplitFreelist.
+	rareRouted
+	// rareAdaptive: Params.Adaptive; refills and spills requote the
+	// cache's target and report to the class controller.
+	rareAdaptive
+
+	// rareFree is the bits a free's hit must know before its section.
+	rareFree = rareOwned | rareChecked | rareRouted
+)
+
+// rareWord returns the rare-feature word for validated params p on a
+// machine of nodes NUMA nodes.
+func rareWord(p *Params, nodes int) uint8 {
+	var w uint8
+	if p.DebugOwnership {
+		w |= rareOwned
+	}
+	if p.Harden != nil || p.Poison {
+		w |= rareChecked
+	}
+	if nodes > 1 || p.DisableSplitFreelist {
+		w |= rareRouted
+	}
+	if p.Adaptive {
+		w |= rareAdaptive
+	}
+	return w
+}
+
 // allocClass allocates one block of class cls on CPU c: per-CPU cache
 // first, then the global layer (tryClass), then the low-memory path's
 // retry.
 func (a *Allocator) allocClass(c *machine.CPU, cls int) (arena.Addr, error) {
-	if a.params.DebugOwnership {
-		defer c.EndExclusive(c.BeginExclusive())
+	if a.rare&rareOwned != 0 {
+		return a.allocOwned(c, cls)
 	}
 	b, err := a.tryClass(c, cls)
 	if err != nil {
-		return a.retry(c, err, func() (arena.Addr, error) { return a.tryClass(c, cls) })
+		return a.retryClass(c, cls, err)
 	}
 	return b, nil
+}
+
+// allocOwned is allocClass with DebugOwnership's exclusive marker held
+// across it. The defer lives here so that allocClass has none.
+func (a *Allocator) allocOwned(c *machine.CPU, cls int) (arena.Addr, error) {
+	defer c.EndExclusive(c.BeginExclusive())
+	b, err := a.tryClass(c, cls)
+	if err != nil {
+		return a.retryClass(c, cls, err)
+	}
+	return b, nil
+}
+
+// retryClass runs the low-memory path's retry for a class allocation
+// whose attempt failed with err.
+func (a *Allocator) retryClass(c *machine.CPU, cls int, err error) (arena.Addr, error) {
+	return a.retry(c, err, func() (arena.Addr, error) { return a.tryClass(c, cls) })
 }
 
 // tryClass is one allocation attempt of class cls on CPU c without
@@ -426,92 +516,100 @@ func (a *Allocator) tryClass(c *machine.CPU, cls int) (arena.Addr, error) {
 	cpu := c.ID()
 	pc := &a.percpu[cpu][cls]
 	crit := &a.crit[cpu]
-	ctl := a.classes[cls].ctl
-	single := a.params.DisableSplitFreelist
 	for {
-		var b arena.Addr
-		var ok bool
 		if n := crit.Enter(c); n > 0 {
 			pc.ev[EvRseqRestart] += uint64(n)
 		}
-		if single {
-			b, ok = a.allocFastSingle(c, pc)
-		} else {
-			b, ok = a.allocFast(c, pc)
-		}
+		b, ok := a.allocFast(c, pc)
 		crit.Exit(c)
 		if ok {
-			if a.hd != nil {
-				if !a.hardenAlloc(c, cls, b) {
-					// Block swallowed into quarantine; retry.
-					continue
-				}
-			} else if a.params.Poison {
-				a.poisonCheck(b, cls)
+			if a.rare&rareChecked != 0 && !a.checkOut(c, cls, b) {
+				// Block swallowed into quarantine; retry.
+				continue
 			}
 			return b, nil
 		}
-
-		// Miss: replenish main from the global layer — a whole
-		// target-sized list normally, a single block under the
-		// no-split-freelist ablation. The home node's pool is tried
-		// first (it refills from its node-local page pool); when it is
-		// dry the other nodes' pools are tried in round-robin order,
-		// taking only blocks they already cache.
-		c.Work(insnRefill)
-		home := a.classes[cls].globalFor(c)
-		lst, err := home.getList(c, single)
-		took := !lst.Empty() && !single
-		stolen := false
-		if lst.Empty() && a.nodes > 1 {
-			for off := 1; off < a.nodes && lst.Empty(); off++ {
-				victim := (home.node + off) % a.nodes
-				lst = a.classes[cls].globals[victim].stealList(c)
-			}
-			stolen = !lst.Empty() && !tortureBug(TortureBugStaleNodePure)
+		if err := a.refill(c, cls, pc, crit); err != nil {
+			return arena.NilAddr, err
 		}
-		if !lst.Empty() {
-			// Blocks fresh from a page can arrive as an unlinked run:
-			// they are this CPU's alone now, so it writes their links
-			// on its own clock, outside every lock.
-			lst.Link(c, a.mem)
-			n := lst.Len()
-			var delta uint64
-			if r := crit.Enter(c); r > 0 {
-				pc.ev[EvRseqRestart] += uint64(r)
-			}
-			pc.ev[EvCPURefill]++
-			if ctl.enabled {
-				// Requote the target and batch the fast-path ops since
-				// the last report into the controller's window.
-				ops := pc.ops()
-				delta = ops - pc.notedOps
-				pc.notedOps = ops
-				pc.target = ctl.curTarget()
-			}
-			// A home refill into an empty cache restores node-purity.
-			pc.mixed = stolen || pc.mixed && !(pc.main.Empty() && pc.aux.Empty())
-			if pc.main.Empty() {
-				pc.main = lst
-			} else {
-				// A drain cannot have added blocks (drains only
-				// remove), but be robust: splice.
-				pc.main.Append(c, a.mem, lst)
-			}
-			crit.Exit(c)
-			a.emit(cls, EvCPURefill, n)
-			if ctl.enabled {
-				ctl.target.note(a, c, cls, delta, 1)
-			}
-			if took {
-				// A home list taken: with every lock dropped, back the
-				// pages it used ahead of the pool's next refill.
-				home.pp.backAhead(c)
-			}
-			continue
-		}
-		return arena.NilAddr, exhaustErr(err)
 	}
+}
+
+// checkOut runs the rare checks on block b of class cls leaving CPU c's
+// cache: hardening's out-check, or the legacy Poison mode's verify. It
+// reports false when hardening swallowed the block into quarantine.
+func (a *Allocator) checkOut(c *machine.CPU, cls int, b arena.Addr) bool {
+	if a.hd != nil {
+		return a.hardenAlloc(c, cls, b)
+	}
+	a.poisonCheck(b, cls)
+	return true
+}
+
+// refill replenishes CPU c's class-cls cache pc, guarded by crit, after
+// a miss: a whole target-sized list normally, a single block under the
+// no-split-freelist ablation. The home node's pool is tried first (it
+// refills from its node-local page pool); when it is dry the other
+// nodes' pools are tried in round-robin order, taking only blocks they
+// already cache. It returns the exhaustion error when no pool had a
+// block to give.
+func (a *Allocator) refill(c *machine.CPU, cls int, pc *pcpu, crit *machine.PerCPU) error {
+	single := a.params.DisableSplitFreelist
+	c.Work(insnRefill)
+	home := a.classes[cls].globalFor(c)
+	lst, err := home.getList(c, single)
+	took := !lst.Empty() && !single
+	stolen := false
+	if lst.Empty() && a.nodes > 1 {
+		for off := 1; off < a.nodes && lst.Empty(); off++ {
+			victim := (home.node + off) % a.nodes
+			lst = a.classes[cls].globals[victim].stealList(c)
+		}
+		stolen = !lst.Empty() && !tortureBug(TortureBugStaleNodePure)
+	}
+	if lst.Empty() {
+		return exhaustErr(err)
+	}
+	// Blocks fresh from a page can arrive as an unlinked run: they are
+	// this CPU's alone now, so it writes their links on its own clock,
+	// outside every lock.
+	lst.Link(c, a.mem)
+	n := lst.Len()
+	ctl := a.classes[cls].ctl
+	adaptive := a.rare&rareAdaptive != 0
+	var delta uint64
+	if r := crit.Enter(c); r > 0 {
+		pc.ev[EvRseqRestart] += uint64(r)
+	}
+	pc.ev[EvCPURefill]++
+	if adaptive {
+		// Requote the target and batch the fast-path ops since the last
+		// report into the controller's window.
+		ops := pc.ops()
+		delta = ops - pc.notedOps
+		pc.notedOps = ops
+		pc.target = ctl.curTarget()
+	}
+	// A home refill into an empty cache restores node-purity.
+	pc.mixed = stolen || pc.mixed && !(pc.main.Empty() && pc.aux.Empty())
+	if pc.main.Empty() {
+		pc.main = lst
+	} else {
+		// A drain cannot have added blocks (drains only remove), but be
+		// robust: splice.
+		pc.main.Append(c, a.mem, lst)
+	}
+	crit.Exit(c)
+	a.emit(cls, EvCPURefill, n)
+	if adaptive {
+		ctl.target.note(a, c, cls, delta, 1)
+	}
+	if took {
+		// A home list taken: with every lock dropped, back the pages it
+		// used ahead of the pool's next refill.
+		home.pp.backAhead(c)
+	}
+	return nil
 }
 
 // freeClass frees one block of class cls on CPU c.
@@ -519,9 +617,27 @@ func (a *Allocator) freeClass(c *machine.CPU, cls int, addr arena.Addr) {
 	if addr == arena.NilAddr {
 		panic("kmem: free of nil address")
 	}
-	if a.params.DebugOwnership {
-		defer c.EndExclusive(c.BeginExclusive())
+	switch rare := a.rare & rareFree; {
+	case rare == 0:
+		a.freeTo(c, cls, addr, false)
+	case rare&rareOwned != 0:
+		a.freeOwned(c, cls, addr)
+	default:
+		a.freeChecked(c, cls, addr)
 	}
+}
+
+// freeOwned is freeClass with DebugOwnership's exclusive marker held
+// across it. The defer lives here so that freeClass has none.
+func (a *Allocator) freeOwned(c *machine.CPU, cls int, addr arena.Addr) {
+	defer c.EndExclusive(c.BeginExclusive())
+	a.freeChecked(c, cls, addr)
+}
+
+// freeChecked is freeClass with a rare feature on: the checks on a
+// block entering the cache, then the free by the list the block's home
+// picks.
+func (a *Allocator) freeChecked(c *machine.CPU, cls int, addr arena.Addr) {
 	if a.hd != nil {
 		if !a.hardenFree(c, cls, addr) {
 			// The free was swallowed: double free, quarantined page, or
@@ -536,32 +652,50 @@ func (a *Allocator) freeClass(c *machine.CPU, cls int, addr arena.Addr) {
 		a.freePage(c, cls, addr)
 		a.lay(addr, restGuard(uint64(a.classes[cls].size), poisonByte))
 	}
+	a.freeTo(c, cls, addr, a.rare&rareRouted != 0)
+}
+
+// freeTo puts block addr of class cls into CPU c's cache — the split
+// freelist's push, or with routed the list freeRouted picks — and hands
+// a list the free spilled or flushed to the global layer.
+func (a *Allocator) freeTo(c *machine.CPU, cls int, addr arena.Addr, routed bool) {
 	cpu := c.ID()
 	pc := &a.percpu[cpu][cls]
 	crit := &a.crit[cpu]
-	ctl := a.classes[cls].ctl
-
-	var spill blocklist.List
-	// flushHome is the destination node when spill is a full remote
-	// shard; -1 marks a classic main/aux spill, which goes where
-	// spillHome says.
-	flushHome, spillHome := -1, -1
-	var delta uint64
-	noted := false
 	if n := crit.Enter(c); n > 0 {
 		pc.ev[EvRseqRestart] += uint64(n)
 	}
 	// Under pressure the cache's spill threshold is halved (effTarget),
 	// so frees surrender surplus to the lower layers sooner.
 	target := a.effTarget(pc.target)
+	var spill blocklist.List
+	// flushHome is the destination node when spill is a full remote
+	// shard; -1 marks a classic main/aux spill, which goes where
+	// spillHome says.
+	flushHome := -1
+	if routed {
+		spill, flushHome = a.freeRouted(c, cls, pc, target, addr)
+	} else {
+		spill = a.freeFast(c, pc, target, addr)
+	}
+	if spill.Empty() {
+		crit.Exit(c)
+		return
+	}
+	a.spillOut(c, cls, pc, crit, spill, flushHome)
+}
+
+// freeRouted is the free of a cache whose block picks its list. The
+// block's home is classified first: remote blocks stage in the per-node
+// shard and never enter main/aux, so a shard flush is already wholly
+// owned by one node. The 1-entry memo answers repeat lookups within one
+// vmblk with a compare instead of the dope-vector charge; a vmblk's home
+// never changes, so the memo can never go stale. A home block goes to
+// the single freelist under the no-split-freelist ablation. The caller
+// is inside the CPU's critical section; flushHome is as in freeTo.
+func (a *Allocator) freeRouted(c *machine.CPU, cls int, pc *pcpu, target int, addr arena.Addr) (spill blocklist.List, flushHome int) {
 	home := c.Node()
 	if a.nodes > 1 {
-		// Classify the block's home first: remote blocks stage in the
-		// per-node shard and never enter main/aux, so a shard flush is
-		// already wholly owned by one node. The 1-entry memo answers
-		// repeat lookups within one vmblk with a compare instead of the
-		// dope-vector charge; a vmblk's home never changes, so the memo
-		// can never go stale.
 		idx := int64(addr >> a.vmblkShift)
 		if pc.memoVmblk == idx {
 			c.Work(insnHomeMemo)
@@ -575,39 +709,46 @@ func (a *Allocator) freeClass(c *machine.CPU, cls int, addr arena.Addr) {
 	}
 	switch {
 	case home != c.Node():
-		spill = a.freeShard(c, pc, target, home, addr)
-		flushHome = home
+		return a.freeShard(c, pc, &a.shardsOf(c.ID(), cls)[home], target, addr), home
 	case a.params.DisableSplitFreelist:
-		spill = a.freeFastSingle(c, pc, target, addr)
+		return a.freeFastSingle(c, pc, target, addr), -1
 	default:
-		spill = a.freeFast(c, pc, target, addr)
+		return a.freeFast(c, pc, target, addr), -1
 	}
-	if flushHome < 0 && !spill.Empty() {
+}
+
+// spillOut finishes a free that spilled main/aux or filled a remote
+// shard (flushHome >= 0): inside CPU c's critical section crit it names
+// the spill's pool and, with adaptation on, requotes the cache's target;
+// then it leaves the section and puts the list to the global layer.
+func (a *Allocator) spillOut(c *machine.CPU, cls int, pc *pcpu, crit *machine.PerCPU, spill blocklist.List, flushHome int) {
+	spillHome := -1
+	if flushHome < 0 {
 		spillHome = a.spillHome(pc, c.Node(), spill.Len())
 	}
-	if ctl.enabled && !spill.Empty() {
+	ctl := a.classes[cls].ctl
+	adaptive := a.rare&rareAdaptive != 0
+	var delta uint64
+	if adaptive {
 		ops := pc.ops()
 		delta = ops - pc.notedOps
 		pc.notedOps = ops
 		pc.target = ctl.curTarget()
-		noted = true
 	}
 	crit.Exit(c)
-	if !spill.Empty() {
-		n := spill.Len()
-		c.Work(insnRefill)
-		if flushHome >= 0 {
-			// A full remote shard: one batched putList straight to its
-			// home pool — no per-block routing, one remote lock trip per
-			// target remote frees.
-			a.classes[cls].globals[flushHome].putList(c, spill)
-			a.emit(cls, EvShardFlush, n)
-		} else {
-			a.spill(c, cls, spill, spillHome)
-			a.emit(cls, EvCPUSpill, n)
-		}
+	n := spill.Len()
+	c.Work(insnRefill)
+	if flushHome >= 0 {
+		// A full remote shard: one batched putList straight to its home
+		// pool — no per-block routing, one remote lock trip per target
+		// remote frees.
+		a.classes[cls].globals[flushHome].putList(c, spill)
+		a.emit(cls, EvShardFlush, n)
+	} else {
+		a.spill(c, cls, spill, spillHome)
+		a.emit(cls, EvCPUSpill, n)
 	}
-	if noted {
+	if adaptive {
 		ctl.target.note(a, c, cls, delta, 1)
 	}
 }

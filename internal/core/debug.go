@@ -316,8 +316,9 @@ func (a *Allocator) CheckConsistency() error {
 			// shard's node (by construction the sharded free path never
 			// stages a local block, and shard k only ever receives
 			// node-k-homed blocks).
-			for node := range pc.remote {
-				sh := &pc.remote[node]
+			shards := a.shardsOf(cpu, cls)
+			for node := range shards {
+				sh := &shards[node]
 				if node == a.m.NodeOf(cpu) && !sh.Empty() {
 					return fmt.Errorf("kmem: cpu %d class %d stages local blocks in its own node-%d shard", cpu, cls, node)
 				}

@@ -26,7 +26,7 @@ func (a *Allocator) Dump(w io.Writer) {
 		fmt.Fprintln(w)
 		for cpu := range a.percpu {
 			pc := &a.percpu[cpu][cls]
-			if pc.ev[EvAlloc] == 0 && pc.held() == 0 {
+			if pc.ev[EvAlloc] == 0 && pc.held(a.shardsOf(cpu, cls)) == 0 {
 				continue
 			}
 			fmt.Fprintf(w, "  cpu %d: main %d + aux %d cached; %d allocs, %d frees, %d refills, %d spills",

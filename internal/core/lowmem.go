@@ -177,7 +177,7 @@ func (a *Allocator) DrainCPU(c *machine.CPU, cpu int) {
 		home := a.spillHome(pc, a.m.NodeOf(cpu), main.Len()+aux.Len())
 		pc.mixed = false // an empty cache is node-pure
 		if !tortureBug(TortureBugSkipShardFlush) {
-			shards = pc.takeShards(c)
+			shards = pc.takeShards(c, a.shardsOf(cpu, cls))
 		}
 		if ctl.enabled {
 			pc.target = ctl.curTarget()

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"kmem/internal/arena"
 	"kmem/internal/machine"
@@ -341,4 +344,162 @@ func TestNativeStatsDuringTraffic(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestPerCPURowLayout: each CPU's row of class caches, a.percpu[cpu],
+// and of remote-free shards, a.shards[cpu], starts on a host line and
+// ends on one, so no two CPUs' caches share a line on real threads —
+// first from pcpu's geometry, then on the addresses of real rows, Native
+// and Sim, one node and two, with the default classes and with a row of
+// one class.
+func TestPerCPURowLayout(t *testing.T) {
+	const line = machine.HostLineBytes
+	size, live := unsafe.Sizeof(pcpu{}), unsafe.Sizeof(pcpuState{})
+	if size%line != 0 || live > size || size-live >= line {
+		t.Fatalf("pcpu is %d bytes with %d live: want a whole number of %d-byte lines, padded by less than one", size, live, line)
+	}
+	wholeLines := func(what string, start unsafe.Pointer, bytes uintptr) {
+		t.Helper()
+		if s := uintptr(start); s%line != 0 || (s+bytes)%line != 0 {
+			t.Errorf("%s spans [%#x, %#x), not whole lines", what, s, s+bytes)
+		}
+	}
+	for _, mode := range []machine.Mode{machine.Sim, machine.Native} {
+		for _, nodes := range []int{1, 2} {
+			for _, classes := range [][]uint32{nil, {64}} {
+				for n := nodes; n <= 8; n++ {
+					cfg := machine.DefaultConfig()
+					cfg.Mode = mode
+					cfg.NumCPUs = n
+					cfg.Nodes = nodes
+					a, err := New(machine.New(cfg), Params{Classes: classes})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for cpu, row := range a.percpu {
+						what := fmt.Sprintf("mode %v, %d nodes, %d classes, %d CPUs: cache row %d", mode, nodes, len(row), n, cpu)
+						wholeLines(what, unsafe.Pointer(&row[0]), uintptr(len(row))*size)
+					}
+					for cpu, row := range a.shards {
+						what := fmt.Sprintf("mode %v, %d nodes, %d CPUs: shard row %d", mode, nodes, n, cpu)
+						wholeLines(what, unsafe.Pointer(&row[0]), uintptr(cap(row))*unsafe.Sizeof(row[0]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNativeHitAllocatesNothing: a warm cookie pair and a warm standard
+// Alloc/Free pair on a Native machine make no Go heap allocation, under
+// both profiles.
+func TestNativeHitAllocatesNothing(t *testing.T) {
+	for _, rseq := range []bool{false, true} {
+		cfg := machine.DefaultConfig()
+		cfg.Mode = machine.Native
+		m := machine.New(cfg)
+		a, err := New(m, Params{Rseq: rseq})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := m.CPU(0)
+		ck, err := a.GetCookie(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cookie := func() {
+			b, err := a.AllocCookie(c, ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.FreeCookie(c, b, ck)
+		}
+		standard := func() {
+			b, err := a.Alloc(c, 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.Free(c, b, 100)
+		}
+		for name, pair := range map[string]func(){"cookie": cookie, "standard": standard} {
+			pair() // warm the class
+			if n := testing.AllocsPerRun(1000, pair); n != 0 {
+				t.Errorf("rseq=%v: a %s pair allocates %v times", rseq, name, n)
+			}
+		}
+	}
+}
+
+// TestNativeForeignDuringHits runs one owner goroutine allocating and
+// freeing 64-byte cookie blocks on CPU 0 — hits, with a refill after
+// each drain — while a foreign goroutine runs DrainCPU and Stats on the
+// same CPU, under both profiles. The race detector convicts a foreign
+// section that does not exclude the owner's. Every snapshot must count
+// between 0 and ring blocks live on CPU 0 (allocations less frees), and
+// at quiescence exactly the blocks the owner holds.
+func TestNativeForeignDuringHits(t *testing.T) {
+	const ring = 16
+	for _, rseq := range []bool{false, true} {
+		cfg := machine.DefaultConfig()
+		cfg.Mode = machine.Native
+		cfg.NumCPUs = 2
+		m := machine.New(cfg)
+		a, err := New(m, Params{Rseq: rseq})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck, err := a.GetCookie(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cls := int(ck.cls)
+		liveOn0 := func(st Stats) int64 {
+			return int64(st.Classes[cls].Allocs) - int64(st.Classes[cls].Frees)
+		}
+		// Stats sums every CPU; CPU 1 only drains and reads, so what it
+		// sees is CPU 0's.
+		var held []arena.Addr
+		var done atomic.Bool
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			defer done.Store(true)
+			c := m.CPU(0)
+			for op := 0; op < scaledOps(200_000); op++ {
+				if len(held) == ring || (len(held) > 0 && op%3 == 0) {
+					a.FreeCookie(c, held[len(held)-1], ck)
+					held = held[:len(held)-1]
+					continue
+				}
+				b, err := a.AllocCookie(c, ck)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				held = append(held, b)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			c := m.CPU(1)
+			for i := 0; !done.Load(); i++ {
+				if i%2 == 0 {
+					a.DrainCPU(c, 0)
+					continue
+				}
+				if n := liveOn0(a.Stats(c)); n < 0 || n > ring {
+					t.Errorf("rseq=%v: a snapshot counts %d blocks live on CPU 0, want 0..%d", rseq, n, ring)
+					return
+				}
+			}
+		}()
+		wg.Wait()
+		if n := liveOn0(a.Stats(m.CPU(1))); n != int64(len(held)) {
+			t.Errorf("rseq=%v: at quiescence Stats counts %d blocks live, the owner holds %d", rseq, n, len(held))
+		}
+		if err := a.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

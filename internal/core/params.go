@@ -70,7 +70,7 @@ type Params struct {
 
 	// DebugOwnership panics when two goroutines drive the same CPU
 	// handle concurrently — the misuse the per-CPU design forbids, which
-	// Native mode's internal locking would otherwise hide.
+	// Native mode's claim word would otherwise hide by serializing them.
 	DebugOwnership bool
 
 	// DisableSplitFreelist replaces the per-CPU split (main/aux)
@@ -124,7 +124,9 @@ type Params struct {
 	// in-flight sequences through PerCPU.EnterForeign instead of taking
 	// a lock. False — the default — keeps the paper's interrupt-disable
 	// protocol, cycle-for-cycle identical to the pre-rseq allocator
-	// (TestOptimisticOffCycleIdentity).
+	// (TestOptimisticOffCycleIdentity). Rseq selects Sim's charges only:
+	// on a Native machine both values run the one claim-word protocol
+	// (machine.PerCPU), a CAS to enter a section and a store to leave.
 	Rseq bool
 
 	// LockFree rebuilds the global layer's per-node block stacks as

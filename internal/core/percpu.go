@@ -1,6 +1,8 @@
 package core
 
 import (
+	"unsafe"
+
 	"kmem/internal/arena"
 	"kmem/internal/blocklist"
 	"kmem/internal/machine"
@@ -13,7 +15,19 @@ import (
 // touches another CPU's caches on the common path, "removing the need for
 // any synchronization primitives (other than the disabling of
 // interrupts)".
+//
+// The trailing pad makes a pcpu a whole number of host lines, and a
+// pcpu holds no pointer, so a row a.percpu[cpu] is a newRow: it starts
+// and ends on a host line, and on real threads two CPUs' caches never
+// share one (TestPerCPURowLayout). The pad is host layout only; the Sim
+// line of a cache is its line field.
 type pcpu struct {
+	pcpuState
+	_ [(machine.HostLineBytes - unsafe.Sizeof(pcpuState{})%machine.HostLineBytes) % machine.HostLineBytes]byte
+}
+
+// pcpuState is a pcpu's live fields.
+type pcpuState struct {
 	main blocklist.List
 	aux  blocklist.List
 	line machine.Line // the cache line holding this cache's state
@@ -33,15 +47,6 @@ type pcpu struct {
 	// report to the adaptive controller; the delta batches fast-path
 	// operations into the controller's window at refill/spill time.
 	notedOps uint64
-
-	// remote[n] is this cache's remote-free shard for node n: frees of
-	// blocks homed on node n != the CPU's own node stage here inside the
-	// critical section alone, and the shard flushes to node n's global pool in
-	// one batched putList when it reaches target blocks — one remote
-	// lock trip per target remote frees instead of one per spill
-	// partition. nil on single-node machines; the owner CPU's shard for
-	// its own node is never used (home frees go through main).
-	remote []blocklist.List
 
 	// mixed clears the cache's node-purity. Remote frees stage in the
 	// shards and never enter main/aux, and home refills carry only home
@@ -112,23 +117,12 @@ func (a *Allocator) freeFast(c *machine.CPU, pc *pcpu, target int, b arena.Addr)
 	return spill
 }
 
-// allocFastSingle and freeFastSingle implement ablation A2: the same
-// cache capacity but a single freelist exchanging blocks with the global
-// layer one at a time. Without the split-list hysteresis, a workload
-// oscillating at the cache-size boundary hits the global lock on nearly
-// every operation.
-func (a *Allocator) allocFastSingle(c *machine.CPU, pc *pcpu) (arena.Addr, bool) {
-	c.Read(pc.line)
-	if pc.main.Empty() {
-		return arena.NilAddr, false
-	}
-	b := pc.main.Pop(c, a.mem)
-	pc.ev[EvAlloc]++
-	c.Write(pc.line)
-	c.Work(insnCookieAllocResidual)
-	return b, true
-}
-
+// freeFastSingle implements ablation A2: the same cache capacity but a
+// single freelist exchanging blocks with the global layer one at a time.
+// Without the split-list hysteresis, a workload oscillating at the
+// cache-size boundary hits the global lock on nearly every operation.
+// Its allocation is allocFast's: aux stays empty, so a miss reads the
+// cache state and finds main empty, as the single list's would.
 func (a *Allocator) freeFastSingle(c *machine.CPU, pc *pcpu, target int, b arena.Addr) blocklist.List {
 	c.Read(pc.line)
 	var spill blocklist.List
@@ -144,17 +138,16 @@ func (a *Allocator) freeFastSingle(c *machine.CPU, pc *pcpu, target int, b arena
 	return spill
 }
 
-// freeShard is the sharded remote-free path: push block b (homed on node
-// home, not the executing CPU's node) onto the per-node shard. When the
-// shard reaches target blocks it is taken whole for the caller to flush
-// to node home's global pool in one batched putList after leaving the
-// critical section. Charging mirrors freeFast: read cache state, push link,
-// write cache state, residual straight-line work, plus the constant-time
-// whole-list take on a flush. The caller is inside the CPU's critical
-// section.
-func (a *Allocator) freeShard(c *machine.CPU, pc *pcpu, target int, home int, b arena.Addr) blocklist.List {
+// freeShard is the sharded remote-free path: push block b (homed on a
+// node other than the executing CPU's) onto that node's shard sh of
+// cache pc (Allocator.shards). When the shard reaches target blocks it
+// is taken whole for the caller to flush to the home node's global pool
+// in one batched putList after leaving the critical section. Charging
+// mirrors freeFast: read cache state, push link, write cache state,
+// residual straight-line work, plus the constant-time whole-list take
+// on a flush. The caller is inside the CPU's critical section.
+func (a *Allocator) freeShard(c *machine.CPU, pc *pcpu, sh *blocklist.List, target int, b arena.Addr) blocklist.List {
 	c.Read(pc.line)
-	sh := &pc.remote[home]
 	sh.Push(c, a.mem, b)
 	pc.ev[EvFree]++
 	c.Write(pc.line)
@@ -179,21 +172,22 @@ func (pc *pcpu) takeAll(c *machine.CPU) (blocklist.List, blocklist.List) {
 	return m, x
 }
 
-// takeShards empties every remote shard, returning the staged lists
-// indexed by home node (nil when the cache has no shards or nothing is
-// staged). Each returned list is already partitioned by home, so drains
-// hand them straight to the home pools without spill's per-block
-// lookups. Caller is inside the critical section.
-func (pc *pcpu) takeShards(c *machine.CPU) []blocklist.List {
+// takeShards empties the cache's remote shards (Allocator.shardsOf),
+// returning the staged lists indexed by home node (nil when the cache
+// has no shards or nothing is staged). Each returned list is already
+// partitioned by home, so drains hand them straight to the home pools
+// without spill's per-block lookups. Caller is inside the critical
+// section.
+func (pc *pcpu) takeShards(c *machine.CPU, shards []blocklist.List) []blocklist.List {
 	var out []blocklist.List
-	for n := range pc.remote {
-		if pc.remote[n].Empty() {
+	for n := range shards {
+		if shards[n].Empty() {
 			continue
 		}
 		if out == nil {
-			out = make([]blocklist.List, len(pc.remote))
+			out = make([]blocklist.List, len(shards))
 		}
-		out[n] = pc.remote[n].Take()
+		out[n] = shards[n].Take()
 		pc.ev[EvShardFlush]++
 		c.Work(2)
 	}
@@ -204,11 +198,23 @@ func (pc *pcpu) takeShards(c *machine.CPU) []blocklist.List {
 }
 
 // held reports the number of blocks cached, including blocks staged in
-// remote shards; caller is inside the critical section.
-func (pc *pcpu) held() int {
+// the cache's remote shards; caller is inside the critical section.
+func (pc *pcpu) held(shards []blocklist.List) int {
 	n := pc.main.Len() + pc.aux.Len()
-	for i := range pc.remote {
-		n += pc.remote[i].Len()
+	for i := range shards {
+		n += shards[i].Len()
 	}
 	return n
+}
+
+// newRow allocates one CPU's row of n elements of a pointer-free T whose
+// size is a whole number of host lines or divides one. The row is padded
+// to whole lines and to at least 512 bytes: the Go heap puts such a
+// pointer-free object on a 64-byte boundary with nothing before it, so
+// the row starts and ends on a host line.
+func newRow[T any](n int) []T {
+	size := int(unsafe.Sizeof(*new(T)))
+	per := max(1, machine.HostLineBytes/size) // elements per line
+	total := max((n+per-1)/per*per, (512+size-1)/size)
+	return make([]T, total)[:n]
 }

@@ -39,7 +39,7 @@ func TestShardStagingAndFlush(t *testing.T) {
 		a.Free(c2, b, 64)
 	}
 	pc := &a.percpu[2][cls]
-	if got := pc.remote[0].Len(); got != target-1 {
+	if got := a.shardsOf(2, cls)[0].Len(); got != target-1 {
 		t.Fatalf("shard holds %d blocks, want %d staged", got, target-1)
 	}
 	if !pc.main.Empty() || !pc.aux.Empty() {
@@ -53,7 +53,7 @@ func TestShardStagingAndFlush(t *testing.T) {
 
 	// The target-th free flushes the whole shard home in one putList.
 	a.Free(c2, bs[target-1], 64)
-	if got := pc.remote[0].Len(); got != 0 {
+	if got := a.shardsOf(2, cls)[0].Len(); got != 0 {
 		t.Fatalf("shard holds %d blocks after flush", got)
 	}
 	st = a.Stats(c0).Classes[cls]
@@ -207,14 +207,13 @@ func TestShardDrainCPU(t *testing.T) {
 	for _, b := range bs {
 		a.Free(c2, b, 64)
 	}
-	pc := &a.percpu[2][cls]
-	if pc.remote[0].Empty() {
+	if a.shardsOf(2, cls)[0].Empty() {
 		t.Fatal("nothing staged before drain")
 	}
 	held0 := a.classes[cls].globals[0].blocksHeld(c0)
 	a.DrainCPU(c2, 2)
-	if !pc.remote[0].Empty() {
-		t.Fatalf("shard still holds %d blocks after DrainCPU", pc.remote[0].Len())
+	if !a.shardsOf(2, cls)[0].Empty() {
+		t.Fatalf("shard still holds %d blocks after DrainCPU", a.shardsOf(2, cls)[0].Len())
 	}
 	if n := a.classes[cls].globals[0].blocksHeld(c0); n != held0+target-1 {
 		t.Fatalf("node 0 pool holds %d blocks after drain, want %d", n, held0+target-1)

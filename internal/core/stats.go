@@ -274,7 +274,7 @@ func (a *Allocator) Stats(c *machine.CPU) Stats {
 			st.HomeMemoHits += pc.ev[EvHomeMemoHit]
 			st.SpillRouted += pc.ev[EvSpillRouted]
 			st.RseqRestarts += pc.ev[EvRseqRestart]
-			st.HeldPerCPU += pc.held()
+			st.HeldPerCPU += pc.held(a.shardsOf(cpu, i))
 		}
 		a.crit[cpu].ExitForeign(c)
 	}

@@ -284,19 +284,24 @@ func (c *CPU) NoteCASRetry() { c.casRetries++ }
 
 // ReadAddr charges a load of the arena address addr.
 func (c *CPU) ReadAddr(addr uint64) {
-	if !c.sim {
-		return
+	if c.sim {
+		c.readAddr(addr)
 	}
-	c.Read(c.m.LineOf(addr))
 }
+
+// readAddr is ReadAddr's charge, out of line so that ReadAddr inlines to
+// a mode test.
+func (c *CPU) readAddr(addr uint64) { c.Read(c.m.LineOf(addr)) }
 
 // WriteAddr charges a store to the arena address addr.
 func (c *CPU) WriteAddr(addr uint64) {
-	if !c.sim {
-		return
+	if c.sim {
+		c.writeAddr(addr)
 	}
-	c.Write(c.m.LineOf(addr))
 }
+
+// writeAddr is WriteAddr's charge, out of line as readAddr is.
+func (c *CPU) writeAddr(addr uint64) { c.Write(c.m.LineOf(addr)) }
 
 // noteWait attributes a synchronization wait to the given line while
 // tracing — the way a logic analyzer sees a spin: repeated accesses to

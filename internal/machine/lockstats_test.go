@@ -177,17 +177,19 @@ func TestTryAcquireNative(t *testing.T) {
 }
 
 // adjacentPerCPUs lays n sections out at the stride PerCPU would have
-// without its trailing pad, so that neighbours' live words share lines:
-// each element's pad overlaps the elements after it. Nothing reads or
-// writes a pad once its element is constructed, so the overlap is
-// harmless; it exists so the benchmark below can show what the pad buys.
-func adjacentPerCPUs(m *Machine, n int, rseq bool) []*PerCPU {
-	live := perCPULiveBytes()
-	buf := make([]uint64, (uintptr(n)*live+unsafe.Sizeof(PerCPU{}))/8)
+// without its trailing pad (its live bytes, rounded up to its
+// alignment), so that neighbours' live words share lines: each
+// element's pad overlaps the elements after it. Nothing reads or writes
+// a pad once its element is constructed, so the overlap is harmless; it
+// exists so the benchmark below can show what the pad buys.
+func adjacentPerCPUs(m *Machine, n int) []*PerCPU {
+	align := unsafe.Alignof(PerCPU{})
+	stride := (perCPULiveBytes() + align - 1) &^ (align - 1)
+	buf := make([]uint64, (uintptr(n)*stride+unsafe.Sizeof(PerCPU{}))/8)
 	out := make([]*PerCPU, n)
 	for i := range out {
-		out[i] = (*PerCPU)(unsafe.Add(unsafe.Pointer(&buf[0]), uintptr(i)*live))
-		*out[i] = NewPerCPUOn(m, 0, rseq)
+		out[i] = (*PerCPU)(unsafe.Add(unsafe.Pointer(&buf[0]), uintptr(i)*stride))
+		*out[i] = NewPerCPUOn(m, 0, false)
 	}
 	return out
 }
@@ -215,10 +217,10 @@ func benchPerCPUs(b *testing.B, m *Machine, cs []*PerCPU) {
 
 // BenchmarkIntrLockFalseSharing compares PerCPU sections packed at their
 // unpadded stride against the padded []PerCPU the allocator keeps, under
-// per-worker (uncontended) use in Native mode, for the interrupt-disable
-// protocol (a mutex) and the restartable one (claim and epoch words).
-// Run with -race to verify the harness is race-free; run without -race
-// for meaningful timings.
+// per-worker (uncontended) use in Native mode, whose one protocol is the
+// claim word whichever protocol a section models in Sim. Run with -race
+// to verify the harness is race-free; run without -race for meaningful
+// timings.
 func BenchmarkIntrLockFalseSharing(b *testing.B) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > 8 {
@@ -229,23 +231,18 @@ func BenchmarkIntrLockFalseSharing(b *testing.B) {
 		// between caches; numbers there would only measure footprint.
 		b.Skip("needs >= 2 hardware CPUs to exhibit line sharing")
 	}
-	for _, proto := range []struct {
-		prefix string
-		rseq   bool
-	}{{"", false}, {"rseq-", true}} {
-		b.Run(proto.prefix+"unpadded", func(b *testing.B) {
-			m := nativeMachine(workers)
-			benchPerCPUs(b, m, adjacentPerCPUs(m, workers, proto.rseq))
-		})
-		b.Run(proto.prefix+"padded", func(b *testing.B) {
-			m := nativeMachine(workers)
-			padded := make([]PerCPU, workers)
-			cs := make([]*PerCPU, workers)
-			for w := range padded {
-				padded[w] = NewPerCPUOn(m, 0, proto.rseq)
-				cs[w] = &padded[w]
-			}
-			benchPerCPUs(b, m, cs)
-		})
-	}
+	b.Run("unpadded", func(b *testing.B) {
+		m := nativeMachine(workers)
+		benchPerCPUs(b, m, adjacentPerCPUs(m, workers))
+	})
+	b.Run("padded", func(b *testing.B) {
+		m := nativeMachine(workers)
+		padded := make([]PerCPU, workers)
+		cs := make([]*PerCPU, workers)
+		for w := range padded {
+			padded[w] = NewPerCPUOn(m, 0, false)
+			cs[w] = &padded[w]
+		}
+		benchPerCPUs(b, m, cs)
+	})
 }

@@ -8,7 +8,7 @@ import (
 // Ownership checking. The paper's fast path is safe only because "CPUs
 // are prohibited from accessing other CPUs' per-CPU caches": in this
 // library that discipline is "one goroutine drives a CPU handle at a
-// time". Violations in Native mode don't crash — the PerCPU mutex
+// time". Violations in Native mode don't crash — the PerCPU claim word
 // silently serializes them — so they hide real bugs in calling code.
 // When checking is enabled, each CPU carries an exclusivity marker that
 // panics on concurrent entry instead.

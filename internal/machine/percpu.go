@@ -2,24 +2,22 @@ package machine
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
-// hostLineBytes is the coherence line of every machine the Native
-// backend runs on; PerCPU is padded against it.
-const hostLineBytes = 64
+// HostLineBytes is the coherence line of every machine the Native
+// backend runs on; PerCPU, and the per-CPU state of the packages that
+// use it, is padded against it.
+const HostLineBytes = 64
 
 // PerCPU is one CPU's critical section: the only synchronisation the
-// per-CPU caching layers use. It runs one of two protocols, fixed at
+// per-CPU caching layers use. Sim models one of two protocols, fixed at
 // construction, behind the same four calls:
 //
 //   - Interrupt disable (the paper's: "no synchronization primitives
-//     other than the disabling of interrupts"). Sim charges the cli/sti
-//     pair — 2 insns + IntrCycles — on entry and nothing on exit; Native
-//     is a mutex, uncontended in correct use, that makes foreign drains
-//     race-free under the Go memory model. The zero PerCPU is this
-//     protocol.
+//     other than the disabling of interrupts"). It charges the cli/sti
+//     pair — 2 insns + IntrCycles — on entry and nothing on exit. The
+//     zero PerCPU is this protocol.
 //
 //   - Restartable sequence. The owner's section commits with a single
 //     store — no interrupt disable, no lock word, no bus-locked
@@ -33,9 +31,17 @@ const hostLineBytes = 64
 //     adversarially chosen slice of wasted body work and RestartCycles
 //     for the vector through the abort handler. A foreign entrant bumps the section's epoch: a
 //     bus-locked RMW on the descriptor line (remote when the nodes
-//     differ) plus a fence. Native is a claim word and an epoch over
-//     real atomics, which give the race detector the happens-before
-//     edges the mutex provides under the other protocol.
+//     differ) plus a fence.
+//
+// Native runs one protocol whichever Sim models: a claim word over real
+// atomics, which the owner takes 0 → 1 and a foreign entrant 0 → 2. An
+// owner that finds a foreign entrant inside the section counts the
+// attempt as aborted (one restart) and waits it out, so restarts never
+// outnumber foreign sections. An undisturbed section is a CAS and a
+// store: two bus-locked instructions, since every Go atomic store is an
+// XCHG on amd64. The atomics give the race detector the happens-before
+// edges between owner and foreign sections. Only the owner's undisturbed
+// path is inline; the Sim charges and the wait are out of line.
 //
 // The contract: the owning CPU's instruction stream brackets its section
 // with Enter/Exit, any other stream (drains, stats) with EnterForeign/
@@ -56,17 +62,16 @@ type PerCPU struct {
 	rseq bool
 	line Line // rseq, Sim: the descriptor/epoch word's line, homed with the owner
 
-	mu    sync.Mutex    // interrupt-disable protocol, Native
-	claim atomic.Int32  // rseq, Native: 0 free, 1 owner, 2 foreign
-	epoch atomic.Uint64 // rseq, Native: bumped by every foreign entrant
+	claim atomic.Int32 // Native: 0 free, 1 owner, 2 foreign
 
-	_ [hostLineBytes - 8]byte
+	_ [HostLineBytes - 8]byte
 }
 
 // NewPerCPUOn returns a critical section for a CPU on the given NUMA
-// node, restartable when rseq is set. Only the restartable protocol has
-// a shared word, so only it reserves a metadata line (homed on node, so
-// the owner's path stays node-local).
+// node whose Sim charges are the restartable protocol's when rseq is set
+// and interrupt disable's otherwise. Only the restartable protocol has a
+// shared word in Sim, so only it reserves a metadata line (homed on
+// node, so the owner's path stays node-local).
 func NewPerCPUOn(m *Machine, node int, rseq bool) PerCPU {
 	if !rseq {
 		return PerCPU{}
@@ -75,83 +80,86 @@ func NewPerCPUOn(m *Machine, node int, rseq bool) PerCPU {
 }
 
 // Enter begins the owner's section on CPU c and returns how many
-// attempts were aborted first (always 0 under interrupt disable).
+// attempts were aborted first (always 0 under Sim's interrupt disable).
 func (p *PerCPU) Enter(c *CPU) (restarts int) {
-	switch {
-	case !p.rseq && c.sim:
-		c.m.lockJitter(c)
-		c.DisableIntr()
-	case !p.rseq:
-		p.mu.Lock()
-	case c.sim:
-		m := c.m
-		for {
-			abort, wasted := m.rseqAbort(c)
-			if !abort {
-				break
-			}
-			restarts++
-			c.restarts++
-			c.Work(1 + wasted)
-			c.clock += RestartCycles
-		}
-		c.Work(1) // arm the descriptor
-	default:
-		for {
-			e := p.epoch.Load()
-			if !p.claim.CompareAndSwap(0, 1) {
-				runtime.Gosched()
-				continue
-			}
-			if p.epoch.Load() == e {
-				break
-			}
-			// A foreign entrant completed between the epoch sample and
-			// the claim: abort and restart from the top.
-			p.claim.Store(0)
-			restarts++
-		}
+	if !c.sim && p.claim.CompareAndSwap(0, 1) {
+		return 0
 	}
+	return p.enterSlow(c)
+}
+
+// enterSlow is every entry but the Native owner's undisturbed one. In
+// Sim it charges the modelled protocol's entry. In Native the claim
+// found a foreign entrant inside the section: the owner's attempt is
+// aborted — one restart — and it waits the foreign section out.
+func (p *PerCPU) enterSlow(c *CPU) (restarts int) {
+	if !c.sim {
+		for !p.claim.CompareAndSwap(0, 1) {
+			runtime.Gosched()
+		}
+		return 1
+	}
+	m := c.m
+	if !p.rseq {
+		m.lockJitter(c)
+		c.DisableIntr()
+		return 0
+	}
+	for {
+		abort, wasted := m.rseqAbort(c)
+		if !abort {
+			break
+		}
+		restarts++
+		c.restarts++
+		c.Work(1 + wasted)
+		c.clock += RestartCycles
+	}
+	c.Work(1) // arm the descriptor
 	return restarts
 }
 
 // Exit commits and leaves the owner's section.
 func (p *PerCPU) Exit(c *CPU) {
-	switch {
-	case !p.rseq && c.sim: // the cli/sti pair was charged on entry
-	case !p.rseq:
-		p.mu.Unlock()
-	case c.sim:
+	if c.sim {
+		p.exitSim(c)
+		return
+	}
+	p.claim.Store(0)
+}
+
+// exitSim charges the rseq commit store; the cli/sti pair was charged on
+// entry.
+func (p *PerCPU) exitSim(c *CPU) {
+	if p.rseq {
 		c.Work(1) // commit store
 		c.clock += CommitCycles
-	default:
-		p.claim.Store(0)
 	}
 }
 
 // EnterForeign begins a section against this CPU's state from another
 // instruction stream, aborting any attempt the owner makes meanwhile.
-// Under interrupt disable owner and foreign entry are the same thing.
+// Under Sim's interrupt disable owner and foreign entry are the same
+// thing.
 func (p *PerCPU) EnterForeign(c *CPU) {
 	switch {
-	case !p.rseq:
-		p.Enter(c)
-	case c.sim:
-		c.Atomic(p.line)
-		c.clock += FenceCycles
-	default:
+	case !c.sim:
 		for !p.claim.CompareAndSwap(0, 2) {
 			runtime.Gosched()
 		}
-		p.epoch.Add(1)
+	case !p.rseq:
+		p.enterSlow(c)
+	default:
+		c.Atomic(p.line)
+		c.clock += FenceCycles
 	}
 }
 
 // ExitForeign leaves a section begun with EnterForeign. A foreign
-// entrant has no commit store to charge; everything else is Exit.
+// entrant has no commit store to charge, and the cli/sti pair was
+// charged on entry, so Sim charges nothing.
 func (p *PerCPU) ExitForeign(c *CPU) {
-	if p.rseq && c.sim {
-		return
+	if !c.sim {
+		p.claim.Store(0)
 	}
-	p.Exit(c)
 }

@@ -39,10 +39,10 @@ func TestPerCPULayout(t *testing.T) {
 	if size%align != 0 || live > size {
 		t.Fatalf("size %d, align %d, live %d", size, align, live)
 	}
-	for base := uintptr(0); base < hostLineBytes; base += align {
-		if (base+live-1)/hostLineBytes >= (base+size)/hostLineBytes {
+	for base := uintptr(0); base < HostLineBytes; base += align {
+		if (base+live-1)/HostLineBytes >= (base+size)/HostLineBytes {
 			t.Errorf("base %%%d = %d: element 0's last live byte and element 1's first share a line (size %d, live %d)",
-				hostLineBytes, base, size, live)
+				HostLineBytes, base, size, live)
 		}
 	}
 	m := nativeMachine(8)
@@ -55,7 +55,7 @@ func TestPerCPULayout(t *testing.T) {
 			for i := 0; i+1 < n; i++ {
 				end := uintptr(unsafe.Pointer(&s[i])) + live - 1
 				next := uintptr(unsafe.Pointer(&s[i+1]))
-				if end/hostLineBytes >= next/hostLineBytes {
+				if end/HostLineBytes >= next/HostLineBytes {
 					t.Errorf("rseq=%v n=%d: elements %d and %d share a line (%#x, %#x)", rseq, n, i, i+1, end, next)
 				}
 			}
@@ -65,13 +65,14 @@ func TestPerCPULayout(t *testing.T) {
 
 // TestPerCPUNativeExclusion runs one owner goroutine in Enter/Exit
 // against one foreign goroutine in EnterForeign/ExitForeign on a Native
-// machine, per protocol. The guarded words are plain variables, so the
-// race detector convicts a section that does not exclude; the restart
-// tally is kept the way callers keep it — from Enter's result, inside
-// the section — and the foreign side reads it there. Restarts must be
-// zero under interrupt disable, and under rseq must occur (the owner
-// keeps going until one does) and never outnumber the foreign sections
-// that cause them.
+// machine. Native runs one protocol, the claim word, whichever protocol
+// a section models in Sim, so both constructions must behave alike. The
+// guarded words are plain variables, so the race detector convicts a
+// section that does not exclude; the restart tally is kept the way
+// callers keep it — from Enter's result, inside the section — and the
+// foreign side reads it there. Restarts must occur (the owner keeps
+// going until one does) and never outnumber the foreign sections that
+// cause them.
 func TestPerCPUNativeExclusion(t *testing.T) {
 	const minIters, maxIters = 20_000, 200_000_000
 	for _, rseq := range []bool{false, true} {
@@ -95,7 +96,7 @@ func TestPerCPUNativeExclusion(t *testing.T) {
 					inside++
 					restarts += n
 					ownerOps++
-					stop := inside != 1 || (i >= minIters && (!rseq || restarts > 0))
+					stop := inside != 1 || (i >= minIters && restarts > 0)
 					inside--
 					cs.Exit(c)
 					if stop {
@@ -123,9 +124,7 @@ func TestPerCPUNativeExclusion(t *testing.T) {
 				t.Errorf("foreign read %d restarts, owner tallied %d", seen, restarts)
 			}
 			switch {
-			case !rseq && restarts != 0:
-				t.Errorf("interrupt-disable Enter reported %d restarts", restarts)
-			case rseq && restarts == 0:
+			case restarts == 0:
 				t.Errorf("no restart reported in %d owner sections against %d foreign ones", ownerOps, foreignOps)
 			case restarts > foreignOps:
 				t.Errorf("%d restarts from %d foreign sections", restarts, foreignOps)

@@ -163,4 +163,25 @@ func TestIntrLockSimCharges(t *testing.T) {
 	if c.Now()-before != IntrCycles {
 		t.Fatalf("intr cost = %d, want %d", c.Now()-before, IntrCycles)
 	}
+	// Interrupt disable never restarts, even with the restartable
+	// protocol's abort stream armed at its highest rate.
+	m.SetScheduleJitter(&JitterConfig{Seed: 7, RestartEvery: 2})
+	for i := 0; i < 1000; i++ {
+		if n := il.Enter(c); n != 0 {
+			t.Fatalf("interrupt-disable Enter reported %d restarts", n)
+		}
+		il.Exit(c)
+	}
+	if c.Stats().Restarts != 0 {
+		t.Fatalf("interrupt disable tallied %d restarts", c.Stats().Restarts)
+	}
+	rs := NewPerCPUOn(m, 0, true) // the same stream does abort rseq
+	restarts := 0
+	for i := 0; i < 1000; i++ {
+		restarts += rs.Enter(c)
+		rs.Exit(c)
+	}
+	if restarts == 0 {
+		t.Fatal("the armed abort stream restarted no rseq section")
+	}
 }

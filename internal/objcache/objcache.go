@@ -85,7 +85,8 @@ type Opts struct {
 	// argument), mirroring core's Params.Rseq: the Get/Put common case
 	// commits with a single store and is restarted, not blocked, when a
 	// cross-CPU drain interferes. Same instruction count,
-	// IntrCycles-CommitCycles fewer cycles.
+	// IntrCycles-CommitCycles fewer cycles. Like Params.Rseq it selects
+	// Sim's charges only: Native runs the one claim-word protocol.
 	Rseq bool
 }
 

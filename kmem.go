@@ -197,7 +197,12 @@ const (
 // Config shapes a System. The zero value of every field selects a
 // sensible default.
 type Config struct {
-	// Mode selects Sim (default) or Native execution.
+	// Mode selects Sim (default) or Native execution. Sim models the
+	// paper's interrupt disable around each per-CPU cache access. Native
+	// runs one protocol there, a claim word over real atomics: the owning
+	// goroutine takes it with a CAS and leaves with a store, and a
+	// foreign entrant (DrainCPU, reclaim, Stats) takes it the same way,
+	// so the two wait for each other's sections, never for a lock.
 	Mode Mode
 	// CPUs is the number of processors (default 1, max 64).
 	CPUs int
@@ -255,7 +260,8 @@ type Config struct {
 	// the unhardened layout and cycle counts exactly.
 	Harden *HardenConfig
 	// DebugOwnership panics when two goroutines drive one CPU handle
-	// concurrently (debugging aid for Native mode).
+	// concurrently (debugging aid for Native mode, whose claim word
+	// would otherwise silently serialize them).
 	DebugOwnership bool
 }
 
