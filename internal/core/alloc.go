@@ -60,9 +60,10 @@ type Allocator struct {
 	shards [][]blocklist.List
 
 	// crit[cpu] is the critical section guarding percpu[cpu] across every
-	// class: in Sim interrupt disable, or a restartable sequence under
-	// Params.Rseq; in Native the claim word (see New). The owning CPU
-	// brackets its accesses with Enter/Exit, everyone else (drains,
+	// class, and the magazines of every typed cache over this allocator
+	// (CPUSection): in Sim interrupt disable, or a restartable sequence
+	// under Params.Rseq; in Native the claim word (see New). The owning
+	// CPU brackets its accesses with Enter/Exit, everyone else (drains,
 	// stats) with EnterForeign/ExitForeign.
 	crit []machine.PerCPU
 
@@ -276,6 +277,12 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 
 // Machine returns the machine this allocator serves.
 func (a *Allocator) Machine() *machine.Machine { return a.m }
+
+// CPUSection returns CPU cpu's one critical section: the section that
+// guards its class caches, and that a typed cache over this allocator
+// brackets its magazines with, so every per-CPU layer of a CPU runs the
+// allocator's protocol.
+func (a *Allocator) CPUSection(cpu int) *machine.PerCPU { return &a.crit[cpu] }
 
 // NumClasses returns the number of small-block size classes.
 func (a *Allocator) NumClasses() int { return len(a.classes) }

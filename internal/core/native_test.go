@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -426,80 +425,6 @@ func TestNativeHitAllocatesNothing(t *testing.T) {
 			if n := testing.AllocsPerRun(1000, pair); n != 0 {
 				t.Errorf("rseq=%v: a %s pair allocates %v times", rseq, name, n)
 			}
-		}
-	}
-}
-
-// TestNativeForeignDuringHits runs one owner goroutine allocating and
-// freeing 64-byte cookie blocks on CPU 0 — hits, with a refill after
-// each drain — while a foreign goroutine runs DrainCPU and Stats on the
-// same CPU, under both profiles. The race detector convicts a foreign
-// section that does not exclude the owner's. Every snapshot must count
-// between 0 and ring blocks live on CPU 0 (allocations less frees), and
-// at quiescence exactly the blocks the owner holds.
-func TestNativeForeignDuringHits(t *testing.T) {
-	const ring = 16
-	for _, rseq := range []bool{false, true} {
-		cfg := machine.DefaultConfig()
-		cfg.Mode = machine.Native
-		cfg.NumCPUs = 2
-		m := machine.New(cfg)
-		a, err := New(m, Params{Rseq: rseq})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ck, err := a.GetCookie(64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cls := int(ck.cls)
-		liveOn0 := func(st Stats) int64 {
-			return int64(st.Classes[cls].Allocs) - int64(st.Classes[cls].Frees)
-		}
-		// Stats sums every CPU; CPU 1 only drains and reads, so what it
-		// sees is CPU 0's.
-		var held []arena.Addr
-		var done atomic.Bool
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			defer done.Store(true)
-			c := m.CPU(0)
-			for op := 0; op < scaledOps(200_000); op++ {
-				if len(held) == ring || (len(held) > 0 && op%3 == 0) {
-					a.FreeCookie(c, held[len(held)-1], ck)
-					held = held[:len(held)-1]
-					continue
-				}
-				b, err := a.AllocCookie(c, ck)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				held = append(held, b)
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			c := m.CPU(1)
-			for i := 0; !done.Load(); i++ {
-				if i%2 == 0 {
-					a.DrainCPU(c, 0)
-					continue
-				}
-				if n := liveOn0(a.Stats(c)); n < 0 || n > ring {
-					t.Errorf("rseq=%v: a snapshot counts %d blocks live on CPU 0, want 0..%d", rseq, n, ring)
-					return
-				}
-			}
-		}()
-		wg.Wait()
-		if n := liveOn0(a.Stats(m.CPU(1))); n != int64(len(held)) {
-			t.Errorf("rseq=%v: at quiescence Stats counts %d blocks live, the owner holds %d", rseq, n, len(held))
-		}
-		if err := a.CheckConsistency(); err != nil {
-			t.Fatal(err)
 		}
 	}
 }

@@ -115,9 +115,12 @@ type Params struct {
 
 	// Rseq replaces the per-CPU layer's interrupt-disable critical
 	// sections with restartable sequences (it is machine.NewPerCPUOn's
-	// protocol argument and nothing else): the fast path
-	// commits with a single store and is restarted — never blocked — when
-	// preemption or a cross-CPU drain lands inside it. The cookie path
+	// protocol argument and nothing else). Each CPU has one section,
+	// which its class caches and the magazines of every typed cache over
+	// this allocator share (CPUSection), so Rseq picks the protocol of
+	// both. The fast path commits with a single store and is restarted —
+	// never blocked — when preemption or a cross-CPU drain lands inside
+	// it. The cookie path
 	// stays at 13 instructions (the begin/commit pair costs the same two
 	// instructions as cli/sti) and saves IntrCycles-CommitCycles per
 	// operation; foreign drains (DrainCPU, reclaim, stats assembly) abort

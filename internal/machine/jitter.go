@@ -25,6 +25,8 @@ package machine
 // is byte-identical to the unjittered simulator — pinned by the cycle
 // goldens in internal/core's shard conformance tests.
 
+import "kmem/internal/workload"
+
 // JitterConfig configures seeded schedule perturbation. Seed 0 disables
 // jitter entirely.
 type JitterConfig struct {
@@ -58,27 +60,17 @@ const (
 	jitMaxRestartWork = 16
 )
 
-// jitter holds the armed restart rate and the PRNG stream.
+// jitter holds the armed restart rate and the PRNG stream. The stream
+// is consumed in schedule order, which is itself deterministic, so the
+// whole run is a pure function of (seed, config, workload).
 type jitter struct {
+	*workload.Xorshift
 	restartEvery uint64
-	state        uint64
-}
-
-// next steps the xorshift64* generator. The stream is consumed in
-// schedule order, which is itself deterministic, so the whole run is a
-// pure function of (seed, config, workload).
-func (j *jitter) next() uint64 {
-	x := j.state
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	j.state = x
-	return x * 0x2545f4914f6cdd1d
 }
 
 // delay draws a delay in [1, max].
 func (j *jitter) delay(max int64) int64 {
-	return 1 + int64(j.next()%uint64(max))
+	return 1 + int64(j.Next()%uint64(max))
 }
 
 // SetScheduleJitter arms (or, with a nil config or zero seed, disarms)
@@ -95,14 +87,14 @@ func (m *Machine) SetScheduleJitter(cfg *JitterConfig) {
 	if m.cfg.Mode != Sim {
 		panic("machine: schedule jitter requires Sim mode")
 	}
-	m.jit = &jitter{restartEvery: 9, state: cfg.Seed}
+	m.jit = &jitter{Xorshift: workload.NewXorshift(cfg.Seed), restartEvery: 9}
 	if cfg.RestartEvery > 0 {
 		m.jit.restartEvery = uint64(cfg.RestartEvery)
 	}
 	// Seed every CPU's tie priority up front so the very first tie is
 	// already perturbed.
 	for i := range m.cpus {
-		m.cpus[i].tiePri = m.jit.next()
+		m.cpus[i].tiePri = m.jit.Next()
 	}
 }
 
@@ -114,7 +106,7 @@ func (m *Machine) lockJitter(c *CPU) {
 	if j == nil {
 		return
 	}
-	if j.next()%jitLockEvery != 0 {
+	if j.Next()%jitLockEvery != 0 {
 		return
 	}
 	c.clock += j.delay(jitMaxLockCycles)
@@ -130,7 +122,7 @@ func (m *Machine) rseqAbort(c *CPU) (abort bool, wasted int64) {
 	if j == nil {
 		return false, 0
 	}
-	if j.next()%j.restartEvery != 0 {
+	if j.Next()%j.restartEvery != 0 {
 		return false, 0
 	}
 	return true, j.delay(jitMaxRestartWork)

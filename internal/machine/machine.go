@@ -25,9 +25,11 @@
 // order (a conservative discrete-event model).
 //
 // The same package also offers a native mode in which every cost hook is a
-// no-op and locks are real sync.Mutexes. The identical allocator code then
-// runs as an ordinary concurrent Go library, which lets the test suite
-// exercise it with real goroutines under the race detector.
+// no-op and synchronisation is real: a per-CPU critical section (PerCPU)
+// is a claim word over atomics under either Sim protocol, and only a
+// SpinLock is a sync.Mutex. The identical allocator code then runs as an
+// ordinary concurrent Go library, which lets the test suite exercise it
+// with real goroutines under the race detector.
 package machine
 
 import (

@@ -56,8 +56,7 @@ const HostLineBytes = 64
 //
 // The trailing pad is a host line less the struct's alignment: wherever
 // an element of a []PerCPU lands, the next element's first byte is on a
-// later line than this one's last live byte. The same holds for a slice
-// of structs whose last field is a PerCPU.
+// later line than this one's last live byte.
 type PerCPU struct {
 	rseq bool
 	line Line // rseq, Sim: the descriptor/epoch word's line, homed with the owner
@@ -71,7 +70,9 @@ type PerCPU struct {
 // node whose Sim charges are the restartable protocol's when rseq is set
 // and interrupt disable's otherwise. Only the restartable protocol has a
 // shared word in Sim, so only it reserves a metadata line (homed on
-// node, so the owner's path stays node-local).
+// node, so the owner's path stays node-local). Each CPU has one section:
+// core.New builds it, and every per-CPU layer over that allocator, typed
+// caches included, brackets its state with it.
 func NewPerCPUOn(m *Machine, node int, rseq bool) PerCPU {
 	if !rseq {
 		return PerCPU{}

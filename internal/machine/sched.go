@@ -83,10 +83,10 @@ func (m *Machine) runSim(body func(c *CPU) bool) {
 				// A seeded preemption point: after the op, the CPU may
 				// lose the processor for a bounded random interval,
 				// letting other CPUs' operations slide in front.
-				if j.next()%jitPreemptEvery == 0 {
+				if j.Next()%jitPreemptEvery == 0 {
 					c.clock += j.delay(jitMaxPreemptCycles)
 				}
-				c.tiePri = j.next()
+				c.tiePri = j.Next()
 			}
 		} else {
 			h[0] = h[len(h)-1]

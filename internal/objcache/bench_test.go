@@ -3,21 +3,23 @@ package objcache_test
 import (
 	"testing"
 
+	"kmem/internal/core"
 	"kmem/internal/objcache"
 )
 
 // BenchmarkGetPut times the host cost of one warm Get/Put pair in Sim
-// mode — the magazine fast path under both critical-section protocols —
-// with the loaded magazine primed so that no iteration carves or
-// overflows. CI runs it with -benchtime 1x so it keeps compiling.
+// mode — the magazine fast path under both critical-section protocols,
+// which the backing allocator's Params.Rseq selects — with the loaded
+// magazine primed so that no iteration carves or overflows. CI runs it
+// with -benchtime 1x so it keeps compiling.
 func BenchmarkGetPut(b *testing.B) {
 	for _, proto := range []struct {
 		name string
 		rseq bool
 	}{{"intr", false}, {"rseq", true}} {
 		b.Run(proto.name, func(b *testing.B) {
-			m, _, kma := newKMA(b, 1)
-			k, err := objcache.New(m, kma, "bench:getput", 64, 8, nil, nil, objcache.Opts{Rseq: proto.rseq})
+			m, _, kma := newAllocator(b, 1, core.Params{Rseq: proto.rseq})
+			k, err := objcache.New(m, kma, "bench:getput", 64, 8, nil, nil, objcache.Opts{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -11,13 +11,14 @@
 // out skips that work.
 //
 // The common Get/Put case is served from a per-CPU pair of magazines
-// (loaded + previous) under the CPU's interrupt lock — the same
-// synchronization, and the same 13-instruction charge, as the cookie
-// fast path it sits above. A cache keeps no shared layer of its own: a
-// Get that finds both magazines empty carves a new buffer from the
-// backing allocator and runs the constructor, and a Put that finds both
-// full destructs and releases the older magazine at once. Moving blocks
-// between CPUs is the backing allocator's global layer's job.
+// (loaded + previous) inside the CPU's one critical section, the backing
+// allocator's — the same synchronization, and the same 13-instruction
+// charge, as the cookie fast path it sits above. A cache keeps no shared
+// layer of its own: a Get that finds both magazines empty carves a new
+// buffer from the backing allocator and runs the constructor, and a Put
+// that finds both full destructs and releases the older magazine at
+// once. Moving blocks between CPUs is the backing allocator's global
+// layer's job.
 //
 // Each cache also colors its buffers: successive carves offset the
 // object within its backing block by increasing multiples of a cache
@@ -80,13 +81,10 @@ type Opts struct {
 	// slack becomes coloring room.
 	MinBackSize uint64
 
-	// Rseq replaces the magazine fast path's interrupt-disable pair with
-	// a restartable per-CPU sequence (machine.NewPerCPUOn's protocol
-	// argument), mirroring core's Params.Rseq: the Get/Put common case
-	// commits with a single store and is restarted, not blocked, when a
-	// cross-CPU drain interferes. Same instruction count,
-	// IntrCycles-CommitCycles fewer cycles. Like Params.Rseq it selects
-	// Sim's charges only: Native runs the one claim-word protocol.
+	// Rseq is ignored: the magazines run in the backing allocator's
+	// per-CPU sections, under its Params.Rseq. The field exists only
+	// because the frozen benchmark/sut.go sets it (always equal to
+	// Params.Rseq); the next benchmark change drops both.
 	Rseq bool
 }
 
@@ -94,11 +92,12 @@ type Opts struct {
 // and the allocif adapters that embed it, satisfy it. A carve takes the
 // cookie path, or plain Alloc/Free with capacity from RoundedSize when
 // the backing request exceeds the largest class. The cache registers
-// with the allocator's reclaim machinery and reports through its event
-// spine, and it is hardened exactly when the allocator is
-// (HardenRedzone > 0): the allocator owns the objects' layout — the
-// canary after each object, the poison over it at rest — and their
-// provenance, reports and policy (core/harden.go).
+// with the allocator's reclaim machinery, reports through its event
+// spine and runs in its per-CPU sections (CPUSection), and it is
+// hardened exactly when the allocator is (HardenRedzone > 0): the
+// allocator owns the objects' layout — the canary after each object,
+// the poison over it at rest — and their provenance, reports and policy
+// (core/harden.go).
 type Backing interface {
 	GetCookie(size uint64) (core.Cookie, error)
 	AllocCookie(c *machine.CPU, ck core.Cookie) (arena.Addr, error)
@@ -109,6 +108,7 @@ type Backing interface {
 
 	RegisterCacheShed(fn core.CacheShedFunc) func()
 	EmitCacheEvent(ev core.LayerEvent, n int)
+	CPUSection(cpu int) *machine.PerCPU
 
 	HardenRedzone() uint64
 	HardenCacheGet(c *machine.CPU, cache string, obj arena.Addr, size uint64) bool
@@ -118,14 +118,15 @@ type Backing interface {
 
 // cpuMags is one CPU's magazine pair. loaded serves the fast path; prev
 // is its reserve, kept either full or empty so one swap always helps.
-// crit guards both: the owning CPU brackets its accesses with Enter/Exit,
-// drains with EnterForeign/ExitForeign. It is the last field so that its
-// trailing pad keeps adjacent CPUs' words off shared cache lines.
+// crit, the allocator's section for the CPU, guards both: the owner
+// brackets its accesses with Enter/Exit, drains with EnterForeign/
+// ExitForeign. The pad, as PerCPU's, keeps adjacent CPUs' words apart.
 type cpuMags struct {
 	line   machine.Line // synthetic metadata line for the pair
 	loaded []arena.Addr
 	prev   []arena.Addr
-	crit   machine.PerCPU
+	crit   *machine.PerCPU
+	_      [machine.HostLineBytes - 8]byte
 }
 
 // Stats is a point-in-time snapshot of one cache's counters.
@@ -141,7 +142,7 @@ type Stats struct {
 	Live      uint64 // buffers currently carved (in magazines, in use, or pinned)
 	Colors    int    // distinct colors the backing slack allows
 
-	RseqRestarts uint64 // magazine sequences restarted (zero with Opts.Rseq off)
+	RseqRestarts uint64 // magazine sequences restarted (zero unless the allocator runs Params.Rseq)
 
 	// DepotWaitCycles is always 0: a cache keeps no depot, so it has no
 	// lock to spin on. The field exists only because the frozen
@@ -153,7 +154,6 @@ type Stats struct {
 // Cache is a typed object cache over a backing allocator.
 type Cache struct {
 	name  string
-	m     *machine.Machine
 	mem   *arena.Arena
 	back  Backing
 	ctor  Ctor
@@ -177,7 +177,7 @@ type Cache struct {
 
 	mags []cpuMags
 
-	rseqRestarts atomic.Uint64 // magazine sequences restarted (Opts.Rseq)
+	rseqRestarts atomic.Uint64 // magazine sequences restarted (Params.Rseq)
 
 	// obj -> backing base, for releases. Bookkeeping memory (a kernel
 	// would keep this in the slab header); uncharged, slow-path only.
@@ -218,7 +218,6 @@ func New(m *machine.Machine, back Backing, name string, size, align uint64, ctor
 
 	k := &Cache{
 		name:  name,
-		m:     m,
 		mem:   m.Mem(),
 		back:  back,
 		ctor:  ctor,
@@ -272,7 +271,7 @@ func New(m *machine.Machine, back Backing, name string, size, align uint64, ctor
 		k.mags[i].line = m.NewMetaLineOn(m.NodeOf(i))
 		k.mags[i].loaded = make([]arena.Addr, 0, magSize)
 		k.mags[i].prev = make([]arena.Addr, 0, magSize)
-		k.mags[i].crit = machine.NewPerCPUOn(m, m.NodeOf(i), o.Rseq)
+		k.mags[i].crit = back.CPUSection(i)
 	}
 	k.unregister = back.RegisterCacheShed(k.Drain)
 	return k, nil
@@ -301,10 +300,10 @@ func (k *Cache) enter(c *machine.CPU, pc *cpuMags) {
 }
 
 // Get returns a constructed object. The common case pops the CPU's
-// loaded magazine under its interrupt lock (or as a restartable sequence
-// under Opts.Rseq) — no shared locks, and instruction-for-instruction
-// the cost of a cookie alloc. A miss carves a fresh buffer (the only
-// point the constructor runs, unless the cache is hardened).
+// loaded magazine inside its critical section — no shared locks, and
+// instruction-for-instruction the cost of a cookie alloc. A miss carves
+// a fresh buffer (the only point the constructor runs, unless the cache
+// is hardened).
 func (k *Cache) Get(c *machine.CPU) (arena.Addr, error) {
 	if k.destroyed.Load() {
 		return arena.NilAddr, ErrDestroyed
@@ -407,7 +406,7 @@ func (k *Cache) carve(c *machine.CPU) (arena.Addr, error) {
 // Put returns a constructed object to the cache. The object must be in
 // constructed state (Put callers undo their modifications, which is
 // still far cheaper than a full re-construction). The common case
-// pushes onto the loaded magazine under the CPU's interrupt lock. When
+// pushes onto the loaded magazine inside the CPU's critical section. When
 // both magazines are full the older one leaves the pair, its emptied
 // slot takes obj, and its objects are destructed and released once the
 // section is left: an overflow is a shed.
@@ -528,23 +527,22 @@ func (k *Cache) publishSkips() {
 // Drain flushes every CPU's magazine pair, releasing all idle
 // constructed buffers; objects currently handed out are unaffected. It
 // is also the cache's reclaim callback, run with no allocator locks
-// held. Under Opts.Rseq the swap runs as an interference on the owner
-// CPU — its in-flight sequence, if any, restarts rather than observing
-// the half-drained pair.
+// held. Under Params.Rseq the emptying runs as an interference on the
+// owner CPU — its in-flight sequence, if any, restarts rather than
+// observing the half-drained pair. A drain allocates nothing.
 func (k *Cache) Drain(c *machine.CPU) int {
 	var n int
+	var old [2 * magSize]arena.Addr
 	for i := range k.mags {
 		pc := &k.mags[i]
 		pc.crit.EnterForeign(c)
-		loaded, prev := pc.loaded, pc.prev
-		pc.loaded = make([]arena.Addr, 0, magSize)
-		pc.prev = make([]arena.Addr, 0, magSize)
+		taken := copy(old[:], pc.loaded)
+		taken += copy(old[taken:], pc.prev)
+		pc.loaded, pc.prev = pc.loaded[:0], pc.prev[:0]
 		pc.crit.ExitForeign(c)
-		for _, mag := range [2][]arena.Addr{loaded, prev} {
-			for _, obj := range mag {
-				if k.releaseObj(c, obj) {
-					n++
-				}
+		for _, obj := range old[:taken] {
+			if k.releaseObj(c, obj) {
+				n++
 			}
 		}
 	}

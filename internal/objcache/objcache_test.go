@@ -536,3 +536,36 @@ func TestEventSpine(t *testing.T) {
 		t.Error("no cache-shed events reached the spine")
 	}
 }
+
+// TestDrainAllocatesNothing: Drain empties each CPU's magazines in
+// place. A round that fills both magazines of every CPU, from objects
+// the allocator's caches hold warm, and drains them makes no Go heap
+// allocation.
+func TestDrainAllocatesNothing(t *testing.T) {
+	m, _, kma := newKMA(t, 2)
+	k, err := objcache.New(m, kma, "test:drain", 64, 8, nil, nil, objcache.Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held [16]arena.Addr
+	round := func() {
+		for cpu := 0; cpu < m.NumCPUs(); cpu++ {
+			c := m.CPU(cpu)
+			for i := range held {
+				if held[i], err = k.Get(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, obj := range held {
+				k.Put(c, obj)
+			}
+		}
+		if n := k.Drain(m.CPU(0)); n != len(held)*m.NumCPUs() {
+			t.Fatalf("drain released %d objects, want %d", n, len(held)*m.NumCPUs())
+		}
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("a fill-and-drain round allocates %v times", n)
+	}
+}

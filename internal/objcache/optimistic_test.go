@@ -108,16 +108,15 @@ func cacheChurn(t *testing.T, m *machine.Machine, k *objcache.Cache, opsPerCPU i
 	})
 }
 
-// TestCacheRseqRestarts: under Opts.Rseq with aggressive restart jitter
-// the magazine sequences observably restart, the cache stays coherent
-// (every Get still returns a constructed object), and cross-CPU drains
-// ride the interference path.
+// TestCacheRseqRestarts: over an allocator under Params.Rseq with
+// aggressive restart jitter the magazine sequences observably restart,
+// the cache stays coherent (every Get still returns a constructed
+// object), and cross-CPU drains ride the interference path.
 func TestCacheRseqRestarts(t *testing.T) {
-	m, kma := newNodedKMA(t, 4, 1)
+	m, _, kma := newAllocator(t, 4, core.Params{Rseq: true})
 	m.SetScheduleJitter(&machine.JitterConfig{Seed: 11, RestartEvery: 3})
 	const size = 96
-	k, err := objcache.New(m, kma, "test:rseq", size, 8, patternCtor(size), nil,
-		objcache.Opts{Rseq: true})
+	k, err := objcache.New(m, kma, "test:rseq", size, 8, patternCtor(size), nil, objcache.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,5 +136,64 @@ func TestCacheRseqRestarts(t *testing.T) {
 	k.Put(m.CPU(0), obj)
 	if got, want := k.Stats().Gets, st.Gets+1; got != want {
 		t.Errorf("gets = %d, want %d", got, want)
+	}
+}
+
+// TestCacheRunsAllocatorSection: a cache brackets its magazines with its
+// allocator's per-CPU section, so its protocol is the allocator's. Under
+// either profile a warm Get/Put pair costs two of the allocator's
+// sections plus a body that does not depend on the profile: interrupt
+// disable's 2 insns + IntrCycles under the Paper profile, the rseq
+// arm + commit's 2 insns + CommitCycles under Params.Rseq. And New
+// reserves one metadata line per CPU, the magazine pair's, and no
+// section line of its own.
+func TestCacheRunsAllocatorSection(t *testing.T) {
+	type cost struct{ cycles, insns int64 }
+	var bodies []cost
+	for _, rseq := range []bool{false, true} {
+		m, a, kma := newAllocator(t, 2, core.Params{Rseq: rseq})
+		before := m.NewMetaLine()
+		k, err := objcache.New(m, kma, "test:section", 64, 8, nil, nil, objcache.Opts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := int(m.NewMetaLine() - before - 1); got != m.NumCPUs() {
+			t.Errorf("rseq=%v: New reserved %d metadata lines on %d CPUs, want one per CPU", rseq, got, m.NumCPUs())
+		}
+		c := m.CPU(0)
+		measure := func(f func()) cost {
+			t0, i0 := c.Now(), c.Stats().Instructions
+			f()
+			return cost{c.Now() - t0, int64(c.Stats().Instructions - i0)}
+		}
+		pair := func() {
+			obj, err := k.Get(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k.Put(c, obj)
+		}
+		pair()
+		pair() // warm the magazine line
+		sect := measure(func() {
+			crit := a.CPUSection(c.ID())
+			crit.Enter(c)
+			crit.Exit(c)
+		})
+		want := cost{machine.IntrCycles, 2}
+		if rseq {
+			want = cost{2*machine.CyclesPerInsn + machine.CommitCycles, 2}
+		}
+		if sect != want {
+			t.Errorf("rseq=%v: the allocator's section costs %+v, want %+v", rseq, sect, want)
+		}
+		p := measure(pair)
+		bodies = append(bodies, cost{p.cycles - 2*sect.cycles, p.insns - 2*sect.insns})
+		if st := k.Stats(); st.Carves != 1 || st.RseqRestarts != 0 {
+			t.Fatalf("rseq=%v: warm pairs carved %d times and restarted %d", rseq, st.Carves, st.RseqRestarts)
+		}
+	}
+	if bodies[0] != bodies[1] {
+		t.Errorf("a warm pair less two sections costs %+v under the Paper profile, %+v under Rseq: the cache ran a section other than its allocator's", bodies[0], bodies[1])
 	}
 }

@@ -6,29 +6,7 @@ package serve
 // byte-reproducibility contract (TestGeneratePinned) and of the
 // benchmark's `serve` workload, which replays these traces.
 
-// rng is the same xorshift64* generator the torture harness uses; its
-// constants are frozen because committed traces and baselines replay
-// against it.
-type rng struct{ x uint64 }
-
-func newRng(seed uint64) *rng {
-	if seed == 0 {
-		seed = 0x9e3779b97f4a7c15
-	}
-	return &rng{x: seed}
-}
-
-func (r *rng) next() uint64 {
-	x := r.x
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	r.x = x
-	return x * 0x2545f4914f6cdd1d
-}
-
-// intn returns a value in [0, n).
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
+import "kmem/internal/workload"
 
 // GenConfig parameterizes trace generation.
 type GenConfig struct {
@@ -55,7 +33,7 @@ var (
 
 // genState is the generator's view of the live session population.
 type genState struct {
-	r      *rng
+	r      *workload.Xorshift
 	cfg    GenConfig
 	next   uint32   // next fresh session id
 	open   []uint32 // open session ids, in open order
@@ -71,14 +49,14 @@ func (g *genState) openOp(sizes []uint32) Op {
 	s := g.next
 	g.next++
 	g.pos = append(g.pos, int32(len(g.open)))
-	g.home = append(g.home, uint8(g.r.intn(g.cfg.CPUs)))
+	g.home = append(g.home, uint8(g.r.Intn(g.cfg.CPUs)))
 	g.held = append(g.held, 0)
 	g.open = append(g.open, s)
-	return Op{Kind: OpOpen, CPU: g.home[s], Sess: s, Arg: sizes[g.r.intn(len(sizes))]}
+	return Op{Kind: OpOpen, CPU: g.home[s], Sess: s, Arg: sizes[g.r.Intn(len(sizes))]}
 }
 
 func (g *genState) closeOp() Op {
-	i := g.r.intn(len(g.open))
+	i := g.r.Intn(len(g.open))
 	s := g.open[i]
 	last := len(g.open) - 1
 	g.open[i] = g.open[last]
@@ -89,19 +67,19 @@ func (g *genState) closeOp() Op {
 	// another CPU, pushing their frees through the cross-CPU drain and
 	// shard paths.
 	cpu := g.home[s]
-	if g.r.intn(4) == 0 {
-		cpu = uint8(g.r.intn(g.cfg.CPUs))
+	if g.r.Intn(4) == 0 {
+		cpu = uint8(g.r.Intn(g.cfg.CPUs))
 	}
 	return Op{Kind: OpClose, CPU: cpu, Sess: s}
 }
 
 func (g *genState) churnOp() Op {
-	s := g.open[g.r.intn(len(g.open))]
+	s := g.open[g.r.Intn(len(g.open))]
 	cpu := g.home[s]
-	if g.r.intn(8) == 0 {
-		cpu = uint8(g.r.intn(g.cfg.CPUs))
+	if g.r.Intn(8) == 0 {
+		cpu = uint8(g.r.Intn(g.cfg.CPUs))
 	}
-	w := g.r.intn(16)
+	w := g.r.Intn(16)
 	if g.inHold {
 		// Pressure wave: holds crowd out messages, releases are rare.
 		switch {
@@ -109,31 +87,31 @@ func (g *genState) churnOp() Op {
 			if g.held[s] < 1<<15 {
 				g.held[s]++
 			}
-			return Op{Kind: OpHold, CPU: cpu, Sess: s, Arg: pressureHolds[g.r.intn(len(pressureHolds))]}
+			return Op{Kind: OpHold, CPU: cpu, Sess: s, Arg: pressureHolds[g.r.Intn(len(pressureHolds))]}
 		case w < 10 && g.held[s] > 0:
 			g.held[s]--
 			return Op{Kind: OpRelease, CPU: cpu, Sess: s}
 		case w < 12:
 			return Op{Kind: OpLockX, CPU: cpu, Sess: s}
 		default:
-			return Op{Kind: OpMsg, CPU: cpu, Sess: s, Arg: msgSizes[g.r.intn(len(msgSizes))]}
+			return Op{Kind: OpMsg, CPU: cpu, Sess: s, Arg: msgSizes[g.r.Intn(len(msgSizes))]}
 		}
 	}
 	switch {
 	case w < 9:
-		return Op{Kind: OpMsg, CPU: cpu, Sess: s, Arg: msgSizes[g.r.intn(len(msgSizes))]}
+		return Op{Kind: OpMsg, CPU: cpu, Sess: s, Arg: msgSizes[g.r.Intn(len(msgSizes))]}
 	case w < 12:
 		if g.held[s] < 1<<15 {
 			g.held[s]++
 		}
-		return Op{Kind: OpHold, CPU: cpu, Sess: s, Arg: holdSizes[g.r.intn(len(holdSizes))]}
+		return Op{Kind: OpHold, CPU: cpu, Sess: s, Arg: holdSizes[g.r.Intn(len(holdSizes))]}
 	case w < 14 && g.held[s] > 0:
 		g.held[s]--
 		return Op{Kind: OpRelease, CPU: cpu, Sess: s}
 	case w < 15:
 		return Op{Kind: OpLockX, CPU: cpu, Sess: s}
 	default:
-		return Op{Kind: OpMsg, CPU: cpu, Sess: s, Arg: msgSizes[g.r.intn(len(msgSizes))]}
+		return Op{Kind: OpMsg, CPU: cpu, Sess: s, Arg: msgSizes[g.r.Intn(len(msgSizes))]}
 	}
 }
 
@@ -180,7 +158,7 @@ func Generate(cfg GenConfig) *Trace {
 	if cfg.OpsPerPhase < 1 {
 		cfg.OpsPerPhase = 1
 	}
-	g := &genState{r: newRng(cfg.Seed), cfg: cfg}
+	g := &genState{r: workload.NewXorshift(cfg.Seed), cfg: cfg}
 	t := &Trace{NCPU: cfg.CPUs}
 	for _, kind := range []PhaseKind{PhaseSteady, PhaseSpike, PhasePressure} {
 		g.inHold = false
@@ -201,7 +179,7 @@ func Generate(cfg GenConfig) *Trace {
 				ops = append(ops, g.openOp(paySz))
 			case len(g.open) > tgt && len(g.open) > 1:
 				ops = append(ops, g.closeOp())
-			case !g.inHold && g.r.intn(4) == 0 && len(g.open) > 1:
+			case !g.inHold && g.r.Intn(4) == 0 && len(g.open) > 1:
 				// Session turnover: a quarter of steady traffic is a close
 				// whose slot the target logic refills next op, so the
 				// cumulative session count dwarfs the concurrent target —

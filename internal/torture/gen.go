@@ -5,6 +5,8 @@ package torture
 // jitter seed selects — so the same ops can be replayed under many
 // interleavings, and a failing (ops, seeds) pair is a complete repro.
 
+import "kmem/internal/workload"
+
 // OpKind tags one torture operation.
 type OpKind uint8
 
@@ -56,28 +58,6 @@ type Op struct {
 	Arg  uint32 `json:"a,omitempty"`
 }
 
-// rng is xorshift64*: tiny, seeded, and stable across Go versions —
-// corpus artifacts must replay identically forever.
-type rng struct{ state uint64 }
-
-func newRng(seed uint64) *rng {
-	if seed == 0 {
-		seed = 0x9e3779b97f4a7c15
-	}
-	return &rng{state: seed}
-}
-
-func (r *rng) next() uint64 {
-	x := r.state
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	r.state = x
-	return x * 0x2545f4914f6cdd1d
-}
-
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
-
 // smallSizes are the interesting small-request sizes: class boundaries,
 // one past them, odd sizes, and the largest small class.
 var smallSizes = []uint32{
@@ -89,7 +69,7 @@ var smallSizes = []uint32{
 // distribution is untouched when ObjCache is off, so existing seeds and
 // committed repro artifacts keep drawing the identical RNG stream.
 func generate(cfg Config) []Op {
-	r := newRng(cfg.Seed)
+	r := workload.NewXorshift(cfg.Seed)
 	if cfg.Serve {
 		// The serve dimension replaces the distribution wholesale; the
 		// branch sits after rng creation so non-serve configs keep
@@ -98,8 +78,8 @@ func generate(cfg Config) []Op {
 	}
 	ops := make([]Op, 0, cfg.Ops)
 	for i := 0; i < cfg.Ops; i++ {
-		op := Op{CPU: uint8(r.intn(cfg.CPUs))}
-		roll := r.intn(100)
+		op := Op{CPU: uint8(r.Intn(cfg.CPUs))}
+		roll := r.Intn(100)
 		switch {
 		case cfg.ObjCache && roll < 35:
 			op.Kind = OpAlloc
@@ -111,13 +91,13 @@ func generate(cfg Config) []Op {
 			op.Kind = OpCacheGet
 		case cfg.ObjCache && roll < 72:
 			op.Kind = OpCachePut
-			op.Arg = uint32(r.next())
+			op.Arg = uint32(r.Next())
 		case cfg.ObjCache && roll < 93:
 			op.Kind = OpFree
-			op.Arg = uint32(r.next())
+			op.Arg = uint32(r.Next())
 		case cfg.ObjCache:
 			op.Kind = OpDrain
-			op.Arg = uint32(r.intn(cfg.CPUs))
+			op.Arg = uint32(r.Intn(cfg.CPUs))
 		case roll < 50:
 			op.Kind = OpAlloc
 			op.Size = genSize(r, cfg.MaxSize)
@@ -126,10 +106,10 @@ func generate(cfg Config) []Op {
 			op.Size = genSize(r, cfg.MaxSize)
 		case roll < 93:
 			op.Kind = OpFree
-			op.Arg = uint32(r.next())
+			op.Arg = uint32(r.Next())
 		default:
 			op.Kind = OpDrain
-			op.Arg = uint32(r.intn(cfg.CPUs))
+			op.Arg = uint32(r.Intn(cfg.CPUs))
 		}
 		ops = append(ops, op)
 	}
@@ -143,7 +123,7 @@ func generate(cfg Config) []Op {
 // remotely-allocated blocks — and the open-session population follows a
 // two-cycle day/night wave. All ops still resolve handles at execution
 // time, so any subsequence delta-debugs exactly like the uniform mix.
-func generateServe(cfg Config, r *rng) []Op {
+func generateServe(cfg Config, r *workload.Xorshift) []Op {
 	type sess struct {
 		home   uint8
 		blocks int
@@ -162,8 +142,8 @@ func generateServe(cfg Config, r *rng) []Op {
 		switch {
 		case len(open) < tgt:
 			// Session open: a burst of 3-8 allocations on the home CPU.
-			home := uint8(r.intn(cfg.CPUs))
-			n := 3 + r.intn(6)
+			home := uint8(r.Intn(cfg.CPUs))
+			n := 3 + r.Intn(6)
 			for j := 0; j < n && len(ops) < cfg.Ops; j++ {
 				ops = append(ops, Op{Kind: OpAlloc, CPU: home, Size: genSize(r, cfg.MaxSize)})
 			}
@@ -171,40 +151,40 @@ func generateServe(cfg Config, r *rng) []Op {
 		case len(open) > tgt:
 			// Session close: free about as many blocks as it opened,
 			// old-handle-biased, sometimes from a foreign CPU.
-			i := r.intn(len(open))
+			i := r.Intn(len(open))
 			s := open[i]
 			open[i] = open[len(open)-1]
 			open = open[:len(open)-1]
 			cpu := s.home
-			if r.intn(4) == 0 {
-				cpu = uint8(r.intn(cfg.CPUs))
+			if r.Intn(4) == 0 {
+				cpu = uint8(r.Intn(cfg.CPUs))
 			}
 			for j := 0; j < s.blocks && len(ops) < cfg.Ops; j++ {
-				ops = append(ops, Op{Kind: OpFree, CPU: cpu, Arg: uint32(r.intn(32))})
+				ops = append(ops, Op{Kind: OpFree, CPU: cpu, Arg: uint32(r.Intn(32))})
 			}
 		default:
 			// Churn on a random open session's home CPU.
-			cpu := open[r.intn(len(open))].home
+			cpu := open[r.Intn(len(open))].home
 			op := Op{CPU: cpu}
-			roll := r.intn(100)
+			roll := r.Intn(100)
 			switch {
 			case cfg.ObjCache && roll < 20:
 				op.Kind = OpCacheGet
 			case cfg.ObjCache && roll < 35:
 				op.Kind = OpCachePut
-				op.Arg = uint32(r.next())
+				op.Arg = uint32(r.Next())
 			case roll < 55:
 				op.Kind = OpAlloc
 				op.Size = genSize(r, cfg.MaxSize)
 			case roll < 85:
 				op.Kind = OpFree
-				op.Arg = uint32(r.next())
+				op.Arg = uint32(r.Next())
 			case roll < 92:
 				op.Kind = OpAllocWait
 				op.Size = genSize(r, cfg.MaxSize)
 			default:
 				op.Kind = OpDrain
-				op.Arg = uint32(r.intn(cfg.CPUs))
+				op.Arg = uint32(r.Intn(cfg.CPUs))
 			}
 			ops = append(ops, op)
 		}
@@ -214,15 +194,15 @@ func generateServe(cfg Config, r *rng) []Op {
 
 // genSize draws a request size: mostly small-class sizes, some one-page
 // neighborhood, a tail of multi-page large requests up to max.
-func genSize(r *rng, max uint32) uint32 {
+func genSize(r *workload.Xorshift, max uint32) uint32 {
 	var size uint32
-	switch roll := r.intn(100); {
+	switch roll := r.Intn(100); {
 	case roll < 65:
-		size = smallSizes[r.intn(len(smallSizes))]
+		size = smallSizes[r.Intn(len(smallSizes))]
 	case roll < 90:
-		size = 4097 + uint32(r.intn(8192))
+		size = 4097 + uint32(r.Intn(8192))
 	default:
-		size = 1 + uint32(r.next()%uint64(max))
+		size = 1 + uint32(r.Next()%uint64(max))
 	}
 	if size > max {
 		size = max

@@ -83,9 +83,10 @@ type Config struct {
 	// cache object, which the cache then pins.
 	Plant string `json:"plant,omitempty"`
 
-	// Rseq runs the per-CPU layers (core and the torture object cache)
-	// on restartable sequences instead of interrupt-disable sections
-	// (core.Params.Rseq, objcache.Opts.Rseq).
+	// Rseq runs the per-CPU layers on restartable sequences instead of
+	// interrupt-disable sections (core.Params.Rseq): each CPU's one
+	// section guards core's caches and the torture object cache's
+	// magazines alike.
 	Rseq bool `json:"rseq,omitempty"`
 	// LockFree rebuilds the global layer on CAS freelists with the
 	// tagged ABA guard (core.Params.LockFree).
@@ -321,7 +322,7 @@ func (r *Runner) Run() (Report, error) {
 			}
 		}
 		kc, err := objcache.New(m, a, "torture:obj",
-			objCacheSize, 8, ctor, dtor, objcache.Opts{Rseq: cfg.Rseq})
+			objCacheSize, 8, ctor, dtor, objcache.Opts{})
 		if err != nil {
 			return Report{}, fmt.Errorf("torture: objcache: %w", err)
 		}

@@ -481,10 +481,11 @@ type Ctor = objcache.Ctor
 type Dtor = objcache.Dtor
 
 // CacheOpts tunes an object cache: a floor on the backing size
-// (MinBackSize) and the restartable-sequence fast path (Rseq). Colors
-// come from the backing block's slack; the magazine size is a constant;
-// a cache is hardened exactly when its System is. The zero value selects
-// defaults.
+// (MinBackSize). Colors come from the backing block's slack; the
+// magazine size is a constant; a cache's magazines run inside its
+// System's per-CPU critical sections, under its allocator's protocol
+// (Rseq is ignored); and a cache is hardened exactly when its System is.
+// The zero value selects defaults.
 type CacheOpts = objcache.Opts
 
 // NewCache creates and registers a named typed object cache over this
