@@ -60,19 +60,6 @@ func TestFacadeDrainCPU(t *testing.T) {
 	}
 }
 
-func TestFacadeDebugOwnership(t *testing.T) {
-	s, err := NewSystem(Config{Mode: Native, CPUs: 1, DebugOwnership: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := s.CPU(0)
-	b, err := s.Alloc(c, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Free(c, b, 64)
-}
-
 func TestFacadeClassIntrospection(t *testing.T) {
 	s, err := NewSystem(Config{})
 	if err != nil {

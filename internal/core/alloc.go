@@ -115,7 +115,7 @@ type Allocator struct {
 	// is set, so every hardening hook is one nil test when off.
 	hd *hardenState
 
-	// rare is the rare-feature word (rareOwned, ...), fixed by New.
+	// rare is the rare-feature word (rareChecked, ...), fixed by New.
 	rare uint8
 }
 
@@ -448,12 +448,9 @@ func (a *Allocator) FreeByAddr(c *machine.CPU, addr arena.Addr) {
 // that is off costs a hit nothing more; every path below a hit reads
 // the same word.
 const (
-	// rareOwned: Params.DebugOwnership holds the CPU's exclusive marker
-	// across every class operation (allocOwned, freeOwned).
-	rareOwned = 1 << iota
 	// rareChecked: Params.Harden or Params.Poison checks a block leaving
 	// the cache (checkOut) and entering it (freeChecked).
-	rareChecked
+	rareChecked = 1 << iota
 	// rareRouted: a free picks its list (freeRouted) — by the block's
 	// home node on a multi-node machine, or the single freelist of
 	// Params.DisableSplitFreelist.
@@ -463,16 +460,13 @@ const (
 	rareAdaptive
 
 	// rareFree is the bits a free's hit must know before its section.
-	rareFree = rareOwned | rareChecked | rareRouted
+	rareFree = rareChecked | rareRouted
 )
 
 // rareWord returns the rare-feature word for validated params p on a
 // machine of nodes NUMA nodes.
 func rareWord(p *Params, nodes int) uint8 {
 	var w uint8
-	if p.DebugOwnership {
-		w |= rareOwned
-	}
 	if p.Harden != nil || p.Poison {
 		w |= rareChecked
 	}
@@ -489,20 +483,6 @@ func rareWord(p *Params, nodes int) uint8 {
 // first, then the global layer (tryClass), then the low-memory path's
 // retry.
 func (a *Allocator) allocClass(c *machine.CPU, cls int) (arena.Addr, error) {
-	if a.rare&rareOwned != 0 {
-		return a.allocOwned(c, cls)
-	}
-	b, err := a.tryClass(c, cls)
-	if err != nil {
-		return a.retryClass(c, cls, err)
-	}
-	return b, nil
-}
-
-// allocOwned is allocClass with DebugOwnership's exclusive marker held
-// across it. The defer lives here so that allocClass has none.
-func (a *Allocator) allocOwned(c *machine.CPU, cls int) (arena.Addr, error) {
-	defer c.EndExclusive(c.BeginExclusive())
 	b, err := a.tryClass(c, cls)
 	if err != nil {
 		return a.retryClass(c, cls, err)
@@ -624,20 +604,10 @@ func (a *Allocator) freeClass(c *machine.CPU, cls int, addr arena.Addr) {
 	if addr == arena.NilAddr {
 		panic("kmem: free of nil address")
 	}
-	switch rare := a.rare & rareFree; {
-	case rare == 0:
+	if a.rare&rareFree == 0 {
 		a.freeTo(c, cls, addr, false)
-	case rare&rareOwned != 0:
-		a.freeOwned(c, cls, addr)
-	default:
-		a.freeChecked(c, cls, addr)
+		return
 	}
-}
-
-// freeOwned is freeClass with DebugOwnership's exclusive marker held
-// across it. The defer lives here so that freeClass has none.
-func (a *Allocator) freeOwned(c *machine.CPU, cls int, addr arena.Addr) {
-	defer c.EndExclusive(c.BeginExclusive())
 	a.freeChecked(c, cls, addr)
 }
 

@@ -253,41 +253,35 @@ func BenchmarkCookiePair(b *testing.B) {
 }
 
 // BenchmarkNativeCookiePair times one warm AllocCookie/FreeCookie pair
-// of 64-byte blocks on a Native machine under both profiles — the real
-// cost of the per-CPU hit as an ordinary Go library: two critical
-// sections, a pop and a push. Nothing leaves the fast path.
+// of 64-byte blocks on a Native machine — the real cost of the per-CPU
+// hit as an ordinary Go library: two critical sections, a pop and a
+// push. Native runs one section protocol whatever Params.Rseq selects
+// for Sim, so there is one benchmark. Nothing leaves the fast path.
 func BenchmarkNativeCookiePair(b *testing.B) {
-	for _, proto := range []struct {
-		name string
-		rseq bool
-	}{{"intr", false}, {"rseq", true}} {
-		b.Run(proto.name, func(b *testing.B) {
-			cfg := machine.DefaultConfig()
-			cfg.Mode = machine.Native
-			m := machine.New(cfg)
-			a, err := New(m, Params{Rseq: proto.rseq})
-			if err != nil {
-				b.Fatal(err)
-			}
-			c := m.CPU(0)
-			ck, err := a.GetCookie(64)
-			if err != nil {
-				b.Fatal(err)
-			}
-			blk, err := a.AllocCookie(c, ck)
-			if err != nil {
-				b.Fatal(err)
-			}
-			a.FreeCookie(c, blk, ck)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				blk, err := a.AllocCookie(c, ck)
-				if err != nil {
-					b.Fatal(err)
-				}
-				a.FreeCookie(c, blk, ck)
-			}
-		})
+	cfg := machine.DefaultConfig()
+	cfg.Mode = machine.Native
+	m := machine.New(cfg)
+	a, err := New(m, Params{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := m.CPU(0)
+	ck, err := a.GetCookie(64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blk, err := a.AllocCookie(c, ck)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a.FreeCookie(c, blk, ck)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blk, err := a.AllocCookie(c, ck)
+		if err != nil {
+			b.Fatal(err)
+		}
+		a.FreeCookie(c, blk, ck)
 	}
 }

@@ -131,3 +131,72 @@ func TestNativeForeignDuringHits(t *testing.T) {
 		}
 	}
 }
+
+// TestNativeOwnerOverlapPanics holds CPU 0's section as its owner, the
+// way a second goroutine driving CPU 0 would, on a Native machine. Every
+// owner operation on CPU 0 — an allocation, a free, and a typed cache's
+// Get and Put — then panics on entering the section instead of waiting,
+// and leaves the allocator as it was: after Exit each one runs and the
+// allocator is consistent.
+func TestNativeOwnerOverlapPanics(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	cfg.Mode = machine.Native
+	cfg.NumCPUs = 2
+	m := machine.New(cfg)
+	a, err := core.New(m, core.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := objcache.New(m, a, "test:overlap", 256, 8, nil, nil, objcache.Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := m.CPU(0)
+	blk, err := a.Alloc(c, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := k.Get(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := []struct {
+		name string
+		run  func()
+	}{
+		{"Alloc", func() {
+			b, err := a.Alloc(c, 64)
+			if err == nil {
+				a.Free(c, b, 64)
+			}
+		}},
+		{"Free", func() { a.Free(c, blk, 64) }},
+		{"Get", func() {
+			o, err := k.Get(c)
+			if err == nil {
+				k.Put(c, o)
+			}
+		}},
+		{"Put", func() { k.Put(c, obj) }},
+	}
+	crit := a.CPUSection(0)
+	crit.Enter(c)
+	for _, op := range ops {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s entered CPU 0's section while another owner held it", op.name)
+				}
+			}()
+			op.run()
+		}()
+	}
+	crit.Exit(c)
+	for _, op := range ops {
+		op.run()
+	}
+	k.Drain(c)
+	if err := a.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -68,11 +68,6 @@ type Params struct {
 	// use-after-free shows up in tests.
 	Poison bool
 
-	// DebugOwnership panics when two goroutines drive the same CPU
-	// handle concurrently — the misuse the per-CPU design forbids, which
-	// Native mode's claim word would otherwise hide by serializing them.
-	DebugOwnership bool
-
 	// DisableSplitFreelist replaces the per-CPU split (main/aux)
 	// freelist with a single freelist that exchanges blocks with the
 	// global layer one at a time — the A2 ablation. The paper's design

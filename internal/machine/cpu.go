@@ -7,7 +7,9 @@ import "fmt"
 // and a CPU is merely a shard identity for the allocator's per-CPU state.
 //
 // A CPU handle must be driven by at most one goroutine at a time, exactly
-// as a physical CPU executes one instruction stream.
+// as a physical CPU executes one instruction stream. In Native mode the
+// CPU's per-CPU section checks it: a second goroutine entering as owner
+// while the first is inside panics (PerCPU).
 type CPU struct {
 	m    *Machine
 	id   int
@@ -44,9 +46,6 @@ type CPU struct {
 	// elapsed time.
 	tracing bool
 	trace   []TraceEvent
-
-	// Exclusivity marker for ownership checking (see ownership.go).
-	excl exclusive
 }
 
 // TraceEvent records the cost of a single memory access while tracing.
@@ -155,7 +154,8 @@ func (c *CPU) remoteFor(l Line, dir int8) bool {
 	return dir != ownerNone && int(dir) != c.id && m.cpus[dir].node != c.node
 }
 
-// access performs the cache/coherence accounting for one access to line l.
+// access performs the cache/coherence accounting for one load or store
+// of line l; rmw is the bus-locked read-modify-write's.
 func (c *CPU) access(l Line, kind AccessKind) {
 	m := c.m
 	c.tlbCheck(l)
@@ -164,8 +164,7 @@ func (c *CPU) access(l Line, kind AccessKind) {
 	present := *slot == l
 
 	var cost int64
-	switch kind {
-	case ReadAccess:
+	if kind == ReadAccess {
 		if present && (*dir == ownerNone || *dir == int8(c.id)) {
 			c.hits++
 		} else {
@@ -183,34 +182,19 @@ func (c *CPU) access(l Line, kind AccessKind) {
 				m.noteProfile(l, false)
 			}
 		}
-	case WriteAccess, AtomicAccess:
-		if kind == AtomicAccess {
-			// Bus-locked RMW: always a bus transaction on this
-			// generation of hardware, even when the line is owned.
-			c.atomics++
-			before := c.clock
-			c.clock = m.busTxn(c, c.remoteFor(l, *dir))
-			c.clock += m.cfg.AtomicCycles
-			*dir = int8(c.id)
-			*slot = l
-			cost = c.clock - before
-			if m.profile != nil {
-				m.noteProfile(l, true)
-			}
-		} else if present && *dir == int8(c.id) {
-			c.hits++
-		} else {
-			// Read-for-ownership: fetch the line exclusively,
-			// invalidating other copies.
-			c.misses++
-			before := c.clock
-			c.clock = m.busTxn(c, c.remoteFor(l, *dir))
-			*dir = int8(c.id)
-			*slot = l
-			cost = c.clock - before
-			if m.profile != nil {
-				m.noteProfile(l, false)
-			}
+	} else if present && *dir == int8(c.id) {
+		c.hits++
+	} else {
+		// Read-for-ownership: fetch the line exclusively, invalidating
+		// other copies.
+		c.misses++
+		before := c.clock
+		c.clock = m.busTxn(c, c.remoteFor(l, *dir))
+		*dir = int8(c.id)
+		*slot = l
+		cost = c.clock - before
+		if m.profile != nil {
+			m.noteProfile(l, false)
 		}
 	}
 	if c.tracing {
@@ -240,24 +224,27 @@ func (c *CPU) Write(l Line) {
 
 // Atomic charges a bus-locked read-modify-write of line l.
 func (c *CPU) Atomic(l Line) {
-	if !c.sim {
-		return
+	if c.sim {
+		c.rmw(l, c.m.cfg.AtomicCycles)
 	}
-	c.insns++
-	c.clock += CyclesPerInsn
-	c.access(l, AtomicAccess)
 }
 
 // CAS charges a bus-locked compare-and-swap of line l — the commit
 // instruction of the lock-free Treiber stacks. It is the same coherence
-// transaction as Atomic (a locked RMW always crosses the bus on this
-// generation of hardware, taking the line exclusive) but is charged at
-// the CASCycles constant so the optimistic layer's cost model is
-// calibrated independently of the spinlock's test-and-set.
+// transaction as Atomic but is charged at the CASCycles constant so the
+// optimistic layer's cost model is calibrated independently of the
+// spinlock's test-and-set.
 func (c *CPU) CAS(l Line) {
-	if !c.sim {
-		return
+	if c.sim {
+		c.rmw(l, CASCycles)
 	}
+}
+
+// rmw charges one bus-locked read-modify-write of line l plus extra
+// cycles for the locked instruction. On this generation of hardware it
+// is always a bus transaction, even when the line is owned, and it
+// leaves the line exclusive to c.
+func (c *CPU) rmw(l Line, extra int64) {
 	c.insns++
 	c.clock += CyclesPerInsn
 	m := c.m
@@ -266,8 +253,7 @@ func (c *CPU) CAS(l Line) {
 	dir := m.dirSlot(l)
 	c.atomics++
 	before := c.clock
-	c.clock = m.busTxn(c, c.remoteFor(l, *dir))
-	c.clock += CASCycles
+	c.clock = m.busTxn(c, c.remoteFor(l, *dir)) + extra
 	*dir = int8(c.id)
 	*slot = l
 	if m.profile != nil {

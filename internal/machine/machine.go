@@ -29,7 +29,9 @@
 // is a claim word over atomics under either Sim protocol, and only a
 // SpinLock is a sync.Mutex. The identical allocator code then runs as an
 // ordinary concurrent Go library, which lets the test suite exercise it
-// with real goroutines under the race detector.
+// with real goroutines under the race detector. The claim word is also
+// the one check of the per-CPU discipline: a goroutine that enters a
+// CPU's section as owner while another owner is inside panics.
 package machine
 
 import (

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 )
@@ -37,7 +38,9 @@ const HostLineBytes = 64
 // atomics, which the owner takes 0 → 1 and a foreign entrant 0 → 2. An
 // owner that finds a foreign entrant inside the section counts the
 // attempt as aborted (one restart) and waits it out, so restarts never
-// outnumber foreign sections. An undisturbed section is a CAS and a
+// outnumber foreign sections. An owner that finds another owner inside
+// panics: two goroutines are driving one CPU handle, the misuse the
+// per-CPU design forbids. An undisturbed section is a CAS and a
 // store: two bus-locked instructions, since every Go atomic store is an
 // XCHG on amd64. The atomics give the race detector the happens-before
 // edges between owner and foreign sections. Only the owner's undisturbed
@@ -90,12 +93,17 @@ func (p *PerCPU) Enter(c *CPU) (restarts int) {
 }
 
 // enterSlow is every entry but the Native owner's undisturbed one. In
-// Sim it charges the modelled protocol's entry. In Native the claim
-// found a foreign entrant inside the section: the owner's attempt is
-// aborted — one restart — and it waits the foreign section out.
+// Sim it charges the modelled protocol's entry. In Native the claim was
+// taken: by a foreign entrant, which aborts the owner's attempt — one
+// restart — and is waited out; or by another owner, which panics.
 func (p *PerCPU) enterSlow(c *CPU) (restarts int) {
 	if !c.sim {
 		for !p.claim.CompareAndSwap(0, 1) {
+			if p.claim.Load() == 1 {
+				panic(fmt.Sprintf(
+					"machine: CPU %d entered by two goroutines at once; one goroutine must drive a CPU handle at a time",
+					c.id))
+			}
 			runtime.Gosched()
 		}
 		return 1

@@ -133,6 +133,35 @@ func TestPerCPUNativeExclusion(t *testing.T) {
 	}
 }
 
+// TestPerCPUOwnerOverlapPanics: on a Native machine the claim word is
+// the ownership check. An owner that enters while another owner holds
+// the section panics, under both constructions, and leaves the holder's
+// claim alone: after its Exit, a foreign section and an undisturbed
+// owner section run as before.
+func TestPerCPUOwnerOverlapPanics(t *testing.T) {
+	for _, rseq := range []bool{false, true} {
+		m := nativeMachine(2)
+		cs := NewPerCPUOn(m, 0, rseq)
+		c := m.CPU(0)
+		cs.Enter(c)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("rseq=%v: a second owner entered the held section", rseq)
+				}
+			}()
+			cs.Enter(c)
+		}()
+		cs.Exit(c)
+		cs.EnterForeign(m.CPU(1))
+		cs.ExitForeign(m.CPU(1))
+		if n := cs.Enter(c); n != 0 {
+			t.Errorf("rseq=%v: undisturbed Enter reported %d restarts", rseq, n)
+		}
+		cs.Exit(c)
+	}
+}
+
 // TestPerCPURseqSimCharges pins the restartable protocol's Sim cost: an
 // undisturbed owner section is 2 instructions + CommitCycles, split one
 // instruction either side of the body, and a foreign entry is one

@@ -45,7 +45,9 @@ import (
 type Addr = arena.Addr
 
 // CPU identifies the executing processor; obtain handles from
-// System.CPU. A handle must be driven by one goroutine at a time.
+// System.CPU. A handle must be driven by one goroutine at a time; in
+// Native mode a second goroutine that enters the handle's per-CPU
+// section while the first is inside panics.
 type CPU = machine.CPU
 
 // Cookie is a pre-translated request size for the fast-path interface
@@ -259,10 +261,6 @@ type Config struct {
 	// and quarantine-and-continue degradation. Nil — the default — keeps
 	// the unhardened layout and cycle counts exactly.
 	Harden *HardenConfig
-	// DebugOwnership panics when two goroutines drive one CPU handle
-	// concurrently (debugging aid for Native mode, whose claim word
-	// would otherwise silently serialize them).
-	DebugOwnership bool
 }
 
 // System is an allocator bound to its (simulated or native) machine.
@@ -295,17 +293,16 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	m := machine.New(mc)
 	a, err := core.New(m, core.Params{
-		Classes:        cfg.Classes,
-		TargetFor:      cfg.Target,
-		GblTargetFor:   cfg.GblTarget,
-		Adaptive:       cfg.Adaptive,
-		Hook:           cfg.Hook,
-		Pressure:       cfg.Pressure,
-		Wait:           cfg.Wait,
-		Faults:         cfg.Faults,
-		Poison:         cfg.Poison,
-		Harden:         cfg.Harden,
-		DebugOwnership: cfg.DebugOwnership,
+		Classes:      cfg.Classes,
+		TargetFor:    cfg.Target,
+		GblTargetFor: cfg.GblTarget,
+		Adaptive:     cfg.Adaptive,
+		Hook:         cfg.Hook,
+		Pressure:     cfg.Pressure,
+		Wait:         cfg.Wait,
+		Faults:       cfg.Faults,
+		Poison:       cfg.Poison,
+		Harden:       cfg.Harden,
 	})
 	if err != nil {
 		return nil, err
