@@ -21,8 +21,10 @@ func TestRefillPublishedBeforeConsumed(t *testing.T) {
 		refills := 0
 		p.Hook = func(cls int, ev LayerEvent, n int) {
 			if ev == EvGlobalRefill {
-				// Emitted once the refilled lists are visible to other
-				// CPUs: after g.lk is released, or after the last CAS push.
+				// Emitted once getList has released g.lk, in every
+				// profile: the refilled lists are visible to the
+				// locked path from then on (under LockFree, to the
+				// CAS pop in front of the lock from their push).
 				published = cur.Now()
 				refills++
 			}
@@ -60,10 +62,71 @@ func TestRefillPublishedBeforeConsumed(t *testing.T) {
 	t.Run("lockfree", func(t *testing.T) {
 		published, end := run(t, Params{LockFree: true})
 		if end[1] < published {
-			// Measured when this test was written: CPU 1 ends at 385
-			// holding a block of the refill CPU 0 publishes at 99,660.
-			t.Skipf("known gap (ROADMAP, \"A publication rule in the simulator\"; DESIGN.md §14): CPU 1's alloc ends at cycle %d, CPU 0 publishes the refill at %d and ends at %d — a lock-free pop takes a list from its own virtual future",
+			// Measured once the refill ran under g.lk in every
+			// profile: CPU 0 publishes the refill at 97,663 and ends at
+			// 97,730; CPU 1 still ends at 385, holding a block of it.
+			t.Skipf("known gap (ROADMAP, \"A publication rule in the simulator\"; DESIGN.md §14): CPU 1's alloc ends at cycle %d, CPU 0 publishes the refill at %d and ends at %d — the CAS pop in front of g.lk takes a list from its own virtual future",
 				end[1], published, end[0])
 		}
 	})
+}
+
+// TestLockFreeRefillWaitsForLock pins where a LockFree refill runs:
+// inside g.lk, as under the paper's profile, with only a CAS pop in front
+// of the lock. With one list per refill (gbltarget 1), two CPUs that both
+// miss the empty stack at clock 0 each refill; CPU 1's refill must run in
+// a hold of g.lk that begins no earlier than CPU 0's release, so it waits
+// for CPU 0's instead of carving alongside it from clock 0.
+func TestLockFreeRefillWaitsForLock(t *testing.T) {
+	var (
+		a       *Allocator
+		cls     int
+		cur     *machine.CPU
+		refills int
+		// released is when CPU 0's getList released g.lk; heldSince is
+		// where the g.lk hold around CPU 1's refill began.
+		released, heldSince int64 = -1, -1
+	)
+	p := Params{
+		LockFree:     true,
+		GblTargetFor: func(uint32) int { return 1 },
+		Hook: func(_ int, ev LayerEvent, _ int) {
+			switch {
+			case ev == EvBlockGet && cur.ID() == 1:
+				// Emitted inside getLists, while the refill holds its
+				// locks.
+				heldSince = a.classes[cls].globals[0].lk.HeldSince()
+			case ev == EvGlobalRefill:
+				// Emitted by getList once it has released g.lk.
+				refills++
+				if cur.ID() == 0 {
+					released = cur.Now()
+				}
+			}
+		},
+	}
+	a, m := testAllocator(t, 2, 1024, p)
+	cls, _ = a.classOf(1024)
+	done := [2]bool{}
+	m.Run(func(c *machine.CPU) bool {
+		if done[c.ID()] {
+			return false
+		}
+		done[c.ID()] = true
+		if c.Now() != 0 {
+			t.Fatalf("cpu %d starts at clock %d, want 0", c.ID(), c.Now())
+		}
+		cur = c
+		if _, err := a.Alloc(c, 1024); err != nil {
+			t.Fatal(err)
+		}
+		return true
+	})
+	if refills != 2 {
+		t.Fatalf("%d global refills, want 2: each CPU must find the stack empty", refills)
+	}
+	if released < 0 || heldSince < released {
+		t.Fatalf("CPU 1's refill runs in a g.lk hold from cycle %d, before CPU 0 released g.lk at %d", heldSince, released)
+	}
+	t.Logf("CPU 0 releases g.lk at %d; CPU 1 refills in a hold from %d", released, heldSince)
 }

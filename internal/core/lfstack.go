@@ -1,6 +1,68 @@
 package core
 
-import "kmem/internal/machine"
+import (
+	"kmem/internal/blocklist"
+	"kmem/internal/machine"
+)
+
+// listStack is a global pool's stack of target-sized lists (gblfree in
+// the paper's Figure 3), always pushed and popped under the pool's lock
+// except for the one attempt Params.LockFree makes in front of it. With
+// lf nil — the paper's profile — a push or pop is a host-slice append or
+// truncation and charges nothing: the lock pays for it. Under LockFree
+// lf models the stack as a Treiber stack, and every push and pop is one
+// tagged-CAS commit on its head word, inside the lock or not.
+type listStack struct {
+	lists []blocklist.List
+	lf    *lfState
+}
+
+// push puts l on top of the stack. Under LockFree it writes the new
+// top's next link, then commits with one tagged CAS of the head word;
+// lost CASes count into ev as EvCASRetry.
+func (s *listStack) push(c *machine.CPU, ev *eventCounts, l blocklist.List) {
+	if s.lf != nil {
+		if r := s.lf.commit(c, func() { c.WriteAddr(l.Head()) }); r > 0 {
+			ev[EvCASRetry] += uint64(r)
+		}
+	}
+	s.lists = append(s.lists, l)
+}
+
+// pop removes the top list, or reports false on an empty stack. Under
+// LockFree it reads the top node's next pointer, then CASes the head
+// word from {top, tag} to {next, tag+1}; an empty stack costs only the
+// read of the head word.
+func (s *listStack) pop(c *machine.CPU, ev *eventCounts) (blocklist.List, bool) {
+	n := len(s.lists)
+	if s.lf != nil {
+		if n == 0 {
+			c.Read(s.lf.line)
+			return blocklist.List{}, false
+		}
+		top := s.lists[n-1].Head()
+		if r := s.lf.commit(c, func() { c.ReadAddr(top) }); r > 0 {
+			ev[EvCASRetry] += uint64(r)
+			if tortureBug(TortureBugLFStackABA) && n >= 2 {
+				// Armed ABA bug: the contended pop ignores the tag and
+				// installs the stale next snapshot it read before its
+				// first failed CAS — the classic lost update, dropping
+				// the list beneath the top. The leaked blocks never
+				// return to their pages, so the torture end-audit's
+				// mapped-pages leak floor catches the theft after a
+				// full drain.
+				s.lists = append(s.lists[:n-2], s.lists[n-1])
+				n--
+			}
+		}
+	}
+	if n == 0 {
+		return blocklist.List{}, false
+	}
+	out := s.lists[n-1]
+	s.lists = s.lists[:n-1]
+	return out, true
+}
 
 // lfState is the Sim-mode cost model of one Treiber-style CAS freelist
 // (Params.LockFree): the global layer's per-node stack of target-sized
@@ -69,8 +131,8 @@ const (
 	lfMaxRetries = 8
 )
 
-func newLfState(m *machine.Machine, node int) lfState {
-	return lfState{line: m.NewMetaLineOn(node)}
+func newLfState(m *machine.Machine, node int) *lfState {
+	return &lfState{line: m.NewMetaLineOn(node)}
 }
 
 // commit charges one optimistic read-prep-CAS commit on CPU c and

@@ -51,8 +51,7 @@ func TestLfCommitShortcutMatchesFullScan(t *testing.T) {
 		cfg := machine.DefaultConfig()
 		cfg.NumCPUs = ncpu
 		m := machine.New(cfg)
-		s := newLfState(m, 0)
-		return m, &s
+		return m, newLfState(m, 0)
 	}
 	for seed := int64(1); seed <= 4; seed++ {
 		m1, s1 := build()

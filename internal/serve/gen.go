@@ -43,8 +43,6 @@ type genState struct {
 	inHold bool     // pressure phase: bias churn toward holds
 }
 
-func (g *genState) isOpen(s uint32) bool { return g.pos[s] >= 0 }
-
 func (g *genState) openOp(sizes []uint32) Op {
 	s := g.next
 	g.next++
