@@ -164,3 +164,87 @@ func TestConcurrentReclaimRace(t *testing.T) {
 			got, want, st.VM.VmblkCreates)
 	}
 }
+
+// TestNativeStealOverlapsPut runs cross-node steals from node 0's pool
+// while node 0's CPUs get and put lists there and another CPU reads
+// Stats. A steal counts EvNodeSteal and EvInterconnect, which a remote
+// put and Stats touch under the pool's lock too, so the steal must count
+// under the lock as well: otherwise the race detector flags it, and lost
+// updates leave the tallies short of what the thieves took.
+func TestNativeStealOverlapsPut(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	cfg.Mode = machine.Native
+	cfg.NumCPUs = 4
+	cfg.Nodes = 2
+	cfg.MemBytes = 32 << 20
+	cfg.PhysPages = 1024
+	m := machine.New(cfg)
+	a, err := New(m, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls, _ := a.classOf(256)
+	g := a.classes[cls].globals[0]
+	var owners, thieves []*machine.CPU
+	for i := 0; i < m.NumCPUs(); i++ {
+		if c := m.CPU(i); c.Node() == 0 {
+			owners = append(owners, c)
+		} else {
+			thieves = append(thieves, c)
+		}
+	}
+	if len(owners) != 2 || len(thieves) != 2 {
+		t.Fatalf("%d CPUs on node 0 and %d on node 1, want 2 and 2", len(owners), len(thieves))
+	}
+
+	var wg sync.WaitGroup
+	// Node 0's CPUs cycle lists through their own pool, refilling it
+	// from node 0's pages whenever the thieves have emptied it.
+	for _, c := range owners {
+		wg.Add(1)
+		go func(c *machine.CPU) {
+			defer wg.Done()
+			for op := 0; op < scaledOps(20000); op++ {
+				if l, err := g.getList(c, false); err == nil {
+					g.putList(c, l)
+				}
+			}
+		}(c)
+	}
+	// One node-1 CPU steals from node 0's pool and gives each list back
+	// by a remote put; the other reads Stats throughout.
+	var steals, stolen uint64
+	wg.Add(2)
+	go func(c *machine.CPU) {
+		defer wg.Done()
+		for op := 0; op < scaledOps(20000); op++ {
+			if l := g.stealList(c); !l.Empty() {
+				steals++
+				stolen += uint64(l.Len())
+				g.putList(c, l)
+			}
+		}
+	}(thieves[0])
+	go func(c *machine.CPU) {
+		defer wg.Done()
+		for op := 0; op < scaledOps(2000); op++ {
+			a.Stats(c)
+		}
+	}(thieves[1])
+	wg.Wait()
+
+	if steals == 0 {
+		t.Fatal("no steal found a list: the test no longer overlaps steals with puts")
+	}
+	st := a.Stats(owners[0]).Classes[cls]
+	if st.NodeSteals != stolen {
+		t.Errorf("NodeSteals = %d, want the %d blocks stolen", st.NodeSteals, stolen)
+	}
+	if want := steals + st.RemotePuts; st.Interconnect != want {
+		t.Errorf("Interconnect = %d, want %d steals + %d remote puts", st.Interconnect, steals, st.RemotePuts)
+	}
+	a.DrainAll(owners[0])
+	if err := a.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
