@@ -90,6 +90,12 @@ type Allocator struct {
 	// per-call garbage.
 	resolved [][]resolvedBlock
 
+	// spilled[cpu] is that CPU's reusable buffer of the lists a
+	// globalPool.putList pops for the page layer when the pool overflows.
+	// Like released it is per CPU, needs no lock, and keeps the spill
+	// free of per-call garbage.
+	spilled [][]blocklist.List
+
 	// The low-memory path's one table of reclaim sources (lowmem.go) and
 	// the incremental rotation's cursor over it, and the typed caches'
 	// sheds, replaced whole, under cacheMu, when a cache (un)registers.
@@ -248,6 +254,7 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 	}
 	a.released = make([][]int32, n)
 	a.resolved = make([][]resolvedBlock, n)
+	a.spilled = make([][]blocklist.List, n)
 	a.crit = make([]machine.PerCPU, n)
 	for cpu := range a.crit {
 		a.crit[cpu] = machine.NewPerCPUOn(m, m.NodeOf(cpu), p.Rseq)

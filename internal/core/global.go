@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"kmem/internal/blocklist"
 	"kmem/internal/machine"
 )
@@ -188,11 +190,12 @@ func (g *globalPool) putList(c *machine.CPU, l blocklist.List) {
 	}
 
 	// The spill hands its lists down bottom first, the order the page
-	// layer has always received them in (pops fill it from the end).
-	var spill []blocklist.List
+	// layer has always received them in (pops fill it from the end). It
+	// pops them into the CPU's spilled buffer.
+	spill := g.al.spilled[c.ID()][:0]
 	if n := g.spillCount(len(g.lists), gbltarget); n > 0 {
 		g.ev[EvGlobalSpill]++
-		spill = make([]blocklist.List, n)
+		spill = slices.Grow(spill, n)[:n]
 		for i := n - 1; i >= 0; i-- {
 			spill[i], _ = g.pop(c, &g.ev)
 		}
@@ -208,6 +211,7 @@ func (g *globalPool) putList(c *machine.CPU, l blocklist.List) {
 		spilled += s.Len()
 	}
 	g.pp.putBlocks(c, spill...)
+	g.al.spilled[c.ID()] = spill[:0]
 	if spilled > 0 {
 		g.al.emit(g.cls, EvGlobalSpill, spilled)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"kmem/internal/arena"
@@ -128,6 +129,44 @@ func TestPutListOddSizesRegroup(t *testing.T) {
 	g.lk.Release(c)
 	a.DrainAll(c)
 	checkOK(t, a)
+}
+
+// TestSpillingPutAllocatesNothing holds globalPool.putList's spill to
+// zero host allocations: each run puts gbltarget lists onto a pool that
+// holds gbltarget+1, and the last put crosses 2*gbltarget and spills
+// gbltarget lists to the page layer through the CPU's spilled buffer.
+func TestSpillingPutAllocatesNothing(t *testing.T) {
+	const runs = 20
+	for _, p := range []Params{{}, {LockFree: true}} {
+		a, m := testAllocator(t, 1, 1024, p)
+		c := m.CPU(0)
+		cls, _ := a.classOf(16)
+		g, pp := a.classes[cls].globals[0], a.classes[cls].pages[0]
+		target, gbltarget := g.ctl.curTarget(), g.ctl.curGblTarget()
+		hand, err := pp.getLists(c, gbltarget+1+(runs+1)*gbltarget, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range hand[:gbltarget+1] {
+			g.putList(c, l)
+		}
+		hand = hand[gbltarget+1:]
+		spills := g.ev[EvGlobalSpill]
+		allocs := testing.AllocsPerRun(runs, func() {
+			for _, l := range hand[:gbltarget] {
+				g.putList(c, l)
+			}
+			hand = hand[gbltarget:]
+		})
+		name := fmt.Sprintf("LockFree=%v", p.LockFree)
+		if allocs != 0 {
+			t.Errorf("%s: a spilling put made %.1f host allocations, want 0", name, allocs)
+		}
+		if d := g.ev[EvGlobalSpill] - spills; d != runs+1 {
+			t.Errorf("%s: %d spills in %d runs, want one per run", name, d, runs+1)
+		}
+		checkOK(t, a)
+	}
 }
 
 func TestDumpFIFOMode(t *testing.T) {

@@ -48,27 +48,33 @@ func BenchmarkBusTxn(b *testing.B) {
 	})
 }
 
-// BenchmarkSimStep times one scheduler step of an 8-CPU machine whose
-// operation is as small as operations get: some instructions, a load and
-// a store of a line the CPUs share.
+// BenchmarkSimStep times one scheduler step of a machine whose operation
+// is as small as operations get: some instructions, a load and a store of
+// a line the CPUs share. The CPU counts span the sweeps' machines, from
+// two CPUs to the paper's 25 and the directory's limit of 64: the run
+// heap's depth grows with them.
 func BenchmarkSimStep(b *testing.B) {
-	mc := DefaultConfig()
-	mc.NumCPUs = 8
-	m := New(mc)
-	m.EnableSchedHash()
-	shared := m.NewMetaLine()
-	steps := 0
-	b.ResetTimer()
-	m.Run(func(c *CPU) bool {
-		if steps >= b.N {
-			return false
-		}
-		steps++
-		c.Work(5)
-		c.Read(shared)
-		c.Write(shared)
-		return true
-	})
+	for _, n := range []int{2, 8, 25, 64} {
+		b.Run(fmt.Sprintf("%dcpu", n), func(b *testing.B) {
+			mc := DefaultConfig()
+			mc.NumCPUs = n
+			m := New(mc)
+			m.EnableSchedHash()
+			shared := m.NewMetaLine()
+			steps := 0
+			b.ResetTimer()
+			m.Run(func(c *CPU) bool {
+				if steps >= b.N {
+					return false
+				}
+				steps++
+				c.Work(5)
+				c.Read(shared)
+				c.Write(shared)
+				return true
+			})
+		})
+	}
 }
 
 // BenchmarkSchedStep times the scheduler alone: 8 CPUs whose clocks stay
@@ -91,22 +97,47 @@ func BenchmarkSchedStep(b *testing.B) {
 	})
 }
 
-// BenchmarkAccessHit times a load that hits the cache, with the TLB model
-// off (the calibrated default) and on.
+// BenchmarkAccessHit times an access that hits the cache: a load of an
+// arena line with the TLB model off (the calibrated default) and on, a
+// store to an owned arena line, and a load and a store of metadata lines.
 func BenchmarkAccessHit(b *testing.B) {
-	for _, tlb := range []int{0, 64} {
-		b.Run(fmt.Sprintf("tlb%d", tlb), func(b *testing.B) {
+	const lines = 64 // fits the 256-line cache
+	rows := []struct {
+		name  string
+		tlb   int
+		write bool
+		meta  bool
+	}{
+		{"tlb0", 0, false, false},
+		{"tlb64", 64, false, false},
+		{"write", 0, true, false},
+		{"meta-read", 0, false, true},
+		{"meta-write", 0, true, true},
+	}
+	for _, r := range rows {
+		b.Run(r.name, func(b *testing.B) {
 			mc := DefaultConfig()
-			mc.TLBEntries = tlb
+			mc.TLBEntries = r.tlb
 			m := New(mc)
 			c := m.CPU(0)
-			const lines = 64 // fits the 256-line cache
-			for i := 0; i < lines; i++ {
-				c.Read(Line(i))
+			var ls [lines]Line
+			for i := range ls {
+				ls[i] = Line(i)
+				if r.meta {
+					ls[i] = m.NewMetaLine()
+				}
+				c.Write(ls[i]) // resident and owned
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.Read(Line(i % lines))
+				if r.write {
+					c.Write(ls[i%lines])
+				} else {
+					c.Read(ls[i%lines])
+				}
+			}
+			if c.Stats().Misses != lines {
+				b.Fatalf("%d misses, want only the %d warming stores", c.Stats().Misses, lines)
 			}
 		})
 	}

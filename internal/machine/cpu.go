@@ -16,6 +16,14 @@ type CPU struct {
 	node int
 	sim  bool // the machine's Mode == Sim, read by every cost hook
 
+	// plain is set while an access is nothing but its cache slot and
+	// directory entry: the CPU runs in Sim mode with no TLB model and is
+	// not tracing. read and write then settle it without access. New
+	// sets it; StartTrace and StopTrace clear and restore it. One path
+	// that tests the TLB and the trace on every access measured slower
+	// end to end (EXPERIMENTS.md E42).
+	plain bool
+
 	clock int64
 
 	// Seeded tie-break priority for the scheduler heap; 0 (compare by id)
@@ -155,71 +163,96 @@ func (c *CPU) remoteFor(l Line, dir int8) bool {
 }
 
 // access performs the cache/coherence accounting for one load or store
-// of line l; rmw is the bus-locked read-modify-write's.
+// of line l on a CPU that models its TLB or records a trace; read and
+// write settle every other CPU's access themselves. rmw is the bus-locked
+// read-modify-write's.
 func (c *CPU) access(l Line, kind AccessKind) {
-	m := c.m
 	c.tlbCheck(l)
 	slot := &c.cache[uint64(l)&uint64(len(c.cache)-1)]
-	dir := m.dirSlot(l)
-	present := *slot == l
-
+	dir := c.m.dirSlot(l)
 	var cost int64
-	if kind == ReadAccess {
-		if present && (*dir == ownerNone || *dir == int8(c.id)) {
-			c.hits++
-		} else {
-			// Line transfer; if another CPU held it exclusively it is
-			// downgraded to shared.
-			c.misses++
-			before := c.clock
-			c.clock = m.busTxn(c, c.remoteFor(l, *dir))
-			if *dir != ownerNone && *dir != int8(c.id) {
-				*dir = ownerNone
-			}
-			*slot = l
-			cost = c.clock - before
-			if m.profile != nil {
-				m.noteProfile(l, false)
-			}
-		}
-	} else if present && *dir == int8(c.id) {
+	if *slot == l && (*dir == int8(c.id) || kind == ReadAccess && *dir == ownerNone) {
 		c.hits++
 	} else {
-		// Read-for-ownership: fetch the line exclusively, invalidating
-		// other copies.
-		c.misses++
-		before := c.clock
-		c.clock = m.busTxn(c, c.remoteFor(l, *dir))
-		*dir = int8(c.id)
-		*slot = l
-		cost = c.clock - before
-		if m.profile != nil {
-			m.noteProfile(l, false)
-		}
+		cost = c.miss(l, slot, dir, kind != ReadAccess)
 	}
 	if c.tracing {
 		c.trace = append(c.trace, TraceEvent{Line: l, Kind: kind, Cycles: cost})
 	}
 }
 
+// miss transfers line l into the cache slot slot over the bus and
+// returns the cycles it cost; dir is l's directory entry. A load leaves
+// a line another CPU held exclusively shared; a store (own) is a
+// read-for-ownership, which takes it exclusively and invalidates the
+// other copies.
+func (c *CPU) miss(l Line, slot *Line, dir *int8, own bool) int64 {
+	m := c.m
+	c.misses++
+	before := c.clock
+	c.clock = m.busTxn(c, c.remoteFor(l, *dir))
+	if own {
+		*dir = int8(c.id)
+	} else if *dir != ownerNone && *dir != int8(c.id) {
+		*dir = ownerNone
+	}
+	*slot = l
+	if m.profile != nil {
+		m.noteProfile(l, false)
+	}
+	return c.clock - before
+}
+
 // Read charges a load of line l.
 func (c *CPU) Read(l Line) {
-	if !c.sim {
-		return
+	if c.sim {
+		c.read(l)
 	}
+}
+
+// read is Read's charge, out of line so that Read inlines to a mode test.
+// On a plain CPU it settles the load itself: a hit — the slot holds l,
+// and no other CPU owns it — is counted, anything else is a miss.
+func (c *CPU) read(l Line) {
 	c.insns++
 	c.clock += CyclesPerInsn
-	c.access(l, ReadAccess)
+	if !c.plain {
+		c.access(l, ReadAccess)
+		return
+	}
+	slot := &c.cache[uint64(l)&uint64(len(c.cache)-1)]
+	dir := c.m.dirSlot(l)
+	if *slot == l && (*dir == ownerNone || *dir == int8(c.id)) {
+		c.hits++
+		return
+	}
+	c.miss(l, slot, dir, false)
 }
 
 // Write charges a store to line l.
 func (c *CPU) Write(l Line) {
-	if !c.sim {
-		return
+	if c.sim {
+		c.write(l)
 	}
+}
+
+// write is Write's charge, out of line as read is. On a plain CPU a hit
+// — the slot holds l, and c owns it — is counted, anything else is a
+// miss.
+func (c *CPU) write(l Line) {
 	c.insns++
 	c.clock += CyclesPerInsn
-	c.access(l, WriteAccess)
+	if !c.plain {
+		c.access(l, WriteAccess)
+		return
+	}
+	slot := &c.cache[uint64(l)&uint64(len(c.cache)-1)]
+	dir := c.m.dirSlot(l)
+	if *slot == l && *dir == int8(c.id) {
+		c.hits++
+		return
+	}
+	c.miss(l, slot, dir, true)
 }
 
 // Atomic charges a bus-locked read-modify-write of line l.
@@ -277,7 +310,7 @@ func (c *CPU) ReadAddr(addr uint64) {
 
 // readAddr is ReadAddr's charge, out of line so that ReadAddr inlines to
 // a mode test.
-func (c *CPU) readAddr(addr uint64) { c.Read(c.m.LineOf(addr)) }
+func (c *CPU) readAddr(addr uint64) { c.read(c.m.LineOf(addr)) }
 
 // WriteAddr charges a store to the arena address addr.
 func (c *CPU) WriteAddr(addr uint64) {
@@ -287,7 +320,7 @@ func (c *CPU) WriteAddr(addr uint64) {
 }
 
 // writeAddr is WriteAddr's charge, out of line as readAddr is.
-func (c *CPU) writeAddr(addr uint64) { c.Write(c.m.LineOf(addr)) }
+func (c *CPU) writeAddr(addr uint64) { c.write(c.m.LineOf(addr)) }
 
 // noteWait attributes a synchronization wait to the given line while
 // tracing — the way a logic analyzer sees a spin: repeated accesses to
@@ -301,6 +334,7 @@ func (c *CPU) noteWait(l Line, cycles int64) {
 // StartTrace begins recording per-access costs (Sim mode).
 func (c *CPU) StartTrace() {
 	c.tracing = true
+	c.plain = false
 	c.trace = c.trace[:0]
 }
 
@@ -308,6 +342,7 @@ func (c *CPU) StartTrace() {
 // StartTrace. The returned slice is reused by the next StartTrace.
 func (c *CPU) StopTrace() []TraceEvent {
 	c.tracing = false
+	c.plain = c.sim && c.tlb == nil
 	return c.trace
 }
 

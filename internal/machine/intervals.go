@@ -138,7 +138,11 @@ func (v *intervals) occupy(start, end int64) {
 	} else {
 		v.last = at
 	}
-	s[at] = slot{start: start, end: end, reach: reach, prev: after, next: next}
+	// Field by field: a composite-literal store builds the slot on the
+	// stack and copies it in 16 bytes at a time, and that reload stalls
+	// on the stores just made.
+	sl := &s[at]
+	sl.start, sl.end, sl.reach, sl.prev, sl.next = start, end, reach, after, next
 	v.near = at
 	for i := next; i != none && s[i].reach < end; i = s[i].next {
 		s[i].reach = end

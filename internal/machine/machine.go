@@ -72,7 +72,6 @@ const (
 	CacheLines = 256
 
 	CyclesPerInsn  int64 = 1    // cost of one straight-line instruction
-	HitCycles      int64 = 0    // extra cost of a cache hit: none, so a hit is not charged
 	TLBMissCycles  int64 = 28   // page-table walk cost when TLBEntries > 0
 	IntrCycles     int64 = 8    // cost of an interrupt disable/enable pair
 	SpinRetryGap   int64 = 50   // cycles between spin retries on a held lock
@@ -286,6 +285,7 @@ func New(cfg Config) *Machine {
 					c.tlb[j] = ^uint64(0)
 				}
 			}
+			c.plain = c.tlb == nil
 		}
 	}
 	return m
