@@ -32,6 +32,11 @@ const NilAddr Addr = 0
 // Concurrent access to disjoint ranges is safe (the backing store is a
 // plain byte slice). Callers are responsible for ownership of ranges, just
 // as kernel code is responsible for the memory it has allocated.
+//
+// On Linux the bytes are demand-zero memory outside the Go heap, resident
+// only where touched, and reused once the Arena is unreachable
+// (host_mmap.go); race builds and other systems use a heap slice
+// (host_heap.go).
 type Arena struct {
 	mem []byte
 }
@@ -43,7 +48,7 @@ func New(size uint64) *Arena {
 	if size < 16 || size%8 != 0 {
 		panic(fmt.Sprintf("arena: invalid size %d", size))
 	}
-	return &Arena{mem: make([]byte, size)}
+	return newArena(size)
 }
 
 // Size returns the total size of the arena in bytes.
@@ -102,7 +107,8 @@ func (a *Arena) Store32(addr Addr, v uint32) {
 }
 
 // Bytes returns the n bytes starting at addr as a mutable slice view of
-// the arena. The caller must own [addr, addr+n).
+// the arena. The caller must own [addr, addr+n). A view lives as long as
+// its arena: once the Arena is unreachable its memory may back another.
 func (a *Arena) Bytes(addr Addr, n uint64) []byte {
 	a.check(addr, n)
 	return a.mem[addr : addr+n : addr+n]

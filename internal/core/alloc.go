@@ -96,6 +96,12 @@ type Allocator struct {
 	// free of per-call garbage.
 	spilled [][]blocklist.List
 
+	// refilled[cpu] is that CPU's reusable buffer of the lists a
+	// pagePool.getLists builds for a refill; the caller consumes them
+	// before the CPU's next refill. Like spilled it is per CPU, needs no
+	// lock, and keeps the refill free of per-call garbage.
+	refilled [][]blocklist.List
+
 	// The low-memory path's one table of reclaim sources (lowmem.go) and
 	// the incremental rotation's cursor over it, and the typed caches'
 	// sheds, replaced whole, under cacheMu, when a cache (un)registers.
@@ -255,6 +261,7 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 	a.released = make([][]int32, n)
 	a.resolved = make([][]resolvedBlock, n)
 	a.spilled = make([][]blocklist.List, n)
+	a.refilled = make([][]blocklist.List, n)
 	a.crit = make([]machine.PerCPU, n)
 	for cpu := range a.crit {
 		a.crit[cpu] = machine.NewPerCPUOn(m, m.NodeOf(cpu), p.Rseq)

@@ -169,6 +169,43 @@ func TestSpillingPutAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestRefillAllocatesNothing holds globalPool.getList's refill to zero
+// host allocations: each run takes gbltarget lists from an empty pool,
+// the first of them refills it with gbltarget lists that
+// pagePool.getLists builds in the CPU's refilled buffer.
+func TestRefillAllocatesNothing(t *testing.T) {
+	const runs = 20
+	for _, p := range []Params{{}, {LockFree: true}} {
+		a, m := testAllocator(t, 1, 1024, p)
+		c := m.CPU(0)
+		cls, _ := a.classOf(16)
+		g := a.classes[cls].globals[0]
+		gbltarget := g.ctl.curGblTarget()
+		hand := make([]blocklist.List, 0, (runs+1)*gbltarget)
+		refills := g.ev[EvGlobalRefill]
+		allocs := testing.AllocsPerRun(runs, func() {
+			for i := 0; i < gbltarget; i++ {
+				l, err := g.getList(c, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hand = append(hand, l)
+			}
+		})
+		name := fmt.Sprintf("LockFree=%v", p.LockFree)
+		if allocs != 0 {
+			t.Errorf("%s: a refilling get made %.1f host allocations, want 0", name, allocs)
+		}
+		if d := g.ev[EvGlobalRefill] - refills; d != runs+1 {
+			t.Errorf("%s: %d refills in %d runs, want one per run", name, d, runs+1)
+		}
+		for _, l := range hand {
+			g.putList(c, l)
+		}
+		checkOK(t, a)
+	}
+}
+
 func TestDumpFIFOMode(t *testing.T) {
 	a, m := testAllocator(t, 1, 1024, Params{DisableRadixSort: true})
 	c := m.CPU(0)

@@ -293,12 +293,14 @@ func (p *pagePool) cutTail(c *machine.CPU, pg int32, pd *pageDesc, n, target int
 // cut straight into the lists by one loop (cutPage). Whole lists cut
 // from a tail leave as runs, so the hold pays per list, not per block,
 // for them. Every refill counts into the pool's streak (noteRefill).
+// The lists are built in the CPU's refilled buffer, so they last until
+// the CPU's next getLists.
 func (p *pagePool) getLists(c *machine.CPU, nLists, target int) ([]blocklist.List, error) {
 	p.al.acquire(c, p.lk, &p.ev, p.cls)
 	defer p.lk.Release(c)
 	c.Read(p.line)
 
-	var out []blocklist.List
+	out := p.al.refilled[c.ID()][:0]
 	var cur blocklist.List
 	var lastErr error
 	want := nLists * target
@@ -323,6 +325,7 @@ func (p *pagePool) getLists(c *machine.CPU, nLists, target int) ([]blocklist.Lis
 	c.Write(p.line)
 	p.al.emit(p.cls, EvBlockGet, got)
 	p.al.emit(p.cls, EvPageRefile, int(p.ev[EvPageRefile]-refiled))
+	p.al.refilled[c.ID()] = out[:0]
 	if len(out) == 0 {
 		if lastErr == nil {
 			lastErr = ErrNoMemory

@@ -34,46 +34,58 @@ import "math"
 type intervals struct {
 	n int // arrivals remembered
 
-	// slots holds the last n arrivals; once full, slots[oldest] is the
-	// one the next arrival replaces.
+	// slots holds the two sentinels of the start-order list, head and
+	// tail, then the last n arrivals; once full, slots[oldest] is the one
+	// the next arrival replaces.
 	slots  []slot
 	oldest int
 
-	// first and last are the ends of the start-order list threaded
-	// through slots (none when the list is empty); near is where the last
-	// search ended (a linked slot or none).
-	first, last, near int16
+	// near is where the last search ended: a linked slot or head.
+	near int16
 
 	hi int64 // highest end ever recorded
 }
 
 // slot is one remembered interval. The ones that hold some time are
-// linked in start order (prev, next); reach is the highest end among the
-// linked slots from first up to and including this one.
+// linked in start order (prev, next) between the sentinels; reach is the
+// highest end among the linked slots up to and including this one.
 type slot struct {
 	start, end, reach int64
 	prev, next        int16
 }
 
-const none int16 = -1
+// head starts before and tail after every time, so a walk of the list
+// stops at them without a test of its own; head reaches nothing, and
+// tail's reach and end are the highest there is, so a repair of reach
+// stops at tail.
+const (
+	head, tail int16 = 0, 1
+	sentinels        = 2
+)
 
-func newIntervals(n int) intervals { return intervals{n: n, first: none, last: none, near: none} }
+func newIntervals(n int) intervals {
+	return intervals{
+		n: n,
+		slots: []slot{
+			head: {start: math.MinInt64, end: math.MinInt64, reach: math.MinInt64, next: tail},
+			tail: {start: math.MaxInt64, end: math.MaxInt64, reach: math.MaxInt64, prev: head},
+		},
+		oldest: sentinels,
+		near:   head,
+	}
+}
 
 // seek returns the last slot in start order that starts at or before t
-// (none if there is none), searching from near in whichever direction t
-// lies.
+// (head if there is none), searching from near in whichever direction t
+// lies. t must be below math.MaxInt64.
 func (v *intervals) seek(t int64) int16 {
 	s := v.slots
 	i := v.near
-	for i != none && s[i].start > t {
+	for s[i].start > t {
 		i = s[i].prev
 	}
-	next := v.first
-	if i != none {
-		next = s[i].next
-	}
-	for next != none && s[next].start <= t {
-		i, next = next, s[next].next
+	for next := s[i].next; s[next].start <= t; next = s[next].next {
+		i = next
 	}
 	return i
 }
@@ -82,19 +94,19 @@ func (v *intervals) seek(t int64) int16 {
 // free, queueing behind every remembered interval that overlaps t and
 // behind the chain of intervals overlapping the end of that one.
 func (v *intervals) chase(t int64) int64 {
+	s := v.slots
 	if t >= v.hi {
-		v.near = v.last // every start is behind t
+		v.near = s[tail].prev // every start is behind t
 		return t
 	}
-	s := v.slots
 	i := v.seek(t)
-	if i != none && s[i].reach > t {
+	if s[i].reach > t {
 		// Some interval starting at or before t ends after it, and the one
 		// ending last ends at s[i].reach. Later-starting intervals extend
 		// the wait for as long as each starts no later than the time
 		// reached.
 		t = s[i].reach
-		for next := s[i].next; next != none && s[next].start <= t; next = s[next].next {
+		for next := s[i].next; s[next].start <= t; next = s[next].next {
 			i, t = next, s[next].reach
 		}
 	}
@@ -106,13 +118,13 @@ func (v *intervals) chase(t int64) int64 {
 // recent arrival.
 func (v *intervals) occupy(start, end int64) {
 	var at int16
-	if len(v.slots) < v.n {
+	if len(v.slots) < sentinels+v.n {
 		at = int16(len(v.slots))
 		v.slots = append(v.slots, slot{})
 	} else {
 		at = int16(v.oldest)
-		if v.oldest++; v.oldest == v.n {
-			v.oldest = 0
+		if v.oldest++; v.oldest == sentinels+v.n {
+			v.oldest = sentinels
 		}
 		v.unlink(at)
 	}
@@ -126,25 +138,15 @@ func (v *intervals) occupy(start, end int64) {
 		v.hi = end
 	}
 	after := v.seek(start)
-	reach, next := end, v.first
-	if after != none {
-		reach, next = max(end, s[after].reach), s[after].next
-		s[after].next = at
-	} else {
-		v.first = at
-	}
-	if next != none {
-		s[next].prev = at
-	} else {
-		v.last = at
-	}
+	next := s[after].next
+	s[after].next, s[next].prev = at, at
 	// Field by field: a composite-literal store builds the slot on the
 	// stack and copies it in 16 bytes at a time, and that reload stalls
 	// on the stores just made.
 	sl := &s[at]
-	sl.start, sl.end, sl.reach, sl.prev, sl.next = start, end, reach, after, next
+	sl.start, sl.end, sl.reach, sl.prev, sl.next = start, end, max(end, s[after].reach), after, next
 	v.near = at
-	for i := next; i != none && s[i].reach < end; i = s[i].next {
+	for i := next; s[i].reach < end; i = s[i].next {
 		s[i].reach = end
 	}
 }
@@ -160,19 +162,8 @@ func (v *intervals) unlink(at int16) {
 	if v.near == at {
 		v.near = prev
 	}
-	reach := int64(math.MinInt64)
-	if prev != none {
-		s[prev].next = next
-		reach = s[prev].reach
-	} else {
-		v.first = next
-	}
-	if next != none {
-		s[next].prev = prev
-	} else {
-		v.last = prev
-	}
-	for i := next; i != none; i = s[i].next {
+	s[prev].next, s[next].prev = next, prev
+	for i, reach := next, s[prev].reach; ; i = s[i].next {
 		reach = max(reach, s[i].end)
 		if s[i].reach == reach {
 			break

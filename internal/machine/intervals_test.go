@@ -103,13 +103,13 @@ func (p *pair) audit() {
 	v := &p.iv
 	var linked []hold
 	reach := int64(-1 << 63)
-	prev := none
-	for i := v.first; i != none; prev, i = i, v.slots[i].next {
+	prev := head
+	for i := v.slots[head].next; i != tail; prev, i = i, v.slots[i].next {
 		s := v.slots[i]
 		if s.prev != prev {
 			p.t.Fatalf("step %d: slot %d links back to %d, reached from %d", p.step, i, s.prev, prev)
 		}
-		if prev != none && v.slots[prev].start > s.start {
+		if prev != head && v.slots[prev].start > s.start {
 			p.t.Fatalf("step %d: slot %d out of start order", p.step, i)
 		}
 		if s.end <= s.start {
@@ -122,8 +122,8 @@ func (p *pair) audit() {
 			p.t.Fatalf("step %d: more than %d slots linked", p.step, v.n)
 		}
 	}
-	if v.last != prev {
-		p.t.Fatalf("step %d: last is %d, the list ends at %d", p.step, v.last, prev)
+	if last := v.slots[tail].prev; last != prev {
+		p.t.Fatalf("step %d: last is %d, the list ends at %d", p.step, last, prev)
 	}
 	var want []hold
 	for _, h := range p.ref.ring {

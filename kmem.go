@@ -376,7 +376,8 @@ func (s *System) Target(i int) int { return s.a.Target(i) }
 func (s *System) GblTarget(i int) int { return s.a.GblTarget(i) }
 
 // Bytes returns the n bytes of block b as a mutable slice aliasing the
-// arena. The caller must own [b, b+n).
+// arena. The caller must own [b, b+n). A view lives as long as its
+// System: once the System is unreachable its arena may back another.
 func (s *System) Bytes(b Addr, n uint64) []byte { return s.m.Mem().Bytes(b, n) }
 
 // Stats returns a per-layer counter snapshot.
