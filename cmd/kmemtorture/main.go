@@ -7,7 +7,7 @@
 //
 //	kmemtorture [-ops N] [-seed S] [-jitterseed J] [-seeds K]
 //	            [-cpus N] [-nodes N] [-pages N]
-//	            [-pressure] [-faults] [-adaptive]
+//	            [-pressure] [-faults]
 //	            [-matrix small|full] [-shrink] [-out dir]
 //	            [-replay file.json] [-emit-corpus dir]
 //	            [-plant shardflush|rightmerge|lfstackaba|stalepure|stalehead|tailoverlap|runstraddle] [-v]
@@ -45,7 +45,6 @@ func main() {
 		pages      = flag.Int64("pages", 0, "physical pages (0 = config default)")
 		pressure   = flag.Bool("pressure", false, "enable the watermark/reclaim model")
 		faults     = flag.Bool("faults", false, "arm probabilistic fault injection")
-		adaptive   = flag.Bool("adaptive", false, "enable the adaptive target controller")
 		matrix     = flag.String("matrix", "", "run a config matrix: small or full")
 		shrink     = flag.Bool("shrink", false, "delta-debug failing runs to minimal repros")
 		outDir     = flag.String("out", "torture-failures", "directory for failing repro artifacts")
@@ -104,7 +103,6 @@ func main() {
 			CPUs: *cpus, Nodes: *nodes, PhysPages: *pages,
 			Ops: *ops, Seed: *seed,
 			Pressure: *pressure, Faults: *faults,
-			Adaptive: *adaptive,
 		}
 		for s := 0; s < *seeds; s++ {
 			cfg.JitterSeed = jitterAt(*jitterSeed, s)

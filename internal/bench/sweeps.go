@@ -332,26 +332,6 @@ to the unhardened allocator (the STREAMS table is held equal to BENCH_7 by TestB
 		},
 	},
 	{
-		Name:  "adaptive",
-		Help:  "adaptive target controller vs the paper's fixed heuristic",
-		Title: "Adaptive targets vs fixed heuristic",
-		Backs: "EXPERIMENTS.md X7 (DESIGN.md §6); no BENCHMARK.json workload turns the controller on",
-		Smoke: [][]string{{"-bursts", "20", "-burst", "50"}},
-		Flags: func(fs *flag.FlagSet) runner {
-			bursts := fs.Int("bursts", 400, "alloc/free bursts to run")
-			burst := fs.Int("burst", 400, "allocations per burst (oscillation amplitude)")
-			size := fs.Uint64("size", 128, "block size")
-			return func() (*Report, error) {
-				res, err := RunAdaptive(*bursts, *burst, *size)
-				return tabled(res, err, `
-The fixed run is pinned to the paper's compile-time target; the adaptive run
-grows target until the burst amplitude fits the per-CPU cache, driving the
-miss rate toward the controller's setpoint (see DESIGN.md, adaptive targets).
-`)
-			}
-		},
-	},
-	{
 		Name:  "topology",
 		Help:  "NUMA sweep: producer/consumer cross-CPU frees vs node count",
 		Title: "NUMA topology sweep",

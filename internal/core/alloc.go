@@ -132,15 +132,14 @@ type Allocator struct {
 }
 
 // classState groups one size class's parameters and upper layers. target
-// and gbltarget are the configured initial values; the current values
-// live in ctl (they coincide whenever adaptation is off). The global and
-// coalesce-to-page layers are per NUMA node — one pool of each kind per
-// node, each with its own spinlock — sharing the one class controller.
+// and gbltarget are the paper's static targets, set once by New from
+// TargetFor and GblTargetFor. The global and coalesce-to-page layers are
+// per NUMA node — one pool of each kind per node, each with its own
+// spinlock.
 type classState struct {
 	size      uint32
 	target    int
 	gbltarget int
-	ctl       *classController
 	globals   []*globalPool // [node]
 	pages     []*pagePool   // [node]
 }
@@ -220,17 +219,15 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 		if gt < 1 {
 			return nil, fmt.Errorf("core: gbltarget %d for size %d", gt, size)
 		}
-		ctl := newClassController(&p, t, gt)
 		cs := classState{
 			size:      size,
 			target:    t,
 			gbltarget: gt,
-			ctl:       ctl,
 			globals:   make([]*globalPool, a.nodes),
 			pages:     make([]*pagePool, a.nodes),
 		}
 		for node := 0; node < a.nodes; node++ {
-			cs.globals[node] = newGlobalPool(a, i, node, ctl)
+			cs.globals[node] = newGlobalPool(a, i, node)
 			cs.pages[node] = newPagePool(a, i, node, size)
 			cs.globals[node].pp = cs.pages[node]
 		}
@@ -244,7 +241,6 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 		for k := range a.percpu[cpu] {
 			pc := &a.percpu[cpu][k]
 			pc.line = m.NewMetaLineOn(m.NodeOf(cpu))
-			pc.target = a.classes[k].ctl.curTarget()
 			pc.memoVmblk = -1
 		}
 	}
@@ -308,13 +304,12 @@ func (a *Allocator) ClassSize(cls int) uint32 { return a.classes[cls].size }
 // large path through the coalesce-to-vmblk layer.
 func (a *Allocator) MaxSmall() uint32 { return a.maxSmall }
 
-// Target returns the current per-CPU cache target for class cls (the
-// configured value, or the adaptive controller's latest choice).
-func (a *Allocator) Target(cls int) int { return a.classes[cls].ctl.curTarget() }
+// Target returns the per-CPU cache target for class cls.
+func (a *Allocator) Target(cls int) int { return a.classes[cls].target }
 
-// GblTarget returns the current global-layer capacity parameter for
-// class cls, in units of target-sized lists.
-func (a *Allocator) GblTarget(cls int) int { return a.classes[cls].ctl.curGblTarget() }
+// GblTarget returns the global-layer capacity parameter for class cls,
+// in units of target-sized lists.
+func (a *Allocator) GblTarget(cls int) int { return a.classes[cls].gbltarget }
 
 // classFor returns the size class index for a small block size.
 func (a *Allocator) classFor(size uint64) int {
@@ -469,9 +464,6 @@ const (
 	// home node on a multi-node machine, or the single freelist of
 	// Params.DisableSplitFreelist.
 	rareRouted
-	// rareAdaptive: Params.Adaptive; refills and spills requote the
-	// cache's target and report to the class controller.
-	rareAdaptive
 
 	// rareFree is the bits a free's hit must know before its section.
 	rareFree = rareChecked | rareRouted
@@ -486,9 +478,6 @@ func rareWord(p *Params, nodes int) uint8 {
 	}
 	if nodes > 1 || p.DisableSplitFreelist {
 		w |= rareRouted
-	}
-	if p.Adaptive {
-		w |= rareAdaptive
 	}
 	return w
 }
@@ -576,21 +565,10 @@ func (a *Allocator) refill(c *machine.CPU, cls int, pc *pcpu, crit *machine.PerC
 	// outside every lock.
 	lst.Link(c, a.mem)
 	n := lst.Len()
-	ctl := a.classes[cls].ctl
-	adaptive := a.rare&rareAdaptive != 0
-	var delta uint64
 	if r := crit.Enter(c); r > 0 {
 		pc.ev[EvRseqRestart] += uint64(r)
 	}
 	pc.ev[EvCPURefill]++
-	if adaptive {
-		// Requote the target and batch the fast-path ops since the last
-		// report into the controller's window.
-		ops := pc.ops()
-		delta = ops - pc.notedOps
-		pc.notedOps = ops
-		pc.target = ctl.curTarget()
-	}
 	// A home refill into an empty cache restores node-purity.
 	pc.mixed = stolen || pc.mixed && !(pc.main.Empty() && pc.aux.Empty())
 	if pc.main.Empty() {
@@ -602,9 +580,6 @@ func (a *Allocator) refill(c *machine.CPU, cls int, pc *pcpu, crit *machine.PerC
 	}
 	crit.Exit(c)
 	a.emit(cls, EvCPURefill, n)
-	if adaptive {
-		ctl.target.note(a, c, cls, delta, 1)
-	}
 	if took {
 		// A home list taken: with every lock dropped, back the pages it
 		// used ahead of the pool's next refill.
@@ -658,7 +633,7 @@ func (a *Allocator) freeTo(c *machine.CPU, cls int, addr arena.Addr, routed bool
 	}
 	// Under pressure the cache's spill threshold is halved (effTarget),
 	// so frees surrender surplus to the lower layers sooner.
-	target := a.effTarget(pc.target)
+	target := a.effTarget(a.classes[cls].target)
 	var spill blocklist.List
 	// flushHome is the destination node when spill is a full remote
 	// shard; -1 marks a classic main/aux spill, which goes where
@@ -710,21 +685,12 @@ func (a *Allocator) freeRouted(c *machine.CPU, cls int, pc *pcpu, target int, ad
 
 // spillOut finishes a free that spilled main/aux or filled a remote
 // shard (flushHome >= 0): inside CPU c's critical section crit it names
-// the spill's pool and, with adaptation on, requotes the cache's target;
-// then it leaves the section and puts the list to the global layer.
+// the spill's pool, then it leaves the section and puts the list to the
+// global layer.
 func (a *Allocator) spillOut(c *machine.CPU, cls int, pc *pcpu, crit *machine.PerCPU, spill blocklist.List, flushHome int) {
 	spillHome := -1
 	if flushHome < 0 {
 		spillHome = a.spillHome(pc, c.Node(), spill.Len())
-	}
-	ctl := a.classes[cls].ctl
-	adaptive := a.rare&rareAdaptive != 0
-	var delta uint64
-	if adaptive {
-		ops := pc.ops()
-		delta = ops - pc.notedOps
-		pc.notedOps = ops
-		pc.target = ctl.curTarget()
 	}
 	crit.Exit(c)
 	n := spill.Len()
@@ -738,9 +704,6 @@ func (a *Allocator) spillOut(c *machine.CPU, cls int, pc *pcpu, crit *machine.Pe
 	} else {
 		a.spill(c, cls, spill, spillHome)
 		a.emit(cls, EvCPUSpill, n)
-	}
-	if adaptive {
-		ctl.target.note(a, c, cls, delta, 1)
 	}
 }
 

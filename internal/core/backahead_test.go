@@ -201,7 +201,7 @@ func TestBackAheadStamp(t *testing.T) {
 	late.Idle(1_000_000)
 	arm(late, pp)
 	pp.backAhead(late)
-	target := a.classes[pp.cls].ctl.curTarget()
+	target := a.classes[pp.cls].target
 	if len(pp.ready) != target || pp.ready[0].at <= early.Now() {
 		t.Fatalf("stock %v after one back-ahead at clock %d, want %d pages stamped after %d", pp.ready, late.Now(), target, early.Now())
 	}

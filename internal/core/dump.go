@@ -15,15 +15,8 @@ func (a *Allocator) Dump(w io.Writer) {
 
 	for cls := range a.classes {
 		cs := &a.classes[cls]
-		fmt.Fprintf(w, "\nclass %d: size %d, target %d, gbltarget %d",
-			cls, cs.size, cs.ctl.curTarget(), cs.ctl.curGblTarget())
-		if cs.ctl.enabled {
-			fmt.Fprintf(w, " (adaptive; initial %d/%d, %d grows, %d shrinks)",
-				cs.target, cs.gbltarget,
-				cs.ctl.target.grows.Load()+cs.ctl.gbltarget.grows.Load(),
-				cs.ctl.target.shrinks.Load()+cs.ctl.gbltarget.shrinks.Load())
-		}
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "\nclass %d: size %d, target %d, gbltarget %d\n",
+			cls, cs.size, cs.target, cs.gbltarget)
 		for cpu := range a.percpu {
 			pc := &a.percpu[cpu][cls]
 			if pc.ev[EvAlloc] == 0 && pc.held(a.shardsOf(cpu, cls)) == 0 {

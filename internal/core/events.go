@@ -55,12 +55,6 @@ const (
 	// Allocator-wide events (class -1).
 	EvReclaim // the low-memory reclaim path ran
 
-	// Adaptive-controller decisions (per class; n = the new value).
-	EvTargetGrow
-	EvTargetShrink
-	EvGblTargetGrow
-	EvGblTargetShrink
-
 	// Node-crossing events (NUMA topologies; all zero on a single-node
 	// machine).
 	EvRemoteFree   // a spilled list was routed to another node's global pool (n = blocks)
@@ -153,55 +147,51 @@ const (
 )
 
 var layerEventNames = [numLayerEvents]string{
-	EvAlloc:           "alloc",
-	EvFree:            "free",
-	EvCPURefill:       "cpu-refill",
-	EvCPUSpill:        "cpu-spill",
-	EvGlobalGet:       "global-get",
-	EvGlobalPut:       "global-put",
-	EvGlobalRefill:    "global-refill",
-	EvGlobalSpill:     "global-spill",
-	EvBlockGet:        "block-get",
-	EvBlockPut:        "block-put",
-	EvPageCarve:       "page-carve",
-	EvPageFree:        "page-free",
-	EvSpanAlloc:       "span-alloc",
-	EvSpanFree:        "span-free",
-	EvVmblkCreate:     "vmblk-create",
-	EvLargeAlloc:      "large-alloc",
-	EvLargeFree:       "large-free",
-	EvPagesMap:        "pages-map",
-	EvPagesUnmap:      "pages-unmap",
-	EvMapFail:         "map-fail",
-	EvReclaim:         "reclaim",
-	EvTargetGrow:      "target-grow",
-	EvTargetShrink:    "target-shrink",
-	EvGblTargetGrow:   "gbltarget-grow",
-	EvGblTargetShrink: "gbltarget-shrink",
-	EvRemoteFree:      "remote-free",
-	EvNodeSteal:       "node-steal",
-	EvInterconnect:    "interconnect",
-	EvPressure:        "pressure",
-	EvWait:            "wait",
-	EvWake:            "wake",
-	EvFaultInjected:   "fault-injected",
-	EvReclaimStep:     "reclaim-step",
-	EvShardFlush:      "shard-flush",
-	EvHomeMemoHit:     "home-memo-hit",
-	EvRemotePut:       "remote-put",
-	EvLockWait:        "lock-wait",
-	EvPagesReserve:    "pages-reserve",
-	EvPagesCommit:     "pages-commit",
-	EvPagesDecommit:   "pages-decommit",
-	EvCtorRun:         "ctor-run",
-	EvCtorSkip:        "ctor-skip",
-	EvCacheShed:       "cache-shed",
-	EvCorruption:      "corruption",
-	EvQuarantine:      "quarantine",
-	EvRseqRestart:     "rseq-restart",
-	EvCASRetry:        "cas-retry",
-	EvSpillRouted:     "spill-routed",
-	EvPageRefile:      "page-refile",
+	EvAlloc:         "alloc",
+	EvFree:          "free",
+	EvCPURefill:     "cpu-refill",
+	EvCPUSpill:      "cpu-spill",
+	EvGlobalGet:     "global-get",
+	EvGlobalPut:     "global-put",
+	EvGlobalRefill:  "global-refill",
+	EvGlobalSpill:   "global-spill",
+	EvBlockGet:      "block-get",
+	EvBlockPut:      "block-put",
+	EvPageCarve:     "page-carve",
+	EvPageFree:      "page-free",
+	EvSpanAlloc:     "span-alloc",
+	EvSpanFree:      "span-free",
+	EvVmblkCreate:   "vmblk-create",
+	EvLargeAlloc:    "large-alloc",
+	EvLargeFree:     "large-free",
+	EvPagesMap:      "pages-map",
+	EvPagesUnmap:    "pages-unmap",
+	EvMapFail:       "map-fail",
+	EvReclaim:       "reclaim",
+	EvRemoteFree:    "remote-free",
+	EvNodeSteal:     "node-steal",
+	EvInterconnect:  "interconnect",
+	EvPressure:      "pressure",
+	EvWait:          "wait",
+	EvWake:          "wake",
+	EvFaultInjected: "fault-injected",
+	EvReclaimStep:   "reclaim-step",
+	EvShardFlush:    "shard-flush",
+	EvHomeMemoHit:   "home-memo-hit",
+	EvRemotePut:     "remote-put",
+	EvLockWait:      "lock-wait",
+	EvPagesReserve:  "pages-reserve",
+	EvPagesCommit:   "pages-commit",
+	EvPagesDecommit: "pages-decommit",
+	EvCtorRun:       "ctor-run",
+	EvCtorSkip:      "ctor-skip",
+	EvCacheShed:     "cache-shed",
+	EvCorruption:    "corruption",
+	EvQuarantine:    "quarantine",
+	EvRseqRestart:   "rseq-restart",
+	EvCASRetry:      "cas-retry",
+	EvSpillRouted:   "spill-routed",
+	EvPageRefile:    "page-refile",
 }
 
 // NumLayerEvents is the number of distinct layer events.
@@ -217,8 +207,7 @@ func (e LayerEvent) String() string {
 // Hook is an optional per-allocator event sink. It is called with the
 // size class the event belongs to (-1 for classless events: the vmblk
 // layer and reclaim), the event, and the batch size n (blocks for
-// block-moving events, pages for page events, 1 for plain operations,
-// the new value for adaptive-controller decisions).
+// block-moving events, pages for page events, 1 for plain operations).
 //
 // Hooks fire only on slow paths — never on a fast-path alloc or free —
 // and may be invoked while allocator-internal locks are held, so a Hook

@@ -19,10 +19,9 @@ import (
 // low-memory operation or cache flushes land on the bucket list, which
 // regroups blocks into target-sized lists.
 //
-// target and gbltarget are read from the class controller on every
-// exchange, so an adaptive retune takes effect on the next get or put:
-// lists grouped under an old target are simply odd-sized under the new
-// one and flow through the bucket to be regrouped.
+// Under PressureLow a get refills, and a CPU spills, lists of the
+// degraded target (effTarget); at the class's target they are
+// odd-sized, and a put sends them through the bucket to be regrouped.
 //
 // Home-node invariant: a pool only ever holds blocks homed on its node.
 // A node-pure cache spills whole lists to its own node's pool, any other
@@ -36,7 +35,6 @@ type globalPool struct {
 	al   *Allocator
 	cls  int
 	node int
-	ctl  *classController
 
 	// pp is the node-local coalesce-to-page pool this pool refills from
 	// and spills to.
@@ -59,12 +57,11 @@ type globalPool struct {
 	ev eventCounts
 }
 
-func newGlobalPool(a *Allocator, cls, node int, ctl *classController) *globalPool {
+func newGlobalPool(a *Allocator, cls, node int) *globalPool {
 	g := &globalPool{
 		al:   a,
 		cls:  cls,
 		node: node,
-		ctl:  ctl,
 		lk:   machine.NewSpinLockOn(a.m, node),
 		line: a.m.NewMetaLineOn(node),
 	}
@@ -77,7 +74,10 @@ func newGlobalPool(a *Allocator, cls, node int, ctl *classController) *globalPoo
 // capacityLists is the high-water mark: beyond it, excess lists are sent
 // to the coalesce-to-page layer ("the number of blocks in the global
 // layer ranges up to twice gbltarget").
-func (g *globalPool) capacityLists() int { return 2 * g.ctl.curGblTarget() }
+func (g *globalPool) capacityLists() int { return 2 * g.class().gbltarget }
+
+// class returns the size class the pool serves.
+func (g *globalPool) class() *classState { return &g.al.classes[g.cls] }
 
 // getList hands one list of up to target blocks to a per-CPU cache. When
 // the pool is empty it refills with gbltarget lists from the
@@ -97,11 +97,11 @@ func (g *globalPool) getList(c *machine.CPU, one bool) (blocklist.List, error) {
 		if out, ok := g.pop(c, &g.ev); ok {
 			g.ev[EvGlobalGet]++
 			g.al.emit(g.cls, EvGlobalGet, 1)
-			g.noteOp(c, false)
 			return out, nil
 		}
 	}
-	target, gbltarget := g.al.effTarget(g.ctl.curTarget()), g.ctl.curGblTarget()
+	cs := g.class()
+	target, gbltarget := g.al.effTarget(cs.target), cs.gbltarget
 	g.al.acquire(c, g.lk, &g.ev, g.cls)
 	c.Work(insnGlobalOp)
 	c.Read(g.line)
@@ -115,7 +115,6 @@ func (g *globalPool) getList(c *machine.CPU, one bool) (blocklist.List, error) {
 			c.Write(g.line)
 			g.lk.Release(c)
 			g.al.emit(g.cls, EvGlobalGet, 1)
-			g.noteOp(c, true)
 			return blocklist.List{}, err
 		}
 		for _, l := range fresh {
@@ -146,7 +145,6 @@ func (g *globalPool) getList(c *machine.CPU, one bool) (blocklist.List, error) {
 	if refilled > 0 {
 		g.al.emit(g.cls, EvGlobalRefill, refilled)
 	}
-	g.noteOp(c, refilled > 0)
 	if out.Empty() {
 		return out, ErrNoMemory
 	}
@@ -165,13 +163,13 @@ func (g *globalPool) putList(c *machine.CPU, l blocklist.List) {
 	if l.Empty() {
 		return
 	}
-	target, gbltarget := g.ctl.curTarget(), g.ctl.curGblTarget()
+	cs := g.class()
+	target, gbltarget := cs.target, cs.gbltarget
 	if g.lf != nil && l.Len() == target && g.spillCount(len(g.lists)+1, gbltarget) == 0 {
 		c.Work(insnGlobalOp)
 		remote := g.countPut(c, l)
 		g.push(c, &g.ev, l)
 		g.emitPut(remote)
-		g.noteOp(c, false)
 		g.al.wakeClass(g.cls)
 		return
 	}
@@ -215,23 +213,9 @@ func (g *globalPool) putList(c *machine.CPU, l blocklist.List) {
 	if spilled > 0 {
 		g.al.emit(g.cls, EvGlobalSpill, spilled)
 	}
-	g.noteOp(c, spilled > 0)
 	// Blocks of this class just became reachable from the global layer:
 	// release any parked AllocWait callers of the class.
 	g.al.wakeClass(g.cls)
-}
-
-// noteOp feeds one get or put, and whether it crossed into the
-// coalesce-to-page layer, to the controller's global-layer estimator.
-func (g *globalPool) noteOp(c *machine.CPU, missed bool) {
-	if !g.ctl.enabled {
-		return
-	}
-	m := uint64(0)
-	if missed {
-		m = 1
-	}
-	g.ctl.gbltarget.note(g.al, c, g.cls, 1, m)
 }
 
 // countPut tallies one put of list l, and returns the blocks it carries

@@ -142,7 +142,7 @@ func TestSpillingPutAllocatesNothing(t *testing.T) {
 		c := m.CPU(0)
 		cls, _ := a.classOf(16)
 		g, pp := a.classes[cls].globals[0], a.classes[cls].pages[0]
-		target, gbltarget := g.ctl.curTarget(), g.ctl.curGblTarget()
+		target, gbltarget := g.class().target, g.class().gbltarget
 		hand, err := pp.getLists(c, gbltarget+1+(runs+1)*gbltarget, target)
 		if err != nil {
 			t.Fatal(err)
@@ -180,7 +180,7 @@ func TestRefillAllocatesNothing(t *testing.T) {
 		c := m.CPU(0)
 		cls, _ := a.classOf(16)
 		g := a.classes[cls].globals[0]
-		gbltarget := g.ctl.curGblTarget()
+		gbltarget := g.class().gbltarget
 		hand := make([]blocklist.List, 0, (runs+1)*gbltarget)
 		refills := g.ev[EvGlobalRefill]
 		allocs := testing.AllocsPerRun(runs, func() {

@@ -162,12 +162,9 @@ func (a *Allocator) retry(c *machine.CPU, err error, try func() (arena.Addr, err
 
 // DrainCPU flushes CPU cpu's caches for every class into the global
 // layer. Callers use it to return cached memory when a CPU goes idle;
-// tests use it to reach deterministic states. A drain also requotes the
-// cache's target from the class controller: a drained cache must not
-// resume exchanging stale-sized lists after an adaptive retune.
+// tests use it to reach deterministic states.
 func (a *Allocator) DrainCPU(c *machine.CPU, cpu int) {
 	for cls := range a.classes {
-		ctl := a.classes[cls].ctl
 		pc := &a.percpu[cpu][cls]
 		var shards []blocklist.List
 		// The drain is a foreign entrant to the victim CPU's section:
@@ -178,9 +175,6 @@ func (a *Allocator) DrainCPU(c *machine.CPU, cpu int) {
 		pc.mixed = false // an empty cache is node-pure
 		if !tortureBug(TortureBugSkipShardFlush) {
 			shards = pc.takeShards(c, a.shardsOf(cpu, cls))
-		}
-		if ctl.enabled {
-			pc.target = ctl.curTarget()
 		}
 		a.crit[cpu].ExitForeign(c)
 		if !main.Empty() {

@@ -119,80 +119,60 @@ func TestNodeStealWhenHomeDry(t *testing.T) {
 }
 
 func TestBucketRegroupAfterRetune(t *testing.T) {
-	// An adaptive retune changes target between exchanges: lists grouped
-	// under the old target are odd-sized under the new one and must flow
-	// through the bucket to be regrouped. The retune is simulated by
-	// storing the new target directly, exactly what the controller does.
+	// The target changes between exchanges only under PressureLow: a get
+	// then refills lists of the degraded target (effTarget), which are
+	// odd-sized once pressure eases and must flow through the bucket to
+	// be regrouped on their way back in.
 	a, m := testAllocator(t, 1, 1024, Params{})
 	c := m.CPU(0)
 	cls := a.classFor(32)
 	g := a.classes[cls].globals[0]
-	oldTarget := g.ctl.curTarget()
+	target := g.class().target
 
-	mkList := func(n int) (l blocklist.List) {
-		for i := 0; i < n; i++ {
-			b, err := a.Alloc(c, 32)
-			if err != nil {
-				t.Fatal(err)
-			}
-			l.Push(c, a.mem, b)
-		}
-		return l
+	a.pressure.Store(int32(PressureLow))
+	low := a.effTarget(target)
+	if low == target || 3*low < target {
+		t.Fatalf("degraded target %d of %d cannot show a regroup", low, target)
 	}
-	// Build three lists grouped under the old target, then empty the pool
-	// of the refill traffic the allocations caused, so it holds exactly
-	// those three lists.
+	// Take three lists from a refill made under pressure, then empty the
+	// pool of the rest of that refill, so it will hold only what comes
+	// back.
 	lists := make([]blocklist.List, 3)
 	for i := range lists {
-		lists[i] = mkList(oldTarget)
-	}
-	a.DrainCPU(c, 0)
-	g.drainAll(c)
-	for _, l := range lists {
-		g.putList(c, l)
-	}
-	g.lk.Acquire(c)
-	nOld := len(g.lists)
-	g.lk.Release(c)
-	if nOld != 3 {
-		t.Fatalf("%d full lists before retune, want 3", nOld)
-	}
-
-	newTarget := oldTarget + 3
-	g.ctl.target.val.Store(int64(newTarget))
-
-	// Exchange every cached list once: each comes out still grouped
-	// under the old target, is odd-sized under the new one, and must
-	// regroup through the bucket on its way back in.
-	var cycled []blocklist.List
-	for i := 0; i < nOld; i++ {
 		l, err := g.getList(c, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if l.Len() != oldTarget {
-			t.Fatalf("exchange %d returned %d blocks, want the old grouping %d", i, l.Len(), oldTarget)
+		if l.Len() != low {
+			t.Fatalf("get %d under PressureLow returned %d blocks, want %d", i, l.Len(), low)
 		}
-		cycled = append(cycled, l)
+		lists[i] = l
 	}
-	for _, l := range cycled {
+	g.drainAll(c)
+	a.pressure.Store(int32(PressureOK))
+
+	for _, l := range lists {
 		g.putList(c, l)
 	}
 
 	g.lk.Acquire(c)
 	total := g.bucket.Len()
 	for i, l := range g.lists {
-		if l.Len() != newTarget {
-			t.Fatalf("list %d has %d blocks after retune, want %d", i, l.Len(), newTarget)
+		if l.Len() != target {
+			t.Fatalf("list %d has %d blocks after pressure eased, want %d", i, l.Len(), target)
 		}
 		total += l.Len()
 	}
-	if g.bucket.Len() >= newTarget {
-		t.Fatalf("bucket kept %d blocks, regroup threshold is %d", g.bucket.Len(), newTarget)
+	full := len(g.lists)
+	if g.bucket.Len() >= target {
+		t.Fatalf("bucket kept %d blocks, regroup threshold is %d", g.bucket.Len(), target)
 	}
 	g.lk.Release(c)
-	if total != 3*oldTarget {
-		t.Fatalf("pool holds %d blocks, want %d conserved", total, 3*oldTarget)
+	if want := 3 * low / target; full != want {
+		t.Fatalf("%d full lists regrouped, want %d", full, want)
+	}
+	if total != 3*low {
+		t.Fatalf("pool holds %d blocks, want %d conserved", total, 3*low)
 	}
 	a.DrainAll(c)
 	checkOK(t, a)

@@ -615,9 +615,9 @@ func (p *pagePool) backAhead(c *machine.CPU) {
 	if !p.armed.Load() || p.al.Pressure() >= PressureLow {
 		return
 	}
-	ctl := p.al.classes[p.cls].ctl
-	target := ctl.curTarget()
-	limit := ceilDiv(ctl.curGblTarget()*target, p.blocksPerPage)
+	cs := &p.al.classes[p.cls]
+	target := cs.target
+	limit := ceilDiv(cs.gbltarget*target, p.blocksPerPage)
 	if p.al.m.Phys().Available() < int64(limit) {
 		return
 	}

@@ -141,7 +141,7 @@ func TestScatteredFreeCyclesPinned(t *testing.T) {
 func TestFreshRefillListsUnchanged(t *testing.T) {
 	for _, tc := range []struct {
 		size           uint64
-		nLists, target int // 0: the class controller's gbltarget and target
+		nLists, target int // 0: the class's gbltarget and target
 		want           uint64
 	}{
 		{16, 0, 0, 0xc59d0073d23b90bf},
@@ -156,7 +156,7 @@ func TestFreshRefillListsUnchanged(t *testing.T) {
 		cls, _ := a.classOf(tc.size)
 		nLists, target := tc.nLists, tc.target
 		if target == 0 {
-			nLists, target = a.classes[cls].ctl.curGblTarget(), a.classes[cls].ctl.curTarget()
+			nLists, target = a.classes[cls].gbltarget, a.classes[cls].target
 		}
 		lists, err := a.classes[cls].pages[0].getLists(c, nLists, target)
 		if err != nil {
@@ -197,8 +197,7 @@ func testReadyRefillRuns(t *testing.T) {
 			t.Fatalf("stock %v is not adjacent pages", pgs)
 		}
 	}
-	ctl := a.classes[pp.cls].ctl
-	nLists, target := ctl.curGblTarget(), ctl.curTarget()
+	nLists, target := a.classes[pp.cls].gbltarget, a.classes[pp.cls].target
 	if nLists*target > len(pgs)*pp.blocksPerPage {
 		t.Fatalf("%d lists of %d outgrow a %d-page stock", nLists, target, len(pgs))
 	}
@@ -396,8 +395,7 @@ func TestColdRefillLinksOutsideLocks(t *testing.T) {
 // gblWant is the blocks one refill of pool pp takes at the class's
 // targets.
 func gblWant(a *Allocator, pp *pagePool) int {
-	ctl := a.classes[pp.cls].ctl
-	return ctl.curGblTarget() * ctl.curTarget()
+	return a.classes[pp.cls].gbltarget * a.classes[pp.cls].target
 }
 
 // checkRefillLinks runs the first Alloc of pool pp's class on c, a
@@ -410,7 +408,7 @@ func gblWant(a *Allocator, pp *pagePool) int {
 func checkRefillLinks(t *testing.T, a *Allocator, pp *pagePool, c *machine.CPU, apart bool) {
 	t.Helper()
 	g := a.classes[pp.cls].globals[0]
-	target, gbltarget := g.ctl.curTarget(), g.ctl.curGblTarget()
+	target, gbltarget := g.class().target, g.class().gbltarget
 	carved := pp.ev[EvPageCarve]
 	c.StartTrace()
 	b, err := a.Alloc(c, uint64(pp.size))
@@ -549,7 +547,7 @@ func TestSpillIsOneTrip(t *testing.T) {
 			c := m.CPU(0)
 			cls, _ := a.classOf(16)
 			g, pp := a.classes[cls].globals[0], a.classes[cls].pages[0]
-			target, gbltarget := g.ctl.curTarget(), g.ctl.curGblTarget()
+			target, gbltarget := g.class().target, g.class().gbltarget
 			lists, err := pp.getLists(c, 2*gbltarget+1, target)
 			if err != nil {
 				t.Fatal(err)
@@ -592,7 +590,7 @@ func TestSpillIsOneTrip(t *testing.T) {
 	c := m.CPU(0)
 	cls, _ := a.classOf(16)
 	g, pp := a.classes[cls].globals[0], a.classes[cls].pages[0]
-	target := g.ctl.curTarget()
+	target := g.class().target
 	lists, err := pp.getLists(c, 3, target)
 	if err != nil {
 		t.Fatal(err)

@@ -74,19 +74,10 @@ type Params struct {
 	// is the default (false).
 	DisableSplitFreelist bool
 
-	// Adaptive enables the per-class adaptive target controller: a
-	// windowed miss-rate estimator that grows and shrinks target and
-	// gbltarget online to hold the observed miss rates near a setpoint
-	// (window, setpoints, deadband and the [2, 64] bounds are the adapt*
-	// constants in adaptive.go). False keeps the paper's static targets;
-	// the fast path is then byte-for-byte unchanged. TargetFor/
-	// GblTargetFor still supply each class's initial values.
-	Adaptive bool
-
 	// Hook, when non-nil, receives every layer-boundary event (refills,
-	// spills, page carves, vmblk creates, reclaims, adaptive decisions —
-	// see LayerEvent). Hooks fire on slow paths only; a nil Hook adds no
-	// work to the alloc/free fast path.
+	// spills, page carves, vmblk creates, reclaims — see LayerEvent).
+	// Hooks fire on slow paths only; a nil Hook adds no work to the
+	// alloc/free fast path.
 	Hook Hook
 
 	// Pressure enables the memory-pressure model: physmem watermarks,

@@ -32,21 +32,10 @@ type pcpuState struct {
 	aux  blocklist.List
 	line machine.Line // the cache line holding this cache's state
 
-	// target is this cache's copy of the class target. With adaptation
-	// off it never changes; with adaptation on it is requoted from the
-	// class controller lazily — on refill, spill and drain — so the fast
-	// path stays lock-free and never reads shared controller state.
-	target int
-
 	// ev tallies this cache's slice of the event spine (EvAlloc, EvFree,
 	// EvCPURefill, EvCPUSpill), written only inside the owner's critical
 	// section.
 	ev eventCounts
-
-	// notedOps is the EvAlloc+EvFree total as of this cache's last
-	// report to the adaptive controller; the delta batches fast-path
-	// operations into the controller's window at refill/spill time.
-	notedOps uint64
 
 	// mixed clears the cache's node-purity. Remote frees stage in the
 	// shards and never enter main/aux, and home refills carry only home
@@ -66,10 +55,6 @@ type pcpuState struct {
 	memoVmblk int64
 	memoHome  int8
 }
-
-// ops returns the fast-path operation count; caller is inside the
-// CPU's critical section.
-func (pc *pcpu) ops() uint64 { return pc.ev[EvAlloc] + pc.ev[EvFree] }
 
 // allocFast attempts the common-case allocation: pop from main, moving
 // aux to main if main is empty. The caller is inside the CPU's critical

@@ -13,8 +13,8 @@ import (
 // fraction of its accesses that require the coalesce-to-page layer.
 type ClassStats struct {
 	Size      uint32
-	Target    int // current per-CPU cache target (adaptive or configured)
-	GblTarget int // current global-layer capacity parameter
+	Target    int // per-CPU cache target
+	GblTarget int // global-layer capacity parameter
 
 	// Per-CPU layer, summed over CPUs.
 	Allocs       uint64
@@ -66,12 +66,6 @@ type ClassStats struct {
 	// quiescent allocator; transiently approximate while CPUs run (the
 	// snapshot is relaxed, see Stats).
 	LiveBytes uint64
-
-	// Adaptive-controller decisions (zero with adaptation off).
-	TargetGrows      uint64
-	TargetShrinks    uint64
-	GblTargetGrows   uint64
-	GblTargetShrinks uint64
 }
 
 // AllocMissRate returns the fraction of allocations that missed the
@@ -246,15 +240,7 @@ func (a *Allocator) Stats(c *machine.CPU) Stats {
 	out.Classes = make([]ClassStats, len(a.classes))
 	for i := range a.classes {
 		cs := &a.classes[i]
-		out.Classes[i] = ClassStats{
-			Size:             cs.size,
-			Target:           cs.ctl.curTarget(),
-			GblTarget:        cs.ctl.curGblTarget(),
-			TargetGrows:      cs.ctl.target.grows.Load(),
-			TargetShrinks:    cs.ctl.target.shrinks.Load(),
-			GblTargetGrows:   cs.ctl.gbltarget.grows.Load(),
-			GblTargetShrinks: cs.ctl.gbltarget.shrinks.Load(),
-		}
+		out.Classes[i] = ClassStats{Size: cs.size, Target: cs.target, GblTarget: cs.gbltarget}
 	}
 
 	// One critical section per CPU, covering every class: a CPU's

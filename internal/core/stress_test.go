@@ -134,12 +134,11 @@ func (w *workloadRand) intn(n int) int { return w.r.Intn(n) }
 // classCounters extracts the monotonically-nondecreasing counters from a
 // ClassStats (everything except the gauges Target/GblTarget/Held* and
 // the lock statistics).
-func classCounters(cs ClassStats) [16]uint64 {
-	return [16]uint64{
+func classCounters(cs ClassStats) [12]uint64 {
+	return [12]uint64{
 		cs.Allocs, cs.Frees, cs.AllocRefills, cs.FreeSpills,
 		cs.GlobalGets, cs.GlobalPuts, cs.GlobalRefills, cs.GlobalSpills,
 		cs.BlockGets, cs.BlockPuts, cs.PageAllocs, cs.PageFrees,
-		cs.TargetGrows, cs.TargetShrinks, cs.GblTargetGrows, cs.GblTargetShrinks,
 	}
 }
 
@@ -147,9 +146,10 @@ func classCounters(cs ClassStats) [16]uint64 {
 // Allocator.Stats under concurrency (see the Stats doc comment): the
 // snapshot is relaxed — not one atomic cut across layers — but every
 // counter is monotonically nondecreasing between successive snapshots,
-// and a quiescent snapshot is exact. Runs in Native mode with the
-// adaptive controller on, so the race detector also sweeps the
-// controller and the spine.
+// and a quiescent snapshot is exact. Runs in Native mode with a Hook
+// installed, so the race detector also sweeps the event spine's
+// emissions, and at quiescence the Hook's totals must equal the
+// snapshot's.
 func TestStatsRelaxedSnapshotInvariants(t *testing.T) {
 	cfg := machine.DefaultConfig()
 	cfg.Mode = machine.Native
@@ -157,7 +157,8 @@ func TestStatsRelaxedSnapshotInvariants(t *testing.T) {
 	cfg.MemBytes = 32 << 20
 	cfg.PhysPages = 4096
 	m := machine.New(cfg)
-	a, err := New(m, Params{Adaptive: true})
+	var events EventCounter
+	a, err := New(m, Params{Hook: events.Hook()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,10 @@ func TestStatsRelaxedSnapshotInvariants(t *testing.T) {
 	// live blocks, and everything drains back to the page layer.
 	a.DrainAll(c0)
 	st := a.Stats(c0)
+	var gets, puts uint64
 	for cls, cs := range st.Classes {
+		gets += cs.GlobalGets
+		puts += cs.GlobalPuts
 		if cs.Allocs != cs.Frees {
 			t.Errorf("class %d: %d allocs != %d frees at quiescence", cls, cs.Allocs, cs.Frees)
 		}
@@ -252,6 +256,10 @@ func TestStatsRelaxedSnapshotInvariants(t *testing.T) {
 			t.Errorf("class %d: blocks still cached after drain: %d percpu, %d global",
 				cls, cs.HeldPerCPU, cs.HeldGlobal)
 		}
+	}
+	if events.Count(EvGlobalGet) != gets || events.Count(EvGlobalPut) != puts {
+		t.Errorf("hook saw %d global gets, %d puts; stats say %d, %d",
+			events.Count(EvGlobalGet), events.Count(EvGlobalPut), gets, puts)
 	}
 	checkOK(t, a)
 }

@@ -1,12 +1,11 @@
 package torture
 
 // The config matrix: topology (CPUs × nodes) × pressure × faultpoints ×
-// adaptive × lazy spans × object caches × hardening × optimistic
-// fast paths (rseq + lock-free global layer) × serving traces. The small
+// lazy spans × object caches × hardening × optimistic fast paths (rseq + lock-free global layer) × serving traces. The small
 // matrix is the PR-smoke set — every dimension exercised at least once
 // on a multi-node topology, plus one planted corruption per kind, cheap
 // enough for every push. The full matrix is the nightly set: a pairwise
-// covering array over the same nine factors plus the small matrix's
+// covering array over the same eight factors plus the small matrix's
 // directed stacks, small enough that the nightly budget goes to jitter
 // seeds rather than to configs.
 
@@ -20,11 +19,10 @@ func MatrixSmall() []Config {
 		{CPUs: 8, Nodes: 4},
 		{CPUs: 4, Nodes: 2, Pressure: true},
 		{CPUs: 4, Nodes: 2, Faults: true},
-		{CPUs: 4, Nodes: 2, Adaptive: true},
 		{CPUs: 4, Nodes: 2, Lazy: true},
 		{CPUs: 4, Nodes: 2, Lazy: true, Pressure: true, Faults: true},
-		{CPUs: 8, Nodes: 4, Pressure: true, Faults: true, Adaptive: true},
-		{CPUs: 8, Nodes: 4, Lazy: true, Pressure: true, Faults: true, Adaptive: true},
+		{CPUs: 8, Nodes: 4, Pressure: true, Faults: true},
+		{CPUs: 8, Nodes: 4, Lazy: true, Pressure: true, Faults: true},
 		{CPUs: 4, Nodes: 2, ObjCache: true},
 		{CPUs: 4, Nodes: 2, ObjCache: true, Pressure: true},
 		{CPUs: 8, Nodes: 4, ObjCache: true, Lazy: true, Pressure: true, Faults: true},
@@ -58,22 +56,22 @@ func MatrixSmall() []Config {
 // matrixTopos is the topology factor's levels.
 var matrixTopos = [...]struct{ cpus, nodes int }{{1, 1}, {2, 1}, {4, 2}, {8, 4}}
 
-// matrixRow is one point of the nine-factor space, a level per factor:
-// [0] indexes matrixTopos, [1..8] are the on/off factors (0 or 1) in the
+// matrixRow is one point of the eight-factor space, a level per factor:
+// [0] indexes matrixTopos, [1..7] are the on/off factors (0 or 1) in the
 // order config reads them.
-type matrixRow [9]int
+type matrixRow [8]int
 
 func (r matrixRow) config() Config {
 	tp := matrixTopos[r[0]]
 	on := func(f int) bool { return r[f] == 1 }
 	return Config{
 		CPUs: tp.cpus, Nodes: tp.nodes,
-		Pressure: on(1), Faults: on(2), Adaptive: on(3),
-		Lazy: on(4), ObjCache: on(5), Harden: on(6),
+		Pressure: on(1), Faults: on(2),
+		Lazy: on(3), ObjCache: on(4), Harden: on(5),
 		// The optimistic factor flips both fast paths together; each
 		// alone, and the restart storm, are directed configs.
-		Rseq: on(7), LockFree: on(7),
-		Serve: on(8),
+		Rseq: on(6), LockFree: on(6),
+		Serve: on(7),
 	}
 }
 
@@ -96,7 +94,7 @@ func (r matrixRow) pairs(visit func(matrixPair)) {
 func coveringRows() []matrixRow {
 	var all []matrixRow
 	for topo := range matrixTopos {
-		for bits := 0; bits < 1<<8; bits++ {
+		for bits := 0; bits < 1<<(len(matrixRow{})-1); bits++ {
 			r := matrixRow{topo}
 			for f := 1; f < len(r); f++ {
 				r[f] = bits >> (f - 1) & 1

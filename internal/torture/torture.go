@@ -49,7 +49,6 @@ type Config struct {
 	FaultSeed int64   `json:"fault_seed,omitempty"`
 	FaultProb float64 `json:"fault_prob,omitempty"`
 
-	Adaptive bool `json:"adaptive,omitempty"`
 	// Lazy selects the virtual-span backing model (core.Params.LazySpans):
 	// spans keep VA reserved with physical frames committed on demand. The
 	// oracle then also enforces the residency invariant chain
@@ -161,9 +160,6 @@ func (c Config) Name() string {
 	if c.Faults {
 		n += "-faults"
 	}
-	if c.Adaptive {
-		n += "-adaptive"
-	}
 	if c.Lazy {
 		n += "-lazy"
 	}
@@ -272,7 +268,6 @@ func (r *Runner) Run() (Report, error) {
 	p := core.Params{
 		Poison:    true,
 		LazySpans: cfg.Lazy,
-		Adaptive:  cfg.Adaptive,
 		Rseq:      cfg.Rseq,
 		LockFree:  cfg.LockFree,
 		// Keep blocked allocations cheap in virtual time: a few short

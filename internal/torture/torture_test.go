@@ -191,17 +191,21 @@ func TestCorpusEncodings(t *testing.T) {
 }
 
 // TestMatrixShapes pins the matrix dimensions: the small matrix touches
-// every dimension, the full one is a small covering array plus the
-// directed stacks.
+// every dimension and runs no config twice, the full one is a small
+// covering array plus the directed stacks.
 func TestMatrixShapes(t *testing.T) {
 	small := MatrixSmall()
-	var pressure, faults, adaptive, lazy, objCache, hardened, multiNode bool
+	var pressure, faults, lazy, objCache, hardened, multiNode bool
 	var rseq, lockFree, storm, serve bool
 	plants := map[string]bool{}
+	names := map[string]bool{}
 	for _, c := range small {
+		if names[c.Name()] {
+			t.Errorf("small matrix runs %s twice", c.Name())
+		}
+		names[c.Name()] = true
 		pressure = pressure || c.Pressure
 		faults = faults || c.Faults
-		adaptive = adaptive || c.Adaptive
 		lazy = lazy || c.Lazy
 		objCache = objCache || c.ObjCache
 		hardened = hardened || c.Harden
@@ -214,9 +218,9 @@ func TestMatrixShapes(t *testing.T) {
 			plants[c.Plant] = true
 		}
 	}
-	if !pressure || !faults || !adaptive || !lazy || !objCache || !hardened || !multiNode {
-		t.Errorf("small matrix misses a dimension: pressure=%v faults=%v adaptive=%v lazy=%v objCache=%v harden=%v multiNode=%v",
-			pressure, faults, adaptive, lazy, objCache, hardened, multiNode)
+	if !pressure || !faults || !lazy || !objCache || !hardened || !multiNode {
+		t.Errorf("small matrix misses a dimension: pressure=%v faults=%v lazy=%v objCache=%v harden=%v multiNode=%v",
+			pressure, faults, lazy, objCache, hardened, multiNode)
 	}
 	if !rseq || !lockFree || !storm || !serve {
 		t.Errorf("small matrix misses an optimistic or serve dimension: rseq=%v lockFree=%v storm=%v serve=%v",
@@ -239,13 +243,13 @@ func TestMatrixShapes(t *testing.T) {
 	if directed != 6 || len(plants) != 3 {
 		t.Errorf("full matrix carries %d storm/plant configs and plants %v, want both storms and all four plant configs", directed, plants)
 	}
-	// The cross product it replaced had 1536.
+	// The cross product of the eight factors has 512 configs.
 	if n := len(full) - directed; n > 24 {
 		t.Errorf("full matrix has %d generated configs, want a covering array of at most 24", n)
 	}
 }
 
-// TestMatrixFullCoversAllPairs: for every two of the nine factors and
+// TestMatrixFullCoversAllPairs: for every two of the eight factors and
 // every combination of their values, some config of the full
 // matrix runs that combination. Read off the Config fields, not the
 // generator's rows, so a generator bug cannot vouch for itself.
@@ -262,7 +266,6 @@ func TestMatrixFullCoversAllPairs(t *testing.T) {
 		{"topology", []string{"c1n1", "c2n1", "c4n2", "c8n4"}, func(c Config) string { return fmt.Sprintf("c%dn%d", c.CPUs, c.Nodes) }},
 		{"pressure", flag, onOff(func(c Config) bool { return c.Pressure })},
 		{"faults", flag, onOff(func(c Config) bool { return c.Faults })},
-		{"adaptive", flag, onOff(func(c Config) bool { return c.Adaptive })},
 		{"lazy", flag, onOff(func(c Config) bool { return c.Lazy })},
 		{"objcache", flag, onOff(func(c Config) bool { return c.ObjCache })},
 		{"harden", flag, onOff(func(c Config) bool { return c.Harden })},
@@ -295,8 +298,8 @@ func TestMatrixFullCoversAllPairs(t *testing.T) {
 			}
 		}
 	}
-	if pairs != 176 {
-		t.Errorf("checked %d pairs, the nine factors have 176", pairs)
+	if pairs != 140 {
+		t.Errorf("checked %d pairs, the eight factors have 140", pairs)
 	}
 }
 

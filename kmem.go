@@ -63,62 +63,58 @@ type Stats = core.Stats
 type LayerEvent = core.LayerEvent
 
 // Hook is an optional sink for layer-boundary events (refills, spills,
-// page carves, vmblk creates, reclaims, adaptive decisions). Hooks fire
-// on slow paths only and must not call back into the allocator.
+// page carves, vmblk creates, reclaims). Hooks fire on slow paths only
+// and must not call back into the allocator.
 type Hook = core.Hook
 
 // The layer events a Hook can observe; see core's event spine for the
 // per-event batch-size (n) semantics.
 const (
-	EvAlloc           = core.EvAlloc
-	EvFree            = core.EvFree
-	EvCPURefill       = core.EvCPURefill
-	EvCPUSpill        = core.EvCPUSpill
-	EvGlobalGet       = core.EvGlobalGet
-	EvGlobalPut       = core.EvGlobalPut
-	EvGlobalRefill    = core.EvGlobalRefill
-	EvGlobalSpill     = core.EvGlobalSpill
-	EvBlockGet        = core.EvBlockGet
-	EvBlockPut        = core.EvBlockPut
-	EvPageCarve       = core.EvPageCarve
-	EvPageFree        = core.EvPageFree
-	EvSpanAlloc       = core.EvSpanAlloc
-	EvSpanFree        = core.EvSpanFree
-	EvVmblkCreate     = core.EvVmblkCreate
-	EvLargeAlloc      = core.EvLargeAlloc
-	EvLargeFree       = core.EvLargeFree
-	EvPagesMap        = core.EvPagesMap
-	EvPagesUnmap      = core.EvPagesUnmap
-	EvMapFail         = core.EvMapFail
-	EvReclaim         = core.EvReclaim
-	EvTargetGrow      = core.EvTargetGrow
-	EvTargetShrink    = core.EvTargetShrink
-	EvGblTargetGrow   = core.EvGblTargetGrow
-	EvGblTargetShrink = core.EvGblTargetShrink
-	EvRemoteFree      = core.EvRemoteFree
-	EvNodeSteal       = core.EvNodeSteal
-	EvInterconnect    = core.EvInterconnect
-	EvPressure        = core.EvPressure
-	EvWait            = core.EvWait
-	EvWake            = core.EvWake
-	EvFaultInjected   = core.EvFaultInjected
-	EvReclaimStep     = core.EvReclaimStep
-	EvCtorRun         = core.EvCtorRun
-	EvCtorSkip        = core.EvCtorSkip
-	EvCacheShed       = core.EvCacheShed
-	EvCorruption      = core.EvCorruption
-	EvQuarantine      = core.EvQuarantine
-	EvShardFlush      = core.EvShardFlush
-	EvHomeMemoHit     = core.EvHomeMemoHit
-	EvRemotePut       = core.EvRemotePut
-	EvLockWait        = core.EvLockWait
-	EvPagesReserve    = core.EvPagesReserve
-	EvPagesCommit     = core.EvPagesCommit
-	EvPagesDecommit   = core.EvPagesDecommit
-	EvRseqRestart     = core.EvRseqRestart
-	EvCASRetry        = core.EvCASRetry
-	EvSpillRouted     = core.EvSpillRouted
-	EvPageRefile      = core.EvPageRefile
+	EvAlloc         = core.EvAlloc
+	EvFree          = core.EvFree
+	EvCPURefill     = core.EvCPURefill
+	EvCPUSpill      = core.EvCPUSpill
+	EvGlobalGet     = core.EvGlobalGet
+	EvGlobalPut     = core.EvGlobalPut
+	EvGlobalRefill  = core.EvGlobalRefill
+	EvGlobalSpill   = core.EvGlobalSpill
+	EvBlockGet      = core.EvBlockGet
+	EvBlockPut      = core.EvBlockPut
+	EvPageCarve     = core.EvPageCarve
+	EvPageFree      = core.EvPageFree
+	EvSpanAlloc     = core.EvSpanAlloc
+	EvSpanFree      = core.EvSpanFree
+	EvVmblkCreate   = core.EvVmblkCreate
+	EvLargeAlloc    = core.EvLargeAlloc
+	EvLargeFree     = core.EvLargeFree
+	EvPagesMap      = core.EvPagesMap
+	EvPagesUnmap    = core.EvPagesUnmap
+	EvMapFail       = core.EvMapFail
+	EvReclaim       = core.EvReclaim
+	EvRemoteFree    = core.EvRemoteFree
+	EvNodeSteal     = core.EvNodeSteal
+	EvInterconnect  = core.EvInterconnect
+	EvPressure      = core.EvPressure
+	EvWait          = core.EvWait
+	EvWake          = core.EvWake
+	EvFaultInjected = core.EvFaultInjected
+	EvReclaimStep   = core.EvReclaimStep
+	EvCtorRun       = core.EvCtorRun
+	EvCtorSkip      = core.EvCtorSkip
+	EvCacheShed     = core.EvCacheShed
+	EvCorruption    = core.EvCorruption
+	EvQuarantine    = core.EvQuarantine
+	EvShardFlush    = core.EvShardFlush
+	EvHomeMemoHit   = core.EvHomeMemoHit
+	EvRemotePut     = core.EvRemotePut
+	EvLockWait      = core.EvLockWait
+	EvPagesReserve  = core.EvPagesReserve
+	EvPagesCommit   = core.EvPagesCommit
+	EvPagesDecommit = core.EvPagesDecommit
+	EvRseqRestart   = core.EvRseqRestart
+	EvCASRetry      = core.EvCASRetry
+	EvSpillRouted   = core.EvSpillRouted
+	EvPageRefile    = core.EvPageRefile
 )
 
 // EventCounter is a ready-made Hook sink that tallies events.
@@ -226,16 +222,6 @@ type Config struct {
 	// GblTarget overrides the global-layer capacity parameter per block
 	// size, in units of target-sized lists (default: 15 down to 3).
 	GblTarget func(size uint32) int
-	// Adaptive switches on the per-class adaptive target controller:
-	// Target and GblTarget then only set each class's initial values,
-	// and a windowed miss-rate estimator retunes them online. It is a
-	// switch, not a tuning surface — the controller's constants are a
-	// 512-operation window (64 for the global layer), miss-rate
-	// setpoints of 0.02 (per-CPU) and 0.05 (global) with a ±50 %
-	// deadband, both targets held within [2, 64], and an 8-window
-	// holdoff between a grow and the next shrink. False keeps the
-	// paper's static targets.
-	Adaptive bool
 	// Hook, when non-nil, receives every layer-boundary event.
 	Hook Hook
 	// Pressure enables the memory-pressure model (watermarks on the
@@ -296,7 +282,6 @@ func NewSystem(cfg Config) (*System, error) {
 		Classes:      cfg.Classes,
 		TargetFor:    cfg.Target,
 		GblTargetFor: cfg.GblTarget,
-		Adaptive:     cfg.Adaptive,
 		Hook:         cfg.Hook,
 		Pressure:     cfg.Pressure,
 		Wait:         cfg.Wait,
@@ -366,13 +351,12 @@ func (s *System) NumClasses() int { return s.a.NumClasses() }
 // ClassSize returns the block size of class i.
 func (s *System) ClassSize(i int) uint32 { return s.a.ClassSize(i) }
 
-// Target returns the current per-CPU cache target of class i (the
-// paper's `target` parameter, possibly retuned by the adaptive
-// controller).
+// Target returns the per-CPU cache target of class i (the paper's
+// `target` parameter).
 func (s *System) Target(i int) int { return s.a.Target(i) }
 
-// GblTarget returns the current global-layer capacity parameter of
-// class i, in units of target-sized lists.
+// GblTarget returns the global-layer capacity parameter of class i, in
+// units of target-sized lists.
 func (s *System) GblTarget(i int) int { return s.a.GblTarget(i) }
 
 // Bytes returns the n bytes of block b as a mutable slice aliasing the
